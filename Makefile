@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-kernels bench-smoke bench-check bench-baseline dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
+.PHONY: build test race fuzz bench bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,23 @@ test:
 # CI-friendly.
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist
+
+# Short native-fuzz leg over the untrusted decoders (so far the state
+# frame of internal/dist); the committed corpus under testdata/fuzz runs
+# as ordinary tests in `make test` already.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist
+
+# The end-to-end benchmark lives in its own nested module (benchmark/,
+# see BENCHMARK.json), which `go test ./...` does not reach:
+# bench-e2e-test vets and tests the harness itself (~10 s), bench-e2e
+# runs every workload once at reduced length with the correctness gate.
+bench-e2e-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e:
+	bash benchmark/run.sh -quick
 
 # Quick-config benchmarks, including BenchmarkParallelSpeedup, plus the
 # kernel trajectory file: BENCH_kernels.json records ns/elem and allocs/op
@@ -193,4 +210,4 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: fmt vet lint build test race examples dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke
+check: fmt vet lint build test bench-e2e-test race examples dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke

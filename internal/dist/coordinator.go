@@ -890,7 +890,7 @@ func (co *Coordinator) fetchState(ctx context.Context) (*ckpt.StepperState, erro
 			return nil, &RankFailure{Rank: i, Kind: FailureLink, Err: fmt.Errorf("requesting checkpoint: %w", err)}
 		}
 	}
-	var st *ckpt.StepperState
+	var full *stateHeader
 	for i := range co.ranks {
 		fr, err := co.recvFrame(ctx, i, stepTimeout)
 		if err != nil {
@@ -899,36 +899,24 @@ func (co *Coordinator) fetchState(ctx context.Context) (*ckpt.StepperState, erro
 		if fr.t != msgCkptResp {
 			return nil, fmt.Errorf("dist: rank %d: unexpected frame type %d", i, fr.t)
 		}
-		var cf ckptFrame
-		if err := decodeGob(fr.payload, &cf); err != nil {
-			return nil, err
-		}
-		if cf.State == nil {
-			return nil, fmt.Errorf("dist: rank %d: checkpoint frame without state", i)
-		}
-		if i == 0 {
-			st = cf.State
-			continue
-		}
-		if len(cf.State.U) != len(st.U) || len(cf.State.V) != len(st.V) {
-			return nil, fmt.Errorf("dist: rank %d snapshot has %d/%d dofs, rank 0 has %d/%d",
-				i, len(cf.State.U), len(cf.State.V), len(st.U), len(st.V))
-		}
-		for _, n := range cf.Nodes {
-			base := int(n) * cf.Comps
-			for c := 0; c < cf.Comps; c++ {
-				st.U[base+c] = cf.State.U[base+c]
-				st.V[base+c] = cf.State.V[base+c]
-			}
+		// A frame that passed its CRC but does not describe this run's
+		// field is as untrustworthy as one that failed it: recover. Rank
+		// 0's frame is the full base, every other a footprint onto it.
+		if full, err = decodeState(fr.payload, full); err != nil {
+			return nil, &RankFailure{Rank: i, Kind: FailureCorrupt, Err: err}
 		}
 	}
-	return st, nil
+	return &full.State, nil
 }
 
 // restoreAll installs st on every rank.
 func (co *Coordinator) restoreAll(ctx context.Context, st *ckpt.StepperState) error {
+	frame, err := encodeState(nil, st, 0, nil, true)
+	if err != nil {
+		return err
+	}
 	for i, h := range co.ranks {
-		if err := h.c.sendGob(msgRestore, st); err != nil {
+		if err := h.c.send(msgRestore, frame); err != nil {
 			return &RankFailure{Rank: i, Kind: FailureLink, Err: fmt.Errorf("sending restore: %w", err)}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +29,11 @@ import (
 // (configuration, peer lists, statistics) are gob-encoded structs; hot
 // payloads (halo contributions, receiver samples) are raw little-endian
 // float64 arrays with a small fixed header, so the per-substep exchange
-// never touches an encoder. The protocol is strictly sequenced — every
-// participant knows which message type it expects next — so no message
-// carries a correlation id beyond the halo frames' (sequence, plan)
-// sanity pair.
+// never touches an encoder, and stepper snapshots are state frames (see
+// stateHeader): a small gob header followed by raw arrays. The protocol
+// is strictly sequenced — every participant knows which message type it
+// expects next — so no message carries a correlation id beyond the halo
+// frames' (sequence, plan) sanity pair.
 const (
 	// Rank → coordinator.
 	msgHello       byte = 1 // [u32 rank][token bytes]
@@ -40,7 +42,7 @@ const (
 	msgCycleDone   byte = 4 // [f64 time][owned receiver samples ...f64]
 	msgStatsResp   byte = 5 // gob RankStats
 	msgErr         byte = 6 // error text (any time; fatal)
-	msgCkptResp    byte = 7 // gob ckptFrame (snapshot + owned footprint)
+	msgCkptResp    byte = 7 // state frame: full from rank 0, owned footprint otherwise
 	msgRestoreDone byte = 8 // restore installed, empty payload
 	msgHeartbeat   byte = 9 // periodic liveness beacon, empty payload
 
@@ -51,22 +53,127 @@ const (
 	msgStats    byte = 13 // request RankStats
 	msgShutdown byte = 14 // clean exit
 	msgCkpt     byte = 15 // request a state snapshot (reply msgCkptResp)
-	msgRestore  byte = 16 // gob ckpt.StepperState: install and reply msgRestoreDone
+	msgRestore  byte = 16 // full state frame: install and reply msgRestoreDone
 
 	// Rank → rank.
 	msgPeerHello byte = 20 // [u32 rank][token bytes]
 	msgHalo      byte = 21 // [u32 seq][u32 plan id][values ...f64]
 )
 
-// ckptFrame is the payload of msgCkptResp: one rank's stepper snapshot
-// plus the footprint on which its replicated arrays are exact. A rank's
-// field is bitwise correct only at nodes its owned elements touch
-// (Operator.OwnedNodes); the coordinator overlays every rank's owned
-// dofs to reconstruct the exact global state.
-type ckptFrame struct {
-	State *ckpt.StepperState
-	Nodes []int32 // owned-footprint node ids, ascending
-	Comps int     // field components per node (dof = node*Comps + c)
+// A state frame is a stepper snapshot on the wire, the payload of
+// msgCkptResp and msgRestore alike:
+//
+//	[u32 header length] [gob stateHeader] [nodes ...i32] [U ...f64] [V ...f64]
+//
+// A full frame carries all NDof values of U and V, a footprint frame only
+// those on the listed nodes, Comps per node: a rank's replicated arrays
+// are bitwise correct only at the nodes its owned elements touch
+// (Operator.OwnedNodes), so the coordinator overlays every other rank's
+// footprint on rank 0's full frame to get the exact global state. The
+// header's State travels without U and V; a decoded full frame is the
+// same struct with them filled in.
+type stateHeader struct {
+	State ckpt.StepperState
+	NDof  int // length of the full field arrays
+	Comps int // field components per node (dof = node*Comps + c)
+	Nodes int // footprint node count, -1 in a full frame
+}
+
+// StateFrameError reports a state frame that arrived intact (its CRC
+// matched) but does not describe a consistent snapshot of this run.
+type StateFrameError struct{ Reason string }
+
+func (e *StateFrameError) Error() string { return "dist: malformed state frame: " + e.Reason }
+
+// encodeState builds a state frame — full, or U and V on the footprint
+// nodes only — in buf's storage, grown as needed (a periodic sender keeps
+// the result as the next call's buf).
+func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, full bool) ([]byte, error) {
+	h := stateHeader{State: *st, NDof: len(st.U), Comps: comps, Nodes: len(nodes)}
+	h.State.U, h.State.V = nil, nil
+	size := len(nodes) * (4 + 16*comps)
+	if full {
+		h.Nodes, nodes, size = -1, nil, 16*len(st.U)
+	}
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
+		return nil, err
+	}
+	buf = slices.Grow(buf[:0], 4+hdr.Len()+size)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(hdr.Len()))
+	buf = append(buf, hdr.Bytes()...)
+	if full {
+		return putFloats(putFloats(buf, st.U), st.V), nil
+	}
+	for _, n := range nodes {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	}
+	for _, field := range [][]float64{st.U, st.V} {
+		for _, n := range nodes {
+			buf = putFloats(buf, field[int(n)*comps:int(n)*comps+comps])
+		}
+	}
+	return buf, nil
+}
+
+// decodeState parses and validates a state frame. A full frame needs
+// base == nil and yields a new base; a footprint frame is written
+// straight into base, which must describe the same field, and yields it
+// (on error base is left partly overlaid: discard it). Nothing is indexed
+// before it has been checked against payload and field.
+func decodeState(payload []byte, base *stateHeader) (*stateHeader, error) {
+	bad := func(format string, a ...any) (*stateHeader, error) {
+		return nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
+	}
+	if len(payload) < 4 {
+		return bad("%d bytes, no header length", len(payload))
+	}
+	hlen := int(binary.LittleEndian.Uint32(payload))
+	if hlen > len(payload)-4 {
+		return bad("header of %d bytes in a %d-byte payload", hlen, len(payload))
+	}
+	var h stateHeader
+	if err := decodeGob(payload[4:4+hlen], &h); err != nil {
+		return bad("header: %v", err)
+	}
+	body := payload[4+hlen:]
+	if h.State.U != nil || h.State.V != nil || h.NDof < 0 || h.Comps < 0 || h.Comps > maxFrame {
+		return bad("header carries arrays, %d dofs, %d components", h.NDof, h.Comps)
+	}
+	if h.Nodes < 0 {
+		if base != nil {
+			return bad("second full frame")
+		}
+		if len(body)/16 != h.NDof || len(body)%16 != 0 {
+			return bad("%d body bytes for 2 x %d values", len(body), h.NDof)
+		}
+		h.State.U, _ = getFloats(body[:len(body)/2])
+		h.State.V, _ = getFloats(body[len(body)/2:])
+		return &h, nil
+	}
+	if base == nil || h.NDof != base.NDof || h.Comps != base.Comps || h.Comps == 0 || h.NDof%h.Comps != 0 {
+		return bad("footprint of a %d-dof, %d-component field does not fit the full frame", h.NDof, h.Comps)
+	}
+	// A node costs its id plus Comps values of U and of V: size the count
+	// by the body before multiplying.
+	nc := h.Comps
+	if per := 4 + 16*nc; len(body)/per != h.Nodes || len(body)%per != 0 {
+		return bad("%d footprint nodes x %d components in a %d-byte body", h.Nodes, nc, len(body))
+	}
+	ids, vals := body[:4*h.Nodes], body[4*h.Nodes:]
+	for f, field := range [][]float64{base.State.U, base.State.V} {
+		src := vals[f*len(vals)/2:]
+		for i := 0; i < h.Nodes; i++ {
+			n := int(binary.LittleEndian.Uint32(ids[4*i:]))
+			if n >= h.NDof/nc {
+				return bad("footprint node %d outside [0,%d)", n, h.NDof/nc)
+			}
+			for c := 0; c < nc; c++ {
+				field[n*nc+c] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(i*nc+c):]))
+			}
+		}
+	}
+	return base, nil
 }
 
 // maxFrame bounds a frame payload; anything larger indicates a corrupt

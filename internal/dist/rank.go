@@ -260,6 +260,7 @@ type rankRun struct {
 	lastWait []int64
 	// linkRetries counts reconnect attempts beyond the first.
 	linkRetries int64
+	snapBuf     []byte // last snapshot frame, reused so each fetch does not fault in fresh pages
 
 	// Fault-injection state (nil fault = none armed).
 	fault   *FaultPlan
@@ -569,17 +570,23 @@ func (r *rankRun) serve() error {
 				return err
 			}
 		case msgCkpt:
-			fr := ckptFrame{State: r.capture(), Nodes: r.dop.OwnedNodes(), Comps: r.dop.Comps()}
-			if err := r.coord.sendGob(msgCkptResp, &fr); err != nil {
+			// Rank 0 ships its full arrays as the base of the merged
+			// snapshot, every other rank only its exact footprint.
+			frame, err := encodeState(r.snapBuf, r.capture(), r.dop.Comps(), r.dop.OwnedNodes(), r.params.rank == 0)
+			if err != nil {
+				return err
+			}
+			r.snapBuf = frame
+			if err := r.coord.send(msgCkptResp, frame); err != nil {
 				return err
 			}
 		case msgRestore:
-			var st ckpt.StepperState
-			if err := decodeGob(payload, &st); err != nil {
+			sf, err := decodeState(payload, nil)
+			if err != nil {
 				r.coord.send(msgErr, []byte(err.Error()))
 				return err
 			}
-			if err := r.restore(&st); err != nil {
+			if err := r.restore(&sf.State); err != nil {
 				r.coord.send(msgErr, []byte(err.Error()))
 				return err
 			}
@@ -594,15 +601,15 @@ func (r *rankRun) serve() error {
 	}
 }
 
-// capture snapshots the rank-local stepper state. The arrays are exact
-// only on this rank's owned footprint (see Operator.OwnedNodes) — the
-// coordinator merges the footprints of every rank's snapshot into the
-// global field.
+// capture returns the rank-local stepper state for immediate encoding
+// (it aliases the live arrays). The arrays are exact only on this rank's
+// owned footprint (see Operator.OwnedNodes) — the coordinator merges the
+// footprints of every rank's snapshot into the global field.
 func (r *rankRun) capture() *ckpt.StepperState {
 	if r.ltsS != nil {
-		return r.ltsS.Save()
+		return r.ltsS.View()
 	}
-	return r.gS.Save()
+	return r.gS.View()
 }
 
 // restore installs a snapshot into the rank-local stepper.

@@ -36,7 +36,19 @@ func TestStepZeroAllocs(t *testing.T) {
 			// counters are preallocated and the monotonic clock reads do
 			// not allocate.
 			s.Telemetry = true
-			s.SetSources([]sem.Source{{Dof: 3, W: sem.Ricker{F0: 1, T0: 1.2}}})
+			// More than four level-0 sources, far-coarse and halo alike: the
+			// fused coarse pass must not need per-source scratch.
+			probe, err := buildSets(op, lv.Lvl, lv.NumLevels, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var src []sem.Source
+			for n := 0; len(src) < 6; n++ {
+				if probe.nodeLevel[n] == 0 && (len(src) < 3) == (probe.stepLvl[n] == 0) {
+					src = append(src, sem.Source{Dof: n, W: sem.Ricker{F0: 1, T0: 1.2}})
+				}
+			}
+			s.SetSources(src)
 			s.Step() // warm-up: scratch grows, first-cycle branch taken
 			s.Step()
 			if n := testing.AllocsPerRun(5, s.Step); n != 0 {

@@ -10,22 +10,33 @@ import (
 const SchemeName = "lts"
 
 // Save captures the complete inter-cycle state of the scheme. All
-// per-level and shared scratch (zbuf, fbuf, vbuf, usnap, mask, kbuf,
+// scratch (the auxiliary field, the per-level buffers, mask, kbuf, hold,
 // batch workspaces) is written before it is read within each Step, and
 // cycleT is re-anchored at every Step entry, so {U, V, t, n, start}
 // plus the work counters fully determine the remaining trajectory:
 // restoring the snapshot into a freshly built scheme continues the run
 // bitwise identically.
 func (s *Scheme) Save() *ckpt.StepperState {
+	st := s.View()
+	st.U = append([]float64(nil), st.U...)
+	st.V = append([]float64(nil), st.V...)
+	st.PerLevel = append([]int64(nil), st.PerLevel...)
+	return st
+}
+
+// View is Save without the copies: the arrays of the returned state
+// alias the live ones, so it is valid only until the next Step or
+// Restore. For callers that serialise the snapshot at once.
+func (s *Scheme) View() *ckpt.StepperState {
 	return &ckpt.StepperState{
 		Scheme:      SchemeName,
 		T:           s.t,
 		N:           s.n,
 		Started:     s.start,
-		U:           append([]float64(nil), s.U...),
-		V:           append([]float64(nil), s.V...),
+		U:           s.U,
+		V:           s.V,
 		ElemApplies: s.Work.ElemApplies,
-		PerLevel:    append([]int64(nil), s.Work.PerLevel...),
+		PerLevel:    s.Work.PerLevel,
 		Cycles:      s.Work.Cycles,
 	}
 }

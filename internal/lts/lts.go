@@ -11,22 +11,42 @@
 // reconstructs the staggered velocity from the time-symmetric auxiliary
 // solution (the factor-2 update of Eq. 14).
 //
-// Two engines share the code path:
+// Two engines share one code path: the optimised engine (Optimized=true)
+// restricts substepping to the active node sets (fine regions plus the
+// coarse halo of Fig. 2) and updates far coarse nodes with the exact
+// closed-form quadratic, which is what makes LTS actually save work
+// (§II-C); the reference engine (Optimized=false) makes every node active
+// at every level, which is Algorithm 1 as written. Both produce the same
+// trajectories to roundoff; the test suite checks this, plus exact
+// equivalence with global Newmark when only one level exists.
 //
-//   - the reference engine (Optimized=false) advances full vectors exactly
-//     as Algorithm 1 is written, and
-//   - the optimised engine (Optimized=true) restricts substepping to the
-//     active node sets (fine regions plus the coarse halo of Fig. 2) and
-//     updates far coarse nodes with the exact closed-form quadratic, which
-//     is what makes LTS actually save work (§II-C).
+// Layout. Only the nodes whose force can change inside a cycle (stepLvl
+// >= 1, a tenth of a typical graded mesh) take part in the recursion.
+// They are renumbered into an active region ordered by stepLvl, so level
+// li's update set is the contiguous suffix [actOff[li], nAct). The
+// auxiliary field ũ of Eqs. 11/17 and all per-level scratch exist over
+// that region only and the substep updates are dense loops over plain
+// slices; index lists survive at the kernel boundary alone (scatter P_li·ũ
+// into an operator-numbered, otherwise-zero input; gather M⁻¹·K·P_li·ũ
+// back on the level's force nodes).
 //
-// Both produce the same trajectories to floating-point roundoff; the test
-// suite checks this, plus exact equivalence with global Newmark when only
-// one level exists.
+// The coarsest level is fused. U keeps u_n for the whole cycle, so
+// A·P_0·u_n is the kernel applied to U itself, with the few finer-level
+// nodes its force elements read zeroed for the call. The far-coarse nodes
+// (stepLvl 0, the bulk of the mesh) see the constant force f =
+// M⁻¹·K·P_0·u_n, so one pass per cycle computes f from the kernel's
+// accumulation buffer, the closed form ũ(Δt) = u_n − ½Δt²·f, the velocity
+// reconstruction, the sponge and u_{n+1}.
+//
+// This is bitwise-neutral: no update couples two dofs, so the visiting
+// order is free, and every dof still sees the same floating-point
+// operations on the same operands in the same order as in the full-vector
+// formulation that oracle_test.go keeps and compares against.
 package lts
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"golts/internal/mesh"
@@ -84,14 +104,18 @@ type Scheme struct {
 	n      int64
 	start  bool
 
-	// Per-level scratch (indexed by 0-based level):
-	zbuf  [][]float64 // A P_k u (support forceNodes[li])
-	fbuf  [][]float64 // accumulated frozen force through level li
-	vbuf  [][]float64 // auxiliary staggered velocity of level li
-	usnap [][]float64 // parent-field snapshot for the factor-2 update
-	// Shared scratch with all-zero invariants between uses:
-	mask []float64   // masked copy of u (support levelNodes[li])
+	// Scratch over the active region (sets.actNode numbering, nAct·Comps
+	// values each), held only by the 0-based levels that use it:
+	ut      []float64   // auxiliary field ũ of the cycle in progress
+	fbuf    [][]float64 // frozen force accumulated through level li (li < nlv-1; [0] always)
+	zbuf    [][]float64 // A P_li ũ (li >= 1)
+	vbuf    [][]float64 // auxiliary staggered velocity of level li (li >= 1)
+	usnap   [][]float64 // ũ snapshot for the factor-2 update (1 <= li < nlv-1)
+	minvAct []float64   // M⁻¹ per active node: gather walks one scattered array, not two
+	// Operator-numbered scratch with all-zero invariants between uses:
+	mask []float64   // kernel input P_li ũ (support levelNodes[li], li >= 1)
 	kbuf []float64   // stiffness accumulation (support forceNodes[li])
+	hold []float64   // U on sets.hold while the level-0 kernel reads U in place
 	scr  sem.Scratch // kernel scratch: steady-state Step() allocates nothing
 	// Batched-kernel state: one plan per level (the per-level element sets
 	// are stable for the scheme's lifetime) and one owned workspace, built
@@ -105,7 +129,8 @@ type Scheme struct {
 	energy *sem.Restriction // all-elements restriction
 	ebuf   []float64        // Energy work buffer (all-zero between uses)
 
-	srcLevel []uint8 // 0-based node level of each source's node
+	srcAct []int // active-region dof of each source, -1 on a far-coarse node
+	farSrc []int // ascending, distinct positions in sets.far of the nodes carrying a source
 }
 
 // New builds an LTS scheme. elemLevel holds 1-based p-levels per element
@@ -114,40 +139,49 @@ func New(op sem.Operator, elemLevel []uint8, numLevels int, dt float64, optimize
 	if dt <= 0 {
 		return nil, fmt.Errorf("lts: dt must be positive, got %g", dt)
 	}
-	st, err := buildSets(op, elemLevel, numLevels)
+	st, err := buildSets(op, elemLevel, numLevels, optimized)
 	if err != nil {
 		return nil, err
 	}
-	if !optimized {
-		st.referenceSets()
-	}
-	nd := op.NDof()
+	nd, nc := op.NDof(), op.Comps()
 	s := &Scheme{
 		Op: op, Dt: dt, Optimized: optimized,
 		U: make([]float64, nd), V: make([]float64, nd),
 		sets: st, nlv: numLevels,
-		mask: make([]float64, nd), kbuf: make([]float64, nd),
+		kbuf: make([]float64, nd), hold: make([]float64, len(st.hold)*nc),
 	}
-	// Announce the per-level force-element lists to parallel backends: for
-	// a parallel.PartitionedOperator these become the per-level activation
-	// masks (which ranks wake at each substep) plus merge plans, built once
-	// here instead of on the first substep of every level. (The batched
-	// kernel's per-level BatchPlans are built lazily by ensureBatch on the
-	// first batched apply, so per-element schemes never hold them.)
+	// Announce the per-level force-element lists to parallel backends, so
+	// their per-level activation masks, merge plans and halo sets exist
+	// before the first substep. (The batched kernel's per-level BatchPlans
+	// are built lazily by ensureBatch, so per-element schemes never hold
+	// them.)
 	for li := 0; li < numLevels; li++ {
 		sem.Prepare(op, st.forceElems[li])
 	}
 	s.Work.PerLevel = make([]int64, numLevels)
 	s.Work.LevelNanos = make([]int64, numLevels)
-	s.zbuf = make([][]float64, numLevels)
+	na := len(st.actNode) * nc
 	s.fbuf = make([][]float64, numLevels)
+	s.zbuf = make([][]float64, numLevels)
 	s.vbuf = make([][]float64, numLevels)
 	s.usnap = make([][]float64, numLevels)
-	for li := 0; li < numLevels; li++ {
-		s.zbuf[li] = make([]float64, nd)
-		s.fbuf[li] = make([]float64, nd)
-		s.vbuf[li] = make([]float64, nd)
-		s.usnap[li] = make([]float64, nd)
+	s.fbuf[0] = make([]float64, na)
+	s.minvAct = make([]float64, len(st.actNode))
+	minv := op.MInv()
+	for a, n := range st.actNode {
+		s.minvAct[a] = minv[n]
+	}
+	if numLevels > 1 {
+		s.ut = make([]float64, na)
+		s.mask = make([]float64, nd)
+	}
+	for li := 1; li < numLevels; li++ {
+		s.zbuf[li] = make([]float64, na)
+		s.vbuf[li] = make([]float64, na)
+		if li < numLevels-1 {
+			s.fbuf[li] = make([]float64, na)
+			s.usnap[li] = make([]float64, na)
+		}
 	}
 	return s, nil
 }
@@ -171,15 +205,24 @@ func (s *Scheme) SetInitial(u0, v0 []float64) error {
 	return nil
 }
 
-// SetSources installs point sources (must be called before stepping so the
-// per-source levels can be resolved).
+// SetSources installs point sources (must be called before stepping so
+// their active-region positions can be resolved).
 func (s *Scheme) SetSources(src []sem.Source) {
 	s.Sources = src
-	s.srcLevel = make([]uint8, len(src))
+	s.srcAct = make([]int, len(src))
+	s.farSrc = nil
 	nc := s.Op.Comps()
 	for i, sc := range src {
-		s.srcLevel[i] = s.sets.nodeLevel[sc.Dof/nc]
+		n := int32(sc.Dof / nc)
+		if a := slices.Index(s.sets.actNode, n); a >= 0 {
+			s.srcAct[i] = a*nc + sc.Dof%nc
+			continue
+		}
+		p, _ := slices.BinarySearch(s.sets.far, n)
+		s.srcAct[i], s.farSrc = -1, append(s.farSrc, p)
 	}
+	slices.Sort(s.farSrc)
+	s.farSrc = slices.Compact(s.farSrc)
 }
 
 // Time returns the simulation time t_n.
@@ -194,62 +237,98 @@ func (s *Scheme) NumLevels() int { return s.nlv }
 // dtAt returns the substep of 0-based level li: Δt / 2^li.
 func (s *Scheme) dtAt(li int) float64 { return s.Dt / float64(int64(1)<<uint(li)) }
 
-// applyAP computes dst = A·P_li·u - M⁻¹F_li(t) on the support of level li:
-// the input is masked to the level's P nodes, the stiffness restricted to
-// the level's force elements, and sources living on level-li nodes are
-// injected at local time t. dst is fully overwritten on forceNodes[li] and
-// untouched (zero by invariant) elsewhere.
-func (s *Scheme) applyAP(li int, u []float64, t float64, dst []float64) {
+// applyAP computes zbuf[li] = A·P_li·ũ - M⁻¹F_li(t) for a level li >= 1:
+// the input is ũ scattered to the level's P nodes of the otherwise-zero
+// mask, the stiffness restricted to the level's force elements.
+func (s *Scheme) applyAP(li int, t float64) {
 	nc := s.Op.Comps()
-	minv := s.Op.MInv()
-	// Mask input to P_li nodes.
-	for _, n := range s.sets.levelNodes[li] {
+	nodes, act := s.sets.levelNodes[li], s.sets.levelAct[li]
+	for j, n := range nodes {
 		for c := 0; c < nc; c++ {
-			s.mask[int(n)*nc+c] = u[int(n)*nc+c]
+			s.mask[int(n)*nc+c] = s.ut[int(act[j])*nc+c]
 		}
 	}
+	s.kernel(li, s.mask)
+	// Restore the all-zero invariant of the mask buffer.
+	for _, n := range nodes {
+		for c := 0; c < nc; c++ {
+			s.mask[int(n)*nc+c] = 0
+		}
+	}
+	s.gather(li, t, s.zbuf[li])
+}
+
+// applyCoarse computes dst = A·P_0·u_n - M⁻¹F_0(t_n) on the active region
+// and leaves K·P_0·u_n in kbuf on the far-coarse nodes for coarsePass.
+// The kernel input is U with sets.hold zeroed for the call.
+func (s *Scheme) applyCoarse(dst []float64) {
+	nc := s.Op.Comps()
+	for j, n := range s.sets.hold {
+		for c := 0; c < nc; c++ {
+			s.hold[j*nc+c] = s.U[int(n)*nc+c]
+			s.U[int(n)*nc+c] = 0
+		}
+	}
+	s.kernel(0, s.U)
+	for j, n := range s.sets.hold {
+		for c := 0; c < nc; c++ {
+			s.U[int(n)*nc+c] = s.hold[j*nc+c]
+		}
+	}
+	s.gather(0, s.t, dst)
+}
+
+// kernel accumulates K·in over level li's force elements into kbuf.
+func (s *Scheme) kernel(li int, in []float64) {
 	var kstart time.Time
 	if s.Telemetry {
 		kstart = time.Now()
 	}
 	if s.Kernel == sem.KernelBatched && s.ensureBatch() {
-		s.batch.AddKuBatch(s.kbuf, s.mask, s.bplans[li], &s.bscr)
+		s.batch.AddKuBatch(s.kbuf, in, s.bplans[li], &s.bscr)
 	} else {
-		s.Op.AddKuScratch(s.kbuf, s.mask, s.sets.forceElems[li], &s.scr)
+		s.Op.AddKuScratch(s.kbuf, in, s.sets.forceElems[li], &s.scr)
 	}
 	if s.Telemetry {
 		s.Work.LevelNanos[li] += time.Since(kstart).Nanoseconds()
 	}
 	s.Work.ElemApplies += int64(len(s.sets.forceElems[li]))
 	s.Work.PerLevel[li] += int64(len(s.sets.forceElems[li]))
-	for _, n := range s.sets.forceNodes[li] {
-		mi := minv[n]
+}
+
+// gather moves M⁻¹·kbuf into dst (active numbering) on level li's force
+// nodes, re-zeroing kbuf there, and injects the level's sources at local
+// time t. dst is fully overwritten on those nodes and untouched (zero by
+// invariant) elsewhere.
+func (s *Scheme) gather(li int, t float64, dst []float64) {
+	nc := s.Op.Comps()
+	minv := s.Op.MInv()
+	act := s.sets.forceAct[li]
+	for j, n := range s.sets.forceNodes[li] {
+		mi := s.minvAct[act[j]]
 		for c := 0; c < nc; c++ {
 			d := int(n)*nc + c
-			dst[d] = mi * s.kbuf[d]
+			dst[int(act[j])*nc+c] = mi * s.kbuf[d]
 			s.kbuf[d] = 0
 		}
 	}
-	// Restore the all-zero invariant of the mask buffer.
-	for _, n := range s.sets.levelNodes[li] {
-		for c := 0; c < nc; c++ {
-			s.mask[int(n)*nc+c] = 0
-		}
-	}
-	// Sources on this level enter with a minus sign: the schemes step with
-	// v -= δ (F_frozen + A P u - M⁻¹F_src). The auxiliary solves of the
-	// LTS recursion compute the time-symmetric (even) part of the
-	// evolution about the cycle anchor t_n, so the source must enter as
-	// its even extension ½(f(t_n+ξ) + f(t_n-ξ)) (Diaz & Grote's source
-	// treatment); this preserves second-order accuracy. At the top level
-	// ξ = 0 and the expression reduces to f(t_n).
 	for i, sc := range s.Sources {
-		if int(s.srcLevel[i]) == li {
-			xi := t - s.cycleT
-			amp := 0.5 * (sc.W.Amp(s.cycleT+xi) + sc.W.Amp(s.cycleT-xi))
-			dst[sc.Dof] -= amp * minv[sc.Dof/nc]
+		if int(s.sets.nodeLevel[sc.Dof/nc]) == li && s.srcAct[i] >= 0 {
+			dst[s.srcAct[i]] -= s.srcAmp(sc, t) * minv[sc.Dof/nc]
 		}
 	}
+}
+
+// srcAmp is the amplitude a source contributes at local time t. Sources
+// enter with a minus sign: the schemes step with v -= δ (F_frozen + A P u
+// - M⁻¹F_src). The auxiliary solves of the LTS recursion compute the
+// time-symmetric (even) part of the evolution about the cycle anchor t_n,
+// so the source must enter as its even extension ½(f(t_n+ξ) + f(t_n-ξ))
+// (Diaz & Grote's source treatment); this preserves second-order
+// accuracy. At the top level ξ = 0 and the expression reduces to f(t_n).
+func (s *Scheme) srcAmp(sc sem.Source, t float64) float64 {
+	xi := t - s.cycleT
+	return 0.5 * (sc.W.Amp(s.cycleT+xi) + sc.W.Amp(s.cycleT-xi))
 }
 
 // ensureBatch reports whether the batched kernel is usable, building the
@@ -276,58 +355,37 @@ func (s *Scheme) ensureBatch() bool {
 	return s.batch != nil
 }
 
-// eachStepNode calls f for every dof in the active update set of level li
-// (nodes with stepLvl >= li). Kept for tests and non-hot paths; the
-// stepping loops below are specialised inline for speed.
-func (s *Scheme) eachStepNode(li int, f func(d int)) {
-	nc := s.Op.Comps()
-	for j := li; j < s.nlv; j++ {
-		for _, n := range s.sets.stepNodesAt[j] {
-			base := int(n) * nc
-			for c := 0; c < nc; c++ {
-				f(base + c)
-			}
-		}
-	}
-}
-
 // advance performs the two level-li substeps that make up one step of
-// level li-1, operating on s.U in place (the auxiliary field ũ of Eqs.
-// 11/17). tStart is the local time at entry. On return, nodes with
+// level li-1, operating on the auxiliary field ũ of Eqs. 11/17 in place.
+// tStart is the local time at entry. On return, active nodes with
 // stepLvl >= li-1 carry the field advanced by Δt_{li-1}.
 func (s *Scheme) advance(li int, tStart float64) {
 	dt := s.dtAt(li)
 	last := li == s.nlv-1
-	v := s.vbuf[li]
-	f := s.fbuf[li-1]
 	nc := s.Op.Comps()
-	u := s.U
+	// Level li's update set is the suffix of the active region from lo on.
+	lo := s.sets.actOff[li] * nc
+	u := s.ut[lo:]
+	v := s.vbuf[li][lo:][:len(u)]
+	f := s.fbuf[li-1][lo:][:len(u)]
+	z := s.zbuf[li][lo:][:len(u)]
 	for m := 0; m < 2; m++ {
 		tm := tStart + float64(m)*dt
-		s.applyAP(li, u, tm, s.zbuf[li])
-		z := s.zbuf[li]
+		s.applyAP(li, tm)
 		if last {
 			// Finest level: plain leap-frog substeps against the frozen
 			// coarser forces (innermost loop of Algorithm 1). The
 			// auxiliary velocity restarts from v(0) = 0, so the first
 			// substep is the half-step Taylor start.
 			if m == 0 {
-				for j := li; j < s.nlv; j++ {
-					for _, n := range s.sets.stepNodesAt[j] {
-						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
-							v[d] = -dt / 2 * (f[d] + z[d])
-							u[d] += dt * v[d]
-						}
-					}
+				for d := range u {
+					v[d] = -dt / 2 * (f[d] + z[d])
+					u[d] += dt * v[d]
 				}
 			} else {
-				for j := li; j < s.nlv; j++ {
-					for _, n := range s.sets.stepNodesAt[j] {
-						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
-							v[d] -= dt * (f[d] + z[d])
-							u[d] += dt * v[d]
-						}
-					}
+				for d := range u {
+					v[d] -= dt * (f[d] + z[d])
+					u[d] += dt * v[d]
 				}
 			}
 		} else {
@@ -335,123 +393,143 @@ func (s *Scheme) advance(li int, tStart float64) {
 			// the finer levels advance one Δt_li, then reconstruct the
 			// staggered velocity from the time-symmetric solution
 			// (Eq. 14 / the ṽ update of Algorithm 1).
-			us := s.usnap[li]
-			fl := s.fbuf[li]
-			for j := li; j < s.nlv; j++ {
-				for _, n := range s.sets.stepNodesAt[j] {
-					for d := int(n) * nc; d < int(n)*nc+nc; d++ {
-						fl[d] = f[d] + z[d]
-						us[d] = u[d]
-					}
-				}
+			us := s.usnap[li][lo:][:len(u)]
+			fl := s.fbuf[li][lo:][:len(u)]
+			for d := range u {
+				fl[d] = f[d] + z[d]
+				us[d] = u[d]
 			}
 			s.advance(li+1, tm)
 			if m == 0 {
-				for j := li; j < s.nlv; j++ {
-					for _, n := range s.sets.stepNodesAt[j] {
-						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
-							v[d] = (u[d] - us[d]) / dt
-							u[d] = us[d] + dt*v[d]
-						}
-					}
+				for d := range u {
+					v[d] = (u[d] - us[d]) / dt
+					u[d] = us[d] + dt*v[d]
 				}
 			} else {
-				for j := li; j < s.nlv; j++ {
-					for _, n := range s.sets.stepNodesAt[j] {
-						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
-							v[d] += 2 * (u[d] - us[d]) / dt
-							u[d] = us[d] + dt*v[d]
-						}
-					}
+				for d := range u {
+					v[d] += 2 * (u[d] - us[d]) / dt
+					u[d] = us[d] + dt*v[d]
 				}
 			}
 		}
 	}
-	// Far coarse nodes of the parent's active set saw a constant force f
-	// during both substeps; their evolution from v(0)=0 is exactly
-	// quadratic: u -= (2 dt)²/2 · f. This closed form is what the
-	// optimised engine saves; with reference sets the list is empty at
-	// every level except the finest, reproducing full-vector Algorithm 1.
+	// Active nodes that only the parent level updates (stepLvl == li-1)
+	// saw a constant force f during both substeps; their evolution from
+	// v(0)=0 is exactly quadratic: u -= (2 dt)²/2 · f. This closed form is
+	// what the optimised engine saves; with reference sets the range is
+	// empty. (For li == 1 these are the far-coarse nodes: coarsePass.)
 	dur := 2 * dt
 	half := dur * dur / 2
-	for _, n := range s.sets.stepNodesAt[li-1] {
-		base := int(n) * nc
-		for c := 0; c < nc; c++ {
-			u[base+c] -= half * f[base+c]
-		}
+	for d := s.sets.actOff[li-1] * nc; d < lo; d++ {
+		s.ut[d] -= half * s.fbuf[li-1][d]
 	}
 }
 
 // Step advances one LTS cycle (one coarse Δt).
 func (s *Scheme) Step() {
-	nd := s.Op.NDof()
 	s.cycleT = s.t
+	nc := s.Op.Comps()
 	if s.nlv == 1 {
 		// Degenerate single-level case: global leap-frog, identical
-		// arithmetic to package newmark.
-		s.applyAP(0, s.U, s.t, s.zbuf[0])
-		z := s.zbuf[0]
-		dt := s.Dt
+		// arithmetic to package newmark (every node is active, in operator
+		// order): v -= Δt·z (half of it on the first step), sponge, u += Δt·v.
+		z := s.fbuf[0]
+		s.applyCoarse(z)
+		kick := s.Dt
 		if !s.start {
-			for d := 0; d < nd; d++ {
-				s.V[d] -= dt / 2 * z[d]
-			}
-			s.start = true
-		} else {
-			for d := 0; d < nd; d++ {
-				s.V[d] -= dt * z[d]
-			}
+			kick, s.start = s.Dt/2, true
 		}
-		s.damp()
-		for d := 0; d < nd; d++ {
-			s.U[d] += dt * s.V[d]
+		for d := range z {
+			v := (s.V[d] - kick*z[d]) * s.dampFac(d/nc)
+			s.V[d] = v
+			s.U[d] += s.Dt * v
 		}
-		s.t += s.Dt
-		s.n++
-		s.Work.Cycles++
-		return
-	}
-	// w = A P_1 u_n (+ level-1 sources), frozen for the whole cycle.
-	s.applyAP(0, s.U, s.t, s.zbuf[0])
-	us := s.usnap[0]
-	copy(us, s.U)
-	copy(s.fbuf[0], s.zbuf[0])
-	s.advance(1, s.t)
-	dtInv := 1 / s.Dt
-	if !s.start {
-		// First cycle: v(0) is unstaggered; u_1 = ũ(Δt) + Δt v(0).
-		for d := 0; d < nd; d++ {
-			s.V[d] += (s.U[d] - us[d]) * dtInv
-		}
-		s.start = true
 	} else {
-		for d := 0; d < nd; d++ {
-			s.V[d] += 2 * (s.U[d] - us[d]) * dtInv
-		}
-	}
-	s.damp()
-	for d := 0; d < nd; d++ {
-		s.U[d] = us[d] + s.Dt*s.V[d]
+		s.stepLevels()
 	}
 	s.t += s.Dt
 	s.n++
 	s.Work.Cycles++
 }
 
-func (s *Scheme) damp() {
-	if s.Sigma == nil {
-		return
-	}
+// stepLevels is the multi-level cycle.
+func (s *Scheme) stepLevels() {
 	nc := s.Op.Comps()
-	for n, sg := range s.Sigma {
-		if sg == 0 {
-			continue
-		}
-		fac := 1 / (1 + sg*s.Dt)
+	// w = A P_1 u_n (+ level-1 sources), frozen for the whole cycle. U
+	// keeps u_n until the closing passes; the recursion runs on ũ.
+	s.applyCoarse(s.fbuf[0])
+	for a, n := range s.sets.actNode {
 		for c := 0; c < nc; c++ {
-			s.V[n*nc+c] *= fac
+			s.ut[a*nc+c] = s.U[int(n)*nc+c]
 		}
 	}
+	s.advance(1, s.t)
+	// V += 2(ũ(Δt) - u_n)/Δt; on the first cycle v(0) is unstaggered and
+	// u_1 = ũ(Δt) + Δt v(0), i.e. the factor is 1.
+	kick := 2.0
+	if !s.start {
+		kick = 1
+		s.start = true
+	}
+	s.coarsePass(kick)
+	dtInv := 1 / s.Dt
+	for a, n := range s.sets.actNode {
+		fac := s.dampFac(int(n))
+		for c := 0; c < nc; c++ {
+			d := int(n)*nc + c
+			u0 := s.U[d]
+			v := s.V[d] + kick*(s.ut[a*nc+c]-u0)*dtInv
+			v *= fac
+			s.V[d] = v
+			s.U[d] = u0 + s.Dt*v
+		}
+	}
+}
+
+// coarsePass is the whole cycle of the far-coarse nodes in one sweep:
+// f = M⁻¹·kbuf - M⁻¹F_0(t_n) (kbuf as left by applyCoarse, re-zeroed
+// here), ũ(Δt) = u_n - (2Δt_1)²/2·f, then the closing update of Step.
+func (s *Scheme) coarsePass(kick float64) {
+	nc := s.Op.Comps()
+	minv := s.Op.MInv()
+	dur := 2 * s.dtAt(1)
+	half := dur * dur / 2
+	dtInv := 1 / s.Dt
+	src := s.farSrc // positions of the nodes carrying (level-0) sources
+	for j, n := range s.sets.far {
+		mi := minv[n]
+		fac := s.dampFac(int(n))
+		hasSrc := len(src) > 0 && src[0] == j
+		if hasSrc {
+			src = src[1:]
+		}
+		for d := int(n) * nc; d < int(n)*nc+nc; d++ {
+			f := mi * s.kbuf[d]
+			s.kbuf[d] = 0
+			if hasSrc {
+				for _, sc := range s.Sources {
+					if sc.Dof == d {
+						f -= s.srcAmp(sc, s.t) * mi
+					}
+				}
+			}
+			u0 := s.U[d]
+			u1 := u0 - half*f
+			v := s.V[d] + kick*(u1-u0)*dtInv
+			v *= fac
+			s.V[d] = v
+			s.U[d] = u0 + s.Dt*v
+		}
+	}
+}
+
+// dampFac is the sponge factor applied to node n's velocity once per
+// coarse step (1 outside the sponge).
+func (s *Scheme) dampFac(n int) float64 {
+	if s.Sigma == nil || s.Sigma[n] == 0 {
+		return 1
+	}
+	return 1 / (1 + s.Sigma[n]*s.Dt)
 }
 
 // Run advances n cycles.

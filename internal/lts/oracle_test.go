@@ -1,0 +1,481 @@
+package lts
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"golts/internal/mesh"
+	"golts/internal/sem"
+)
+
+// oracle is the full-vector LTS-Newmark stepper the package shipped
+// before the active-region rewrite, kept verbatim as the test oracle:
+// every per-level buffer is full-length and every pointwise pass walks
+// the node index lists. It shares nothing with Scheme but the index sets
+// (whose levelNodes / forceElems / stepNodesAt lists are what they always
+// were; the force-node lists it derives itself) and always runs the
+// per-element kernel, which kernel_test.go pins bitwise against the
+// batched one.
+type oracle struct {
+	op      sem.Operator
+	dt      float64
+	sigma   []float64
+	sources []sem.Source
+	sets    *sets
+	nlv     int
+	// forceNodes[li]: all nodes of forceElems[li], in first-touched order.
+	forceNodes [][]int32
+
+	U, V   []float64
+	t      float64
+	cycleT float64
+	start  bool
+
+	zbuf, fbuf, vbuf, usnap [][]float64
+	mask, kbuf              []float64
+	scr                     sem.Scratch
+}
+
+func newOracle(op sem.Operator, elemLevel []uint8, numLevels int, dt float64, optimized bool) *oracle {
+	st, err := buildSets(op, elemLevel, numLevels, optimized)
+	if err != nil {
+		panic(err)
+	}
+	nd := op.NDof()
+	o := &oracle{
+		op: op, dt: dt, sets: st, nlv: numLevels,
+		U: make([]float64, nd), V: make([]float64, nd),
+		mask: make([]float64, nd), kbuf: make([]float64, nd),
+	}
+	var nb []int32
+	for li := 0; li < numLevels; li++ {
+		seen := make([]bool, op.NumNodes())
+		var nodes []int32
+		for _, e := range st.forceElems[li] {
+			nb = op.ElemNodes(int(e), nb[:0])
+			for _, n := range nb {
+				if !seen[n] {
+					seen[n] = true
+					nodes = append(nodes, n)
+				}
+			}
+		}
+		o.forceNodes = append(o.forceNodes, nodes)
+	}
+	for _, b := range []*[][]float64{&o.zbuf, &o.fbuf, &o.vbuf, &o.usnap} {
+		*b = make([][]float64, numLevels)
+		for li := range *b {
+			(*b)[li] = make([]float64, nd)
+		}
+	}
+	return o
+}
+
+func (o *oracle) dtAt(li int) float64 { return o.dt / float64(int64(1)<<uint(li)) }
+
+func (o *oracle) applyAP(li int, u []float64, t float64, dst []float64) {
+	nc := o.op.Comps()
+	minv := o.op.MInv()
+	for _, n := range o.sets.levelNodes[li] {
+		for c := 0; c < nc; c++ {
+			o.mask[int(n)*nc+c] = u[int(n)*nc+c]
+		}
+	}
+	o.op.AddKuScratch(o.kbuf, o.mask, o.sets.forceElems[li], &o.scr)
+	for _, n := range o.forceNodes[li] {
+		mi := minv[n]
+		for c := 0; c < nc; c++ {
+			d := int(n)*nc + c
+			dst[d] = mi * o.kbuf[d]
+			o.kbuf[d] = 0
+		}
+	}
+	for _, n := range o.sets.levelNodes[li] {
+		for c := 0; c < nc; c++ {
+			o.mask[int(n)*nc+c] = 0
+		}
+	}
+	for _, sc := range o.sources {
+		if int(o.sets.nodeLevel[sc.Dof/nc]) == li {
+			xi := t - o.cycleT
+			amp := 0.5 * (sc.W.Amp(o.cycleT+xi) + sc.W.Amp(o.cycleT-xi))
+			dst[sc.Dof] -= amp * minv[sc.Dof/nc]
+		}
+	}
+}
+
+func (o *oracle) advance(li int, tStart float64) {
+	dt := o.dtAt(li)
+	last := li == o.nlv-1
+	v := o.vbuf[li]
+	f := o.fbuf[li-1]
+	nc := o.op.Comps()
+	u := o.U
+	for m := 0; m < 2; m++ {
+		tm := tStart + float64(m)*dt
+		o.applyAP(li, u, tm, o.zbuf[li])
+		z := o.zbuf[li]
+		if last {
+			if m == 0 {
+				for j := li; j < o.nlv; j++ {
+					for _, n := range o.sets.stepNodesAt[j] {
+						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
+							v[d] = -dt / 2 * (f[d] + z[d])
+							u[d] += dt * v[d]
+						}
+					}
+				}
+			} else {
+				for j := li; j < o.nlv; j++ {
+					for _, n := range o.sets.stepNodesAt[j] {
+						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
+							v[d] -= dt * (f[d] + z[d])
+							u[d] += dt * v[d]
+						}
+					}
+				}
+			}
+		} else {
+			us := o.usnap[li]
+			fl := o.fbuf[li]
+			for j := li; j < o.nlv; j++ {
+				for _, n := range o.sets.stepNodesAt[j] {
+					for d := int(n) * nc; d < int(n)*nc+nc; d++ {
+						fl[d] = f[d] + z[d]
+						us[d] = u[d]
+					}
+				}
+			}
+			o.advance(li+1, tm)
+			if m == 0 {
+				for j := li; j < o.nlv; j++ {
+					for _, n := range o.sets.stepNodesAt[j] {
+						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
+							v[d] = (u[d] - us[d]) / dt
+							u[d] = us[d] + dt*v[d]
+						}
+					}
+				}
+			} else {
+				for j := li; j < o.nlv; j++ {
+					for _, n := range o.sets.stepNodesAt[j] {
+						for d := int(n) * nc; d < int(n)*nc+nc; d++ {
+							v[d] += 2 * (u[d] - us[d]) / dt
+							u[d] = us[d] + dt*v[d]
+						}
+					}
+				}
+			}
+		}
+	}
+	dur := 2 * dt
+	half := dur * dur / 2
+	for _, n := range o.sets.stepNodesAt[li-1] {
+		base := int(n) * nc
+		for c := 0; c < nc; c++ {
+			u[base+c] -= half * f[base+c]
+		}
+	}
+}
+
+func (o *oracle) damp() {
+	if o.sigma == nil {
+		return
+	}
+	nc := o.op.Comps()
+	for n, sg := range o.sigma {
+		if sg == 0 {
+			continue
+		}
+		fac := 1 / (1 + sg*o.dt)
+		for c := 0; c < nc; c++ {
+			o.V[n*nc+c] *= fac
+		}
+	}
+}
+
+func (o *oracle) Step() {
+	nd := o.op.NDof()
+	o.cycleT = o.t
+	if o.nlv == 1 {
+		o.applyAP(0, o.U, o.t, o.zbuf[0])
+		z := o.zbuf[0]
+		dt := o.dt
+		if !o.start {
+			for d := 0; d < nd; d++ {
+				o.V[d] -= dt / 2 * z[d]
+			}
+			o.start = true
+		} else {
+			for d := 0; d < nd; d++ {
+				o.V[d] -= dt * z[d]
+			}
+		}
+		o.damp()
+		for d := 0; d < nd; d++ {
+			o.U[d] += dt * o.V[d]
+		}
+		o.t += o.dt
+		return
+	}
+	o.applyAP(0, o.U, o.t, o.zbuf[0])
+	us := o.usnap[0]
+	copy(us, o.U)
+	copy(o.fbuf[0], o.zbuf[0])
+	o.advance(1, o.t)
+	dtInv := 1 / o.dt
+	if !o.start {
+		for d := 0; d < nd; d++ {
+			o.V[d] += (o.U[d] - us[d]) * dtInv
+		}
+		o.start = true
+	} else {
+		for d := 0; d < nd; d++ {
+			o.V[d] += 2 * (o.U[d] - us[d]) * dtInv
+		}
+	}
+	o.damp()
+	for d := 0; d < nd; d++ {
+		o.U[d] = us[d] + o.dt*o.V[d]
+	}
+	o.t += o.dt
+}
+
+// oracleMesh builds a graded box whose x-columns halve in size towards
+// the middle, giving exactly `levels` LTS levels, wide enough on the
+// coarse side that far-coarse (stepLvl 0) nodes exist.
+func oracleMesh(t *testing.T, levels int) (*mesh.Mesh, *mesh.Levels) {
+	t.Helper()
+	xc := []float64{0, 1, 2, 3}
+	for k, w := 1, 0.5; k < levels; k, w = k+1, w/2 {
+		xc = append(xc, xc[len(xc)-1]+w)
+	}
+	for i := 0; i < 3; i++ {
+		xc = append(xc, xc[len(xc)-1]+1)
+	}
+	yz := []float64{0, 1, 2}
+	m, err := mesh.New("oracle", xc, yz, yz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := mesh.AssignLevels(m, 0.3/16, 0)
+	if lv.NumLevels != levels {
+		t.Fatalf("want %d levels, got %d", levels, lv.NumLevels)
+	}
+	return m, lv
+}
+
+// firstNode returns the lowest node id satisfying pred, or -1.
+func firstNode(st *sets, pred func(n int) bool) int {
+	for n := range st.stepLvl {
+		if pred(n) {
+			return n
+		}
+	}
+	return -1
+}
+
+// TestBitwiseAgainstFullVectorOracle pins the active-region engine bit
+// for bit against the pre-rewrite full-vector stepper after 1 and 8
+// cycles at nonzero amplitude, over acoustic + elastic × 2–4 levels ×
+// both engines × sponge on/off × the three source placements that take
+// different paths through the fused coarse pass (far-coarse node, level-0
+// halo node, finest-level node) × fresh start vs. a mid-run Restore into
+// a freshly built scheme.
+func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
+	for _, physics := range []string{"acoustic", "elastic"} {
+		for levels := 2; levels <= 4; levels++ {
+			m, lv := oracleMesh(t, levels)
+			var op sem.Operator
+			var err error
+			if physics == "elastic" {
+				op, err = sem.NewElastic3D(m, 4, false, 0)
+			} else {
+				op, err = sem.NewAcoustic3D(m, 4, false)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			nc, nd := op.Comps(), op.NDof()
+			sigma := make([]float64, op.NumNodes())
+			for n := range sigma {
+				if n%3 != 0 {
+					sigma[n] = 0.05 * float64(n%7)
+				}
+			}
+			u0 := make([]float64, nd)
+			v0 := make([]float64, nd)
+			for d := range u0 {
+				u0[d] = math.Sin(0.37 * float64(d))
+				v0[d] = 0.1 * math.Cos(0.11*float64(d))
+			}
+			for _, optimized := range []bool{true, false} {
+				probe, err := buildSets(op, lv.Lvl, lv.NumLevels, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srcNodes := map[string]int{
+					"far":  firstNode(probe, func(n int) bool { return probe.stepLvl[n] == 0 }),
+					"halo": firstNode(probe, func(n int) bool { return probe.nodeLevel[n] == 0 && probe.stepLvl[n] > 0 }),
+					"fine": firstNode(probe, func(n int) bool { return int(probe.nodeLevel[n]) == levels-1 }),
+				}
+				for where, node := range srcNodes {
+					if node < 0 {
+						t.Fatalf("%s/%d levels: no %s node", physics, levels, where)
+					}
+					// Two sources on one dof plus one on the last component:
+					// the subtraction order per dof is part of the contract.
+					src := []sem.Source{
+						{Dof: node * nc, W: sem.Ricker{F0: 2, T0: 0.3}},
+						{Dof: node * nc, W: sem.Ricker{F0: 3, T0: 0.2}},
+						{Dof: node*nc + nc - 1, W: sem.Ricker{F0: 1, T0: 0.5}},
+					}
+					for _, sponge := range []bool{false, true} {
+						name := fmt.Sprintf("%s/L%d/opt=%v/src=%s/sponge=%v", physics, levels, optimized, where, sponge)
+						build := func() (*Scheme, *oracle) {
+							s, err := FromMeshLevels(op, lv, optimized)
+							if err != nil {
+								t.Fatal(err)
+							}
+							o := newOracle(op, lv.Lvl, lv.NumLevels, lv.CoarseDt, optimized)
+							if sponge {
+								s.Sigma, o.sigma = sigma, sigma
+							}
+							s.SetSources(src)
+							o.sources = src
+							return s, o
+						}
+						s, o := build()
+						if err := s.SetInitial(u0, v0); err != nil {
+							t.Fatal(err)
+						}
+						copy(o.U, u0)
+						copy(o.V, v0)
+						for cyc := 1; cyc <= 8; cyc++ {
+							s.Step()
+							o.Step()
+							if cyc == 4 {
+								// Continue on a freshly built scheme restored
+								// from the snapshot: scratch must carry nothing.
+								fresh, _ := build()
+								if err := fresh.Restore(s.Save()); err != nil {
+									t.Fatal(err)
+								}
+								s = fresh
+							}
+							if cyc != 1 && cyc != 8 {
+								continue
+							}
+							if d := firstBitDiff(s.U, o.U); d >= 0 {
+								t.Fatalf("%s: U differs from the oracle at dof %d after %d cycles: %x vs %x",
+									name, d, cyc, math.Float64bits(s.U[d]), math.Float64bits(o.U[d]))
+							}
+							if d := firstBitDiff(s.V, o.V); d >= 0 {
+								t.Fatalf("%s: V differs from the oracle at dof %d after %d cycles", name, d, cyc)
+							}
+						}
+						if mu, mv := maxAbs(s.U), maxAbs(s.V); !(mu > 0 && mu < 1e3 && mv > 0 && mv < 1e3) {
+							t.Fatalf("%s: |U|max %g |V|max %g: the comparison is vacuous", name, mu, mv)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSingleLevelBitwiseAgainstOracle covers the nlv == 1 path (global
+// leap-frog arithmetic) the same way, sources and sponge included.
+func TestSingleLevelBitwiseAgainstOracle(t *testing.T) {
+	op, lv, nl := graded1D([]uint8{1, 1, 1, 1, 1}, 1, 1, 4)
+	dt := coarseDt(1, 1, 4)
+	s, err := New(op, lv, nl, dt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOracle(op, lv, nl, dt, true)
+	src := []sem.Source{{Dof: 3, W: sem.Ricker{F0: 1, T0: 1.2}}, {Dof: 3, W: sem.Ricker{F0: 2, T0: 0.4}}}
+	s.SetSources(src)
+	o.sources = src
+	s.Sigma = make([]float64, op.NumNodes())
+	for n := range s.Sigma {
+		s.Sigma[n] = 0.1 * float64(n%3)
+	}
+	o.sigma = s.Sigma
+	for d := range s.U {
+		s.U[d] = math.Sin(0.4 * float64(d))
+		o.U[d] = s.U[d]
+	}
+	for cyc := 0; cyc < 8; cyc++ {
+		s.Step()
+		o.Step()
+	}
+	if firstBitDiff(s.U, o.U) >= 0 || firstBitDiff(s.V, o.V) >= 0 {
+		t.Fatal("single-level path differs from the full-vector oracle")
+	}
+}
+
+// TestScratchIsActiveRegionSized asserts the memory claim of the
+// active-region numbering: every per-level scratch slice the scheme
+// holds spans the active region (nodes with stepLvl >= 1), not the mesh.
+func TestScratchIsActiveRegionSized(t *testing.T) {
+	m, lv := oracleMesh(t, 3)
+	op, err := sem.NewElastic3D(m, 4, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromMeshLevels(op, lv, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nAct := 0
+	for _, l := range s.sets.stepLvl {
+		if l >= 1 {
+			nAct++
+		}
+	}
+	want := nAct * op.Comps()
+	if want == 0 || want >= op.NDof() {
+		t.Fatalf("fixture has %d active of %d dofs; need a proper subset", want, op.NDof())
+	}
+	if len(s.ut) != want {
+		t.Errorf("auxiliary field has %d values, want activeDofs = %d", len(s.ut), want)
+	}
+	held := 0
+	for name, bufs := range map[string][][]float64{"zbuf": s.zbuf, "fbuf": s.fbuf, "vbuf": s.vbuf, "usnap": s.usnap} {
+		for li, b := range bufs {
+			if b == nil {
+				continue
+			}
+			held++
+			if len(b) != want {
+				t.Errorf("%s[%d] has %d values, want activeDofs = %d (NDof = %d)", name, li, len(b), want, op.NDof())
+			}
+		}
+	}
+	// 3 levels need f[0], f[1], z[1], z[2], v[1], v[2], usnap[1].
+	if held != 7 {
+		t.Errorf("scheme holds %d per-level scratch slices, want 7", held)
+	}
+	if len(s.hold) >= op.NDof()/4 {
+		t.Errorf("level-0 save/restore set has %d dofs of %d: not a thin interface", len(s.hold), op.NDof())
+	}
+}
+
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func maxAbs(a []float64) float64 {
+	m := 0.0
+	for _, x := range a {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
+}

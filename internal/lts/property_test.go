@@ -139,7 +139,7 @@ func TestSetInvariantsProperty(t *testing.T) {
 			}
 		}
 		op, lv, _ := graded1D(levels, 1, 1, 2)
-		st, err := buildSets(op, lv, nlv)
+		st, err := buildSets(op, lv, nlv, true)
 		if err != nil {
 			return false
 		}

@@ -20,13 +20,20 @@ import (
 //   - levelNodes[li]: the P_k node list (nodeLevel == li).
 //   - forceElems[li]: elements with at least one P_k node — exactly the
 //     elements whose stiffness contributions A·P_k·u can be nonzero.
-//   - forceNodes[li]: all nodes of forceElems[li] — the support of A·P_k·u.
+//   - forceNodes[li]: all nodes of forceElems[li] — the support of A·P_k·u,
+//     ascending. (forceNodes[0] of a multi-level scheme keeps only its
+//     active part: the far-coarse rest is what coarsePass consumes.)
 //   - stepLvl[n]: the fastest rate at which node n's force can change
 //     = max level li such that n ∈ forceNodes[li]. Nodes outside
 //     forceNodes[li] for all li >= k see a constant force during level-k
 //     substepping and admit a closed-form (quadratic-in-time) update.
-//   - stepNodesAt[li]: nodes with stepLvl == li. The active update set of
-//     level k is ∪_{li >= k} stepNodesAt[li].
+//   - stepNodesAt[li]: nodes with stepLvl == li, ascending. The active
+//     update set of level k is ∪_{li >= k} stepNodesAt[li].
+//
+// Active-region numbering: the nodes that substep at all (stepLvl >= 1;
+// every node when there is a single level) are numbered 0..nAct-1 in
+// (stepLvl, node) order, so the update set of level li is the suffix
+// [actOff[li], nAct) and its closed-form set [actOff[li], actOff[li+1]).
 type sets struct {
 	numLevels   int
 	elemLevel   []uint8 // 0-based per element
@@ -36,11 +43,25 @@ type sets struct {
 	forceElems  [][]int32
 	forceNodes  [][]int32
 	stepNodesAt [][]int32
+
+	actNode []int32 // active index -> node: stepNodesAt[1:] back to back
+	actOff  []int   // actOff[li]: number of active nodes with stepLvl < li
+	far     []int32 // the nodes outside the active region, ascending
+	// Kernel boundary: levelAct[li][j] is the active index of
+	// levelNodes[li][j] (scatter side; nil for level 0, whose kernel input
+	// is the field itself), forceAct[li][j] that of forceNodes[li][j].
+	levelAct [][]int32
+	forceAct [][]int32
+	hold     []int32 // finer-level nodes the level-0 force elements read: zero in P_0·u
 }
 
 // buildSets computes all index sets from the operator topology and the
 // element level assignment (1-based, as produced by mesh.AssignLevels).
-func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int) (*sets, error) {
+// With optimized unset the update sets are widened so that every node
+// substeps at every level — the full-vector Algorithm 1 semantics, used
+// as the verification oracle; force sets are unchanged (restricting them
+// is mathematically lossless).
+func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized bool) (*sets, error) {
 	ne := op.NumElements()
 	if len(elemLevel1) != ne {
 		return nil, fmt.Errorf("lts: %d element levels for %d elements", len(elemLevel1), ne)
@@ -99,13 +120,36 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int) (*sets, error
 		for b := m; b > 1; b >>= 1 {
 			l++
 		}
+		if !optimized {
+			l = numLevels - 1
+		}
 		s.stepLvl[n] = uint8(l)
 	}
-	s.levelNodes = make([][]int32, numLevels)
 	s.stepNodesAt = make([][]int32, numLevels)
-	for n := 0; n < nn; n++ {
-		s.levelNodes[s.nodeLevel[n]] = append(s.levelNodes[s.nodeLevel[n]], int32(n))
-		s.stepNodesAt[s.stepLvl[n]] = append(s.stepNodesAt[s.stepLvl[n]], int32(n))
+	for n, l := range s.stepLvl {
+		s.stepNodesAt[l] = append(s.stepNodesAt[l], int32(n))
+	}
+	// The active region: levels lo.. back to back.
+	lo := min(1, numLevels-1)
+	s.actOff = make([]int, numLevels)
+	for li := lo; li < numLevels; li++ {
+		s.actOff[li] = len(s.actNode)
+		s.actNode = append(s.actNode, s.stepNodesAt[li]...)
+	}
+	if lo == 1 {
+		s.far = s.stepNodesAt[0]
+	}
+	idx := make([]int32, nn) // node -> active index; far nodes' 0 is never read
+	for a, n := range s.actNode {
+		idx[n] = int32(a)
+	}
+	s.levelNodes = make([][]int32, numLevels)
+	s.levelAct = make([][]int32, numLevels)
+	for n, l := range s.nodeLevel {
+		s.levelNodes[l] = append(s.levelNodes[l], int32(n))
+		if l > 0 {
+			s.levelAct[l] = append(s.levelAct[l], idx[n])
+		}
 	}
 	s.forceElems = make([][]int32, numLevels)
 	for e := 0; e < ne; e++ {
@@ -116,39 +160,22 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int) (*sets, error
 		}
 	}
 	s.forceNodes = make([][]int32, numLevels)
-	seen := make([]int32, nn)
-	for i := range seen {
-		seen[i] = -1
-	}
-	for li := 0; li < numLevels; li++ {
-		for _, e := range s.forceElems[li] {
-			for _, n := range elemNodes(int(e)) {
-				if seen[n] != int32(li) {
-					seen[n] = int32(li)
-					s.forceNodes[li] = append(s.forceNodes[li], n)
-				}
+	s.forceAct = make([][]int32, numLevels)
+	for n, m := range forceMask {
+		if lo == 1 && s.stepLvl[n] == 0 {
+			continue // far-coarse: in forceNodes[0] alone, consumed by coarsePass
+		}
+		if lo == 1 && m&1 != 0 && s.nodeLevel[n] != 0 {
+			s.hold = append(s.hold, int32(n))
+		}
+		for li := 0; m != 0; li, m = li+1, m>>1 {
+			if m&1 != 0 {
+				s.forceNodes[li] = append(s.forceNodes[li], int32(n))
+				s.forceAct[li] = append(s.forceAct[li], idx[n])
 			}
 		}
 	}
 	return s, nil
-}
-
-// referenceSets widens the update sets so that every node substeps at every
-// level — the full-vector Algorithm 1 semantics, used as the verification
-// oracle. Force sets are unchanged (restricting them is mathematically
-// lossless).
-func (s *sets) referenceSets() {
-	all := make([]int32, len(s.stepLvl))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	for li := range s.stepNodesAt {
-		s.stepNodesAt[li] = nil
-	}
-	s.stepNodesAt[s.numLevels-1] = all
-	for i := range s.stepLvl {
-		s.stepLvl[i] = uint8(s.numLevels - 1)
-	}
 }
 
 // haloElems returns, for level li, how many of forceElems[li] are not

@@ -14,13 +14,23 @@ const SchemeName = "newmark"
 // Step, so {U, V, t, n, started} plus the work counter fully determine
 // the remaining trajectory.
 func (s *Stepper) Save() *ckpt.StepperState {
+	st := s.View()
+	st.U = append([]float64(nil), st.U...)
+	st.V = append([]float64(nil), st.V...)
+	return st
+}
+
+// View is Save without the copies: U and V of the returned state alias
+// the live arrays, so it is valid only until the next Step or Restore.
+// For callers that serialise the snapshot at once.
+func (s *Stepper) View() *ckpt.StepperState {
 	return &ckpt.StepperState{
 		Scheme:      SchemeName,
 		T:           s.t,
 		N:           s.n,
 		Started:     s.started,
-		U:           append([]float64(nil), s.U...),
-		V:           append([]float64(nil), s.V...),
+		U:           s.U,
+		V:           s.V,
 		ElemApplies: s.ElementSteps,
 	}
 }
