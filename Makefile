@@ -1,12 +1,21 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
+.PHONY: build test loc race fuzz bench bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Size of the product: non-test Go and assembly lines outside benchmark/
+# (ROADMAP aim 2 wants this number going down). Informational — printed
+# by CI, gated by nothing.
+loc:
+	@find . -path ./benchmark -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "loc: non-test Go+asm lines outside benchmark/:"
+	@find internal/sem -name '*.go' ! -name '*_test.go' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "loc: internal/sem non-test .go lines:"
 
 # Race-detector job over the engines with internal concurrency: the
 # shared-memory engine, the LTS scheme that drives it, and the
@@ -36,13 +45,14 @@ bench-e2e:
 
 # Quick-config benchmarks, including BenchmarkParallelSpeedup, plus the
 # kernel trajectory file: BENCH_kernels.json records ns/elem and allocs/op
-# of every operator's AddKu kernel so perf regressions are visible across
-# PRs (compare against the committed copy, or `git diff BENCH_kernels.json`).
+# of every operator's batched stiffness kernel so perf regressions are
+# visible across PRs (compare against the committed copy, or `git diff BENCH_kernels.json`).
 bench: bench-kernels
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Per-operator stiffness-kernel benchmarks (ns/elem) including the
-# batched-kernel sweep, written as JSON.
+# Per-operator stiffness-kernel benchmarks (ns/elem): the batched sweep
+# over element-list sizes (whole blocks and padded tails) and the
+# per-SIMD-tier table, written as JSON.
 bench-kernels:
 	$(GO) run ./cmd/kernelbench -out BENCH_kernels.json
 
@@ -161,7 +171,7 @@ chaos-smoke:
 
 # Auto-tune & load-balance smoke, both halves of internal/tune:
 #  1. calibration: a tiny distributed run probes its deployment-shape
-#     grid under -auto-tune and writes the measured-vs-predicted table
+#     grid (1 rank and 2 ranks at 4 parts) under -auto-tune and writes the measured-vs-predicted table
 #     to BENCH_tune.json; distrun exits nonzero unless at least two
 #     shapes carry internal/cluster model predictions;
 #  2. rebalancing: a run started on a maximally skewed part placement

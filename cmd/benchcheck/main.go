@@ -40,11 +40,6 @@ import (
 // benchFile mirrors the parts of kernelbench's JSON the gate compares.
 type benchFile struct {
 	SIMD    string `json:"simd"`
-	Results []struct {
-		Op        string  `json:"op"`
-		Deg       int     `json:"deg"`
-		NsPerElem float64 `json:"ns_per_elem"`
-	} `json:"results"`
 	Batched struct {
 		Results []struct {
 			Op    string `json:"op"`
@@ -76,12 +71,6 @@ type row struct {
 // flatten turns a parsed bench file into keyed rows.
 func flatten(f *benchFile) []row {
 	var rows []row
-	for _, r := range f.Results {
-		rows = append(rows, row{
-			Key:       fmt.Sprintf("scalar/%s/deg%d", r.Op, r.Deg),
-			NsPerElem: r.NsPerElem,
-		})
-	}
 	for _, r := range f.Batched.Results {
 		for _, p := range r.Sweep {
 			rows = append(rows, row{

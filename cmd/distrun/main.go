@@ -200,7 +200,7 @@ func main() {
 			st.DegradedRanks, st.DegradedMillis, st.Ranks-st.DegradedRanks, st.Ranks)
 	}
 	if *autoTune > 0 {
-		fmt.Printf("auto-tune: selected ranks=%d kernel=%s\n", st.TunedRanks, st.TunedKernel)
+		fmt.Printf("auto-tune: selected ranks=%d\n", st.TunedRanks)
 	}
 	if *autoRebalance {
 		fmt.Printf("load balancing: %d automatic rebalances (%d ms rebalancing)\n",

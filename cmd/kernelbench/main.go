@@ -1,16 +1,16 @@
-// Command kernelbench times the steady-state AddKu kernel of every
-// operator and writes the results as JSON, so the per-element cost — the
-// constant the paper's speedup model (Eq. 9) assumes small and fixed —
-// is tracked across revisions. `make bench` writes BENCH_kernels.json at
-// the repo root. The operator fixtures are sem.KernelBenchOperators,
-// shared with BenchmarkAddKu in internal/sem, so both measure the same
-// workload.
+// Command kernelbench times the steady-state stiffness kernel of every
+// operator and writes the results as JSON, so the cost of one element
+// application — the constant the paper's speedup model (Eq. 9) assumes
+// small and fixed — is tracked across revisions. `make bench` writes
+// BENCH_kernels.json at the repo root. The operator fixtures are
+// sem.KernelSweepOperators (512-element meshes), shared with
+// BenchmarkAddKuBatch in internal/sem, so both measure the same workload.
 //
-// Alongside the per-element rows, the batched-kernel sweep
-// (sem.KernelSweepOperators, 512-element fixtures) times AddKuBatch at
-// element-list sizes 1, 8, 64 and 512 and reports batched_vs_scalar —
-// the speedup of the fused SoA path over the per-element path on the
-// same element set.
+// The sweep times AddKuBatch — the one production stiffness path — at
+// element-list sizes 1, 3, 8, 9, 64 and 512: 8, 64 and 512 are whole
+// blocks, while 1, 3 and 9 end in a padded tail block and track what a
+// ragged list costs per element. The per-tier section repeats the
+// 512-element measurement under every usable SIMD microkernel tier.
 //
 // Usage:
 //
@@ -34,17 +34,6 @@ import (
 	"golts/internal/sem"
 )
 
-// result is one per-element kernel measurement row.
-type result struct {
-	Op          string  `json:"op"`
-	Deg         int     `json:"deg"`
-	Elements    int     `json:"elements"`
-	NsPerElem   float64 `json:"ns_per_elem"`
-	ElemPerSec  float64 `json:"elem_per_s"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
 // sweepPoint is one batched measurement at a given element-list size.
 type sweepPoint struct {
 	Batch       int     `json:"batch"`
@@ -55,18 +44,15 @@ type sweepPoint struct {
 
 // batchedResult is one operator's batched-kernel sweep.
 type batchedResult struct {
-	Op              string       `json:"op"`
-	Deg             int          `json:"deg"`
-	Elements        int          `json:"elements"`
-	ScalarNsPerElem float64      `json:"scalar_ns_per_elem"`
-	Sweep           []sweepPoint `json:"sweep"`
-	// BatchedVsScalar is the speedup of AddKuBatch over AddKuScratch at
-	// the largest batch: scalar ns/elem divided by batched ns/elem.
-	BatchedVsScalar float64 `json:"batched_vs_scalar"`
+	Op       string       `json:"op"`
+	Deg      int          `json:"deg"`
+	Elements int          `json:"elements"`
+	Sweep    []sweepPoint `json:"sweep"`
 }
 
-// batchSizes is the element-list sweep of the batched kernels.
-var batchSizes = []int{1, 8, 64, 512}
+// batchSizes is the element-list sweep of the batched kernels: whole
+// blocks (8, 64, 512) and lists ending in a padded tail (1, 3, 9).
+var batchSizes = []int{1, 3, 8, 9, 64, 512}
 
 // tierResult is one (SIMD tier, operator) batched measurement at the
 // largest batch size: the steady-state per-element cost of that tier.
@@ -86,7 +72,7 @@ func main() {
 	smoke := flag.Bool("smoke", false, "tiny-N correctness smoke: assert the batched path runs alloc-free, ignore timings")
 	flag.Parse()
 
-	const deg = 4 // the paper's 125-node configuration (specialised kernels)
+	const deg = 4 // the paper's 125-node configuration (dispatched microkernels)
 	if *smoke {
 		*benchtime = 20 * time.Millisecond
 		repeatN = 1
@@ -95,44 +81,29 @@ func main() {
 		f.Value.Set(benchtime.String())
 	}
 
-	cases, err := sem.KernelBenchOperators(deg)
-	if err != nil {
-		fatal(err)
-	}
-	var results []result
-	for _, c := range cases {
-		r := measure(c.Name, deg, c.Op)
-		results = append(results, r)
-		fmt.Fprintf(os.Stderr, "%-14s deg=%d  %10.1f ns/elem  %12.0f elem/s  %d allocs/op\n",
-			r.Op, r.Deg, r.NsPerElem, r.ElemPerSec, r.AllocsPerOp)
-	}
-
 	sweepCases, err := sem.KernelSweepOperators(deg)
 	if err != nil {
 		fatal(err)
 	}
 	var batched []batchedResult
 	for _, c := range sweepCases {
-		br := measureBatched(c.Name, deg, c.Op.(sem.BatchKernel))
+		br := measureBatched(c.Name, deg, c.Op)
 		batched = append(batched, br)
-		fmt.Fprintf(os.Stderr, "%-14s deg=%d  batched %8.1f ns/elem @%d  vs scalar %8.1f  speedup %.2fx\n",
-			br.Op, br.Deg, br.Sweep[len(br.Sweep)-1].NsPerElem, batchSizes[len(batchSizes)-1],
-			br.ScalarNsPerElem, br.BatchedVsScalar)
-		if *smoke {
-			for _, p := range br.Sweep {
-				if p.AllocsPerOp != 0 {
-					fatal(fmt.Errorf("%s: AddKuBatch allocates %d/op at batch %d (want 0)", br.Op, p.AllocsPerOp, p.Batch))
-				}
+		for _, p := range br.Sweep {
+			fmt.Fprintf(os.Stderr, "%-14s deg=%d  batched %8.1f ns/elem @%-3d  %d allocs/op\n",
+				br.Op, br.Deg, p.NsPerElem, p.Batch, p.AllocsPerOp)
+			if *smoke && p.AllocsPerOp != 0 {
+				fatal(fmt.Errorf("%s: AddKuBatch allocates %d/op at batch %d (want 0)", br.Op, p.AllocsPerOp, p.Batch))
 			}
-			if !(br.BatchedVsScalar > 0) {
-				fatal(fmt.Errorf("%s: batched sweep produced no speedup figure", br.Op))
-			}
+		}
+		if *smoke && len(br.Sweep) != len(batchSizes) {
+			fatal(fmt.Errorf("%s: batched sweep has %d of %d points", br.Op, len(br.Sweep), len(batchSizes)))
 		}
 	}
 
 	var tiers []tierResult
 	for _, c := range sweepCases {
-		trs, err := measureTiers(c.Name, deg, c.Op.(sem.BatchKernel))
+		trs, err := measureTiers(c.Name, deg, c.Op)
 		if err != nil {
 			fatal(err)
 		}
@@ -147,16 +118,14 @@ func main() {
 	}
 
 	enc, err := json.MarshalIndent(map[string]any{
-		"benchmark":  "AddKuScratch",
 		"unit_note":  "ns_per_elem is wall time per element stiffness application",
 		"num_cpu":    runtime.NumCPU(),
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"simd":       sem.ActiveSIMDTier(),
 		"simd_tiers": sem.SIMDTiers(),
-		"results":    results,
 		"batched": map[string]any{
 			"benchmark": "AddKuBatch",
-			"unit_note": "sweep times the fused SoA batch path per element-list size; batched_vs_scalar is scalar ns/elem over batched ns/elem at the largest batch",
+			"unit_note": "sweep times the fused SoA batch path per element-list size; sizes that are not a multiple of 8 end in a padded tail block",
 			"results":   batched,
 		},
 		"per_tier": map[string]any{
@@ -200,62 +169,20 @@ func bench(f func(b *testing.B)) testing.BenchmarkResult {
 	return best
 }
 
-// measure runs the per-element kernel under testing.Benchmark and
-// converts to per-element numbers.
-func measure(name string, deg int, op sem.Operator) result {
-	u := make([]float64, op.NDof())
-	sem.BenchField(u)
-	dst := make([]float64, op.NDof())
-	elems := sem.AllElements(op)
-	var sc sem.Scratch
-	op.AddKuScratch(dst, u, elems, &sc) // warm-up
-	br := bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op.AddKuScratch(dst, u, elems, &sc)
-		}
-	})
-	nsPerOp := float64(br.NsPerOp())
-	ne := float64(len(elems))
-	return result{
-		Op:          name,
-		Deg:         deg,
-		Elements:    len(elems),
-		NsPerElem:   nsPerOp / ne,
-		ElemPerSec:  ne / (nsPerOp * 1e-9),
-		AllocsPerOp: br.AllocsPerOp(),
-		BytesPerOp:  br.AllocedBytesPerOp(),
-	}
-}
-
-// measureBatched times AddKuScratch and AddKuBatch on the same sweep
-// fixture: the scalar baseline over all elements, then the batched path
-// at each element-list size.
+// measureBatched times AddKuBatch on the sweep fixture at each
+// element-list size.
 func measureBatched(name string, deg int, op sem.BatchKernel) batchedResult {
 	u := make([]float64, op.NDof())
 	sem.BenchField(u)
 	dst := make([]float64, op.NDof())
 	all := sem.AllElements(op)
-	var sc sem.Scratch
-	op.AddKuScratch(dst, u, all, &sc)
-	sbr := bench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			op.AddKuScratch(dst, u, all, &sc)
-		}
-	})
-	out := batchedResult{
-		Op:              name,
-		Deg:             deg,
-		Elements:        len(all),
-		ScalarNsPerElem: float64(sbr.NsPerOp()) / float64(len(all)),
-	}
+	out := batchedResult{Op: name, Deg: deg, Elements: len(all)}
 	var bs sem.BatchScratch
 	for _, n := range batchSizes {
 		if n > len(all) {
 			continue
 		}
-		elems := all[:n]
-		plan := op.NewBatchPlan(elems)
+		plan := op.NewBatchPlan(all[:n])
 		op.AddKuBatch(dst, u, plan, &bs) // warm-up
 		br := bench(func(b *testing.B) {
 			b.ReportAllocs()
@@ -269,9 +196,6 @@ func measureBatched(name string, deg int, op sem.BatchKernel) batchedResult {
 			AllocsPerOp: br.AllocsPerOp(),
 			BytesPerOp:  br.AllocedBytesPerOp(),
 		})
-	}
-	if last := out.Sweep[len(out.Sweep)-1]; last.NsPerElem > 0 {
-		out.BatchedVsScalar = out.ScalarNsPerElem / last.NsPerElem
 	}
 	return out
 }

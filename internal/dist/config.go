@@ -66,9 +66,6 @@ type RunConfig struct {
 	// LTS selects the multi-level scheme; false runs global Newmark with
 	// p_max substeps per coarse cycle.
 	LTS bool
-	// PerElement forces the per-element reference kernel instead of the
-	// batched SoA kernel.
-	PerElement bool
 	// Ranks is the number of rank processes; Parts the decomposition
 	// width (Parts ≥ Ranks; parts map onto ranks in contiguous blocks
 	// unless PartRank overrides the placement).
@@ -209,9 +206,9 @@ func ownerRanks(parts, ranks int) []int {
 }
 
 // geomOperator is the slice of the concrete operators the rank runtime
-// needs beyond sem.Operator: node coordinates for the sponge profile.
+// needs beyond sem.BatchKernel: node coordinates for the sponge profile.
 type geomOperator interface {
-	sem.Operator
+	sem.BatchKernel
 	NodeCoords(n int32) (x, y, z float64)
 }
 

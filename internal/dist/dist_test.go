@@ -250,21 +250,6 @@ func TestSpawnedProcesses(t *testing.T) {
 	requireBitwise(t, "spawned", wantT, gotT, want, got)
 }
 
-// TestPerElementKernel: the distributed per-element path is bitwise
-// identical to the distributed batched path.
-func TestPerElementKernel(t *testing.T) {
-	physics := "elastic"
-	if testing.Short() {
-		physics = "acoustic"
-	}
-	tc := newTestConfig(t, physics, true, 2, 2)
-	wantT, want := runDist(t, tc, 3, true)
-	tc2 := newTestConfig(t, physics, true, 2, 2)
-	tc2.cfg.PerElement = true
-	gotT, got := runDist(t, tc2, 3, true)
-	requireBitwise(t, "per-element vs batched", wantT, gotT, want, got)
-}
-
 // TestSpongeEquivalence covers the absorbing-boundary reconstruction on
 // the ranks.
 func TestSpongeEquivalence(t *testing.T) {

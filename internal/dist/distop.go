@@ -27,11 +27,10 @@ type Stats struct {
 }
 
 // Operator is the message-passing analogue of
-// parallel.PartitionedOperator: it implements sem.Operator (and
-// sem.BatchKernel when the inner operator supports batching) for one
+// parallel.PartitionedOperator: it implements sem.BatchKernel for one
 // rank of an SPMD run. Every stiffness application computes the owned
-// parts' contributions locally — per part, into private accumulation
-// buffers — exchanges the halo values with neighbouring ranks, and
+// parts' contributions locally — one fused batch per part, into private
+// accumulation buffers — exchanges the halo values with neighbouring ranks, and
 // assembles all contributions in ascending part order, which makes the
 // result at every locally-touched node bitwise identical to the
 // shared-memory engine with Parts workers. Nodes no local element
@@ -42,8 +41,7 @@ type Stats struct {
 // The operator is driven by a single stepping goroutine; the parallelism
 // lives across processes.
 type Operator struct {
-	inner sem.Operator
-	bk    sem.BatchKernel // inner's batched kernel, nil when unsupported
+	inner sem.BatchKernel
 	cfg   *RunConfig
 	rank  int
 	ex    exchanger
@@ -53,11 +51,10 @@ type Operator struct {
 	// individual substeps within a cycle.
 	OnApply func()
 
-	owned    []int       // owned parts, ascending
-	localIdx []int       // part → index into owned/acc, -1 for remote parts
-	acc      [][]float64 // per owned part, full-length accumulation buffers
-	scr      sem.Scratch
-	bscr     sem.BatchScratch
+	owned    []int            // owned parts, ascending
+	localIdx []int            // part → index into owned/acc, -1 for remote parts
+	acc      [][]float64      // per owned part, full-length accumulation buffers
+	bscr     sem.BatchScratch // workspace of the plan-less AddKu / AddKuScratch
 
 	// rankNodes[q] is rank q's global element-node footprint: the sorted
 	// union of all nodes its owned elements touch, over the whole mesh.
@@ -90,10 +87,12 @@ type Operator struct {
 
 // distPlan is the per-element-list execution state layered on a
 // decomposition plan: the halo index sets against every neighbouring
-// rank and the per-owned-part inner batch plans.
+// rank and the per-owned-part inner batch plans. It is the Operator's
+// sem.BatchPlan.
 type distPlan struct {
-	dp *decomp.Plan
-	id uint32
+	owner *Operator
+	dp    *decomp.Plan
+	id    uint32
 	// sendRanks lists the ranks we send halo values to for this element
 	// list and recvRanks the ranks we receive from, both ascending. The
 	// two differ in general: a rank with no elements at this level still
@@ -113,16 +112,17 @@ type distPlan struct {
 	recvNodes [][]int32
 	sendCount map[int]int // total nodes sent to q per apply
 	// batch[i] is the inner batch plan of the i-th owned part (nil for
-	// empty parts); built lazily on the first batched apply so
-	// per-element configurations never hold the packed constants.
-	batch      []sem.BatchPlan
-	batchTried bool
+	// empty parts), built on the first NewBatchPlan of the list.
+	batch []sem.BatchPlan
 }
+
+// Elems implements sem.BatchPlan.
+func (pl *distPlan) Elems() []int32 { return pl.dp.Elems }
 
 // NewOperator builds the rank-local distributed operator. part maps
 // every element to a part in [0, cfg.Parts); parts map onto ranks in
 // contiguous blocks unless cfg.PartRank places them explicitly.
-func NewOperator(inner sem.Operator, cfg *RunConfig, rank int, ex exchanger) (*Operator, error) {
+func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) (*Operator, error) {
 	if rank < 0 || rank >= cfg.Ranks {
 		return nil, fmt.Errorf("dist: rank %d outside [0,%d)", rank, cfg.Ranks)
 	}
@@ -138,7 +138,6 @@ func NewOperator(inner sem.Operator, cfg *RunConfig, rank int, ex exchanger) (*O
 		plans: decomp.NewCache(inner, cfg.Part, cfg.Parts),
 		ext:   make(map[*decomp.Plan]*distPlan),
 	}
-	d.bk, _ = inner.(sem.BatchKernel)
 	d.partRank = cfg.partRanks()
 	d.ownedBy = rankParts(d.partRank, cfg.Ranks)
 	d.owned = d.ownedBy[rank]
@@ -219,6 +218,7 @@ func (d *Operator) Prepare(elems []int32) { d.lookup(elems) }
 // negotiation is needed.
 func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 	pl := &distPlan{
+		owner:     d,
 		dp:        dp,
 		sendNodes: make(map[int][][]int32),
 		sendCount: make(map[int]int),
@@ -257,10 +257,17 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 	return pl
 }
 
-// apply runs the three-phase distributed stiffness application —
-// owner-computes, halo exchange, ascending-part assembly — with compute
-// supplying the per-part kernel (batched or per-element).
-func (d *Operator) apply(dst []float64, pl *distPlan, compute func(i, p int)) {
+// AddKuBatch implements sem.BatchKernel: the three-phase distributed
+// stiffness application — owner-computes, halo exchange, ascending-part
+// assembly.
+func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
+	pl, ok := plan.(*distPlan)
+	if !ok {
+		panic(fmt.Sprintf("dist: AddKuBatch: foreign plan type %T", plan))
+	}
+	if pl.owner != d {
+		panic("dist: AddKuBatch: plan built by a different operator")
+	}
 	if d.OnApply != nil {
 		d.OnApply()
 	}
@@ -270,17 +277,19 @@ func (d *Operator) apply(dst []float64, pl *distPlan, compute func(i, p int)) {
 	nc := d.inner.Comps()
 
 	// Phase 1 — compute: every owned part accumulates its elements into
-	// its private buffer (the request-order, per-part accumulation that
-	// matches one shared-memory rank worker bitwise).
-	for i, p := range d.owned {
-		if len(dp.Parts[p]) > 0 {
-			if d.telemetry {
-				start := time.Now()
-				compute(i, p)
-				d.partNanos[i] += time.Since(start).Nanoseconds()
-			} else {
-				compute(i, p)
-			}
+	// its private buffer as one fused batch (the request-order, per-part
+	// accumulation that matches one shared-memory rank worker bitwise).
+	for i, b := range pl.batch {
+		if b == nil {
+			continue
+		}
+		var start time.Time
+		if d.telemetry {
+			start = time.Now()
+		}
+		d.inner.AddKuBatch(d.acc[i], u, b, bs)
+		if d.telemetry {
+			d.partNanos[i] += time.Since(start).Nanoseconds()
 		}
 	}
 
@@ -369,93 +378,30 @@ type commError struct{ err error }
 
 func (e *commError) Error() string { return e.err.Error() }
 
-// AddKu implements sem.Operator.
+// AddKu implements sem.Operator for callers without a prepared plan: the
+// element list's plan is looked up (or built) and applied through
+// AddKuBatch on the operator's own workspace.
 func (d *Operator) AddKu(dst, u []float64, elems []int32) {
-	d.AddKuScratch(dst, u, elems, &d.scr)
+	d.AddKuBatch(dst, u, d.NewBatchPlan(elems), &d.bscr)
 }
 
-// AddKuScratch implements sem.Operator: the per-element compute path of
-// the distributed apply.
-func (d *Operator) AddKuScratch(dst, u []float64, elems []int32, sc *sem.Scratch) {
-	if sc == nil {
-		sc = &d.scr
-	}
-	pl := d.lookup(elems)
-	d.apply(dst, pl, func(i, p int) {
-		d.inner.AddKuScratch(d.acc[i], u, pl.dp.Parts[p], sc)
-	})
+// AddKuScratch implements sem.Operator; the per-element scratch is unused.
+func (d *Operator) AddKuScratch(dst, u []float64, elems []int32, _ *sem.Scratch) {
+	d.AddKu(dst, u, elems)
 }
 
-// distBatchPlan is the Operator's BatchPlan: the halo execution state
-// plus the inner per-part batch plans.
-type distBatchPlan struct {
-	d  *Operator
-	pl *distPlan
-}
-
-// Elems implements sem.BatchPlan.
-func (bp *distBatchPlan) Elems() []int32 { return bp.pl.dp.Elems }
-
-// BatchedElems implements sem.BatchPlan: the owned elements executing
-// through full SoA blocks.
-func (bp *distBatchPlan) BatchedElems() int {
-	n := 0
-	for _, b := range bp.pl.batch {
-		if b != nil {
-			n += b.BatchedElems()
-		}
-	}
-	return n
-}
-
-// NewBatchPlan implements sem.BatchKernel. Returns nil when the inner
-// operator cannot batch; callers fall back to AddKuScratch.
+// NewBatchPlan implements sem.BatchKernel.
 func (d *Operator) NewBatchPlan(elems []int32) sem.BatchPlan {
-	if d.bk == nil {
-		return nil
-	}
 	pl := d.lookup(elems)
-	if !pl.batchTried {
-		pl.batchTried = true
-		b := make([]sem.BatchPlan, len(d.owned))
-		ok := true
-		for i, p := range d.owned {
-			if len(pl.dp.Parts[p]) == 0 {
-				continue
-			}
-			if b[i] = d.bk.NewBatchPlan(pl.dp.Parts[p]); b[i] == nil {
-				ok = false // wrapper whose inner operator cannot batch
-				break
-			}
-		}
-		if ok {
-			pl.batch = b
-		}
-	}
 	if pl.batch == nil {
-		return nil
+		pl.batch = make([]sem.BatchPlan, len(d.owned))
+		for i, p := range d.owned {
+			if len(pl.dp.Parts[p]) > 0 {
+				pl.batch[i] = d.inner.NewBatchPlan(pl.dp.Parts[p])
+			}
+		}
 	}
-	return &distBatchPlan{d: d, pl: pl}
-}
-
-// AddKuBatch implements sem.BatchKernel: the batched compute path of the
-// distributed apply, bitwise identical to AddKuScratch with the same
-// plan.
-func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
-	bp, ok := plan.(*distBatchPlan)
-	if !ok {
-		panic(fmt.Sprintf("dist: AddKuBatch: foreign plan type %T", plan))
-	}
-	if bp.d != d {
-		panic("dist: AddKuBatch: plan built by a different operator")
-	}
-	if bs == nil {
-		bs = &d.bscr
-	}
-	pl := bp.pl
-	d.apply(dst, pl, func(i, p int) {
-		d.bk.AddKuBatch(d.acc[i], u, pl.batch[i], bs)
-	})
+	return pl
 }
 
 // NumNodes implements sem.Operator.
@@ -478,15 +424,9 @@ func (d *Operator) ElemNodes(e int, buf []int32) []int32 { return d.inner.ElemNo
 
 // ConnTable forwards the inner operator's flat connectivity table
 // (implements sem.Connectivity); (nil, 0) when it has none.
-func (d *Operator) ConnTable() ([]int32, int) {
-	if ct, ok := d.inner.(sem.Connectivity); ok {
-		return ct.ConnTable()
-	}
-	return nil, 0
-}
+func (d *Operator) ConnTable() ([]int32, int) { return sem.ConnOf(d.inner) }
 
 var (
-	_ sem.Operator     = (*Operator)(nil)
 	_ sem.Preparer     = (*Operator)(nil)
 	_ sem.Connectivity = (*Operator)(nil)
 	_ sem.BatchKernel  = (*Operator)(nil)

@@ -463,16 +463,11 @@ func (r *rankRun) build() error {
 		sigma = sem.SpongeProfile(geom.NumNodes(), geom.NodeCoords,
 			x0, x1, y0, y1, z0, z1, r.cfg.Sponge.Faces, r.cfg.Sponge.Width, r.cfg.Sponge.Strength)
 	}
-	kern := sem.KernelBatched
-	if r.cfg.PerElement {
-		kern = sem.KernelPerElement
-	}
 	if r.cfg.LTS {
 		sch, err := lts.FromMeshLevels(dop, lv, true)
 		if err != nil {
 			return err
 		}
-		sch.Kernel = kern
 		sch.Telemetry = r.cfg.Telemetry
 		sch.SetSources(srcs)
 		sch.Sigma = sigma
@@ -480,7 +475,6 @@ func (r *rankRun) build() error {
 		r.st = ltsRankStepper{sch}
 	} else {
 		g := newmark.New(dop, lv.CoarseDt/float64(lv.PMax()))
-		g.Kernel = kern
 		g.Sources = srcs
 		g.Sigma = sigma
 		r.gS = g

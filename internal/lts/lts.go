@@ -69,7 +69,9 @@ type Work struct {
 
 // Scheme is an LTS-Newmark time stepper.
 type Scheme struct {
-	Op sem.Operator
+	// Op is the operator being stepped. Every substep's A·P_k·u runs as
+	// one fused batch over the level's precomputed BatchPlan.
+	Op sem.BatchKernel
 	// Dt is the coarse (level 1) step: the LTS cycle length.
 	Dt float64
 	// Optimized selects the active-set engine.
@@ -80,13 +82,6 @@ type Scheme struct {
 	// Sigma is an optional per-node sponge damping profile applied to the
 	// velocity once per coarse step.
 	Sigma []float64
-	// Kernel selects the stiffness execution strategy. The zero value is
-	// sem.KernelBatched: when the operator supports batching, every
-	// substep's A·P_k·u runs as one fused batch over the level's
-	// precomputed BatchPlan (bitwise-identical to the per-element path).
-	// Set sem.KernelPerElement before stepping to force the per-element
-	// reference path.
-	Kernel sem.Kernel
 	// Telemetry enables per-level kernel wall-time accounting in
 	// Work.LevelNanos. Off by default: the hot path then carries one
 	// predictable branch and no clock reads.
@@ -113,21 +108,18 @@ type Scheme struct {
 	usnap   [][]float64 // ũ snapshot for the factor-2 update (1 <= li < nlv-1)
 	minvAct []float64   // M⁻¹ per active node: gather walks one scattered array, not two
 	// Operator-numbered scratch with all-zero invariants between uses:
-	mask []float64   // kernel input P_li ũ (support levelNodes[li], li >= 1)
-	kbuf []float64   // stiffness accumulation (support forceNodes[li])
-	hold []float64   // U on sets.hold while the level-0 kernel reads U in place
-	scr  sem.Scratch // kernel scratch: steady-state Step() allocates nothing
-	// Batched-kernel state: one plan per level (the per-level element sets
-	// are stable for the scheme's lifetime) and one owned workspace, built
-	// lazily on the first batched apply so KernelPerElement schemes never
-	// pay the plans' memory.
-	batch      sem.BatchKernel
-	bplans     []sem.BatchPlan
-	bscr       sem.BatchScratch
-	batchTried bool
+	mask []float64 // kernel input P_li ũ (support levelNodes[li], li >= 1)
+	kbuf []float64 // stiffness accumulation (support forceNodes[li])
+	hold []float64 // U on sets.hold while the level-0 kernel reads U in place
+	// Kernel state: one plan per level (the per-level element sets are
+	// stable for the scheme's lifetime), built on the first Step, and one
+	// owned workspace, so steady-state Step() allocates nothing.
+	bplans []sem.BatchPlan
+	bscr   sem.BatchScratch
 	// Diagnostic scratch, built lazily by Energy:
 	energy *sem.Restriction // all-elements restriction
 	ebuf   []float64        // Energy work buffer (all-zero between uses)
+	escr   sem.Scratch      // Energy kernel scratch
 
 	srcAct []int // active-region dof of each source, -1 on a far-coarse node
 	farSrc []int // ascending, distinct positions in sets.far of the nodes carrying a source
@@ -135,7 +127,7 @@ type Scheme struct {
 
 // New builds an LTS scheme. elemLevel holds 1-based p-levels per element
 // (level k steps with Δt/2^(k-1)); dt is the coarse step.
-func New(op sem.Operator, elemLevel []uint8, numLevels int, dt float64, optimized bool) (*Scheme, error) {
+func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optimized bool) (*Scheme, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("lts: dt must be positive, got %g", dt)
 	}
@@ -152,9 +144,8 @@ func New(op sem.Operator, elemLevel []uint8, numLevels int, dt float64, optimize
 	}
 	// Announce the per-level force-element lists to parallel backends, so
 	// their per-level activation masks, merge plans and halo sets exist
-	// before the first substep. (The batched kernel's per-level BatchPlans
-	// are built lazily by ensureBatch, so per-element schemes never hold
-	// them.)
+	// before the first substep. (The per-level BatchPlans are built by the
+	// first Step.)
 	for li := 0; li < numLevels; li++ {
 		sem.Prepare(op, st.forceElems[li])
 	}
@@ -188,7 +179,7 @@ func New(op sem.Operator, elemLevel []uint8, numLevels int, dt float64, optimize
 
 // FromMeshLevels builds a scheme directly from a mesh level assignment,
 // using its coarse step.
-func FromMeshLevels(op sem.Operator, lv *mesh.Levels, optimized bool) (*Scheme, error) {
+func FromMeshLevels(op sem.BatchKernel, lv *mesh.Levels, optimized bool) (*Scheme, error) {
 	return New(op, lv.Lvl, lv.NumLevels, lv.CoarseDt, optimized)
 }
 
@@ -284,11 +275,13 @@ func (s *Scheme) kernel(li int, in []float64) {
 	if s.Telemetry {
 		kstart = time.Now()
 	}
-	if s.Kernel == sem.KernelBatched && s.ensureBatch() {
-		s.batch.AddKuBatch(s.kbuf, in, s.bplans[li], &s.bscr)
-	} else {
-		s.Op.AddKuScratch(s.kbuf, in, s.sets.forceElems[li], &s.scr)
+	if s.bplans == nil {
+		s.bplans = make([]sem.BatchPlan, s.nlv)
+		for l := range s.bplans {
+			s.bplans[l] = s.Op.NewBatchPlan(s.sets.forceElems[l])
+		}
 	}
+	s.Op.AddKuBatch(s.kbuf, in, s.bplans[li], &s.bscr)
 	if s.Telemetry {
 		s.Work.LevelNanos[li] += time.Since(kstart).Nanoseconds()
 	}
@@ -329,30 +322,6 @@ func (s *Scheme) gather(li int, t float64, dst []float64) {
 func (s *Scheme) srcAmp(sc sem.Source, t float64) float64 {
 	xi := t - s.cycleT
 	return 0.5 * (sc.W.Amp(s.cycleT+xi) + sc.W.Amp(s.cycleT-xi))
-}
-
-// ensureBatch reports whether the batched kernel is usable, building the
-// per-level BatchPlans on first call (one bool check afterwards). Lazy
-// construction keeps KernelPerElement schemes from ever holding the
-// plans' packed constants.
-func (s *Scheme) ensureBatch() bool {
-	if !s.batchTried {
-		s.batchTried = true
-		if bk, ok := s.Op.(sem.BatchKernel); ok {
-			plans := make([]sem.BatchPlan, s.nlv)
-			usable := true
-			for li := 0; li < s.nlv; li++ {
-				if plans[li] = bk.NewBatchPlan(s.sets.forceElems[li]); plans[li] == nil {
-					usable = false // wrapper whose inner operator cannot batch
-					break
-				}
-			}
-			if usable {
-				s.batch, s.bplans = bk, plans
-			}
-		}
-	}
-	return s.batch != nil
 }
 
 // advance performs the two level-li substeps that make up one step of
@@ -548,5 +517,5 @@ func (s *Scheme) Energy() float64 {
 		s.energy = sem.NewRestriction(s.Op, sem.AllElements(s.Op))
 		s.ebuf = make([]float64, s.Op.NDof())
 	}
-	return s.energy.Energy(s.Op, s.U, s.V, s.ebuf, &s.scr)
+	return s.energy.Energy(s.Op, s.U, s.V, s.ebuf, &s.escr)
 }

@@ -287,7 +287,7 @@ func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 	for _, physics := range []string{"acoustic", "elastic"} {
 		for levels := 2; levels <= 4; levels++ {
 			m, lv := oracleMesh(t, levels)
-			var op sem.Operator
+			var op sem.BatchKernel
 			var err error
 			if physics == "elastic" {
 				op, err = sem.NewElastic3D(m, 4, false, 0)

@@ -16,7 +16,10 @@ import (
 //	v^{n+1/2} = v^{n-1/2} - Δt M⁻¹ (K u^n - F(t_n)),
 //	u^{n+1}   = u^n + Δt v^{n+1/2}.
 type Stepper struct {
-	Op sem.Operator
+	// Op is the operator being stepped. The all-elements stiffness
+	// application (and the Kelvin-Voigt term) runs as fused batches over
+	// one precomputed BatchPlan.
+	Op sem.BatchKernel
 	// Dt is the time step; stability requires Dt below the CFL limit.
 	Dt float64
 	// U is the displacement at time t_n.
@@ -35,13 +38,6 @@ type Stepper struct {
 	// simplest member of that family and is only supported by the global
 	// scheme.
 	Eta float64
-	// Kernel selects the stiffness execution strategy. The zero value is
-	// sem.KernelBatched: when the operator supports batching, the
-	// all-elements stiffness application (and the Kelvin-Voigt term) runs
-	// as fused batches over a precomputed BatchPlan, bitwise-identical to
-	// the per-element path. Set sem.KernelPerElement before stepping to
-	// force the per-element reference path.
-	Kernel sem.Kernel
 
 	t       float64
 	n       int64
@@ -49,21 +45,17 @@ type Stepper struct {
 	elems   []int32
 	accel   []float64
 	visc    []float64
-	scr     sem.Scratch // kernel scratch: steady-state Step() allocates nothing
-	// Batched-kernel state, built lazily on the first batched apply so
-	// KernelPerElement steppers never pay the plan's memory.
-	batch      sem.BatchKernel  // batched kernel of Op, when supported
-	bplan      sem.BatchPlan    // all-elements batch plan
-	bscr       sem.BatchScratch // owned batch workspace
-	batchTried bool
-	energy     *sem.Restriction // cached by Energy so diagnostics allocate nothing
+	bplan   sem.BatchPlan    // all-elements batch plan, built on the first Step
+	bscr    sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
+	scr     sem.Scratch      // per-element scratch of the energy diagnostics
+	energy  *sem.Restriction // cached by Energy so diagnostics allocate nothing
 	// ElementSteps counts element stiffness applications, for work
 	// accounting in performance comparisons.
 	ElementSteps int64
 }
 
 // New creates a stepper with zero initial conditions.
-func New(op sem.Operator, dt float64) *Stepper {
+func New(op sem.BatchKernel, dt float64) *Stepper {
 	s := &Stepper{
 		Op:    op,
 		Dt:    dt,
@@ -73,34 +65,18 @@ func New(op sem.Operator, dt float64) *Stepper {
 		accel: make([]float64, op.NDof()),
 	}
 	// Let parallel backends build the ownership split and merge plan for
-	// the all-elements list once, outside the stepping loop. (The batched
-	// kernel's all-elements BatchPlan is built lazily on the first batched
-	// apply, so per-element steppers never hold it.)
+	// the all-elements list once, outside the stepping loop. (The
+	// all-elements BatchPlan is built by the first Step.)
 	sem.Prepare(op, s.elems)
 	return s
 }
 
-// addKu applies the stiffness of all elements through the selected
-// kernel: the fused batch path by default, the per-element path when
-// Kernel is sem.KernelPerElement or the operator cannot batch. The two
-// are bitwise-identical. The batch plan is built on the first batched
-// apply (one bool check afterwards).
+// addKu accumulates dst += K u over all elements as one fused batch.
 func (s *Stepper) addKu(dst, u []float64) {
-	if s.Kernel == sem.KernelBatched {
-		if !s.batchTried {
-			s.batchTried = true
-			if bk, ok := s.Op.(sem.BatchKernel); ok {
-				if pl := bk.NewBatchPlan(s.elems); pl != nil {
-					s.batch, s.bplan = bk, pl
-				}
-			}
-		}
-		if s.batch != nil {
-			s.batch.AddKuBatch(dst, u, s.bplan, &s.bscr)
-			return
-		}
+	if s.bplan == nil {
+		s.bplan = s.Op.NewBatchPlan(s.elems)
 	}
-	s.Op.AddKuScratch(dst, u, s.elems, &s.scr)
+	s.Op.AddKuBatch(dst, u, s.bplan, &s.bscr)
 }
 
 // SetInitial sets u(0) and v(0) (both at t = 0, unstaggered). Must be

@@ -62,7 +62,7 @@ func eqMatrix() (workers []int, methods []partition.Method, levels []int) {
 
 // runLTS advances cycles LTS cycles on the given operator and returns the
 // final displacement and velocity.
-func runLTS(t *testing.T, op sem.Operator, lv *mesh.Levels, u0, v0 []float64, cycles int) ([]float64, []float64) {
+func runLTS(t *testing.T, op sem.BatchKernel, lv *mesh.Levels, u0, v0 []float64, cycles int) ([]float64, []float64) {
 	t.Helper()
 	s, err := lts.FromMeshLevels(op, lv, true)
 	if err != nil {

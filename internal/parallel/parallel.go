@@ -4,12 +4,13 @@
 // same owner-computes decomposition as the paper's MPI parallelization
 // (§III), realised with threads instead of processes.
 //
-// The package wraps any sem.Operator in a PartitionedOperator that
+// The package wraps any sem.BatchKernel in a PartitionedOperator that
 // executes every stiffness application in two concurrent phases:
 //
 //  1. Compute: each active rank applies the stiffness of its owned ∩
-//     requested elements into a private full-length accumulation buffer.
-//     Ranks run concurrently; no shared writes.
+//     requested elements — one fused batch over the rank's own sub-plan —
+//     into a private full-length accumulation buffer. Ranks run
+//     concurrently; no shared writes.
 //  2. Merge: the global node-id space is sharded into contiguous ranges
 //     (balanced by touched-node volume) and the shards are reduced
 //     concurrently — each shard adds the rank contributions for its node
@@ -59,10 +60,11 @@ type Stats struct {
 }
 
 // PartitionedOperator distributes AddKu over persistent rank goroutines.
-// It implements sem.Operator and is safe for the sequential call patterns
-// of the steppers (one apply at a time); the parallelism is internal.
+// It implements sem.BatchKernel and is safe for the sequential call
+// patterns of the steppers (one apply at a time); the parallelism is
+// internal.
 type PartitionedOperator struct {
-	inner   sem.Operator
+	inner   sem.BatchKernel
 	K       int
 	part    []int32
 	workers []*rankWorker
@@ -72,13 +74,10 @@ type PartitionedOperator struct {
 
 	plans planCache
 
-	// scrPool backs the plain AddKu entry point on the K == 1 delegation
-	// path only — a cold convenience for callers without an owned scratch
-	// (one-shot diagnostics, tests). Every hot caller holds a plan-owned
-	// scratch: the steppers call AddKuBatch/AddKuScratch with their own
-	// workspace, and for K > 1 the rank workers own theirs, so AddKu
-	// never touches the pool there.
-	scrPool sync.Pool
+	// bs is the workspace AddKu and AddKuScratch hand to AddKuBatch, whose
+	// K == 1 delegation is the only reader (for K > 1 the rank workers own
+	// theirs). The steppers bring their own to AddKuBatch.
+	bs sem.BatchScratch
 
 	// telemetry gates the per-worker compute-time counters (read by the
 	// workers on every compute task, so atomic rather than a plain bool).
@@ -108,7 +107,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // NewOperator wraps inner so that stiffness applications execute on K rank
 // goroutines according to the element partition (part[e] = owning rank).
-func NewOperator(inner sem.Operator, part []int32, k int) (*PartitionedOperator, error) {
+func NewOperator(inner sem.BatchKernel, part []int32, k int) (*PartitionedOperator, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("parallel: K must be >= 1, got %d", k)
 	}
@@ -116,7 +115,6 @@ func NewOperator(inner sem.Operator, part []int32, k int) (*PartitionedOperator,
 		return nil, fmt.Errorf("parallel: partition has %d entries for %d elements", len(part), inner.NumElements())
 	}
 	p := &PartitionedOperator{inner: inner, K: k, part: part}
-	p.scrPool.New = func() any { return new(sem.Scratch) }
 	for e, r := range part {
 		if r < 0 || int(r) >= k {
 			return nil, fmt.Errorf("parallel: element %d in part %d (K=%d)", e, r, k)
@@ -125,12 +123,9 @@ func NewOperator(inner sem.Operator, part []int32, k int) (*PartitionedOperator,
 	p.plans.init(p)
 	nd := inner.NDof()
 	p.workers = make([]*rankWorker, k)
-	bop, _ := inner.(sem.BatchKernel)
 	for r := 0; r < k; r++ {
 		w := &rankWorker{
-			id:  r,
 			op:  inner,
-			bop: bop,
 			ch:  make(chan task, 1),
 			acc: make([]float64, nd),
 		}
@@ -152,69 +147,20 @@ func (p *PartitionedOperator) Prepare(elems []int32) {
 	p.plans.lookup(p, elems)
 }
 
-// AddKu distributes the application across the rank workers and reduces
-// the per-rank contributions with a sharded parallel merge. The element
-// list must not be mutated between applies that reuse it (the plan cache
-// validates content and rebuilds on change, at O(len) cost).
-//
-// For K > 1 no scratch is needed at all — the rank workers own theirs —
-// so the call goes straight to AddKuScratch; only the K == 1 delegation
-// path draws from the scratch pool (cold-only: hot callers hold a
-// plan-owned scratch and use AddKuScratch or AddKuBatch directly).
+// AddKu implements sem.Operator for callers without a prepared plan
+// (one-shot diagnostics, tests): the element list's plan is fetched from
+// the cache — or built, at O(len) cost — and applied through AddKuBatch.
+// The list must not be mutated between applies that reuse it (the plan
+// cache validates content and rebuilds on change).
 func (p *PartitionedOperator) AddKu(dst, u []float64, elems []int32) {
-	if p.K > 1 {
-		p.AddKuScratch(dst, u, elems, nil)
-		return
-	}
-	sc := p.scrPool.Get().(*sem.Scratch)
-	p.AddKuScratch(dst, u, elems, sc)
-	p.scrPool.Put(sc)
+	p.AddKuBatch(dst, u, p.NewBatchPlan(elems), &p.bs)
 }
 
-// AddKuScratch implements sem.Operator. For K > 1 the parallelism is
-// internal — every rank worker owns its own scratch — and sc is unused
-// (callers may pass nil); for K = 1 the apply delegates to the inner
-// operator with sc.
-func (p *PartitionedOperator) AddKuScratch(dst, u []float64, elems []int32, sc *sem.Scratch) {
-	plan := p.plans.lookup(p, elems)
-	// Single rank: delegate straight to the inner operator — bitwise the
-	// sequential accumulation, without the dispatch/merge machinery — so
-	// the 1-worker engine is an honest speedup baseline. The plan lookup
-	// stays to keep the Stats accounting identical.
-	if p.K == 1 {
-		p.inner.AddKuScratch(dst, u, elems, sc)
-		p.account(plan)
-		return
-	}
-	p.runPhases(plan, dst, u, false)
-}
-
-// runPhases executes the shared two-phase protocol of an apply.
-//
-// Phase 1 — compute: wake only the ranks owning active elements (the
-// per-level activation mask); each accumulates into its private buffer —
-// as one fused batch when batched is set, per element otherwise.
-//
-// Phase 2 — merge: deterministic parallel reduction over node-range
-// shards. Each shard sums rank contributions in ascending rank order and
-// restores the accumulation buffers' all-zero invariant. The merge is
-// identical for both kernels, which is what keeps them bitwise-equal.
-func (p *PartitionedOperator) runPhases(plan *applyPlan, dst, u []float64, batched bool) {
-	p.phase.Add(len(plan.dp.Active))
-	for _, r := range plan.dp.Active {
-		t := task{kind: taskCompute, plan: plan, u: u}
-		if batched {
-			t.bplan = plan.rankBatch[r]
-		}
-		p.workers[r].ch <- t
-	}
-	p.phase.Wait()
-	p.phase.Add(len(plan.activeShards))
-	for _, m := range plan.activeShards {
-		p.workers[m].ch <- task{kind: taskMerge, plan: plan, shard: m, dst: dst}
-	}
-	p.phase.Wait()
-	p.account(plan)
+// AddKuScratch implements sem.Operator; the per-element scratch is unused
+// (the batched kernel runs on BatchScratch workspaces), so callers may
+// pass nil.
+func (p *PartitionedOperator) AddKuScratch(dst, u []float64, elems []int32, _ *sem.Scratch) {
+	p.AddKu(dst, u, elems)
 }
 
 // account applies one apply's communication-accounting deltas.
@@ -226,80 +172,65 @@ func (p *PartitionedOperator) account(plan *applyPlan) {
 	p.mu.Unlock()
 }
 
-// rankBatchPlan is the PartitionedOperator's BatchPlan: the cached
-// execution plan plus its per-rank inner batch plans — the "per level,
-// per rank" layout, with the level dimension owned by the stepper and
-// the rank dimension owned here.
-type rankBatchPlan struct {
-	p    *PartitionedOperator
-	plan *applyPlan
-}
-
-// Elems implements sem.BatchPlan.
-func (rp *rankBatchPlan) Elems() []int32 { return rp.plan.dp.Elems }
-
-// BatchedElems implements sem.BatchPlan: the sum over ranks of the
-// elements executing through full SoA blocks.
-func (rp *rankBatchPlan) BatchedElems() int {
-	n := 0
-	for _, bp := range rp.plan.rankBatch {
-		if bp != nil {
-			n += bp.BatchedElems()
-		}
-	}
-	return n
-}
-
 // NewBatchPlan implements sem.BatchKernel: the element list's execution
 // plan (ownership split, merge shards) is built or fetched from the plan
 // cache, and one inner BatchPlan per active rank is attached on first
-// request — per-element configurations that never ask for the batched
-// kernel never hold the packed plan constants. Returns nil when the
-// inner operator has no batched kernel; callers fall back to
-// AddKuScratch.
+// request — Prepare alone never builds the packed plan constants.
 func (p *PartitionedOperator) NewBatchPlan(elems []int32) sem.BatchPlan {
-	bk, ok := p.inner.(sem.BatchKernel)
-	if !ok {
-		return nil
-	}
 	pl := p.plans.lookup(p, elems)
 	p.plans.mu.Lock()
 	defer p.plans.mu.Unlock()
 	if pl.rankBatch == nil {
-		rb := make([]sem.BatchPlan, p.K)
+		pl.rankBatch = make([]sem.BatchPlan, p.K)
 		for _, r := range pl.dp.Active {
-			if rb[r] = bk.NewBatchPlan(pl.dp.Parts[r]); rb[r] == nil {
-				return nil // wrapper whose inner operator cannot batch
-			}
+			pl.rankBatch[r] = p.inner.NewBatchPlan(pl.dp.Parts[r])
 		}
-		pl.rankBatch = rb
 	}
-	return &rankBatchPlan{p: p, plan: pl}
+	return pl
 }
 
-// AddKuBatch implements sem.BatchKernel: the compute phase runs each
-// active rank's owned slice as one fused batch on the worker's own
-// BatchScratch; the deterministic sharded merge is unchanged, so the
-// result is bitwise-identical to AddKuScratch with the same plan (and,
-// lane for lane, to the sequential per-element path). For K = 1 the
-// apply delegates to the inner operator's batched kernel with bs.
+// AddKuBatch implements sem.BatchKernel with the two-phase protocol of
+// the package comment.
+//
+// Phase 1 — compute: wake only the ranks owning active elements (the
+// per-level activation mask); each runs its owned slice as one fused
+// batch on its own BatchScratch, accumulating into its private buffer —
+// lane for lane the sequential kernel.
+//
+// Phase 2 — merge: deterministic parallel reduction over node-range
+// shards. Each shard sums rank contributions in ascending rank order and
+// restores the accumulation buffers' all-zero invariant.
+//
+// For K = 1 the apply delegates straight to the inner operator's batched
+// kernel with bs — bitwise the sequential accumulation, without the
+// dispatch/merge machinery — so the 1-worker engine is an honest speedup
+// baseline; the Stats accounting is identical.
 func (p *PartitionedOperator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
-	rp, ok := plan.(*rankBatchPlan)
+	pl, ok := plan.(*applyPlan)
 	if !ok {
 		panic(fmt.Sprintf("parallel: AddKuBatch: foreign plan type %T", plan))
 	}
-	if rp.p != p {
+	if pl.owner != p {
 		panic("parallel: AddKuBatch: plan built by a different operator")
 	}
-	pl := rp.plan
 	if p.K == 1 {
 		if bp := pl.rankBatch[0]; bp != nil { // nil only for an empty list
-			p.inner.(sem.BatchKernel).AddKuBatch(dst, u, bp, bs)
+			p.inner.AddKuBatch(dst, u, bp, bs)
 		}
 		p.account(pl)
 		return
 	}
-	p.runPhases(pl, dst, u, true)
+	p.phase.Add(len(pl.dp.Active))
+	for _, r := range pl.dp.Active {
+		p.workers[r].ch <- task{kind: taskCompute, bplan: pl.rankBatch[r], u: u}
+	}
+	p.phase.Wait()
+	p.phase.Add(len(pl.activeShards))
+	for _, m := range pl.activeShards {
+		p.workers[m].ch <- task{kind: taskMerge, plan: pl, shard: m, dst: dst}
+	}
+	p.phase.Wait()
+	p.account(pl)
 }
 
 // Close shuts down the rank goroutines. The operator must not be used
@@ -345,15 +276,9 @@ func (p *PartitionedOperator) ElemNodes(e int, buf []int32) []int32 {
 // ConnTable forwards the inner operator's flat connectivity table
 // (implements sem.Connectivity); it returns (nil, 0) when the inner
 // operator has none, which callers treat as "fall back to ElemNodes".
-func (p *PartitionedOperator) ConnTable() ([]int32, int) {
-	if ct, ok := p.inner.(sem.Connectivity); ok {
-		return ct.ConnTable()
-	}
-	return nil, 0
-}
+func (p *PartitionedOperator) ConnTable() ([]int32, int) { return sem.ConnOf(p.inner) }
 
 var (
-	_ sem.Operator     = (*PartitionedOperator)(nil)
 	_ sem.Preparer     = (*PartitionedOperator)(nil)
 	_ sem.Connectivity = (*PartitionedOperator)(nil)
 	_ sem.BatchKernel  = (*PartitionedOperator)(nil)

@@ -13,23 +13,27 @@ import (
 // activation mask — and per-rank sorted touched-node lists, built by
 // package decomp) plus the backend-specific state of the shared-memory
 // merge: the node-range shard boundaries of the parallel reduction and
-// the per-rank inner batch plans.
+// the per-rank inner batch plans. It is the PartitionedOperator's
+// sem.BatchPlan.
 type applyPlan struct {
-	dp *decomp.Plan
-	nc int // component count, cached for the merge inner loop
+	owner *PartitionedOperator
+	dp    *decomp.Plan
+	nc    int // component count, cached for the merge inner loop
 	// shardIdx[r] holds K+1 boundaries into dp.Touched[r]: shard m covers
 	// dp.Touched[r][shardIdx[r][m]:shardIdx[r][m+1]].
 	shardIdx     [][]int32
 	activeShards []int
 	// rankBatch holds one inner-operator BatchPlan per active rank (nil
 	// entries for idle ranks): the per-rank half of the "BatchPlan per LTS
-	// level, per rank" layout. Compute tasks carrying one of these run the
-	// rank's owned slice as one fused batch on the worker's own
-	// BatchScratch. Built lazily by PartitionedOperator.NewBatchPlan (nil
-	// until a caller asks for the batched kernel), so per-element
-	// configurations never hold the packed plan constants.
+	// level, per rank" layout. A compute task carries its rank's entry and
+	// runs the owned slice as one fused batch on the worker's own
+	// BatchScratch. Built on the first PartitionedOperator.NewBatchPlan
+	// of the list (nil until then).
 	rankBatch []sem.BatchPlan
 }
+
+// Elems implements sem.BatchPlan.
+func (pl *applyPlan) Elems() []int32 { return pl.dp.Elems }
 
 // planCache maps decomp plans (content-validated by decomp.Cache) to the
 // shared-memory merge state layered on top of them.
@@ -66,7 +70,7 @@ func (c *planCache) lookup(p *PartitionedOperator, elems []int32) *applyPlan {
 // follow by binary search.
 func buildMerge(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 	k := p.K
-	pl := &applyPlan{dp: dp, nc: p.inner.Comps(), shardIdx: make([][]int32, k)}
+	pl := &applyPlan{owner: p, dp: dp, nc: p.inner.Comps(), shardIdx: make([][]int32, k)}
 	total := 0
 	for _, t := range dp.Touched {
 		total += len(t)

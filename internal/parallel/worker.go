@@ -16,32 +16,28 @@ const (
 )
 
 // task is one unit of work handed to a rank worker: either "apply your
-// owned slice of the plan's elements" — as one fused batch when bplan is
-// set, per element otherwise — or "reduce one merge shard".
+// owned slice of the plan's elements as one fused batch" or "reduce one
+// merge shard".
 type task struct {
 	kind  taskKind
 	plan  *applyPlan
-	bplan sem.BatchPlan // compute: the rank's batch plan (nil = per-element)
+	bplan sem.BatchPlan // compute: the rank's batch plan
 	u     []float64     // compute: shared read-only input field
 	dst   []float64     // merge: shared output (shards write disjoint ranges)
 	shard int           // merge: shard index
 }
 
 // rankWorker is one persistent goroutine owning a private accumulation
-// buffer and its own kernel scratches — the per-element Scratch and the
-// batched-kernel BatchScratch (one per worker serves every level's plan,
-// since a worker executes one task at a time and the arena grows to the
-// largest request). The buffer is all-zero between applies: the compute
-// phase writes the rank's contributions, the merge phase drains and
-// re-zeroes exactly the touched entries. The scratches warm on the first
-// apply, after which the compute phase is allocation-free.
+// buffer and its own BatchScratch (one per worker serves every level's
+// plan, since a worker executes one task at a time and the arena grows to
+// the largest request). The buffer is all-zero between applies: the
+// compute phase writes the rank's contributions, the merge phase drains
+// and re-zeroes exactly the touched entries. The scratch warms on the
+// first apply, after which the compute phase is allocation-free.
 type rankWorker struct {
-	id   int
-	op   sem.Operator
-	bop  sem.BatchKernel // op's batched kernel, when supported
+	op   sem.BatchKernel
 	ch   chan task
 	acc  []float64
-	scr  sem.Scratch
 	bscr sem.BatchScratch
 	busy atomic.Int64 // cumulative compute nanos (telemetry only)
 }
@@ -58,11 +54,7 @@ func (w *rankWorker) serve(p *PartitionedOperator) {
 			if tel {
 				start = time.Now()
 			}
-			if t.bplan != nil {
-				w.bop.AddKuBatch(w.acc, t.u, t.bplan, &w.bscr)
-			} else {
-				w.op.AddKuScratch(w.acc, t.u, t.plan.dp.Parts[w.id], &w.scr)
-			}
+			w.op.AddKuBatch(w.acc, t.u, t.bplan, &w.bscr)
 			if tel {
 				w.busy.Add(time.Since(start).Nanoseconds())
 			}

@@ -73,8 +73,8 @@ func (op *Acoustic3D) closestAxis(bc []float64, ne int, x float64) int {
 	return best
 }
 
-// AddKu accumulates dst += K u for the listed elements, using a pooled
-// scratch. Hot callers hold their own Scratch and call AddKuScratch.
+// AddKu accumulates dst += K u for the listed elements: AddKuScratch with
+// a pooled scratch.
 func (op *Acoustic3D) AddKu(dst, u []float64, elems []int32) {
 	sc := scratchPool.Get().(*Scratch)
 	op.AddKuScratch(dst, u, elems, sc)
@@ -89,10 +89,6 @@ func (op *Acoustic3D) AddKu(dst, u []float64, elems []int32) {
 func (op *Acoustic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) {
 	checkLens(op, "dst", dst)
 	checkLens(op, "u", u)
-	if op.deg == 4 {
-		op.addKu5(dst, u, elems, sc)
-		return
-	}
 	nq, n3 := op.nq, op.n3
 	d, dt := op.dfl, op.dtf
 	w := op.Rule.Weights
@@ -139,8 +135,8 @@ func (op *Acoustic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch)
 		}
 		// Transposed scatter: dst_l += Σ_m D[m][l] f(m). The three axis
 		// sums accumulate in x-then-y-then-z order — the same chain as the
-		// deg=4 kernel and the batched axis sweeps, so all three paths are
-		// bitwise-identical.
+		// batched axis sweeps, which keeps AddKuBatch bitwise-identical to
+		// this loop.
 		for c := 0; c < nq; c++ {
 			dc := dt[c*nq : c*nq+nq]
 			for b := 0; b < nq; b++ {
@@ -161,68 +157,6 @@ func (op *Acoustic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch)
 					for m := 0; m < nq; m++ {
 						acc += dc[m] * fz[zi+m*nq*nq]
 					}
-					dst[nb[cb+a]] += acc
-				}
-			}
-		}
-	}
-}
-
-// addKu5 is the specialised deg=4 (125-node) kernel: fixed loop bounds,
-// fully unrolled length-5 contractions, and array-pointer views that let
-// the compiler drop slice-header loads in the innermost loops.
-func (op *Acoustic3D) addKu5(dst, u []float64, elems []int32, sc *Scratch) {
-	const n3 = 125
-	buf := sc.floats(4 * n3)
-	ue := (*[n3]float64)(buf[0*n3:])
-	fx := (*[n3]float64)(buf[1*n3:])
-	fy := (*[n3]float64)(buf[2*n3:])
-	fz := (*[n3]float64)(buf[3*n3:])
-	d := (*[25]float64)(op.dfl)
-	dt := (*[25]float64)(op.dtf)
-	w := (*[5]float64)(op.Rule.Weights)
-	for _, e := range elems {
-		dx, dy, dz := op.M.ElemSize(int(e))
-		jdet := dx * dy * dz / 8
-		ax, ay, az := 2/dx, 2/dy, 2/dz
-		mu := op.M.Rho[e] * op.M.C[e] * op.M.C[e]
-		sx, sy, sz := mu*jdet*ax*ax, mu*jdet*ay*ay, mu*jdet*az*az
-		nb := op.elemConn(int(e))
-		for i, n := range nb {
-			ue[i] = u[n]
-		}
-		for c := 0; c < 5; c++ {
-			c0, c1, c2, c3, c4 := d[c*5], d[c*5+1], d[c*5+2], d[c*5+3], d[c*5+4]
-			for b := 0; b < 5; b++ {
-				b0, b1, b2, b3, b4 := d[b*5], d[b*5+1], d[b*5+2], d[b*5+3], d[b*5+4]
-				cb := (c*5 + b) * 5
-				wbc := w[b] * w[c]
-				for a := 0; a < 5; a++ {
-					a0, a1, a2, a3, a4 := d[a*5], d[a*5+1], d[a*5+2], d[a*5+3], d[a*5+4]
-					yi := c*25 + a
-					zi := b*5 + a
-					dxu := a0*ue[cb] + a1*ue[cb+1] + a2*ue[cb+2] + a3*ue[cb+3] + a4*ue[cb+4]
-					dyu := b0*ue[yi] + b1*ue[yi+5] + b2*ue[yi+10] + b3*ue[yi+15] + b4*ue[yi+20]
-					dzu := c0*ue[zi] + c1*ue[zi+25] + c2*ue[zi+50] + c3*ue[zi+75] + c4*ue[zi+100]
-					wa := w[a]
-					fx[cb+a] = sx * wa * wbc * dxu
-					fy[cb+a] = sy * wa * wbc * dyu
-					fz[cb+a] = sz * wa * wbc * dzu
-				}
-			}
-		}
-		for c := 0; c < 5; c++ {
-			c0, c1, c2, c3, c4 := dt[c*5], dt[c*5+1], dt[c*5+2], dt[c*5+3], dt[c*5+4]
-			for b := 0; b < 5; b++ {
-				b0, b1, b2, b3, b4 := dt[b*5], dt[b*5+1], dt[b*5+2], dt[b*5+3], dt[b*5+4]
-				cb := (c*5 + b) * 5
-				for a := 0; a < 5; a++ {
-					a0, a1, a2, a3, a4 := dt[a*5], dt[a*5+1], dt[a*5+2], dt[a*5+3], dt[a*5+4]
-					yi := c*25 + a
-					zi := b*5 + a
-					acc := a0*fx[cb] + a1*fx[cb+1] + a2*fx[cb+2] + a3*fx[cb+3] + a4*fx[cb+4] +
-						b0*fy[yi] + b1*fy[yi+5] + b2*fy[yi+10] + b3*fy[yi+15] + b4*fy[yi+20] +
-						c0*fz[zi] + c1*fz[zi+25] + c2*fz[zi+50] + c3*fz[zi+75] + c4*fz[zi+100]
 					dst[nb[cb+a]] += acc
 				}
 			}

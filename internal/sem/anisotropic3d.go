@@ -96,8 +96,8 @@ func (op *Anisotropic3D) Comps() int { return 3 }
 // NDof returns 3 * NumNodes().
 func (op *Anisotropic3D) NDof() int { return 3 * op.NumNodes() }
 
-// AddKu accumulates dst += K u for the listed elements, using a pooled
-// scratch. Hot callers hold their own Scratch and call AddKuScratch.
+// AddKu accumulates dst += K u for the listed elements: AddKuScratch with
+// a pooled scratch.
 func (op *Anisotropic3D) AddKu(dst, u []float64, elems []int32) {
 	sc := scratchPool.Get().(*Scratch)
 	op.AddKuScratch(dst, u, elems, sc)
@@ -111,10 +111,6 @@ func (op *Anisotropic3D) AddKu(dst, u []float64, elems []int32) {
 func (op *Anisotropic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) {
 	checkLens(op, "dst", dst)
 	checkLens(op, "u", u)
-	if op.deg == 4 {
-		op.addKu5(dst, u, elems, sc)
-		return
-	}
 	nq, n3 := op.nq, op.n3
 	d, dt := op.dfl, op.dtf
 	w := op.Rule.Weights
@@ -207,8 +203,8 @@ func (op *Anisotropic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scrat
 					yi := c*nq*nq + a
 					zi := b*nq + a
 					// Axis sums in x-then-y-then-z order: the same chain as
-					// the deg=4 kernel and the batched axis sweeps, so all
-					// three paths are bitwise-identical.
+					// the batched axis sweeps, which keeps AddKuBatch
+					// bitwise-identical to this loop.
 					var s0, s1, s2 float64
 					for m := 0; m < nq; m++ {
 						dm, xm := da[m], cb+m
@@ -228,109 +224,6 @@ func (op *Anisotropic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scrat
 						s1 += fm * tf[5][zm]
 						s2 += fm * tf[8][zm]
 					}
-					j := 3 * int(nb[cb+a])
-					dst[j] += s0
-					dst[j+1] += s1
-					dst[j+2] += s2
-				}
-			}
-		}
-	}
-}
-
-// addKu5 is the specialised deg=4 anisotropic kernel: the elastic deg=4
-// structure with the 6x6 Voigt contraction in place of the two-parameter
-// isotropic stress.
-func (op *Anisotropic3D) addKu5(dst, u []float64, elems []int32, sc *Scratch) {
-	const n3 = 125
-	buf := sc.floats(12 * n3)
-	ux := (*[n3]float64)(buf[0*n3:])
-	uy := (*[n3]float64)(buf[1*n3:])
-	uz := (*[n3]float64)(buf[2*n3:])
-	t0 := (*[n3]float64)(buf[3*n3:])
-	t1 := (*[n3]float64)(buf[4*n3:])
-	t2 := (*[n3]float64)(buf[5*n3:])
-	t3 := (*[n3]float64)(buf[6*n3:])
-	t4 := (*[n3]float64)(buf[7*n3:])
-	t5 := (*[n3]float64)(buf[8*n3:])
-	t6 := (*[n3]float64)(buf[9*n3:])
-	t7 := (*[n3]float64)(buf[10*n3:])
-	t8 := (*[n3]float64)(buf[11*n3:])
-	d := (*[25]float64)(op.dfl)
-	dt := (*[25]float64)(op.dtf)
-	w := (*[5]float64)(op.Rule.Weights)
-	for _, e := range elems {
-		dx, dy, dz := op.M.ElemSize(int(e))
-		jdet := dx * dy * dz / 8
-		ax, ay, az := 2/dx, 2/dy, 2/dz
-		cm := &op.C[e]
-		nb := op.elemConn(int(e))
-		for i, n := range nb {
-			j := 3 * int(n)
-			ux[i], uy[i], uz[i] = u[j], u[j+1], u[j+2]
-		}
-		for c := 0; c < 5; c++ {
-			c0, c1, c2, c3, c4 := d[c*5], d[c*5+1], d[c*5+2], d[c*5+3], d[c*5+4]
-			for b := 0; b < 5; b++ {
-				b0, b1, b2, b3, b4 := d[b*5], d[b*5+1], d[b*5+2], d[b*5+3], d[b*5+4]
-				cb := (c*5 + b) * 5
-				wbc := w[b] * w[c] * jdet
-				for a := 0; a < 5; a++ {
-					a0, a1, a2, a3, a4 := d[a*5], d[a*5+1], d[a*5+2], d[a*5+3], d[a*5+4]
-					yi := c*25 + a
-					zi := b*5 + a
-					g00 := ax * (a0*ux[cb] + a1*ux[cb+1] + a2*ux[cb+2] + a3*ux[cb+3] + a4*ux[cb+4])
-					g01 := ay * (b0*ux[yi] + b1*ux[yi+5] + b2*ux[yi+10] + b3*ux[yi+15] + b4*ux[yi+20])
-					g02 := az * (c0*ux[zi] + c1*ux[zi+25] + c2*ux[zi+50] + c3*ux[zi+75] + c4*ux[zi+100])
-					g10 := ax * (a0*uy[cb] + a1*uy[cb+1] + a2*uy[cb+2] + a3*uy[cb+3] + a4*uy[cb+4])
-					g11 := ay * (b0*uy[yi] + b1*uy[yi+5] + b2*uy[yi+10] + b3*uy[yi+15] + b4*uy[yi+20])
-					g12 := az * (c0*uy[zi] + c1*uy[zi+25] + c2*uy[zi+50] + c3*uy[zi+75] + c4*uy[zi+100])
-					g20 := ax * (a0*uz[cb] + a1*uz[cb+1] + a2*uz[cb+2] + a3*uz[cb+3] + a4*uz[cb+4])
-					g21 := ay * (b0*uz[yi] + b1*uz[yi+5] + b2*uz[yi+10] + b3*uz[yi+15] + b4*uz[yi+20])
-					g22 := az * (c0*uz[zi] + c1*uz[zi+25] + c2*uz[zi+50] + c3*uz[zi+75] + c4*uz[zi+100])
-					e0, e1, e2 := g00, g11, g22
-					e3 := g12 + g21
-					e4 := g02 + g20
-					e5 := g01 + g10
-					s0 := cm[0][0]*e0 + cm[0][1]*e1 + cm[0][2]*e2 + cm[0][3]*e3 + cm[0][4]*e4 + cm[0][5]*e5
-					s1 := cm[1][0]*e0 + cm[1][1]*e1 + cm[1][2]*e2 + cm[1][3]*e3 + cm[1][4]*e4 + cm[1][5]*e5
-					s2 := cm[2][0]*e0 + cm[2][1]*e1 + cm[2][2]*e2 + cm[2][3]*e3 + cm[2][4]*e4 + cm[2][5]*e5
-					s3 := cm[3][0]*e0 + cm[3][1]*e1 + cm[3][2]*e2 + cm[3][3]*e3 + cm[3][4]*e4 + cm[3][5]*e5
-					s4 := cm[4][0]*e0 + cm[4][1]*e1 + cm[4][2]*e2 + cm[4][3]*e3 + cm[4][4]*e4 + cm[4][5]*e5
-					s5 := cm[5][0]*e0 + cm[5][1]*e1 + cm[5][2]*e2 + cm[5][3]*e3 + cm[5][4]*e4 + cm[5][5]*e5
-					wq := w[a] * wbc
-					wx, wy, wz := wq*ax, wq*ay, wq*az
-					q := cb + a
-					t0[q] = wx * s0
-					t1[q] = wy * s5
-					t2[q] = wz * s4
-					t3[q] = wx * s5
-					t4[q] = wy * s1
-					t5[q] = wz * s3
-					t6[q] = wx * s4
-					t7[q] = wy * s3
-					t8[q] = wz * s2
-				}
-			}
-		}
-		for c := 0; c < 5; c++ {
-			c0, c1, c2, c3, c4 := dt[c*5], dt[c*5+1], dt[c*5+2], dt[c*5+3], dt[c*5+4]
-			for b := 0; b < 5; b++ {
-				b0, b1, b2, b3, b4 := dt[b*5], dt[b*5+1], dt[b*5+2], dt[b*5+3], dt[b*5+4]
-				cb := (c*5 + b) * 5
-				for a := 0; a < 5; a++ {
-					a0, a1, a2, a3, a4 := dt[a*5], dt[a*5+1], dt[a*5+2], dt[a*5+3], dt[a*5+4]
-					yi := c*25 + a
-					zi := b*5 + a
-					s0 := a0*t0[cb] + a1*t0[cb+1] + a2*t0[cb+2] + a3*t0[cb+3] + a4*t0[cb+4] +
-						b0*t1[yi] + b1*t1[yi+5] + b2*t1[yi+10] + b3*t1[yi+15] + b4*t1[yi+20] +
-						c0*t2[zi] + c1*t2[zi+25] + c2*t2[zi+50] + c3*t2[zi+75] + c4*t2[zi+100]
-					s1 := a0*t3[cb] + a1*t3[cb+1] + a2*t3[cb+2] + a3*t3[cb+3] + a4*t3[cb+4] +
-						b0*t4[yi] + b1*t4[yi+5] + b2*t4[yi+10] + b3*t4[yi+15] + b4*t4[yi+20] +
-						c0*t5[zi] + c1*t5[zi+25] + c2*t5[zi+50] + c3*t5[zi+75] + c4*t5[zi+100]
-					s2 := a0*t6[cb] + a1*t6[cb+1] + a2*t6[cb+2] + a3*t6[cb+3] + a4*t6[cb+4] +
-						b0*t7[yi] + b1*t7[yi+5] + b2*t7[yi+10] + b3*t7[yi+15] + b4*t7[yi+20] +
-						c0*t8[zi] + c1*t8[zi+25] + c2*t8[zi+50] + c3*t8[zi+75] + c4*t8[zi+100]
 					j := 3 * int(nb[cb+a])
 					dst[j] += s0
 					dst[j+1] += s1

@@ -17,38 +17,17 @@ import "fmt"
 // single goroutine (the parallel engine keeps ranks on private
 // accumulation buffers, so batched scatter never races there either).
 //
-// Every lane of every batched pass reproduces the per-element kernels'
-// floating-point chains exactly — same products, same one-rounding-per-add
-// order — so AddKuBatch is bitwise-identical to AddKuScratch. That makes
-// the per-element path the always-available reference oracle, lets the
-// steppers default to batched without disturbing golden outputs, and is
-// what allows the amd64 microkernels to vectorise across lanes (each SIMD
-// lane is an independent element).
-
-// Kernel selects how the steppers execute their stiffness applications.
-// The zero value is KernelBatched: the fused batch path is the default
-// wherever an operator supports it.
-type Kernel uint8
-
-const (
-	// KernelBatched executes each prepared element set as fused SoA batch
-	// passes via AddKuBatch.
-	KernelBatched Kernel = iota
-	// KernelPerElement applies elements one at a time through
-	// AddKuScratch — the bitwise-testable reference path.
-	KernelPerElement
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case KernelBatched:
-		return "batched"
-	case KernelPerElement:
-		return "per-element"
-	}
-	return fmt.Sprintf("Kernel(%d)", uint8(k))
-}
+// Every lane of every batched pass reproduces the degree-generic
+// per-element kernels' floating-point chains exactly — same products, same
+// one-rounding-per-add order — so AddKuBatch is bitwise-identical to
+// AddKuScratch. AddKuBatch is the one production stiffness path (every
+// stepper and engine drives it); the per-element AddKuScratch of the four
+// concrete operators is the reference oracle that tests and one-shot
+// diagnostics run. Lane independence is also what allows the amd64
+// microkernels to vectorise across lanes (each SIMD lane is an
+// independent element) and ragged tails to be padded: a list whose length
+// is not a multiple of batchB ends in one block whose spare lanes repeat
+// the last element — gathered and computed, never scattered.
 
 // BatchPlan is the precomputed execution layout of one element set: the
 // element list (owned copy), the per-block packed material and metric
@@ -59,22 +38,16 @@ func (k Kernel) String() string {
 type BatchPlan interface {
 	// Elems returns the plan's element list (callers must not mutate it).
 	Elems() []int32
-	// BatchedElems returns how many of the elements execute through full
-	// SoA blocks; the remainder (len(Elems()) - BatchedElems()) runs
-	// through the per-element fallback inside AddKuBatch.
-	BatchedElems() int
 }
 
-// BatchKernel is an optional Operator extension: operators that can
-// execute a prepared element set as one fused batch. All four concrete
-// operators implement it; parallel.PartitionedOperator forwards it to
-// per-rank sub-plans.
+// BatchKernel is an Operator that executes a prepared element set as one
+// fused batch — what the steppers and engines require of an operator. All
+// four concrete operators implement it; parallel.PartitionedOperator and
+// dist.Operator forward it to per-rank and per-part sub-plans.
 type BatchKernel interface {
 	Operator
 	// NewBatchPlan precomputes the batch execution layout for the element
-	// list (copied; later mutation of elems is safe). Wrapper operators
-	// may return nil when their inner operator cannot batch; callers must
-	// fall back to AddKuScratch on a nil plan.
+	// list (copied; later mutation of elems is safe).
 	NewBatchPlan(elems []int32) BatchPlan
 	// AddKuBatch accumulates dst += K u over the plan's elements, bitwise
 	// identical to AddKuScratch(dst, u, plan.Elems(), ·). The plan must
@@ -84,13 +57,11 @@ type BatchKernel interface {
 }
 
 // BatchScratch is the reusable workspace of AddKuBatch: the SoA plane
-// arena plus a per-element Scratch for ragged-tail elements. Like
-// Scratch, it may be shared across operators (it grows to the largest
-// request) but not across goroutines: each parallel rank worker and each
-// sequential stepper owns its own.
+// arena. Like Scratch, it may be shared across operators (it grows to the
+// largest request) but not across goroutines: each parallel rank worker
+// and each sequential stepper owns its own.
 type BatchScratch struct {
-	buf  []float64
-	tail Scratch
+	buf []float64
 }
 
 // floats returns a slice of length n backed by the arena, growing it when
@@ -106,17 +77,20 @@ func (b *BatchScratch) floats(n int) []float64 {
 // elemBatchPlan is the concrete plan of the four sem operators.
 type elemBatchPlan struct {
 	owner Operator
-	elems []int32
-	nfull int       // elements executing through full batchB-lane blocks
-	cst   []float64 // per-block packed constants, op-specific row layout
+	elems []int32   // the caller's list: what scatters
+	lanes []int32   // elems padded to whole blocks with repeats of its last element: what gathers
+	cst   []float64 // per-block packed constants, op-specific row layout, one column per lane
 	wpair []float64 // deg-4 3-D: n3 interleaved (w[a], w[b]·w[c]) pairs
 }
 
 // Elems implements BatchPlan.
 func (p *elemBatchPlan) Elems() []int32 { return p.elems }
 
-// BatchedElems implements BatchPlan.
-func (p *elemBatchPlan) BatchedElems() int { return p.nfull }
+// block returns the lanes block blk gathers (always batchB) and the
+// leading elements of it that scatter (fewer only in a ragged last block).
+func (p *elemBatchPlan) block(blk int) (gather, scatter []int32) {
+	return p.lanes[blk : blk+batchB], p.elems[blk:min(blk+batchB, len(p.elems))]
+}
 
 // checkPlan validates plan ownership and type for the concrete operators.
 func checkPlan(op Operator, plan BatchPlan) *elemBatchPlan {
@@ -130,14 +104,20 @@ func checkPlan(op Operator, plan BatchPlan) *elemBatchPlan {
 	return pl
 }
 
-// newElemBatchPlan fills the shared plan fields: the element-list copy,
-// the full-block count, and (for 3-D operators) the per-point quadrature
-// weight pairs matching the scalar kernels' w[a] and w[b]·w[c] factors.
-func newElemBatchPlan(op Operator, elems []int32, nq int, weights []float64) *elemBatchPlan {
+// newElemBatchPlan fills the shared plan fields: the padded element-list
+// copy, the constants table (cstRows rows per block, filled by the
+// caller), and (for 3-D operators) the per-point quadrature weight pairs
+// matching the scalar kernels' w[a] and w[b]·w[c] factors.
+func newElemBatchPlan(op Operator, elems []int32, cstRows, nq int, weights []float64) *elemBatchPlan {
+	lanes := make([]int32, (len(elems)+batchB-1)/batchB*batchB)
+	for i := copy(lanes, elems); i < len(lanes); i++ {
+		lanes[i] = elems[len(elems)-1]
+	}
 	pl := &elemBatchPlan{
 		owner: op,
-		elems: append([]int32(nil), elems...),
-		nfull: len(elems) / batchB * batchB,
+		elems: lanes[:len(elems)],
+		lanes: lanes,
+		cst:   make([]float64, len(lanes)*cstRows),
 	}
 	if weights != nil {
 		pl.wpair = make([]float64, 0, 2*nq*nq*nq)

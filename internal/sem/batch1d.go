@@ -4,22 +4,17 @@ package sem
 // gather → contract → scatter structure as the 3-D kernels (batch3d.go),
 // with nq-point planes. The 1-D kernel is far from any performance
 // bottleneck; it exists so every operator offers the same BatchKernel
-// contract (and the LTS correctness tests exercise the batched path on
-// the paper's Fig. 1 setting).
+// contract (and the LTS correctness tests run on the paper's Fig. 1
+// setting).
 
 // NewBatchPlan implements BatchKernel.
 func (op *Op1D) NewBatchPlan(elems []int32) BatchPlan {
-	pl := newElemBatchPlan(op, elems, 0, nil)
+	pl := newElemBatchPlan(op, elems, 1, 0, nil)
 	pl.wpair = append([]float64(nil), op.Rule.Weights...)
-	pl.cst = make([]float64, pl.nfull/batchB*batchB)
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		row := pl.cst[blk/batchB*batchB:]
-		for i := 0; i < batchB; i++ {
-			e := int(pl.elems[blk+i])
-			j := (op.XC[e+1] - op.XC[e]) / 2
-			mu := op.Rho[e] * op.C[e] * op.C[e]
-			row[i] = mu / j
-		}
+	for i, e := range pl.lanes {
+		j := (op.XC[e+1] - op.XC[e]) / 2
+		mu := op.Rho[e] * op.C[e] * op.C[e]
+		pl.cst[i] = mu / j
 	}
 	return pl
 }
@@ -35,9 +30,9 @@ func (op *Op1D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
 	ws := bs.floats(2 * pb)
 	in := ws[0*pb : 1*pb]
 	f := ws[1*pb : 2*pb]
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		be := pl.elems[blk : blk+batchB]
-		for i, e := range be {
+	for blk := 0; blk < len(pl.lanes); blk += batchB {
+		lanes, be := pl.block(blk)
+		for i, e := range lanes {
 			nb := op.conn[int(e)*nq : (int(e)+1)*nq]
 			o := i
 			for _, n := range nb {
@@ -46,7 +41,7 @@ func (op *Op1D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
 			}
 		}
 		mulN(f, in, op.dfl, nq, batchB)
-		cst := pl.cst[blk/batchB*batchB:]
+		cst := pl.cst[blk:]
 		for q := 0; q < nq; q++ {
 			wq := pl.wpair[q]
 			o := q * batchB
@@ -63,9 +58,6 @@ func (op *Op1D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
 				o += batchB
 			}
 		}
-	}
-	if pl.nfull < len(pl.elems) {
-		op.AddKuScratch(dst, u, pl.elems[pl.nfull:], &bs.tail)
 	}
 }
 

@@ -5,7 +5,9 @@ package sem
 // flat SoA workspace of batchB-lane planes (see batch.go for the layer's
 // contract and bitwise-identity guarantee).
 //
-// Per full block of batchB elements:
+// Per block of batchB lanes (the last block of a ragged list is padded
+// with repeats of the list's last element, whose lanes are gathered and
+// computed like any other but never scattered):
 //
 //  1. gather: nodal values are pulled through the flat connectivity into
 //     per-component planes u_k[q·batchB + lane];
@@ -17,10 +19,7 @@ package sem
 //     and the transposed sweeps (Dᵀ) fold them back per component;
 //  3. scatter: the output planes accumulate into dst element by element
 //     in list order — the same conflict-free, deterministic order as the
-//     per-element path.
-//
-// Ragged tails (len(elems) mod batchB) run through AddKuScratch with the
-// scratch embedded in BatchScratch, which is bitwise-identical anyway.
+//     per-element oracle.
 
 // grad5 computes the three raw axis-derivative planes of one component
 // for a deg=4 block (125-point planes, batchB lanes).
@@ -127,12 +126,11 @@ const elCstRows = 6
 // copy, per-block metric and Lamé constants, and quadrature weight pairs
 // for the element list.
 func (op *Elastic3D) NewBatchPlan(elems []int32) BatchPlan {
-	pl := newElemBatchPlan(op, elems, op.nq, op.Rule.Weights)
-	pl.cst = make([]float64, pl.nfull/batchB*elCstRows*batchB)
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		row := pl.cst[blk/batchB*elCstRows*batchB:]
+	pl := newElemBatchPlan(op, elems, elCstRows, op.nq, op.Rule.Weights)
+	for blk := 0; blk < len(pl.lanes); blk += batchB {
+		row := pl.cst[blk*elCstRows:]
 		for i := 0; i < batchB; i++ {
-			e := int(pl.elems[blk+i])
+			e := int(pl.lanes[blk+i])
 			dx, dy, dz := op.M.ElemSize(e)
 			lam, mu := op.Lame(e)
 			row[0*batchB+i] = 2 / dx
@@ -159,9 +157,6 @@ func (op *Elastic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScrat
 			elStressN(gg, cst, wpair, op.n3)
 		}
 	}, elCstRows)
-	if pl.nfull < len(pl.elems) {
-		op.AddKuScratch(dst, u, pl.elems[pl.nfull:], &bs.tail)
-	}
 }
 
 // ---- Anisotropic3D ----
@@ -172,12 +167,11 @@ const anCstRows = 40
 
 // NewBatchPlan implements BatchKernel.
 func (op *Anisotropic3D) NewBatchPlan(elems []int32) BatchPlan {
-	pl := newElemBatchPlan(op, elems, op.nq, op.Rule.Weights)
-	pl.cst = make([]float64, pl.nfull/batchB*anCstRows*batchB)
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		row := pl.cst[blk/batchB*anCstRows*batchB:]
+	pl := newElemBatchPlan(op, elems, anCstRows, op.nq, op.Rule.Weights)
+	for blk := 0; blk < len(pl.lanes); blk += batchB {
+		row := pl.cst[blk*anCstRows:]
 		for i := 0; i < batchB; i++ {
-			e := int(pl.elems[blk+i])
+			e := int(pl.lanes[blk+i])
 			dx, dy, dz := op.M.ElemSize(e)
 			row[0*batchB+i] = 2 / dx
 			row[1*batchB+i] = 2 / dy
@@ -207,9 +201,6 @@ func (op *Anisotropic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchS
 			anStressN(gg, cst, wpair, op.n3)
 		}
 	}, anCstRows)
-	if pl.nfull < len(pl.elems) {
-		op.AddKuScratch(dst, u, pl.elems[pl.nfull:], &bs.tail)
-	}
 }
 
 // batch3comp is the shared 3-component batch driver: gather, the nine
@@ -225,9 +216,9 @@ func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratc
 	gg := ws[3*pb : 12*pb]
 	d, dt := c.dfl, c.dtf
 	deg4 := c.deg == 4
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		be := pl.elems[blk : blk+batchB]
-		c.gather3(u, be, ux, uy, uz)
+	for blk := 0; blk < len(pl.lanes); blk += batchB {
+		lanes, be := pl.block(blk)
+		c.gather3(u, lanes, ux, uy, uz)
 		for k, in := range [3][]float64{ux, uy, uz} {
 			gx := gg[(3*k+0)*pb : (3*k+1)*pb]
 			gy := gg[(3*k+1)*pb : (3*k+2)*pb]
@@ -238,7 +229,7 @@ func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratc
 				gradN(gx, gy, gz, in, d, c.nq)
 			}
 		}
-		stress(gg, pl.cst[blk/batchB*cstRows*batchB:], pl.wpair)
+		stress(gg, pl.cst[blk*cstRows:], pl.wpair)
 		for k, out := range [3][]float64{ux, uy, uz} {
 			tx := gg[(3*k+0)*pb : (3*k+1)*pb]
 			ty := gg[(3*k+1)*pb : (3*k+2)*pb]
@@ -261,12 +252,11 @@ const acCstRows = 3
 
 // NewBatchPlan implements BatchKernel.
 func (op *Acoustic3D) NewBatchPlan(elems []int32) BatchPlan {
-	pl := newElemBatchPlan(op, elems, op.nq, op.Rule.Weights)
-	pl.cst = make([]float64, pl.nfull/batchB*acCstRows*batchB)
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		row := pl.cst[blk/batchB*acCstRows*batchB:]
+	pl := newElemBatchPlan(op, elems, acCstRows, op.nq, op.Rule.Weights)
+	for blk := 0; blk < len(pl.lanes); blk += batchB {
+		row := pl.cst[blk*acCstRows:]
 		for i := 0; i < batchB; i++ {
-			e := int(pl.elems[blk+i])
+			e := int(pl.lanes[blk+i])
 			dx, dy, dz := op.M.ElemSize(e)
 			jdet := dx * dy * dz / 8
 			ax, ay, az := 2/dx, 2/dy, 2/dz
@@ -294,10 +284,10 @@ func (op *Acoustic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScra
 	fz := ff[2*pb : 3*pb]
 	d, dt := op.dfl, op.dtf
 	deg4 := op.deg == 4
-	for blk := 0; blk < pl.nfull; blk += batchB {
-		be := pl.elems[blk : blk+batchB]
-		op.gather1(u, be, ue)
-		cst := pl.cst[blk/batchB*acCstRows*batchB:]
+	for blk := 0; blk < len(pl.lanes); blk += batchB {
+		lanes, be := pl.block(blk)
+		op.gather1(u, lanes, ue)
+		cst := pl.cst[blk*acCstRows:]
 		if deg4 {
 			grad5(fx, fy, fz, ue, d)
 			acStress8(ff, cst, pl.wpair)
@@ -308,9 +298,6 @@ func (op *Acoustic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScra
 			transN(ue, fx, fy, fz, dt, op.nq)
 		}
 		op.scatter1(dst, be, ue)
-	}
-	if pl.nfull < len(pl.elems) {
-		op.AddKuScratch(dst, u, pl.elems[pl.nfull:], &bs.tail)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sem
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"golts/internal/mesh"
@@ -56,65 +59,114 @@ func batchOps(t testing.TB, m *mesh.Mesh, deg int, periodic bool) []struct {
 }
 
 // batchLists returns element lists exercising the block structure: full
-// sweeps, single blocks, ragged tails, permuted non-contiguous subsets
-// with shared faces, and the empty list.
+// sweeps, single blocks, permuted non-contiguous subsets with shared
+// faces, the empty list, and every length 1..17 of a scattered list — all
+// tail sizes 1..7 after zero, one and two full blocks, with the padded
+// lanes repeating an element whose material differs from its neighbours'.
 func batchLists(ne int) map[string][]int32 {
 	all := make([]int32, ne)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	perm := []int32{int32(ne - 1), 2, 17, 8, 1, 30, 12, 9, 21, 3}
+	perm := []int32{int32(ne - 1), 2, 17, 8, 1, 30, 12, 9, 21, 3, 26, 14, 5, 33, 19, 7, 23}
 	for i, e := range perm {
 		perm[i] = e % int32(ne)
 	}
-	return map[string][]int32{
-		"all":      all,
-		"single":   {5},
-		"block":    all[:batchB],
-		"ragged11": all[:batchB+3],
-		"permuted": perm,
-		"empty":    {},
+	lists := map[string][]int32{
+		"all":   all,
+		"block": all[:batchB],
+		"empty": {},
 	}
+	for n := 1; n <= len(perm); n++ {
+		lists[fmt.Sprintf("len%d", n)] = perm[:n]
+	}
+	return lists
 }
 
-// TestAddKuBatchBitwise pins the batched kernels bitwise against the
-// per-element path across degrees, boundary types, and ragged element
-// lists, with nonzero initial dst (AddKu accumulates).
-func TestAddKuBatchBitwise(t *testing.T) {
-	m := batchMesh(t)
-	for _, deg := range []int{2, 3, 4, 5} {
-		for _, periodic := range []bool{false, true} {
-			for _, tc := range batchOps(t, m, deg, periodic) {
-				nd := tc.op.NDof()
-				u := make([]float64, nd)
-				pseudoField(u)
-				base := make([]float64, nd)
-				randFill(base, 42)
-				var sc Scratch
-				var bs BatchScratch
-				for name, elems := range batchLists(m.NumElements()) {
-					plan := tc.op.NewBatchPlan(elems)
-					if got := len(plan.Elems()); got != len(elems) {
-						t.Fatalf("plan.Elems() has %d entries, want %d", got, len(elems))
-					}
-					want := append([]float64(nil), base...)
-					tc.op.AddKuScratch(want, u, elems, &sc)
-					got := append([]float64(nil), base...)
-					tc.op.AddKuBatch(got, u, plan, &bs)
-					for i := range want {
-						if want[i] != got[i] {
-							t.Fatalf("%s deg=%d periodic=%v list=%s dof=%d: batched %v != per-element %v",
-								tc.name, deg, periodic, name, i, got[i], want[i])
-						}
-					}
-				}
-			}
+// checkBatchApply runs one AddKuBatch on a NaN-poisoned workspace and
+// holds it against the per-element oracle: bitwise equality on every dof
+// (with a guard that the oracle moved dst at all, so the comparison is
+// not vacuous), no write outside the plan's nodes, and no NaN left in
+// the workspace — every lane of a padded tail block is gathered from a
+// real element and computed, and none of it is scattered. bs must be
+// fresh or sized by this operator, so that its arena is exactly the
+// kernel's request.
+func checkBatchApply(t *testing.T, op BatchKernel, elems []int32, u, base []float64, bs *BatchScratch) {
+	t.Helper()
+	plan := op.NewBatchPlan(elems)
+	if !slices.Equal(plan.Elems(), elems) {
+		t.Fatalf("plan.Elems() = %v, want the unpadded list %v", plan.Elems(), elems)
+	}
+	var sc Scratch
+	want := slices.Clone(base)
+	op.AddKuScratch(want, u, elems, &sc)
+	if len(elems) > 0 && slices.Equal(want, base) {
+		t.Fatal("oracle left dst unchanged; the comparison would be vacuous")
+	}
+	got := slices.Clone(base)
+	op.AddKuBatch(got, u, plan, bs) // sizes a fresh arena
+	for i := range bs.buf {
+		bs.buf[i] = math.NaN()
+	}
+	copy(got, base)
+	op.AddKuBatch(got, u, plan, bs)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("dof %d: batched %v != per-element %v", i, got[i], want[i])
+		}
+	}
+	inPlan := make([]bool, op.NumNodes())
+	for _, n := range NodesOf(op, elems) {
+		inPlan[n] = true
+	}
+	nc := op.Comps()
+	for d := range got {
+		if !inPlan[d/nc] && got[d] != base[d] {
+			t.Fatalf("dof %d is outside the plan's nodes but was written", d)
+		}
+	}
+	if len(elems) == 0 {
+		return
+	}
+	for i, v := range bs.buf {
+		if math.IsNaN(v) {
+			t.Fatalf("workspace[%d] still poisoned: a lane was not overwritten", i)
 		}
 	}
 }
 
+// TestAddKuBatchBitwise pins the batched kernels bitwise against the
+// per-element oracle under every usable SIMD tier, across degrees,
+// boundary types, and ragged element lists, with nonzero initial dst
+// (AddKu accumulates).
+func TestAddKuBatchBitwise(t *testing.T) {
+	m := batchMesh(t)
+	for _, tier := range SIMDTiers() {
+		t.Run(tier, func(t *testing.T) {
+			forceTier(t, tier)
+			for _, deg := range []int{2, 3, 4, 5} {
+				for _, periodic := range []bool{false, true} {
+					for _, tc := range batchOps(t, m, deg, periodic) {
+						nd := tc.op.NDof()
+						u := make([]float64, nd)
+						pseudoField(u)
+						base := make([]float64, nd)
+						randFill(base, 42)
+						var bs BatchScratch
+						for name, elems := range batchLists(m.NumElements()) {
+							t.Run(fmt.Sprintf("%s/deg=%d/periodic=%v/%s", tc.name, deg, periodic, name), func(t *testing.T) {
+								checkBatchApply(t, tc.op, elems, u, base, &bs)
+							})
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAddKuBatch1D pins the 1-D batched kernel bitwise against the
-// per-element path, including the ragged tail and fixed boundaries.
+// per-element oracle, including padded tails and fixed boundaries.
 func TestAddKuBatch1D(t *testing.T) {
 	const ne = 21
 	xc := make([]float64, ne+1)
@@ -136,27 +188,21 @@ func TestAddKuBatch1D(t *testing.T) {
 		}
 		u := make([]float64, op.NDof())
 		pseudoField(u)
-		var sc Scratch
+		base := make([]float64, op.NDof())
+		randFill(base, 43)
 		var bs BatchScratch
-		for _, elems := range [][]int32{
-			AllElements(op), {0}, {20, 3, 7, 11, 1, 8, 2, 9, 15}, {},
-		} {
-			plan := op.NewBatchPlan(elems)
-			want := make([]float64, op.NDof())
-			op.AddKuScratch(want, u, elems, &sc)
-			got := make([]float64, op.NDof())
-			op.AddKuBatch(got, u, plan, &bs)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("deg=%d dof=%d: batched %v != per-element %v", deg, i, got[i], want[i])
-				}
-			}
+		for name, elems := range batchLists(ne) {
+			t.Run(fmt.Sprintf("deg=%d/%s", deg, name), func(t *testing.T) {
+				checkBatchApply(t, op, elems, u, base, &bs)
+			})
 		}
 	}
 }
 
 // TestAddKuBatchZeroAllocs pins the warm batched path at zero heap
-// allocations, for the specialised deg=4 kernels and a generic degree.
+// allocations, for the dispatched deg=4 microkernels and a generic
+// degree, on a ragged plan (36 elements: four full blocks and a padded
+// tail of four).
 func TestAddKuBatchZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -201,22 +247,4 @@ func TestBatchPlanOwnership(t *testing.T) {
 	u := make([]float64, b.NDof())
 	var bs BatchScratch
 	b.AddKuBatch(dst, u, plan, &bs)
-}
-
-// TestBatchPlanCounts checks the BatchedElems accounting.
-func TestBatchPlanCounts(t *testing.T) {
-	m := batchMesh(t)
-	op, err := NewElastic3D(m, 4, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ n, full int }{
-		{0, 0}, {1, 0}, {batchB - 1, 0}, {batchB, batchB},
-		{batchB + 1, batchB}, {36, 32},
-	} {
-		plan := op.NewBatchPlan(AllElements(op)[:tc.n])
-		if got := plan.BatchedElems(); got != tc.full {
-			t.Errorf("n=%d: BatchedElems %d, want %d", tc.n, got, tc.full)
-		}
-	}
 }

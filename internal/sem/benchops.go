@@ -5,55 +5,16 @@ import "golts/internal/mesh"
 // KernelBenchCase is one operator fixture of the kernel benchmark suite.
 type KernelBenchCase struct {
 	Name string
-	Op   Operator
+	Op   BatchKernel
 }
 
-// KernelBenchOperators builds the canonical operator set used by both
-// BenchmarkAddKu (internal/sem) and cmd/kernelbench, so the in-repo
+// KernelSweepOperators builds the canonical operator set used by both
+// BenchmarkAddKuBatch (internal/sem) and cmd/kernelbench, so the in-repo
 // benchmark and the BENCH_kernels.json trajectory measure the same
-// workload: uniform meshes sized to realistic per-apply working sets, a
-// VTI anisotropic tensor, and a 256-element 1-D line.
-func KernelBenchOperators(deg int) ([]KernelBenchCase, error) {
-	m := mesh.Uniform(6, 6, 6, 1, 1)
-	ac, err := NewAcoustic3D(m, deg, false)
-	if err != nil {
-		return nil, err
-	}
-	me := mesh.Uniform(4, 4, 4, 1, 1)
-	el, err := NewElastic3D(me, deg, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	cs := make([]VoigtC, me.NumElements())
-	for e := range cs {
-		cs[e] = VTIC(4, 3.6, 1.1, 1.3, 1.4)
-	}
-	an, err := NewAnisotropic3D(me, deg, false, cs)
-	if err != nil {
-		return nil, err
-	}
-	xc := make([]float64, 257)
-	cl := make([]float64, 256)
-	rho := make([]float64, 256)
-	for i := range xc {
-		xc[i] = float64(i)
-	}
-	for i := range cl {
-		cl[i], rho[i] = 1, 1
-	}
-	o1, err := NewOp1D(xc, cl, rho, deg, FreeBC, FreeBC)
-	if err != nil {
-		return nil, err
-	}
-	return []KernelBenchCase{
-		{"Op1D", o1}, {"Acoustic3D", ac}, {"Elastic3D", el}, {"Anisotropic3D", an},
-	}, nil
-}
-
-// KernelSweepOperators builds the batch-sweep fixtures: 512-element
-// meshes (8×8×8 boxes, a 512-element line) so the batched-kernel sweep
-// can run element-list sizes up to 512 with realistic shared-face
-// gather/scatter overlap. All returned operators implement BatchKernel.
+// workload: 512-element meshes (8×8×8 boxes with a VTI anisotropic
+// tensor, a 512-element line) so the batched-kernel sweep can run
+// element-list sizes up to 512 with realistic shared-face gather/scatter
+// overlap.
 func KernelSweepOperators(deg int) ([]KernelBenchCase, error) {
 	m := mesh.Uniform(8, 8, 8, 1, 1)
 	ac, err := NewAcoustic3D(m, deg, false)

@@ -63,8 +63,8 @@ func (op *Elastic3D) Comps() int { return 3 }
 // NDof returns 3 * NumNodes().
 func (op *Elastic3D) NDof() int { return 3 * op.NumNodes() }
 
-// AddKu accumulates dst += K u for the listed elements, using a pooled
-// scratch. Hot callers hold their own Scratch and call AddKuScratch.
+// AddKu accumulates dst += K u for the listed elements: AddKuScratch with
+// a pooled scratch.
 func (op *Elastic3D) AddKu(dst, u []float64, elems []int32) {
 	sc := scratchPool.Get().(*Scratch)
 	op.AddKuScratch(dst, u, elems, sc)
@@ -81,10 +81,6 @@ func (op *Elastic3D) AddKu(dst, u []float64, elems []int32) {
 func (op *Elastic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) {
 	checkLens(op, "dst", dst)
 	checkLens(op, "u", u)
-	if op.deg == 4 {
-		op.addKu5(dst, u, elems, sc)
-		return
-	}
 	nq, n3 := op.nq, op.n3
 	d, dt := op.dfl, op.dtf
 	w := op.Rule.Weights
@@ -170,8 +166,8 @@ func (op *Elastic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) 
 					yi := c*nq*nq + a
 					zi := b*nq + a
 					// Axis sums in x-then-y-then-z order: the same chain as
-					// the deg=4 kernel and the batched axis sweeps, so all
-					// three paths are bitwise-identical.
+					// the batched axis sweeps, which keeps AddKuBatch
+					// bitwise-identical to this loop.
 					var s0, s1, s2 float64
 					for m := 0; m < nq; m++ {
 						dm, xm := da[m], cb+m
@@ -191,100 +187,6 @@ func (op *Elastic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) 
 						s1 += fm * tf[5][zm]
 						s2 += fm * tf[8][zm]
 					}
-					j := 3 * int(nb[cb+a])
-					dst[j] += s0
-					dst[j+1] += s1
-					dst[j+2] += s2
-				}
-			}
-		}
-	}
-}
-
-// addKu5 is the specialised deg=4 (125-node, 375-dof) elastic kernel used
-// by the paper's experiments: fixed loop bounds, fully unrolled length-5
-// contractions, array-pointer element buffers.
-func (op *Elastic3D) addKu5(dst, u []float64, elems []int32, sc *Scratch) {
-	const n3 = 125
-	buf := sc.floats(12 * n3)
-	ux := (*[n3]float64)(buf[0*n3:])
-	uy := (*[n3]float64)(buf[1*n3:])
-	uz := (*[n3]float64)(buf[2*n3:])
-	t0 := (*[n3]float64)(buf[3*n3:])
-	t1 := (*[n3]float64)(buf[4*n3:])
-	t2 := (*[n3]float64)(buf[5*n3:])
-	t3 := (*[n3]float64)(buf[6*n3:])
-	t4 := (*[n3]float64)(buf[7*n3:])
-	t5 := (*[n3]float64)(buf[8*n3:])
-	t6 := (*[n3]float64)(buf[9*n3:])
-	t7 := (*[n3]float64)(buf[10*n3:])
-	t8 := (*[n3]float64)(buf[11*n3:])
-	d := (*[25]float64)(op.dfl)
-	dt := (*[25]float64)(op.dtf)
-	w := (*[5]float64)(op.Rule.Weights)
-	for _, e := range elems {
-		dx, dy, dz := op.M.ElemSize(int(e))
-		jdet := dx * dy * dz / 8
-		ax, ay, az := 2/dx, 2/dy, 2/dz
-		lam, mu := op.Lame(int(e))
-		nb := op.elemConn(int(e))
-		for i, n := range nb {
-			j := 3 * int(n)
-			ux[i], uy[i], uz[i] = u[j], u[j+1], u[j+2]
-		}
-		for c := 0; c < 5; c++ {
-			c0, c1, c2, c3, c4 := d[c*5], d[c*5+1], d[c*5+2], d[c*5+3], d[c*5+4]
-			for b := 0; b < 5; b++ {
-				b0, b1, b2, b3, b4 := d[b*5], d[b*5+1], d[b*5+2], d[b*5+3], d[b*5+4]
-				cb := (c*5 + b) * 5
-				wbc := w[b] * w[c] * jdet
-				for a := 0; a < 5; a++ {
-					a0, a1, a2, a3, a4 := d[a*5], d[a*5+1], d[a*5+2], d[a*5+3], d[a*5+4]
-					yi := c*25 + a
-					zi := b*5 + a
-					g00 := ax * (a0*ux[cb] + a1*ux[cb+1] + a2*ux[cb+2] + a3*ux[cb+3] + a4*ux[cb+4])
-					g01 := ay * (b0*ux[yi] + b1*ux[yi+5] + b2*ux[yi+10] + b3*ux[yi+15] + b4*ux[yi+20])
-					g02 := az * (c0*ux[zi] + c1*ux[zi+25] + c2*ux[zi+50] + c3*ux[zi+75] + c4*ux[zi+100])
-					g10 := ax * (a0*uy[cb] + a1*uy[cb+1] + a2*uy[cb+2] + a3*uy[cb+3] + a4*uy[cb+4])
-					g11 := ay * (b0*uy[yi] + b1*uy[yi+5] + b2*uy[yi+10] + b3*uy[yi+15] + b4*uy[yi+20])
-					g12 := az * (c0*uy[zi] + c1*uy[zi+25] + c2*uy[zi+50] + c3*uy[zi+75] + c4*uy[zi+100])
-					g20 := ax * (a0*uz[cb] + a1*uz[cb+1] + a2*uz[cb+2] + a3*uz[cb+3] + a4*uz[cb+4])
-					g21 := ay * (b0*uz[yi] + b1*uz[yi+5] + b2*uz[yi+10] + b3*uz[yi+15] + b4*uz[yi+20])
-					g22 := az * (c0*uz[zi] + c1*uz[zi+25] + c2*uz[zi+50] + c3*uz[zi+75] + c4*uz[zi+100])
-					tr := g00 + g11 + g22
-					wq := w[a] * wbc
-					wx, wy, wz := wq*ax, wq*ay, wq*az
-					q := cb + a
-					t0[q] = wx * (2*mu*g00 + lam*tr)
-					t1[q] = wy * (mu * (g01 + g10))
-					t2[q] = wz * (mu * (g02 + g20))
-					t3[q] = wx * (mu * (g10 + g01))
-					t4[q] = wy * (2*mu*g11 + lam*tr)
-					t5[q] = wz * (mu * (g12 + g21))
-					t6[q] = wx * (mu * (g20 + g02))
-					t7[q] = wy * (mu * (g21 + g12))
-					t8[q] = wz * (2*mu*g22 + lam*tr)
-				}
-			}
-		}
-		for c := 0; c < 5; c++ {
-			c0, c1, c2, c3, c4 := dt[c*5], dt[c*5+1], dt[c*5+2], dt[c*5+3], dt[c*5+4]
-			for b := 0; b < 5; b++ {
-				b0, b1, b2, b3, b4 := dt[b*5], dt[b*5+1], dt[b*5+2], dt[b*5+3], dt[b*5+4]
-				cb := (c*5 + b) * 5
-				for a := 0; a < 5; a++ {
-					a0, a1, a2, a3, a4 := dt[a*5], dt[a*5+1], dt[a*5+2], dt[a*5+3], dt[a*5+4]
-					yi := c*25 + a
-					zi := b*5 + a
-					s0 := a0*t0[cb] + a1*t0[cb+1] + a2*t0[cb+2] + a3*t0[cb+3] + a4*t0[cb+4] +
-						b0*t1[yi] + b1*t1[yi+5] + b2*t1[yi+10] + b3*t1[yi+15] + b4*t1[yi+20] +
-						c0*t2[zi] + c1*t2[zi+25] + c2*t2[zi+50] + c3*t2[zi+75] + c4*t2[zi+100]
-					s1 := a0*t3[cb] + a1*t3[cb+1] + a2*t3[cb+2] + a3*t3[cb+3] + a4*t3[cb+4] +
-						b0*t4[yi] + b1*t4[yi+5] + b2*t4[yi+10] + b3*t4[yi+15] + b4*t4[yi+20] +
-						c0*t5[zi] + c1*t5[zi+25] + c2*t5[zi+50] + c3*t5[zi+75] + c4*t5[zi+100]
-					s2 := a0*t6[cb] + a1*t6[cb+1] + a2*t6[cb+2] + a3*t6[cb+3] + a4*t6[cb+4] +
-						b0*t7[yi] + b1*t7[yi+5] + b2*t7[yi+10] + b3*t7[yi+15] + b4*t7[yi+20] +
-						c0*t8[zi] + c1*t8[zi+25] + c2*t8[zi+50] + c3*t8[zi+75] + c4*t8[zi+100]
 					j := 3 * int(nb[cb+a])
 					dst[j] += s0
 					dst[j+1] += s1

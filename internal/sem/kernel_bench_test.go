@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// benchAddKuCase times the steady-state kernel of one prebuilt operator
-// and reports ns/elem; the operator fixtures come from
-// KernelBenchOperators, shared with cmd/kernelbench.
+// benchAddKuCase times the per-element oracle of one prebuilt operator
+// and reports ns/elem.
 func benchAddKuCase(b *testing.B, op Operator) {
 	u := make([]float64, op.NDof())
 	BenchField(u)
@@ -23,36 +22,18 @@ func benchAddKuCase(b *testing.B, op Operator) {
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(len(elems))*1e9, "ns/elem")
 }
 
-// BenchmarkAddKu measures the steady-state stiffness kernel of each
-// operator in ns/elem with allocation reporting — the per-element constant
-// of the paper's speedup model (Eq. 9). deg=4 is the paper's 125-node
-// configuration and hits the specialised kernels.
-func BenchmarkAddKu(b *testing.B) {
-	for _, deg := range []int{4} {
-		cases, err := KernelBenchOperators(deg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tc := range cases {
-			b.Run(fmt.Sprintf("%s/deg=%d", tc.Name, deg), func(b *testing.B) {
-				benchAddKuCase(b, tc.Op)
-			})
-		}
-	}
-}
-
 // BenchmarkAddKuBatch measures the fused batched kernel on the
-// 512-element sweep fixtures, next to the per-element path on the same
-// workload; the ns/elem ratio is the batched_vs_scalar speedup that
-// cmd/kernelbench records in BENCH_kernels.json.
+// 512-element sweep fixtures (the batched/*@512 rows cmd/kernelbench
+// records in BENCH_kernels.json), next to the per-element oracle on the
+// same workload.
 func BenchmarkAddKuBatch(b *testing.B) {
 	cases, err := KernelSweepOperators(4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, tc := range cases {
-		bk := tc.Op.(BatchKernel)
-		b.Run(fmt.Sprintf("%s/deg=4/scalar", tc.Name), func(b *testing.B) {
+		bk := tc.Op
+		b.Run(fmt.Sprintf("%s/deg=4/oracle", tc.Name), func(b *testing.B) {
 			benchAddKuCase(b, tc.Op)
 		})
 		b.Run(fmt.Sprintf("%s/deg=4/batched", tc.Name), func(b *testing.B) {

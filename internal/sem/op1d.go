@@ -130,8 +130,8 @@ func (op *Op1D) NodeX(n int) float64 {
 	return x0 + (x1-x0)*(op.Rule.Points[a]+1)/2
 }
 
-// AddKu accumulates dst += K u for the listed elements, using a pooled
-// scratch. Hot callers hold their own Scratch and call AddKuScratch.
+// AddKu accumulates dst += K u for the listed elements: AddKuScratch with
+// a pooled scratch.
 func (op *Op1D) AddKu(dst, u []float64, elems []int32) {
 	sc := scratchPool.Get().(*Scratch)
 	op.AddKuScratch(dst, u, elems, sc)

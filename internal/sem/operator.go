@@ -10,10 +10,13 @@
 // discretization.
 //
 // All concrete operators share a flat kernel core: element connectivity is
-// precomputed into one gather/scatter table at construction, the GLL
-// derivative matrices are stored flat, and the AddKuScratch entry point
-// runs with caller-owned scratch so the steady-state stepping loops
-// perform zero heap allocations.
+// precomputed into one gather/scatter table at construction and the GLL
+// derivative matrices are stored flat. Stiffness has one production path,
+// the batched kernel of batch.go (BatchKernel), which every stepper and
+// engine drives with caller-owned workspaces so the steady-state stepping
+// loops perform zero heap allocations; the per-element AddKuScratch of
+// the concrete operators is the degree-generic reference oracle it is
+// pinned against bit for bit.
 package sem
 
 import (
@@ -42,8 +45,10 @@ type Operator interface {
 	// restricting elems to the support of u is lossless.
 	AddKu(dst, u []float64, elems []int32)
 	// AddKuScratch is AddKu with caller-owned kernel scratch: a warm
-	// Scratch makes the call allocation-free, which the steady-state
-	// stepping loops rely on. AddKu delegates here with pooled scratch.
+	// Scratch makes the call allocation-free. On the concrete operators
+	// it is the per-element reference oracle and AddKu delegates here
+	// with pooled scratch; the engines implement both through their
+	// batched kernel and ignore sc.
 	AddKuScratch(dst, u []float64, elems []int32, sc *Scratch)
 	// ElemNodes appends the global node ids of element e to buf and
 	// returns the extended slice.

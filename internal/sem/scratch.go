@@ -2,15 +2,13 @@ package sem
 
 import "sync"
 
-// Scratch is the reusable per-call workspace of the AddKu kernels: one
-// flat float64 arena that each kernel carves into its element-local
-// buffers (gathered displacements, stress-flux terms). A warm Scratch
-// makes AddKuScratch perform zero heap allocations, which is what the
-// steady-state stepping loops rely on.
+// Scratch is the reusable per-call workspace of the per-element
+// AddKuScratch kernels: one flat float64 arena that each kernel carves
+// into its element-local buffers (gathered displacements, stress-flux
+// terms). A warm Scratch makes AddKuScratch perform zero heap allocations.
 //
 // A Scratch may be shared across operators (it grows to the largest
-// request) but not across goroutines: each parallel rank worker and each
-// sequential stepper owns its own.
+// request) but not across goroutines.
 type Scratch struct {
 	buf []float64
 }
@@ -27,6 +25,5 @@ func (s *Scratch) floats(n int) []float64 {
 
 // scratchPool backs the plain AddKu entry points, so callers that do not
 // manage a Scratch themselves still hit warm buffers after the first few
-// calls. The hot paths (steppers, rank workers) bypass the pool with an
-// owned Scratch.
+// calls.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -192,8 +192,9 @@ func TestAddKuBatchTiersBitwise(t *testing.T) {
 	}
 }
 
-// TestAddKuBatchZeroAllocsAllTiers extends the zero-allocation pin to
-// every usable tier, including the pure-Go fallback entries.
+// TestAddKuBatchZeroAllocsAllTiers extends the zero-allocation pin — on
+// the same ragged 36-element plan — to every usable tier, including the
+// pure-Go fallback entries.
 func TestAddKuBatchZeroAllocsAllTiers(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")

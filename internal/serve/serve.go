@@ -75,7 +75,7 @@ type Config struct {
 	RetryBaseDelay time.Duration
 	// AutoTune, when positive, runs every job under wave.WithAutoTune
 	// with this probing budget: the first build of each configuration
-	// calibrates a deployment shape (worker count, kernel) and the plan is
+	// calibrates a deployment shape (the worker count) and the plan is
 	// cached in the shared artifact cache, so same-config jobs pay the
 	// probes once. Zero disables tuning (jobs run at their requested
 	// worker count). Note the budget accounting still charges each job its

@@ -7,19 +7,18 @@ import (
 
 // Candidate is one deployment shape of the calibration grid. Ranks == 0
 // probes the shared-memory backend with Workers workers; Ranks > 0
-// probes the distributed backend. Kernel is "batched" or "per-element"
-// (the wave facade's spellings).
+// probes the distributed backend. (Plans serialised while the grid still
+// had a "kernel" axis decode with that field ignored.)
 type Candidate struct {
-	Workers int    `json:"workers"`
-	Ranks   int    `json:"ranks"`
-	Kernel  string `json:"kernel"`
+	Workers int `json:"workers"`
+	Ranks   int `json:"ranks"`
 }
 
 func (c Candidate) String() string {
 	if c.Ranks > 0 {
-		return fmt.Sprintf("ranks=%d/%s", c.Ranks, c.Kernel)
+		return fmt.Sprintf("ranks=%d", c.Ranks)
 	}
-	return fmt.Sprintf("workers=%d/%s", c.Workers, c.Kernel)
+	return fmt.Sprintf("workers=%d", c.Workers)
 }
 
 // Result is what a probe run reports back to Calibrate: measured wall
@@ -57,15 +56,9 @@ type Plan struct {
 	Measurements []Measurement `json:"measurements"`
 }
 
-// Valid reports whether the plan selects an executable shape. Both
-// spellings of the per-element kernel are accepted: the wave facade
-// probes "per-element", and plans serialised before the spellings were
-// unified carry "perelement". (The mismatch stayed invisible while the
-// batched kernel won every probe; on builds where the per-element path
-// wins — e.g. purego — a valid plan was rejected.)
+// Valid reports whether the plan selects an executable shape.
 func (p *Plan) Valid() bool {
-	return p != nil && (p.Best.Workers > 0 || p.Best.Ranks > 0) &&
-		(p.Best.Kernel == "batched" || p.Best.Kernel == "perelement" || p.Best.Kernel == "per-element")
+	return p != nil && (p.Best.Workers > 0 || p.Best.Ranks > 0)
 }
 
 // Calibrate probes the candidate grid with short runs and returns the

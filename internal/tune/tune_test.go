@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -106,15 +107,11 @@ func TestRemapDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestCalibratePicksFastest(t *testing.T) {
-	grid := []Candidate{
-		{Workers: 1, Kernel: "perelement"},
-		{Workers: 1, Kernel: "batched"},
-		{Ranks: 2, Kernel: "batched"},
-	}
+	grid := []Candidate{{Workers: 2}, {Workers: 1}, {Ranks: 2}}
 	speed := map[string]float64{
-		"workers=1/perelement": 300,
-		"workers=1/batched":    100,
-		"ranks=2/batched":      150,
+		"workers=2": 300,
+		"workers=1": 100,
+		"ranks=2":   150,
 	}
 	plan, err := Calibrate(grid, time.Second, 2, func(c Candidate, cycles int) (Result, error) {
 		return Result{CycleNanos: speed[c.String()], ModelSeconds: speed[c.String()] / 200}, nil
@@ -125,8 +122,8 @@ func TestCalibratePicksFastest(t *testing.T) {
 	if !plan.Valid() {
 		t.Fatalf("invalid plan %+v", plan)
 	}
-	if plan.Best.Workers != 1 || plan.Best.Kernel != "batched" {
-		t.Fatalf("Best = %+v, want workers=1/batched", plan.Best)
+	if plan.Best != (Candidate{Workers: 1}) {
+		t.Fatalf("Best = %+v, want workers=1", plan.Best)
 	}
 	if len(plan.Measurements) != 3 {
 		t.Fatalf("got %d measurements, want 3", len(plan.Measurements))
@@ -139,12 +136,25 @@ func TestCalibratePicksFastest(t *testing.T) {
 	}
 }
 
-func TestCalibrateSkipsFailuresAndBudget(t *testing.T) {
-	grid := []Candidate{
-		{Workers: 1, Kernel: "batched"},
-		{Workers: 2, Kernel: "batched"},
-		{Workers: 4, Kernel: "batched"},
+// TestPlanDecodesLegacyKernelField: plans serialised while the grid had
+// a kernel axis (BENCH_tune.json reports, spooled job stats) still decode
+// — the field is ignored — and stay Valid, whichever spelling they carry.
+func TestPlanDecodesLegacyKernelField(t *testing.T) {
+	for _, kernel := range []string{"batched", "per-element", "perelement"} {
+		raw := fmt.Sprintf(`{"best":{"workers":0,"ranks":2,"kernel":%q},"probe_cycles":3,
+			"measurements":[{"workers":0,"ranks":2,"kernel":%q,"cycle_ns":5}]}`, kernel, kernel)
+		var plan Plan
+		if err := json.Unmarshal([]byte(raw), &plan); err != nil {
+			t.Fatalf("kernel=%s: %v", kernel, err)
+		}
+		if !plan.Valid() || plan.Best != (Candidate{Ranks: 2}) || plan.Measurements[0].CycleNanos != 5 {
+			t.Fatalf("kernel=%s: decoded %+v", kernel, plan)
+		}
 	}
+}
+
+func TestCalibrateSkipsFailuresAndBudget(t *testing.T) {
+	grid := []Candidate{{Workers: 1}, {Workers: 2}, {Workers: 4}}
 	calls := 0
 	plan, err := Calibrate(grid, time.Nanosecond, 1, func(c Candidate, cycles int) (Result, error) {
 		calls++

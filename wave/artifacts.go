@@ -144,15 +144,7 @@ func getOperator(set *settings, m *mesh.Mesh, counts *[2]int64) (geomOperator, e
 	if hit {
 		counts[1]++
 	}
-	geom := v.(geomOperator)
-	// Batch-plan sharing needs the optional interfaces; every concrete
-	// operator has them, but fall back to the bare operator if not.
-	if bk, ok := geom.(sem.BatchKernel); ok {
-		if conn, ok := geom.(sem.Connectivity); ok {
-			return &sharedOp{geomOperator: geom, bk: bk, conn: conn, key: key, memo: set.artifacts.memo}, nil
-		}
-	}
-	return geom, nil
+	return &sharedOp{geomOperator: v.(geomOperator), key: key, memo: set.artifacts.memo}, nil
 }
 
 // getPartition assigns (or retrieves) the k-way element partition. The
@@ -182,18 +174,13 @@ func getPartition(set *settings, m *mesh.Mesh, lv *mesh.Levels, k int, counts *[
 // sharedOp wraps a cached geometry operator so that batch plans — one
 // per stable element set: per LTS level, per engine part — are built
 // once per configuration and shared. Plans are immutable and
-// concurrent-read-safe, and AddKuBatch accepts any plan built by the
-// inner operator, so forwarding preserves the bitwise contract exactly.
+// concurrent-read-safe, and the embedded operator's AddKuBatch accepts
+// any plan it built, so the bitwise contract is preserved exactly.
 type sharedOp struct {
 	geomOperator
-	bk   sem.BatchKernel
-	conn sem.Connectivity
 	key  string // owning operator's artifact key, scoping the plan keys
 	memo *decomp.Memo[any]
 }
-
-// ConnTable forwards the flat connectivity table (sem.Connectivity).
-func (s *sharedOp) ConnTable() ([]int32, int) { return s.conn.ConnTable() }
 
 // NewBatchPlan implements sem.BatchKernel with memoized construction:
 // identical element lists across simulations of one configuration share
@@ -201,17 +188,12 @@ func (s *sharedOp) ConnTable() ([]int32, int) { return s.conn.ConnTable() }
 // element list and degrades to an uncached build — never a wrong plan.
 func (s *sharedOp) NewBatchPlan(elems []int32) sem.BatchPlan {
 	key := "bplan|" + s.key + "|" + strconv.Itoa(len(elems)) + "|" + strconv.FormatUint(hashElems(elems), 16)
-	v, _, _ := s.memo.Get(key, func() (any, error) { return s.bk.NewBatchPlan(elems), nil })
+	v, _, _ := s.memo.Get(key, func() (any, error) { return s.geomOperator.NewBatchPlan(elems), nil })
 	pl, _ := v.(sem.BatchPlan)
 	if pl == nil || !sameElems(pl.Elems(), elems) {
-		return s.bk.NewBatchPlan(elems)
+		return s.geomOperator.NewBatchPlan(elems)
 	}
 	return pl
-}
-
-// AddKuBatch forwards to the inner operator (sem.BatchKernel).
-func (s *sharedOp) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
-	s.bk.AddKuBatch(dst, u, plan, bs)
 }
 
 // hashElems is FNV-1a over the element ids.
@@ -238,8 +220,4 @@ func sameElems(a, b []int32) bool {
 	return true
 }
 
-var (
-	_ sem.BatchKernel  = (*sharedOp)(nil)
-	_ sem.Connectivity = (*sharedOp)(nil)
-	_ geomOperator     = (*sharedOp)(nil)
-)
+var _ geomOperator = (*sharedOp)(nil)

@@ -179,15 +179,14 @@ func RankMain() { dist.RankMain() }
 // stepper.
 func buildDistributed(s *Simulation, set *settings, be Distributed, semSrcs []srcSpec, ac *[2]int64) error {
 	cfg := dist.RunConfig{
-		Mesh:       set.mesh,
-		Scale:      set.scale,
-		Physics:    string(set.physics),
-		Degree:     set.degree,
-		LevelCFL:   set.levelCFL(),
-		LTS:        set.lts,
-		PerElement: set.kernel == PerElement,
-		Ranks:      be.Ranks,
-		Parts:      be.parts(),
+		Mesh:     set.mesh,
+		Scale:    set.scale,
+		Physics:  string(set.physics),
+		Degree:   set.degree,
+		LevelCFL: set.levelCFL(),
+		LTS:      set.lts,
+		Ranks:    be.Ranks,
+		Parts:    be.parts(),
 		Sponge: dist.SpongeSpec{
 			Width:    set.sponge.Width,
 			Strength: set.sponge.Strength,

@@ -13,7 +13,7 @@ import (
 // checkpointKey is the canonical string of every configuration choice
 // that determines the numerical trajectory. Two runs with equal keys
 // produce bitwise-identical fields cycle for cycle, so a checkpoint from
-// one can seed the other. Deliberately excluded: the kernel (bitwise
+// one can seed the other. Deliberately excluded: the SIMD tier (bitwise
 // equivalent by contract), the rank/worker split of a fixed
 // decomposition width (the width pins the assembly order), the cycle
 // count (a resumed run may be extended), and observation-only settings

@@ -19,7 +19,7 @@ import (
 // legacyOperator abstracts the two physics choices for the transcribed
 // driver, as in the pre-facade cmd/wavesim.
 type legacyOperator interface {
-	sem.Operator
+	sem.BatchKernel
 	NodeCoords(n int32) (x, y, z float64)
 }
 
@@ -52,7 +52,7 @@ func legacyRun(t *testing.T, cfg *simio.Config, workers int, method partition.Me
 	}
 	nc := op.Comps()
 
-	var step sem.Operator = op
+	var step sem.BatchKernel = op
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}

@@ -11,67 +11,6 @@ import (
 	"golts/wave"
 )
 
-// TestWithKernelValidation checks the option's eager validation and the
-// Stats plumbing of the kernel choice.
-func TestWithKernelValidation(t *testing.T) {
-	if _, err := wave.New(wave.WithKernel("bogus")); !errors.Is(err, wave.ErrUnknownKernel) {
-		t.Fatalf("WithKernel(bogus) error = %v, want ErrUnknownKernel", err)
-	}
-	sim, err := wave.New(wave.WithMesh("trench", 0.0005), wave.WithKernel(wave.PerElement))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	if got := sim.Stats().Kernel; got != wave.PerElement {
-		t.Fatalf("Stats().Kernel = %q, want %q", got, wave.PerElement)
-	}
-}
-
-// TestKernelModesBitwise pins the facade's two kernels bitwise against
-// each other: the batched default and the per-element reference must
-// produce identical seismograms for both steppers.
-func TestKernelModesBitwise(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []wave.Option
-	}{
-		{"acoustic-lts", []wave.Option{
-			wave.WithMesh("trench", 0.0005), wave.WithPhysics(wave.Acoustic),
-			wave.WithLTS(), wave.WithCycles(3),
-			wave.WithSource(wave.Source{X: 0.5, Y: 0.5, Z: 0.5, F0: 10, T0: 0.05}),
-			wave.WithReceiver(wave.Receiver{Name: "near", X: 0.5, Y: 0.5, Z: 0.5}),
-		}},
-		{"elastic-global", []wave.Option{
-			wave.WithMesh("trench", 0.0005), wave.WithPhysics(wave.Elastic),
-			wave.WithGlobalNewmark(), wave.WithCycles(2),
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(k wave.Kernel) *wave.Seismograms {
-				sim, err := wave.New(append([]wave.Option{wave.WithKernel(k)}, tc.opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sim.Close()
-				if err := sim.Run(context.Background(), 0); err != nil {
-					t.Fatal(err)
-				}
-				return sim.Seismograms()
-			}
-			batched := run(wave.Batched)
-			scalar := run(wave.PerElement)
-			for i, tr := range batched.Traces {
-				for j, v := range tr.Values {
-					if v != scalar.Traces[i].Values[j] {
-						t.Fatalf("trace %d sample %d: batched %v != per-element %v",
-							i, j, v, scalar.Traces[i].Values[j])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestMultiSourceMatchesDirect checks the accumulating WithSource against
 // a directly built LTS scheme carrying the same two point sources: the
 // facade must inject both, each at its node's level, bitwise.

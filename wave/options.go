@@ -43,9 +43,6 @@ var (
 	// ErrPartsRange is returned for a partition request with fewer than one
 	// part.
 	ErrPartsRange = errors.New("parts must be >= 1")
-	// ErrUnknownKernel is returned for a kernel other than Batched or
-	// PerElement.
-	ErrUnknownKernel = errors.New("unknown kernel")
 	// ErrBackendSpec is returned for a nil or foreign Backend value.
 	ErrBackendSpec = errors.New("invalid backend")
 	// ErrRanksRange is returned for a Distributed backend with fewer than
@@ -100,21 +97,6 @@ const (
 	// Elastic is the isotropic elastic wave equation (3 components per
 	// node).
 	Elastic Physics = "elastic"
-)
-
-// Kernel names a stiffness-kernel execution strategy.
-type Kernel string
-
-// The two kernel strategies. Batched — the default — fuses each stable
-// element set (the whole mesh for the global scheme, each LTS level's
-// force elements, each rank's owned slice) into single
-// gather→contract→scatter passes over a flat structure-of-arrays
-// workspace; PerElement applies one element at a time. The two are
-// bitwise-identical, so switching kernels never changes results — only
-// speed.
-const (
-	Batched    Kernel = "batched"
-	PerElement Kernel = "per-element"
 )
 
 // Partitioner names an element-partitioning strategy for the parallel
@@ -197,7 +179,6 @@ type settings struct {
 	cycles       int
 	workers      int
 	partitioner  Partitioner
-	kernel       Kernel
 	backend      Backend
 	seed         int64
 	sources      []Source
@@ -233,7 +214,6 @@ func defaultSettings() *settings {
 		cycles:      20,
 		workers:     1,
 		partitioner: ScotchP,
-		kernel:      Batched,
 		backend:     Local,
 		seed:        1,
 	}
@@ -369,20 +349,6 @@ func WithPartitioner(p Partitioner) Option {
 			return optErr("WithPartitioner", ErrUnknownPartitioner, "%q", p)
 		}
 		s.partitioner = p
-		return nil
-	}
-}
-
-// WithKernel selects the stiffness-kernel execution strategy (default
-// Batched). Results are bitwise-identical between the two kernels; the
-// per-element path exists as the always-available reference and for
-// A/B benchmarking.
-func WithKernel(k Kernel) Option {
-	return func(s *settings) error {
-		if k != Batched && k != PerElement {
-			return optErr("WithKernel", ErrUnknownKernel, "%q", k)
-		}
-		s.kernel = k
 		return nil
 	}
 }

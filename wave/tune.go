@@ -24,19 +24,19 @@ func WithTelemetry() Option {
 
 // WithAutoTune makes New calibrate the deployment shape before building
 // the simulation: short probe runs (a few coarse cycles each) sweep a
-// candidate grid — worker counts and both stiffness kernels on the local
-// backend, rank counts and kernels on the distributed one — until the
-// wall budget is spent, and the fastest measured shape is applied to the
-// configuration. The resulting plan, including the measured-vs-predicted
-// table against the internal/cluster cost model, is available from
-// Simulation.TunePlan, and is cached in the attached ArtifactCache by
-// configuration key so a job server calibrates each configuration once.
+// candidate grid — worker counts on the local backend, rank counts on
+// the distributed one — until the wall budget is spent, and the fastest
+// measured shape is applied to the configuration. The resulting plan,
+// including the measured-vs-predicted table against the internal/cluster
+// cost model, is available from Simulation.TunePlan, and is cached in the
+// attached ArtifactCache by configuration key so a job server calibrates
+// each configuration once.
 //
 // Auto-tuned worker counts depend on the host (like WithWorkers(0)), so
 // results are bitwise reproducible per (configuration, plan) — not
 // across machines with different calibration outcomes. Distributed
-// tuning only moves the rank count and kernel; the decomposition width
-// Parts stays fixed, so those results do not change at all.
+// tuning only moves the rank count; the decomposition width Parts stays
+// fixed, so those results do not change at all.
 func WithAutoTune(budget time.Duration) Option {
 	return func(s *settings) error {
 		if budget <= 0 {
@@ -85,11 +85,6 @@ func applyAutoTune(set *settings) (*tune.Plan, error) {
 		return nil, fmt.Errorf("wave: auto-tune: %w", err)
 	}
 	best := plan.Best
-	if best.Kernel == string(PerElement) {
-		set.kernel = PerElement
-	} else {
-		set.kernel = Batched
-	}
 	if be, ok := set.backend.(Distributed); ok {
 		// Parts stays fixed: only the process count moves, which the
 		// decomposition-pinned assembly order makes bitwise-invisible.
@@ -103,31 +98,19 @@ func applyAutoTune(set *settings) (*tune.Plan, error) {
 }
 
 // tuneCandidates builds the probe grid. Local: worker counts 1, 2, 4,
-// ... up to GOMAXPROCS (capped at 8) × both kernels. Distributed: rank
-// counts {1, Ranks} at fixed Parts × both kernels.
+// ... up to GOMAXPROCS (capped at 8). Distributed: rank counts
+// {1, Ranks} at fixed Parts.
 func tuneCandidates(set *settings) []tune.Candidate {
-	kernels := []string{string(Batched), string(PerElement)}
-	var cands []tune.Candidate
 	if be, ok := set.backend.(Distributed); ok {
-		ranks := []int{1}
+		cands := []tune.Candidate{{Ranks: 1}}
 		if be.Ranks > 1 {
-			ranks = append(ranks, be.Ranks)
-		}
-		for _, r := range ranks {
-			for _, k := range kernels {
-				cands = append(cands, tune.Candidate{Ranks: r, Kernel: k})
-			}
+			cands = append(cands, tune.Candidate{Ranks: be.Ranks})
 		}
 		return cands
 	}
-	max := runtime.GOMAXPROCS(0)
-	if max > 8 {
-		max = 8
-	}
-	for _, k := range kernels {
-		for w := 1; w <= max; w *= 2 {
-			cands = append(cands, tune.Candidate{Workers: w, Kernel: k})
-		}
+	var cands []tune.Candidate
+	for w := 1; w <= min(runtime.GOMAXPROCS(0), 8); w *= 2 {
+		cands = append(cands, tune.Candidate{Workers: w})
 	}
 	return cands
 }
@@ -148,10 +131,6 @@ func tuneRunner(set *settings) tune.Runner {
 		probe.ckptPath = ""
 		probe.ckptEvery = 0
 		probe.cycles = cycles
-		probe.kernel = Kernel(c.Kernel)
-		if c.Kernel == string(PerElement) {
-			probe.kernel = PerElement
-		}
 		k := c.Workers
 		if be, ok := set.backend.(Distributed); ok {
 			be.Parts = be.parts()

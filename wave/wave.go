@@ -40,11 +40,12 @@ import (
 	"golts/internal/tune"
 )
 
-// geomOperator is what the facade needs beyond sem.Operator: node
-// coordinates for source/receiver placement and the sponge profile. Both
-// 3-D operators provide it.
+// geomOperator is what the facade needs beyond sem.BatchKernel: the flat
+// connectivity the engines read, and node coordinates for source/receiver
+// placement and the sponge profile. Both 3-D operators provide it.
 type geomOperator interface {
-	sem.Operator
+	sem.BatchKernel
+	sem.Connectivity
 	NodeCoords(n int32) (x, y, z float64)
 }
 
@@ -196,7 +197,7 @@ func build(set *settings) (*Simulation, error) {
 	// The operator the time stepper sees: the geometry operator itself, or
 	// the parallel engine wrapped around it. The distributed backend never
 	// steps in this process, so it skips both.
-	var step sem.Operator = geom
+	var step sem.BatchKernel = geom
 	s.workers = set.workers
 	if s.workers == 0 {
 		s.workers = parallel.DefaultWorkers()
@@ -278,16 +279,11 @@ func build(set *settings) (*Simulation, error) {
 			x0, x1, y0, y1, z0, z1, set.sponge.Faces, set.sponge.Width, set.sponge.Strength)
 	}
 
-	kern := sem.KernelBatched
-	if set.kernel == PerElement {
-		kern = sem.KernelPerElement
-	}
 	if set.lts {
 		sch, err := lts.FromMeshLevels(step, lv, true)
 		if err != nil {
 			return nil, fmt.Errorf("wave: %w", err)
 		}
-		sch.Kernel = kern
 		sch.Telemetry = set.telemetry
 		sch.SetSources(semSrcs)
 		sch.Sigma = sigma
@@ -295,7 +291,6 @@ func build(set *settings) (*Simulation, error) {
 		s.stepper = ltsStepper{sch}
 	} else {
 		g := newmark.New(step, lv.CoarseDt/float64(lv.PMax()))
-		g.Kernel = kern
 		g.Sources = semSrcs
 		g.Sigma = sigma
 		s.gS = g
@@ -572,11 +567,9 @@ type Stats struct {
 	Cycles      int64
 	ElemApplies int64
 	// Workers is the resolved rank-worker count; Partitioner the strategy
-	// used when the engine is active (empty otherwise); Kernel the
-	// stiffness execution strategy.
+	// used when the engine is active (empty otherwise).
 	Workers     int
 	Partitioner Partitioner
-	Kernel      Kernel
 	// SIMD is the microkernel tier the batched deg=4 kernels dispatch to
 	// in this process: "avx512", "avx2", "sse2" or "go" (see
 	// sem.ActiveSIMDTier). All tiers are bitwise-identical; the field
@@ -633,10 +626,9 @@ type Stats struct {
 	// routed into recovery. Both are zero for the local backend.
 	LinkRetries   int64
 	CorruptFrames int64
-	// TunedWorkers, TunedRanks and TunedKernel report the shape selected
-	// by WithAutoTune (zero values without it).
+	// TunedWorkers and TunedRanks report the shape selected by
+	// WithAutoTune (zero values without it).
 	TunedWorkers, TunedRanks int
-	TunedKernel              Kernel
 }
 
 // LevelStats is one LTS level's telemetry row.
@@ -664,7 +656,6 @@ func (s *Simulation) Stats() Stats {
 		CoarseDt:           s.lv.CoarseDt,
 		TheoreticalSpeedup: s.lv.TheoreticalSpeedup(),
 		Workers:            s.workers,
-		Kernel:             s.set.kernel,
 		SIMD:               sem.ActiveSIMDTier(),
 		ArtifactLookups:    s.artLookups,
 		ArtifactHits:       s.artHits,
@@ -674,7 +665,6 @@ func (s *Simulation) Stats() Stats {
 	if s.tunePlan != nil {
 		st.TunedWorkers = s.tunePlan.Best.Workers
 		st.TunedRanks = s.tunePlan.Best.Ranks
-		st.TunedKernel = Kernel(s.tunePlan.Best.Kernel)
 	}
 	if s.dist != nil {
 		n, d := s.dist.Recoveries()
