@@ -37,20 +37,24 @@ import (
 	"golts/internal/sem"
 )
 
+// sweepSection is one per-operator size sweep of kernelbench's JSON.
+type sweepSection struct {
+	Results []struct {
+		Op    string `json:"op"`
+		Deg   int    `json:"deg"`
+		Sweep []struct {
+			Batch     int     `json:"batch"`
+			NsPerElem float64 `json:"ns_per_elem"`
+		} `json:"sweep"`
+	} `json:"results"`
+}
+
 // benchFile mirrors the parts of kernelbench's JSON the gate compares.
 type benchFile struct {
-	SIMD    string `json:"simd"`
-	Batched struct {
-		Results []struct {
-			Op    string `json:"op"`
-			Deg   int    `json:"deg"`
-			Sweep []struct {
-				Batch     int     `json:"batch"`
-				NsPerElem float64 `json:"ns_per_elem"`
-			} `json:"sweep"`
-		} `json:"results"`
-	} `json:"batched"`
-	PerTier struct {
+	SIMD     string       `json:"simd"`
+	Batched  sweepSection `json:"batched"`
+	Remapped sweepSection `json:"remapped"`
+	PerTier  struct {
 		Results []struct {
 			Tier      string  `json:"tier"`
 			Op        string  `json:"op"`
@@ -71,14 +75,18 @@ type row struct {
 // flatten turns a parsed bench file into keyed rows.
 func flatten(f *benchFile) []row {
 	var rows []row
-	for _, r := range f.Batched.Results {
-		for _, p := range r.Sweep {
-			rows = append(rows, row{
-				Key:       fmt.Sprintf("batched/%s/deg%d@%d", r.Op, r.Deg, p.Batch),
-				NsPerElem: p.NsPerElem,
-			})
+	sweep := func(name string, sec sweepSection) {
+		for _, r := range sec.Results {
+			for _, p := range r.Sweep {
+				rows = append(rows, row{
+					Key:       fmt.Sprintf("%s/%s/deg%d@%d", name, r.Op, r.Deg, p.Batch),
+					NsPerElem: p.NsPerElem,
+				})
+			}
 		}
 	}
+	sweep("batched", f.Batched)
+	sweep("remapped", f.Remapped)
 	for _, r := range f.PerTier.Results {
 		rows = append(rows, row{
 			Key:       fmt.Sprintf("tier/%s/%s/deg%d", r.Tier, r.Op, r.Deg),

@@ -9,12 +9,15 @@
 // The sweep times AddKuBatch — the one production stiffness path — at
 // element-list sizes 1, 3, 8, 9, 64 and 512: 8, 64 and 512 are whole
 // blocks, while 1, 3 and 9 end in a padded tail block and track what a
-// ragged list costs per element. The per-tier section repeats the
-// 512-element measurement under every usable SIMD microkernel tier.
+// ragged list costs per element. The remapped section repeats sizes 8, 64
+// and 512 through plan.Remap(sem.BenchNodeMap) — compact permuted output,
+// a third of the input masked — the form the LTS fine levels run. The
+// per-tier section repeats the 512-element measurement under every usable
+// SIMD microkernel tier.
 //
 // Usage:
 //
-//	kernelbench [-out BENCH_kernels.json] [-benchtime 1s] [-smoke]
+//	kernelbench [-out BENCH_kernels.json] [-benchtime 1s] [-repeat 3] [-smoke]
 //
 // -smoke shrinks the measurement time and exits non-zero if the batched
 // path fails to run or allocates in steady state: the allocation-free
@@ -85,19 +88,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var batched []batchedResult
-	for _, c := range sweepCases {
-		br := measureBatched(c.Name, deg, c.Op)
-		batched = append(batched, br)
-		for _, p := range br.Sweep {
-			fmt.Fprintf(os.Stderr, "%-14s deg=%d  batched %8.1f ns/elem @%-3d  %d allocs/op\n",
-				br.Op, br.Deg, p.NsPerElem, p.Batch, p.AllocsPerOp)
-			if *smoke && p.AllocsPerOp != 0 {
-				fatal(fmt.Errorf("%s: AddKuBatch allocates %d/op at batch %d (want 0)", br.Op, p.AllocsPerOp, p.Batch))
+	sweeps := map[string][]batchedResult{}
+	for _, k := range []struct {
+		kind  string
+		sizes []int
+	}{{"batched", batchSizes}, {"remapped", []int{8, 64, 512}}} {
+		for _, c := range sweepCases {
+			br := measureBatched(c.Name, deg, c.Op, k.sizes, k.kind == "remapped")
+			sweeps[k.kind] = append(sweeps[k.kind], br)
+			for _, p := range br.Sweep {
+				fmt.Fprintf(os.Stderr, "%-14s deg=%d  %-8s %8.1f ns/elem @%-3d  %d allocs/op\n",
+					br.Op, br.Deg, k.kind, p.NsPerElem, p.Batch, p.AllocsPerOp)
+				if *smoke && p.AllocsPerOp != 0 {
+					fatal(fmt.Errorf("%s: %s AddKuBatch allocates %d/op at batch %d (want 0)", br.Op, k.kind, p.AllocsPerOp, p.Batch))
+				}
 			}
-		}
-		if *smoke && len(br.Sweep) != len(batchSizes) {
-			fatal(fmt.Errorf("%s: batched sweep has %d of %d points", br.Op, len(br.Sweep), len(batchSizes)))
 		}
 	}
 
@@ -126,7 +131,12 @@ func main() {
 		"batched": map[string]any{
 			"benchmark": "AddKuBatch",
 			"unit_note": "sweep times the fused SoA batch path per element-list size; sizes that are not a multiple of 8 end in a padded tail block",
-			"results":   batched,
+			"results":   sweeps["batched"],
+		},
+		"remapped": map[string]any{
+			"benchmark": "AddKuBatch",
+			"unit_note": "the batched sweep's whole-block sizes through plan.Remap(sem.BenchNodeMap): compact permuted output numbering, a third of the input nodes masked to the zero slot",
+			"results":   sweeps["remapped"],
 		},
 		"per_tier": map[string]any{
 			"benchmark": "AddKuBatch",
@@ -170,19 +180,21 @@ func bench(f func(b *testing.B)) testing.BenchmarkResult {
 }
 
 // measureBatched times AddKuBatch on the sweep fixture at each
-// element-list size.
-func measureBatched(name string, deg int, op sem.BatchKernel) batchedResult {
-	u := make([]float64, op.NDof())
-	sem.BenchField(u)
-	dst := make([]float64, op.NDof())
+// element-list size, through the identity plan or a remapped one.
+func measureBatched(name string, deg int, op sem.BatchKernel, sizes []int, remapped bool) batchedResult {
 	all := sem.AllElements(op)
 	out := batchedResult{Op: name, Deg: deg, Elements: len(all)}
 	var bs sem.BatchScratch
-	for _, n := range batchSizes {
-		if n > len(all) {
-			continue
-		}
+	for _, n := range sizes {
 		plan := op.NewBatchPlan(all[:n])
+		nIn, nOut := op.NumNodes(), op.NumNodes()
+		if remapped {
+			m := sem.BenchNodeMap(op, all[:n], 1)
+			plan, nIn, nOut = plan.Remap(m), m.NIn, m.NOut
+		}
+		u := make([]float64, nIn*op.Comps())
+		sem.BenchField(u)
+		dst := make([]float64, nOut*op.Comps())
 		op.AddKuBatch(dst, u, plan, &bs) // warm-up
 		br := bench(func(b *testing.B) {
 			b.ReportAllocs()
@@ -203,33 +215,15 @@ func measureBatched(name string, deg int, op sem.BatchKernel) batchedResult {
 // measureTiers times AddKuBatch over the full sweep fixture under every
 // SIMD tier usable in this process, forcing each tier in turn.
 func measureTiers(name string, deg int, op sem.BatchKernel) ([]tierResult, error) {
-	u := make([]float64, op.NDof())
-	sem.BenchField(u)
-	dst := make([]float64, op.NDof())
-	all := sem.AllElements(op)
-	plan := op.NewBatchPlan(all)
-	var bs sem.BatchScratch
 	var out []tierResult
 	for _, tier := range sem.SIMDTiers() {
 		restore, err := sem.ForceSIMDTier(tier)
 		if err != nil {
 			return nil, err
 		}
-		op.AddKuBatch(dst, u, plan, &bs) // warm-up
-		br := bench(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op.AddKuBatch(dst, u, plan, &bs)
-			}
-		})
+		p := measureBatched(name, deg, op, []int{op.NumElements()}, false).Sweep[0]
 		restore()
-		out = append(out, tierResult{
-			Tier:        tier,
-			Op:          name,
-			Deg:         deg,
-			NsPerElem:   float64(br.NsPerOp()) / float64(len(all)),
-			AllocsPerOp: br.AllocsPerOp(),
-		})
+		out = append(out, tierResult{Tier: tier, Op: name, Deg: deg, NsPerElem: p.NsPerElem, AllocsPerOp: p.AllocsPerOp})
 	}
 	return out, nil
 }

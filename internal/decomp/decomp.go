@@ -138,6 +138,19 @@ func Shared(a, b []int32) []int32 {
 	return out
 }
 
+// Renumber returns the images of node lists under a node → index table:
+// an engine's merge and halo lists under a plan remap (sem.NodeMap.Out).
+func Renumber(lists [][]int32, to []int32) [][]int32 {
+	out := make([][]int32, len(lists))
+	for i, l := range lists {
+		out[i] = make([]int32, len(l))
+		for j, n := range l {
+			out[i][j] = to[n]
+		}
+	}
+	return out
+}
+
 // Union returns the ascending union of the given ascending node lists.
 func Union(lists ...[]int32) []int32 {
 	var all []int32

@@ -104,13 +104,17 @@ type distPlan struct {
 	// ascending nodes of Touched[owned[i]] ∩ rankNodes[q] whose
 	// contributions we send to q. recvNodes[p] lists, for each remote
 	// part p, the ascending nodes of Touched[p] ∩ rankNodes[self] we
-	// receive. A rank packs its parts in ascending part order and the
-	// global assembly sweep also visits parts ascending, so each
-	// neighbour's single message is consumed sequentially whatever the
-	// part → rank placement — owned parts need not be contiguous.
+	// receive, and touched[p] the nodes an owned part drains locally. A
+	// rank packs its parts in ascending part order and the global assembly
+	// sweep also visits parts ascending, so each neighbour's single
+	// message is consumed sequentially whatever the part → rank placement
+	// — owned parts need not be contiguous. All three index the plan's
+	// output space, which dst and a prefix of the private buffers share:
+	// node ids, or their image under a Remap's Out.
 	sendNodes map[int][][]int32
 	recvNodes [][]int32
-	sendCount map[int]int // total nodes sent to q per apply
+	touched   [][]int32
+	recvCount []int // values a frame from rank q must carry
 	// batch[i] is the inner batch plan of the i-th owned part (nil for
 	// empty parts), built on the first NewBatchPlan of the list.
 	batch []sem.BatchPlan
@@ -118,6 +122,25 @@ type distPlan struct {
 
 // Elems implements sem.BatchPlan.
 func (pl *distPlan) Elems() []int32 { return pl.dp.Elems }
+
+// Remap implements sem.BatchPlan: sub-plans remapped, halo and drain lists
+// renumbered through m.Out. What goes on the wire is unchanged.
+func (pl *distPlan) Remap(m sem.NodeMap) sem.BatchPlan {
+	q := *pl
+	q.batch = make([]sem.BatchPlan, len(pl.batch))
+	for i, b := range pl.batch {
+		if b != nil {
+			q.batch[i] = b.Remap(m)
+		}
+	}
+	q.sendNodes = make(map[int][][]int32, len(pl.sendNodes))
+	for r, lists := range pl.sendNodes {
+		q.sendNodes[r] = decomp.Renumber(lists, m.Out)
+	}
+	q.recvNodes = decomp.Renumber(pl.recvNodes, m.Out)
+	q.touched = decomp.Renumber(pl.touched, m.Out)
+	return &q
+}
 
 // NewOperator builds the rank-local distributed operator. part maps
 // every element to a part in [0, cfg.Parts); parts map onto ranks in
@@ -221,8 +244,9 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		owner:     d,
 		dp:        dp,
 		sendNodes: make(map[int][][]int32),
-		sendCount: make(map[int]int),
 		recvNodes: make([][]int32, dp.P),
+		recvCount: make([]int, d.cfg.Ranks),
+		touched:   dp.Touched,
 	}
 	mine := d.rankNodes[d.rank]
 	for q := 0; q < d.cfg.Ranks; q++ {
@@ -240,7 +264,6 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		if total > 0 {
 			pl.sendRanks = append(pl.sendRanks, q)
 			pl.sendNodes[q] = send
-			pl.sendCount[q] = total
 		}
 		// Incoming: per remote part of q, the slice of its touched set
 		// inside our footprint. The sender computes the identical lists
@@ -252,6 +275,7 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		}
 		if recvTotal > 0 {
 			pl.recvRanks = append(pl.recvRanks, q)
+			pl.recvCount[q] = recvTotal * d.inner.Comps()
 		}
 	}
 	return pl
@@ -287,7 +311,7 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		if d.telemetry {
 			start = time.Now()
 		}
-		d.inner.AddKuBatch(d.acc[i], u, b, bs)
+		d.inner.AddKuBatch(d.acc[i][:len(dst)], u, b, bs)
 		if d.telemetry {
 			d.partNanos[i] += time.Since(start).Nanoseconds()
 		}
@@ -311,7 +335,7 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 			panic(&commError{err: fmt.Errorf("dist: rank %d send to %d: %w", d.rank, q, err)})
 		}
 		d.stats.Messages++
-		d.stats.Volume += int64(pl.sendCount[q])
+		d.stats.Volume += int64(len(vals) / nc)
 	}
 
 	// Phase 2b — receive: one frame per sending rank, any arrival order.
@@ -325,6 +349,11 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		if rseq != seq || rid != pl.id {
 			panic(&commError{err: fmt.Errorf("dist: rank %d desync with %d: got (seq %d, plan %d), want (%d, %d)",
 				d.rank, q, rseq, rid, seq, pl.id)})
+		}
+		// The assembly sweep indexes the frame by the plan's own counts.
+		if len(vals) != pl.recvCount[q] {
+			panic(&commError{err: fmt.Errorf("dist: rank %d: halo from %d carries %d values, plan %d expects %d: %w",
+				d.rank, q, len(vals), pl.id, pl.recvCount[q], &CorruptFrameError{Type: msgHalo, Len: 8 + 8*len(vals)})})
 		}
 		d.recv[q] = vals
 		d.offs[q] = 0
@@ -340,7 +369,7 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 	for p := 0; p < dp.P; p++ {
 		if li := d.localIdx[p]; li >= 0 {
 			acc := d.acc[li]
-			for _, n := range dp.Touched[p] {
+			for _, n := range pl.touched[p] {
 				base := int(n) * nc
 				for c := 0; c < nc; c++ {
 					dst[base+c] += acc[base+c]

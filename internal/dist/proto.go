@@ -338,6 +338,31 @@ func putFloats(buf []byte, vals []float64) []byte {
 	return buf
 }
 
+// haloFrame is one halo message: [u32 seq][u32 plan id][values ...f64].
+// Whether it carries the count the plan expects is the operator's check.
+type haloFrame struct {
+	seq, planID uint32
+	values      []float64
+}
+
+// encodeHalo appends fr's payload to buf.
+func encodeHalo(buf []byte, fr haloFrame) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, fr.seq)
+	buf = binary.LittleEndian.AppendUint32(buf, fr.planID)
+	return putFloats(buf, fr.values)
+}
+
+// decodeHalo parses a halo payload: a header, then whole values.
+func decodeHalo(payload []byte) (fr haloFrame, err error) {
+	if len(payload) < 8 {
+		return fr, fmt.Errorf("dist: halo frame of %d bytes", len(payload))
+	}
+	fr.seq = binary.LittleEndian.Uint32(payload[0:4])
+	fr.planID = binary.LittleEndian.Uint32(payload[4:8])
+	fr.values, err = getFloats(payload[8:])
+	return fr, err
+}
+
 // getFloats decodes a little-endian float64 array from payload into a
 // fresh slice.
 func getFloats(payload []byte) ([]float64, error) {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"math"
 	"net"
 	"testing"
@@ -91,4 +92,39 @@ func TestGetFloatsRejectsRagged(t *testing.T) {
 	if _, err := getFloats(make([]byte, 9)); err == nil {
 		t.Error("ragged payload accepted")
 	}
+}
+
+// FuzzHaloFrame drives the peer-link halo decoder — the bytes another
+// rank's process puts on the wire — with arbitrary payloads. It must never
+// panic, accept exactly the payloads that are a header plus whole values,
+// and re-encode what it accepts to the same bytes. (Whether an accepted
+// frame carries the count the plan expects is the operator's check:
+// TestHaloFrameWrongCount.)
+func FuzzHaloFrame(f *testing.F) {
+	for _, vals := range [][]float64{nil, {1.5}, {0, math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}} {
+		frame := encodeHalo(nil, haloFrame{seq: 7, planID: 3, values: vals})
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])              // ragged tail
+		f.Add(append(frame, 0, 0, 0))            // odd length
+		f.Add(frame[:min(len(frame), 5)])        // shorter than the header
+		f.Add(append(frame, frame[8:]...))       // more values than announced anywhere
+		f.Add(append([]byte(nil), frame[4:]...)) // header shifted into the values
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, 8+8*4096)) // a large count
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fr, err := decodeHalo(payload)
+		if ok := len(payload) >= 8 && (len(payload)-8)%8 == 0; ok != (err == nil) {
+			t.Fatalf("%d-byte payload: err = %v", len(payload), err)
+		}
+		if err != nil {
+			return
+		}
+		if len(fr.values) != (len(payload)-8)/8 {
+			t.Fatalf("%d-byte payload decoded to %d values", len(payload), len(fr.values))
+		}
+		if again := encodeHalo(nil, fr); !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded frame differs: %x vs %x", again, payload)
+		}
+	})
 }

@@ -73,13 +73,6 @@ type rankParams struct {
 	spawned bool         // true in a separate rank process
 }
 
-// haloFrame is one received halo message, decoded off the wire by the
-// peer reader goroutine.
-type haloFrame struct {
-	seq, planID uint32
-	values      []float64
-}
-
 // peerLink is one rank↔rank connection: sends run on the stepping
 // goroutine (the far side's reader always drains, so writes cannot
 // deadlock), receives are decoded by a dedicated reader goroutine into a
@@ -97,27 +90,19 @@ func newPeerLink(c *conn) *peerLink {
 	go func() {
 		for {
 			t, payload, err := c.recv()
+			if err == nil && t != msgHalo {
+				err = fmt.Errorf("dist: unexpected peer frame type %d (%d bytes)", t, len(payload))
+			}
+			var fr haloFrame
+			if err == nil {
+				fr, err = decodeHalo(payload)
+			}
 			if err != nil {
 				l.errs <- err
 				close(l.frames)
 				return
 			}
-			if t != msgHalo || len(payload) < 8 {
-				l.errs <- fmt.Errorf("dist: unexpected peer frame type %d (%d bytes)", t, len(payload))
-				close(l.frames)
-				return
-			}
-			vals, err := getFloats(payload[8:])
-			if err != nil {
-				l.errs <- err
-				close(l.frames)
-				return
-			}
-			l.frames <- haloFrame{
-				seq:    binary.LittleEndian.Uint32(payload[0:4]),
-				planID: binary.LittleEndian.Uint32(payload[4:8]),
-				values: vals,
-			}
+			l.frames <- fr
 		}
 	}()
 	return l
@@ -138,14 +123,8 @@ type peerFabric struct {
 }
 
 func (f *peerFabric) sendHalo(rank int, seq, planID uint32, values []float64) error {
-	buf := f.buf[:0]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], seq)
-	binary.LittleEndian.PutUint32(hdr[4:8], planID)
-	buf = append(buf, hdr[:]...)
-	buf = putFloats(buf, values)
-	f.buf = buf
-	return f.links[rank].c.send(msgHalo, buf)
+	f.buf = encodeHalo(f.buf[:0], haloFrame{seq, planID, values})
+	return f.links[rank].c.send(msgHalo, f.buf)
 }
 
 func (f *peerFabric) recvHalo(rank int) (uint32, uint32, []float64, error) {

@@ -196,7 +196,7 @@ func TestSingleThreadEfficiencyQuick(t *testing.T) {
 	// Plausibility bar, not a perf bar: a broken LTS active-set
 	// implementation collapses to ~10% efficiency, while a loaded shared
 	// CI box only shaves a handful of points off a healthy run. Keep the
-	// floor well under the quiet-machine ~40-50% and take the best of
+	// floor well under the quiet-machine 65-75% and take the best of
 	// three measurements so scheduler noise cannot fail a correct build.
 	const floor, ceil = 25, 200
 	attempts := 3

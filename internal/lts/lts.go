@@ -26,9 +26,11 @@
 // li's update set is the contiguous suffix [actOff[li], nAct). The
 // auxiliary field ũ of Eqs. 11/17 and all per-level scratch exist over
 // that region only and the substep updates are dense loops over plain
-// slices; index lists survive at the kernel boundary alone (scatter P_li·ũ
-// into an operator-numbered, otherwise-zero input; gather M⁻¹·K·P_li·ũ
-// back on the level's force nodes).
+// slices. The kernels of the levels li >= 1 run in the same numbering:
+// each level's batch plan is remapped (sem.BatchPlan.Remap) to gather the
+// nodes of P_li straight from ũ, every other node from one always-zero
+// slot behind the region — A·P_li·ũ with no masked copy of the field —
+// and to accumulate into an active-region buffer.
 //
 // The coarsest level is fused. U keeps u_n for the whole cycle, so
 // A·P_0·u_n is the kernel applied to U itself, with the few finer-level
@@ -101,15 +103,15 @@ type Scheme struct {
 
 	// Scratch over the active region (sets.actNode numbering, nAct·Comps
 	// values each), held only by the 0-based levels that use it:
-	ut      []float64   // auxiliary field ũ of the cycle in progress
+	ut      []float64   // auxiliary field ũ of the cycle in progress, plus one node slot that stays zero
 	fbuf    [][]float64 // frozen force accumulated through level li (li < nlv-1; [0] always)
 	zbuf    [][]float64 // A P_li ũ (li >= 1)
 	vbuf    [][]float64 // auxiliary staggered velocity of level li (li >= 1)
 	usnap   [][]float64 // ũ snapshot for the factor-2 update (1 <= li < nlv-1)
-	minvAct []float64   // M⁻¹ per active node: gather walks one scattered array, not two
-	// Operator-numbered scratch with all-zero invariants between uses:
-	mask []float64 // kernel input P_li ũ (support levelNodes[li], li >= 1)
-	kbuf []float64 // stiffness accumulation (support forceNodes[li])
+	kact    []float64   // stiffness accumulation of the levels >= 1 (all-zero between uses)
+	minvAct []float64   // M⁻¹ per active node
+	// Operator-numbered scratch of level 0:
+	kbuf []float64 // stiffness accumulation (all-zero between uses)
 	hold []float64 // U on sets.hold while the level-0 kernel reads U in place
 	// Kernel state: one plan per level (the per-level element sets are
 	// stable for the scheme's lifetime), built on the first Step, and one
@@ -163,8 +165,8 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 		s.minvAct[a] = minv[n]
 	}
 	if numLevels > 1 {
-		s.ut = make([]float64, na)
-		s.mask = make([]float64, nd)
+		s.ut = make([]float64, na+nc)
+		s.kact = make([]float64, na)
 	}
 	for li := 1; li < numLevels; li++ {
 		s.zbuf[li] = make([]float64, na)
@@ -228,27 +230,6 @@ func (s *Scheme) NumLevels() int { return s.nlv }
 // dtAt returns the substep of 0-based level li: Δt / 2^li.
 func (s *Scheme) dtAt(li int) float64 { return s.Dt / float64(int64(1)<<uint(li)) }
 
-// applyAP computes zbuf[li] = A·P_li·ũ - M⁻¹F_li(t) for a level li >= 1:
-// the input is ũ scattered to the level's P nodes of the otherwise-zero
-// mask, the stiffness restricted to the level's force elements.
-func (s *Scheme) applyAP(li int, t float64) {
-	nc := s.Op.Comps()
-	nodes, act := s.sets.levelNodes[li], s.sets.levelAct[li]
-	for j, n := range nodes {
-		for c := 0; c < nc; c++ {
-			s.mask[int(n)*nc+c] = s.ut[int(act[j])*nc+c]
-		}
-	}
-	s.kernel(li, s.mask)
-	// Restore the all-zero invariant of the mask buffer.
-	for _, n := range nodes {
-		for c := 0; c < nc; c++ {
-			s.mask[int(n)*nc+c] = 0
-		}
-	}
-	s.gather(li, t, s.zbuf[li])
-}
-
 // applyCoarse computes dst = A·P_0·u_n - M⁻¹F_0(t_n) on the active region
 // and leaves K·P_0·u_n in kbuf on the far-coarse nodes for coarsePass.
 // The kernel input is U with sets.hold zeroed for the call.
@@ -260,28 +241,25 @@ func (s *Scheme) applyCoarse(dst []float64) {
 			s.U[int(n)*nc+c] = 0
 		}
 	}
-	s.kernel(0, s.U)
+	s.kernel(0, s.kbuf, s.U)
 	for j, n := range s.sets.hold {
 		for c := 0; c < nc; c++ {
 			s.U[int(n)*nc+c] = s.hold[j*nc+c]
 		}
 	}
-	s.gather(0, s.t, dst)
+	s.gather(0, s.t, dst, s.kbuf, s.sets.forceNodes0)
 }
 
-// kernel accumulates K·in over level li's force elements into kbuf.
-func (s *Scheme) kernel(li int, in []float64) {
+// kernel accumulates K·in over level li's force elements into dst.
+func (s *Scheme) kernel(li int, dst, in []float64) {
 	var kstart time.Time
 	if s.Telemetry {
 		kstart = time.Now()
 	}
 	if s.bplans == nil {
-		s.bplans = make([]sem.BatchPlan, s.nlv)
-		for l := range s.bplans {
-			s.bplans[l] = s.Op.NewBatchPlan(s.sets.forceElems[l])
-		}
+		s.buildPlans()
 	}
-	s.Op.AddKuBatch(s.kbuf, in, s.bplans[li], &s.bscr)
+	s.Op.AddKuBatch(dst, in, s.bplans[li], &s.bscr)
 	if s.Telemetry {
 		s.Work.LevelNanos[li] += time.Since(kstart).Nanoseconds()
 	}
@@ -289,20 +267,49 @@ func (s *Scheme) kernel(li int, in []float64) {
 	s.Work.PerLevel[li] += int64(len(s.sets.forceElems[li]))
 }
 
-// gather moves M⁻¹·kbuf into dst (active numbering) on level li's force
-// nodes, re-zeroing kbuf there, and injects the level's sources at local
-// time t. dst is fully overwritten on those nodes and untouched (zero by
-// invariant) elsewhere.
-func (s *Scheme) gather(li int, t float64, dst []float64) {
+// buildPlans builds the per-level batch plans. A level li >= 1 runs in the
+// active numbering: its plan gathers a node of P_li from its slot of ũ, any
+// other node from the zero slot behind the region, and scatters into kact.
+func (s *Scheme) buildPlans() {
+	st, nAct := s.sets, len(s.sets.actNode)
+	s.bplans = make([]sem.BatchPlan, s.nlv)
+	s.bplans[0] = s.Op.NewBatchPlan(st.forceElems[0])
+	if s.nlv == 1 {
+		return
+	}
+	nn := s.Op.NumNodes()
+	m := sem.NodeMap{In: make([]int32, nn), Out: make([]int32, nn), NIn: nAct + 1, NOut: nAct}
+	for n := range m.Out {
+		m.In[n], m.Out[n] = int32(nAct), -1
+	}
+	for a, n := range st.actNode {
+		m.Out[n] = int32(a)
+	}
+	for li := 1; li < s.nlv; li++ {
+		for _, n := range st.levelNodes[li] {
+			m.In[n] = m.Out[n]
+		}
+		s.bplans[li] = s.Op.NewBatchPlan(st.forceElems[li]).Remap(m)
+		for _, n := range st.levelNodes[li] {
+			m.In[n] = int32(nAct)
+		}
+	}
+}
+
+// gather moves M⁻¹·k into dst (active numbering) on level li's force
+// nodes — at lists where they sit in k: node ids for kbuf, active indices
+// for kact — re-zeroing k there, and injects the level's sources at local
+// time t. dst is untouched (zero by invariant) on all other nodes.
+func (s *Scheme) gather(li int, t float64, dst, k []float64, at []int32) {
 	nc := s.Op.Comps()
 	minv := s.Op.MInv()
 	act := s.sets.forceAct[li]
-	for j, n := range s.sets.forceNodes[li] {
+	for j, n := range at {
+		a, d := int(act[j])*nc, int(n)*nc
 		mi := s.minvAct[act[j]]
 		for c := 0; c < nc; c++ {
-			d := int(n)*nc + c
-			dst[int(act[j])*nc+c] = mi * s.kbuf[d]
-			s.kbuf[d] = 0
+			dst[a+c] = mi * k[d+c]
+			k[d+c] = 0
 		}
 	}
 	for i, sc := range s.Sources {
@@ -334,13 +341,16 @@ func (s *Scheme) advance(li int, tStart float64) {
 	nc := s.Op.Comps()
 	// Level li's update set is the suffix of the active region from lo on.
 	lo := s.sets.actOff[li] * nc
-	u := s.ut[lo:]
+	u := s.ut[lo : len(s.ut)-nc]
 	v := s.vbuf[li][lo:][:len(u)]
 	f := s.fbuf[li-1][lo:][:len(u)]
 	z := s.zbuf[li][lo:][:len(u)]
 	for m := 0; m < 2; m++ {
 		tm := tStart + float64(m)*dt
-		s.applyAP(li, tm)
+		// z = A·P_li·ũ - M⁻¹F_li(tm): the level's plan reads ũ itself, the
+		// nodes outside P_li through the zero slot.
+		s.kernel(li, s.kact, s.ut)
+		s.gather(li, tm, s.zbuf[li], s.kact, s.sets.forceAct[li])
 		if last {
 			// Finest level: plain leap-frog substeps against the frozen
 			// coarser forces (innermost loop of Algorithm 1). The

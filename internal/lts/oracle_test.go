@@ -3,6 +3,8 @@ package lts
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"golts/internal/mesh"
@@ -418,7 +420,9 @@ func TestSingleLevelBitwiseAgainstOracle(t *testing.T) {
 
 // TestScratchIsActiveRegionSized asserts the memory claim of the
 // active-region numbering: every per-level scratch slice the scheme
-// holds spans the active region (nodes with stepLvl >= 1), not the mesh.
+// holds spans the active region (nodes with stepLvl >= 1), not the mesh,
+// and next to U and V exactly one vector — level 0's kbuf — is NDof long:
+// the finer levels' kernels run in the active numbering.
 func TestScratchIsActiveRegionSized(t *testing.T) {
 	m, lv := oracleMesh(t, 3)
 	op, err := sem.NewElastic3D(m, 4, false, 0)
@@ -439,8 +443,23 @@ func TestScratchIsActiveRegionSized(t *testing.T) {
 	if want == 0 || want >= op.NDof() {
 		t.Fatalf("fixture has %d active of %d dofs; need a proper subset", want, op.NDof())
 	}
-	if len(s.ut) != want {
-		t.Errorf("auxiliary field has %d values, want activeDofs = %d", len(s.ut), want)
+	if len(s.ut) != want+op.Comps() {
+		t.Errorf("auxiliary field has %d values, want activeDofs = %d plus the zero slot", len(s.ut), want)
+	}
+	if len(s.kact) != want {
+		t.Errorf("fine-level accumulator has %d values, want activeDofs = %d", len(s.kact), want)
+	}
+	s.Step() // plans and their remap tables exist from here on
+	var full []string
+	sv := reflect.ValueOf(s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.Type() == reflect.TypeOf([]float64(nil)) && f.Len() == op.NDof() {
+			full = append(full, sv.Type().Field(i).Name)
+		}
+	}
+	slices.Sort(full)
+	if !slices.Equal(full, []string{"U", "V", "kbuf"}) {
+		t.Errorf("NDof-long vectors held by a stepped scheme: %v, want U, V and kbuf alone", full)
 	}
 	held := 0
 	for name, bufs := range map[string][][]float64{"zbuf": s.zbuf, "fbuf": s.fbuf, "vbuf": s.vbuf, "usnap": s.usnap} {

@@ -20,12 +20,11 @@ import (
 //   - levelNodes[li]: the P_k node list (nodeLevel == li).
 //   - forceElems[li]: elements with at least one P_k node — exactly the
 //     elements whose stiffness contributions A·P_k·u can be nonzero.
-//   - forceNodes[li]: all nodes of forceElems[li] — the support of A·P_k·u,
-//     ascending. (forceNodes[0] of a multi-level scheme keeps only its
-//     active part: the far-coarse rest is what coarsePass consumes.)
+//   - the force nodes of level li: all nodes of forceElems[li] — the
+//     support of A·P_k·u.
 //   - stepLvl[n]: the fastest rate at which node n's force can change
-//     = max level li such that n ∈ forceNodes[li]. Nodes outside
-//     forceNodes[li] for all li >= k see a constant force during level-k
+//     = max level li such that n is a force node of li. Nodes that are
+//     force nodes of no li >= k see a constant force during level-k
 //     substepping and admit a closed-form (quadratic-in-time) update.
 //   - stepNodesAt[li]: nodes with stepLvl == li, ascending. The active
 //     update set of level k is ∪_{li >= k} stepNodesAt[li].
@@ -41,18 +40,17 @@ type sets struct {
 	stepLvl     []uint8
 	levelNodes  [][]int32
 	forceElems  [][]int32
-	forceNodes  [][]int32
 	stepNodesAt [][]int32
 
 	actNode []int32 // active index -> node: stepNodesAt[1:] back to back
 	actOff  []int   // actOff[li]: number of active nodes with stepLvl < li
 	far     []int32 // the nodes outside the active region, ascending
-	// Kernel boundary: levelAct[li][j] is the active index of
-	// levelNodes[li][j] (scatter side; nil for level 0, whose kernel input
-	// is the field itself), forceAct[li][j] that of forceNodes[li][j].
-	levelAct [][]int32
-	forceAct [][]int32
-	hold     []int32 // finer-level nodes the level-0 force elements read: zero in P_0·u
+	// forceAct[li] lists the active indices of level li's force nodes,
+	// ascending. Level 0 keeps only the active part (coarsePass consumes the
+	// far-coarse rest) and, as its kernel speaks node ids, those next to it.
+	forceAct    [][]int32
+	forceNodes0 []int32
+	hold        []int32 // finer-level nodes the level-0 force elements read: zero in P_0·u
 }
 
 // buildSets computes all index sets from the operator topology and the
@@ -139,17 +137,9 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 	if lo == 1 {
 		s.far = s.stepNodesAt[0]
 	}
-	idx := make([]int32, nn) // node -> active index; far nodes' 0 is never read
-	for a, n := range s.actNode {
-		idx[n] = int32(a)
-	}
 	s.levelNodes = make([][]int32, numLevels)
-	s.levelAct = make([][]int32, numLevels)
 	for n, l := range s.nodeLevel {
 		s.levelNodes[l] = append(s.levelNodes[l], int32(n))
-		if l > 0 {
-			s.levelAct[l] = append(s.levelAct[l], idx[n])
-		}
 	}
 	s.forceElems = make([][]int32, numLevels)
 	for e := 0; e < ne; e++ {
@@ -159,19 +149,18 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 			}
 		}
 	}
-	s.forceNodes = make([][]int32, numLevels)
 	s.forceAct = make([][]int32, numLevels)
-	for n, m := range forceMask {
-		if lo == 1 && s.stepLvl[n] == 0 {
-			continue // far-coarse: in forceNodes[0] alone, consumed by coarsePass
-		}
-		if lo == 1 && m&1 != 0 && s.nodeLevel[n] != 0 {
-			s.hold = append(s.hold, int32(n))
+	for a, n := range s.actNode {
+		m := forceMask[n]
+		if m&1 != 0 {
+			s.forceNodes0 = append(s.forceNodes0, n)
+			if s.nodeLevel[n] != 0 {
+				s.hold = append(s.hold, n)
+			}
 		}
 		for li := 0; m != 0; li, m = li+1, m>>1 {
 			if m&1 != 0 {
-				s.forceNodes[li] = append(s.forceNodes[li], int32(n))
-				s.forceAct[li] = append(s.forceAct[li], idx[n])
+				s.forceAct[li] = append(s.forceAct[li], int32(a))
 			}
 		}
 	}

@@ -15,7 +15,10 @@ import (
 // oracle by the engine's documented rule: each rank accumulates its owned
 // slice of the list, in list order, into a private zero buffer, and the
 // buffers are added to dst in ascending rank order (K = 1 accumulates
-// straight into dst). dst starts nonzero: the apply accumulates.
+// straight into dst). dst starts nonzero: the apply accumulates. The
+// engine's remapped plan is pinned the same way against the inner
+// operator's remapped plans (which internal/sem pins against the oracle),
+// assembled by the same rule in the map's compact output space.
 func TestApplyMatchesOracle(t *testing.T) {
 	m, op := eqSetup(t)
 	lv := mesh.AssignLevels(m, 0.3/9, 2)
@@ -72,6 +75,45 @@ func TestApplyMatchesOracle(t *testing.T) {
 						t.Fatalf("K=%d len=%d dof=%d: %s %v != oracle %v", k, len(list), i, name, got[i], want[i])
 					}
 				}
+			}
+
+			nm := sem.BenchNodeMap(op, list, 3)
+			uc := make([]float64, nm.NIn)
+			sem.BenchField(uc)
+			uc[nm.NIn-1] = 0
+			basec := base[:nm.NOut]
+			wantc := slices.Clone(basec)
+			if k == 1 {
+				op.AddKuBatch(wantc, uc, op.NewBatchPlan(list).Remap(nm), &bs)
+			} else {
+				for r := 0; r < k; r++ {
+					var owned []int32
+					for _, e := range list {
+						if int(part[e]) == r {
+							owned = append(owned, e)
+						}
+					}
+					acc := make([]float64, nm.NOut)
+					op.AddKuBatch(acc, uc, op.NewBatchPlan(owned).Remap(nm), &bs)
+					for _, n := range sem.NodesOf(op, owned) {
+						wantc[nm.Out[n]] += acc[nm.Out[n]]
+					}
+				}
+			}
+			if len(list) > 0 && slices.Equal(wantc, basec) {
+				t.Fatalf("K=%d len=%d: remapped reference left dst unchanged; the comparison would be vacuous", k, len(list))
+			}
+			gotc := slices.Clone(basec)
+			p.AddKuBatch(gotc, uc, p.NewBatchPlan(list).Remap(nm), &bs)
+			if !slices.Equal(gotc, wantc) {
+				t.Fatalf("K=%d len=%d: engine-remapped apply differs from the sequential remapped plans", k, len(list))
+			}
+			// The workers lent a prefix of their buffers: an identity apply
+			// right after must still find them all-zero.
+			again := slices.Clone(base)
+			p.AddKuBatch(again, u, p.NewBatchPlan(list), &bs)
+			if !slices.Equal(again, want) {
+				t.Fatalf("K=%d len=%d: identity apply after a remapped one differs", k, len(list))
 			}
 		}
 		p.Close()

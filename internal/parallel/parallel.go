@@ -222,7 +222,7 @@ func (p *PartitionedOperator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, b
 	}
 	p.phase.Add(len(pl.dp.Active))
 	for _, r := range pl.dp.Active {
-		p.workers[r].ch <- task{kind: taskCompute, bplan: pl.rankBatch[r], u: u}
+		p.workers[r].ch <- task{kind: taskCompute, bplan: pl.rankBatch[r], u: u, n: len(dst)}
 	}
 	p.phase.Wait()
 	p.phase.Add(len(pl.activeShards))

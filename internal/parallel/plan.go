@@ -19,8 +19,12 @@ type applyPlan struct {
 	owner *PartitionedOperator
 	dp    *decomp.Plan
 	nc    int // component count, cached for the merge inner loop
-	// shardIdx[r] holds K+1 boundaries into dp.Touched[r]: shard m covers
-	// dp.Touched[r][shardIdx[r][m]:shardIdx[r][m+1]].
+	// touched[r] lists where rank r's contributions sit in the plan's
+	// output space, which dst and a prefix of the private buffers share:
+	// dp.Touched[r], or its image under a Remap's Out.
+	touched [][]int32
+	// shardIdx[r] holds K+1 boundaries into touched[r]: shard m covers
+	// touched[r][shardIdx[r][m]:shardIdx[r][m+1]].
 	shardIdx     [][]int32
 	activeShards []int
 	// rankBatch holds one inner-operator BatchPlan per active rank (nil
@@ -34,6 +38,20 @@ type applyPlan struct {
 
 // Elems implements sem.BatchPlan.
 func (pl *applyPlan) Elems() []int32 { return pl.dp.Elems }
+
+// Remap implements sem.BatchPlan: sub-plans remapped, merge lists renumbered
+// through m.Out; shard boundaries are positions in those lists and stay.
+func (pl *applyPlan) Remap(m sem.NodeMap) sem.BatchPlan {
+	q := *pl
+	q.rankBatch = make([]sem.BatchPlan, len(pl.rankBatch))
+	for r, b := range pl.rankBatch {
+		if b != nil {
+			q.rankBatch[r] = b.Remap(m)
+		}
+	}
+	q.touched = decomp.Renumber(pl.dp.Touched, m.Out)
+	return &q
+}
 
 // planCache maps decomp plans (content-validated by decomp.Cache) to the
 // shared-memory merge state layered on top of them.
@@ -70,7 +88,7 @@ func (c *planCache) lookup(p *PartitionedOperator, elems []int32) *applyPlan {
 // follow by binary search.
 func buildMerge(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 	k := p.K
-	pl := &applyPlan{owner: p, dp: dp, nc: p.inner.Comps(), shardIdx: make([][]int32, k)}
+	pl := &applyPlan{owner: p, dp: dp, nc: p.inner.Comps(), touched: dp.Touched, shardIdx: make([][]int32, k)}
 	total := 0
 	for _, t := range dp.Touched {
 		total += len(t)

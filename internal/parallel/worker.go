@@ -23,6 +23,7 @@ type task struct {
 	plan  *applyPlan
 	bplan sem.BatchPlan // compute: the rank's batch plan
 	u     []float64     // compute: shared read-only input field
+	n     int           // compute: len(dst), the prefix of the private buffer the plan accumulates into
 	dst   []float64     // merge: shared output (shards write disjoint ranges)
 	shard int           // merge: shard index
 }
@@ -54,7 +55,7 @@ func (w *rankWorker) serve(p *PartitionedOperator) {
 			if tel {
 				start = time.Now()
 			}
-			w.op.AddKuBatch(w.acc, t.u, t.bplan, &w.bscr)
+			w.op.AddKuBatch(w.acc[:t.n], t.u, t.bplan, &w.bscr)
 			if tel {
 				w.busy.Add(time.Since(start).Nanoseconds())
 			}
@@ -67,13 +68,13 @@ func (w *rankWorker) serve(p *PartitionedOperator) {
 
 // mergeShard reduces one contiguous node-id range: for every rank in
 // ascending order, add its contributions for the shard's slice of the
-// rank's touched-node list into dst and zero the private buffer. Shards
+// rank's touched list into dst and zero the private buffer. Shards
 // partition the node space, so writes to dst and to each acc are disjoint
 // across concurrent shards, and the fixed rank order makes the floating-
 // point sum per node deterministic.
 func (pl *applyPlan) mergeShard(m int, dst []float64, workers []*rankWorker) {
 	nc := pl.nc
-	for r, touched := range pl.dp.Touched {
+	for r, touched := range pl.touched {
 		lo, hi := pl.shardIdx[r][m], pl.shardIdx[r][m+1]
 		if lo == hi {
 			continue

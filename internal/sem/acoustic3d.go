@@ -87,8 +87,8 @@ func (op *Acoustic3D) AddKu(dst, u []float64, elems []int32) {
 // terms and quadrature weights, and scatter back with the transposed
 // derivative. Zero heap allocations once sc is warm.
 func (op *Acoustic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) {
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	checkLen("dst", dst, op.NDof())
+	checkLen("u", u, op.NDof())
 	nq, n3 := op.nq, op.n3
 	d, dt := op.dfl, op.dtf
 	w := op.Rule.Weights

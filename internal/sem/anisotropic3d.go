@@ -109,8 +109,8 @@ func (op *Anisotropic3D) AddKu(dst, u []float64, elems []int32) {
 // connectivity and derivative matrices; zero heap allocations once sc is
 // warm.
 func (op *Anisotropic3D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) {
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	checkLen("dst", dst, op.NDof())
+	checkLen("u", u, op.NDof())
 	nq, n3 := op.nq, op.n3
 	d, dt := op.dfl, op.dtf
 	w := op.Rule.Weights

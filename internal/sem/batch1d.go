@@ -22,24 +22,14 @@ func (op *Op1D) NewBatchPlan(elems []int32) BatchPlan {
 // AddKuBatch implements BatchKernel; bitwise-identical to AddKuScratch
 // over plan.Elems().
 func (op *Op1D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
-	pl := checkPlan(op, plan)
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	pl := checkPlan(op, plan, dst, u)
 	nq := op.deg + 1
 	pb := nq * batchB
 	ws := bs.floats(2 * pb)
 	in := ws[0*pb : 1*pb]
 	f := ws[1*pb : 2*pb]
 	for blk := 0; blk < len(pl.lanes); blk += batchB {
-		lanes, be := pl.block(blk)
-		for i, e := range lanes {
-			nb := op.conn[int(e)*nq : (int(e)+1)*nq]
-			o := i
-			for _, n := range nb {
-				in[o] = u[n]
-				o += batchB
-			}
-		}
+		pl.gather1(u, blk, in)
 		mulN(f, in, op.dfl, nq, batchB)
 		cst := pl.cst[blk:]
 		for q := 0; q < nq; q++ {
@@ -50,14 +40,7 @@ func (op *Op1D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
 			}
 		}
 		mulN(in, f, op.dtf, nq, batchB)
-		for i, e := range be {
-			nb := op.conn[int(e)*nq : (int(e)+1)*nq]
-			o := i
-			for _, n := range nb {
-				dst[n] += in[o]
-				o += batchB
-			}
-		}
+		pl.scatter1(dst, blk, in)
 	}
 }
 

@@ -9,7 +9,7 @@ package sem
 // with repeats of the list's last element, whose lanes are gathered and
 // computed like any other but never scattered):
 //
-//  1. gather: nodal values are pulled through the flat connectivity into
+//  1. gather: nodal values are pulled through the plan's index rows into
 //     per-component planes u_k[q·batchB + lane];
 //  2. contract: the axis derivatives are computed as blocked matrix–matrix
 //     style passes — the X sweep runs the 5×5 (nq×nq) coefficient block
@@ -64,58 +64,6 @@ func transN(out, tx, ty, tz, dt []float64, nq int) {
 	mulNacc(out, tz, dt, nq, nq*nq*batchB)
 }
 
-// gather3 / scatter3 move one block of a 3-component field between the
-// global node-major layout and the SoA planes; scatter3 accumulates in
-// element-list order, matching the per-element kernels' dst order.
-func (c *core3d) gather3(u []float64, be []int32, ux, uy, uz []float64) {
-	for i, e := range be {
-		nb := c.elemConn(int(e))
-		o := i
-		for _, n := range nb {
-			j := 3 * int(n)
-			ux[o], uy[o], uz[o] = u[j], u[j+1], u[j+2]
-			o += batchB
-		}
-	}
-}
-
-func (c *core3d) scatter3(dst []float64, be []int32, sx, sy, sz []float64) {
-	for i, e := range be {
-		nb := c.elemConn(int(e))
-		o := i
-		for _, n := range nb {
-			j := 3 * int(n)
-			dst[j] += sx[o]
-			dst[j+1] += sy[o]
-			dst[j+2] += sz[o]
-			o += batchB
-		}
-	}
-}
-
-// gather1 / scatter1 are the scalar-field (acoustic) variants.
-func (c *core3d) gather1(u []float64, be []int32, ue []float64) {
-	for i, e := range be {
-		nb := c.elemConn(int(e))
-		o := i
-		for _, n := range nb {
-			ue[o] = u[n]
-			o += batchB
-		}
-	}
-}
-
-func (c *core3d) scatter1(dst []float64, be []int32, s []float64) {
-	for i, e := range be {
-		nb := c.elemConn(int(e))
-		o := i
-		for _, n := range nb {
-			dst[n] += s[o]
-			o += batchB
-		}
-	}
-}
-
 // ---- Elastic3D ----
 
 // elCstRows is the per-block constant row count of the elastic plan:
@@ -147,9 +95,7 @@ func (op *Elastic3D) NewBatchPlan(elems []int32) BatchPlan {
 // AddKuBatch implements BatchKernel; bitwise-identical to AddKuScratch
 // over plan.Elems().
 func (op *Elastic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
-	pl := checkPlan(op, plan)
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	pl := checkPlan(op, plan, dst, u)
 	op.batch3comp(dst, u, pl, bs, func(gg, cst, wpair []float64) {
 		if op.deg == 4 {
 			elStress8(gg, cst, wpair)
@@ -191,9 +137,7 @@ func (op *Anisotropic3D) NewBatchPlan(elems []int32) BatchPlan {
 // AddKuBatch implements BatchKernel; bitwise-identical to AddKuScratch
 // over plan.Elems().
 func (op *Anisotropic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
-	pl := checkPlan(op, plan)
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	pl := checkPlan(op, plan, dst, u)
 	op.batch3comp(dst, u, pl, bs, func(gg, cst, wpair []float64) {
 		if op.deg == 4 {
 			anStress8(gg, cst, wpair)
@@ -217,8 +161,7 @@ func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratc
 	d, dt := c.dfl, c.dtf
 	deg4 := c.deg == 4
 	for blk := 0; blk < len(pl.lanes); blk += batchB {
-		lanes, be := pl.block(blk)
-		c.gather3(u, lanes, ux, uy, uz)
+		pl.gather3(u, blk, ux, uy, uz)
 		for k, in := range [3][]float64{ux, uy, uz} {
 			gx := gg[(3*k+0)*pb : (3*k+1)*pb]
 			gy := gg[(3*k+1)*pb : (3*k+2)*pb]
@@ -240,7 +183,7 @@ func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratc
 				transN(out, tx, ty, tz, dt, c.nq)
 			}
 		}
-		c.scatter3(dst, be, ux, uy, uz)
+		pl.scatter3(dst, blk, ux, uy, uz)
 	}
 }
 
@@ -272,9 +215,7 @@ func (op *Acoustic3D) NewBatchPlan(elems []int32) BatchPlan {
 // AddKuBatch implements BatchKernel; bitwise-identical to AddKuScratch
 // over plan.Elems().
 func (op *Acoustic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
-	pl := checkPlan(op, plan)
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	pl := checkPlan(op, plan, dst, u)
 	pb := op.n3 * batchB
 	ws := bs.floats(4 * pb)
 	ue := ws[0*pb : 1*pb]
@@ -285,8 +226,7 @@ func (op *Acoustic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScra
 	d, dt := op.dfl, op.dtf
 	deg4 := op.deg == 4
 	for blk := 0; blk < len(pl.lanes); blk += batchB {
-		lanes, be := pl.block(blk)
-		op.gather1(u, lanes, ue)
+		pl.gather1(u, blk, ue)
 		cst := pl.cst[blk*acCstRows:]
 		if deg4 {
 			grad5(fx, fy, fz, ue, d)
@@ -297,7 +237,7 @@ func (op *Acoustic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScra
 			acStressN(ff, cst, pl.wpair, op.n3)
 			transN(ue, fx, fy, fz, dt, op.nq)
 		}
-		op.scatter1(dst, be, ue)
+		pl.scatter1(dst, blk, ue)
 	}
 }
 

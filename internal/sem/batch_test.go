@@ -125,13 +125,107 @@ func checkBatchApply(t *testing.T, op BatchKernel, elems []int32, u, base []floa
 			t.Fatalf("dof %d is outside the plan's nodes but was written", d)
 		}
 	}
-	if len(elems) == 0 {
-		return
-	}
-	for i, v := range bs.buf {
-		if math.IsNaN(v) {
-			t.Fatalf("workspace[%d] still poisoned: a lane was not overwritten", i)
+	if len(elems) > 0 {
+		for i, v := range bs.buf {
+			if math.IsNaN(v) {
+				t.Fatalf("workspace[%d] still poisoned: a lane was not overwritten", i)
+			}
 		}
+	}
+	checkRemappedApply(t, op, plan, u, base, bs)
+}
+
+// remapFields translates a full-length problem into the index spaces of a
+// BenchNodeMap widened by pad output slots: uc is u laid out compactly —
+// every node's value sits in its own slot, so a gather that ignored the
+// mask would read it — with the zero slot zero, um the full-length input
+// the remapped gather is equivalent to (u on the unmasked nodes, zero on
+// the masked ones), and
+// dc is base laid out through m.Out (slots no node maps to hold 0.5). back
+// scatters a compact result onto a full-length clone of base.
+func remapFields(op Operator, m NodeMap, u, base []float64) (uc, um, dc []float64, back func(dc []float64) []float64) {
+	nc := op.Comps()
+	uc = make([]float64, m.NIn*nc)
+	um = make([]float64, len(u))
+	dc = make([]float64, m.NOut*nc)
+	for i := range dc {
+		dc[i] = 0.5
+	}
+	for n, o := range m.Out {
+		if o < 0 {
+			continue
+		}
+		for c := 0; c < nc; c++ {
+			dc[int(o)*nc+c] = base[n*nc+c]
+			uc[int(o)*nc+c] = u[n*nc+c]
+			if m.In[n] == o {
+				um[n*nc+c] = u[n*nc+c]
+			}
+		}
+	}
+	back = func(dc []float64) []float64 {
+		full := slices.Clone(base)
+		for n, o := range m.Out {
+			if o >= 0 {
+				copy(full[n*nc:(n+1)*nc], dc[int(o)*nc:])
+			}
+		}
+		return full
+	}
+	return uc, um, dc, back
+}
+
+// checkRemappedApply holds plan.Remap of a random node map — a permuted
+// compact Out with three spare slots behind it, an In that masks a third
+// of the nodes — against the per-element oracle run on the equivalent
+// full-length masked input: bitwise on every output slot (the spare ones
+// must keep their values), with the nonzero guard, a poisoned workspace,
+// and wrong-length arguments rejected with the plan's own lengths.
+func checkRemappedApply(t *testing.T, op BatchKernel, plan BatchPlan, u, base []float64, bs *BatchScratch) {
+	t.Helper()
+	elems := plan.Elems()
+	const pad = 3
+	m := BenchNodeMap(op, elems, uint64(len(elems))+7)
+	m.NOut += pad
+	rplan := plan.Remap(m)
+	if !slices.Equal(rplan.Elems(), elems) {
+		t.Fatalf("remapped plan lists %v, want %v", rplan.Elems(), elems)
+	}
+	uc, um, dc, back := remapFields(op, m, u, base)
+	var sc Scratch
+	want := back(dc)
+	op.AddKuScratch(want, um, elems, &sc)
+	if len(elems) > 0 && slices.Equal(want, back(dc)) {
+		t.Fatal("remapped: oracle left dst unchanged; the comparison would be vacuous")
+	}
+	for i := range bs.buf {
+		bs.buf[i] = math.NaN()
+	}
+	got := slices.Clone(dc)
+	op.AddKuBatch(got, uc, rplan, bs)
+	if gf := back(got); !slices.Equal(gf, want) {
+		for i := range want {
+			if want[i] != gf[i] {
+				t.Fatalf("remapped: dof %d: batched %v != per-element on the masked input %v", i, gf[i], want[i])
+			}
+		}
+	}
+	nc := op.Comps()
+	if tail := len(got) - pad*nc; !slices.Equal(got[tail:], dc[tail:]) {
+		t.Fatalf("remapped: wrote outside Out[plan nodes]: spare slots %v, were %v", got[tail:], dc[tail:])
+	}
+	for name, call := range map[string]func(){
+		fmt.Sprintf("sem: dst has length %d, want %d", len(got)+1, len(got)): func() { op.AddKuBatch(append(got, 0), uc, rplan, bs) },
+		fmt.Sprintf("sem: u has length %d, want %d", len(uc)+1, len(uc)):     func() { op.AddKuBatch(got, append(uc, 0), rplan, bs) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != name {
+					t.Fatalf("remapped: wrong-length call panicked with %v, want %q", r, name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -220,6 +314,14 @@ func TestAddKuBatchZeroAllocs(t *testing.T) {
 				tc.op.AddKuBatch(dst, u, plan, &bs)
 			}); n != 0 {
 				t.Errorf("%s deg=%d: AddKuBatch allocates %v per op, want 0", tc.name, deg, n)
+			}
+			m := BenchNodeMap(tc.op, plan.Elems(), 1)
+			rplan := plan.Remap(m)
+			uc, _, dc, _ := remapFields(tc.op, m, u, dst)
+			if n := testing.AllocsPerRun(5, func() {
+				tc.op.AddKuBatch(dc, uc, rplan, &bs)
+			}); n != 0 {
+				t.Errorf("%s deg=%d: remapped AddKuBatch allocates %v per op, want 0", tc.name, deg, n)
 			}
 		}
 	}

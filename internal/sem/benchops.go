@@ -62,3 +62,29 @@ func BenchField(u []float64) {
 		u[i] = float64(int64(s)) / float64(1<<63)
 	}
 }
+
+// BenchNodeMap builds the node map the remapped-plan tests and benchmarks
+// share, over the nodes of elems in a seed-shuffled order: Out numbers them
+// compactly (every other node maps to -1), In equals Out except that every
+// third one reads the extra, caller-zeroed slot NOut, as at an LTS interface.
+func BenchNodeMap(op Operator, elems []int32, seed uint64) NodeMap {
+	nodes := NodesOf(op, elems)
+	nn, k := op.NumNodes(), len(nodes)
+	m := NodeMap{In: make([]int32, nn), Out: make([]int32, nn), NIn: k + 1, NOut: k}
+	for n := range m.Out {
+		m.In[n], m.Out[n] = -1, -1
+	}
+	s := seed | 1
+	for i := k - 1; i >= 0; i-- {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		j := int(s % uint64(i+1))
+		nodes[i], nodes[j] = nodes[j], nodes[i]
+		m.In[nodes[i]], m.Out[nodes[i]] = int32(i), int32(i)
+		if i%3 == 0 {
+			m.In[nodes[i]] = int32(k)
+		}
+	}
+	return m
+}

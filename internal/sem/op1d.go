@@ -144,8 +144,8 @@ func (op *Op1D) AddKu(dst, u []float64, elems []int32) {
 //
 // Zero heap allocations once sc is warm.
 func (op *Op1D) AddKuScratch(dst, u []float64, elems []int32, sc *Scratch) {
-	checkLens(op, "dst", dst)
-	checkLens(op, "u", u)
+	checkLen("dst", dst, op.NDof())
+	checkLen("u", u, op.NDof())
 	nq := op.deg + 1
 	d, dt := op.dfl, op.dtf
 	w := op.Rule.Weights

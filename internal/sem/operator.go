@@ -229,10 +229,10 @@ func Energy(op Operator, u, v []float64, elems []int32, work []float64) float64 
 	return NewRestriction(op, elems).Energy(op, u, v, work, &sc)
 }
 
-// checkLens panics with a descriptive message when a vector has the wrong
+// checkLen panics with a descriptive message when a vector has the wrong
 // length; used by the concrete operators' entry points.
-func checkLens(op Operator, name string, v []float64) {
-	if len(v) != op.NDof() {
-		panic(fmt.Sprintf("sem: %s has length %d, want %d", name, len(v), op.NDof()))
+func checkLen(name string, v []float64, want int) {
+	if len(v) != want {
+		panic(fmt.Sprintf("sem: %s has length %d, want %d", name, len(v), want))
 	}
 }
