@@ -26,14 +26,16 @@ loc:
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist
 
-# Short native-fuzz leg over the untrusted decoders (so far the state
-# frame and the peer-link halo frame of internal/dist, one after the
-# other: go test takes one -fuzz target per run); the committed corpus
-# under testdata/fuzz runs as ordinary tests in `make test` already.
+# Short native-fuzz leg over the untrusted decoders (so far the three
+# hot frames of internal/dist — state, peer-link halo and cycle-done —
+# one after the other: go test takes one -fuzz target per run); the
+# committed corpus under testdata/fuzz runs as ordinary tests in `make
+# test` already.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzHaloFrame -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzCycleDone -fuzztime $(FUZZTIME) ./internal/dist
 
 # The end-to-end benchmark lives in its own nested module (benchmark/,
 # see BENCHMARK.json), which `go test ./...` does not reach:
@@ -129,7 +131,7 @@ fault-smoke:
 	GOLTS_FAULT=kill:rank=1,cycle=20,substep=2 ./.fault-smoke/distrun \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 -max-recoveries 2 \
 		-expect-recovery -require-nonzero \
-		-fault-report .fault-smoke/dist.json -out .fault-smoke/recovered.csv
+		-report .fault-smoke/dist.json -out .fault-smoke/recovered.csv
 	cmp .fault-smoke/ref.csv .fault-smoke/recovered.csv
 	$(GO) run ./cmd/wavedload -restart-smoke -scale 0.015 -dist-report .fault-smoke/dist.json -out BENCH_fault.json
 	@rm -rf .fault-smoke
@@ -167,7 +169,7 @@ chaos-smoke:
 		./.chaos-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
 		-recover-every 4 -max-recoveries 1 -min-ranks 1 \
 		-expect-degraded -require-nonzero \
-		-chaos-report BENCH_chaos.json -out .chaos-smoke/degraded.csv
+		-report BENCH_chaos.json -out .chaos-smoke/degraded.csv
 	cmp .chaos-smoke/ref.csv .chaos-smoke/degraded.csv
 	$(GO) run ./cmd/wavedload -degraded-smoke -scale 0.015 -out BENCH_degraded.json
 	@rm -rf .chaos-smoke
@@ -175,9 +177,9 @@ chaos-smoke:
 
 # Auto-tune & load-balance smoke, both halves of internal/tune:
 #  1. calibration: a tiny distributed run probes its deployment-shape
-#     grid (1 rank and 2 ranks at 4 parts) under -auto-tune and writes the measured-vs-predicted table
-#     to BENCH_tune.json; distrun exits nonzero unless at least two
-#     shapes carry internal/cluster model predictions;
+#     grid (1 rank and 2 ranks at 4 parts) under -auto-tune and writes
+#     the table of measured shapes to BENCH_tune.json; distrun exits
+#     nonzero unless at least two shapes were measured;
 #  2. rebalancing: a run started on a maximally skewed part placement
 #     (rank 0 carries 3 of 4 parts) must trigger at least one automatic
 #     mid-run rebalance (-expect-rebalance) and still produce a receiver
@@ -198,7 +200,7 @@ tune-smoke:
 		-out .tune-smoke/rebalanced.csv
 	cmp .tune-smoke/ref.csv .tune-smoke/rebalanced.csv
 	@rm -rf .tune-smoke
-	@echo "tune-smoke: calibration predicted >=2 shapes; skewed run rebalanced and stayed byte-identical"
+	@echo "tune-smoke: calibration measured >=2 shapes; skewed run rebalanced and stayed byte-identical"
 
 # Static analysis beyond go vet. CI installs staticcheck; locally the
 # target runs it when present and skips (loudly) when not, so `make

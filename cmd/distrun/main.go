@@ -12,8 +12,8 @@
 //	        [-degree 4] [-cfl 0.4] [-partitioner scotch-p] [-seed 1]
 //	        [-out seismograms.csv]
 //	        [-recover-every N] [-max-recoveries 3]
-//	        [-min-ranks 0] [-expect-degraded] [-chaos-report chaos.json]
-//	        [-expect-recovery] [-fault-report report.json]
+//	        [-min-ranks 0] [-expect-degraded] [-expect-recovery]
+//	        [-report report.json]
 //	        [-level-times] [-part-rank 0,0,0,1] [-auto-rebalance]
 //	        [-rebalance-threshold 1.5] [-rebalance-window 3]
 //	        [-rebalance-cooldown 10] [-expect-rebalance]
@@ -34,30 +34,36 @@
 // `make fault-smoke` kills a rank this way and asserts the recovered
 // seismograms match a fault-free run byte for byte. -expect-recovery
 // exits 1 when the run finishes without recovering anything (the
-// injected fault never fired); -fault-report writes recovery-latency
-// numbers as JSON. The fault grammar also carries the network verbs
-// droplink, stall-link, corrupt and partition, plus ';'-separated
-// multi-plans and gen=G addressing for faults during recovery itself.
+// injected fault never fired). The fault grammar also carries the
+// network verbs droplink, stall-link, corrupt and partition, plus
+// ';'-separated multi-plans and gen=G addressing for faults during
+// recovery itself.
 //
 // -min-ranks N enables degraded mode: a rank that exhausts
 // -max-recoveries is retired for good, its parts are redistributed onto
 // the survivors, and the run continues with fewer ranks (never below N).
 // The decomposition width is pinned by -parts, so the degraded
 // seismograms stay byte-identical — `make chaos-smoke` asserts exactly
-// that. -expect-degraded exits 1 unless at least one rank was retired;
-// -chaos-report writes the degraded/recovery/link counters as JSON.
+// that. -expect-degraded exits 1 unless at least one rank was retired.
+//
+// -report writes the run report as JSON: what the coordinator did to
+// keep the run alive (recoveries and retired ranks with the wall time
+// of each, rebalances, link retries, corrupt frames rejected), the
+// run's wall time, the host's CPU count and the injected fault. `make
+// fault-smoke` and `make chaos-smoke` publish it as BENCH_fault.json's
+// "dist" section and BENCH_chaos.json.
 //
 // -level-times turns on the timing telemetry and prints the per-rank,
 // per-level stiffness-kernel table after the run (also embedded in the
-// -fault-report JSON). -part-rank places each part on an explicit rank
+// -report JSON). -part-rank places each part on an explicit rank
 // (any placement is bitwise-identical; only wall time changes), and
 // -auto-rebalance lets the coordinator remap parts onto ranks mid-run
 // when the measured per-rank busy times stay imbalanced — `make
 // tune-smoke` starts from a skewed placement and asserts the run
 // rebalances and still matches the balanced run byte for byte.
 // -auto-tune calibrates the deployment shape with short probe runs
-// before the real one; -tune-report writes the measured-vs-predicted
-// table as BENCH_tune.json.
+// before the real one; -tune-report writes the table of measured
+// shapes as BENCH_tune.json.
 package main
 
 import (
@@ -96,10 +102,9 @@ func main() {
 	maxRecoveries := flag.Int("max-recoveries", 0, "rank recoveries before giving up (0: default 3)")
 	minRanks := flag.Int("min-ranks", 0, "degraded mode: survive permanent rank loss down to this many ranks (0: off)")
 	expectDegraded := flag.Bool("expect-degraded", false, "exit 1 unless at least one rank was permanently retired")
-	chaosReport := flag.String("chaos-report", "", "write degraded/recovery/link counters as JSON to this path")
 	expectRecovery := flag.Bool("expect-recovery", false, "exit 1 unless at least one rank recovery happened")
 	requireNonzero := flag.Bool("require-nonzero", false, "exit 1 unless some receiver sample is nonzero (guards byte-comparisons against vacuously-zero traces)")
-	faultReport := flag.String("fault-report", "", "write recovery-latency numbers as JSON to this path")
+	report := flag.String("report", "", "write the run report (recovery, rebalance, degraded and link counters, wall time) as JSON to this path")
 	levelTimes := flag.Bool("level-times", false, "enable timing telemetry and print the per-rank, per-level kernel table")
 	partRank := flag.String("part-rank", "", "explicit part placement as comma-separated rank ids, one per part (empty: contiguous blocks)")
 	autoRebalance := flag.Bool("auto-rebalance", false, "remap parts onto ranks mid-run when per-rank busy times stay imbalanced")
@@ -108,7 +113,7 @@ func main() {
 	rebCooldown := flag.Int("rebalance-cooldown", 0, "quiet cycles after a rebalance (0: default 10)")
 	expectRebalance := flag.Bool("expect-rebalance", false, "exit 1 unless at least one automatic rebalance happened")
 	autoTune := flag.Duration("auto-tune", 0, "calibrate the deployment shape with probe runs under this wall budget (0: off)")
-	tuneReport := flag.String("tune-report", "", "write the calibration's measured-vs-predicted table as JSON to this path")
+	tuneReport := flag.String("tune-report", "", "write the calibration's table of measured shapes as JSON to this path")
 	flag.Parse()
 
 	scheme := wave.WithLTS()
@@ -139,7 +144,7 @@ func main() {
 		wave.WithBackend(wave.Distributed{
 			Ranks: *ranks, Parts: *parts,
 			CheckpointEvery: ckptEvery, MaxRecoveries: *maxRecoveries,
-			DegradedMode: *minRanks > 0, MinRanks: *minRanks,
+			MinRanks:           *minRanks,
 			Telemetry:          *levelTimes,
 			PartRank:           placement,
 			AutoRebalance:      *autoRebalance,
@@ -232,27 +237,30 @@ func main() {
 	if *outPath != "" {
 		fmt.Printf("seismograms written to %s\n", *outPath)
 	}
-	if *faultReport != "" {
+	if *report != "" {
 		rep := struct {
-			Ranks      int               `json:"ranks"`
-			Parts      int               `json:"parts"`
-			Cycles     int64             `json:"cycles"`
-			Recoveries int               `json:"recoveries"`
-			RecoveryMS int64             `json:"recovery_ms"`
-			Rebalances int               `json:"rebalances"`
-			WallS      float64           `json:"wall_seconds"`
-			NumCPU     int               `json:"num_cpu"`
-			GoMaxProcs int               `json:"gomaxprocs"`
-			Fault      string            `json:"fault,omitempty"`
-			LevelTimes []wave.LevelStats `json:"level_times,omitempty"`
+			Ranks         int               `json:"ranks"`
+			Parts         int               `json:"parts"`
+			Cycles        int64             `json:"cycles"`
+			Recoveries    int               `json:"recoveries"`
+			RecoveryMS    int64             `json:"recovery_ms"`
+			Rebalances    int               `json:"rebalances"`
+			DegradedRanks int               `json:"degraded_ranks"`
+			DegradedMS    int64             `json:"degraded_ms"`
+			LinkRetries   int64             `json:"link_retries"`
+			CorruptFrames int64             `json:"corrupt_frames"`
+			WallS         float64           `json:"wall_seconds"`
+			NumCPU        int               `json:"num_cpu"`
+			GoMaxProcs    int               `json:"gomaxprocs"`
+			Fault         string            `json:"fault,omitempty"`
+			LevelTimes    []wave.LevelStats `json:"level_times,omitempty"`
 		}{st.Ranks, st.Parts, st.Cycles, st.Recoveries, st.RecoveryMillis,
-			st.Rebalances, wall, runtime.NumCPU(), runtime.GOMAXPROCS(0),
+			st.Rebalances, st.DegradedRanks, st.DegradedMillis,
+			st.LinkRetries, st.CorruptFrames,
+			wall, runtime.NumCPU(), runtime.GOMAXPROCS(0),
 			os.Getenv("GOLTS_FAULT"), st.LevelTimes}
-		raw, _ := json.MarshalIndent(rep, "", "  ")
-		raw = append(raw, '\n')
-		if err := os.WriteFile(*faultReport, raw, 0o644); err != nil {
-			fatal(err)
-		}
+		writeJSON(*report, rep)
+		fmt.Printf("run report written to %s\n", *report)
 	}
 	if *tuneReport != "" {
 		rep := struct {
@@ -270,47 +278,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "distrun: -tune-report set without -auto-tune (no plan to report)")
 			os.Exit(2)
 		}
-		predicted := 0
+		measured := 0
 		for _, m := range rep.Plan.Measurements {
-			if m.Err == "" && m.CycleNanos > 0 && m.PredictedNanos > 0 {
-				predicted++
+			if m.Err == "" && m.CycleNanos > 0 {
+				measured++
 			}
 		}
-		if predicted < 2 {
-			fmt.Fprintf(os.Stderr, "distrun: calibration carries model predictions for %d shapes, want >= 2\n", predicted)
+		if measured < 2 {
+			fmt.Fprintf(os.Stderr, "distrun: calibration measured %d shapes, want >= 2\n", measured)
 			os.Exit(1)
 		}
-		raw, _ := json.MarshalIndent(rep, "", "  ")
-		raw = append(raw, '\n')
-		if err := os.WriteFile(*tuneReport, raw, 0o644); err != nil {
-			fatal(err)
-		}
+		writeJSON(*tuneReport, rep)
 		fmt.Printf("calibration report written to %s\n", *tuneReport)
-	}
-	if *chaosReport != "" {
-		rep := struct {
-			Ranks         int     `json:"ranks"`
-			Parts         int     `json:"parts"`
-			Cycles        int64   `json:"cycles"`
-			DegradedRanks int     `json:"degraded_ranks"`
-			DegradedMS    int64   `json:"degraded_ms"`
-			Recoveries    int     `json:"recoveries"`
-			RecoveryMS    int64   `json:"recovery_ms"`
-			LinkRetries   int64   `json:"link_retries"`
-			CorruptFrames int64   `json:"corrupt_frames"`
-			WallS         float64 `json:"wall_seconds"`
-			NumCPU        int     `json:"num_cpu"`
-			GoMaxProcs    int     `json:"gomaxprocs"`
-			Fault         string  `json:"fault,omitempty"`
-		}{st.Ranks, st.Parts, st.Cycles, st.DegradedRanks, st.DegradedMillis,
-			st.Recoveries, st.RecoveryMillis, st.LinkRetries, st.CorruptFrames,
-			wall, runtime.NumCPU(), runtime.GOMAXPROCS(0), os.Getenv("GOLTS_FAULT")}
-		raw, _ := json.MarshalIndent(rep, "", "  ")
-		raw = append(raw, '\n')
-		if err := os.WriteFile(*chaosReport, raw, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("chaos report written to %s\n", *chaosReport)
 	}
 	if *expectRecovery && st.Recoveries == 0 {
 		fmt.Fprintln(os.Stderr, "distrun: -expect-recovery set but the run recovered nothing (fault never fired?)")
@@ -361,6 +340,17 @@ func printLevelTimes(st wave.Stats) {
 			fmt.Printf(" %7.1f", float64(n)/1e6)
 		}
 		fmt.Println()
+	}
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(raw, '\n'), 0o644)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 

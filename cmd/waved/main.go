@@ -11,7 +11,7 @@
 //
 // With -auto-tune set to a probing budget (e.g. 30s), the first job of
 // each configuration calibrates a deployment shape (the worker count)
-// against the cluster performance model; the tuned plan is
+// by measured-min over short probe runs; the tuned plan is
 // cached in the artifact cache, so subsequent same-config jobs run with
 // the tuned shape at no extra cost. GET /stats reports each job's
 // tuned_workers / tuned_ranks / rebalances.

@@ -21,7 +21,7 @@
 //	    replayed job resumes from its checkpoint and delivers a row stream
 //	    byte-identical to the uninterrupted reference. Writes restart /
 //	    resume latency numbers to -out; -dist-report embeds a distrun
-//	    -fault-report JSON so one artifact carries both recovery paths.
+//	    -report JSON so one artifact carries both recovery paths.
 //
 //	wavedload -degraded-smoke [-out BENCH_degraded.json] [-scale 0.015]
 //	    Degraded-mode smoke: runs a local reference job (with nonzero
@@ -70,7 +70,7 @@ func main() {
 	cycles := flag.Int("cycles", 2, "coarse cycles per job")
 	out := flag.String("out", "BENCH_serve.json", "load-mode report path")
 	restart := flag.Bool("restart-smoke", false, "run the checkpoint/restart durability smoke (owns its own services; ignores -addr)")
-	distReport := flag.String("dist-report", "", "distrun -fault-report JSON to embed in the -restart-smoke report")
+	distReport := flag.String("dist-report", "", "distrun -report JSON to embed in the -restart-smoke report")
 	degraded := flag.Bool("degraded-smoke", false, "run the degraded-mode smoke: a distributed job survives permanent rank loss byte-identically (owns its own service; ignores -addr)")
 	flag.Parse()
 
@@ -361,7 +361,7 @@ func runLoad(url, out string, jobs, clients, distinct int, scale float64, cycles
 
 // faultReport is the BENCH_fault.json schema: the waved restart/resume
 // path, plus (when -dist-report is given) the distributed rank-recovery
-// numbers from distrun -fault-report.
+// numbers from distrun -report.
 type faultReport struct {
 	Scale         float64         `json:"scale"`
 	Cycles        int             `json:"cycles"`

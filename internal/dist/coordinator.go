@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,27 +51,22 @@ type Config struct {
 	CheckpointEvery int
 	// MaxRecoveries bounds the number of recoveries per rank
 	// configuration; 0 selects the default (3) when CheckpointEvery > 0.
-	// With DegradedMode the budget resets after each successful shrink.
+	// In degraded mode the budget resets after each successful shrink.
 	MaxRecoveries int
-	// Fault arms a fault-injection plan on in-process ranks. Spawned
-	// ranks read the GOLTS_FAULT environment variable instead, which
-	// they inherit from this process.
-	Fault *FaultPlan
-	// Faults arms additional fault-injection plans on in-process ranks
-	// (the multi-plan analogue of Fault: several ranks, cycles or spawn
-	// generations at once).
+	// Faults arms fault-injection plans on in-process ranks (several
+	// ranks, cycles or spawn generations at once). Spawned ranks read the
+	// GOLTS_FAULT environment variable instead, which they inherit from
+	// this process.
 	Faults []*FaultPlan
 
-	// DegradedMode keeps the run alive through permanent rank loss: when
-	// a rank exhausts the recovery budget, the coordinator — instead of
-	// failing — LPT-remaps the dead rank's parts onto the survivors,
-	// relaunches with one rank fewer, restores the checkpoint and
-	// replays. The decomposition width never changes, so the degraded
+	// MinRanks > 0 enables degraded mode, which keeps the run alive
+	// through permanent rank loss: when a rank exhausts the recovery
+	// budget, the coordinator — instead of failing — LPT-remaps the dead
+	// rank's parts onto the survivors, relaunches with one rank fewer,
+	// restores the checkpoint and replays, never shrinking below MinRanks
+	// ranks. The decomposition width never changes, so the degraded
 	// trajectory stays bitwise identical to the fault-free one. Requires
 	// CheckpointEvery > 0.
-	DegradedMode bool
-	// MinRanks is the floor DegradedMode will not shrink below; 0
-	// selects 1 (a run survives down to a single rank).
 	MinRanks int
 
 	// AutoRebalance enables the runtime rebalancer: the coordinator
@@ -88,15 +84,6 @@ type Config struct {
 	RebalanceDetector tune.DetectorConfig
 }
 
-// faultPlans merges the legacy single-plan Fault field with the
-// multi-plan Faults list, for in-process ranks.
-func (cfg *Config) faultPlans() []*FaultPlan {
-	if cfg.Fault == nil {
-		return cfg.Faults
-	}
-	return append([]*FaultPlan{cfg.Fault}, cfg.Faults...)
-}
-
 // ctrlFrame is one control-plane message from a rank, read off the
 // connection by the coordinator's per-rank reader goroutine.
 type ctrlFrame struct {
@@ -112,13 +99,13 @@ type rankHandle struct {
 	proc   *exec.Cmd
 	frames chan ctrlFrame
 	errs   chan error
-	done   chan error // in-process rank completion
 
-	// procDead is closed by the watcher goroutine — the sole caller of
-	// proc.Wait — once the spawned process has been reaped; procErr holds
-	// the Wait result from before the close.
-	procDead chan struct{}
-	procErr  error
+	// dead is closed once the rank has exited — by the watcher goroutine
+	// that is the sole caller of proc.Wait for a spawned rank, by the
+	// goroutine running an in-process one — and exitErr holds the Wait or
+	// runRank result from before the close.
+	dead    chan struct{}
+	exitErr error
 
 	// lastBeat is the unix-nano arrival time of the most recent frame
 	// (heartbeats included), written by the reader goroutine.
@@ -142,6 +129,10 @@ type Coordinator struct {
 	cycle     int64 // completed cycles since Start (or RestoreState)
 	ckpt      *ckpt.StepperState
 	ckptCycle int64 // cycle the held snapshot belongs to
+	// ckptSpare is the snapshot ckpt replaced, kept as the storage the
+	// next periodic one is decoded into: ckpt has to outlive the fetch
+	// that replaces it, so the two alternate.
+	ckptSpare *ckpt.StepperState
 
 	recoveries   int // cumulative, across degrades
 	budgetUsed   int // recoveries charged against the current rank set
@@ -185,15 +176,12 @@ func Start(cfg Config) (*Coordinator, error) {
 	if err := cfg.Run.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CheckpointEvery > 0 && cfg.MaxRecoveries == 0 {
+	if cfg.CheckpointEvery > 0 && cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 3
 	}
-	if cfg.DegradedMode {
+	if cfg.MinRanks > 0 {
 		if cfg.CheckpointEvery <= 0 {
-			return nil, fmt.Errorf("dist: DegradedMode requires CheckpointEvery > 0 (shrinking restores from a checkpoint)")
-		}
-		if cfg.MinRanks <= 0 {
-			cfg.MinRanks = 1
+			return nil, fmt.Errorf("dist: MinRanks > 0 (degraded mode) requires CheckpointEvery > 0 (shrinking restores from a checkpoint)")
 		}
 		if cfg.MinRanks > cfg.Run.Ranks {
 			return nil, fmt.Errorf("dist: MinRanks %d exceeds rank count %d", cfg.MinRanks, cfg.Run.Ranks)
@@ -211,7 +199,7 @@ func Start(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	if cfg.CheckpointEvery > 0 {
-		st, err := co.fetchState(context.Background())
+		st, err := co.fetchState(context.Background(), nil)
 		if err != nil {
 			co.Abort()
 			return nil, fmt.Errorf("dist: initial checkpoint: %w", err)
@@ -223,7 +211,7 @@ func Start(cfg Config) (*Coordinator, error) {
 
 // launch spawns the current generation of ranks and completes the
 // startup handshake. On failure every partially-started rank is killed.
-// It is called by Start and again — with gen bumped — by recovery.
+// It is called by Start and again — with gen bumped — by reconfigure.
 func (co *Coordinator) launch() error {
 	cfg := co.cfg
 	tokenRaw := make([]byte, 16)
@@ -240,7 +228,7 @@ func (co *Coordinator) launch() error {
 
 	co.ranks = make([]*rankHandle, cfg.Run.Ranks)
 	fail := func(err error) error {
-		co.kill()
+		co.teardown(false)
 		return err
 	}
 	stderr := cfg.Stderr
@@ -251,13 +239,16 @@ func (co *Coordinator) launch() error {
 	// Launch.
 	for i := 0; i < cfg.Run.Ranks; i++ {
 		if cfg.InProcess {
-			h := &rankHandle{done: make(chan error, 1)}
+			h := &rankHandle{dead: make(chan struct{})}
 			co.ranks[i] = h
 			params := rankParams{
 				rank: i, addr: ln.Addr().String(), token: token,
-				gen: co.gen, faults: cfg.faultPlans(),
+				gen: co.gen, faults: cfg.Faults,
 			}
-			go func() { h.done <- runRank(params) }()
+			go func() {
+				h.exitErr = runRank(params)
+				close(h.dead)
+			}()
 			continue
 		}
 		exe, err := os.Executable()
@@ -276,14 +267,14 @@ func (co *Coordinator) launch() error {
 		if err := cmd.Start(); err != nil {
 			return fail(fmt.Errorf("dist: spawning rank %d: %w", i, err))
 		}
-		h := &rankHandle{proc: cmd, procDead: make(chan struct{})}
+		h := &rankHandle{proc: cmd, dead: make(chan struct{})}
 		co.ranks[i] = h
 		// The watcher owns the one and only Wait, so teardown, recovery
 		// and failure detection can all observe the exit without racing
 		// to reap it.
 		go func() {
-			h.procErr = cmd.Wait()
-			close(h.procDead)
+			h.exitErr = cmd.Wait()
+			close(h.dead)
 		}()
 	}
 
@@ -366,7 +357,6 @@ func (co *Coordinator) launch() error {
 			}
 		}(h)
 	}
-	co.applyRecOwn()
 	return nil
 }
 
@@ -393,9 +383,12 @@ func (co *Coordinator) recvFrame(ctx context.Context, i int, timeout time.Durati
 		defer ticker.Stop()
 		beatC = ticker.C
 	}
+	// Only a spawned rank is watched for exit here: an in-process rank's
+	// exit closes its connection, and the frames it sent first must be
+	// classified before the loss is.
 	var dead <-chan struct{}
 	if h.proc != nil {
-		dead = h.procDead
+		dead = h.dead
 	}
 	for {
 		select {
@@ -435,7 +428,7 @@ func (co *Coordinator) recvFrame(ctx context.Context, i int, timeout time.Durati
 				}
 			default:
 			}
-			return ctrlFrame{}, &RankFailure{Rank: i, Kind: FailureCrash, Err: fmt.Errorf("process exited: %v", h.procErr)}
+			return ctrlFrame{}, &RankFailure{Rank: i, Kind: FailureCrash, Err: fmt.Errorf("process exited: %v", h.exitErr)}
 		case <-ctx.Done():
 			return ctrlFrame{}, ctx.Err()
 		case <-overall.C:
@@ -474,9 +467,10 @@ func (co *Coordinator) SetReceiverParts(parts []int) error {
 }
 
 // applyRecOwn recomputes the receiver → sampling-rank table from the
-// stored owner parts and the current part → rank placement. launch
-// calls it too, so a relaunch under a new map (rebalance, or recovery
-// after a failed rebalance) always scatters samples consistently.
+// stored owner parts and the current part → rank placement.
+// reconfigure calls it after every relaunch, so samples scatter
+// consistently under whatever map that generation runs (a rebalance, a
+// shrink, or a recovery after either).
 func (co *Coordinator) applyRecOwn() {
 	if co.recParts == nil {
 		return
@@ -513,12 +507,8 @@ func (co *Coordinator) StepCtx(ctx context.Context) (t float64, samples []float6
 	}
 	t, samples, err = co.stepCycle(ctx)
 	for err != nil {
-		if ctx.Err() != nil {
-			co.Abort()
-			return 0, nil, ctx.Err()
-		}
-		if rerr := co.tryRecover(ctx, err); rerr != nil {
-			return 0, nil, rerr
+		if err = co.tryRecover(ctx, err); err != nil {
+			return 0, nil, err
 		}
 		t, samples, err = co.stepCycle(ctx)
 	}
@@ -526,34 +516,23 @@ func (co *Coordinator) StepCtx(ctx context.Context) (t float64, samples []float6
 	if co.trace != nil {
 		co.trace.Record(co.cycle, co.busy)
 	}
+	// From here on recovery replays up to co.cycle, so the samples
+	// already collected for this cycle stay valid through a failed
+	// snapshot or rebalance; only an unrecoverable error surfaces.
 	if co.cfg.CheckpointEvery > 0 && co.cycle%int64(co.cfg.CheckpointEvery) == 0 {
-		for {
-			st, ferr := co.fetchState(ctx)
-			if ferr == nil {
-				co.ckpt, co.ckptCycle = st, co.cycle
-				break
+		st, err := co.fetchState(ctx, co.ckptSpare)
+		for err != nil {
+			if err = co.tryRecover(ctx, err); err != nil {
+				return 0, nil, err
 			}
-			if ctx.Err() != nil {
-				co.Abort()
-				return 0, nil, ctx.Err()
-			}
-			// Recovery replays up to co.cycle, so the samples already
-			// collected for this cycle remain valid afterwards.
-			if rerr := co.tryRecover(ctx, ferr); rerr != nil {
-				return 0, nil, rerr
-			}
+			st, err = co.fetchState(ctx, co.ckptSpare)
 		}
+		co.ckptSpare, co.ckpt, co.ckptCycle = co.ckpt, st, co.cycle
 	}
-	if rerr := co.maybeRebalance(ctx); rerr != nil {
-		if ctx.Err() != nil {
-			co.Abort()
-			return 0, nil, ctx.Err()
-		}
-		// A failed rebalance attempt is a rank failure like any other:
-		// recovery replays up to co.cycle, so this cycle's samples stay
-		// valid; only an unrecoverable error surfaces.
-		if rerr = co.tryRecover(ctx, rerr); rerr != nil {
-			return 0, nil, rerr
+	if err := co.maybeRebalance(ctx); err != nil {
+		// A failed rebalance attempt is a rank failure like any other.
+		if err = co.tryRecover(ctx, err); err != nil {
+			return 0, nil, err
 		}
 	}
 	return t, samples, nil
@@ -592,9 +571,8 @@ func (co *Coordinator) maybeRebalance(ctx context.Context) error {
 }
 
 // Rebalance moves the parts → ranks placement mid-run: snapshot the
-// replicated state, tear the current generation down, relaunch every
-// rank under the new map, and restore the snapshot. Parts — and with
-// them the ascending-part assembly order — never change, so the
+// replicated state, then reconfigure under the new map. Parts — and
+// with them the ascending-part assembly order — never change, so the
 // resumed trajectory is bitwise identical to one that ran under either
 // placement throughout. The receiver sampling ranks are re-derived
 // from their (placement-invariant) owning parts.
@@ -603,23 +581,12 @@ func (co *Coordinator) Rebalance(partRank []int) error {
 }
 
 func (co *Coordinator) rebalance(ctx context.Context, partRank []int) error {
-	trial := co.cfg.Run
-	trial.PartRank = append([]int(nil), partRank...)
-	if err := trial.validate(); err != nil {
-		return err
-	}
-	st, err := co.fetchState(ctx)
+	st, err := co.fetchState(ctx, nil)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	co.teardown(false)
-	co.cfg.Run.PartRank = trial.PartRank
-	co.gen++
-	if err := co.launch(); err != nil {
-		return err
-	}
-	if err := co.restoreAll(ctx, st); err != nil {
+	if err := co.reconfigure(ctx, co.cfg.Run.Ranks, append([]int(nil), partRank...), st, co.cycle); err != nil {
 		return err
 	}
 	co.rebalances++
@@ -647,190 +614,183 @@ func (co *Coordinator) TraceSamples() []tune.Sample {
 	return co.trace.Samples()
 }
 
+// request is the one coordinator → rank round trip: it sends a req
+// frame carrying payload to every rank, then collects one reply frame
+// per rank, in rank order, and hands its payload to each (nil when the
+// reply carries nothing). Whatever goes wrong on a rank's account comes
+// back as a typed *RankFailure the recovery loop can act on: a send
+// error is FailureLink; a reply of the wrong type, or one that each
+// rejects, is FailureCorrupt — a frame that passed its CRC but does not
+// describe this run is as untrustworthy as one that failed it — and
+// recvFrame types every way of not getting a reply at all.
+func (co *Coordinator) request(ctx context.Context, req byte, payload []byte, reply byte,
+	timeout time.Duration, each func(rank int, payload []byte) error) error {
+	for i, h := range co.ranks {
+		if err := h.c.send(req, payload); err != nil {
+			return &RankFailure{Rank: i, Kind: FailureLink, Err: fmt.Errorf("sending frame type %d: %w", req, err)}
+		}
+	}
+	for i := range co.ranks {
+		fr, err := co.recvFrame(ctx, i, timeout)
+		if err != nil {
+			return err
+		}
+		if fr.t != reply {
+			err = fmt.Errorf("frame type %d in reply to type %d, want %d", fr.t, req, reply)
+		} else if each != nil {
+			err = each(i, fr.payload)
+		}
+		if err != nil {
+			return &RankFailure{Rank: i, Kind: FailureCorrupt, Err: err}
+		}
+	}
+	return nil
+}
+
 // stepCycle drives one lockstep cycle across the ranks.
 func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error) {
 	var cmd [4]byte
 	binary.LittleEndian.PutUint32(cmd[:], 1)
-	for i, h := range co.ranks {
-		if err := h.c.send(msgStep, cmd[:]); err != nil {
-			return 0, nil, &RankFailure{Rank: i, Kind: FailureLink, Err: fmt.Errorf("sending step: %w", err)}
-		}
-	}
 	samples := make([]float64, len(co.cfg.Run.Receivers))
-	ranks := co.cfg.Run.Ranks
 	// maxWait[q] is the longest any rank spent this cycle waiting for
 	// rank q's halo frames (telemetry only).
 	var maxWait []float64
 	if co.cfg.Run.Telemetry {
-		maxWait = make([]float64, ranks)
+		maxWait = make([]float64, co.cfg.Run.Ranks)
 	}
-	for i := range co.ranks {
-		fr, err := co.recvFrame(ctx, i, stepTimeout)
-		if err != nil {
-			return 0, nil, err
-		}
-		if fr.t != msgCycleDone {
-			return 0, nil, fmt.Errorf("dist: rank %d: unexpected frame type %d", i, fr.t)
-		}
-		vals, err := getFloats(fr.payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		want := 1
+	err := co.request(ctx, msgStep, cmd[:], msgCycleDone, stepTimeout, func(i int, payload []byte) error {
+		owned := 0
 		for _, o := range co.recOwn {
 			if o == i {
-				want++
+				owned++
 			}
 		}
-		if co.cfg.Run.Telemetry {
-			// Trailing compute busy-nanos plus per-peer halo-wait nanos.
-			want += 1 + ranks
-		}
-		if len(vals) != want {
-			return 0, nil, fmt.Errorf("dist: rank %d reported %d values, want %d", i, len(vals), want)
+		cd, err := decodeCycleDone(payload, owned, co.cfg.Run.Telemetry, co.cfg.Run.Ranks)
+		if err != nil {
+			return err
 		}
 		if i == 0 {
-			co.t = vals[0]
+			co.t = cd.t
 		}
 		if co.cfg.Run.Telemetry {
-			co.busy[i] = vals[len(vals)-1-ranks]
-			for q, w := range vals[len(vals)-ranks:] {
-				if w > maxWait[q] {
-					maxWait[q] = w
-				}
+			co.busy[i] = cd.busy
+			for q, w := range cd.wait {
+				maxWait[q] = max(maxWait[q], w)
 			}
 		}
-		k := 1
+		k := 0
 		for ri, o := range co.recOwn {
 			if o == i {
-				samples[ri] = vals[k]
+				samples[ri] = cd.samples[k]
 				k++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
-	if co.cfg.Run.Telemetry {
-		// Charge each rank the worst wait its peers paid for it: a rank
-		// behind a delayed or stalled link reads as busy even when its
-		// compute is light, which is exactly the skew the imbalance
-		// detector should fire on.
-		for q, w := range maxWait {
-			co.busy[q] += w
-		}
+	// Charge each rank the worst wait its peers paid for it: a rank
+	// behind a delayed or stalled link reads as busy even when its
+	// compute is light, which is exactly the skew the imbalance
+	// detector should fire on.
+	for q, w := range maxWait {
+		co.busy[q] += w
 	}
 	return co.t, samples, nil
 }
 
-// tryRecover decides whether cause is recoverable (a *RankFailure, a
-// held checkpoint, budget left) and if so performs recovery: tear down
-// the current generation, relaunch every rank, restore the snapshot and
-// replay up to the current cycle. It loops on failures *during*
-// recovery until the budget runs out — at which point DegradedMode
-// shrinks the rank set instead of giving up. A nil return means the run
-// is healthy again at exactly co.cycle completed cycles.
+// tryRecover is the one retry loop around reconfigure. While cause is
+// recoverable — a *RankFailure with a checkpoint held — each pass picks
+// the next shape to relaunch in: the same rank set and placement while
+// the recovery budget lasts; then, in degraded mode, one rank fewer
+// (the rank, or its link, is permanently gone: its parts are
+// LPT-remapped onto the survivors over the last measured per-part
+// costs) down to the MinRanks floor; and a failure of the relaunch
+// itself is the next pass's cause. A successful shrink resets the
+// budget: the new configuration earns a fresh chance before degrading
+// further. A nil return means the run is healthy again at exactly
+// co.cycle completed cycles; cancelling ctx aborts the run.
 func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
-	var rf *RankFailure
-	if !errors.As(cause, &rf) {
-		return cause
-	}
-	if co.cfg.CheckpointEvery <= 0 || co.ckpt == nil {
-		return cause
-	}
 	for {
-		if co.budgetUsed >= co.cfg.MaxRecoveries {
-			// Same-width recovery is not working: this rank (or its link)
-			// is permanently gone. Degrade by redistributing its parts onto
-			// the survivors, or fail the run if that is not allowed.
-			return co.degrade(ctx, cause)
-		}
-		co.budgetUsed++
-		co.recoveries++
-		start := time.Now()
-		err := co.restartRanks(ctx)
-		co.recoveryWall += time.Since(start)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			co.Abort()
-			return ctx.Err()
-		}
-		if !errors.As(err, &rf) {
-			return err
-		}
-		cause = err
-	}
-}
-
-// degrade is the permanent-loss path: recovery at the current width has
-// exhausted its budget, so shrink the rank set by one and continue on
-// the survivors. It loops — a failure during the shrunken relaunch
-// shrinks again — until the run is healthy, the MinRanks floor blocks
-// further shrinking, or an unrecoverable error surfaces. Each
-// successful shrink resets the recovery budget: the new configuration
-// earns a fresh chance before degrading further.
-func (co *Coordinator) degrade(ctx context.Context, cause error) error {
-	if !co.cfg.DegradedMode {
-		return fmt.Errorf("dist: recovery budget (%d) exhausted: %w", co.cfg.MaxRecoveries, cause)
-	}
-	for {
-		if co.cfg.Run.Ranks <= co.cfg.MinRanks {
-			return fmt.Errorf("dist: recovery budget (%d) exhausted at the MinRanks floor (%d): %w",
-				co.cfg.MaxRecoveries, co.cfg.MinRanks, cause)
-		}
-		start := time.Now()
-		err := co.shrink(ctx)
-		co.degradeWall += time.Since(start)
-		if err == nil {
-			co.degradedRanks++
-			co.budgetUsed = 0
-			return nil
-		}
 		if ctx.Err() != nil {
 			co.Abort()
 			return ctx.Err()
 		}
 		var rf *RankFailure
-		if !errors.As(err, &rf) {
-			return err
+		if !errors.As(cause, &rf) || co.cfg.CheckpointEvery <= 0 || co.ckpt == nil {
+			return cause
+		}
+		ranks, partRank := co.cfg.Run.Ranks, co.cfg.Run.PartRank
+		shrink := co.budgetUsed >= co.cfg.MaxRecoveries
+		switch {
+		case !shrink:
+			co.budgetUsed++
+			co.recoveries++
+		case co.cfg.MinRanks <= 0:
+			return fmt.Errorf("dist: recovery budget (%d) exhausted: %w", co.cfg.MaxRecoveries, cause)
+		case ranks <= co.cfg.MinRanks:
+			return fmt.Errorf("dist: recovery budget (%d) exhausted at the MinRanks floor (%d): %w",
+				co.cfg.MaxRecoveries, co.cfg.MinRanks, cause)
+		default:
+			ranks--
+			cost := co.partCost
+			if len(cost) != co.cfg.Run.Parts {
+				// No telemetry measured yet: unit costs (Remap floors zeros
+				// to 1 ns) spread the parts evenly.
+				cost = make([]float64, co.cfg.Run.Parts)
+			}
+			partRank = tune.Remap(cost, ranks)
+		}
+		start := time.Now()
+		err := co.reconfigure(ctx, ranks, partRank, co.ckpt, co.ckptCycle)
+		if wall := time.Since(start); shrink {
+			co.degradeWall += wall
+		} else {
+			co.recoveryWall += wall
+		}
+		if err == nil {
+			if shrink {
+				co.degradedRanks++
+				co.budgetUsed = 0
+			}
+			return nil
 		}
 		cause = err
 	}
 }
 
-// shrink relaunches the run with one rank fewer: the parts are
-// LPT-remapped over the last measured per-part costs (unit costs when
-// telemetry never ran) onto Ranks−1 ranks, the held checkpoint is
-// restored, and the cycles since it replay silently. Parts — and with
-// them the ascending-part assembly order — never change, so the
-// degraded trajectory is bitwise identical to the fault-free one.
-func (co *Coordinator) shrink(ctx context.Context) error {
-	newRanks := co.cfg.Run.Ranks - 1
-	cost := co.partCost
-	if len(cost) != co.cfg.Run.Parts {
-		// No telemetry measured yet: unit costs (Remap floors zeros to
-		// 1 ns) spread the parts evenly.
-		cost = make([]float64, co.cfg.Run.Parts)
-	}
-	trial := co.cfg.Run
-	trial.Ranks = newRanks
-	trial.PartRank = tune.Remap(cost, newRanks)
-	if err := trial.validate(); err != nil {
+// reconfigure is the one relaunch path, shared by rebalancing (a new
+// placement, a fresh snapshot, nothing to replay), recovery (the same
+// shape, the held checkpoint) and degraded-mode shrinking (one rank
+// fewer and the placement that goes with it, the held checkpoint): tear
+// the current generation down, launch the next as ranks processes under
+// partRank, install st — the global state after stCycle completed
+// cycles — on every rank, and replay the cycles from there up to
+// co.cycle. Parts, and with them the ascending-part assembly order,
+// never change, so the replay is bitwise identical to the cycles
+// already delivered and its samples are discarded. On a *RankFailure
+// the generation it launched is left for the next call to tear down.
+func (co *Coordinator) reconfigure(ctx context.Context, ranks int, partRank []int, st *ckpt.StepperState, stCycle int64) error {
+	next := co.cfg.Run
+	next.Ranks, next.PartRank = ranks, partRank
+	if err := next.validate(); err != nil {
 		return err
 	}
 	co.teardown(false)
-	co.cfg.Run.Ranks = newRanks
-	co.cfg.Run.PartRank = trial.PartRank
+	co.cfg.Run = next
 	if co.busy != nil {
-		co.busy = make([]float64, newRanks)
+		co.busy = make([]float64, ranks)
 	}
 	co.gen++
 	if err := co.launch(); err != nil {
 		return err
 	}
-	if err := co.restoreAll(ctx, co.ckpt); err != nil {
+	co.applyRecOwn()
+	if err := co.restoreAll(ctx, st); err != nil {
 		return err
 	}
-	for c := co.ckptCycle; c < co.cycle; c++ {
+	for c := stCycle; c < co.cycle; c++ {
 		if _, _, err := co.stepCycle(ctx); err != nil {
 			return err
 		}
@@ -853,28 +813,6 @@ func (co *Coordinator) CorruptFrames() int64 { return co.corruptFrames }
 // count after degraded-mode shrinks).
 func (co *Coordinator) Ranks() int { return co.cfg.Run.Ranks }
 
-// restartRanks is one recovery attempt: kill the current generation,
-// launch the next, restore the held snapshot on every rank, and replay
-// the cycles between the snapshot and the failure. Replayed samples are
-// discarded — the fixed decomposition width makes them bitwise
-// identical to the ones already delivered.
-func (co *Coordinator) restartRanks(ctx context.Context) error {
-	co.teardown(false)
-	co.gen++
-	if err := co.launch(); err != nil {
-		return err
-	}
-	if err := co.restoreAll(ctx, co.ckpt); err != nil {
-		return err
-	}
-	for c := co.ckptCycle; c < co.cycle; c++ {
-		if _, _, err := co.stepCycle(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fetchState pulls a snapshot of the stepper state from every rank and
 // merges them into the exact global field. Under owner-computes
 // stepping a rank's replicated arrays are bitwise correct only on its
@@ -884,27 +822,16 @@ func (co *Coordinator) restartRanks(ctx context.Context) error {
 // assembled values agree bitwise on both sides, so overlay order does
 // not matter; nodes in no footprint see only the replicated pointwise
 // update and are identical on every rank.
-func (co *Coordinator) fetchState(ctx context.Context) (*ckpt.StepperState, error) {
-	for i, h := range co.ranks {
-		if err := h.c.send(msgCkpt, nil); err != nil {
-			return nil, &RankFailure{Rank: i, Kind: FailureLink, Err: fmt.Errorf("requesting checkpoint: %w", err)}
-		}
-	}
+func (co *Coordinator) fetchState(ctx context.Context, spare *ckpt.StepperState) (*ckpt.StepperState, error) {
 	var full *stateHeader
-	for i := range co.ranks {
-		fr, err := co.recvFrame(ctx, i, stepTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if fr.t != msgCkptResp {
-			return nil, fmt.Errorf("dist: rank %d: unexpected frame type %d", i, fr.t)
-		}
-		// A frame that passed its CRC but does not describe this run's
-		// field is as untrustworthy as one that failed it: recover. Rank
-		// 0's frame is the full base, every other a footprint onto it.
-		if full, err = decodeState(fr.payload, full); err != nil {
-			return nil, &RankFailure{Rank: i, Kind: FailureCorrupt, Err: err}
-		}
+	err := co.request(ctx, msgCkpt, nil, msgCkptResp, stepTimeout, func(i int, payload []byte) (err error) {
+		// Rank 0's frame is the full base, every other a footprint onto it.
+		full, err = decodeState(payload, full, spare)
+		co.ranks[i].c.recycle(payload)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &full.State, nil
 }
@@ -915,21 +842,7 @@ func (co *Coordinator) restoreAll(ctx context.Context, st *ckpt.StepperState) er
 	if err != nil {
 		return err
 	}
-	for i, h := range co.ranks {
-		if err := h.c.send(msgRestore, frame); err != nil {
-			return &RankFailure{Rank: i, Kind: FailureLink, Err: fmt.Errorf("sending restore: %w", err)}
-		}
-	}
-	for i := range co.ranks {
-		fr, err := co.recvFrame(ctx, i, handshakeTimeout)
-		if err != nil {
-			return err
-		}
-		if fr.t != msgRestoreDone {
-			return fmt.Errorf("dist: rank %d: unexpected frame type %d", i, fr.t)
-		}
-	}
-	return nil
+	return co.request(ctx, msgRestore, frame, msgRestoreDone, handshakeTimeout, nil)
 }
 
 // FetchState returns a snapshot of the global stepper state, merged
@@ -937,7 +850,7 @@ func (co *Coordinator) restoreAll(ctx context.Context, st *ckpt.StepperState) er
 // engine bitwise. The facade uses it to write file checkpoints of
 // distributed runs.
 func (co *Coordinator) FetchState() (*ckpt.StepperState, error) {
-	return co.fetchState(context.Background())
+	return co.fetchState(context.Background(), nil)
 }
 
 // RestoreState installs st on every rank and adopts it as the recovery
@@ -947,7 +860,10 @@ func (co *Coordinator) RestoreState(st *ckpt.StepperState) error {
 	if err := co.restoreAll(context.Background(), st); err != nil {
 		return err
 	}
+	// The baseline owns its arrays: it is recycled as snapshot storage
+	// once a later snapshot has replaced it.
 	stCopy := *st
+	stCopy.U, stCopy.V = slices.Clone(st.U), slices.Clone(st.V)
 	co.ckpt, co.ckptCycle, co.cycle = &stCopy, 0, 0
 	return nil
 }
@@ -966,22 +882,10 @@ func (co *Coordinator) Time() float64 { return co.t }
 // operator counters differ per rank and are summed by callers as needed.
 func (co *Coordinator) Stats() ([]RankStats, error) {
 	out := make([]RankStats, len(co.ranks))
-	for i, h := range co.ranks {
-		if err := h.c.send(msgStats, nil); err != nil {
-			return nil, fmt.Errorf("dist: rank %d: %w", i, err)
-		}
-	}
-	for i := range co.ranks {
-		fr, err := co.recvFrame(context.Background(), i, handshakeTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if fr.t != msgStatsResp {
-			return nil, fmt.Errorf("dist: rank %d: unexpected frame type %d", i, fr.t)
-		}
-		if err := decodeGob(fr.payload, &out[i]); err != nil {
-			return nil, err
-		}
+	err := co.request(context.Background(), msgStats, nil, msgStatsResp, handshakeTimeout,
+		func(i int, payload []byte) error { return decodeGob(payload, &out[i]) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1008,8 +912,10 @@ func (co *Coordinator) Abort() {
 // non-graceful kills spawned ranks outright and severs the in-process
 // ranks' connections. Both paths reap every spawned process (via its
 // watcher goroutine) so no zombies survive, and both close every
-// control connection. Recovery reuses the non-graceful path directly to
-// clear out a failed generation.
+// control connection. reconfigure reuses the non-graceful path to clear
+// out a failed generation, launch to clear out a partially started one
+// (whose later handles are still nil); it may run twice over the same
+// handles.
 func (co *Coordinator) teardown(graceful bool) error {
 	var firstErr error
 	grace := 10 * time.Second
@@ -1040,52 +946,28 @@ func (co *Coordinator) teardown(graceful bool) error {
 	// instead of only the first.
 	deadline := time.Now().Add(grace)
 	for i, h := range co.ranks {
-		switch {
-		case h == nil:
-		case h.proc != nil:
-			select {
-			case <-h.procDead:
-				if graceful && h.procErr != nil && firstErr == nil {
-					firstErr = fmt.Errorf("dist: rank %d: %w", i, h.procErr)
-				}
-			case <-time.After(time.Until(deadline)):
-				h.proc.Process.Kill()
-				<-h.procDead
-				if graceful && firstErr == nil {
-					firstErr = fmt.Errorf("dist: rank %d killed after shutdown timeout", i)
-				}
-			}
-		case h.done != nil:
-			select {
-			case err := <-h.done:
-				if graceful && err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("dist: rank %d: %w", i, err)
-				}
-			case <-time.After(time.Until(deadline)):
-				if firstErr == nil {
-					firstErr = fmt.Errorf("dist: rank %d did not exit after shutdown", i)
-				}
-			}
-		}
-		if h != nil && h.c != nil {
-			h.c.close()
-		}
-	}
-	return firstErr
-}
-
-// kill tears down a partially-started run.
-func (co *Coordinator) kill() {
-	for _, h := range co.ranks {
 		if h == nil {
 			continue
+		}
+		select {
+		case <-h.dead:
+			if graceful && h.exitErr != nil && firstErr == nil {
+				firstErr = fmt.Errorf("dist: rank %d: %w", i, h.exitErr)
+			}
+		case <-time.After(time.Until(deadline)):
+			// A spawned rank is killed and reaped; an in-process one (a
+			// stalled rank parks forever by design) can only be left behind.
+			if h.proc != nil {
+				h.proc.Process.Kill()
+				<-h.dead
+			}
+			if firstErr == nil {
+				firstErr = fmt.Errorf("dist: rank %d did not exit within %v of shutdown", i, grace)
+			}
 		}
 		if h.c != nil {
 			h.c.close()
 		}
-		if h.proc != nil {
-			h.proc.Process.Kill()
-			<-h.procDead
-		}
 	}
+	return firstErr
 }

@@ -31,7 +31,7 @@ func TestDropLinkRecovery(t *testing.T) {
 		t.Fatal("vacuous baseline: every receiver sample is exactly zero")
 	}
 	co, gotT, got := runFaulted(t, tc, cycles, Config{
-		Fault: &FaultPlan{Kind: FaultDropLink, Rank: 1, Cycle: 6, Substep: 0},
+		Faults: []*FaultPlan{{Kind: FaultDropLink, Rank: 1, Cycle: 6, Substep: 0}},
 	})
 	defer co.Close()
 	if rec, _ := co.Recoveries(); rec < 1 {
@@ -47,7 +47,7 @@ func TestStallLinkRideOut(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", true, 2, 4)
 	wantT, want := runShared(t, tc, cycles)
 	co, gotT, got := runFaulted(t, tc, cycles, Config{
-		Fault: &FaultPlan{Kind: FaultStallLink, Rank: 1, Cycle: 3, Substep: 1, Delay: 100 * time.Millisecond},
+		Faults: []*FaultPlan{{Kind: FaultStallLink, Rank: 1, Cycle: 3, Substep: 1, Delay: 100 * time.Millisecond}},
 	})
 	defer co.Close()
 	if rec, _ := co.Recoveries(); rec != 0 {
@@ -70,7 +70,7 @@ func TestStallLinkDetected(t *testing.T) {
 	tc.cfg.HeartbeatTimeoutMillis = 400
 	tc.cfg.PeerTimeoutMillis = 2000
 	co, gotT, got := runFaulted(t, tc, cycles, Config{
-		Fault: &FaultPlan{Kind: FaultStallLink, Rank: 1, Cycle: 6, Substep: 1, Delay: 2 * time.Second},
+		Faults: []*FaultPlan{{Kind: FaultStallLink, Rank: 1, Cycle: 6, Substep: 1, Delay: 2 * time.Second}},
 	})
 	defer co.Close()
 	if rec, _ := co.Recoveries(); rec < 1 {
@@ -91,7 +91,7 @@ func TestCorruptFrameRecovery(t *testing.T) {
 		t.Fatal("vacuous baseline: every receiver sample is exactly zero")
 	}
 	co, gotT, got := runFaulted(t, tc, cycles, Config{
-		Fault: &FaultPlan{Kind: FaultCorrupt, Rank: 1, Cycle: 6, Substep: 1},
+		Faults: []*FaultPlan{{Kind: FaultCorrupt, Rank: 1, Cycle: 6, Substep: 1}},
 	})
 	defer co.Close()
 	if rec, _ := co.Recoveries(); rec < 1 {
@@ -115,7 +115,7 @@ func TestPartitionRecovery(t *testing.T) {
 	}
 	tc.cfg.PeerTimeoutMillis = 2000
 	co, gotT, got := runFaulted(t, tc, cycles, Config{
-		Fault: &FaultPlan{Kind: FaultPartition, Rank: 1, Cycle: 6, Substep: 1},
+		Faults: []*FaultPlan{{Kind: FaultPartition, Rank: 1, Cycle: 6, Substep: 1}},
 	})
 	defer co.Close()
 	if rec, _ := co.Recoveries(); rec < 1 {
@@ -186,7 +186,7 @@ func TestDegradedModeBitwise(t *testing.T) {
 	}
 	co, gotT, got := runFaulted(t, tc, cycles, Config{
 		MaxRecoveries: 1,
-		DegradedMode:  true,
+		MinRanks:      1,
 		Faults: []*FaultPlan{
 			{Kind: FaultKill, Rank: 1, Cycle: 6, Substep: 2},
 			{Kind: FaultKill, Rank: 1, Cycle: 1, Substep: 1, Gen: 1},
@@ -216,7 +216,6 @@ func TestDegradedModeMinRanksFloor(t *testing.T) {
 		InProcess:       true,
 		CheckpointEvery: 1,
 		MaxRecoveries:   1,
-		DegradedMode:    true,
 		MinRanks:        2,
 		Faults: []*FaultPlan{
 			{Kind: FaultKill, Rank: 1, Cycle: 2, Substep: 1},
@@ -246,16 +245,16 @@ func TestDegradedModeMinRanksFloor(t *testing.T) {
 	}
 }
 
-// TestDegradedModeRequiresCheckpoints: DegradedMode without a checkpoint
+// TestDegradedModeRequiresCheckpoints: MinRanks > 0 without a checkpoint
 // cadence is rejected at Start — shrinking restores from a checkpoint.
 func TestDegradedModeRequiresCheckpoints(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", true, 2, 4)
-	if _, err := Start(Config{Run: tc.cfg, InProcess: true, DegradedMode: true}); err == nil {
-		t.Fatal("DegradedMode without CheckpointEvery accepted")
+	if _, err := Start(Config{Run: tc.cfg, InProcess: true, MinRanks: 1}); err == nil {
+		t.Fatal("MinRanks > 0 without CheckpointEvery accepted")
 	}
 	if _, err := Start(Config{
 		Run: tc.cfg, InProcess: true,
-		CheckpointEvery: 1, DegradedMode: true, MinRanks: 3,
+		CheckpointEvery: 1, MinRanks: 3,
 	}); err == nil {
 		t.Fatal("MinRanks above the rank count accepted")
 	}
@@ -271,7 +270,7 @@ func TestHaloWaitChargesDelayedRank(t *testing.T) {
 	tc.cfg.Telemetry = true
 	co, _, _ := runDistConfig(t, tc, 3, Config{
 		InProcess: true,
-		Fault:     &FaultPlan{Kind: FaultDelay, Rank: 1, Cycle: 2, Substep: 1, Delay: delay},
+		Faults:    []*FaultPlan{{Kind: FaultDelay, Rank: 1, Cycle: 2, Substep: 1, Delay: delay}},
 	})
 	defer co.Close()
 	if rec, _ := co.Recoveries(); rec != 0 {

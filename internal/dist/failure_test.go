@@ -58,7 +58,7 @@ func TestRankDeathReturnsTypedFailure(t *testing.T) {
 	co, err := Start(Config{
 		Run:       tc.cfg,
 		InProcess: true,
-		Fault:     &FaultPlan{Kind: FaultKill, Rank: 1, Cycle: 2, Substep: 0},
+		Faults:    []*FaultPlan{{Kind: FaultKill, Rank: 1, Cycle: 2, Substep: 0}},
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -99,7 +99,7 @@ func TestStallDetectedByHeartbeat(t *testing.T) {
 	co, err := Start(Config{
 		Run:       tc.cfg,
 		InProcess: true,
-		Fault:     &FaultPlan{Kind: FaultStall, Rank: 1, Cycle: 1, Substep: 1},
+		Faults:    []*FaultPlan{{Kind: FaultStall, Rank: 1, Cycle: 1, Substep: 1}},
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -137,7 +137,7 @@ func runRecovered(t *testing.T, tc *testConfig, cycles int, inProcess bool, faul
 		InProcess:       inProcess,
 		CheckpointEvery: 1,
 		MaxRecoveries:   2,
-		Fault:           fault,
+		Faults:          []*FaultPlan{fault},
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -285,6 +285,48 @@ func TestFetchRestoreState(t *testing.T) {
 		got = append(got, append([]float64(nil), row...))
 	}
 	requireBitwise(t, "restore", wantT, gotT, want, got)
+}
+
+// TestSnapshotStorageAlternates: the periodic snapshot is decoded into
+// the storage of the snapshot before last. Neither the caller's arrays
+// behind a RestoreState baseline nor the held checkpoint may ever be that
+// storage, and the held checkpoint must be the current field.
+func TestSnapshotStorageAlternates(t *testing.T) {
+	tc := newTestConfig(t, "acoustic", true, 2, 4)
+	co := startRun(t, tc, Config{InProcess: true, CheckpointEvery: 1})
+	defer co.Close()
+	var times []float64
+	var samples [][]float64
+	stepTo(t, co, 2, &times, &samples)
+	st, err := co.FetchState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := append([]float64(nil), st.U...)
+	if err := co.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*float64]bool{}
+	for c := 3; c <= 6; c++ {
+		stepTo(t, co, c, &times, &samples)
+		if co.ckptSpare == nil || &co.ckpt.U[0] == &co.ckptSpare.U[0] || &co.ckpt.V[0] == &co.ckptSpare.V[0] {
+			t.Fatalf("cycle %d: held checkpoint and spare share storage", c)
+		}
+		seen[&co.ckpt.U[0]] = true
+		now, err := co.FetchState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(co.ckpt.U, now.U) || !sameBits(co.ckpt.V, now.V) || co.ckptCycle != co.cycle {
+			t.Fatalf("cycle %d: held checkpoint is not the current state", c)
+		}
+	}
+	if len(seen) != 2 {
+		t.Errorf("4 snapshots used %d arrays, want 2 alternating", len(seen))
+	}
+	if !sameBits(st.U, keep) || seen[&st.U[0]] {
+		t.Error("snapshots were decoded into the caller's restored state")
+	}
 }
 
 // maxAbsSamples returns the largest |sample| across a trajectory — the

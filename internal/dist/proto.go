@@ -39,7 +39,7 @@ const (
 	msgHello       byte = 1 // [u32 rank][token bytes]
 	msgPeerAddr    byte = 2 // rank's peer-listener address (string bytes)
 	msgReady       byte = 3 // operators built, peers connected
-	msgCycleDone   byte = 4 // [f64 time][owned receiver samples ...f64]
+	msgCycleDone   byte = 4 // [f64 time][owned receiver samples ...f64][telemetry tail], see cycleDone
 	msgStatsResp   byte = 5 // gob RankStats
 	msgErr         byte = 6 // error text (any time; fatal)
 	msgCkptResp    byte = 7 // state frame: full from rank 0, owned footprint otherwise
@@ -117,11 +117,13 @@ func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, fu
 }
 
 // decodeState parses and validates a state frame. A full frame needs
-// base == nil and yields a new base; a footprint frame is written
-// straight into base, which must describe the same field, and yields it
-// (on error base is left partly overlaid: discard it). Nothing is indexed
-// before it has been checked against payload and field.
-func decodeState(payload []byte, base *stateHeader) (*stateHeader, error) {
+// base == nil and yields a new base, its arrays decoded into spare's
+// storage where that suffices (spare, nil or a state the caller has
+// finished with, is overwritten); a footprint frame is written straight
+// into base, which must describe the same field, and yields it (on error
+// base is left partly overlaid: discard it). Nothing is indexed before it
+// has been checked against payload and field.
+func decodeState(payload []byte, base *stateHeader, spare *ckpt.StepperState) (*stateHeader, error) {
 	bad := func(format string, a ...any) (*stateHeader, error) {
 		return nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
 	}
@@ -147,8 +149,11 @@ func decodeState(payload []byte, base *stateHeader) (*stateHeader, error) {
 		if len(body)/16 != h.NDof || len(body)%16 != 0 {
 			return bad("%d body bytes for 2 x %d values", len(body), h.NDof)
 		}
-		h.State.U, _ = getFloats(body[:len(body)/2])
-		h.State.V, _ = getFloats(body[len(body)/2:])
+		if spare == nil {
+			spare = &ckpt.StepperState{}
+		}
+		h.State.U, _ = getFloats(spare.U, body[:len(body)/2])
+		h.State.V, _ = getFloats(spare.V, body[len(body)/2:])
 		return &h, nil
 	}
 	if base == nil || h.NDof != base.NDof || h.Comps != base.Comps || h.Comps == 0 || h.NDof%h.Comps != 0 {
@@ -227,6 +232,10 @@ type conn struct {
 
 	corruptNext atomic.Bool
 	stallNanos  atomic.Int64
+
+	// spare is the storage of a large payload its consumer has finished
+	// with (see recycle), kept for the next one.
+	spare atomic.Pointer[[]byte]
 }
 
 func newConn(c net.Conn) *conn {
@@ -269,8 +278,23 @@ func (c *conn) send(t byte, payload []byte) error {
 	return c.w.Flush()
 }
 
+// bigFrame is the payload size from which recv reuses recycled storage:
+// snapshot frames run to tens of megabytes at a fixed cadence, and
+// allocating each anew means zeroing and faulting in that much fresh
+// memory per snapshot, at the mercy of the collector and the host.
+const bigFrame = 1 << 20
+
+// recycle hands the storage of a payload recv returned back to c, for
+// the next big frame. The caller must be done with payload.
+func (c *conn) recycle(payload []byte) {
+	if cap(payload) >= bigFrame {
+		c.spare.Store(&payload)
+	}
+}
+
 // recv reads one framed message, verifying the CRC tail. The returned
-// payload is freshly allocated and owned by the caller.
+// payload is owned by the caller: freshly allocated, or for a big frame
+// the storage last handed to recycle.
 func (c *conn) recv() (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
@@ -280,7 +304,15 @@ func (c *conn) recv() (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, &CorruptFrameError{Type: hdr[4], Len: int(n)}
 	}
-	payload := make([]byte, n+4)
+	var payload []byte
+	if n >= bigFrame {
+		if p := c.spare.Swap(nil); p != nil && cap(*p) >= int(n)+4 {
+			payload = (*p)[:n+4]
+		}
+	}
+	if payload == nil {
+		payload = make([]byte, n+4)
+	}
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return 0, nil, err
 	}
@@ -330,7 +362,7 @@ func (c *conn) close() { c.c.Close() }
 // putFloats appends the little-endian encoding of vals to buf.
 func putFloats(buf []byte, vals []float64) []byte {
 	off := len(buf)
-	buf = append(buf, make([]byte, 8*len(vals))...)
+	buf = slices.Grow(buf, 8*len(vals))[:off+8*len(vals)]
 	for _, v := range vals {
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 		off += 8
@@ -359,17 +391,51 @@ func decodeHalo(payload []byte) (fr haloFrame, err error) {
 	}
 	fr.seq = binary.LittleEndian.Uint32(payload[0:4])
 	fr.planID = binary.LittleEndian.Uint32(payload[4:8])
-	fr.values, err = getFloats(payload[8:])
+	fr.values, err = getFloats(nil, payload[8:])
 	return fr, err
 }
 
-// getFloats decodes a little-endian float64 array from payload into a
-// fresh slice.
-func getFloats(payload []byte) ([]float64, error) {
+// cycleDone is one rank's end-of-cycle report, the payload of
+// msgCycleDone: the cycle time, the samples of the receivers the rank
+// owns (ascending receiver index) and, with telemetry on, the cycle's
+// owned-part compute nanos followed by its halo-wait nanos per peer rank.
+type cycleDone struct {
+	t       float64
+	samples []float64
+	busy    float64
+	wait    []float64
+}
+
+// decodeCycleDone parses a cycle-done payload against what the receiver
+// knows to expect: owned receiver samples, and a telemetry tail of
+// 1 + ranks values or none. Anything else — a ragged payload, a value
+// too many or too few — is an error, never an index.
+func decodeCycleDone(payload []byte, owned int, telemetry bool, ranks int) (cd cycleDone, err error) {
+	vals, err := getFloats(nil, payload)
+	if err != nil {
+		return cd, err
+	}
+	want := 1 + owned
+	if telemetry {
+		want += 1 + ranks
+	}
+	if len(vals) != want {
+		return cd, fmt.Errorf("dist: cycle-done frame of %d values, want %d", len(vals), want)
+	}
+	cd.t, cd.samples = vals[0], vals[1:1+owned]
+	if telemetry {
+		cd.busy, cd.wait = vals[1+owned], vals[2+owned:]
+	}
+	return cd, nil
+}
+
+// getFloats decodes a little-endian float64 array from payload into
+// dst's storage, or into a fresh slice when that is too small.
+func getFloats(dst []float64, payload []byte) ([]float64, error) {
 	if len(payload)%8 != 0 {
 		return nil, fmt.Errorf("dist: float payload of %d bytes", len(payload))
 	}
-	out := make([]float64, len(payload)/8)
+	out := slices.Grow(dst[:0], len(payload)/8)[:len(payload)/8]
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -27,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if typ != msgHalo {
 		t.Fatalf("type = %d, want %d", typ, msgHalo)
 	}
-	got, err := getFloats(payload)
+	got, err := getFloats(nil, payload)
 	if err != nil {
 		t.Fatalf("getFloats: %v", err)
 	}
@@ -41,6 +43,40 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := cb.expect(msgReady); err != nil {
 		t.Fatalf("expect ready: %v", err)
+	}
+}
+
+// TestRecvReusesRecycledStorage: a big frame lands in the storage of the
+// last recycled payload, intact; small frames between the two neither use
+// that storage nor lose it, and small payloads are not kept.
+func TestRecvReusesRecycledStorage(t *testing.T) {
+	a, b := net.Pipe()
+	ca, cb := newConn(a), newConn(b)
+	defer ca.close()
+	defer cb.close()
+
+	big := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, bigFrame+3) }
+	go func() {
+		ca.send(msgCkptResp, big(1))
+		ca.send(msgCycleDone, []byte{7})
+		ca.send(msgCkptResp, big(2))
+	}()
+	_, first, err := cb.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb.recycle(first)
+	_, small, err := cb.recv()
+	if err != nil || len(small) != 1 || small[0] != 7 {
+		t.Fatalf("small frame: %v, %v", small, err)
+	}
+	cb.recycle(small)
+	_, second, err := cb.recv()
+	if err != nil || !bytes.Equal(second, big(2)) {
+		t.Fatalf("second big frame: %d bytes, %v", len(second), err)
+	}
+	if &second[0] != &first[0] {
+		t.Error("second big frame did not reuse the recycled storage")
 	}
 }
 
@@ -89,7 +125,7 @@ func TestGobRoundTrip(t *testing.T) {
 // TestGetFloatsRejectsRagged: a payload that is not a whole number of
 // float64s is rejected.
 func TestGetFloatsRejectsRagged(t *testing.T) {
-	if _, err := getFloats(make([]byte, 9)); err == nil {
+	if _, err := getFloats(nil, make([]byte, 9)); err == nil {
 		t.Error("ragged payload accepted")
 	}
 }
@@ -127,4 +163,85 @@ func FuzzHaloFrame(f *testing.F) {
 			t.Fatalf("re-encoded frame differs: %x vs %x", again, payload)
 		}
 	})
+}
+
+// FuzzCycleDone drives the cycle-done decoder — the frame every rank
+// sends the coordinator every cycle — with arbitrary payloads against
+// arbitrary expectations. It must never panic, accept exactly the
+// payloads that are the expected count of whole values, split them at
+// the expected places, and re-encode what it accepts to the same bytes.
+func FuzzCycleDone(f *testing.F) {
+	for _, tc := range []struct {
+		owned     uint8
+		telemetry bool
+		ranks     uint8
+	}{{0, false, 2}, {3, false, 2}, {0, true, 1}, {2, true, 4}} {
+		n := 1 + int(tc.owned)
+		if tc.telemetry {
+			n += 1 + int(tc.ranks)
+		}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(i) + 0.25
+		}
+		frame := putFloats(nil, vals)
+		f.Add(frame, tc.owned, tc.telemetry, tc.ranks)
+		f.Add(frame[:len(frame)-1], tc.owned, tc.telemetry, tc.ranks) // ragged tail
+		f.Add(frame[:len(frame)-8], tc.owned, tc.telemetry, tc.ranks) // a value short
+		f.Add(append(frame, frame[:8]...), tc.owned, tc.telemetry, tc.ranks)
+		f.Add(frame, tc.owned+1, tc.telemetry, tc.ranks) // a sample the rank does not own
+		f.Add(frame, tc.owned, !tc.telemetry, tc.ranks)  // tail unexpected, or missing
+	}
+	f.Add([]byte{}, uint8(0), false, uint8(1))
+	f.Fuzz(func(t *testing.T, payload []byte, owned uint8, telemetry bool, ranks uint8) {
+		want := 1 + int(owned)
+		if telemetry {
+			want += 1 + int(ranks)
+		}
+		cd, err := decodeCycleDone(payload, int(owned), telemetry, int(ranks))
+		if ok := len(payload) == 8*want; ok != (err == nil) {
+			t.Fatalf("%d-byte payload, %d values expected: err = %v", len(payload), want, err)
+		}
+		if err != nil {
+			return
+		}
+		again := putFloats(putFloats(nil, []float64{cd.t}), cd.samples)
+		if telemetry {
+			again = putFloats(putFloats(again, []float64{cd.busy}), cd.wait)
+		}
+		if len(cd.samples) != int(owned) || (telemetry && len(cd.wait) != int(ranks)) || !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %d samples, %d waits (owned %d, telemetry %v, ranks %d); re-encoded %x vs %x",
+				len(cd.samples), len(cd.wait), owned, telemetry, ranks, again, payload)
+		}
+	})
+}
+
+// TestMalformedCycleDoneIsCorruptFailure: a cycle-done reply that passed
+// its CRC but is not what this run's rank would send — another frame
+// type, a ragged payload, a sample too many or too few — reaches the
+// caller as a typed FailureCorrupt the recovery loop acts on, not as an
+// untyped error that aborts a recoverable run.
+func TestMalformedCycleDoneIsCorruptFailure(t *testing.T) {
+	good := putFloats(nil, []float64{0.5, 1.5}) // time + the one owned sample
+	for name, fr := range map[string]ctrlFrame{
+		"wrong type": {msgStatsResp, good},
+		"ragged":     {msgCycleDone, good[:len(good)-3]},
+		"too few":    {msgCycleDone, good[:8]},
+		"too many":   {msgCycleDone, append(append([]byte(nil), good...), good[:8]...)},
+	} {
+		a, b := net.Pipe()
+		h := &rankHandle{c: newConn(a), frames: make(chan ctrlFrame, 1), errs: make(chan error, 1)}
+		rank := newConn(b)
+		go rank.recv() // swallow the step command; the reply is already queued
+		h.frames <- fr
+		co := &Coordinator{ranks: []*rankHandle{h}, recOwn: []int{0}}
+		co.cfg.Run.Ranks, co.cfg.Run.Receivers = 1, []int{0}
+		_, _, err := co.stepCycle(context.Background())
+		var rf *RankFailure
+		if !errors.As(err, &rf) || rf.Kind != FailureCorrupt || rf.Rank != 0 {
+			t.Errorf("%s: err = %v, want a FailureCorrupt of rank 0", name, err)
+		}
+		h.c.close()
+		rank.close()
+	}
 }

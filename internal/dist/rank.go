@@ -554,7 +554,7 @@ func (r *rankRun) serve() error {
 				return err
 			}
 		case msgRestore:
-			sf, err := decodeState(payload, nil)
+			sf, err := decodeState(payload, nil, nil)
 			if err != nil {
 				r.coord.send(msgErr, []byte(err.Error()))
 				return err

@@ -7,34 +7,14 @@ import (
 )
 
 // runDistConfig is runDist with a caller-supplied coordinator Config
-// (the Run field is overwritten with the test configuration).
+// (the Run field is overwritten with the test configuration); the
+// coordinator is returned open.
 func runDistConfig(t *testing.T, tc *testConfig, cycles int, cfg Config) (*Coordinator, []float64, [][]float64) {
 	t.Helper()
-	cfg.Run = tc.cfg
-	co, err := Start(cfg)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	parts, err := ReceiverOwnerParts(tc.geom, &tc.cfg)
-	if err != nil {
-		co.Close()
-		t.Fatalf("ReceiverOwnerParts: %v", err)
-	}
-	if err := co.SetReceiverParts(parts); err != nil {
-		co.Close()
-		t.Fatalf("SetReceiverParts: %v", err)
-	}
+	co := startRun(t, tc, cfg)
 	var times []float64
 	var samples [][]float64
-	for c := 0; c < cycles; c++ {
-		tm, row, err := co.Step()
-		if err != nil {
-			co.Close()
-			t.Fatalf("Step %d: %v", c, err)
-		}
-		times = append(times, tm)
-		samples = append(samples, append([]float64(nil), row...))
-	}
+	stepTo(t, co, cycles, &times, &samples)
 	return co, times, samples
 }
 
@@ -88,14 +68,7 @@ func TestManualRebalanceBitwise(t *testing.T) {
 	if pr := co.PartRanks(); pr[0] != 1 || pr[1] != 0 {
 		t.Fatalf("PartRanks after rebalance = %v", pr)
 	}
-	for c := 3; c < 6; c++ {
-		tm, row, err := co.Step()
-		if err != nil {
-			t.Fatalf("Step %d: %v", c, err)
-		}
-		gotT = append(gotT, tm)
-		got = append(got, append([]float64(nil), row...))
-	}
+	stepTo(t, co, 6, &gotT, &got)
 	requireBitwise(t, "manual rebalance", wantT, gotT, want, got)
 	if n, _ := co.Rebalances(); n != 1 {
 		t.Errorf("Rebalances = %d, want 1", n)

@@ -60,12 +60,23 @@ func TestStateFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn, err := decodeState(frame, nil)
+		sn, err := decodeState(frame, nil, nil)
 		if err != nil {
 			t.Fatalf("comps %d: full frame: %v", comps, err)
 		}
 		if sn.Comps != comps || !sameBits(sn.State.U, st.U) || !sameBits(sn.State.V, st.V) {
 			t.Errorf("comps %d: full frame arrays differ", comps)
+		}
+		// A spare with room is decoded into, one without is left alone.
+		for _, room := range []int{nn * comps, nn*comps - 1} {
+			spare := &ckpt.StepperState{U: make([]float64, room), V: make([]float64, room)}
+			sn, err := decodeState(frame, nil, spare)
+			if err != nil || !sameBits(sn.State.U, st.U) || !sameBits(sn.State.V, st.V) {
+				t.Fatalf("comps %d: full frame into a spare of %d: %v", comps, room, err)
+			}
+			if reused := &sn.State.U[0] == &spare.U[0] && &sn.State.V[0] == &spare.V[0]; reused != (room == nn*comps) {
+				t.Errorf("comps %d: spare of %d reused = %v", comps, room, reused)
+			}
 		}
 		got, want := sn.State, *st
 		got.U, got.V, want.U, want.V = nil, nil, nil, nil
@@ -78,7 +89,7 @@ func TestStateFrameRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := zeroBase(nn*comps, comps)
-			if sn, err := decodeState(frame, base); err != nil || sn != base {
+			if sn, err := decodeState(frame, base, nil); err != nil || sn != base {
 				t.Fatalf("comps %d footprint %v: (%p, %v)", comps, nodes, sn, err)
 			}
 			// Owned dofs carry st's bits, everything else stays zero.
@@ -135,7 +146,7 @@ func malformedFrames(t testing.TB) map[string][]byte {
 func TestStateFrameMalformed(t *testing.T) {
 	for name, frame := range malformedFrames(t) {
 		for _, base := range []*stateHeader{nil, zeroBase(18, 3)} {
-			sn, err := decodeState(frame, base)
+			sn, err := decodeState(frame, base, nil)
 			var se *StateFrameError
 			if !errors.As(err, &se) {
 				t.Errorf("%s (base %v): got (%v, %v), want a *StateFrameError", name, base != nil, sn, err)
@@ -188,7 +199,7 @@ func TestFetchStateRejectsInconsistentFrames(t *testing.T) {
 			h.frames <- ctrlFrame{t: msgCkptResp, payload: frame}
 			co.ranks = append(co.ranks, h)
 		}
-		return co.fetchState(context.Background())
+		return co.fetchState(context.Background(), nil)
 	}
 	for _, tc := range cases {
 		st, err := fetch(tc.frames)
@@ -233,7 +244,7 @@ func FuzzStateFrame(f *testing.F) {
 			if base != nil {
 				ndof = len(base.State.U)
 			}
-			sn, err := decodeState(payload, base)
+			sn, err := decodeState(payload, base, nil)
 			if err != nil {
 				var se *StateFrameError
 				if !errors.As(err, &se) {
@@ -254,7 +265,7 @@ func FuzzStateFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
-			if _, err := decodeState(again, nil); err != nil {
+			if _, err := decodeState(again, nil, nil); err != nil {
 				t.Fatalf("re-encoded frame rejected: %v", err)
 			}
 		}

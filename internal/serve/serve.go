@@ -138,7 +138,6 @@ func (r *JobRequest) distBackend() wave.Distributed {
 		Ranks:         r.Ranks,
 		Parts:         r.Workers,
 		MaxRecoveries: r.MaxRecoveries,
-		DegradedMode:  r.MinRanks > 0,
 		MinRanks:      r.MinRanks,
 	}
 }

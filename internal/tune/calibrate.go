@@ -8,7 +8,8 @@ import (
 // Candidate is one deployment shape of the calibration grid. Ranks == 0
 // probes the shared-memory backend with Workers workers; Ranks > 0
 // probes the distributed backend. (Plans serialised while the grid still
-// had a "kernel" axis decode with that field ignored.)
+// had a "kernel" axis, or while measurements carried a cluster-model
+// prediction, decode with those fields ignored.)
 type Candidate struct {
 	Workers int `json:"workers"`
 	Ranks   int `json:"ranks"`
@@ -22,13 +23,10 @@ func (c Candidate) String() string {
 }
 
 // Result is what a probe run reports back to Calibrate: measured wall
-// time per coarse cycle, the per-level kernel telemetry, and the
-// cluster cost model's predicted cycle time for the same shape (model
-// seconds; Calibrate fits the nanos-per-model-second scale).
+// time per coarse cycle and the per-level kernel telemetry.
 type Result struct {
-	CycleNanos   float64
-	LevelNanos   []int64
-	ModelSeconds float64
+	CycleNanos float64
+	LevelNanos []int64
 }
 
 // Runner executes one probe: a short run of the caller's configuration
@@ -36,23 +34,20 @@ type Result struct {
 // facade supplies it — this package never builds simulations itself.
 type Runner func(c Candidate, cycles int) (Result, error)
 
-// Measurement is one candidate's calibration row: measured next to
-// predicted, the table BENCH_tune.json publishes.
+// Measurement is one candidate's calibration row, the table
+// BENCH_tune.json publishes.
 type Measurement struct {
 	Candidate
-	CycleNanos     float64 `json:"cycle_ns"`
-	ModelSeconds   float64 `json:"model_s"`
-	PredictedNanos float64 `json:"predicted_ns"`
-	LevelNanos     []int64 `json:"level_ns,omitempty"`
-	Err            string  `json:"error,omitempty"`
+	CycleNanos float64 `json:"cycle_ns"`
+	LevelNanos []int64 `json:"level_ns,omitempty"`
+	Err        string  `json:"error,omitempty"`
 }
 
-// Plan is the calibration outcome: the winning shape plus the full
-// measured-vs-predicted table behind the choice.
+// Plan is the calibration outcome: the winning shape plus every
+// measurement behind the choice.
 type Plan struct {
 	Best         Candidate     `json:"best"`
 	ProbeCycles  int           `json:"probe_cycles"`
-	FitScale     float64       `json:"fit_ns_per_model_s"`
 	Measurements []Measurement `json:"measurements"`
 }
 
@@ -65,10 +60,7 @@ func (p *Plan) Valid() bool {
 // plan. Each candidate runs probeCycles coarse cycles; once the wall
 // budget is spent, remaining candidates are skipped (at least one
 // always runs — a zero or tiny budget degenerates to probing the first
-// candidate only). The winner is the lowest measured per-cycle time;
-// the fit scale is the least-squares nanos-per-model-second factor
-// between the cluster model's predictions and the measurements, so
-// PredictedNanos is directly comparable to CycleNanos in the report.
+// candidate only). The winner is the lowest measured per-cycle time.
 func Calibrate(cands []Candidate, budget time.Duration, probeCycles int, run Runner) (*Plan, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("tune: no candidates")
@@ -92,29 +84,13 @@ func Calibrate(cands []Candidate, budget time.Duration, probeCycles int, run Run
 			m.Err = err.Error()
 		} else {
 			m.CycleNanos = res.CycleNanos
-			m.ModelSeconds = res.ModelSeconds
 			m.LevelNanos = res.LevelNanos
 		}
 		plan.Measurements = append(plan.Measurements, m)
 		ran++
 	}
-	// Least-squares fit measured = scale · model over successful probes.
-	var num, den float64
-	for _, m := range plan.Measurements {
-		if m.Err == "" && m.ModelSeconds > 0 {
-			num += m.CycleNanos * m.ModelSeconds
-			den += m.ModelSeconds * m.ModelSeconds
-		}
-	}
-	if den > 0 {
-		plan.FitScale = num / den
-	}
 	best := -1
-	for i := range plan.Measurements {
-		m := &plan.Measurements[i]
-		if m.ModelSeconds > 0 {
-			m.PredictedNanos = plan.FitScale * m.ModelSeconds
-		}
+	for i, m := range plan.Measurements {
 		if m.Err == "" && (best < 0 || m.CycleNanos < plan.Measurements[best].CycleNanos) {
 			best = i
 		}

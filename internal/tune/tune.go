@@ -2,8 +2,7 @@
 // layered over the engines' timing telemetry.
 //
 // Three cooperating pieces close the paper's loop between the static,
-// cost-model-driven partition (internal/cluster) and what a run actually
-// measures:
+// cost-model-driven partition and what a run actually measures:
 //
 //   - Trace, a fixed-capacity ring buffer of per-cycle busy samples —
 //     the telemetry substrate the other pieces read;
@@ -14,9 +13,10 @@
 //     changes the ascending-part assembly order and the trajectory stays
 //     bitwise identical (the distributed backend's PR 5 contract);
 //   - Calibrate, the auto-tuner: short probe cycles over a small
-//     candidate grid (workers × ranks × kernel), fitted against the
-//     cluster cost model's predictions, returning the Plan a caller
-//     (the wave facade, the waved job service) deploys with.
+//     candidate grid (worker counts locally, rank counts at fixed
+//     Parts distributed), returning the fastest measured shape as the
+//     Plan a caller (the wave facade, the waved job service) deploys
+//     with.
 //
 // The package is deliberately engine-agnostic: it consumes plain
 // slices and callbacks, never importing the engines, so internal/dist,

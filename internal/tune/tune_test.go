@@ -114,7 +114,7 @@ func TestCalibratePicksFastest(t *testing.T) {
 		"ranks=2":   150,
 	}
 	plan, err := Calibrate(grid, time.Second, 2, func(c Candidate, cycles int) (Result, error) {
-		return Result{CycleNanos: speed[c.String()], ModelSeconds: speed[c.String()] / 200}, nil
+		return Result{CycleNanos: speed[c.String()]}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,26 +128,29 @@ func TestCalibratePicksFastest(t *testing.T) {
 	if len(plan.Measurements) != 3 {
 		t.Fatalf("got %d measurements, want 3", len(plan.Measurements))
 	}
-	// Perfect linear model: the fit must reproduce the measurements.
 	for _, m := range plan.Measurements {
-		if diff := m.PredictedNanos - m.CycleNanos; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("fit off for %s: predicted %.1f measured %.1f", m.Candidate, m.PredictedNanos, m.CycleNanos)
+		if m.CycleNanos != speed[m.Candidate.String()] {
+			t.Fatalf("%s: recorded %.1f ns, measured %.1f", m.Candidate, m.CycleNanos, speed[m.Candidate.String()])
 		}
 	}
 }
 
 // TestPlanDecodesLegacyKernelField: plans serialised while the grid had
-// a kernel axis (BENCH_tune.json reports, spooled job stats) still decode
-// — the field is ignored — and stay Valid, whichever spelling they carry.
+// a kernel axis and the measurements a cluster-model fit (BENCH_tune.json
+// reports, spooled job stats) still decode — the fields are ignored —
+// and stay Valid, whichever spelling they carry.
 func TestPlanDecodesLegacyKernelField(t *testing.T) {
 	for _, kernel := range []string{"batched", "per-element", "perelement"} {
 		raw := fmt.Sprintf(`{"best":{"workers":0,"ranks":2,"kernel":%q},"probe_cycles":3,
-			"measurements":[{"workers":0,"ranks":2,"kernel":%q,"cycle_ns":5}]}`, kernel, kernel)
+			"fit_ns_per_model_s":741793330.03,
+			"measurements":[{"workers":0,"ranks":2,"kernel":%q,"cycle_ns":5,
+				"model_s":0.0214799,"predicted_ns":15933690.83,"level_ns":[7,8]}]}`, kernel, kernel)
 		var plan Plan
 		if err := json.Unmarshal([]byte(raw), &plan); err != nil {
 			t.Fatalf("kernel=%s: %v", kernel, err)
 		}
-		if !plan.Valid() || plan.Best != (Candidate{Ranks: 2}) || plan.Measurements[0].CycleNanos != 5 {
+		if !plan.Valid() || plan.Best != (Candidate{Ranks: 2}) || plan.Measurements[0].CycleNanos != 5 ||
+			len(plan.Measurements[0].LevelNanos) != 2 {
 			t.Fatalf("kernel=%s: decoded %+v", kernel, plan)
 		}
 	}

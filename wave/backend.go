@@ -51,18 +51,17 @@ type Distributed struct {
 	// negative disables recovery.
 	CheckpointEvery int
 	// MaxRecoveries bounds recoveries per rank configuration; 0 selects
-	// the default (3). With DegradedMode the budget resets after each
+	// the default (3). In degraded mode the budget resets after each
 	// successful shrink.
 	MaxRecoveries int
-	// DegradedMode keeps the run alive through permanent rank loss: a
-	// rank that exhausts the recovery budget is retired, its parts are
-	// redistributed onto the surviving ranks (LPT over measured costs),
-	// and the run continues with fewer ranks. Parts never change, so the
-	// degraded trajectory is bitwise identical to the fault-free one.
-	// Requires recovery checkpoints (CheckpointEvery >= 0).
-	DegradedMode bool
-	// MinRanks is the floor DegradedMode will not shrink below; 0 selects
-	// 1 (a run survives down to a single rank).
+	// MinRanks > 0 enables degraded mode, which keeps the run alive
+	// through permanent rank loss: a rank that exhausts the recovery
+	// budget is retired, its parts are redistributed onto the surviving
+	// ranks (LPT over measured costs), and the run continues with fewer
+	// ranks, never below MinRanks. Parts never change, so the degraded
+	// trajectory is bitwise identical to the fault-free one; the shrink
+	// count is reported as Stats.DegradedRanks. Requires recovery
+	// checkpoints (CheckpointEvery >= 0).
 	MinRanks int
 	// Telemetry enables the per-rank, per-level timing counters
 	// (surfaced through Stats.Levels and the coordinator's busy trace).
@@ -117,14 +116,6 @@ func (d Distributed) ckptEvery() int {
 	}
 }
 
-// maxRecoveries resolves the recovery budget (0 → 3).
-func (d Distributed) maxRecoveries() int {
-	if d.MaxRecoveries <= 0 {
-		return 3
-	}
-	return d.MaxRecoveries
-}
-
 // WithBackend selects the execution backend (default Local). The
 // distributed backend is incompatible with WithWorkers > 1 (or the
 // auto-sizing 0): within-rank shared-memory parallelism is not layered
@@ -153,9 +144,9 @@ func WithBackend(b Backend) Option {
 				return optErr("WithBackend", ErrRanksRange,
 					"min ranks %d outside [0, %d]", be.MinRanks, be.Ranks)
 			}
-			if be.DegradedMode && be.CheckpointEvery < 0 {
+			if be.MinRanks > 0 && be.CheckpointEvery < 0 {
 				return optErr("WithBackend", ErrCheckpointSpec,
-					"DegradedMode requires recovery checkpoints (CheckpointEvery >= 0)")
+					"MinRanks > 0 (degraded mode) requires recovery checkpoints (CheckpointEvery >= 0)")
 			}
 			s.backend = be
 		default:
@@ -213,17 +204,11 @@ func buildDistributed(s *Simulation, set *settings, be Distributed, semSrcs []sr
 		cfg.PartRank = append([]int(nil), be.PartRank...)
 	}
 
-	degraded := be.DegradedMode || set.degradedMode
-	minRanks := be.MinRanks
-	if set.degradedMode && set.minRanks > 0 {
-		minRanks = set.minRanks
-	}
 	co, err := dist.Start(dist.Config{
 		Run:             cfg,
 		CheckpointEvery: be.ckptEvery(),
-		MaxRecoveries:   be.maxRecoveries(),
-		DegradedMode:    degraded,
-		MinRanks:        minRanks,
+		MaxRecoveries:   be.MaxRecoveries,
+		MinRanks:        be.MinRanks,
 		AutoRebalance:   be.AutoRebalance,
 		MaxRebalances:   be.MaxRebalances,
 		RebalanceDetector: tune.DetectorConfig{

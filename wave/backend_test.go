@@ -33,6 +33,10 @@ func TestWithBackendValidation(t *testing.T) {
 		{"negative-ranks", []wave.Option{wave.WithBackend(wave.Distributed{Ranks: -2})}, wave.ErrRanksRange},
 		{"parts-below-ranks", []wave.Option{wave.WithBackend(wave.Distributed{Ranks: 4, Parts: 2})}, wave.ErrPartsRange},
 		{"negative-parts", []wave.Option{wave.WithBackend(wave.Distributed{Ranks: 2, Parts: -4})}, wave.ErrPartsRange},
+		{"min-ranks-above-ranks", []wave.Option{wave.WithBackend(wave.Distributed{Ranks: 2, MinRanks: 3})}, wave.ErrRanksRange},
+		{"degraded-mode-without-checkpoints", []wave.Option{
+			wave.WithBackend(wave.Distributed{Ranks: 2, MinRanks: 1, CheckpointEvery: -1}),
+		}, wave.ErrCheckpointSpec},
 		{"distributed-plus-workers", []wave.Option{
 			wave.WithBackend(wave.Distributed{Ranks: 2}),
 			wave.WithWorkers(4),

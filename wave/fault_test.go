@@ -110,7 +110,7 @@ func TestSpawnedMultiKillSameCycle(t *testing.T) {
 
 // TestSpawnedDegradedMode: a spawned rank killed in generation 0 and
 // again during the recovery replay (gen=1 plan) exhausts MaxRecoveries
-// of 1; with WithDegradedMode the coordinator retires it, redistributes
+// of 1; with MinRanks 1 the coordinator retires it, redistributes
 // its parts onto the survivor, and the finished CSV is byte-equal to the
 // fault-free reference.
 func TestSpawnedDegradedMode(t *testing.T) {
@@ -118,10 +118,9 @@ func TestSpawnedDegradedMode(t *testing.T) {
 	ref, _ := runFaultCSV(t, ckptOpts(wave.Acoustic, true, cycles, wave.WithWorkers(parts))...)
 	t.Setenv("GOLTS_FAULT", "kill:rank=1,cycle=3,substep=1;kill:rank=1,cycle=1,substep=1,gen=1")
 	csv, st := runFaultCSV(t, ckptOpts(wave.Acoustic, true, cycles,
-		wave.WithDegradedMode(1),
 		wave.WithBackend(wave.Distributed{
 			Ranks: 2, Parts: parts,
-			CheckpointEvery: 1, MaxRecoveries: 1,
+			CheckpointEvery: 1, MaxRecoveries: 1, MinRanks: 1,
 		}))...)
 	if st.DegradedRanks != 1 {
 		t.Fatalf("DegradedRanks = %d, want 1; stats: %+v", st.DegradedRanks, st)
@@ -242,9 +241,8 @@ func TestDegradedModeNonzeroAmplitude(t *testing.T) {
 
 	t.Setenv("GOLTS_FAULT", "kill:rank=1,cycle=20,substep=1;kill:rank=1,cycle=1,substep=1,gen=1")
 	sim, err := wave.New(append(opts,
-		wave.WithDegradedMode(1),
 		wave.WithBackend(wave.Distributed{
-			Ranks: 2, Parts: 4, CheckpointEvery: 4, MaxRecoveries: 1,
+			Ranks: 2, Parts: 4, CheckpointEvery: 4, MaxRecoveries: 1, MinRanks: 1,
 		}))...)
 	if err != nil {
 		t.Fatal(err)

@@ -170,30 +170,28 @@ type Sponge struct {
 
 // settings is the resolved configuration a Simulation is built from.
 type settings struct {
-	mesh         string
-	scale        float64
-	physics      Physics
-	degree       int
-	cfl          float64
-	lts          bool
-	cycles       int
-	workers      int
-	partitioner  Partitioner
-	backend      Backend
-	seed         int64
-	sources      []Source
-	srcComp      int
-	receivers    []Receiver
-	sponge       Sponge
-	sinks        []Sink
-	probes       []Probe
-	artifacts    *ArtifactCache
-	ckptPath     string
-	ckptEvery    int
-	telemetry    bool
-	autoTune     time.Duration
-	degradedMode bool
-	minRanks     int
+	mesh        string
+	scale       float64
+	physics     Physics
+	degree      int
+	cfl         float64
+	lts         bool
+	cycles      int
+	workers     int
+	partitioner Partitioner
+	backend     Backend
+	seed        int64
+	sources     []Source
+	srcComp     int
+	receivers   []Receiver
+	sponge      Sponge
+	sinks       []Sink
+	probes      []Probe
+	artifacts   *ArtifactCache
+	ckptPath    string
+	ckptEvery   int
+	telemetry   bool
+	autoTune    time.Duration
 }
 
 // levelCFL is the normalised Courant number handed to mesh.AssignLevels:
@@ -440,26 +438,6 @@ func WithCheckpointEvery(path string, n int) Option {
 		}
 		s.ckptPath = path
 		s.ckptEvery = n
-		return nil
-	}
-}
-
-// WithDegradedMode keeps a distributed run alive through permanent rank
-// loss: a rank that exhausts its recovery budget is retired for good,
-// its parts are redistributed onto the surviving ranks, and the run
-// continues with fewer ranks — down to minRanks (0 selects 1). The
-// decomposition width never changes, so the degraded seismogram is
-// bitwise identical to the fault-free one; only wall time suffers.
-// Requires WithBackend(Distributed{...}) with recovery checkpoints
-// enabled, which is checked when the simulation is built. The shrink
-// count is reported as Stats.DegradedRanks.
-func WithDegradedMode(minRanks int) Option {
-	return func(s *settings) error {
-		if minRanks < 0 {
-			return optErr("WithDegradedMode", ErrRanksRange, "min ranks %d negative", minRanks)
-		}
-		s.degradedMode = true
-		s.minRanks = minRanks
 		return nil
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"golts/internal/cluster"
 	"golts/internal/tune"
 )
 
@@ -27,10 +26,10 @@ func WithTelemetry() Option {
 // candidate grid — worker counts on the local backend, rank counts on
 // the distributed one — until the wall budget is spent, and the fastest
 // measured shape is applied to the configuration. The resulting plan,
-// including the measured-vs-predicted table against the internal/cluster
-// cost model, is available from Simulation.TunePlan, and is cached in the
-// attached ArtifactCache by configuration key so a job server calibrates
-// each configuration once.
+// including the table of measurements behind the choice, is available
+// from Simulation.TunePlan, and is cached in the attached ArtifactCache
+// by configuration key so a job server calibrates each configuration
+// once.
 //
 // Auto-tuned worker counts depend on the host (like WithWorkers(0)), so
 // results are bitwise reproducible per (configuration, plan) — not
@@ -117,10 +116,8 @@ func tuneCandidates(set *settings) []tune.Candidate {
 
 // tuneRunner returns the probe executor: each probe builds a stripped
 // copy of the configuration (no sinks, probes or checkpoints; telemetry
-// on) under the candidate shape, runs tuneProbeCycles coarse cycles
-// against the wall clock, and pairs the measurement with the
-// internal/cluster cost model's predicted cycle time for the same
-// decomposition.
+// on) under the candidate shape and runs tuneProbeCycles coarse cycles
+// against the wall clock.
 func tuneRunner(set *settings) tune.Runner {
 	return func(c tune.Candidate, cycles int) (tune.Result, error) {
 		probe := *set
@@ -131,13 +128,11 @@ func tuneRunner(set *settings) tune.Runner {
 		probe.ckptPath = ""
 		probe.ckptEvery = 0
 		probe.cycles = cycles
-		k := c.Workers
 		if be, ok := set.backend.(Distributed); ok {
 			be.Parts = be.parts()
 			be.Ranks = c.Ranks
 			be.Telemetry = true
 			probe.backend = be
-			k = be.Parts
 		} else {
 			probe.workers = c.Workers
 			probe.backend = Local
@@ -163,36 +158,11 @@ func tuneRunner(set *settings) tune.Runner {
 			}
 			res.LevelNanos = append(res.LevelNanos, n)
 		}
-		res.ModelSeconds = modelCycleSeconds(sim, &probe, k)
 		return res, nil
 	}
 }
 
-// modelCycleSeconds asks the internal/cluster simulator for the
-// predicted coarse-cycle time of the probe's decomposition under the
-// CPU cost model; 0 when the prediction is unavailable (the fit simply
-// skips the probe).
-func modelCycleSeconds(sim *Simulation, probe *settings, k int) float64 {
-	if !probe.lts || k < 1 {
-		return 0
-	}
-	var part []int32
-	if k == 1 {
-		part = make([]int32, sim.m.NumElements())
-	} else {
-		var err error
-		if part, err = partitionAssign(sim.m, sim.lv, k, probe); err != nil {
-			return 0
-		}
-	}
-	a, err := cluster.NewAssignment(sim.m, sim.lv, part, k)
-	if err != nil {
-		return 0
-	}
-	return cluster.Simulate(a, cluster.CPUModel).Time
-}
-
 // TunePlan returns the calibration plan applied by WithAutoTune (nil
-// without it): the selected shape plus the measured-vs-predicted table
-// behind the choice.
+// without it): the selected shape plus the measurements behind the
+// choice.
 func (s *Simulation) TunePlan() *tune.Plan { return s.tunePlan }

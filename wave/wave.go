@@ -162,20 +162,6 @@ func build(set *settings) (*Simulation, error) {
 		return nil, optErr("WithBackend", ErrBackendConflict,
 			"distributed backend requires WithWorkers(1), got %d", set.workers)
 	}
-	if set.degradedMode {
-		if !distributed {
-			return nil, optErr("WithDegradedMode", ErrBackendConflict,
-				"requires the distributed backend")
-		}
-		if distBE.CheckpointEvery < 0 {
-			return nil, optErr("WithDegradedMode", ErrBackendConflict,
-				"requires recovery checkpoints (Distributed.CheckpointEvery >= 0)")
-		}
-		if set.minRanks > distBE.Ranks {
-			return nil, optErr("WithDegradedMode", ErrRanksRange,
-				"min ranks %d above rank count %d", set.minRanks, distBE.Ranks)
-		}
-	}
 
 	// Decomposition width against the mesh: a request for more parts than
 	// elements cannot be satisfied (the recursive bisection has nothing
@@ -614,7 +600,7 @@ type Stats struct {
 	Rebalances      int
 	RebalanceMillis int64
 	// DegradedRanks counts ranks the distributed backend permanently
-	// retired under WithDegradedMode — each one a shrink of the rank set
+	// retired in degraded mode (Distributed.MinRanks) — each one a shrink of the rank set
 	// with the lost rank's parts redistributed onto the survivors;
 	// DegradedMillis is the wall time the shrinks consumed. Both are zero
 	// for a run that never lost a rank for good.
