@@ -26,11 +26,11 @@ loc:
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist
 
-# Short native-fuzz leg over the untrusted decoders (so far the three
-# hot frames of internal/dist — state, peer-link halo and cycle-done —
-# one after the other: go test takes one -fuzz target per run); the
-# committed corpus under testdata/fuzz runs as ordinary tests in `make
-# test` already.
+# Short native-fuzz leg over the untrusted decoders (so far three of
+# internal/dist — the state frame of the snapshot files, the peer-link
+# halo frame and the cycle-done frame — one after the other: go test
+# takes one -fuzz target per run); the committed corpus under
+# testdata/fuzz runs as ordinary tests in `make test` already.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist
@@ -122,16 +122,22 @@ serve-smoke:
 # every sample is exactly zero and the byte-comparisons pass vacuously —
 # that blindness is how the stale-replica checkpoint bug slipped through.
 # Recovery-latency numbers land in BENCH_fault.json (the distrun report
-# is embedded), alongside BENCH_serve.json in the CI artifacts.
+# is embedded), alongside BENCH_serve.json in the CI artifacts. The
+# distrun legs keep their temporary files — the run's snapshot store — in
+# .fault-smoke/tmp, and the rmdir after each leg fails unless the run
+# left it empty: no orphan directory, SIGKILLed rank or not.
+fault-smoke: export TMPDIR = $(CURDIR)/.fault-smoke/tmp
 fault-smoke:
-	@rm -rf .fault-smoke && mkdir -p .fault-smoke
+	@rm -rf .fault-smoke && mkdir -p .fault-smoke/tmp
 	$(GO) build -o .fault-smoke/distrun ./cmd/distrun
 	./.fault-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
 		-out .fault-smoke/ref.csv
+	rmdir .fault-smoke/tmp && mkdir .fault-smoke/tmp
 	GOLTS_FAULT=kill:rank=1,cycle=20,substep=2 ./.fault-smoke/distrun \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 -max-recoveries 2 \
 		-expect-recovery -require-nonzero \
 		-report .fault-smoke/dist.json -out .fault-smoke/recovered.csv
+	rmdir .fault-smoke/tmp && mkdir .fault-smoke/tmp
 	cmp .fault-smoke/ref.csv .fault-smoke/recovered.csv
 	$(GO) run ./cmd/wavedload -restart-smoke -scale 0.015 -dist-report .fault-smoke/dist.json -out BENCH_fault.json
 	@rm -rf .fault-smoke
@@ -152,24 +158,31 @@ fault-smoke:
 #  4. service: wavedload -degraded-smoke drives the same permanent-loss
 #     path through waved's job API (degraded_ranks in the job JSON,
 #     byte-identical rows), reported in BENCH_degraded.json.
+# As in fault-smoke, every leg must leave its TMPDIR (.chaos-smoke/tmp,
+# home of the run's snapshot store) empty, the degraded one included.
+chaos-smoke: export TMPDIR = $(CURDIR)/.chaos-smoke/tmp
 chaos-smoke:
-	@rm -rf .chaos-smoke && mkdir -p .chaos-smoke
+	@rm -rf .chaos-smoke && mkdir -p .chaos-smoke/tmp
 	$(GO) build -o .chaos-smoke/distrun ./cmd/distrun
 	./.chaos-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
 		-out .chaos-smoke/ref.csv
+	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	GOLTS_FAULT=corrupt:rank=1,cycle=12,substep=1 ./.chaos-smoke/distrun \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 \
 		-expect-recovery -require-nonzero -out .chaos-smoke/corrupt.csv
+	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	cmp .chaos-smoke/ref.csv .chaos-smoke/corrupt.csv
 	GOLTS_FAULT=droplink:rank=1,cycle=18,substep=1 ./.chaos-smoke/distrun \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 \
 		-expect-recovery -require-nonzero -out .chaos-smoke/droplink.csv
+	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	cmp .chaos-smoke/ref.csv .chaos-smoke/droplink.csv
 	GOLTS_FAULT='kill:rank=1,cycle=20,substep=1;kill:rank=1,cycle=1,substep=1,gen=1' \
 		./.chaos-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
 		-recover-every 4 -max-recoveries 1 -min-ranks 1 \
 		-expect-degraded -require-nonzero \
 		-report BENCH_chaos.json -out .chaos-smoke/degraded.csv
+	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	cmp .chaos-smoke/ref.csv .chaos-smoke/degraded.csv
 	$(GO) run ./cmd/wavedload -degraded-smoke -scale 0.015 -out BENCH_degraded.json
 	@rm -rf .chaos-smoke

@@ -25,10 +25,13 @@
 // distrun runs with the same -parts produce byte-identical seismogram
 // files for any -ranks, which is what `make dist-smoke` asserts.
 //
-// -recover-every N checkpoints the distributed state every N cycles and
-// turns on rank-failure recovery: a rank that dies or stalls mid-run is
-// respawned, restored from the newest coordinator checkpoint and the
-// lost cycles replayed, bitwise. Fault injection comes from the
+// -recover-every N snapshots the distributed state every N cycles — each
+// rank writes its share to a run-private directory (under TMPDIR if set,
+// else /dev/shm, else the system temp directory; removed on every exit
+// short of SIGKILLing distrun itself) — and turns on rank-failure
+// recovery: a rank that dies or stalls mid-run is respawned, every rank
+// restores the last complete snapshot and the lost cycles are replayed,
+// bitwise. Fault injection comes from the
 // GOLTS_FAULT environment variable (kill|stall|delay:rank=R,cycle=C
 // [,substep=S][,ms=D]), which the coordinator forwards to every rank —
 // `make fault-smoke` kills a rank this way and asserts the recovered
@@ -48,7 +51,8 @@
 //
 // -report writes the run report as JSON: what the coordinator did to
 // keep the run alive (recoveries and retired ranks with the wall time
-// of each, rebalances, link retries, corrupt frames rejected), the
+// of each, rebalances, link retries, corrupt frames rejected) and what
+// that readiness cost (snapshots committed, their wall time and bytes), the
 // run's wall time, the host's CPU count and the injected fault. `make
 // fault-smoke` and `make chaos-smoke` publish it as BENCH_fault.json's
 // "dist" section and BENCH_chaos.json.
@@ -72,9 +76,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"golts/internal/tune"
@@ -85,7 +91,14 @@ func main() {
 	// The coordinator re-executes this binary for every rank; RankMain
 	// routes those children into the rank runtime before flag parsing.
 	wave.RankMain()
+	os.Exit(run())
+}
 
+// run is main with an exit status in place of os.Exit, so that every way
+// out past wave.New closes the simulation: that flushes the sink, shuts
+// the ranks down and removes the run's snapshot directory. An interrupt
+// or SIGTERM cancels the run and leaves the same way.
+func run() int {
 	ranks := flag.Int("ranks", 2, "rank processes to spawn")
 	parts := flag.Int("parts", 0, "decomposition width (0 = ranks); pins the result bits")
 	name := flag.String("mesh", "trench", "benchmark mesh")
@@ -130,7 +143,7 @@ func main() {
 	placement, err := parsePartRank(*partRank)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "distrun:", err)
-		os.Exit(2)
+		return 2
 	}
 	opts := []wave.Option{
 		wave.WithMesh(*name, *scale),
@@ -165,13 +178,15 @@ func main() {
 	if err := wave.Validate(opts...); err != nil {
 		fmt.Fprintln(os.Stderr, "distrun:", err)
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	t0 := time.Now()
 	sim, err := wave.New(opts...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer sim.Close()
 	st := sim.Stats()
@@ -179,8 +194,8 @@ func main() {
 		st.Mesh, st.Elements, st.DOF, st.Levels, st.Ranks, st.Parts, time.Since(t0).Seconds())
 
 	t0 = time.Now()
-	if err := sim.Run(context.Background(), 0); err != nil {
-		fatal(err)
+	if err := sim.Run(ctx, 0); err != nil {
+		return fail(err)
 	}
 	wall := time.Since(t0).Seconds()
 	st = sim.Stats()
@@ -197,8 +212,9 @@ func main() {
 			st.Engine.Applies, st.Engine.Messages, st.Engine.Volume)
 	}
 	if *recoverEvery > 0 || *minRanks > 0 {
-		fmt.Printf("fault tolerance: %d rank recoveries (%d ms recovering), %d corrupt frames rejected, %d link retries\n",
-			st.Recoveries, st.RecoveryMillis, st.CorruptFrames, st.LinkRetries)
+		fmt.Printf("fault tolerance: %d rank recoveries (%d ms recovering), %d corrupt frames rejected, %d link retries; %d snapshots (%d ms, %.1f MB written)\n",
+			st.Recoveries, st.RecoveryMillis, st.CorruptFrames, st.LinkRetries,
+			st.Snapshots, st.SnapshotMillis, float64(st.SnapshotBytes)/1e6)
 	}
 	if *minRanks > 0 {
 		fmt.Printf("degraded mode: %d ranks permanently retired (%d ms shrinking), %d of %d ranks finished the run\n",
@@ -227,12 +243,12 @@ func main() {
 	}
 	if *requireNonzero && peakMax == 0 {
 		fmt.Fprintln(os.Stderr, "distrun: -require-nonzero set but every receiver sample is exactly zero (wave never reached a receiver; raise -scale or -cycles)")
-		os.Exit(1)
+		return 1
 	}
 	// Close flushes the sink and shuts the ranks down; report only after
 	// both happened cleanly.
 	if err := sim.Close(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *outPath != "" {
 		fmt.Printf("seismograms written to %s\n", *outPath)
@@ -245,6 +261,9 @@ func main() {
 			Recoveries    int               `json:"recoveries"`
 			RecoveryMS    int64             `json:"recovery_ms"`
 			Rebalances    int               `json:"rebalances"`
+			Snapshots     int               `json:"snapshots"`
+			SnapshotMS    int64             `json:"snapshot_ms"`
+			SnapshotBytes int64             `json:"snapshot_bytes"`
 			DegradedRanks int               `json:"degraded_ranks"`
 			DegradedMS    int64             `json:"degraded_ms"`
 			LinkRetries   int64             `json:"link_retries"`
@@ -255,11 +274,14 @@ func main() {
 			Fault         string            `json:"fault,omitempty"`
 			LevelTimes    []wave.LevelStats `json:"level_times,omitempty"`
 		}{st.Ranks, st.Parts, st.Cycles, st.Recoveries, st.RecoveryMillis,
-			st.Rebalances, st.DegradedRanks, st.DegradedMillis,
+			st.Rebalances, st.Snapshots, st.SnapshotMillis, st.SnapshotBytes,
+			st.DegradedRanks, st.DegradedMillis,
 			st.LinkRetries, st.CorruptFrames,
 			wall, runtime.NumCPU(), runtime.GOMAXPROCS(0),
 			os.Getenv("GOLTS_FAULT"), st.LevelTimes}
-		writeJSON(*report, rep)
+		if err := writeJSON(*report, rep); err != nil {
+			return fail(err)
+		}
 		fmt.Printf("run report written to %s\n", *report)
 	}
 	if *tuneReport != "" {
@@ -276,7 +298,7 @@ func main() {
 			runtime.NumCPU(), runtime.GOMAXPROCS(0), sim.TunePlan()}
 		if rep.Plan == nil {
 			fmt.Fprintln(os.Stderr, "distrun: -tune-report set without -auto-tune (no plan to report)")
-			os.Exit(2)
+			return 2
 		}
 		measured := 0
 		for _, m := range rep.Plan.Measurements {
@@ -286,23 +308,26 @@ func main() {
 		}
 		if measured < 2 {
 			fmt.Fprintf(os.Stderr, "distrun: calibration measured %d shapes, want >= 2\n", measured)
-			os.Exit(1)
+			return 1
 		}
-		writeJSON(*tuneReport, rep)
+		if err := writeJSON(*tuneReport, rep); err != nil {
+			return fail(err)
+		}
 		fmt.Printf("calibration report written to %s\n", *tuneReport)
 	}
 	if *expectRecovery && st.Recoveries == 0 {
 		fmt.Fprintln(os.Stderr, "distrun: -expect-recovery set but the run recovered nothing (fault never fired?)")
-		os.Exit(1)
+		return 1
 	}
 	if *expectDegraded && st.DegradedRanks == 0 {
 		fmt.Fprintln(os.Stderr, "distrun: -expect-degraded set but no rank was retired (fault never exhausted the budget?)")
-		os.Exit(1)
+		return 1
 	}
 	if *expectRebalance && st.Rebalances == 0 {
 		fmt.Fprintln(os.Stderr, "distrun: -expect-rebalance set but the run never rebalanced (placement already balanced?)")
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // parsePartRank parses "0,0,1,1" into a placement slice (nil for "").
@@ -344,17 +369,16 @@ func printLevelTimes(st wave.Stats) {
 }
 
 // writeJSON writes v to path as indented JSON with a trailing newline.
-func writeJSON(path string, v any) {
+func writeJSON(path string, v any) error {
 	raw, err := json.MarshalIndent(v, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(raw, '\n'), 0o644)
-	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-func fatal(err error) {
+// fail reports err and returns the exit status that goes with it.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "distrun:", err)
-	os.Exit(1)
+	return 1
 }

@@ -30,7 +30,11 @@ import (
 	"golts/wave"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status in place of os.Exit, so that every way
+// out past the build closes the simulation and flushes its sink.
+func run() int {
 	cfgPath := flag.String("config", "", "JSON run configuration (overrides other flags)")
 	outPath := flag.String("out", "", "seismogram output file (.csv or .json)")
 	name := flag.String("mesh", "trench", "benchmark mesh")
@@ -74,7 +78,7 @@ func main() {
 		}, exec...)...)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer sim.Close()
 
@@ -84,7 +88,7 @@ func main() {
 
 	t0 := time.Now()
 	if err := sim.Run(context.Background(), 0); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	st = sim.Stats()
 	if st.LTS {
@@ -107,14 +111,16 @@ func main() {
 	}
 	// Close flushes the sink; report only after the data is on disk.
 	if err := sim.Close(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *outPath != "" {
 		fmt.Printf("seismograms written to %s\n", *outPath)
 	}
+	return 0
 }
 
-func fatal(err error) {
+// fail reports err and returns the exit status that goes with it.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "wavesim:", err)
-	os.Exit(1)
+	return 1
 }

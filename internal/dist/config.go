@@ -22,6 +22,18 @@
 // fixed decomposition width (Parts) the seismograms are bitwise
 // identical to the shared-memory engine with Parts workers, for any
 // number of rank processes executing those parts.
+//
+// Recovery: stepper state never travels. With Config.CheckpointEvery set,
+// every rank periodically writes the part of the state it holds exactly —
+// its footprint — to a file of the run's snapshot store (snapstore.go), a
+// run-private directory the coordinator creates in Start and removes in
+// Close or Abort; the coordinator keeps only which files make up the last
+// complete snapshot and what they hash to, and after a rank failure every
+// rank of the relaunched generation reads them back. The failure model is
+// a lost process, not a lost host — all ranks run on this machine — so
+// the files live in the page cache (tmpfs where the host has /dev/shm and
+// TMPDIR is unset) and are never synced. A coordinator that is itself
+// SIGKILLed leaves the directory behind.
 package dist
 
 import (

@@ -11,7 +11,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,13 +40,20 @@ type Config struct {
 	// Stderr receives the spawned ranks' output (default os.Stderr).
 	Stderr io.Writer
 
-	// CheckpointEvery enables rank-failure recovery: the coordinator
-	// snapshots the replicated stepper state at startup and every n
-	// completed cycles, and on a RankFailure it relaunches every rank,
-	// restores the snapshot, and silently replays the cycles since it
-	// (the decomposition width pins the arithmetic, so the replay is
-	// bitwise identical and its samples are discarded). 0 disables both
-	// checkpointing and recovery.
+	// CheckpointEvery enables rank-failure recovery: at startup and every
+	// n completed cycles every rank writes its share of the stepper state
+	// to the run's snapshot store, and on a RankFailure the coordinator
+	// relaunches every rank, has them restore the last committed snapshot,
+	// and silently replays the cycles since it (the decomposition width
+	// pins the arithmetic, so the replay is bitwise identical and its
+	// samples are discarded). 0 disables both checkpointing and recovery.
+	//
+	// The store is a run-private directory — under TMPDIR when that is
+	// set, else in /dev/shm where the host has one, else in the system's
+	// temporary directory — removed by Close and Abort. Snapshots guard
+	// against lost processes, not a lost host: they live in the page cache
+	// and are never synced. Only a SIGKILLed coordinator leaves the
+	// directory behind.
 	CheckpointEvery int
 	// MaxRecoveries bounds the number of recoveries per rank
 	// configuration; 0 selects the default (3) when CheckpointEvery > 0.
@@ -125,14 +131,17 @@ type Coordinator struct {
 	recOwn   []int // receiver index → owning rank, under the current map
 	t        float64
 
-	gen       int   // spawn generation; respawned ranks run at gen ≥ 1
-	cycle     int64 // completed cycles since Start (or RestoreState)
-	ckpt      *ckpt.StepperState
-	ckptCycle int64 // cycle the held snapshot belongs to
-	// ckptSpare is the snapshot ckpt replaced, kept as the storage the
-	// next periodic one is decoded into: ckpt has to outlive the fetch
-	// that replaces it, so the two alternate.
-	ckptSpare *ckpt.StepperState
+	gen   int   // spawn generation; respawned ranks run at gen ≥ 1
+	cycle int64 // completed cycles since Start (or RestoreState)
+	// store holds the state, snap says where: the last committed snapshot
+	// (nil before the first), which every restore reads and the next
+	// snapshot's slot alternates with.
+	store snapStore
+	snap  *snapshot
+
+	snapshots     int
+	snapshotWall  time.Duration
+	snapshotBytes int64
 
 	recoveries   int // cumulative, across degrades
 	budgetUsed   int // recoveries charged against the current rank set
@@ -152,6 +161,9 @@ type Coordinator struct {
 	rebalances    int
 	rebalanceWall time.Duration
 
+	samples []float64 // Step's result, reused (valid until the next Step)
+	maxWait []float64 // stepCycle's per-rank worst halo wait, reused
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -159,9 +171,8 @@ type Coordinator struct {
 // Start launches a distributed run: it validates the configuration,
 // spawns cfg.Run.Ranks rank processes (or goroutines), and completes the
 // startup handshake. On return every rank has built its operators and
-// stands ready for Step. With CheckpointEvery > 0 the coordinator also
-// holds a cycle-0 snapshot, so even a first-cycle failure is
-// recoverable.
+// stands ready for Step. With CheckpointEvery > 0 a cycle-0 snapshot is
+// committed too, so even a first-cycle failure is recoverable.
 func Start(cfg Config) (*Coordinator, error) {
 	if IsRank() {
 		return nil, fmt.Errorf("dist: Start called inside a rank process — the parent binary " +
@@ -187,24 +198,28 @@ func Start(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("dist: MinRanks %d exceeds rank count %d", cfg.MinRanks, cfg.Run.Ranks)
 		}
 	}
-	co := &Coordinator{cfg: cfg}
+	co := &Coordinator{cfg: cfg, samples: make([]float64, len(cfg.Run.Receivers))}
 	if cfg.Run.Telemetry {
 		co.busy = make([]float64, cfg.Run.Ranks)
+		co.maxWait = make([]float64, cfg.Run.Ranks)
 		co.trace = tune.NewTrace(64)
 	}
 	if cfg.AutoRebalance {
 		co.det = tune.NewDetector(cfg.RebalanceDetector)
 	}
+	var err error
+	if co.store.dir, err = newSnapDir(); err != nil {
+		return nil, fmt.Errorf("dist: snapshot store: %w", err)
+	}
 	if err := co.launch(); err != nil {
+		os.RemoveAll(co.store.dir)
 		return nil, err
 	}
 	if cfg.CheckpointEvery > 0 {
-		st, err := co.fetchState(context.Background(), nil)
-		if err != nil {
+		if err := co.snapshot(context.Background()); err != nil {
 			co.Abort()
 			return nil, fmt.Errorf("dist: initial checkpoint: %w", err)
 		}
-		co.ckpt, co.ckptCycle = st, 0
 	}
 	return co, nil
 }
@@ -308,7 +323,7 @@ func (co *Coordinator) launch() error {
 	// Broadcast config, gather peer listeners, broadcast the peer list,
 	// await readiness.
 	for _, h := range co.ranks {
-		if err := h.c.sendGob(msgConfig, &cfg.Run); err != nil {
+		if err := h.c.sendGob(msgConfig, &configFrame{Run: cfg.Run, SnapDir: co.store.dir}); err != nil {
 			return fail(err)
 		}
 	}
@@ -518,16 +533,16 @@ func (co *Coordinator) StepCtx(ctx context.Context) (t float64, samples []float6
 	}
 	// From here on recovery replays up to co.cycle, so the samples
 	// already collected for this cycle stay valid through a failed
-	// snapshot or rebalance; only an unrecoverable error surfaces.
+	// snapshot or rebalance (the replay rewrites them with the same bits);
+	// only an unrecoverable error surfaces.
 	if co.cfg.CheckpointEvery > 0 && co.cycle%int64(co.cfg.CheckpointEvery) == 0 {
-		st, err := co.fetchState(ctx, co.ckptSpare)
-		for err != nil {
+		if err := co.snapshot(ctx); err != nil {
+			// A recovered run has its snapshot of this cycle: reconfigure
+			// ends with one.
 			if err = co.tryRecover(ctx, err); err != nil {
 				return 0, nil, err
 			}
-			st, err = co.fetchState(ctx, co.ckptSpare)
 		}
-		co.ckptSpare, co.ckpt, co.ckptCycle = co.ckpt, st, co.cycle
 	}
 	if err := co.maybeRebalance(ctx); err != nil {
 		// A failed rebalance attempt is a rank failure like any other.
@@ -570,8 +585,8 @@ func (co *Coordinator) maybeRebalance(ctx context.Context) error {
 	return co.rebalance(ctx, next)
 }
 
-// Rebalance moves the parts → ranks placement mid-run: snapshot the
-// replicated state, then reconfigure under the new map. Parts — and
+// Rebalance moves the parts → ranks placement mid-run: snapshot now,
+// then reconfigure from that snapshot under the new map. Parts — and
 // with them the ascending-part assembly order — never change, so the
 // resumed trajectory is bitwise identical to one that ran under either
 // placement throughout. The receiver sampling ranks are re-derived
@@ -581,12 +596,11 @@ func (co *Coordinator) Rebalance(partRank []int) error {
 }
 
 func (co *Coordinator) rebalance(ctx context.Context, partRank []int) error {
-	st, err := co.fetchState(ctx, nil)
-	if err != nil {
+	if err := co.snapshot(ctx); err != nil {
 		return err
 	}
 	start := time.Now()
-	if err := co.reconfigure(ctx, co.cfg.Run.Ranks, append([]int(nil), partRank...), st, co.cycle); err != nil {
+	if err := co.reconfigure(ctx, co.cfg.Run.Ranks, append([]int(nil), partRank...)); err != nil {
 		return err
 	}
 	co.rebalances++
@@ -651,13 +665,10 @@ func (co *Coordinator) request(ctx context.Context, req byte, payload []byte, re
 func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error) {
 	var cmd [4]byte
 	binary.LittleEndian.PutUint32(cmd[:], 1)
-	samples := make([]float64, len(co.cfg.Run.Receivers))
 	// maxWait[q] is the longest any rank spent this cycle waiting for
 	// rank q's halo frames (telemetry only).
-	var maxWait []float64
-	if co.cfg.Run.Telemetry {
-		maxWait = make([]float64, co.cfg.Run.Ranks)
-	}
+	samples, maxWait := co.samples, co.maxWait
+	clear(maxWait)
 	err := co.request(ctx, msgStep, cmd[:], msgCycleDone, stepTimeout, func(i int, payload []byte) error {
 		owned := 0
 		for _, o := range co.recOwn {
@@ -701,7 +712,7 @@ func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error
 }
 
 // tryRecover is the one retry loop around reconfigure. While cause is
-// recoverable — a *RankFailure with a checkpoint held — each pass picks
+// recoverable — a *RankFailure with a usable snapshot committed — each pass picks
 // the next shape to relaunch in: the same rank set and placement while
 // the recovery budget lasts; then, in degraded mode, one rank fewer
 // (the rank, or its link, is permanently gone: its parts are
@@ -718,7 +729,8 @@ func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
 			return ctx.Err()
 		}
 		var rf *RankFailure
-		if !errors.As(cause, &rf) || co.cfg.CheckpointEvery <= 0 || co.ckpt == nil {
+		var se *SnapshotError
+		if !errors.As(cause, &rf) || errors.As(cause, &se) || co.cfg.CheckpointEvery <= 0 || co.snap == nil {
 			return cause
 		}
 		ranks, partRank := co.cfg.Run.Ranks, co.cfg.Run.PartRank
@@ -743,7 +755,7 @@ func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
 			partRank = tune.Remap(cost, ranks)
 		}
 		start := time.Now()
-		err := co.reconfigure(ctx, ranks, partRank, co.ckpt, co.ckptCycle)
+		err := co.reconfigure(ctx, ranks, partRank)
 		if wall := time.Since(start); shrink {
 			co.degradeWall += wall
 		} else {
@@ -761,17 +773,18 @@ func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
 }
 
 // reconfigure is the one relaunch path, shared by rebalancing (a new
-// placement, a fresh snapshot, nothing to replay), recovery (the same
-// shape, the held checkpoint) and degraded-mode shrinking (one rank
-// fewer and the placement that goes with it, the held checkpoint): tear
-// the current generation down, launch the next as ranks processes under
-// partRank, install st — the global state after stCycle completed
-// cycles — on every rank, and replay the cycles from there up to
-// co.cycle. Parts, and with them the ascending-part assembly order,
-// never change, so the replay is bitwise identical to the cycles
-// already delivered and its samples are discarded. On a *RankFailure
-// the generation it launched is left for the next call to tear down.
-func (co *Coordinator) reconfigure(ctx context.Context, ranks int, partRank []int, st *ckpt.StepperState, stCycle int64) error {
+// placement, a snapshot just taken, nothing to replay), recovery (the
+// same shape) and degraded-mode shrinking (one rank fewer and the
+// placement that goes with it): tear the current generation down, launch
+// the next as ranks processes under partRank, have every rank restore
+// the committed snapshot, replay the cycles from there up to co.cycle,
+// and commit the new generation's first snapshot — from then on no file
+// of an older generation is read, and none is left. Parts, and with them
+// the ascending-part assembly order, never change, so the replay is
+// bitwise identical to the cycles already delivered and its samples are
+// discarded. On a *RankFailure the generation it launched is left for
+// the next call to tear down, and the committed snapshot is untouched.
+func (co *Coordinator) reconfigure(ctx context.Context, ranks int, partRank []int) error {
 	next := co.cfg.Run
 	next.Ranks, next.PartRank = ranks, partRank
 	if err := next.validate(); err != nil {
@@ -780,22 +793,22 @@ func (co *Coordinator) reconfigure(ctx context.Context, ranks int, partRank []in
 	co.teardown(false)
 	co.cfg.Run = next
 	if co.busy != nil {
-		co.busy = make([]float64, ranks)
+		co.busy, co.maxWait = make([]float64, ranks), make([]float64, ranks)
 	}
 	co.gen++
 	if err := co.launch(); err != nil {
 		return err
 	}
 	co.applyRecOwn()
-	if err := co.restoreAll(ctx, st); err != nil {
+	if err := co.restoreAll(ctx); err != nil {
 		return err
 	}
-	for c := stCycle; c < co.cycle; c++ {
+	for c := co.snap.Cycle; c < co.cycle; c++ {
 		if _, _, err := co.stepCycle(ctx); err != nil {
 			return err
 		}
 	}
-	return nil
+	return co.snapshot(ctx)
 }
 
 // Degraded reports how many ranks this run has permanently lost (each
@@ -813,58 +826,101 @@ func (co *Coordinator) CorruptFrames() int64 { return co.corruptFrames }
 // count after degraded-mode shrinks).
 func (co *Coordinator) Ranks() int { return co.cfg.Run.Ranks }
 
-// fetchState pulls a snapshot of the stepper state from every rank and
-// merges them into the exact global field. Under owner-computes
-// stepping a rank's replicated arrays are bitwise correct only on its
-// owned element-node footprint — the rest is stale — so the snapshot
-// starts from rank 0's full-length arrays and overlays each remaining
-// rank's owned dofs. Footprints overlap at part boundaries, where the
-// assembled values agree bitwise on both sides, so overlay order does
-// not matter; nodes in no footprint see only the replicated pointwise
-// update and are identical on every rank.
-func (co *Coordinator) fetchState(ctx context.Context, spare *ckpt.StepperState) (*ckpt.StepperState, error) {
-	var full *stateHeader
-	err := co.request(ctx, msgCkpt, nil, msgCkptResp, stepTimeout, func(i int, payload []byte) (err error) {
-		// Rank 0's frame is the full base, every other a footprint onto it.
-		full, err = decodeState(payload, full, spare)
-		co.ranks[i].c.recycle(payload)
-		return err
+// snapshot has every rank write its footprint of the state after
+// co.cycle cycles into the store's idle slot, and commits that slot once
+// all have answered: until then — and so through any failure on the way
+// — the previous snapshot stays the one restores read. The first
+// snapshot a generation commits retires the files of its predecessors.
+func (co *Coordinator) snapshot(ctx context.Context) error {
+	start := time.Now()
+	next := co.idleSlot(len(co.ranks))
+	var slot [4]byte
+	binary.LittleEndian.PutUint32(slot[:], uint32(next.Slot))
+	err := co.request(ctx, msgCkpt, slot[:], msgCkptResp, stepTimeout, func(i int, payload []byte) error {
+		return decodeGob(payload, &next.Files[i])
 	})
 	if err != nil {
+		return err
+	}
+	if co.snap != nil && co.snap.Gen != co.gen {
+		co.store.prune(co.gen)
+	}
+	co.snap = next
+	co.snapshots++
+	co.snapshotWall += time.Since(start)
+	co.snapshotBytes += next.bytes()
+	return nil
+}
+
+// idleSlot describes a snapshot of n files, yet to be written, in the
+// live generation's slot that the committed one does not occupy.
+func (co *Coordinator) idleSlot(n int) *snapshot {
+	next := &snapshot{Gen: co.gen, Cycle: co.cycle, Files: make([]snapFile, n)}
+	if co.snap != nil {
+		next.Slot = 1 - co.snap.Slot
+	}
+	return next
+}
+
+// Snapshots reports how many recovery snapshots this run has committed,
+// the wall-clock time all ranks stood still for them and the bytes the
+// ranks wrote.
+func (co *Coordinator) Snapshots() (n int, wall time.Duration, bytes int64) {
+	return co.snapshots, co.snapshotWall, co.snapshotBytes
+}
+
+// restoreAll has every rank restore the committed snapshot. A rank that
+// finds it unusable says why instead of dying, so the cause reaches the
+// caller as the *SnapshotError it is rather than as one more rank to
+// recover.
+func (co *Coordinator) restoreAll(ctx context.Context) error {
+	desc, err := gobBytes(co.snap)
+	if err != nil {
+		return err
+	}
+	return co.request(ctx, msgRestore, desc, msgRestoreDone, handshakeTimeout, func(_ int, why []byte) error {
+		if len(why) > 0 {
+			return co.snap.unusable(string(why))
+		}
+		return nil
+	})
+}
+
+// FetchState returns the global stepper state: it takes a snapshot now
+// and overlays the ranks' footprint files, so the result matches the
+// shared-memory engine bitwise. The facade uses it to write file
+// checkpoints of distributed runs.
+func (co *Coordinator) FetchState() (*ckpt.StepperState, error) {
+	if err := co.snapshot(context.Background()); err != nil {
 		return nil, err
+	}
+	full, err := co.store.load(co.snap, nil)
+	if err != nil {
+		return nil, co.snap.unusable(err.Error())
 	}
 	return &full.State, nil
 }
 
-// restoreAll installs st on every rank.
-func (co *Coordinator) restoreAll(ctx context.Context, st *ckpt.StepperState) error {
+// RestoreState installs st on every rank and adopts it as the recovery
+// baseline, resetting the cycle counter — the coordinator now sits at
+// "cycle 0 of the resumed run". The state reaches the ranks the way a
+// snapshot does: as one full frame in the store's idle slot.
+func (co *Coordinator) RestoreState(st *ckpt.StepperState) error {
 	frame, err := encodeState(nil, st, 0, nil, true)
 	if err != nil {
 		return err
 	}
-	return co.request(ctx, msgRestore, frame, msgRestoreDone, handshakeTimeout, nil)
-}
-
-// FetchState returns a snapshot of the global stepper state, merged
-// across every rank's owned footprint so it matches the shared-memory
-// engine bitwise. The facade uses it to write file checkpoints of
-// distributed runs.
-func (co *Coordinator) FetchState() (*ckpt.StepperState, error) {
-	return co.fetchState(context.Background(), nil)
-}
-
-// RestoreState installs st on every rank and adopts it as the recovery
-// baseline, resetting the cycle counter — the coordinator now sits at
-// "cycle 0 of the resumed run".
-func (co *Coordinator) RestoreState(st *ckpt.StepperState) error {
-	if err := co.restoreAll(context.Background(), st); err != nil {
+	prev, next := co.snap, co.idleSlot(1)
+	next.Cycle = 0
+	if next.Files[0], err = co.store.write(next.Gen, next.Slot, 0, frame); err != nil {
+		return fmt.Errorf("dist: writing the state to restore: %w", err)
+	}
+	co.snap = next
+	if err := co.restoreAll(context.Background()); err != nil {
+		co.snap = prev
 		return err
 	}
-	// The baseline owns its arrays: it is recycled as snapshot storage
-	// once a later snapshot has replaced it.
-	stCopy := *st
-	stCopy.U, stCopy.V = slices.Clone(st.U), slices.Clone(st.V)
-	co.ckpt, co.ckptCycle, co.cycle = &stCopy, 0, 0
+	co.cycle = 0
 	return nil
 }
 
@@ -893,7 +949,10 @@ func (co *Coordinator) Stats() ([]RankStats, error) {
 // Close shuts the ranks down cleanly, escalating to kill after a grace
 // period. It is idempotent and safe after a failed or aborted Step.
 func (co *Coordinator) Close() error {
-	co.closeOnce.Do(func() { co.closeErr = co.teardown(true) })
+	co.closeOnce.Do(func() {
+		co.closeErr = co.teardown(true)
+		os.RemoveAll(co.store.dir)
+	})
 	return co.closeErr
 }
 
@@ -904,7 +963,10 @@ func (co *Coordinator) Close() error {
 // message, no grace period — and leaves no orphan processes behind. A
 // later Close returns without further work.
 func (co *Coordinator) Abort() {
-	co.closeOnce.Do(func() { co.teardown(false) })
+	co.closeOnce.Do(func() {
+		co.teardown(false)
+		os.RemoveAll(co.store.dir)
+	})
 }
 
 // teardown is the shared shutdown path. graceful sends msgShutdown and
@@ -915,7 +977,8 @@ func (co *Coordinator) Abort() {
 // control connection. reconfigure reuses the non-graceful path to clear
 // out a failed generation, launch to clear out a partially started one
 // (whose later handles are still nil); it may run twice over the same
-// handles.
+// handles. The snapshot store is not its to remove: the next generation
+// restores from it, and only Close and Abort end the run.
 func (co *Coordinator) teardown(graceful bool) error {
 	var firstErr error
 	grace := 10 * time.Second

@@ -287,48 +287,6 @@ func TestFetchRestoreState(t *testing.T) {
 	requireBitwise(t, "restore", wantT, gotT, want, got)
 }
 
-// TestSnapshotStorageAlternates: the periodic snapshot is decoded into
-// the storage of the snapshot before last. Neither the caller's arrays
-// behind a RestoreState baseline nor the held checkpoint may ever be that
-// storage, and the held checkpoint must be the current field.
-func TestSnapshotStorageAlternates(t *testing.T) {
-	tc := newTestConfig(t, "acoustic", true, 2, 4)
-	co := startRun(t, tc, Config{InProcess: true, CheckpointEvery: 1})
-	defer co.Close()
-	var times []float64
-	var samples [][]float64
-	stepTo(t, co, 2, &times, &samples)
-	st, err := co.FetchState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := append([]float64(nil), st.U...)
-	if err := co.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[*float64]bool{}
-	for c := 3; c <= 6; c++ {
-		stepTo(t, co, c, &times, &samples)
-		if co.ckptSpare == nil || &co.ckpt.U[0] == &co.ckptSpare.U[0] || &co.ckpt.V[0] == &co.ckptSpare.V[0] {
-			t.Fatalf("cycle %d: held checkpoint and spare share storage", c)
-		}
-		seen[&co.ckpt.U[0]] = true
-		now, err := co.FetchState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(co.ckpt.U, now.U) || !sameBits(co.ckpt.V, now.V) || co.ckptCycle != co.cycle {
-			t.Fatalf("cycle %d: held checkpoint is not the current state", c)
-		}
-	}
-	if len(seen) != 2 {
-		t.Errorf("4 snapshots used %d arrays, want 2 alternating", len(seen))
-	}
-	if !sameBits(st.U, keep) || seen[&st.U[0]] {
-		t.Error("snapshots were decoded into the caller's restored state")
-	}
-}
-
 // maxAbsSamples returns the largest |sample| across a trajectory — the
 // anti-vacuity guard: a bitwise comparison of all-zero samples proves
 // nothing.

@@ -101,12 +101,15 @@ const envGen = "GOLTS_DIST_GEN"
 // chosen cycle and substep. Substep n triggers immediately before the
 // n-th stiffness apply of the cycle (an LTS cycle with L levels runs
 // 2^L − 1 applies, so every level boundary is addressable); substep 0
-// triggers before the cycle steps at all.
+// triggers before the cycle steps at all. A negative substep — Config.Faults
+// only, the GOLTS_FAULT grammar has no spelling for it — triggers inside
+// the snapshot taken after the generation's Cycle-th cycle (0: before its
+// first), once the rank has written its file and before it answers for it.
 type FaultPlan struct {
 	Kind    FaultKind
 	Rank    int
 	Cycle   int64 // 1-based cycle in which the fault triggers
-	Substep int   // 1-based stiffness apply within the cycle; 0 = before stepping
+	Substep int   // 1-based stiffness apply within the cycle; 0 = before stepping; < 0 = in the snapshot after it
 	Delay   time.Duration
 	Gen     int // spawn generation the plan arms in (0 = initial launch)
 }

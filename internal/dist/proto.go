@@ -29,11 +29,14 @@ import (
 // (configuration, peer lists, statistics) are gob-encoded structs; hot
 // payloads (halo contributions, receiver samples) are raw little-endian
 // float64 arrays with a small fixed header, so the per-substep exchange
-// never touches an encoder, and stepper snapshots are state frames (see
-// stateHeader): a small gob header followed by raw arrays. The protocol
-// is strictly sequenced — every participant knows which message type it
-// expects next — so no message carries a correlation id beyond the halo
-// frames' (sequence, plan) sanity pair.
+// never touches an encoder. Stepper state never crosses a connection:
+// a snapshot is one state frame (see stateHeader) per rank, written to a
+// file of the run's snapshot store (snapstore.go), and msgCkpt /
+// msgCkptResp / msgRestore carry only which files to write or read and
+// what they must hash to — no control frame is larger than a cycle-done
+// report. The protocol is strictly sequenced — every participant knows
+// which message type it expects next — so no message carries a
+// correlation id beyond the halo frames' (sequence, plan) sanity pair.
 const (
 	// Rank → coordinator.
 	msgHello       byte = 1 // [u32 rank][token bytes]
@@ -42,36 +45,43 @@ const (
 	msgCycleDone   byte = 4 // [f64 time][owned receiver samples ...f64][telemetry tail], see cycleDone
 	msgStatsResp   byte = 5 // gob RankStats
 	msgErr         byte = 6 // error text (any time; fatal)
-	msgCkptResp    byte = 7 // state frame: full from rank 0, owned footprint otherwise
-	msgRestoreDone byte = 8 // restore installed, empty payload
+	msgCkptResp    byte = 7 // gob snapFile: length and CRC32 of the footprint file written
+	msgRestoreDone byte = 8 // restore installed: empty; else why the snapshot is unusable (text)
 	msgHeartbeat   byte = 9 // periodic liveness beacon, empty payload
 
 	// Coordinator → rank.
-	msgConfig   byte = 10 // gob RunConfig
+	msgConfig   byte = 10 // gob configFrame: RunConfig + snapshot directory
 	msgPeers    byte = 11 // gob []string peer addresses, rank order
 	msgStep     byte = 12 // [u32 cycles]
 	msgStats    byte = 13 // request RankStats
 	msgShutdown byte = 14 // clean exit
-	msgCkpt     byte = 15 // request a state snapshot (reply msgCkptResp)
-	msgRestore  byte = 16 // full state frame: install and reply msgRestoreDone
+	msgCkpt     byte = 15 // [u32 slot]: write your footprint file of that slot (reply msgCkptResp)
+	msgRestore  byte = 16 // gob snapshot: overlay its files, install, reply msgRestoreDone
 
 	// Rank → rank.
 	msgPeerHello byte = 20 // [u32 rank][token bytes]
 	msgHalo      byte = 21 // [u32 seq][u32 plan id][values ...f64]
 )
 
-// A state frame is a stepper snapshot on the wire, the payload of
-// msgCkptResp and msgRestore alike:
+// configFrame is the msgConfig payload: the caller's run description plus
+// what the coordinator adds to it for this run.
+type configFrame struct {
+	Run     RunConfig
+	SnapDir string // the run's snapshot store
+}
+
+// A state frame is a stepper snapshot as a file of the snapshot store:
 //
 //	[u32 header length] [gob stateHeader] [nodes ...i32] [U ...f64] [V ...f64]
 //
 // A full frame carries all NDof values of U and V, a footprint frame only
 // those on the listed nodes, Comps per node: a rank's replicated arrays
 // are bitwise correct only at the nodes its owned elements touch
-// (Operator.OwnedNodes), so the coordinator overlays every other rank's
-// footprint on rank 0's full frame to get the exact global state. The
-// header's State travels without U and V; a decoded full frame is the
-// same struct with them filled in.
+// (Operator.OwnedNodes), so a snapshot is one footprint frame per rank
+// and the exact global state is their overlay — every node lies in some
+// footprint, where footprints overlap the values agree bitwise, and the
+// scalars are the same on every rank. The header's State travels without
+// U and V; a decoded full frame is the same struct with them filled in.
 type stateHeader struct {
 	State ckpt.StepperState
 	NDof  int // length of the full field arrays
@@ -116,16 +126,11 @@ func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, fu
 	return buf, nil
 }
 
-// decodeState parses and validates a state frame. A full frame needs
-// base == nil and yields a new base, its arrays decoded into spare's
-// storage where that suffices (spare, nil or a state the caller has
-// finished with, is overwritten); a footprint frame is written straight
-// into base, which must describe the same field, and yields it (on error
-// base is left partly overlaid: discard it). Nothing is indexed before it
-// has been checked against payload and field.
-func decodeState(payload []byte, base *stateHeader, spare *ckpt.StepperState) (*stateHeader, error) {
-	bad := func(format string, a ...any) (*stateHeader, error) {
-		return nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
+// parseStateFrame splits a state frame into its validated header and the
+// body the header has yet to be checked against.
+func parseStateFrame(payload []byte) (h stateHeader, body []byte, err error) {
+	bad := func(format string, a ...any) (stateHeader, []byte, error) {
+		return stateHeader{}, nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
 	}
 	if len(payload) < 4 {
 		return bad("%d bytes, no header length", len(payload))
@@ -134,30 +139,49 @@ func decodeState(payload []byte, base *stateHeader, spare *ckpt.StepperState) (*
 	if hlen > len(payload)-4 {
 		return bad("header of %d bytes in a %d-byte payload", hlen, len(payload))
 	}
-	var h stateHeader
 	if err := decodeGob(payload[4:4+hlen], &h); err != nil {
 		return bad("header: %v", err)
 	}
-	body := payload[4+hlen:]
 	if h.State.U != nil || h.State.V != nil || h.NDof < 0 || h.Comps < 0 || h.Comps > maxFrame {
 		return bad("header carries arrays, %d dofs, %d components", h.NDof, h.Comps)
 	}
+	return h, payload[4+hlen:], nil
+}
+
+// decodeState parses and validates a state frame and overlays it on base:
+// the frame's scalars, and U and V on its nodes (all of them for a full
+// frame), which are marked in seen when that is non-nil (one entry per
+// node of base). base must describe the same field; only a full frame
+// may come without one and then yields a new base. On error base is left
+// partly overlaid: discard it. Nothing is indexed before it has been
+// checked against payload and field.
+func decodeState(payload []byte, base *stateHeader, seen []bool) (*stateHeader, error) {
+	bad := func(format string, a ...any) (*stateHeader, error) {
+		return nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
+	}
+	h, body, err := parseStateFrame(payload)
+	if err != nil {
+		return nil, err
+	}
 	if h.Nodes < 0 {
-		if base != nil {
-			return bad("second full frame")
-		}
 		if len(body)/16 != h.NDof || len(body)%16 != 0 {
 			return bad("%d body bytes for 2 x %d values", len(body), h.NDof)
 		}
-		if spare == nil {
-			spare = &ckpt.StepperState{}
+		if base == nil {
+			base = &stateHeader{NDof: h.NDof, Comps: h.Comps, Nodes: -1}
+		} else if h.NDof != base.NDof {
+			return bad("full frame of a %d-dof field onto a %d-dof one", h.NDof, base.NDof)
 		}
-		h.State.U, _ = getFloats(spare.U, body[:len(body)/2])
-		h.State.V, _ = getFloats(spare.V, body[len(body)/2:])
-		return &h, nil
+		h.State.U, _ = getFloats(base.State.U, body[:len(body)/2])
+		h.State.V, _ = getFloats(base.State.V, body[len(body)/2:])
+		base.State = h.State
+		for n := range seen {
+			seen[n] = true
+		}
+		return base, nil
 	}
 	if base == nil || h.NDof != base.NDof || h.Comps != base.Comps || h.Comps == 0 || h.NDof%h.Comps != 0 {
-		return bad("footprint of a %d-dof, %d-component field does not fit the full frame", h.NDof, h.Comps)
+		return bad("footprint of a %d-dof, %d-component field does not fit the base", h.NDof, h.Comps)
 	}
 	// A node costs its id plus Comps values of U and of V: size the count
 	// by the body before multiplying.
@@ -176,8 +200,13 @@ func decodeState(payload []byte, base *stateHeader, spare *ckpt.StepperState) (*
 			for c := 0; c < nc; c++ {
 				field[n*nc+c] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(i*nc+c):]))
 			}
+			if f == 0 && seen != nil {
+				seen[n] = true
+			}
 		}
 	}
+	h.State.U, h.State.V = base.State.U, base.State.V
+	base.State = h.State
 	return base, nil
 }
 
@@ -232,10 +261,6 @@ type conn struct {
 
 	corruptNext atomic.Bool
 	stallNanos  atomic.Int64
-
-	// spare is the storage of a large payload its consumer has finished
-	// with (see recycle), kept for the next one.
-	spare atomic.Pointer[[]byte]
 }
 
 func newConn(c net.Conn) *conn {
@@ -278,23 +303,8 @@ func (c *conn) send(t byte, payload []byte) error {
 	return c.w.Flush()
 }
 
-// bigFrame is the payload size from which recv reuses recycled storage:
-// snapshot frames run to tens of megabytes at a fixed cadence, and
-// allocating each anew means zeroing and faulting in that much fresh
-// memory per snapshot, at the mercy of the collector and the host.
-const bigFrame = 1 << 20
-
-// recycle hands the storage of a payload recv returned back to c, for
-// the next big frame. The caller must be done with payload.
-func (c *conn) recycle(payload []byte) {
-	if cap(payload) >= bigFrame {
-		c.spare.Store(&payload)
-	}
-}
-
 // recv reads one framed message, verifying the CRC tail. The returned
-// payload is owned by the caller: freshly allocated, or for a big frame
-// the storage last handed to recycle.
+// payload is freshly allocated and owned by the caller.
 func (c *conn) recv() (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
@@ -304,15 +314,7 @@ func (c *conn) recv() (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, &CorruptFrameError{Type: hdr[4], Len: int(n)}
 	}
-	var payload []byte
-	if n >= bigFrame {
-		if p := c.spare.Swap(nil); p != nil && cap(*p) >= int(n)+4 {
-			payload = (*p)[:n+4]
-		}
-	}
-	if payload == nil {
-		payload = make([]byte, n+4)
-	}
+	payload := make([]byte, n+4)
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return 0, nil, err
 	}
@@ -342,11 +344,17 @@ func (c *conn) expect(t byte) ([]byte, error) {
 
 // sendGob gob-encodes v as the payload of one message.
 func (c *conn) sendGob(t byte, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	payload, err := gobBytes(v)
+	if err != nil {
 		return err
 	}
-	return c.send(t, buf.Bytes())
+	return c.send(t, payload)
+}
+
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
 }
 
 func decodeGob(payload []byte, v any) error {

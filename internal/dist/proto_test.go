@@ -46,40 +46,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecvReusesRecycledStorage: a big frame lands in the storage of the
-// last recycled payload, intact; small frames between the two neither use
-// that storage nor lose it, and small payloads are not kept.
-func TestRecvReusesRecycledStorage(t *testing.T) {
-	a, b := net.Pipe()
-	ca, cb := newConn(a), newConn(b)
-	defer ca.close()
-	defer cb.close()
-
-	big := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, bigFrame+3) }
-	go func() {
-		ca.send(msgCkptResp, big(1))
-		ca.send(msgCycleDone, []byte{7})
-		ca.send(msgCkptResp, big(2))
-	}()
-	_, first, err := cb.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb.recycle(first)
-	_, small, err := cb.recv()
-	if err != nil || len(small) != 1 || small[0] != 7 {
-		t.Fatalf("small frame: %v, %v", small, err)
-	}
-	cb.recycle(small)
-	_, second, err := cb.recv()
-	if err != nil || !bytes.Equal(second, big(2)) {
-		t.Fatalf("second big frame: %d bytes, %v", len(second), err)
-	}
-	if &second[0] != &first[0] {
-		t.Error("second big frame did not reuse the recycled storage")
-	}
-}
-
 // TestExpectErrFrame: msgErr frames surface as errors carrying the
 // remote text.
 func TestExpectErrFrame(t *testing.T) {

@@ -239,7 +239,9 @@ type rankRun struct {
 	lastWait []int64
 	// linkRetries counts reconnect attempts beyond the first.
 	linkRetries int64
-	snapBuf     []byte // last snapshot frame, reused so each fetch does not fault in fresh pages
+	store       snapStore // the run's snapshot store, as broadcast
+	vals        []float64 // last cycle-done report and its frame, reused
+	frame       []byte
 
 	// Fault-injection state (nil fault = none armed).
 	fault   *FaultPlan
@@ -328,9 +330,11 @@ func (r *rankRun) handshake() error {
 	if err != nil {
 		return err
 	}
-	if err := decodeGob(payload, &r.cfg); err != nil {
+	var cf configFrame
+	if err := decodeGob(payload, &cf); err != nil {
 		return fmt.Errorf("decoding config: %w", err)
 	}
+	r.cfg, r.store.dir = cf.Run, cf.SnapDir
 	if err := r.cfg.validate(); err != nil {
 		return err
 	}
@@ -543,27 +547,29 @@ func (r *rankRun) serve() error {
 				return err
 			}
 		case msgCkpt:
-			// Rank 0 ships its full arrays as the base of the merged
-			// snapshot, every other rank only its exact footprint.
-			frame, err := encodeState(r.snapBuf, r.capture(), r.dop.Comps(), r.dop.OwnedNodes(), r.params.rank == 0)
+			// The arrays are exact on the footprint and nowhere else: that
+			// is what this rank adds to the snapshot.
+			if len(payload) != 4 {
+				return fmt.Errorf("malformed snapshot frame (%d bytes)", len(payload))
+			}
+			slot := int(binary.LittleEndian.Uint32(payload))
+			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.capture(), r.dop.Comps(), r.dop.OwnedNodes())
 			if err != nil {
+				r.coord.send(msgErr, []byte(err.Error()))
 				return err
 			}
-			r.snapBuf = frame
-			if err := r.coord.send(msgCkptResp, frame); err != nil {
+			if f := r.fault; f != nil && f.Substep < 0 && f.Cycle == r.fcycle {
+				r.trigger() // written, never answered for: the slot stays uncommitted
+			}
+			if err := r.coord.sendGob(msgCkptResp, &file); err != nil {
 				return err
 			}
 		case msgRestore:
-			sf, err := decodeState(payload, nil, nil)
-			if err != nil {
-				r.coord.send(msgErr, []byte(err.Error()))
-				return err
+			var why []byte
+			if err := r.restoreFrom(payload); err != nil {
+				why = []byte(err.Error())
 			}
-			if err := r.restore(&sf.State); err != nil {
-				r.coord.send(msgErr, []byte(err.Error()))
-				return err
-			}
-			if err := r.coord.send(msgRestoreDone, nil); err != nil {
+			if err := r.coord.send(msgRestoreDone, why); err != nil {
 				return err
 			}
 		case msgShutdown:
@@ -585,12 +591,24 @@ func (r *rankRun) capture() *ckpt.StepperState {
 	return r.gS.View()
 }
 
-// restore installs a snapshot into the rank-local stepper.
-func (r *rankRun) restore(st *ckpt.StepperState) error {
-	if r.ltsS != nil {
-		return r.ltsS.Restore(st)
+// restoreFrom installs the committed snapshot a msgRestore payload
+// describes: every rank's footprint overlaid on this rank's own arrays —
+// all of them, since a restored rank may own what none of the writers'
+// ranks did — and the scalars that go with them.
+func (r *rankRun) restoreFrom(payload []byte) error {
+	var sn snapshot
+	if err := decodeGob(payload, &sn); err != nil {
+		return fmt.Errorf("decoding snapshot descriptor: %w", err)
 	}
-	return r.gS.Restore(st)
+	live := r.capture()
+	base, err := r.store.load(&sn, &stateHeader{State: *live, NDof: len(live.U), Comps: r.dop.Comps(), Nodes: -1})
+	if err != nil {
+		return err
+	}
+	if r.ltsS != nil {
+		return r.ltsS.Restore(&base.State)
+	}
+	return r.gS.Restore(&base.State)
 }
 
 // stepOnce advances one coarse cycle and reports the cycle time plus the
@@ -616,8 +634,7 @@ func (r *rankRun) stepOnce() (err error) {
 	}
 	r.st.Step()
 	u := r.st.State()
-	vals := make([]float64, 0, 2+len(r.recIdx))
-	vals = append(vals, r.st.Time())
+	vals := append(r.vals[:0], r.st.Time())
 	for _, i := range r.recIdx {
 		vals = append(vals, u[r.cfg.Receivers[i]])
 	}
@@ -638,7 +655,8 @@ func (r *rankRun) stepOnce() (err error) {
 			r.lastWait[q] = w
 		}
 	}
-	return r.coord.send(msgCycleDone, putFloats(nil, vals))
+	r.vals, r.frame = vals, putFloats(r.frame[:0], vals)
+	return r.coord.send(msgCycleDone, r.frame)
 }
 
 // faultHook counts stiffness applies and fires the armed fault at its

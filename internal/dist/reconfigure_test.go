@@ -3,7 +3,6 @@ package dist
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"golts/internal/tune"
 )
@@ -30,7 +29,9 @@ func startRun(t *testing.T, tc *testConfig, cfg Config) *Coordinator {
 }
 
 // stepTo steps co until len(*times) completed cycles reach upTo,
-// appending every delivered cycle to the trajectory.
+// appending every delivered cycle to the trajectory. After every Step —
+// so after every reconfigure a Step may have hidden — only files of the
+// live generation may be left in the snapshot store.
 func stepTo(t *testing.T, co *Coordinator, upTo int, times *[]float64, samples *[][]float64) {
 	t.Helper()
 	for len(*times) < upTo {
@@ -41,6 +42,7 @@ func stepTo(t *testing.T, co *Coordinator, upTo int, times *[]float64, samples *
 		}
 		*times = append(*times, tm)
 		*samples = append(*samples, append([]float64(nil), row...))
+		requireOnlyGen(t, co)
 	}
 }
 
@@ -51,9 +53,10 @@ var scattered = []int{1, 0, 1, 0}
 // TestRecoveryAfterRebalance: a failure in the generation a rebalance
 // launched. The kill fires in the first cycle under the new placement,
 // so recovery must relaunch under that placement (not the configured
-// one), scatter the samples by it, restore a checkpoint taken under the
-// old one and replay across the rebalance point — bitwise, at an
-// amplitude where a wrong field or a mis-scattered sample shows.
+// one), scatter the samples by it and restore the snapshot the
+// rebalanced generation committed when it came up, from files written
+// under the new footprints — bitwise, at an amplitude where a wrong
+// field or a mis-scattered sample shows.
 func TestRecoveryAfterRebalance(t *testing.T) {
 	const cycles, at = 10, 6
 	tc := newTestConfigScale(t, "acoustic", true, 2, 4, 0.004)
@@ -63,7 +66,7 @@ func TestRecoveryAfterRebalance(t *testing.T) {
 	}
 	co := startRun(t, tc, Config{
 		InProcess:       true,
-		CheckpointEvery: 4, // the kill at cycle 7 replays 5 and 6
+		CheckpointEvery: 4, // the kill at cycle 7 restores the rebalance's cycle-6 snapshot
 		MaxRecoveries:   2,
 		Faults:          []*FaultPlan{{Kind: FaultKill, Rank: 1, Cycle: 1, Substep: 1, Gen: 1}},
 	})
@@ -73,6 +76,11 @@ func TestRecoveryAfterRebalance(t *testing.T) {
 	stepTo(t, co, at, &gotT, &got)
 	if err := co.Rebalance(scattered); err != nil {
 		t.Fatalf("Rebalance: %v", err)
+	}
+	requireOnlyGen(t, co)
+	if co.snap.Gen != 1 || co.snap.Cycle != at {
+		t.Fatalf("after the rebalance the committed snapshot is generation %d's of cycle %d, want 1 and %d",
+			co.snap.Gen, co.snap.Cycle, at)
 	}
 	stepTo(t, co, cycles, &gotT, &got)
 	requireBitwise(t, "recover after rebalance", wantT, gotT, want, got)
@@ -91,8 +99,11 @@ func TestRecoveryAfterRebalance(t *testing.T) {
 // run: a rebalance, a kill that is recovered at the same width, a second
 // kill that finds the budget spent and shrinks the rank set, and a third
 // on the survivor that only the budget reset after the shrink can
-// absorb. Each relaunch replays at least one cycle. The trajectory must
-// equal the fault-free one bit for bit, the counters must be exact, and
+// absorb. Every recovery replays at least one cycle, and every
+// generation restores files some other generation wrote, under another
+// placement or another rank count. The trajectory must equal the
+// fault-free one bit for bit, the counters must be exact, after every
+// step only the live generation's snapshot files may exist (stepTo), and
 // Close must leave no goroutine of any of the five generations behind.
 func TestReconfigureLadder(t *testing.T) {
 	const cycles = 12
@@ -108,24 +119,29 @@ func TestReconfigureLadder(t *testing.T) {
 		MaxRecoveries:   1,
 		MinRanks:        1,
 		Faults: []*FaultPlan{
-			// gen 1 is the rebalanced generation: its 2nd cycle is cycle 7,
-			// recovered from the cycle-4 checkpoint (replaying 5 and 6).
-			{Kind: FaultKill, Rank: 1, Cycle: 2, Substep: 1, Gen: 1},
-			// gen 2 replays 5, 6 and runs 7..10: its 6th cycle is cycle 10,
+			// gen 1 is the rebalanced generation, up at cycle 5: its 3rd
+			// cycle is cycle 8, recovered from the snapshot it committed
+			// when it came up (replaying 6 and 7).
+			{Kind: FaultKill, Rank: 1, Cycle: 3, Substep: 1, Gen: 1},
+			// gen 2 replays 6, 7 and runs 8..10: its 5th cycle is cycle 10,
 			// the budget is spent, so rank 1 is retired; the shrink restores
-			// the cycle-8 checkpoint (replaying 9).
-			{Kind: FaultKill, Rank: 1, Cycle: 6, Substep: 1, Gen: 2},
-			// gen 3 is the lone survivor: its 3rd cycle is cycle 11, and
-			// only a budget reset by the shrink lets it be recovered.
+			// the cycle-8 snapshot, two footprints onto one rank (replaying
+			// 9).
+			{Kind: FaultKill, Rank: 1, Cycle: 5, Substep: 1, Gen: 2},
+			// gen 3 is the lone survivor, up at cycle 9 after that replay: its
+			// 3rd cycle is cycle 11, and only a budget reset by the shrink
+			// lets it be recovered (replaying 10).
 			{Kind: FaultKill, Rank: 0, Cycle: 3, Substep: 1, Gen: 3},
 		},
 	})
+	defer co.Close() // when a check below bails out
 	var gotT []float64
 	var got [][]float64
 	stepTo(t, co, 5, &gotT, &got)
 	if err := co.Rebalance(scattered); err != nil {
 		t.Fatalf("Rebalance: %v", err)
 	}
+	requireOnlyGen(t, co)
 	stepTo(t, co, cycles, &gotT, &got)
 	requireBitwise(t, "ladder", wantT, gotT, want, got)
 	if n, _ := co.Rebalances(); n != 1 {
@@ -140,16 +156,11 @@ func TestReconfigureLadder(t *testing.T) {
 	if n := co.Ranks(); n != 1 {
 		t.Errorf("Ranks = %d, want 1", n)
 	}
+	if co.gen != 4 {
+		t.Errorf("finished in generation %d, want 4 (a fault plan did not fire where the comments say)", co.gen)
+	}
 	if err := co.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	// Reader goroutines notice their closed connections asynchronously.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		buf := make([]byte, 1<<16)
-		t.Errorf("%d goroutines after Close, %d before Start:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
-	}
+	waitGoroutines(t, baseline)
 }

@@ -1,12 +1,13 @@
 package dist
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"math"
-	"net"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"golts/internal/ckpt"
@@ -50,8 +51,10 @@ func zeroBase(ndof, comps int) *stateHeader {
 }
 
 // TestStateFrameRoundTrip: full and footprint frames survive the codec
-// bit for bit, for 1 and 3 components, including an empty footprint, and
-// a footprint lands on exactly its own dofs.
+// bit for bit, for 1 and 3 components, including an empty footprint; a
+// full frame fills a base of its length in place, and a footprint lands
+// on exactly its own dofs, marks exactly its own nodes and brings its
+// scalars along.
 func TestStateFrameRoundTrip(t *testing.T) {
 	for _, comps := range []int{1, 3} {
 		const nn = 11
@@ -67,16 +70,16 @@ func TestStateFrameRoundTrip(t *testing.T) {
 		if sn.Comps != comps || !sameBits(sn.State.U, st.U) || !sameBits(sn.State.V, st.V) {
 			t.Errorf("comps %d: full frame arrays differ", comps)
 		}
-		// A spare with room is decoded into, one without is left alone.
-		for _, room := range []int{nn * comps, nn*comps - 1} {
-			spare := &ckpt.StepperState{U: make([]float64, room), V: make([]float64, room)}
-			sn, err := decodeState(frame, nil, spare)
-			if err != nil || !sameBits(sn.State.U, st.U) || !sameBits(sn.State.V, st.V) {
-				t.Fatalf("comps %d: full frame into a spare of %d: %v", comps, room, err)
-			}
-			if reused := &sn.State.U[0] == &spare.U[0] && &sn.State.V[0] == &spare.V[0]; reused != (room == nn*comps) {
-				t.Errorf("comps %d: spare of %d reused = %v", comps, room, reused)
-			}
+		// Onto a base the arrays are filled in place and every node is
+		// marked; a base of another length is refused.
+		base, seen := zeroBase(nn*comps, comps), make([]bool, nn)
+		u0 := &base.State.U[0]
+		if got, err := decodeState(frame, base, seen); err != nil || got != base || &base.State.U[0] != u0 ||
+			!sameBits(base.State.U, st.U) || !sameBits(base.State.V, st.V) || slices.Contains(seen, false) {
+			t.Fatalf("comps %d: full frame onto a base: %v, seen %v", comps, err, seen)
+		}
+		if _, err := decodeState(frame, zeroBase((nn+1)*comps, comps), nil); err == nil {
+			t.Errorf("comps %d: full frame accepted onto a longer base", comps)
 		}
 		got, want := sn.State, *st
 		got.U, got.V, want.U, want.V = nil, nil, nil, nil
@@ -88,14 +91,23 @@ func TestStateFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := zeroBase(nn*comps, comps)
-			if sn, err := decodeState(frame, base, nil); err != nil || sn != base {
+			base, seen := zeroBase(nn*comps, comps), make([]bool, nn)
+			if sn, err := decodeState(frame, base, seen); err != nil || sn != base {
 				t.Fatalf("comps %d footprint %v: (%p, %v)", comps, nodes, sn, err)
 			}
-			// Owned dofs carry st's bits, everything else stays zero.
+			if base.State.T != st.T || base.State.Cycles != st.Cycles || !reflect.DeepEqual(base.State.PerLevel, st.PerLevel) {
+				t.Errorf("comps %d footprint %v: scalars %+v did not come along", comps, nodes, base.State)
+			}
+			// Owned dofs carry st's bits, everything else stays zero;
+			// exactly the owned nodes are marked.
 			owned := make(map[int]bool)
 			for _, n := range nodes {
 				owned[int(n)] = true
+			}
+			for n, mark := range seen {
+				if mark != owned[n] {
+					t.Fatalf("comps %d footprint %v: node %d marked %v", comps, nodes, n, mark)
+				}
 			}
 			for d := range st.U {
 				wu, wv := 0.0, 0.0
@@ -155,12 +167,28 @@ func TestStateFrameMalformed(t *testing.T) {
 	}
 }
 
-// TestFetchStateRejectsInconsistentFrames: a rank answering msgCkpt with
-// a well-formed frame that does not fit the run (node outside the field,
-// another component count, another field length, a footprint where the
-// full frame belongs) must surface as a corrupt-frame RankFailure — the
-// error tryRecover acts on — not as an index panic in the coordinator.
-func TestFetchStateRejectsInconsistentFrames(t *testing.T) {
+// writeSnapshot stores frames as the files of one slot of a store in a
+// temporary directory and returns the descriptor that commits them.
+func writeSnapshot(t testing.TB, frames ...[]byte) (*snapStore, *snapshot) {
+	t.Helper()
+	store, sn := &snapStore{dir: t.TempDir()}, &snapshot{Gen: 3, Slot: 1, Cycle: 8}
+	for i, frame := range frames {
+		f, err := store.write(sn.Gen, sn.Slot, i, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.Files = append(sn.Files, f)
+	}
+	return store, sn
+}
+
+// TestLoadRejectsInconsistentFrames: a committed file that is a
+// well-formed frame but does not fit the run (node outside the field,
+// another component count, another field length, a field the snapshot's
+// bytes could not hold) is an error naming the file — on a rank's own
+// arrays and on the coordinator's nil base alike — not an index panic and
+// not a huge allocation.
+func TestLoadRejectsInconsistentFrames(t *testing.T) {
 	const nn, comps = 8, 3
 	good := testState(nn, comps)
 	enc := func(st *ckpt.StepperState, comps int, nodes []int32, full bool) []byte {
@@ -170,81 +198,158 @@ func TestFetchStateRejectsInconsistentFrames(t *testing.T) {
 		}
 		return b
 	}
-	base := enc(good, comps, nil, true)
+	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
 	outOfRange := enc(good, comps, []int32{1, 2}, false)
 	hlen := int(binary.LittleEndian.Uint32(outOfRange))
 	binary.LittleEndian.PutUint32(outOfRange[4+hlen:], nn)
+	huge := enc(&ckpt.StepperState{U: make([]float64, 1<<20)}, comps, nil, false)
 	cases := []struct {
 		name   string
 		frames [][]byte
-		rank   int // the rank blamed
+		file   string // the file blamed
 	}{
-		{"node out of range", [][]byte{base, outOfRange}, 1},
-		{"component count differs", [][]byte{base, enc(testState(nn*comps, 1), 1, []int32{20}, false)}, 1},
-		{"field length differs", [][]byte{base, enc(testState(nn+1, comps), comps, []int32{1}, false)}, 1},
-		{"second full frame", [][]byte{base, base}, 1},
-		{"footprint from rank 0", [][]byte{enc(good, comps, []int32{1}, false), base}, 0},
-		{"truncated", [][]byte{base[:len(base)-8], base}, 0},
-	}
-	// fetch runs fetchState against fake ranks that swallow the msgCkpt
-	// request and have already answered with the given frames.
-	fetch := func(frames [][]byte) (*ckpt.StepperState, error) {
-		co := &Coordinator{}
-		for _, frame := range frames {
-			a, b := net.Pipe()
-			defer a.Close()
-			defer b.Close()
-			go newConn(b).recv()
-			h := &rankHandle{c: newConn(a), frames: make(chan ctrlFrame, 1)}
-			h.frames <- ctrlFrame{t: msgCkptResp, payload: frame}
-			co.ranks = append(co.ranks, h)
-		}
-		return co.fetchState(context.Background(), nil)
+		{"node out of range", [][]byte{enc(good, comps, all, false), outOfRange}, "3-1-1"},
+		{"component count differs", [][]byte{enc(good, comps, all, false), enc(testState(nn*comps, 1), 1, []int32{20}, false)}, "3-1-1"},
+		{"field length differs", [][]byte{enc(good, comps, all, false), enc(testState(nn+1, comps), comps, []int32{1}, false)}, "3-1-1"},
+		{"full frame of another field", [][]byte{enc(good, comps, all, false), enc(testState(nn+1, comps), comps, nil, true)}, "3-1-1"},
+		{"not a frame", [][]byte{[]byte("notaframe")}, "3-1-0"},
 	}
 	for _, tc := range cases {
-		st, err := fetch(tc.frames)
-		var rf *RankFailure
-		if !errors.As(err, &rf) || rf.Kind != FailureCorrupt || rf.Rank != tc.rank {
-			t.Errorf("%s: got (%v, %v), want a corrupt-frame failure of rank %d", tc.name, st, err, tc.rank)
+		for _, own := range []bool{false, true} {
+			store, sn := writeSnapshot(t, tc.frames...)
+			var base *stateHeader
+			if own {
+				base = zeroBase(nn*comps, comps)
+			}
+			if got, err := store.load(sn, base); err == nil || !strings.Contains(err.Error(), "file "+tc.file) {
+				t.Errorf("%s (own arrays %v): got (%v, %v), want an error naming %s", tc.name, own, got, err, tc.file)
+			}
 		}
 	}
-	// Control: consistent frames merge.
-	st, err := fetch([][]byte{base, enc(good, comps, []int32{0, 7}, false)})
-	if err != nil || !sameBits(st.U, good.U) || !sameBits(st.V, good.V) {
-		t.Fatalf("consistent frames: %v", err)
+	// A header claiming more dofs than the snapshot has bytes for must not
+	// be believed by a reader without arrays of its own.
+	store, sn := writeSnapshot(t, huge)
+	if _, err := store.load(sn, nil); err == nil || !strings.Contains(err.Error(), "1048576-dof field") {
+		t.Errorf("oversized field: %v", err)
+	}
+	if _, err := store.load(&snapshot{}, nil); err == nil {
+		t.Error("a snapshot without files loaded")
+	}
+	// Control: consistent frames merge, onto either base, bits and scalars.
+	for _, base := range []*stateHeader{nil, zeroBase(nn*comps, comps)} {
+		store, sn := writeSnapshot(t, enc(good, comps, []int32{0, 1, 2, 3, 4}, false), enc(good, comps, []int32{4, 5, 6, 7}, false))
+		got, err := store.load(sn, base)
+		if err != nil || !sameBits(got.State.U, good.U) || !sameBits(got.State.V, good.V) || got.State.N != good.N {
+			t.Fatalf("consistent frames: %v", err)
+		}
+	}
+	// One full frame is a whole snapshot (RestoreState writes such).
+	store, sn = writeSnapshot(t, enc(good, 0, nil, true))
+	for _, base := range []*stateHeader{nil, zeroBase(nn*comps, comps)} {
+		if got, err := store.load(sn, base); err != nil || !sameBits(got.State.U, good.U) {
+			t.Fatalf("full-frame snapshot: %v", err)
+		}
 	}
 }
 
-// FuzzStateFrame drives the state-frame decoder — the one place rank
-// bytes turn into indices on the coordinator — with arbitrary payloads,
-// both as a first (full) frame and as a footprint onto a base. It must
-// never panic, fail only with the typed error, leave the base's shape
-// alone, and accept only full frames whose arrays agree and re-encode to
-// something it accepts again.
+// TestLoadChecksFilesAgainstCommit: what load reads must be what was
+// committed — a flipped byte, a truncated, grown or missing file are all
+// refused, whatever the bytes decode to.
+func TestLoadChecksFilesAgainstCommit(t *testing.T) {
+	const nn, comps = 8, 3
+	st := testState(nn, comps)
+	a, _ := encodeState(nil, st, comps, []int32{0, 1, 2, 3, 4}, false)
+	b, _ := encodeState(nil, st, comps, []int32{4, 5, 6, 7}, false)
+	damage := map[string]func(path string) error{
+		"flipped byte": func(path string) error {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			raw[len(raw)-9] ^= 1 // inside a value: the frame stays well-formed
+			return os.WriteFile(path, raw, 0o600)
+		},
+		"truncated": func(path string) error { return os.Truncate(path, int64(len(b)-(4+16*comps))) },
+		"grown":     func(path string) error { return os.Truncate(path, int64(len(b)+4+16*comps)) },
+		"missing":   os.Remove,
+	}
+	for name, do := range damage {
+		store, sn := writeSnapshot(t, a, b)
+		if err := do(store.path(sn.Gen, sn.Slot, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := store.load(sn, zeroBase(nn*comps, comps)); err == nil || !strings.Contains(err.Error(), "3-1-1") {
+			t.Errorf("%s: got (%v, %v), want an error naming file 3-1-1", name, got, err)
+		}
+	}
+}
+
+// TestLoadCoverage: footprints that leave a node out are not a snapshot,
+// however well-formed each file is — the node would silently keep the
+// base's value (zero, on a fresh rank). Mutation-checked: without the
+// coverage check in load this test fails.
+func TestLoadCoverage(t *testing.T) {
+	const nn, comps = 8, 3
+	st := testState(nn, comps)
+	a, _ := encodeState(nil, st, comps, []int32{0, 1, 2, 3}, false)
+	b, _ := encodeState(nil, st, comps, []int32{3, 4, 6, 7}, false) // node 5 removed
+	for _, base := range []*stateHeader{nil, zeroBase(nn*comps, comps)} {
+		store, sn := writeSnapshot(t, a, b)
+		if got, err := store.load(sn, base); err == nil || !strings.Contains(err.Error(), "node 5 is in no rank's footprint") {
+			t.Errorf("got (%v, %v), want the coverage error for node 5", got, err)
+		}
+	}
+}
+
+// FuzzStateFrame drives the state-frame decoder — the one place file
+// bytes turn into indices — with arbitrary payloads the way a restore
+// uses it: as one of several footprint frames overlaid on a zero base
+// with a coverage map, and as a full frame without a base. It must never
+// panic, fail only with the typed error, leave the base's shape alone,
+// mark no more nodes than the base has, and leave the base fit for the
+// frames that follow: overlaying a complete footprint set afterwards
+// must give exactly that set's field, fully covered. Full frames it
+// accepts must have arrays that agree and re-encode to something it
+// accepts again.
 func FuzzStateFrame(f *testing.F) {
 	for _, frame := range malformedFrames(f) {
 		f.Add(frame)
 	}
+	enc := func(st *ckpt.StepperState, comps int, nodes []int32, full bool) []byte {
+		frame, err := encodeState(nil, st, comps, nodes, full)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
 	for _, comps := range []int{1, 3} {
 		st := testState(5, comps)
-		for _, tc := range []struct {
-			nodes []int32
-			full  bool
-		}{{nil, true}, {[]int32{0, 3}, false}, {nil, false}} {
-			frame, err := encodeState(nil, st, comps, tc.nodes, tc.full)
-			if err != nil {
-				f.Fatal(err)
-			}
+		f.Add(enc(st, comps, nil, true))
+		// An all-footprint set, overlapping on node 2, and the empty one.
+		f.Add(enc(st, comps, []int32{0, 1, 2}, false))
+		f.Add(enc(st, comps, []int32{2, 3, 4}, false))
+		f.Add(enc(st, comps, nil, false))
+		// Duplicate and out-of-range node ids.
+		f.Add(enc(st, comps, []int32{3, 3, 0, 3}, false))
+		for _, id := range []uint32{5, 0xffff_ffff} {
+			frame := enc(st, comps, []int32{1, 4}, false)
+			binary.LittleEndian.PutUint32(frame[4+binary.LittleEndian.Uint32(frame):], id)
 			f.Add(frame)
 		}
 	}
+	// Headers that disagree with every base: another NDof, another Comps.
+	f.Add(enc(testState(7, 3), 3, []int32{0, 6}, false))
+	f.Add(enc(testState(5, 3), 5, []int32{0, 2}, false))
+	f.Add(enc(testState(5, 3), 0, []int32{0}, false))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, base := range []*stateHeader{nil, zeroBase(5, 1), zeroBase(15, 3), zeroBase(18, 3)} {
-			ndof := 0
+			var ndof int
+			var seen []bool
 			if base != nil {
 				ndof = len(base.State.U)
+				seen = make([]bool, ndof/base.Comps)
 			}
-			sn, err := decodeState(payload, base, nil)
+			sn, err := decodeState(payload, base, seen)
 			if err != nil {
 				var se *StateFrameError
 				if !errors.As(err, &se) {
@@ -253,8 +358,31 @@ func FuzzStateFrame(f *testing.F) {
 				continue
 			}
 			if base != nil {
-				if sn != base || len(base.State.U) != ndof || len(base.State.V) != ndof {
-					t.Fatalf("footprint frame reshaped its base")
+				if sn != base || len(base.State.U) != ndof || len(base.State.V) != ndof || len(seen) != ndof/base.Comps {
+					t.Fatalf("frame reshaped its base")
+				}
+				// The rest of the set: two footprints that cover the field.
+				nn := int32(len(seen))
+				want, lo, hi := testState(int(nn), base.Comps), []int32{}, []int32{}
+				for n := int32(0); n < nn; n++ {
+					if n <= nn/2 {
+						lo = append(lo, n)
+					}
+					if n >= nn/2 {
+						hi = append(hi, n)
+					}
+				}
+				for _, nodes := range [][]int32{lo, hi} {
+					frame, err := encodeState(nil, want, base.Comps, nodes, false)
+					if err == nil {
+						_, err = decodeState(frame, base, seen)
+					}
+					if err != nil {
+						t.Fatalf("footprint after an accepted frame: %v", err)
+					}
+				}
+				if slices.Contains(seen, false) || !sameBits(base.State.U, want.U) || !sameBits(base.State.V, want.V) {
+					t.Fatalf("a covering set after an accepted frame does not give its field")
 				}
 				continue
 			}

@@ -43,12 +43,15 @@ type Distributed struct {
 	// Parts is the decomposition width; 0 means Ranks. Must be >= Ranks
 	// otherwise.
 	Parts int
-	// CheckpointEvery enables transparent rank-failure recovery: the
-	// coordinator snapshots the replicated stepper state every n cycles
-	// and, when a rank dies or stalls, relaunches the ranks, restores the
-	// snapshot and replays to the failure point — bitwise, since Parts
-	// pins the assembly order. 0 selects the default interval (4);
-	// negative disables recovery.
+	// CheckpointEvery enables transparent rank-failure recovery: every n
+	// cycles each rank writes its share of the stepper state to a
+	// run-private directory under TMPDIR (removed when the simulation is
+	// closed) and, when a rank dies or stalls, the coordinator relaunches
+	// the ranks, has them restore the last complete snapshot and replays
+	// to the failure point — bitwise, since Parts pins the assembly order.
+	// The snapshots guard against lost processes, not a lost host: they
+	// are never synced. 0 selects the default interval (4); negative
+	// disables recovery.
 	CheckpointEvery int
 	// MaxRecoveries bounds recoveries per rank configuration; 0 selects
 	// the default (3). In degraded mode the budget resets after each

@@ -79,6 +79,11 @@ func TestSpawnedKillAtEachSubstep(t *testing.T) {
 			if st.RecoveryMillis < 0 {
 				t.Fatalf("negative recovery wall time")
 			}
+			// Start, one per cycle, and the one the recovery ends with.
+			if st.Snapshots != cycles+2 || st.SnapshotBytes <= 0 || st.SnapshotMillis < 0 {
+				t.Errorf("Snapshots = %d (%d bytes, %d ms), want %d with bytes",
+					st.Snapshots, st.SnapshotBytes, st.SnapshotMillis, cycles+2)
+			}
 			if !bytes.Equal(csv, refs[c.physics]) {
 				t.Fatalf("recovered CSV differs from fault-free reference:\nref:\n%s\ngot:\n%s",
 					refs[c.physics], csv)

@@ -585,6 +585,14 @@ type Stats struct {
 	// consumed. Both are zero for the local backend.
 	Recoveries     int
 	RecoveryMillis int64
+	// Snapshots counts the recovery snapshots the distributed backend
+	// committed (Distributed.CheckpointEvery, plus one per reconfiguration
+	// and per FetchState); SnapshotMillis is the wall time every rank
+	// stood still for them and SnapshotBytes what the ranks wrote to the
+	// run's snapshot store. All zero for the local backend.
+	Snapshots      int
+	SnapshotMillis int64
+	SnapshotBytes  int64
 	// LevelTimes is the telemetry timing table (WithTelemetry locally,
 	// Distributed.Telemetry remotely; nil otherwise): one row per LTS
 	// level, with the cumulative stiffness-kernel nanoseconds each rank
@@ -663,6 +671,9 @@ func (s *Simulation) Stats() Stats {
 		st.DegradedRanks = n
 		st.DegradedMillis = d.Milliseconds()
 		st.CorruptFrames = s.dist.CorruptFrames()
+		n, d, st.SnapshotBytes = s.dist.Snapshots()
+		st.Snapshots = n
+		st.SnapshotMillis = d.Milliseconds()
 	}
 	switch {
 	case s.ltsS != nil:
