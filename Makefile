@@ -22,7 +22,10 @@ loc:
 # distributed backend (whose coordinator multiplexes rank connections on
 # goroutines and whose ranks run reader goroutines per peer); -short
 # shrinks the equivalence matrices to their corners so this stays
-# CI-friendly.
+# CI-friendly. The owner-computes pins of internal/dist (owner_test.go:
+# poisoned runs, set invariants, the halo buffers' hand-off between reader
+# and stepper) and the poisoned reconfiguration ladder skip nothing under
+# -short.
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist
 
@@ -86,20 +89,24 @@ bench-check:
 bench-baseline:
 	$(GO) run ./cmd/kernelbench -repeat 5 -out bench_baseline.json
 
-# Distributed smoke: a tiny trench run on 1, 2 and 4 local rank
+# Distributed smoke: a small trench run on 1, 2 and 4 local rank
 # processes with the decomposition width pinned to 4 parts. The
 # decomposition — not the process count — fixes the floating-point
-# assembly order, so all three receiver CSVs must be byte-identical.
+# assembly order, so all three receiver CSVs must be byte-identical. With
+# 1 and 2 ranks a rank owns several parts, and each rank advances only the
+# nodes its own parts touch, so this is the gate on that split — run, like
+# the fault smokes, at scale 0.015 x 40 cycles with -require-nonzero: at
+# 0.004 x 6 the three CSVs were five zero rows and one sample of 1e-37.
 dist-smoke:
 	@rm -rf .dist-smoke && mkdir -p .dist-smoke
 	$(GO) build -o .dist-smoke/distrun ./cmd/distrun
-	./.dist-smoke/distrun -ranks 1 -parts 4 -scale 0.004 -cycles 6 -out .dist-smoke/r1.csv
-	./.dist-smoke/distrun -ranks 2 -parts 4 -scale 0.004 -cycles 6 -out .dist-smoke/r2.csv
-	./.dist-smoke/distrun -ranks 4 -parts 4 -scale 0.004 -cycles 6 -out .dist-smoke/r4.csv
+	./.dist-smoke/distrun -ranks 1 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r1.csv
+	./.dist-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r2.csv
+	./.dist-smoke/distrun -ranks 4 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r4.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r2.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r4.csv
 	@rm -rf .dist-smoke
-	@echo "dist-smoke: 1-, 2- and 4-rank receiver CSVs byte-identical"
+	@echo "dist-smoke: 1-, 2- and 4-rank receiver CSVs byte-identical at nonzero amplitude"
 
 # Service smoke: wavedload starts an in-process waved service, runs the
 # acceptance smoke over real HTTP (cold vs cache-hit runs byte-identical,

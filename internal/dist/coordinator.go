@@ -88,6 +88,10 @@ type Config struct {
 	// RebalanceDetector tunes the imbalance detector; zero fields take
 	// the tune package defaults (ratio 1.5 over 3 cycles, cooldown 10).
 	RebalanceDetector tune.DetectorConfig
+
+	// onState is handed to in-process ranks (rankParams.onState): the
+	// package's tests poison and inspect rank state through it.
+	onState func(*rankRun)
 }
 
 // ctrlFrame is one control-plane message from a rank, read off the
@@ -258,7 +262,7 @@ func (co *Coordinator) launch() error {
 			co.ranks[i] = h
 			params := rankParams{
 				rank: i, addr: ln.Addr().String(), token: token,
-				gen: co.gen, faults: cfg.Faults,
+				gen: co.gen, faults: cfg.Faults, onState: cfg.onState,
 			}
 			go func() {
 				h.exitErr = runRank(params)

@@ -82,17 +82,22 @@ func newTestConfigScale(t *testing.T, physics string, ltsScheme bool, ranks, par
 	return tc
 }
 
-// runShared produces the shared-memory baseline: the parallel engine
-// with cfg.Parts rank workers, stepped exactly as the rank runtime steps,
-// sampled at the configured receivers. Returns per-cycle times and
-// samples.
-func runShared(t *testing.T, tc *testConfig, cycles int) ([]float64, [][]float64) {
+// newShared builds the shared-memory baseline's stepper: the parallel
+// engine with cfg.Parts rank workers (closed with the test) under the
+// scheme, sources and sponge the rank runtime builds.
+func newShared(t *testing.T, tc *testConfig) rankStepper {
 	t.Helper()
 	pop, err := parallel.NewOperator(tc.geom, tc.cfg.Part, tc.cfg.Parts)
 	if err != nil {
 		t.Fatalf("parallel.NewOperator: %v", err)
 	}
-	defer pop.Close()
+	t.Cleanup(pop.Close)
+	var sigma []float64
+	if sp := tc.cfg.Sponge; sp.Strength > 0 {
+		x0, x1, y0, y1, z0, z1 := tc.m.Extent()
+		sigma = sem.SpongeProfile(tc.geom.NumNodes(), tc.geom.NodeCoords,
+			x0, x1, y0, y1, z0, z1, sp.Faces, sp.Width, sp.Strength)
+	}
 	var st rankStepper
 	if tc.cfg.LTS {
 		sch, err := lts.FromMeshLevels(pop, tc.lv, true)
@@ -100,12 +105,26 @@ func runShared(t *testing.T, tc *testConfig, cycles int) ([]float64, [][]float64
 			t.Fatalf("lts: %v", err)
 		}
 		sch.SetSources(tc.srcs)
+		sch.Sigma = sigma
 		st = ltsRankStepper{sch}
 	} else {
 		g := newmark.New(pop, tc.lv.CoarseDt/float64(tc.lv.PMax()))
 		g.Sources = tc.srcs
+		g.Sigma = sigma
 		st = newmarkRankStepper{g, tc.lv.PMax()}
 	}
+	return st
+}
+
+// runShared steps the shared-memory baseline exactly as the rank runtime
+// steps, sampled at the configured receivers. Returns per-cycle times and
+// samples.
+func runShared(t *testing.T, tc *testConfig, cycles int) ([]float64, [][]float64) {
+	t.Helper()
+	return sampleShared(newShared(t, tc), tc, cycles)
+}
+
+func sampleShared(st rankStepper, tc *testConfig, cycles int) ([]float64, [][]float64) {
 	var times []float64
 	var samples [][]float64
 	for c := 0; c < cycles; c++ {
@@ -250,38 +269,15 @@ func TestSpawnedProcesses(t *testing.T) {
 	requireBitwise(t, "spawned", wantT, gotT, want, got)
 }
 
+// testSponge absorbs on five faces of the trench (the free surface stays).
+var testSponge = SpongeSpec{Width: 0.1, Strength: 50, Faces: [6]bool{true, true, true, true, true, false}}
+
 // TestSpongeEquivalence covers the absorbing-boundary reconstruction on
 // the ranks.
 func TestSpongeEquivalence(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", false, 2, 2)
-	tc.cfg.Sponge = SpongeSpec{Width: 0.1, Strength: 50, Faces: [6]bool{true, true, true, true, true, false}}
-	wantT, want := func() ([]float64, [][]float64) {
-		pop, err := parallel.NewOperator(tc.geom, tc.cfg.Part, tc.cfg.Parts)
-		if err != nil {
-			t.Fatalf("parallel.NewOperator: %v", err)
-		}
-		defer pop.Close()
-		x0, x1, y0, y1, z0, z1 := tc.m.Extent()
-		sigma := sem.SpongeProfile(tc.geom.NumNodes(), tc.geom.NodeCoords,
-			x0, x1, y0, y1, z0, z1, tc.cfg.Sponge.Faces, tc.cfg.Sponge.Width, tc.cfg.Sponge.Strength)
-		g := newmark.New(pop, tc.lv.CoarseDt/float64(tc.lv.PMax()))
-		g.Sources = tc.srcs
-		g.Sigma = sigma
-		st := newmarkRankStepper{g, tc.lv.PMax()}
-		var times []float64
-		var rows [][]float64
-		for c := 0; c < 3; c++ {
-			st.Step()
-			u := st.State()
-			row := make([]float64, len(tc.cfg.Receivers))
-			for i, dof := range tc.cfg.Receivers {
-				row[i] = u[dof]
-			}
-			times = append(times, st.Time())
-			rows = append(rows, row)
-		}
-		return times, rows
-	}()
+	tc.cfg.Sponge = testSponge
+	wantT, want := runShared(t, tc, 3)
 	gotT, got := runDist(t, tc, 3, true)
 	requireBitwise(t, "sponge", wantT, gotT, want, got)
 }

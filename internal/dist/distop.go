@@ -11,10 +11,13 @@ import (
 // exchanger is the rank runtime's message fabric, as the operator sees
 // it: send a halo frame to a peer rank and receive the next halo frame
 // from a peer rank. Receives are per-peer ordered (one TCP stream per
-// pair) and block until the frame arrives.
+// pair) and block until the frame arrives; the values belong to the
+// operator until it hands them back with releaseHalo, which lets the
+// fabric receive a later frame into the same storage.
 type exchanger interface {
 	sendHalo(rank int, seq, planID uint32, values []float64) error
 	recvHalo(rank int) (seq, planID uint32, values []float64, err error)
+	releaseHalo(rank int, values []float64)
 }
 
 // Stats accumulates the operator's real communication counters: one
@@ -33,9 +36,10 @@ type Stats struct {
 // accumulation buffers — exchanges the halo values with neighbouring ranks, and
 // assembles all contributions in ascending part order, which makes the
 // result at every locally-touched node bitwise identical to the
-// shared-memory engine with Parts workers. Nodes no local element
-// touches receive no contributions (their field values are harmlessly
-// stale under the replicated-state stepping discipline; see the package
+// shared-memory engine with Parts workers. Nodes no local element touches
+// — everything outside OwnedNodes — are neither read nor accumulated
+// into: the operator declares that footprint (sem.Footprint), so the
+// stepper built on it advances those nodes alone (see the package
 // comment).
 //
 // The operator is driven by a single stepping goroutine; the parallelism
@@ -61,7 +65,7 @@ type Operator struct {
 	// This — not the per-level touched set — is the halo target: the
 	// stepper reads u at every node of its owned elements at *some*
 	// level, so every level's apply must deliver assembled contributions
-	// on the full footprint to keep the replicated state exact there.
+	// on the full footprint to keep the rank's share of the field exact.
 	rankNodes [][]int32
 
 	partRank []int   // part → executing rank
@@ -104,13 +108,16 @@ type distPlan struct {
 	// ascending nodes of Touched[owned[i]] ∩ rankNodes[q] whose
 	// contributions we send to q. recvNodes[p] lists, for each remote
 	// part p, the ascending nodes of Touched[p] ∩ rankNodes[self] we
-	// receive, and touched[p] the nodes an owned part drains locally. A
-	// rank packs its parts in ascending part order and the global assembly
-	// sweep also visits parts ascending, so each neighbour's single
-	// message is consumed sequentially whatever the part → rank placement
-	// — owned parts need not be contiguous. All three index the plan's
-	// output space, which dst and a prefix of the private buffers share:
-	// node ids, or their image under a Remap's Out.
+	// receive, and touched[p] the nodes an owned part drains locally (nil
+	// for a remote part). A rank packs its parts in ascending part order
+	// and the global assembly sweep also visits parts ascending, so each
+	// neighbour's single message is consumed sequentially whatever the
+	// part → rank placement — owned parts need not be contiguous. All
+	// three index the plan's output space, which dst and a prefix of the
+	// private buffers share: node ids, or their image under a Remap's Out.
+	// All three lie inside the footprint — a stepper over the footprint
+	// maps nothing else in Out, and its accumulators stay all-zero between
+	// uses because no apply adds anywhere else.
 	sendNodes map[int][][]int32
 	recvNodes [][]int32
 	touched   [][]int32
@@ -200,12 +207,14 @@ func (d *Operator) OwnedParts() []int { return d.owned }
 // (indexed like OwnedParts), measured only when cfg.Telemetry is set.
 func (d *Operator) PartNanos() []int64 { return d.partNanos }
 
-// OwnedNodes returns this rank's global element-node footprint: the
-// ascending nodes its owned elements touch. On exactly these nodes the
-// rank's replicated field arrays are bitwise identical to the
-// shared-memory engine after every cycle; elsewhere they are stale.
-// Checkpoint capture merges the footprints of all ranks to reconstruct
-// the exact global field.
+// OwnedNodes implements sem.Footprint: this rank's global element-node
+// footprint, the ascending nodes its owned elements touch. These are the
+// nodes the rank's stepper advances, and on them its field arrays are
+// bitwise identical to the shared-memory engine after every cycle; the
+// rest of the NDof-long arrays is never written between restores and must
+// not be read. A node on a rank interface lies in both footprints and is
+// advanced, identically, by both ranks. Snapshots overlay the footprints
+// of all ranks to reconstruct the exact global field.
 func (d *Operator) OwnedNodes() []int32 { return d.rankNodes[d.rank] }
 
 // lookup returns the execution state for one element list, building the
@@ -246,7 +255,10 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		sendNodes: make(map[int][][]int32),
 		recvNodes: make([][]int32, dp.P),
 		recvCount: make([]int, d.cfg.Ranks),
-		touched:   dp.Touched,
+		touched:   make([][]int32, dp.P),
+	}
+	for _, p := range d.owned {
+		pl.touched[p] = dp.Touched[p]
 	}
 	mine := d.rankNodes[d.rank]
 	for q := 0; q < d.cfg.Ranks; q++ {
@@ -395,7 +407,8 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		d.offs[q] = o
 	}
 	for _, q := range pl.recvRanks {
-		d.recv[q] = nil // release the frame to the collector
+		d.ex.releaseHalo(q, d.recv[q])
+		d.recv[q] = nil
 	}
 	d.stats.Applies++
 }
@@ -458,5 +471,6 @@ func (d *Operator) ConnTable() ([]int32, int) { return sem.ConnOf(d.inner) }
 var (
 	_ sem.Preparer     = (*Operator)(nil)
 	_ sem.Connectivity = (*Operator)(nil)
+	_ sem.Footprint    = (*Operator)(nil)
 	_ sem.BatchKernel  = (*Operator)(nil)
 )

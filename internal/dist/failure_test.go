@@ -303,9 +303,9 @@ func maxAbsSamples(rows [][]float64) float64 {
 }
 
 // TestFetchStateExactGlobalField is the regression for the stale-replica
-// checkpoint bug. Under owner-computes stepping each rank's replicated
-// field is bitwise exact only on its owned element-node footprint — a
-// snapshot taken from rank 0 alone carries stale values everywhere else,
+// checkpoint bug. Under owner-computes stepping each rank's field arrays
+// hold the run's state only on its owned element-node footprint — a
+// snapshot taken from rank 0 alone carries nothing of it anywhere else,
 // which every trajectory test at trivially small amplitude missed
 // (all samples exactly 0.0). At a scale where the baseline is provably
 // nonzero, the merged snapshot must equal the shared-memory engine's

@@ -75,8 +75,8 @@ type configFrame struct {
 //	[u32 header length] [gob stateHeader] [nodes ...i32] [U ...f64] [V ...f64]
 //
 // A full frame carries all NDof values of U and V, a footprint frame only
-// those on the listed nodes, Comps per node: a rank's replicated arrays
-// are bitwise correct only at the nodes its owned elements touch
+// those on the listed nodes, Comps per node: a rank advances, and so holds,
+// only the nodes its owned elements touch
 // (Operator.OwnedNodes), so a snapshot is one footprint frame per rank
 // and the exact global state is their overlay — every node lies in some
 // footprint, where footprints overlap the values agree bitwise, and the
@@ -258,6 +258,12 @@ type conn struct {
 	r   *bufio.Reader
 	wmu sync.Mutex
 	w   *bufio.Writer
+	// Frame header and tail of the send (under wmu) and header of the
+	// receive in progress: they pass through an io interface, so as locals
+	// they would be heap-allocated per frame.
+	whdr [5]byte
+	wcrc [4]byte
+	rhdr [5]byte
 
 	corruptNext atomic.Bool
 	stallNanos  atomic.Int64
@@ -268,10 +274,10 @@ func newConn(c net.Conn) *conn {
 }
 
 // frameCRC is the checksum carried in a frame's tail: CRC32-IEEE over
-// the type byte followed by the payload.
-func frameCRC(t byte, payload []byte) uint32 {
-	crc := crc32.ChecksumIEEE([]byte{t})
-	return crc32.Update(crc, crc32.IEEETable, payload)
+// the type byte (the last of the 5-byte frame header) followed by the
+// payload.
+func frameCRC(hdr *[5]byte, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, payload)
 }
 
 // send writes one framed message and flushes it, under a per-frame
@@ -283,21 +289,19 @@ func (c *conn) send(t byte, payload []byte) error {
 		time.Sleep(time.Duration(d))
 	}
 	c.c.SetWriteDeadline(time.Now().Add(writeFrameTimeout))
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = t
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.whdr[:4], uint32(len(payload)))
+	c.whdr[4] = t
+	if _, err := c.w.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.w.Write(payload); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], frameCRC(t, payload))
+	binary.LittleEndian.PutUint32(c.wcrc[:], frameCRC(&c.whdr, payload))
 	if c.corruptNext.CompareAndSwap(true, false) {
-		tail[0] ^= 0xff
+		c.wcrc[0] ^= 0xff
 	}
-	if _, err := c.w.Write(tail[:]); err != nil {
+	if _, err := c.w.Write(c.wcrc[:]); err != nil {
 		return err
 	}
 	return c.w.Flush()
@@ -305,8 +309,13 @@ func (c *conn) send(t byte, payload []byte) error {
 
 // recv reads one framed message, verifying the CRC tail. The returned
 // payload is freshly allocated and owned by the caller.
-func (c *conn) recv() (byte, []byte, error) {
-	var hdr [5]byte
+func (c *conn) recv() (byte, []byte, error) { return c.recvInto(nil) }
+
+// recvInto is recv with the payload read into buf's storage, grown as
+// needed: for a reader that is done with one frame before it reads the
+// next.
+func (c *conn) recvInto(buf []byte) (byte, []byte, error) {
+	hdr := &c.rhdr
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -314,13 +323,13 @@ func (c *conn) recv() (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, &CorruptFrameError{Type: hdr[4], Len: int(n)}
 	}
-	payload := make([]byte, n+4)
+	payload := slices.Grow(buf[:0], int(n)+4)[:n+4]
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return 0, nil, err
 	}
 	want := binary.LittleEndian.Uint32(payload[n:])
 	payload = payload[:n]
-	if got := frameCRC(hdr[4], payload); got != want {
+	if got := frameCRC(hdr, payload); got != want {
 		return 0, nil, &CorruptFrameError{Type: hdr[4], Len: int(n), Want: want, Got: got}
 	}
 	return hdr[4], payload, nil
@@ -392,14 +401,15 @@ func encodeHalo(buf []byte, fr haloFrame) []byte {
 	return putFloats(buf, fr.values)
 }
 
-// decodeHalo parses a halo payload: a header, then whole values.
-func decodeHalo(payload []byte) (fr haloFrame, err error) {
+// decodeHalo parses a halo payload: a header, then whole values, decoded
+// into vals' storage where that is large enough.
+func decodeHalo(payload []byte, vals []float64) (fr haloFrame, err error) {
 	if len(payload) < 8 {
 		return fr, fmt.Errorf("dist: halo frame of %d bytes", len(payload))
 	}
 	fr.seq = binary.LittleEndian.Uint32(payload[0:4])
 	fr.planID = binary.LittleEndian.Uint32(payload[4:8])
-	fr.values, err = getFloats(nil, payload[8:])
+	fr.values, err = getFloats(vals, payload[8:])
 	return fr, err
 }
 

@@ -71,31 +71,45 @@ type rankParams struct {
 	gen     int          // coordinator spawn generation (0 = initial launch)
 	faults  []*FaultPlan // injected faults, if any
 	spawned bool         // true in a separate rank process
+	// onState, when set, runs each time the rank's field arrays have been
+	// (re)installed: after build and after every restore (tests only).
+	onState func(*rankRun)
 }
 
 // peerLink is one rank↔rank connection: sends run on the stepping
 // goroutine (the far side's reader always drains, so writes cannot
 // deadlock), receives are decoded by a dedicated reader goroutine into a
 // buffered channel. Lockstep stepping bounds the frames in flight per
-// pair to a handful, far below the channel capacity.
+// pair to a handful, far below the channel capacity. The value buffers
+// circulate: the stepping goroutine hands each one back on free once it
+// has assembled the frame, and the reader decodes a later frame into it,
+// so a steady-state exchange allocates nothing.
 type peerLink struct {
 	c      *conn
 	frames chan haloFrame
+	free   chan []float64 // as many as frames can hold: one per frame in flight
 	errs   chan error
 	timer  *time.Timer // reusable receive-timeout timer, owned by recvHalo
 }
 
 func newPeerLink(c *conn) *peerLink {
-	l := &peerLink{c: c, frames: make(chan haloFrame, 16), errs: make(chan error, 1)}
+	l := &peerLink{c: c, frames: make(chan haloFrame, 16), free: make(chan []float64, 16), errs: make(chan error, 1)}
 	go func() {
+		var raw []byte // the last frame's bytes: decoded, so the next is read over them
 		for {
-			t, payload, err := c.recv()
+			t, payload, err := c.recvInto(raw)
 			if err == nil && t != msgHalo {
 				err = fmt.Errorf("dist: unexpected peer frame type %d (%d bytes)", t, len(payload))
 			}
 			var fr haloFrame
 			if err == nil {
-				fr, err = decodeHalo(payload)
+				raw = payload
+				var vals []float64
+				select {
+				case vals = <-l.free:
+				default:
+				}
+				fr, err = decodeHalo(payload, vals)
 			}
 			if err != nil {
 				l.errs <- err
@@ -161,6 +175,13 @@ func (f *peerFabric) recvHalo(rank int) (uint32, uint32, []float64, error) {
 	}
 }
 
+func (f *peerFabric) releaseHalo(rank int, values []float64) {
+	select {
+	case f.links[rank].free <- values:
+	default: // more buffers than frames in flight: drop this one
+	}
+}
+
 func (f *peerFabric) close() {
 	for _, l := range f.links {
 		if l != nil {
@@ -195,8 +216,9 @@ func (a newmarkRankStepper) State() []float64 { return a.s.U }
 
 // RankStats is one rank's contribution to the aggregated run statistics:
 // the real communication counters of its distributed operator plus the
-// rank-local scheme's work model (identical on every rank under the
-// replicated stepping discipline, so the coordinator reports rank 0's).
+// rank-local scheme's work model (element applies are counted over the
+// mesh's element lists, which every rank walks alike, so the model is
+// identical on every rank and the coordinator reports rank 0's).
 type RankStats struct {
 	Applies, Messages, Volume int64
 	ElemApplies               int64
@@ -217,6 +239,14 @@ type RankStats struct {
 	LevelNanos []int64
 	OwnedParts []int
 	PartNanos  []int64
+	// PointwiseNanos is the cumulative wall time of this rank's cycles
+	// outside its stiffness applications (LevelNanos, which span compute,
+	// halo exchange and assembly): the stepper's own pointwise work over
+	// the rank's share of the nodes — ActiveNodes in the substepping
+	// region plus FarNodes updated once per cycle, together the
+	// FootprintNodes of Operator.OwnedNodes. LTS only.
+	PointwiseNanos                        int64
+	ActiveNodes, FarNodes, FootprintNodes int
 }
 
 // rankRun is the live state of one rank process.
@@ -237,6 +267,8 @@ type rankRun struct {
 	// only the cycle's deltas (telemetry only).
 	lastBusy int64
 	lastWait []int64
+	// stepNanos is the cumulative wall time of st.Step (telemetry only).
+	stepNanos int64
 	// linkRetries counts reconnect attempts beyond the first.
 	linkRetries int64
 	store       snapStore // the run's snapshot store, as broadcast
@@ -418,10 +450,13 @@ func acceptWithDeadline(ln net.Listener, deadline time.Time) (net.Conn, error) {
 
 // build reconstructs the rank-local simulation from the broadcast
 // configuration: mesh, operator, distributed wrapper, scheme, sources,
-// sponge and owned receivers. Every step is deterministic, so each
-// rank agrees bitwise with the shared-memory baseline on its owned
-// element-node footprint (the rest of its replicated arrays is stale;
-// see Operator.OwnedNodes).
+// sponge and owned receivers. Mesh, operator and the NDof-long field
+// arrays are replicated on every rank; the stepping is not: the LTS scheme
+// takes the distributed operator's footprint as its node domain and
+// advances, and applies the sources of, those nodes alone (global Newmark
+// still sweeps every node; what it computes outside the footprint is never
+// read). Every step is deterministic, so each rank agrees bitwise with the
+// shared-memory baseline on its footprint (see Operator.OwnedNodes).
 func (r *rankRun) build() error {
 	m, lv, geom, err := buildOperator(&r.cfg)
 	if err != nil {
@@ -472,6 +507,9 @@ func (r *rankRun) build() error {
 		if owner == r.params.rank {
 			r.recIdx = append(r.recIdx, i)
 		}
+	}
+	if r.params.onState != nil {
+		r.params.onState(r)
 	}
 	return nil
 }
@@ -539,16 +577,23 @@ func (r *rankRun) serve() error {
 			if r.cfg.Telemetry {
 				if r.ltsS != nil {
 					st.LevelNanos = append([]int64(nil), r.ltsS.Work.LevelNanos...)
+					st.PointwiseNanos = r.stepNanos
+					for _, n := range st.LevelNanos {
+						st.PointwiseNanos -= n
+					}
+					active, far := r.ltsS.Domain()
+					st.ActiveNodes, st.FarNodes = len(active), len(far)
 				}
 				st.OwnedParts = append([]int(nil), r.dop.OwnedParts()...)
 				st.PartNanos = append([]int64(nil), r.dop.PartNanos()...)
+				st.FootprintNodes = len(r.dop.OwnedNodes())
 			}
 			if err := r.coord.sendGob(msgStatsResp, &st); err != nil {
 				return err
 			}
 		case msgCkpt:
-			// The arrays are exact on the footprint and nowhere else: that
-			// is what this rank adds to the snapshot.
+			// The arrays are advanced on the footprint and nowhere else:
+			// that is what this rank adds to the snapshot.
 			if len(payload) != 4 {
 				return fmt.Errorf("malformed snapshot frame (%d bytes)", len(payload))
 			}
@@ -581,9 +626,9 @@ func (r *rankRun) serve() error {
 }
 
 // capture returns the rank-local stepper state for immediate encoding
-// (it aliases the live arrays). The arrays are exact only on this rank's
-// owned footprint (see Operator.OwnedNodes) — the coordinator merges the
-// footprints of every rank's snapshot into the global field.
+// (it aliases the live arrays). The arrays are meaningful only on this
+// rank's footprint (see Operator.OwnedNodes): a snapshot is every rank's
+// footprint, and a restore overlays them all.
 func (r *rankRun) capture() *ckpt.StepperState {
 	if r.ltsS != nil {
 		return r.ltsS.View()
@@ -606,9 +651,14 @@ func (r *rankRun) restoreFrom(payload []byte) error {
 		return err
 	}
 	if r.ltsS != nil {
-		return r.ltsS.Restore(&base.State)
+		err = r.ltsS.Restore(&base.State)
+	} else {
+		err = r.gS.Restore(&base.State)
 	}
-	return r.gS.Restore(&base.State)
+	if err == nil && r.params.onState != nil {
+		r.params.onState(r)
+	}
+	return err
 }
 
 // stepOnce advances one coarse cycle and reports the cycle time plus the
@@ -632,6 +682,10 @@ func (r *rankRun) stepOnce() (err error) {
 			r.trigger()
 		}
 	}
+	var start time.Time
+	if r.cfg.Telemetry {
+		start = time.Now()
+	}
 	r.st.Step()
 	u := r.st.State()
 	vals := append(r.vals[:0], r.st.Time())
@@ -639,6 +693,7 @@ func (r *rankRun) stepOnce() (err error) {
 		vals = append(vals, u[r.cfg.Receivers[i]])
 	}
 	if r.cfg.Telemetry {
+		r.stepNanos += time.Since(start).Nanoseconds()
 		// Trailing telemetry: this cycle's owned-part compute nanos,
 		// then this rank's halo-wait nanos per peer. The coordinator
 		// charges each rank the time its peers spent waiting on it, so

@@ -103,8 +103,10 @@ func TestAutoRebalance(t *testing.T) {
 }
 
 // TestTelemetryCounters: with telemetry on, the per-level and per-part
-// counters fill in and the coordinator's busy trace records one sample
-// per cycle; with it off (the default) they stay empty.
+// counters fill in, every rank reports its pointwise stepping time next
+// to the share of the nodes it was spent on (less than the mesh, summing
+// to the mesh plus the rank interfaces), and the coordinator's busy trace
+// records one sample per cycle; with it off (the default) they stay empty.
 func TestTelemetryCounters(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", true, 2, 4)
 	tc.cfg.Telemetry = true
@@ -117,6 +119,7 @@ func TestTelemetryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
+	share := 0
 	for r, st := range stats {
 		var lvl, part int64
 		for _, n := range st.LevelNanos {
@@ -135,6 +138,18 @@ func TestTelemetryCounters(t *testing.T) {
 			t.Errorf("rank %d owned/part telemetry mismatch: %v vs %d nanos",
 				r, st.OwnedParts, len(st.PartNanos))
 		}
+		if st.PointwiseNanos <= 0 {
+			t.Errorf("rank %d pointwise nanos %d, want > 0", r, st.PointwiseNanos)
+		}
+		nn := tc.geom.NumNodes()
+		if st.ActiveNodes <= 0 || st.FarNodes <= 0 || st.ActiveNodes+st.FarNodes != st.FootprintNodes || st.FootprintNodes >= nn {
+			t.Errorf("rank %d steps %d active + %d far-coarse nodes on a footprint of %d in a mesh of %d",
+				r, st.ActiveNodes, st.FarNodes, st.FootprintNodes, nn)
+		}
+		share += st.FootprintNodes
+	}
+	if nn := tc.geom.NumNodes(); share < nn || share > nn+nn/2 {
+		t.Errorf("the ranks' footprints add up to %d nodes of %d", share, nn)
 	}
 
 	off := newTestConfig(t, "acoustic", true, 2, 4)
@@ -148,7 +163,7 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Error("trace recorded without telemetry")
 	}
 	for r, st := range stats2 {
-		if len(st.LevelNanos) != 0 || len(st.PartNanos) != 0 {
+		if len(st.LevelNanos) != 0 || len(st.PartNanos) != 0 || st.PointwiseNanos != 0 || st.FootprintNodes != 0 {
 			t.Errorf("rank %d carries telemetry with it disabled", r)
 		}
 	}

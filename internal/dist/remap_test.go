@@ -55,6 +55,8 @@ func (e loopEx) recvHalo(rank int) (uint32, uint32, []float64, error) {
 	}
 }
 
+func (e loopEx) releaseHalo(int, []float64) {}
+
 // loopOperators builds one Operator per rank of tc on a loop fabric.
 func loopOperators(t *testing.T, tc *testConfig) (*loopFabric, []*Operator) {
 	t.Helper()

@@ -44,6 +44,18 @@
 // order is free, and every dof still sees the same floating-point
 // operations on the same operands in the same order as in the full-vector
 // formulation that oracle_test.go keeps and compares against.
+//
+// Node domain. The same licence lets a scheme advance a subset of the
+// nodes: the stiffness kernel is the only place one node's value reaches
+// another, so when the operator holds one share of a decomposed run and
+// says which nodes that share reads and assembles (sem.Footprint — the
+// distributed engine's ranks), the active region, the far-coarse list and
+// all scratch are built over that footprint and the scheme never reads or
+// writes U and V anywhere else; there they keep whatever SetInitial or
+// Restore put there. The element lists handed to the operator stay the
+// mesh's, so every holder of a share issues the same applies. An operator
+// without a footprint gives the domain of every node; there is one code
+// path.
 package lts
 
 import (
@@ -123,7 +135,7 @@ type Scheme struct {
 	ebuf   []float64        // Energy work buffer (all-zero between uses)
 	escr   sem.Scratch      // Energy kernel scratch
 
-	srcAct []int // active-region dof of each source, -1 on a far-coarse node
+	srcAct []int // active-region dof of each source, -1 on a far-coarse node and outside the domain
 	farSrc []int // ascending, distinct positions in sets.far of the nodes carrying a source
 }
 
@@ -199,7 +211,9 @@ func (s *Scheme) SetInitial(u0, v0 []float64) error {
 }
 
 // SetSources installs point sources (must be called before stepping so
-// their active-region positions can be resolved).
+// their active-region positions can be resolved). A source on a node
+// outside the scheme's domain is kept in Sources and never applied: the
+// holders of that node apply it.
 func (s *Scheme) SetSources(src []sem.Source) {
 	s.Sources = src
 	s.srcAct = make([]int, len(src))
@@ -211,11 +225,28 @@ func (s *Scheme) SetSources(src []sem.Source) {
 			s.srcAct[i] = a*nc + sc.Dof%nc
 			continue
 		}
-		p, _ := slices.BinarySearch(s.sets.far, n)
-		s.srcAct[i], s.farSrc = -1, append(s.farSrc, p)
+		s.srcAct[i] = -1
+		if p, ok := slices.BinarySearch(s.sets.far, n); ok {
+			s.farSrc = append(s.farSrc, p)
+		}
 	}
 	slices.Sort(s.farSrc)
 	s.farSrc = slices.Compact(s.farSrc)
+}
+
+// Domain returns the nodes the scheme advances, as it walks them: the
+// active region in active-index order and the far-coarse nodes ascending —
+// together the operator's footprint when it declares one (sem.Footprint),
+// every node otherwise. The slices are the scheme's own.
+func (s *Scheme) Domain() (active, far []int32) { return s.sets.actNode, s.sets.far }
+
+// AccumulatorsZero reports whether the stiffness accumulation buffers are
+// all-zero, as they must be between cycles: the stepper re-zeroes them on
+// its domain only, so with a footprint operator this holds exactly when
+// the operator accumulated nowhere else.
+func (s *Scheme) AccumulatorsZero() bool {
+	nonzero := func(v float64) bool { return v != 0 }
+	return !slices.ContainsFunc(s.kbuf, nonzero) && !slices.ContainsFunc(s.kact, nonzero)
 }
 
 // Time returns the simulation time t_n.
@@ -270,6 +301,8 @@ func (s *Scheme) kernel(li int, dst, in []float64) {
 // buildPlans builds the per-level batch plans. A level li >= 1 runs in the
 // active numbering: its plan gathers a node of P_li from its slot of ũ, any
 // other node from the zero slot behind the region, and scatters into kact.
+// Nodes outside the domain have no slot in either space (Out = -1, In = the
+// zero slot): a footprint operator's own elements touch none of them.
 func (s *Scheme) buildPlans() {
 	st, nAct := s.sets, len(s.sets.actNode)
 	s.bplans = make([]sem.BatchPlan, s.nlv)
@@ -287,7 +320,9 @@ func (s *Scheme) buildPlans() {
 	}
 	for li := 1; li < s.nlv; li++ {
 		for _, n := range st.levelNodes[li] {
-			m.In[n] = m.Out[n]
+			if a := m.Out[n]; a >= 0 {
+				m.In[n] = a
+			}
 		}
 		s.bplans[li] = s.Op.NewBatchPlan(st.forceElems[li]).Remap(m)
 		for _, n := range st.levelNodes[li] {
@@ -410,18 +445,23 @@ func (s *Scheme) Step() {
 	nc := s.Op.Comps()
 	if s.nlv == 1 {
 		// Degenerate single-level case: global leap-frog, identical
-		// arithmetic to package newmark (every node is active, in operator
-		// order): v -= Δt·z (half of it on the first step), sponge, u += Δt·v.
+		// arithmetic to package newmark (every node of the domain is active,
+		// in operator order): v -= Δt·z (half of it on the first step),
+		// sponge, u += Δt·v.
 		z := s.fbuf[0]
 		s.applyCoarse(z)
 		kick := s.Dt
 		if !s.start {
 			kick, s.start = s.Dt/2, true
 		}
-		for d := range z {
-			v := (s.V[d] - kick*z[d]) * s.dampFac(d/nc)
-			s.V[d] = v
-			s.U[d] += s.Dt * v
+		for a, n := range s.sets.actNode {
+			fac := s.dampFac(int(n))
+			for c := 0; c < nc; c++ {
+				d := int(n)*nc + c
+				v := (s.V[d] - kick*z[a*nc+c]) * fac
+				s.V[d] = v
+				s.U[d] += s.Dt * v
+			}
 		}
 	} else {
 		s.stepLevels()

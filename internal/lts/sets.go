@@ -26,12 +26,19 @@ import (
 //     = max level li such that n is a force node of li. Nodes that are
 //     force nodes of no li >= k see a constant force during level-k
 //     substepping and admit a closed-form (quadratic-in-time) update.
-//   - stepNodesAt[li]: nodes with stepLvl == li, ascending. The active
-//     update set of level k is ∪_{li >= k} stepNodesAt[li].
+//   - stepNodesAt[li]: the domain's nodes with stepLvl == li, ascending.
+//     The active update set of level k is ∪_{li >= k} stepNodesAt[li].
 //
-// Active-region numbering: the nodes that substep at all (stepLvl >= 1;
-// every node when there is a single level) are numbered 0..nAct-1 in
-// (stepLvl, node) order, so the update set of level li is the suffix
+// Node domain: the nodes this scheme advances — every node, or the
+// operator's footprint when it declares one (sem.Footprint). nodeLevel,
+// stepLvl, levelNodes and forceElems describe the mesh whatever the
+// domain, so they are the same on every holder of a share (forceElems has
+// to be: plan ids, work counters and the Prepare order must agree across
+// ranks); stepNodesAt and the active-region sets below are domain ∩ set.
+//
+// Active-region numbering: the domain's nodes that substep at all (stepLvl
+// >= 1; all of them when there is a single level) are numbered 0..nAct-1
+// in (stepLvl, node) order, so the update set of level li is the suffix
 // [actOff[li], nAct) and its closed-form set [actOff[li], actOff[li+1]).
 type sets struct {
 	numLevels   int
@@ -44,7 +51,7 @@ type sets struct {
 
 	actNode []int32 // active index -> node: stepNodesAt[1:] back to back
 	actOff  []int   // actOff[li]: number of active nodes with stepLvl < li
-	far     []int32 // the nodes outside the active region, ascending
+	far     []int32 // the domain's nodes outside the active region, ascending
 	// forceAct[li] lists the active indices of level li's force nodes,
 	// ascending. Level 0 keeps only the active part (coarsePass consumes the
 	// far-coarse rest) and, as its kernel speaks node ids, those next to it.
@@ -123,9 +130,22 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 		}
 		s.stepLvl[n] = uint8(l)
 	}
+	// The node domain, ascending: the footprint's entries, or 0..nn-1.
+	domain, nDomain := sem.FootprintOf(op), nn
+	if domain != nil {
+		nDomain = len(domain)
+	}
 	s.stepNodesAt = make([][]int32, numLevels)
-	for n, l := range s.stepLvl {
-		s.stepNodesAt[l] = append(s.stepNodesAt[l], int32(n))
+	for i := 0; i < nDomain; i++ {
+		n := int32(i)
+		if domain != nil {
+			n = domain[i]
+			if n < 0 || int(n) >= nn || (i > 0 && n <= domain[i-1]) {
+				return nil, fmt.Errorf("lts: operator footprint is not an ascending list of nodes at entry %d (%d)", i, n)
+			}
+		}
+		l := s.stepLvl[n]
+		s.stepNodesAt[l] = append(s.stepNodesAt[l], n)
 	}
 	// The active region: levels lo.. back to back.
 	lo := min(1, numLevels-1)

@@ -43,7 +43,8 @@ import "fmt"
 // read from (nodes may share one: a masked node points at a slot the caller
 // keeps zero), Out[n] the index its contribution accumulates into (distinct
 // per node). Both are NumNodes long and read during Remap only; every node
-// of the plan's elements must map inside [0, NIn) and [0, NOut).
+// of the plan's elements must map inside [0, NIn) and — on the operator's
+// Footprint, if it declares one: it accumulates nowhere else — [0, NOut).
 type NodeMap struct {
 	In, Out   []int32
 	NIn, NOut int // sizes of the two index spaces, in nodes

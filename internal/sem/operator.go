@@ -82,6 +82,25 @@ func Prepare(op Operator, elems []int32) {
 	}
 }
 
+// Footprint is an optional Operator extension of the engines that hold one
+// share of a decomposed run: OwnedNodes lists, ascending, the nodes this
+// operator's stiffness applications read u at and deliver assembled K·u
+// on — it accumulates into no other node of dst. A stepper has to advance
+// those nodes only (every other update of either scheme is pointwise), and
+// nothing else holds their values. Operators that serve the whole mesh do
+// not implement it.
+type Footprint interface {
+	OwnedNodes() []int32
+}
+
+// FootprintOf returns op's footprint, nil when it serves every node.
+func FootprintOf(op Operator) []int32 {
+	if f, ok := op.(Footprint); ok {
+		return f.OwnedNodes()
+	}
+	return nil
+}
+
 // AllElements returns the identity element list [0, n).
 func AllElements(op Operator) []int32 {
 	n := op.NumElements()

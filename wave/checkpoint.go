@@ -39,9 +39,9 @@ func configSHA(key string) string {
 }
 
 // captureState snapshots the live stepper state: directly from the local
-// schemes, or — for the distributed backend — merged over the wire from
-// every rank's owned footprint (a single rank's replicated copy is exact
-// only at the nodes its own elements touch).
+// schemes, or — for the distributed backend — overlaid from every rank's
+// footprint (a rank advances, and so holds, only the nodes its own
+// elements touch).
 func (s *Simulation) captureState() (*ckpt.StepperState, error) {
 	switch {
 	case s.dist != nil:

@@ -598,6 +598,10 @@ type Stats struct {
 	// level, with the cumulative stiffness-kernel nanoseconds each rank
 	// spent on that level. The local backend reports a single column.
 	LevelTimes []LevelStats
+	// RankStepping is the distributed backend's per-rank share of the
+	// stepper's pointwise work (Distributed.Telemetry with LTS; nil
+	// otherwise), indexed by rank.
+	RankStepping []RankStepping
 	// WorkerBusyNanos is the local engine's cumulative per-worker kernel
 	// time (telemetry only; nil for the distributed backend or without
 	// workers).
@@ -632,6 +636,20 @@ type LevelStats struct {
 	// RankNanos[r] is rank r's cumulative stiffness-kernel nanoseconds
 	// in this level (a single entry for the local backend).
 	RankNanos []int64
+}
+
+// RankStepping is one rank's share of the LTS stepper's own work: the
+// distributed backend is owner-computes for the whole cycle, so a rank
+// advances the nodes of its footprint only.
+type RankStepping struct {
+	// PointwiseNanos is the cumulative wall time of the rank's cycles
+	// outside its stiffness applications (the LevelTimes column of the
+	// rank, which spans compute, halo exchange and assembly).
+	PointwiseNanos int64
+	// ActiveNodes substep inside a cycle, FarNodes are updated once per
+	// cycle; together they are the FootprintNodes the rank's elements
+	// touch. Interface nodes count on every rank that shares them.
+	ActiveNodes, FarNodes, FootprintNodes int
 }
 
 // Stats returns the simulation's metadata and work counters. It may be
@@ -690,8 +708,8 @@ func (s *Simulation) Stats() Stats {
 		st.Cycles = s.gS.StepCount() / int64(s.lv.PMax())
 		st.ElemApplies = s.gS.ElementSteps
 	case s.dist != nil:
-		// Rank 0's scheme carries the work model (identical on every rank
-		// under the replicated stepping discipline); the halo counters are
+		// Rank 0's scheme carries the work model (counted over the mesh's
+		// element lists, so identical on every rank); the halo counters are
 		// summed over ranks. A lost rank leaves the counters zero — the
 		// failure surfaces through Run/Close, not here.
 		st.Ranks = s.distCfg.Ranks
@@ -722,6 +740,12 @@ func (s *Simulation) Stats() Stats {
 						}
 					}
 					st.LevelTimes = append(st.LevelTimes, row)
+				}
+				for _, rst := range rs {
+					st.RankStepping = append(st.RankStepping, RankStepping{
+						PointwiseNanos: rst.PointwiseNanos, ActiveNodes: rst.ActiveNodes,
+						FarNodes: rst.FarNodes, FootprintNodes: rst.FootprintNodes,
+					})
 				}
 			}
 		}
