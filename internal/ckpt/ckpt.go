@@ -211,10 +211,16 @@ func Decode(r io.Reader) (*File, error) {
 		if uint64(payloadLen) > maxSectionLen {
 			return nil, fmt.Errorf("ckpt: section %q: payload too large (%d)", name, payloadLen)
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		// The claimed length is untrusted: read through a buffer that grows
+		// with the bytes actually present, never allocate it up front.
+		var buf bytes.Buffer
+		if n, err := io.CopyN(&buf, r, int64(payloadLen)); err != nil {
+			if err == io.EOF && n > 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, fmt.Errorf("ckpt: section %q payload: %w", name, err)
 		}
+		payload := buf.Bytes()
 		var crc [4]byte
 		if _, err := io.ReadFull(r, crc[:]); err != nil {
 			return nil, fmt.Errorf("ckpt: section %q crc: %w", name, err)

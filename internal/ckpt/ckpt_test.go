@@ -2,9 +2,12 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -160,4 +163,64 @@ func TestWriteReadFile(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(dir, "missing.ckpt")); err == nil {
 		t.Fatal("missing file read without error")
 	}
+}
+
+// hugeClaim is a 28-byte container whose one section claims a payload of
+// 2³¹−1 bytes and carries two.
+func hugeClaim() []byte {
+	raw := []byte(magic)
+	raw = binary.LittleEndian.AppendUint32(raw, Version)
+	raw = binary.LittleEndian.AppendUint32(raw, 1)
+	raw = binary.LittleEndian.AppendUint16(raw, 4)
+	raw = append(raw, "meta"...)
+	raw = binary.LittleEndian.AppendUint32(raw, math.MaxInt32)
+	return append(raw, 0, 0)
+}
+
+// TestHugeClaimedLengthAllocatesLittle: a section's claimed length is
+// untrusted, so decoding a short input that claims a huge payload must
+// fail without allocating anything near the claim.
+func TestHugeClaimedLengthAllocatesLittle(t *testing.T) {
+	raw := hugeClaim()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated huge section decoded without error")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d bytes", len(raw), d)
+	}
+}
+
+// FuzzDecode drives the container decoder with arbitrary bytes, from the
+// corpus in testdata/fuzz/FuzzDecode (a valid meta+state file, a
+// truncated header, a bad CRC, a zero-length name, a duplicate section
+// name, a huge claimed length). It must never panic, and whatever it
+// accepts must survive a re-encode: the re-encoded container decodes to
+// the same sections.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		g, err := Decode(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := g.Encode(&again); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		h, err := Decode(&again)
+		if err != nil {
+			t.Fatalf("re-encoded container rejected: %v", err)
+		}
+		if !reflect.DeepEqual(g.names, h.names) {
+			t.Fatalf("sections %q re-decoded as %q", g.names, h.names)
+		}
+		for _, name := range g.names {
+			if !bytes.Equal(g.payloads[name], h.payloads[name]) {
+				t.Fatalf("section %q changed across a re-encode", name)
+			}
+		}
+	})
 }

@@ -23,8 +23,6 @@ package decomp
 
 import (
 	"sort"
-	"strconv"
-	"sync"
 
 	"golts/internal/sem"
 )
@@ -32,8 +30,7 @@ import (
 // Plan is the owner-computes layout of one element list over P parts.
 // Plans are immutable after construction and safe for concurrent reads.
 type Plan struct {
-	// Elems is a private copy of the requested element list, kept for
-	// cache validation.
+	// Elems is a private copy of the requested element list.
 	Elems []int32
 	// P is the decomposition width the plan was built for.
 	P int
@@ -185,88 +182,4 @@ func Owners(numNodes int, touched [][]int32) []int32 {
 		}
 	}
 	return own
-}
-
-// maxCachedPlans bounds a Cache; steppers use a handful of stable lists
-// (one per LTS level), so eviction only triggers under adversarial call
-// patterns, where dropping everything is acceptable.
-const maxCachedPlans = 256
-
-// Cache maps element-list fingerprints to Plans; it is the plan-shaped
-// face of the generic Memo, sharing its LRU bound and traffic counters.
-// Hits validate full content against the stored copy, so a hash
-// collision or a caller mutating a cached list in place degrades to a
-// rebuild, never to a wrong result. Lookup reports when any plan was
-// evicted to make room, so callers holding per-Plan side tables can drop
-// stale entries.
-type Cache struct {
-	op     sem.Operator
-	part   []int32
-	nparts int
-
-	mu   sync.Mutex
-	memo *Memo[*Plan]
-}
-
-// NewCache creates a plan cache for one (operator, partition) pair.
-func NewCache(op sem.Operator, part []int32, nparts int) *Cache {
-	return &Cache{op: op, part: part, nparts: nparts, memo: NewMemo[*Plan](maxCachedPlans)}
-}
-
-// Lookup returns the cached plan for the element list, building it on a
-// miss. The returned pointer is stable for as long as the plan stays
-// cached, so callers may key side tables by it; flushed reports whether
-// this lookup evicted any previous entry (conservatively: side tables
-// keyed by evicted pointers must go, and dropping everything is correct,
-// merely slower).
-func (c *Cache) Lookup(elems []int32) (pl *Plan, flushed bool) {
-	key := strconv.FormatUint(hashElems(elems), 16)
-	build := func() (*Plan, error) { return Build(c.op, c.part, c.nparts, elems), nil }
-	// The outer mutex serializes lookups so the eviction-counter delta is
-	// attributable to this call; steppers drive a Cache from one goroutine
-	// at a time, so nothing is lost.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	before := c.memo.Counters().Evictions
-	pl, hit, _ := c.memo.Get(key, build)
-	if hit && !sameElems(pl.Elems, elems) {
-		// Fingerprint collision, or a caller mutated a cached list in
-		// place: drop the stale plan and rebuild under the same key. The
-		// Drop counts as an eviction, so this lookup reports flushed.
-		c.memo.Drop(key)
-		pl, _, _ = c.memo.Get(key, build)
-	}
-	flushed = c.memo.Counters().Evictions > before
-	return pl, flushed
-}
-
-// Counters returns the cache's hit/miss/eviction counters.
-func (c *Cache) Counters() MemoCounters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.memo.Counters()
-}
-
-// hashElems is FNV-1a over the element ids.
-func hashElems(elems []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, e := range elems {
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(uint8(e >> s))
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
-func sameElems(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

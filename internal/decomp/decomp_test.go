@@ -88,31 +88,3 @@ func TestSharedUnionOwners(t *testing.T) {
 		t.Errorf("Owners = %v, want %v", own, want)
 	}
 }
-
-// TestCacheStability: same-content lookups return the same plan pointer;
-// different lists return different plans; mutating a cached list in
-// place degrades to a rebuild.
-func TestCacheStability(t *testing.T) {
-	op := testOp(t)
-	part := roundRobin(op.NumElements(), 2)
-	c := NewCache(op, part, 2)
-
-	elems := []int32{0, 1, 2, 3}
-	p1, _ := c.Lookup(elems)
-	p2, _ := c.Lookup([]int32{0, 1, 2, 3})
-	if p1 != p2 {
-		t.Error("equal lists returned distinct plans")
-	}
-	p3, _ := c.Lookup([]int32{3, 2, 1})
-	if p3 == p1 {
-		t.Error("different lists shared a plan")
-	}
-	elems[0] = 9 // caller mutates the list it handed in
-	p4, _ := c.Lookup(elems)
-	if p4 == p1 {
-		t.Error("mutated list was served the stale plan")
-	}
-	if p4.Parts[1][0] != 9 {
-		t.Errorf("rebuilt plan missing mutated element: %v", p4.Parts)
-	}
-}

@@ -10,11 +10,11 @@ import (
 // with single-flight builds: concurrent Gets for one key share a single
 // build instead of racing duplicates — the artifact store of the
 // simulation service keys meshes, GLL tables, decomposition plans and
-// batch plans by canonical config hash through one of these, and the
-// plan Cache below is rebased on it. Values are stored as built; callers
-// must treat them as immutable (every consumer of a shared artifact in
-// this codebase already does). Build errors are returned to every waiter
-// and never cached. A Memo is safe for concurrent use.
+// batch plans by canonical config hash through one of these. Values are
+// stored as built; callers must treat them as immutable (every consumer
+// of a shared artifact in this codebase already does). Build errors are
+// returned to every waiter and never cached. A Memo is safe for
+// concurrent use.
 type Memo[V any] struct {
 	mu      sync.Mutex
 	max     int
@@ -111,19 +111,6 @@ func (m *Memo[V]) insert(key string, val V) {
 		m.ctr.Evictions++
 	}
 	m.entries[key] = m.order.PushFront(&memoEntry[V]{key: key, val: val})
-}
-
-// Drop removes key if cached (in-flight builds are unaffected), for
-// callers that detect a stale value — e.g. the plan cache's content
-// validation on a fingerprint collision.
-func (m *Memo[V]) Drop(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		m.order.Remove(el)
-		delete(m.entries, key)
-		m.ctr.Evictions++
-	}
 }
 
 // Len returns the number of cached entries.

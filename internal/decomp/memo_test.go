@@ -100,21 +100,6 @@ func TestMemoBuildErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestMemoDrop: dropping a key forces a rebuild and counts as an
-// eviction.
-func TestMemoDrop(t *testing.T) {
-	m := NewMemo[int](8)
-	m.Get("k", func() (int, error) { return 1, nil })
-	m.Drop("k")
-	v, hit, _ := m.Get("k", func() (int, error) { return 2, nil })
-	if hit || v != 2 {
-		t.Fatalf("Get after Drop = (%d, hit=%v), want rebuilt (2, miss)", v, hit)
-	}
-	if m.Counters().Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", m.Counters().Evictions)
-	}
-}
-
 // TestMemoConcurrentKeys hammers distinct and shared keys under the race
 // detector.
 func TestMemoConcurrentKeys(t *testing.T) {

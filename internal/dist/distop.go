@@ -77,8 +77,6 @@ type Operator struct {
 	telemetry bool
 	partNanos []int64
 
-	plans      *decomp.Cache
-	ext        map[*decomp.Plan]*distPlan
 	nextPlanID uint32
 	seq        uint32
 
@@ -96,7 +94,7 @@ type Operator struct {
 type distPlan struct {
 	owner *Operator
 	dp    *decomp.Plan
-	id    uint32
+	id    uint32 // construction order on this operator, equal on every rank
 	// sendRanks lists the ranks we send halo values to for this element
 	// list and recvRanks the ranks we receive from, both ascending. The
 	// two differ in general: a rank with no elements at this level still
@@ -123,7 +121,7 @@ type distPlan struct {
 	touched   [][]int32
 	recvCount []int // values a frame from rank q must carry
 	// batch[i] is the inner batch plan of the i-th owned part (nil for
-	// empty parts), built on the first NewBatchPlan of the list.
+	// empty parts).
 	batch []sem.BatchPlan
 }
 
@@ -165,8 +163,6 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 		cfg:   cfg,
 		rank:  rank,
 		ex:    ex,
-		plans: decomp.NewCache(inner, cfg.Part, cfg.Parts),
-		ext:   make(map[*decomp.Plan]*distPlan),
 	}
 	d.partRank = cfg.partRanks()
 	d.ownedBy = rankParts(d.partRank, cfg.Ranks)
@@ -216,32 +212,6 @@ func (d *Operator) PartNanos() []int64 { return d.partNanos }
 // advanced, identically, by both ranks. Snapshots overlay the footprints
 // of all ranks to reconstruct the exact global field.
 func (d *Operator) OwnedNodes() []int32 { return d.rankNodes[d.rank] }
-
-// lookup returns the execution state for one element list, building the
-// decomposition plan and halo index sets on first use. Plan ids are
-// assigned in first-use order; the SPMD ranks execute the same apply
-// sequence, so ids agree across ranks and serve as a desync check on
-// every halo frame.
-func (d *Operator) lookup(elems []int32) *distPlan {
-	dp, flushed := d.plans.Lookup(elems)
-	if flushed {
-		d.ext = make(map[*decomp.Plan]*distPlan)
-	}
-	if pl, ok := d.ext[dp]; ok {
-		return pl
-	}
-	pl := d.buildHalo(dp)
-	pl.id = d.nextPlanID
-	d.nextPlanID++
-	d.ext[dp] = pl
-	return pl
-}
-
-// Prepare implements sem.Preparer: the steppers announce their stable
-// element lists (the all-elements list, each LTS level's force elements)
-// at construction time, so the per-level halo sets exist before the
-// first substep. The announcement order is deterministic across ranks.
-func (d *Operator) Prepare(elems []int32) { d.lookup(elems) }
 
 // buildHalo computes the halo index sets of one decomposition plan for
 // this rank: which nodes go to and come from every other rank. Outgoing
@@ -420,9 +390,9 @@ type commError struct{ err error }
 
 func (e *commError) Error() string { return e.err.Error() }
 
-// AddKu implements sem.Operator for callers without a prepared plan: the
-// element list's plan is looked up (or built) and applied through
-// AddKuBatch on the operator's own workspace.
+// AddKu implements sem.Operator for callers without a plan: the element
+// list's plan is built and applied through AddKuBatch on the operator's
+// own workspace. Every rank must make the same calls (see NewBatchPlan).
 func (d *Operator) AddKu(dst, u []float64, elems []int32) {
 	d.AddKuBatch(dst, u, d.NewBatchPlan(elems), &d.bscr)
 }
@@ -432,15 +402,21 @@ func (d *Operator) AddKuScratch(dst, u []float64, elems []int32, _ *sem.Scratch)
 	d.AddKu(dst, u, elems)
 }
 
-// NewBatchPlan implements sem.BatchKernel.
+// NewBatchPlan implements sem.BatchKernel: the decomposition plan of the
+// element list, its halo index sets and the owned parts' inner batch
+// plans, built afresh under the next plan id. Ids are assigned in
+// construction order; the SPMD ranks build the same plans in the same
+// order (the stepper's constructor: all elements, or LTS level by level),
+// so ids agree across ranks and serve as a desync check on every halo
+// frame.
 func (d *Operator) NewBatchPlan(elems []int32) sem.BatchPlan {
-	pl := d.lookup(elems)
-	if pl.batch == nil {
-		pl.batch = make([]sem.BatchPlan, len(d.owned))
-		for i, p := range d.owned {
-			if len(pl.dp.Parts[p]) > 0 {
-				pl.batch[i] = d.inner.NewBatchPlan(pl.dp.Parts[p])
-			}
+	pl := d.buildHalo(decomp.Build(d.inner, d.cfg.Part, d.cfg.Parts, elems))
+	pl.id = d.nextPlanID
+	d.nextPlanID++
+	pl.batch = make([]sem.BatchPlan, len(d.owned))
+	for i, p := range d.owned {
+		if len(pl.dp.Parts[p]) > 0 {
+			pl.batch[i] = d.inner.NewBatchPlan(pl.dp.Parts[p])
 		}
 	}
 	return pl
@@ -469,7 +445,6 @@ func (d *Operator) ElemNodes(e int, buf []int32) []int32 { return d.inner.ElemNo
 func (d *Operator) ConnTable() ([]int32, int) { return sem.ConnOf(d.inner) }
 
 var (
-	_ sem.Preparer     = (*Operator)(nil)
 	_ sem.Connectivity = (*Operator)(nil)
 	_ sem.Footprint    = (*Operator)(nil)
 	_ sem.BatchKernel  = (*Operator)(nil)

@@ -126,8 +126,8 @@ type Scheme struct {
 	kbuf []float64 // stiffness accumulation (all-zero between uses)
 	hold []float64 // U on sets.hold while the level-0 kernel reads U in place
 	// Kernel state: one plan per level (the per-level element sets are
-	// stable for the scheme's lifetime), built on the first Step, and one
-	// owned workspace, so steady-state Step() allocates nothing.
+	// stable for the scheme's lifetime), built by New in level order, and
+	// one owned workspace, so steady-state Step() allocates nothing.
 	bplans []sem.BatchPlan
 	bscr   sem.BatchScratch
 	// Diagnostic scratch, built lazily by Energy:
@@ -156,13 +156,7 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 		sets: st, nlv: numLevels,
 		kbuf: make([]float64, nd), hold: make([]float64, len(st.hold)*nc),
 	}
-	// Announce the per-level force-element lists to parallel backends, so
-	// their per-level activation masks, merge plans and halo sets exist
-	// before the first substep. (The per-level BatchPlans are built by the
-	// first Step.)
-	for li := 0; li < numLevels; li++ {
-		sem.Prepare(op, st.forceElems[li])
-	}
+	s.buildPlans()
 	s.Work.PerLevel = make([]int64, numLevels)
 	s.Work.LevelNanos = make([]int64, numLevels)
 	na := len(st.actNode) * nc
@@ -286,9 +280,6 @@ func (s *Scheme) kernel(li int, dst, in []float64) {
 	var kstart time.Time
 	if s.Telemetry {
 		kstart = time.Now()
-	}
-	if s.bplans == nil {
-		s.buildPlans()
 	}
 	s.Op.AddKuBatch(dst, in, s.bplans[li], &s.bscr)
 	if s.Telemetry {

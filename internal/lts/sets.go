@@ -33,8 +33,9 @@ import (
 // operator's footprint when it declares one (sem.Footprint). nodeLevel,
 // stepLvl, levelNodes and forceElems describe the mesh whatever the
 // domain, so they are the same on every holder of a share (forceElems has
-// to be: plan ids, work counters and the Prepare order must agree across
-// ranks); stepNodesAt and the active-region sets below are domain ∩ set.
+// to be: plan ids, work counters and the plan build order must agree
+// across ranks); stepNodesAt and the active-region sets below are domain ∩
+// set.
 //
 // Active-region numbering: the domain's nodes that substep at all (stepLvl
 // >= 1; all of them when there is a single level) are numbered 0..nAct-1

@@ -45,7 +45,7 @@ type Stepper struct {
 	elems   []int32
 	accel   []float64
 	visc    []float64
-	bplan   sem.BatchPlan    // all-elements batch plan, built on the first Step
+	bplan   sem.BatchPlan    // all-elements batch plan, built by New
 	bscr    sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
 	scr     sem.Scratch      // per-element scratch of the energy diagnostics
 	energy  *sem.Restriction // cached by Energy so diagnostics allocate nothing
@@ -64,18 +64,12 @@ func New(op sem.BatchKernel, dt float64) *Stepper {
 		elems: sem.AllElements(op),
 		accel: make([]float64, op.NDof()),
 	}
-	// Let parallel backends build the ownership split and merge plan for
-	// the all-elements list once, outside the stepping loop. (The
-	// all-elements BatchPlan is built by the first Step.)
-	sem.Prepare(op, s.elems)
+	s.bplan = op.NewBatchPlan(s.elems)
 	return s
 }
 
 // addKu accumulates dst += K u over all elements as one fused batch.
 func (s *Stepper) addKu(dst, u []float64) {
-	if s.bplan == nil {
-		s.bplan = s.Op.NewBatchPlan(s.elems)
-	}
 	s.Op.AddKuBatch(dst, u, s.bplan, &s.bscr)
 }
 

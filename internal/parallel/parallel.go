@@ -19,15 +19,14 @@
 //     are always summed in the same order, the result is bitwise
 //     reproducible from run to run for a fixed (partition, K).
 //
-// Repeated applications of the same element list — the global stepper's
-// all-elements list, and each LTS level's force-element list — hit a plan
-// cache holding the per-rank element split, the per-rank sorted touched
-// node lists, and the merge shard boundaries. The per-level plans double
-// as the activation masks of the paper's Fig. 1 schedule: an LTS substep
-// only wakes the ranks that own active elements at that level; everyone
-// else stays parked on their channel. Callers that know their element
-// lists up front (package lts, package newmark) install the plans eagerly
-// via Prepare, so no apply pays plan construction.
+// Each element list's execution plan — the per-rank element split, the
+// per-rank sorted touched node lists, the merge shard boundaries and the
+// per-rank inner batch plans — is built by NewBatchPlan and held by the
+// stepper that applies it: the global stepper's all-elements plan and
+// one plan per LTS level, all built in the stepper's constructor. The
+// per-level plans double as the activation masks of the paper's Fig. 1
+// schedule: an LTS substep only wakes the ranks that own active elements
+// at that level; everyone else stays parked on their channel.
 //
 // Both the global Newmark stepper and the multi-level LTS scheme run
 // *unchanged* on top, which demonstrates that the LTS recursion
@@ -44,12 +43,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"golts/internal/decomp"
 	"golts/internal/sem"
 )
 
 // Stats accumulates communication accounting across applies.
 type Stats struct {
-	// Applies counts AddKu calls.
+	// Applies counts AddKuBatch applies.
 	Applies int64
 	// Messages counts per-apply active-rank contributions carrying nonzero
 	// data (the shared-memory analogue of MPI messages).
@@ -71,8 +71,6 @@ type PartitionedOperator struct {
 	wg      sync.WaitGroup // worker goroutine lifetime
 	phase   sync.WaitGroup // per-phase barrier (compute, then merge)
 	closed  bool
-
-	plans planCache
 
 	// bs is the workspace AddKu and AddKuScratch hand to AddKuBatch, whose
 	// K == 1 delegation is the only reader (for K > 1 the rank workers own
@@ -120,7 +118,6 @@ func NewOperator(inner sem.BatchKernel, part []int32, k int) (*PartitionedOperat
 			return nil, fmt.Errorf("parallel: element %d in part %d (K=%d)", e, r, k)
 		}
 	}
-	p.plans.init(p)
 	nd := inner.NDof()
 	p.workers = make([]*rankWorker, k)
 	for r := 0; r < k; r++ {
@@ -139,19 +136,9 @@ func NewOperator(inner sem.BatchKernel, part []int32, k int) (*PartitionedOperat
 	return p, nil
 }
 
-// Prepare builds and caches the execution plan (per-rank element split,
-// touched-node lists, merge shards) for the given element list, so later
-// AddKu calls with the same list start computing immediately. The steppers
-// call this once per level at construction time.
-func (p *PartitionedOperator) Prepare(elems []int32) {
-	p.plans.lookup(p, elems)
-}
-
-// AddKu implements sem.Operator for callers without a prepared plan
-// (one-shot diagnostics, tests): the element list's plan is fetched from
-// the cache — or built, at O(len) cost — and applied through AddKuBatch.
-// The list must not be mutated between applies that reuse it (the plan
-// cache validates content and rebuilds on change).
+// AddKu implements sem.Operator for callers without a plan (one-shot
+// diagnostics, tests): the element list's plan is built, at O(len) cost,
+// and applied through AddKuBatch.
 func (p *PartitionedOperator) AddKu(dst, u []float64, elems []int32) {
 	p.AddKuBatch(dst, u, p.NewBatchPlan(elems), &p.bs)
 }
@@ -173,20 +160,10 @@ func (p *PartitionedOperator) account(plan *applyPlan) {
 }
 
 // NewBatchPlan implements sem.BatchKernel: the element list's execution
-// plan (ownership split, merge shards) is built or fetched from the plan
-// cache, and one inner BatchPlan per active rank is attached on first
-// request — Prepare alone never builds the packed plan constants.
+// plan — ownership split, merge shards and one inner BatchPlan per active
+// rank — built afresh; the caller holds it for as long as the list lives.
 func (p *PartitionedOperator) NewBatchPlan(elems []int32) sem.BatchPlan {
-	pl := p.plans.lookup(p, elems)
-	p.plans.mu.Lock()
-	defer p.plans.mu.Unlock()
-	if pl.rankBatch == nil {
-		pl.rankBatch = make([]sem.BatchPlan, p.K)
-		for _, r := range pl.dp.Active {
-			pl.rankBatch[r] = p.inner.NewBatchPlan(pl.dp.Parts[r])
-		}
-	}
-	return pl
+	return buildMerge(p, decomp.Build(p.inner, p.part, p.K, elems))
 }
 
 // AddKuBatch implements sem.BatchKernel with the two-phase protocol of
@@ -279,7 +256,6 @@ func (p *PartitionedOperator) ElemNodes(e int, buf []int32) []int32 {
 func (p *PartitionedOperator) ConnTable() ([]int32, int) { return sem.ConnOf(p.inner) }
 
 var (
-	_ sem.Preparer     = (*PartitionedOperator)(nil)
 	_ sem.Connectivity = (*PartitionedOperator)(nil)
 	_ sem.BatchKernel  = (*PartitionedOperator)(nil)
 )

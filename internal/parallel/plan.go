@@ -2,13 +2,12 @@ package parallel
 
 import (
 	"sort"
-	"sync"
 
 	"golts/internal/decomp"
 	"golts/internal/sem"
 )
 
-// applyPlan is the cached execution layout for one element list: the
+// applyPlan is the execution layout for one element list: the
 // shared owner-computes decomposition (per-rank ownership split — the
 // activation mask — and per-rank sorted touched-node lists, built by
 // package decomp) plus the backend-specific state of the shared-memory
@@ -31,8 +30,7 @@ type applyPlan struct {
 	// entries for idle ranks): the per-rank half of the "BatchPlan per LTS
 	// level, per rank" layout. A compute task carries its rank's entry and
 	// runs the owned slice as one fused batch on the worker's own
-	// BatchScratch. Built on the first PartitionedOperator.NewBatchPlan
-	// of the list (nil until then).
+	// BatchScratch.
 	rankBatch []sem.BatchPlan
 }
 
@@ -53,42 +51,18 @@ func (pl *applyPlan) Remap(m sem.NodeMap) sem.BatchPlan {
 	return &q
 }
 
-// planCache maps decomp plans (content-validated by decomp.Cache) to the
-// shared-memory merge state layered on top of them.
-type planCache struct {
-	cache *decomp.Cache
-	mu    sync.Mutex
-	ext   map[*decomp.Plan]*applyPlan
-}
-
-func (c *planCache) init(p *PartitionedOperator) {
-	c.cache = decomp.NewCache(p.inner, p.part, p.K)
-	c.ext = make(map[*decomp.Plan]*applyPlan)
-}
-
-func (c *planCache) lookup(p *PartitionedOperator, elems []int32) *applyPlan {
-	dp, flushed := c.cache.Lookup(elems)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if flushed {
-		c.ext = make(map[*decomp.Plan]*applyPlan)
-	}
-	if pl, ok := c.ext[dp]; ok {
-		return pl
-	}
-	pl := buildMerge(p, dp)
-	c.ext[dp] = pl
-	return pl
-}
-
 // buildMerge computes the shared-memory merge layout on top of a
 // decomposition plan: contiguous node-id shard ranges balanced by
-// touched volume. Boundaries are node-id values taken at volume
-// quantiles of the merged touched multiset; per-rank boundary indices
-// follow by binary search.
+// touched volume, and the inner batch plan of every active rank.
+// Boundaries are node-id values taken at volume quantiles of the merged
+// touched multiset; per-rank boundary indices follow by binary search.
 func buildMerge(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 	k := p.K
-	pl := &applyPlan{owner: p, dp: dp, nc: p.inner.Comps(), touched: dp.Touched, shardIdx: make([][]int32, k)}
+	pl := &applyPlan{owner: p, dp: dp, nc: p.inner.Comps(), touched: dp.Touched,
+		shardIdx: make([][]int32, k), rankBatch: make([]sem.BatchPlan, k)}
+	for _, r := range dp.Active {
+		pl.rankBatch[r] = p.inner.NewBatchPlan(dp.Parts[r])
+	}
 	total := 0
 	for _, t := range dp.Touched {
 		total += len(t)

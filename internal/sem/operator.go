@@ -65,17 +65,16 @@ type Connectivity interface {
 	ConnTable() (conn []int32, nodesPerElem int)
 }
 
-// Preparer is an optional Operator extension: implementations can
-// precompute per-element-list execution state (ownership splits, merge
-// plans) for lists that will be applied repeatedly. The steppers announce
-// their stable lists — the global all-elements list, each LTS level's
-// force elements — at construction time, so parallel backends never pay
-// plan construction inside the stepping loop.
+// Preparer is a retired optional Operator extension that announced
+// reusable element lists. No operator of this module implements it: a
+// stepper builds each of its plans once with NewBatchPlan, in its
+// constructor, and holds it. Preparer and Prepare are kept only because
+// the benchmark harness module (benchmark/) compiles against them.
 type Preparer interface {
 	Prepare(elems []int32)
 }
 
-// Prepare announces a reusable element list to op if it supports it.
+// Prepare calls op.Prepare if op implements Preparer.
 func Prepare(op Operator, elems []int32) {
 	if p, ok := op.(Preparer); ok {
 		p.Prepare(elems)
