@@ -21,27 +21,31 @@ loc:
 # shared-memory engine, the LTS scheme that drives it, the distributed
 # backend (whose coordinator multiplexes rank connections on goroutines
 # and whose ranks run reader goroutines per peer) and decomp.Memo, the
-# single-flight cache the service's concurrent jobs share; -short
+# single-flight cache the service's concurrent jobs share; the service
+# itself, and the facade's artifact-cache tests, where concurrent jobs
+# place points on and step one shared cached operator; -short
 # shrinks the equivalence matrices to their corners so this stays
 # CI-friendly. The owner-computes pins of internal/dist (owner_test.go:
 # poisoned runs, set invariants, the halo buffers' hand-off between reader
 # and stepper) and the poisoned reconfiguration ladder skip nothing under
 # -short.
 race:
-	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist ./internal/decomp
+	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist ./internal/decomp ./internal/serve
+	$(GO) test -race -short -run 'ArtifactCache' ./wave
 
 # Short native-fuzz leg over the untrusted decoders (three of
 # internal/dist — the state frame of the snapshot files, the peer-link
-# halo frame and the cycle-done frame — and the checkpoint container of
-# internal/ckpt, one after the other: go test takes one -fuzz target per
-# run); the committed corpora under testdata/fuzz run as ordinary tests
-# in `make test` already.
+# halo frame and the cycle-done frame — the checkpoint container of
+# internal/ckpt and the service's POST /jobs body, one after the other:
+# go test takes one -fuzz target per run); the committed corpora under
+# testdata/fuzz run as ordinary tests in `make test` already.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzHaloFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCycleDone -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME) ./internal/serve
 
 # The end-to-end benchmark lives in its own nested module (benchmark/,
 # see BENCHMARK.json), which `go test ./...` does not reach:

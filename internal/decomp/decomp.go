@@ -22,7 +22,7 @@
 package decomp
 
 import (
-	"sort"
+	"slices"
 
 	"golts/internal/sem"
 )
@@ -64,7 +64,7 @@ func Build(op sem.Operator, part []int32, nparts int, elems []int32) *Plan {
 		p := part[e]
 		pl.Parts[p] = append(pl.Parts[p], e)
 	}
-	pl.Touched = TouchedNodes(op, pl.Parts)
+	pl.Touched = sem.TouchedNodes(op, pl.Parts)
 	for p := 0; p < nparts; p++ {
 		if len(pl.Parts[p]) == 0 {
 			continue
@@ -74,44 +74,6 @@ func Build(op sem.Operator, part []int32, nparts int, elems []int32) *Plan {
 		pl.Volume += int64(len(pl.Touched[p]))
 	}
 	return pl
-}
-
-// TouchedNodes computes, for each element list, the ascending list of
-// unique global nodes its stiffness contributions write. Element
-// connectivity comes from the operator's flat table when it exposes one,
-// avoiding a per-element copy through ElemNodes.
-func TouchedNodes(op sem.Operator, elemLists [][]int32) [][]int32 {
-	conn, npe := sem.ConnOf(op)
-	touchMap := make([]bool, op.NumNodes())
-	var nb []int32
-	out := make([][]int32, len(elemLists))
-	for p, list := range elemLists {
-		if len(list) == 0 {
-			continue
-		}
-		var t []int32
-		for _, e := range list {
-			var en []int32
-			if conn != nil {
-				en = conn[int(e)*npe : (int(e)+1)*npe]
-			} else {
-				nb = op.ElemNodes(int(e), nb[:0])
-				en = nb
-			}
-			for _, n := range en {
-				if !touchMap[n] {
-					touchMap[n] = true
-					t = append(t, n)
-				}
-			}
-		}
-		for _, n := range t {
-			touchMap[n] = false
-		}
-		sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
-		out[p] = t
-	}
-	return out
 }
 
 // Shared returns the ascending intersection of two ascending node lists:
@@ -154,17 +116,8 @@ func Union(lists ...[]int32) []int32 {
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	if len(all) == 0 {
-		return nil
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:1]
-	for _, n := range all[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // Owners maps every node to the lowest part whose touched set contains

@@ -1,7 +1,9 @@
 package decomp
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"golts/internal/mesh"
@@ -63,6 +65,52 @@ func TestBuildInvariants(t *testing.T) {
 	}
 	if pl.Messages != P {
 		t.Fatalf("messages = %d, want %d", pl.Messages, P)
+	}
+}
+
+// sortSliceTouched is the touched-set construction before the generic
+// sort: mark and collect, then sort.Slice.
+func sortSliceTouched(op sem.Operator, list []int32) []int32 {
+	seen := make(map[int32]bool)
+	var t, nb []int32
+	for _, e := range list {
+		nb = op.ElemNodes(int(e), nb[:0])
+		for _, n := range nb {
+			if !seen[n] {
+				seen[n] = true
+				t = append(t, n)
+			}
+		}
+	}
+	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
+	return t
+}
+
+// elemNodesOnly hides the flat connectivity table, so the touched-set
+// construction takes its ElemNodes fallback.
+type elemNodesOnly struct{ sem.Operator }
+
+// TestTouchedNodesMatchesSortSlice: the touched sets every plan is built
+// from (sem.TouchedNodes) are exactly what the sort.Slice construction
+// produced, on random element lists with repeats and empty lists, through
+// the flat table and through ElemNodes.
+func TestTouchedNodesMatchesSortSlice(t *testing.T) {
+	op := testOp(t)
+	rng := rand.New(rand.NewSource(3))
+	lists := make([][]int32, 8)
+	for i := range lists {
+		n := rng.Intn(3) * rng.Intn(op.NumElements()) // a third of them empty
+		for j := 0; j < n; j++ {
+			lists[i] = append(lists[i], int32(rng.Intn(op.NumElements())))
+		}
+	}
+	for _, o := range []sem.Operator{op, elemNodesOnly{op}} {
+		got := sem.TouchedNodes(o, lists)
+		for i, l := range lists {
+			if want := sortSliceTouched(op, l); !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("%T: list %d (%d elements): touched set differs from the sort.Slice result", o, i, len(l))
+			}
+		}
 	}
 }
 

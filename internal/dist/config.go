@@ -47,9 +47,9 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"golts/internal/decomp"
 	"golts/internal/mesh"
 	"golts/internal/sem"
 )
@@ -266,21 +266,45 @@ func buildOperator(cfg *RunConfig) (*mesh.Mesh, *mesh.Levels, geomOperator, erro
 // samples it: the lowest part whose elements touch the receiver's node.
 // Unlike the executing rank, the owning part is invariant under
 // part → rank remapping, so the coordinator stores parts and re-derives
-// ranks from the current placement after every rebalance.
+// ranks from the current placement after every rebalance. One pass over
+// the connectivity checks the receivers' nodes only; no decomposition is
+// built.
 func ReceiverOwnerParts(op sem.Operator, cfg *RunConfig) ([]int, error) {
-	dp := decomp.Build(op, cfg.Part, cfg.Parts, sem.AllElements(op))
-	owners := decomp.Owners(op.NumNodes(), dp.Touched)
 	nc := op.Comps()
-	out := make([]int, len(cfg.Receivers))
-	for i, dof := range cfg.Receivers {
+	var nodes []int32 // the receivers' nodes, ascending, unique
+	for _, dof := range cfg.Receivers {
 		if dof < 0 || dof >= op.NDof() {
 			return nil, fmt.Errorf("dist: receiver dof %d outside [0,%d)", dof, op.NDof())
 		}
-		p := owners[dof/nc]
-		if p < 0 {
+		nodes = append(nodes, int32(dof/nc))
+	}
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	lowest := make([]int, len(nodes)) // per node; Parts until a part touches it
+	for i := range lowest {
+		lowest[i] = cfg.Parts
+	}
+	conn, npe := sem.ConnOf(op)
+	var nb []int32
+	for e := 0; e < op.NumElements(); e++ {
+		if conn != nil {
+			nb = conn[e*npe : (e+1)*npe]
+		} else {
+			nb = op.ElemNodes(e, nb[:0])
+		}
+		p := int(cfg.Part[e])
+		for _, n := range nb {
+			if i, ok := slices.BinarySearch(nodes, n); ok && p < lowest[i] {
+				lowest[i] = p
+			}
+		}
+	}
+	out := make([]int, len(cfg.Receivers))
+	for i, dof := range cfg.Receivers {
+		j, _ := slices.BinarySearch(nodes, int32(dof/nc))
+		if out[i] = lowest[j]; out[i] == cfg.Parts {
 			return nil, fmt.Errorf("dist: receiver dof %d on a node no part touches", dof)
 		}
-		out[i] = int(p)
 	}
 	return out, nil
 }

@@ -3,9 +3,11 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"testing"
 
+	"golts/internal/decomp"
 	"golts/internal/lts"
 	"golts/internal/mesh"
 	"golts/internal/newmark"
@@ -354,6 +356,38 @@ func TestReceiverOwnersCover(t *testing.T) {
 		}
 		if r != ranks[parts[i]] {
 			t.Errorf("receiver %d owner rank %d != placement of part %d (%d)", i, r, parts[i], ranks[parts[i]])
+		}
+	}
+}
+
+// TestReceiverOwnerPartsDefinition: the one-pass owner search equals its
+// definition — decomp.Owners over an all-elements decomposition — at every
+// node of a small mesh, under a scattered partition at Parts 2, 3 and 4.
+func TestReceiverOwnerPartsDefinition(t *testing.T) {
+	tc := newTestConfig(t, "elastic", true, 1, 2)
+	nc := tc.geom.Comps()
+	rng := rand.New(rand.NewSource(5))
+	for _, parts := range []int{2, 3, 4} {
+		cfg := tc.cfg
+		cfg.Parts = parts
+		cfg.Part = make([]int32, tc.geom.NumElements())
+		for e := range cfg.Part {
+			cfg.Part[e] = int32(rng.Intn(parts))
+		}
+		cfg.Receivers = make([]int, tc.geom.NumNodes())
+		for n := range cfg.Receivers {
+			cfg.Receivers[n] = n*nc + n%nc
+		}
+		got, err := ReceiverOwnerParts(tc.geom, &cfg)
+		if err != nil {
+			t.Fatalf("parts %d: %v", parts, err)
+		}
+		dp := decomp.Build(tc.geom, cfg.Part, parts, sem.AllElements(tc.geom))
+		want := decomp.Owners(tc.geom.NumNodes(), dp.Touched)
+		for n, p := range got {
+			if p != int(want[n]) {
+				t.Fatalf("parts %d: node %d owned by part %d, definition says %d", parts, n, p, want[n])
+			}
 		}
 	}
 }

@@ -187,7 +187,7 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 		r := d.partRank[p]
 		rankElems[r] = append(rankElems[r], int32(e))
 	}
-	d.rankNodes = decomp.TouchedNodes(inner, rankElems)
+	d.rankNodes = sem.TouchedNodes(inner, rankElems)
 	d.recv = make([][]float64, cfg.Ranks)
 	d.offs = make([]int, cfg.Ranks)
 	return d, nil

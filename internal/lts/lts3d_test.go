@@ -118,10 +118,10 @@ func TestLTS3DOptimizedMatchesReference(t *testing.T) {
 func TestLTS3DSourceSeismogram(t *testing.T) {
 	op, lv, _ := graded3D(t)
 	src := sem.Source{
-		Dof: int(op.ClosestNode(2.6, 1.5, 1.5)),
+		Dof: int(op.NearestNode(2.6, 1.5, 1.5)),
 		W:   sem.Ricker{F0: 2.5, T0: 0.5},
 	}
-	rcvDof := int(op.ClosestNode(1.0, 1.0, 1.0))
+	rcvDof := int(op.NearestNode(1.0, 1.0, 1.0))
 
 	s, err := FromMeshLevels(op, lv, true)
 	if err != nil {

@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"sort"
+	"slices"
 
 	"golts/internal/decomp"
 	"golts/internal/sem"
@@ -74,7 +74,7 @@ func buildMerge(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 		for _, t := range dp.Touched {
 			all = append(all, t...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		for m := 1; m < k; m++ {
 			bounds[m] = all[m*len(all)/k]
 			if bounds[m] < bounds[m-1] {
@@ -88,7 +88,8 @@ func buildMerge(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 		t := dp.Touched[r]
 		for m := 1; m <= k; m++ {
 			b := bounds[m]
-			idx[m] = int32(sort.Search(len(t), func(i int) bool { return t[i] >= b }))
+			i, _ := slices.BinarySearch(t, b)
+			idx[m] = int32(i)
 		}
 		for m := 0; m < k; m++ {
 			shardWork[m] += int(idx[m+1] - idx[m])

@@ -51,28 +51,6 @@ func (op *Acoustic3D) Comps() int { return 1 }
 // NDof returns the degree-of-freedom count.
 func (op *Acoustic3D) NDof() int { return op.NumNodes() }
 
-// ClosestNode returns the global node nearest to (x, y, z), snapping each
-// axis independently (exact for tensor grids).
-func (op *Acoustic3D) ClosestNode(x, y, z float64) int32 {
-	return op.NodeIndex(op.closestAxis(op.M.XC, op.M.NX, x),
-		op.closestAxis(op.M.YC, op.M.NY, y),
-		op.closestAxis(op.M.ZC, op.M.NZ, z))
-}
-
-func (op *Acoustic3D) closestAxis(bc []float64, ne int, x float64) int {
-	best, bd := 0, -1.0
-	for gi := 0; gi <= op.deg*ne; gi++ {
-		d := x - axisCoord(op.Rule, op.deg, bc, gi)
-		if d < 0 {
-			d = -d
-		}
-		if bd < 0 || d < bd {
-			best, bd = gi, d
-		}
-	}
-	return best
-}
-
 // AddKu accumulates dst += K u for the listed elements: AddKuScratch with
 // a pooled scratch.
 func (op *Acoustic3D) AddKu(dst, u []float64, elems []int32) {

@@ -1,6 +1,8 @@
 package sem
 
 import (
+	"math"
+
 	"golts/internal/gll"
 	"golts/internal/mesh"
 )
@@ -144,6 +146,56 @@ func (c *core3d) NodeCoords(n int32) (x, y, z float64) {
 	j := (int(n) / c.nxn) % c.nyn
 	k := int(n) / (c.nxn * c.nyn)
 	return axisCoord(c.rule, c.deg, c.msh.XC, i), axisCoord(c.rule, c.deg, c.msh.YC, j), axisCoord(c.rule, c.deg, c.msh.ZC, k)
+}
+
+// NearestNode returns the node nearest to (x, y, z), ties to the lowest
+// node id: exactly what a scan of every node computing
+// (nx-x)*(nx-x) + (ny-y)*(ny-y) + (nz-z)*(nz-z) with a strict < returns.
+// x, y and z must be finite. The nodes form a tensor-product lattice, so
+// the squared distance is a sum of per-axis terms; only indices whose term
+// is within rounding of their axis minimum can win, and only their product
+// is scanned — O(nodes per axis), not O(NumNodes).
+func (c *core3d) NearestNode(x, y, z float64) int32 {
+	mx := c.axisMin(c.msh.XC, c.nxn, x)
+	my := c.axisMin(c.msh.YC, c.nyn, y)
+	mz := c.axisMin(c.msh.ZC, c.nzn, z)
+	// Rounding in the three-term sum is a few ulps of it; anything
+	// farther from its axis minimum cannot tie the best sum.
+	tol := 1e-9 * (mx + my + mz)
+	best, bd := int32(0), math.Inf(1)
+	for k := 0; k < c.nzn; k++ {
+		nz := axisCoord(c.rule, c.deg, c.msh.ZC, k)
+		if (nz-z)*(nz-z) > mz+tol {
+			continue
+		}
+		for j := 0; j < c.nyn; j++ {
+			ny := axisCoord(c.rule, c.deg, c.msh.YC, j)
+			if (ny-y)*(ny-y) > my+tol {
+				continue
+			}
+			for i := 0; i < c.nxn; i++ {
+				nx := axisCoord(c.rule, c.deg, c.msh.XC, i)
+				if (nx-x)*(nx-x) > mx+tol {
+					continue
+				}
+				if d := (nx-x)*(nx-x) + (ny-y)*(ny-y) + (nz-z)*(nz-z); d < bd {
+					best, bd = int32((k*c.nyn+j)*c.nxn+i), d
+				}
+			}
+		}
+	}
+	return best
+}
+
+// axisMin returns the smallest squared distance from x to the first n
+// lattice coordinates of one axis.
+func (c *core3d) axisMin(bc []float64, n int, x float64) float64 {
+	m := math.Inf(1)
+	for gi := 0; gi < n; gi++ {
+		d := axisCoord(c.rule, c.deg, bc, gi) - x
+		m = min(m, d*d)
+	}
+	return m
 }
 
 func axisCoord(r *gll.Rule, deg int, bc []float64, gi int) float64 {

@@ -269,7 +269,7 @@ func TestElasticRejectsBadCsRatio(t *testing.T) {
 func TestClosestNode(t *testing.T) {
 	m := mesh.Uniform(4, 4, 4, 1, 1)
 	op := mustAcoustic(m, 4, false)
-	n := op.ClosestNode(2.0, 1.0, 3.0)
+	n := op.NearestNode(2.0, 1.0, 3.0)
 	x, y, z := op.NodeCoords(n)
 	if math.Abs(x-2) > 1e-12 || math.Abs(y-1) > 1e-12 || math.Abs(z-3) > 1e-12 {
 		t.Errorf("closest node at (%v,%v,%v), want (2,1,3)", x, y, z)
@@ -301,17 +301,17 @@ func TestSpongeProfile(t *testing.T) {
 	sigma := SpongeProfile(op.NumNodes(), op.NodeCoords, 0, 4, 0, 4, 0, 4,
 		[6]bool{true, true, true, true, false, true}, 1.0, 10)
 	// Center node undamped.
-	c := op.ClosestNode(2, 2, 2)
+	c := op.NearestNode(2, 2, 2)
 	if sigma[c] != 0 {
 		t.Errorf("center damped: %v", sigma[c])
 	}
 	// x0 face fully damped.
-	f := op.ClosestNode(0, 2, 2)
+	f := op.NearestNode(0, 2, 2)
 	if math.Abs(sigma[f]-10) > 1e-12 {
 		t.Errorf("x0 face sigma %v, want 10", sigma[f])
 	}
 	// z0 face (free surface) undamped at interior (x, y).
-	fs := op.ClosestNode(2, 2, 0)
+	fs := op.NearestNode(2, 2, 0)
 	if sigma[fs] != 0 {
 		t.Errorf("free surface damped: %v", sigma[fs])
 	}

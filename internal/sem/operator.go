@@ -21,7 +21,7 @@ package sem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Operator is a semi-discrete wave operator M ü = -K u + F with diagonal
@@ -113,25 +113,39 @@ func AllElements(op Operator) []int32 {
 // NodesOf returns the sorted unique global node ids touched by the listed
 // elements.
 func NodesOf(op Operator, elems []int32) []int32 {
-	seen := make([]bool, op.NumNodes())
-	var nodes []int32
-	var nb []int32
+	return TouchedNodes(op, [][]int32{elems})[0]
+}
+
+// TouchedNodes returns, for each element list, the ascending unique global
+// node ids its elements touch (nil for an empty list): the node support of
+// a part's stiffness contributions. One mark array serves every list.
+func TouchedNodes(op Operator, elemLists [][]int32) [][]int32 {
 	conn, npe := ConnOf(op)
-	for _, e := range elems {
-		if conn != nil {
-			nb = conn[int(e)*npe : (int(e)+1)*npe]
-		} else {
-			nb = op.ElemNodes(int(e), nb[:0])
-		}
-		for _, n := range nb {
-			if !seen[n] {
-				seen[n] = true
-				nodes = append(nodes, n)
+	seen := make([]bool, op.NumNodes())
+	var nb []int32
+	out := make([][]int32, len(elemLists))
+	for p, list := range elemLists {
+		var nodes []int32
+		for _, e := range list {
+			if conn != nil {
+				nb = conn[int(e)*npe : (int(e)+1)*npe]
+			} else {
+				nb = op.ElemNodes(int(e), nb[:0])
+			}
+			for _, n := range nb {
+				if !seen[n] {
+					seen[n] = true
+					nodes = append(nodes, n)
+				}
 			}
 		}
+		for _, n := range nodes {
+			seen[n] = false
+		}
+		slices.Sort(nodes)
+		out[p] = nodes
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
+	return out
 }
 
 // ConnOf returns op's flat connectivity table when it exposes one, and

@@ -152,6 +152,7 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 	if kind := j.ErrKind(); kind != "" {
 		t.Errorf("successful job kept error kind %q", kind)
 	}
+	waitIdle(s)
 	if st := s.Stats(); st.Retried != 2 || st.Done != 1 {
 		t.Errorf("stats: %+v, want retried=2 done=1", st)
 	}
@@ -174,6 +175,7 @@ func TestRetriesExhausted(t *testing.T) {
 		t.Fatalf("state=%s kind=%s retries=%d, want failed/infra/1",
 			j.StateNow(), j.ErrKind(), j.Retries())
 	}
+	waitIdle(s)
 	if st := s.Stats(); st.Failed != 1 || st.Retried != 1 {
 		t.Errorf("stats: %+v, want failed=1 retried=1", st)
 	}

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -140,6 +141,15 @@ func (r *JobRequest) distBackend() wave.Distributed {
 		MaxRecoveries: r.MaxRecoveries,
 		MinRanks:      r.MinRanks,
 	}
+}
+
+// decodeJobRequest decodes a POST /jobs body; unknown fields are an error.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // canonicalize fills defaults so equal configurations hash equally, and
@@ -835,10 +845,8 @@ func (s *Server) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST /jobs")
 			return
 		}
-		var req JobRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req, err := decodeJobRequest(r.Body)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 			return
 		}

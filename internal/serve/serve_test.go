@@ -47,6 +47,18 @@ func waitTerminal(t *testing.T, j *Job) {
 	}
 }
 
+// waitIdle blocks until no job is in flight. The dispatcher books a job's
+// outcome (Done / Failed / Cancelled counters) after the job has turned
+// terminal, under s.mu, and broadcasts s.cond; a test reading those
+// counters right after waitTerminal must wait for that, not race it.
+func waitIdle(s *Server) {
+	s.mu.Lock()
+	for s.inFlight > 0 {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
 func postJob(t *testing.T, url string, req JobRequest) (*http.Response, snapshot) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -324,6 +336,7 @@ func TestJobStatusAndStats(t *testing.T) {
 		t.Fatalf("healthz: %v / %v", err, hresp)
 	}
 	hresp.Body.Close()
+	waitIdle(s)
 	sresp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatalf("stats: %v", err)

@@ -125,34 +125,38 @@ func TestArtifactCacheDistinctConfigs(t *testing.T) {
 // reference bitwise. (Operators and plans are immutable; scratch is
 // pooled per goroutine.)
 func TestArtifactCacheConcurrentRuns(t *testing.T) {
-	cache := wave.NewArtifactCache(0)
-	opts := tinyOpts(wave.WithWorkers(2), wave.WithArtifactCache(cache))
-	want := runConfigCSV(t, opts...)
+	// Workers 1 is what service jobs run: both goroutines then place their
+	// points on, and step, the one shared cached operator directly.
+	for _, workers := range []int{1, 2} {
+		cache := wave.NewArtifactCache(0)
+		opts := tinyOpts(wave.WithWorkers(workers), wave.WithArtifactCache(cache))
+		want := runConfigCSV(t, opts...)
 
-	type result struct {
-		bytes []byte
-		err   error
-	}
-	results := make(chan result, 2)
-	for g := 0; g < 2; g++ {
-		go func() {
-			var buf bytes.Buffer
-			sim, err := wave.New(append(opts, wave.WithSink(wave.CSVSink(&buf)))...)
-			if err == nil {
-				if err = sim.Run(context.Background(), 0); err == nil {
-					err = sim.Close()
-				}
-			}
-			results <- result{buf.Bytes(), err}
-		}()
-	}
-	for g := 0; g < 2; g++ {
-		r := <-results
-		if r.err != nil {
-			t.Fatalf("concurrent run: %v", r.err)
+		type result struct {
+			bytes []byte
+			err   error
 		}
-		if !bytes.Equal(r.bytes, want) {
-			t.Fatal("concurrent cached run diverges from reference")
+		results := make(chan result, 2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				var buf bytes.Buffer
+				sim, err := wave.New(append(opts, wave.WithSink(wave.CSVSink(&buf)))...)
+				if err == nil {
+					if err = sim.Run(context.Background(), 0); err == nil {
+						err = sim.Close()
+					}
+				}
+				results <- result{buf.Bytes(), err}
+			}()
+		}
+		for g := 0; g < 2; g++ {
+			r := <-results
+			if r.err != nil {
+				t.Fatalf("workers %d: concurrent run: %v", workers, r.err)
+			}
+			if !bytes.Equal(r.bytes, want) {
+				t.Fatalf("workers %d: concurrent cached run diverges from reference", workers)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package wave
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"golts/internal/mesh"
@@ -36,8 +37,11 @@ var (
 	// negative, above 2, or beyond what the selected physics provides
 	// (acoustic fields have a single component 0).
 	ErrComponentRange = errors.New("component out of range")
-	// ErrSourceSpec is returned for a malformed source (non-positive F0).
+	// ErrSourceSpec is returned for a malformed source (non-positive F0,
+	// or a non-finite position or wavelet parameter).
 	ErrSourceSpec = errors.New("invalid source")
+	// ErrReceiverSpec is returned for a receiver with a non-finite position.
+	ErrReceiverSpec = errors.New("invalid receiver")
 	// ErrSpongeSpec is returned for a malformed sponge layer.
 	ErrSpongeSpec = errors.New("invalid sponge")
 	// ErrPartsRange is returned for a partition request with fewer than one
@@ -371,6 +375,9 @@ func WithSource(src Source) Option {
 		if src.F0 <= 0 {
 			return optErr("WithSource", ErrSourceSpec, "F0 must be positive, got %g", src.F0)
 		}
+		if !finite(src.X, src.Y, src.Z, src.F0, src.T0) {
+			return optErr("WithSource", ErrSourceSpec, "X, Y, Z, F0 and T0 must be finite, got %+v", src)
+		}
 		if src.Comp < 0 || src.Comp > 2 {
 			return optErr("WithSource", ErrComponentRange, "source %d: got %d", len(s.sources), src.Comp)
 		}
@@ -402,9 +409,24 @@ func WithReceiver(rcv Receiver) Option {
 		if rcv.Comp < 0 || rcv.Comp > 2 {
 			return optErr("WithReceiver", ErrComponentRange, "receiver %q: got %d", rcv.Name, rcv.Comp)
 		}
+		if !finite(rcv.X, rcv.Y, rcv.Z) {
+			return optErr("WithReceiver", ErrReceiverSpec, "receiver %q: X, Y and Z must be finite, got (%g, %g, %g)",
+				rcv.Name, rcv.X, rcv.Y, rcv.Z)
+		}
 		s.receivers = append(s.receivers, rcv)
 		return nil
 	}
+}
+
+// finite reports whether no value is NaN or ±Inf: a non-finite position
+// compares false against every distance and would land on node 0.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // WithSponge enables the absorbing boundary layer.

@@ -3,6 +3,7 @@ package wave_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,6 +44,15 @@ func TestOptionValidation(t *testing.T) {
 		{"WithSink-nil", wave.WithSink(nil), wave.ErrNilArgument},
 		{"WithProbe-nil", wave.WithProbe(nil), wave.ErrNilArgument},
 		{"WithReceiver-comp", wave.WithReceiver(wave.Receiver{Comp: -1}), wave.ErrComponentRange},
+		// Non-finite positions and wavelet parameters compare false against
+		// every distance and used to place the point on node 0.
+		{"WithSource-nan-x", wave.WithSource(wave.Source{X: math.NaN(), F0: 1}), wave.ErrSourceSpec},
+		{"WithSource-inf-z", wave.WithSource(wave.Source{Z: math.Inf(-1), F0: 1}), wave.ErrSourceSpec},
+		{"WithSource-nan-f0", wave.WithSource(wave.Source{F0: math.NaN()}), wave.ErrSourceSpec},
+		{"WithSource-inf-f0", wave.WithSource(wave.Source{F0: math.Inf(1)}), wave.ErrSourceSpec},
+		{"WithSource-nan-t0", wave.WithSource(wave.Source{F0: 1, T0: math.NaN()}), wave.ErrSourceSpec},
+		{"WithReceiver-nan-y", wave.WithReceiver(wave.Receiver{Y: math.NaN()}), wave.ErrReceiverSpec},
+		{"WithReceiver-inf-x", wave.WithReceiver(wave.Receiver{X: math.Inf(1)}), wave.ErrReceiverSpec},
 		{"WithSponge-strength", wave.WithSponge(wave.Sponge{Strength: -1}), wave.ErrSpongeSpec},
 		{"WithSponge-width", wave.WithSponge(wave.Sponge{Strength: 1, Width: 0}), wave.ErrSpongeSpec},
 	}

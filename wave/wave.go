@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"golts/internal/dist"
 	"golts/internal/lts"
@@ -41,12 +40,14 @@ import (
 )
 
 // geomOperator is what the facade needs beyond sem.BatchKernel: the flat
-// connectivity the engines read, and node coordinates for source/receiver
-// placement and the sponge profile. Both 3-D operators provide it.
+// connectivity the engines read, node coordinates for the sponge profile
+// and the nearest-node search that places sources and receivers. Both 3-D
+// operators provide it.
 type geomOperator interface {
 	sem.BatchKernel
 	sem.Connectivity
 	NodeCoords(n int32) (x, y, z float64)
+	NearestNode(x, y, z float64) int32
 }
 
 // Simulation is a configured wave-propagation run: mesh, discretization,
@@ -232,7 +233,7 @@ func build(set *settings) (*Simulation, error) {
 	specs := make([]srcSpec, len(s.sources))
 	semSrcs := make([]sem.Source, len(s.sources))
 	for i, src := range s.sources {
-		srcNode := nearestNode(geom, src.X, src.Y, src.Z)
+		srcNode := geom.NearestNode(src.X, src.Y, src.Z)
 		specs[i] = srcSpec{dof: int(srcNode)*nc + src.Comp, f0: src.F0, t0: src.T0}
 		semSrcs[i] = sem.Source{
 			Dof: specs[i].dof,
@@ -240,7 +241,7 @@ func build(set *settings) (*Simulation, error) {
 		}
 	}
 	for _, r := range s.receivers {
-		n := nearestNode(geom, r.X, r.Y, r.Z)
+		n := geom.NearestNode(r.X, r.Y, r.Z)
 		s.recs = append(s.recs, &sem.Receiver{Dof: int(n)*nc + r.Comp})
 	}
 	s.samples = make([]float64, len(s.recs))
@@ -298,20 +299,6 @@ type srcSpec struct {
 // partitioner and seed; both backends decompose through it.
 func partitionAssign(m *mesh.Mesh, lv *mesh.Levels, k int, set *settings) ([]int32, error) {
 	return partition.Assign(m, lv, k, partitionerMethods[set.partitioner], set.seed)
-}
-
-// nearestNode does a brute-force nearest-node search; ties resolve to the
-// lowest node id, matching the legacy driver.
-func nearestNode(op geomOperator, x, y, z float64) int32 {
-	best, bd := int32(0), math.Inf(1)
-	for n := 0; n < op.NumNodes(); n++ {
-		nx, ny, nz := op.NodeCoords(int32(n))
-		d := (nx-x)*(nx-x) + (ny-y)*(ny-y) + (nz-z)*(nz-z)
-		if d < bd {
-			best, bd = int32(n), d
-		}
-	}
-	return best
 }
 
 // Frame is the per-cycle observation passed to probes.
