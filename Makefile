@@ -28,17 +28,21 @@ loc:
 # CI-friendly. The owner-computes pins of internal/dist (owner_test.go:
 # poisoned runs, set invariants, the halo buffers' hand-off between reader
 # and stepper) and the poisoned reconfiguration ladder skip nothing under
-# -short.
+# -short. The engine's SPMD cycle tests (up to 8 workers) run a second
+# time on one CPU, where a barrier that only spun would never let the
+# workers it waits for run.
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist ./internal/decomp ./internal/serve
+	GOMAXPROCS=1 $(GO) test -race -short -run 'Team|Close|StressInterleaved|Determinism' ./internal/parallel
 	$(GO) test -race -short -run 'ArtifactCache' ./wave
 
 # Short native-fuzz leg over the untrusted decoders (three of
 # internal/dist — the state frame of the snapshot files, the peer-link
 # halo frame and the cycle-done frame — the checkpoint container of
-# internal/ckpt and the service's POST /jobs body, one after the other:
-# go test takes one -fuzz target per run); the committed corpora under
-# testdata/fuzz run as ordinary tests in `make test` already.
+# internal/ckpt, the service's POST /jobs body and the run configuration
+# of internal/simio, one after the other: go test takes one -fuzz target
+# per run); the committed corpora under testdata/fuzz run as ordinary
+# tests in `make test` already.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist
@@ -46,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCycleDone -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME) ./internal/simio
 
 # The end-to-end benchmark lives in its own nested module (benchmark/,
 # see BENCHMARK.json), which `go test ./...` does not reach:

@@ -6,9 +6,9 @@
 //
 // Two backends consume the same plans:
 //
-//   - the shared-memory engine (internal/parallel) maps parts onto
-//     persistent rank goroutines and reduces the per-part contributions
-//     with its sharded in-memory merge, and
+//   - the shared-memory engine (internal/parallel) maps parts onto its
+//     workers and reduces the per-part contributions with its sharded
+//     in-memory merge, and
 //   - the distributed engine (internal/dist) maps parts onto rank
 //     processes and exchanges the halo intersections of the touched sets
 //     as real messages.

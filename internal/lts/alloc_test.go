@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"golts/internal/mesh"
+	"golts/internal/parallel"
 	"golts/internal/race"
 	"golts/internal/sem"
 )
 
-// TestStepZeroAllocs asserts that a warmed-up multi-level LTS cycle on a
-// sequential operator performs zero heap allocations: the batch workspace,
-// the per-level buffers, and the index sets are all precomputed, so the
+// TestStepZeroAllocs asserts that a warmed-up multi-level LTS cycle
+// performs zero heap allocations, on a sequential operator and as one Run
+// on a 2-worker engine: the batch workspaces, the per-level buffers, the
+// index sets and the per-worker cycle are all built in advance, so the
 // steady-state stepping loop never touches the allocator.
 func TestStepZeroAllocs(t *testing.T) {
 	if race.Enabled {
@@ -25,8 +27,22 @@ func TestStepZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, optimized := range []bool{false, true} {
-		s, err := FromMeshLevels(op, lv, optimized)
+	part := make([]int32, op.NumElements())
+	for e := range part {
+		part[e] = int32(2 * e / len(part))
+	}
+	pop, err := parallel.NewOperator(op, part, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pop.Close()
+	legs := []struct {
+		name      string
+		op        sem.BatchKernel
+		optimized bool
+	}{{"reference", op, false}, {"optimized", op, true}, {"2 workers", pop, true}}
+	for _, leg := range legs {
+		s, err := FromMeshLevels(leg.op, lv, leg.optimized)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,13 +66,16 @@ func TestStepZeroAllocs(t *testing.T) {
 		s.Step() // warm-up: scratch grows, first-cycle branch taken
 		s.Step()
 		if n := testing.AllocsPerRun(5, s.Step); n != 0 {
-			t.Errorf("optimized=%v: Step allocates %v per cycle, want 0", optimized, n)
+			t.Errorf("%s: Step allocates %v per cycle, want 0", leg.name, n)
+		}
+		if leg.op != op {
+			continue // the engine builds a plan for every plan-less apply
 		}
 		// The Energy diagnostic caches its all-elements restriction and
 		// work buffer on first use, so warm calls allocate nothing either.
 		s.Energy()
 		if n := testing.AllocsPerRun(5, func() { s.Energy() }); n != 0 {
-			t.Errorf("optimized=%v: Energy allocates %v per call, want 0", optimized, n)
+			t.Errorf("%s: Energy allocates %v per call, want 0", leg.name, n)
 		}
 	}
 }

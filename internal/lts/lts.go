@@ -56,6 +56,22 @@
 // mesh's, so every holder of a share issues the same applies. An operator
 // without a footprint gives the domain of every node; there is one code
 // path.
+//
+// Team. The same licence lets several workers share one cycle. When the
+// operator runs collective applies (package parallel; the team
+// interface), Step is a single Run: every worker walks the identical
+// level recursion, does its own contiguous share of every pointwise loop
+// — level li's loops split [actOff[li], nAct) evenly, the far-coarse pass
+// splits sets.far — and joins each stiffness apply. A worker reads only
+// what its own share wrote, except across a barrier: before a kernel
+// whose input other shares wrote (U after the hold zeroing, ũ after a
+// substep), the two inside the apply, and after a finer level returns. A
+// source is injected by the worker whose share holds its dof, after that
+// worker's own M⁻¹ write. Work and Telemetry are worker 0's; the cycle's
+// scalars are set before the Run. Any other operator is stepped by a
+// team of one, so there is one cycle code path, and as per-dof arithmetic
+// and the merge's per-node addition order do not depend on the team,
+// neither do the bits.
 package lts
 
 import (
@@ -79,6 +95,30 @@ type Work struct {
 	LevelNanos []int64
 	// Cycles is the number of completed LTS cycles (coarse steps).
 	Cycles int64
+}
+
+// team is what a scheme needs of an operator to share its cycle among
+// workers (package parallel's engine): Run executes f(w) for every
+// w < Workers() concurrently, Barrier is their rendezvous and AddKuShare
+// is worker w's part of a collective apply.
+type team interface {
+	Workers() int
+	Run(f func(w int))
+	Barrier()
+	AddKuShare(w int, dst, u []float64, plan sem.BatchPlan)
+}
+
+// solo is the team of one that steps every other operator.
+type solo struct {
+	op sem.BatchKernel
+	bs sem.BatchScratch
+}
+
+func (*solo) Workers() int      { return 1 }
+func (*solo) Run(f func(w int)) { f(0) }
+func (*solo) Barrier()          {}
+func (t *solo) AddKuShare(_ int, dst, u []float64, plan sem.BatchPlan) {
+	t.op.AddKuBatch(dst, u, plan, &t.bs)
 }
 
 // Scheme is an LTS-Newmark time stepper.
@@ -112,6 +152,12 @@ type Scheme struct {
 	cycleT float64 // anchor t_n of the cycle in progress (source symmetrization)
 	n      int64
 	start  bool
+	kick   float64 // velocity factor of the cycle in progress (see Step)
+
+	// The workers a cycle runs on, and the per-worker cycle bound once by
+	// New so that Step allocates nothing.
+	team    team
+	cycleFn func(w int)
 
 	// Scratch over the active region (sets.actNode numbering, nAct·Comps
 	// values each), held only by the 0-based levels that use it:
@@ -125,11 +171,9 @@ type Scheme struct {
 	// Operator-numbered scratch of level 0:
 	kbuf []float64 // stiffness accumulation (all-zero between uses)
 	hold []float64 // U on sets.hold while the level-0 kernel reads U in place
-	// Kernel state: one plan per level (the per-level element sets are
-	// stable for the scheme's lifetime), built by New in level order, and
-	// one owned workspace, so steady-state Step() allocates nothing.
+	// One plan per level (the per-level element sets are stable for the
+	// scheme's lifetime), built by New in level order.
 	bplans []sem.BatchPlan
-	bscr   sem.BatchScratch
 	// Diagnostic scratch, built lazily by Energy:
 	energy *sem.Restriction // all-elements restriction
 	ebuf   []float64        // Energy work buffer (all-zero between uses)
@@ -156,6 +200,12 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 		sets: st, nlv: numLevels,
 		kbuf: make([]float64, nd), hold: make([]float64, len(st.hold)*nc),
 	}
+	if t, ok := op.(team); ok {
+		s.team = t
+	} else {
+		s.team = &solo{op: op}
+	}
+	s.cycleFn = s.cycle
 	s.buildPlans()
 	s.Work.PerLevel = make([]int64, numLevels)
 	s.Work.LevelNanos = make([]int64, numLevels)
@@ -255,33 +305,23 @@ func (s *Scheme) NumLevels() int { return s.nlv }
 // dtAt returns the substep of 0-based level li: Δt / 2^li.
 func (s *Scheme) dtAt(li int) float64 { return s.Dt / float64(int64(1)<<uint(li)) }
 
-// applyCoarse computes dst = A·P_0·u_n - M⁻¹F_0(t_n) on the active region
-// and leaves K·P_0·u_n in kbuf on the far-coarse nodes for coarsePass.
-// The kernel input is U with sets.hold zeroed for the call.
-func (s *Scheme) applyCoarse(dst []float64) {
-	nc := s.Op.Comps()
-	for j, n := range s.sets.hold {
-		for c := 0; c < nc; c++ {
-			s.hold[j*nc+c] = s.U[int(n)*nc+c]
-			s.U[int(n)*nc+c] = 0
-		}
-	}
-	s.kernel(0, s.kbuf, s.U)
-	for j, n := range s.sets.hold {
-		for c := 0; c < nc; c++ {
-			s.U[int(n)*nc+c] = s.hold[j*nc+c]
-		}
-	}
-	s.gather(0, s.t, dst, s.kbuf, s.sets.forceNodes0)
+// share returns worker w's contiguous part [a, b) of the range [lo, hi).
+func (s *Scheme) share(w, lo, hi int) (a, b int) {
+	k := s.team.Workers()
+	return lo + (hi-lo)*w/k, lo + (hi-lo)*(w+1)/k
 }
 
-// kernel accumulates K·in over level li's force elements into dst.
-func (s *Scheme) kernel(li int, dst, in []float64) {
+// kernel is worker w's part of the collective accumulation of K·in over
+// level li's force elements into dst.
+func (s *Scheme) kernel(w, li int, dst, in []float64) {
 	var kstart time.Time
-	if s.Telemetry {
+	if s.Telemetry && w == 0 {
 		kstart = time.Now()
 	}
-	s.Op.AddKuBatch(dst, in, s.bplans[li], &s.bscr)
+	s.team.AddKuShare(w, dst, in, s.bplans[li])
+	if w > 0 {
+		return // the counters are worker 0's
+	}
 	if s.Telemetry {
 		s.Work.LevelNanos[li] += time.Since(kstart).Nanoseconds()
 	}
@@ -323,15 +363,19 @@ func (s *Scheme) buildPlans() {
 }
 
 // gather moves M⁻¹·k into dst (active numbering) on level li's force
-// nodes — at lists where they sit in k: node ids for kbuf, active indices
-// for kact — re-zeroing k there, and injects the level's sources at local
-// time t. dst is untouched (zero by invariant) on all other nodes.
-func (s *Scheme) gather(li int, t float64, dst, k []float64, at []int32) {
+// nodes in worker w's share of the level's update set — at lists where
+// they sit in k: node ids for kbuf, active indices for kact — re-zeroing k
+// there, and injects the level's sources on that share at local time t.
+// dst is untouched (zero by invariant) on all other nodes.
+func (s *Scheme) gather(w, li int, t float64, dst, k []float64, at []int32) {
 	nc := s.Op.Comps()
 	minv := s.Op.MInv()
 	act := s.sets.forceAct[li]
-	for j, n := range at {
-		a, d := int(act[j])*nc, int(n)*nc
+	a0, a1 := s.share(w, s.sets.actOff[li], len(s.sets.actNode))
+	j0, _ := slices.BinarySearch(act, int32(a0))
+	j1, _ := slices.BinarySearch(act, int32(a1))
+	for j := j0; j < j1; j++ {
+		a, d := int(act[j])*nc, int(at[j])*nc
 		mi := s.minvAct[act[j]]
 		for c := 0; c < nc; c++ {
 			dst[a+c] = mi * k[d+c]
@@ -339,8 +383,8 @@ func (s *Scheme) gather(li int, t float64, dst, k []float64, at []int32) {
 		}
 	}
 	for i, sc := range s.Sources {
-		if int(s.sets.nodeLevel[sc.Dof/nc]) == li && s.srcAct[i] >= 0 {
-			dst[s.srcAct[i]] -= s.srcAmp(sc, t) * minv[sc.Dof/nc]
+		if a := s.srcAct[i]; a >= a0*nc && a < a1*nc && int(s.sets.nodeLevel[sc.Dof/nc]) == li {
+			dst[a] -= s.srcAmp(sc, t) * minv[sc.Dof/nc]
 		}
 	}
 }
@@ -357,26 +401,31 @@ func (s *Scheme) srcAmp(sc sem.Source, t float64) float64 {
 	return 0.5 * (sc.W.Amp(s.cycleT+xi) + sc.W.Amp(s.cycleT-xi))
 }
 
-// advance performs the two level-li substeps that make up one step of
-// level li-1, operating on the auxiliary field ũ of Eqs. 11/17 in place.
-// tStart is the local time at entry. On return, active nodes with
-// stepLvl >= li-1 carry the field advanced by Δt_{li-1}.
-func (s *Scheme) advance(li int, tStart float64) {
+// advance is worker w's part of the two level-li substeps that make up
+// one step of level li-1, operating on the auxiliary field ũ of Eqs.
+// 11/17 in place. tStart is the local time at entry. On return, active
+// nodes with stepLvl >= li-1 carry the field advanced by Δt_{li-1}, each
+// worker's share written by that worker.
+func (s *Scheme) advance(w, li int, tStart float64) {
 	dt := s.dtAt(li)
 	last := li == s.nlv-1
 	nc := s.Op.Comps()
-	// Level li's update set is the suffix of the active region from lo on.
-	lo := s.sets.actOff[li] * nc
-	u := s.ut[lo : len(s.ut)-nc]
-	v := s.vbuf[li][lo:][:len(u)]
-	f := s.fbuf[li-1][lo:][:len(u)]
-	z := s.zbuf[li][lo:][:len(u)]
+	// Level li's update set is the suffix of the active region from
+	// actOff[li] on; this worker updates its share of it.
+	a0, a1 := s.share(w, s.sets.actOff[li], len(s.sets.actNode))
+	u := s.ut[a0*nc : a1*nc]
+	v := s.vbuf[li][a0*nc:][:len(u)]
+	f := s.fbuf[li-1][a0*nc:][:len(u)]
+	z := s.zbuf[li][a0*nc:][:len(u)]
 	for m := 0; m < 2; m++ {
 		tm := tStart + float64(m)*dt
+		if m == 1 {
+			s.team.Barrier() // the first substep updated ũ share by share
+		}
 		// z = A·P_li·ũ - M⁻¹F_li(tm): the level's plan reads ũ itself, the
 		// nodes outside P_li through the zero slot.
-		s.kernel(li, s.kact, s.ut)
-		s.gather(li, tm, s.zbuf[li], s.kact, s.sets.forceAct[li])
+		s.kernel(w, li, s.kact, s.ut)
+		s.gather(w, li, tm, s.zbuf[li], s.kact, s.sets.forceAct[li])
 		if last {
 			// Finest level: plain leap-frog substeps against the frozen
 			// coarser forces (innermost loop of Algorithm 1). The
@@ -398,13 +447,14 @@ func (s *Scheme) advance(li int, tStart float64) {
 			// the finer levels advance one Δt_li, then reconstruct the
 			// staggered velocity from the time-symmetric solution
 			// (Eq. 14 / the ṽ update of Algorithm 1).
-			us := s.usnap[li][lo:][:len(u)]
-			fl := s.fbuf[li][lo:][:len(u)]
+			us := s.usnap[li][a0*nc:][:len(u)]
+			fl := s.fbuf[li][a0*nc:][:len(u)]
 			for d := range u {
 				fl[d] = f[d] + z[d]
 				us[d] = u[d]
 			}
-			s.advance(li+1, tm)
+			s.advance(w, li+1, tm)
+			s.team.Barrier() // the finer levels' shares are not this level's
 			if m == 0 {
 				for d := range u {
 					v[d] = (u[d] - us[d]) / dt
@@ -425,68 +475,100 @@ func (s *Scheme) advance(li int, tStart float64) {
 	// empty. (For li == 1 these are the far-coarse nodes: coarsePass.)
 	dur := 2 * dt
 	half := dur * dur / 2
-	for d := s.sets.actOff[li-1] * nc; d < lo; d++ {
+	c0, c1 := s.share(w, s.sets.actOff[li-1], s.sets.actOff[li])
+	for d := c0 * nc; d < c1*nc; d++ {
 		s.ut[d] -= half * s.fbuf[li-1][d]
 	}
 }
 
-// Step advances one LTS cycle (one coarse Δt).
+// Step advances one LTS cycle (one coarse Δt): one Run of cycle on the
+// scheme's team.
 func (s *Scheme) Step() {
 	s.cycleT = s.t
-	nc := s.Op.Comps()
+	// The closing velocity factor: V += 2(ũ(Δt) - u_n)/Δt, or with a
+	// single level v -= Δt·z; half of it on the first cycle (v(0) is
+	// unstaggered: u_1 = ũ(Δt) + Δt v(0), resp. the half-step start).
+	s.kick = 2
+	if s.nlv == 1 {
+		s.kick = s.Dt
+	}
+	if !s.start {
+		s.kick /= 2
+	}
+	s.start = true
+	s.team.Run(s.cycleFn)
+	s.t += s.Dt
+	s.n++
+	s.Work.Cycles++
+}
+
+// cycle is worker w's part of one LTS cycle. Its share [a0, a1) of the
+// active region is level 0's and level 1's share (both update sets start
+// at active index 0), so the ũ copy, the level-0 gather, the level-1
+// substeps and the closing loop all stay on it.
+func (s *Scheme) cycle(w int) {
+	st, nc := s.sets, s.Op.Comps()
+	a0, a1 := s.share(w, 0, len(st.actNode))
+	h0, _ := slices.BinarySearch(st.hold, int32(a0))
+	h1, _ := slices.BinarySearch(st.hold, int32(a1))
+	// ũ starts from u_n; U keeps u_n until the closing passes, except that
+	// the level-0 kernel reads it with sets.hold zeroed (P_0·u_n).
+	if s.nlv > 1 {
+		for a := a0; a < a1; a++ {
+			n := int(st.actNode[a])
+			for c := 0; c < nc; c++ {
+				s.ut[a*nc+c] = s.U[n*nc+c]
+			}
+		}
+	}
+	for j := h0; j < h1; j++ {
+		d := int(st.actNode[st.hold[j]]) * nc
+		for c := 0; c < nc; c++ {
+			s.hold[j*nc+c] = s.U[d+c]
+			s.U[d+c] = 0
+		}
+	}
+	if len(st.hold) > 0 {
+		s.team.Barrier() // the kernel reads U where other shares zeroed it
+	}
+	// fbuf[0] = A P_0 u_n - M⁻¹F_0(t_n) on the active region, frozen for
+	// the whole cycle; K·P_0·u_n stays in kbuf on the far-coarse nodes.
+	s.kernel(w, 0, s.kbuf, s.U)
+	for j := h0; j < h1; j++ {
+		d := int(st.actNode[st.hold[j]]) * nc
+		for c := 0; c < nc; c++ {
+			s.U[d+c] = s.hold[j*nc+c]
+		}
+	}
+	s.gather(w, 0, s.t, s.fbuf[0], s.kbuf, st.forceNodes0)
+	kick := s.kick
 	if s.nlv == 1 {
 		// Degenerate single-level case: global leap-frog, identical
 		// arithmetic to package newmark (every node of the domain is active,
 		// in operator order): v -= Δt·z (half of it on the first step),
 		// sponge, u += Δt·v.
 		z := s.fbuf[0]
-		s.applyCoarse(z)
-		kick := s.Dt
-		if !s.start {
-			kick, s.start = s.Dt/2, true
-		}
-		for a, n := range s.sets.actNode {
-			fac := s.dampFac(int(n))
+		for a := a0; a < a1; a++ {
+			n := int(st.actNode[a])
+			fac := s.dampFac(n)
 			for c := 0; c < nc; c++ {
-				d := int(n)*nc + c
+				d := n*nc + c
 				v := (s.V[d] - kick*z[a*nc+c]) * fac
 				s.V[d] = v
 				s.U[d] += s.Dt * v
 			}
 		}
-	} else {
-		s.stepLevels()
+		return
 	}
-	s.t += s.Dt
-	s.n++
-	s.Work.Cycles++
-}
-
-// stepLevels is the multi-level cycle.
-func (s *Scheme) stepLevels() {
-	nc := s.Op.Comps()
-	// w = A P_1 u_n (+ level-1 sources), frozen for the whole cycle. U
-	// keeps u_n until the closing passes; the recursion runs on ũ.
-	s.applyCoarse(s.fbuf[0])
-	for a, n := range s.sets.actNode {
-		for c := 0; c < nc; c++ {
-			s.ut[a*nc+c] = s.U[int(n)*nc+c]
-		}
-	}
-	s.advance(1, s.t)
-	// V += 2(ũ(Δt) - u_n)/Δt; on the first cycle v(0) is unstaggered and
-	// u_1 = ũ(Δt) + Δt v(0), i.e. the factor is 1.
-	kick := 2.0
-	if !s.start {
-		kick = 1
-		s.start = true
-	}
-	s.coarsePass(kick)
+	s.advance(w, 1, s.t)
+	s.coarsePass(w)
+	// V += kick(ũ(Δt) - u_n)/Δt, sponge, u_{n+1} = u_n + Δt V.
 	dtInv := 1 / s.Dt
-	for a, n := range s.sets.actNode {
-		fac := s.dampFac(int(n))
+	for a := a0; a < a1; a++ {
+		n := int(st.actNode[a])
+		fac := s.dampFac(n)
 		for c := 0; c < nc; c++ {
-			d := int(n)*nc + c
+			d := n*nc + c
 			u0 := s.U[d]
 			v := s.V[d] + kick*(s.ut[a*nc+c]-u0)*dtInv
 			v *= fac
@@ -496,17 +578,22 @@ func (s *Scheme) stepLevels() {
 	}
 }
 
-// coarsePass is the whole cycle of the far-coarse nodes in one sweep:
-// f = M⁻¹·kbuf - M⁻¹F_0(t_n) (kbuf as left by applyCoarse, re-zeroed
-// here), ũ(Δt) = u_n - (2Δt_1)²/2·f, then the closing update of Step.
-func (s *Scheme) coarsePass(kick float64) {
+// coarsePass is the whole cycle of worker w's share of the far-coarse
+// nodes in one sweep: f = M⁻¹·kbuf - M⁻¹F_0(t_n) (kbuf as left by the
+// level-0 kernel, re-zeroed here), ũ(Δt) = u_n - (2Δt_1)²/2·f, then the
+// closing update of cycle.
+func (s *Scheme) coarsePass(w int) {
 	nc := s.Op.Comps()
 	minv := s.Op.MInv()
 	dur := 2 * s.dtAt(1)
 	half := dur * dur / 2
 	dtInv := 1 / s.Dt
-	src := s.farSrc // positions of the nodes carrying (level-0) sources
-	for j, n := range s.sets.far {
+	kick := s.kick
+	j0, j1 := s.share(w, 0, len(s.sets.far))
+	k, _ := slices.BinarySearch(s.farSrc, j0)
+	src := s.farSrc[k:] // positions of the nodes carrying (level-0) sources
+	for j := j0; j < j1; j++ {
+		n := s.sets.far[j]
 		mi := minv[n]
 		fac := s.dampFac(int(n))
 		hasSrc := len(src) > 0 && src[0] == j

@@ -58,7 +58,7 @@ type sets struct {
 	// far-coarse rest) and, as its kernel speaks node ids, those next to it.
 	forceAct    [][]int32
 	forceNodes0 []int32
-	hold        []int32 // finer-level nodes the level-0 force elements read: zero in P_0·u
+	hold        []int32 // active indices of the finer-level nodes the level-0 force elements read (zero in P_0·u), ascending
 }
 
 // buildSets computes all index sets from the operator topology and the
@@ -176,7 +176,7 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 		if m&1 != 0 {
 			s.forceNodes0 = append(s.forceNodes0, n)
 			if s.nodeLevel[n] != 0 {
-				s.hold = append(s.hold, n)
+				s.hold = append(s.hold, int32(a))
 			}
 		}
 		for li := 0; m != 0; li, m = li+1, m>>1 {

@@ -1,40 +1,42 @@
 // Package parallel is a shared-memory parallel execution engine for the
-// wave operators: K persistent rank goroutines (one per GOMAXPROCS slot by
-// default) each own a subset of the elements from any partitioner — the
-// same owner-computes decomposition as the paper's MPI parallelization
-// (§III), realised with threads instead of processes.
+// wave operators: K workers — the goroutine that calls Run as worker 0
+// and K-1 persistent goroutines — each own a subset of the elements from
+// any partitioner, the same owner-computes decomposition as the paper's
+// MPI parallelization (§III), realised with threads instead of processes.
 //
-// The package wraps any sem.BatchKernel in a PartitionedOperator that
-// executes every stiffness application in two concurrent phases:
+// The package wraps any sem.BatchKernel in a PartitionedOperator. Its
+// unit of parallel work is a Run: every worker executes the same function
+// on its own share of the data (SPMD), meeting the others at Barrier, and
+// a Run costs one wake-up of the parked workers however many barriers it
+// crosses. A stepper that knows this (package lts) runs its whole cycle
+// as one Run; inside it, each stiffness application is the collective
+// AddKuShare, a two-phase protocol:
 //
-//  1. Compute: each active rank applies the stiffness of its owned ∩
-//     requested elements — one fused batch over the rank's own sub-plan —
-//     into a private full-length accumulation buffer. Ranks run
-//     concurrently; no shared writes.
-//  2. Merge: the global node-id space is sharded into contiguous ranges
-//     (balanced by touched-node volume) and the shards are reduced
-//     concurrently — each shard adds the rank contributions for its node
-//     range into dst in ascending rank order, then zeroes the private
-//     buffers. Because every node belongs to exactly one shard and ranks
-//     are always summed in the same order, the result is bitwise
-//     reproducible from run to run for a fixed (partition, K).
+//  1. Compute: worker w applies the stiffness of its owned ∩ requested
+//     elements — one fused batch over its own sub-plan — into a private
+//     full-length accumulation buffer. No shared writes. Barrier.
+//  2. Merge: the global node-id space is sharded into K contiguous ranges
+//     (balanced by touched-node volume) and worker w reduces shard w: it
+//     adds the rank contributions for the shard's node range into dst in
+//     ascending rank order, then zeroes the private buffers. Barrier.
+//     Because every node belongs to exactly one shard and ranks are always
+//     summed in the same order, the result is bitwise reproducible from
+//     run to run for a fixed (partition, K).
+//
+// AddKuBatch, for steppers that apply one list at a time (package
+// newmark, diagnostics), is Run(AddKuShare): there is one apply
+// implementation.
 //
 // Each element list's execution plan — the per-rank element split, the
 // per-rank sorted touched node lists, the merge shard boundaries and the
 // per-rank inner batch plans — is built by NewBatchPlan and held by the
 // stepper that applies it: the global stepper's all-elements plan and
-// one plan per LTS level, all built in the stepper's constructor. The
-// per-level plans double as the activation masks of the paper's Fig. 1
-// schedule: an LTS substep only wakes the ranks that own active elements
-// at that level; everyone else stays parked on their channel.
+// one plan per LTS level, all built in the stepper's constructor. A rank
+// that owns no element of a level's list computes nothing in that apply
+// and still merges its shard.
 //
-// Both the global Newmark stepper and the multi-level LTS scheme run
-// *unchanged* on top, which demonstrates that the LTS recursion
-// parallelises purely through its per-substep, per-level stiffness
-// applications — exactly the property the paper's partitioning work
-// load-balances. Stats keeps the message/volume accounting of the MPI
-// analogy: one "message" per active rank per apply, volume in touched
-// nodes.
+// Stats keeps the message/volume accounting of the MPI analogy: one
+// "message" per active rank per apply, volume in touched nodes.
 package parallel
 
 import (
@@ -42,6 +44,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"golts/internal/decomp"
 	"golts/internal/sem"
@@ -49,7 +52,7 @@ import (
 
 // Stats accumulates communication accounting across applies.
 type Stats struct {
-	// Applies counts AddKuBatch applies.
+	// Applies counts collective stiffness applies.
 	Applies int64
 	// Messages counts per-apply active-rank contributions carrying nonzero
 	// data (the shared-memory analogue of MPI messages).
@@ -59,26 +62,26 @@ type Stats struct {
 	Volume int64
 }
 
-// PartitionedOperator distributes AddKu over persistent rank goroutines.
-// It implements sem.BatchKernel and is safe for the sequential call
-// patterns of the steppers (one apply at a time); the parallelism is
-// internal.
+// PartitionedOperator distributes AddKu over K workers. It implements
+// sem.BatchKernel and is safe for the sequential call patterns of the
+// steppers (one Run or one apply at a time); the parallelism is internal.
 type PartitionedOperator struct {
 	inner   sem.BatchKernel
 	K       int
 	part    []int32
 	workers []*rankWorker
 	wg      sync.WaitGroup // worker goroutine lifetime
-	phase   sync.WaitGroup // per-phase barrier (compute, then merge)
+	bar     barrier
 	closed  bool
 
-	// bs is the workspace AddKu and AddKuScratch hand to AddKuBatch, whose
-	// K == 1 delegation is the only reader (for K > 1 the rank workers own
-	// theirs). The steppers bring their own to AddKuBatch.
-	bs sem.BatchScratch
+	// AddKuBatch's arguments, read by batchFn — the Run function bound once
+	// in NewOperator, so that an apply allocates nothing.
+	bDst, bU []float64
+	bPlan    sem.BatchPlan
+	batchFn  func(w int)
 
 	// telemetry gates the per-worker compute-time counters (read by the
-	// workers on every compute task, so atomic rather than a plain bool).
+	// workers on every compute share, so atomic rather than a plain bool).
 	telemetry atomic.Bool
 
 	mu    sync.Mutex
@@ -103,8 +106,8 @@ func (p *PartitionedOperator) WorkerBusyNanos() []int64 {
 // DefaultWorkers returns the default rank count: one per GOMAXPROCS slot.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// NewOperator wraps inner so that stiffness applications execute on K rank
-// goroutines according to the element partition (part[e] = owning rank).
+// NewOperator wraps inner so that stiffness applications execute on K
+// workers according to the element partition (part[e] = owning rank).
 func NewOperator(inner sem.BatchKernel, part []int32, k int) (*PartitionedOperator, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("parallel: K must be >= 1, got %d", k)
@@ -119,28 +122,48 @@ func NewOperator(inner sem.BatchKernel, part []int32, k int) (*PartitionedOperat
 		}
 	}
 	nd := inner.NDof()
+	p.bar.n, p.bar.cond.L = int32(k), &p.bar.mu
+	p.batchFn = func(w int) { p.AddKuShare(w, p.bDst, p.bU, p.bPlan) }
 	p.workers = make([]*rankWorker, k)
-	for r := 0; r < k; r++ {
-		w := &rankWorker{
-			op:  inner,
-			ch:  make(chan task, 1),
-			acc: make([]float64, nd),
+	for w := range p.workers {
+		rw := &rankWorker{acc: make([]float64, nd)}
+		p.workers[w] = rw
+		if w == 0 {
+			continue
 		}
-		p.workers[r] = w
+		rw.ch = make(chan func(int), 1)
 		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			w.serve(p)
-		}()
+		go rw.serve(p, w)
 	}
 	return p, nil
 }
+
+// Workers returns K, the number of workers a Run executes on.
+func (p *PartitionedOperator) Workers() int { return p.K }
+
+// Run executes f(0) on the calling goroutine and f(1..K-1) on the
+// workers, and returns when all K calls have returned: one wake-up of the
+// parked workers per Run. The calls meet at Barrier and join collective
+// applies through AddKuShare; they must not call AddKuBatch, AddKu, Run
+// or Close, which would wait for workers that are busy running f.
+func (p *PartitionedOperator) Run(f func(w int)) {
+	for _, rw := range p.workers[1:] {
+		rw.ch <- f
+	}
+	f(0)
+	p.bar.wait()
+}
+
+// Barrier blocks until all K workers of the current Run have reached it;
+// every write made before it is visible to every worker after it. For
+// calls inside a Run only.
+func (p *PartitionedOperator) Barrier() { p.bar.wait() }
 
 // AddKu implements sem.Operator for callers without a plan (one-shot
 // diagnostics, tests): the element list's plan is built, at O(len) cost,
 // and applied through AddKuBatch.
 func (p *PartitionedOperator) AddKu(dst, u []float64, elems []int32) {
-	p.AddKuBatch(dst, u, p.NewBatchPlan(elems), &p.bs)
+	p.AddKuBatch(dst, u, p.NewBatchPlan(elems), nil)
 }
 
 // AddKuScratch implements sem.Operator; the per-element scratch is unused
@@ -166,59 +189,65 @@ func (p *PartitionedOperator) NewBatchPlan(elems []int32) sem.BatchPlan {
 	return buildMerge(p, decomp.Build(p.inner, p.part, p.K, elems))
 }
 
-// AddKuBatch implements sem.BatchKernel with the two-phase protocol of
-// the package comment.
-//
-// Phase 1 — compute: wake only the ranks owning active elements (the
-// per-level activation mask); each runs its owned slice as one fused
-// batch on its own BatchScratch, accumulating into its private buffer —
-// lane for lane the sequential kernel.
-//
-// Phase 2 — merge: deterministic parallel reduction over node-range
-// shards. Each shard sums rank contributions in ascending rank order and
-// restores the accumulation buffers' all-zero invariant.
-//
-// For K = 1 the apply delegates straight to the inner operator's batched
-// kernel with bs — bitwise the sequential accumulation, without the
-// dispatch/merge machinery — so the 1-worker engine is an honest speedup
-// baseline; the Stats accounting is identical.
-func (p *PartitionedOperator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
-	pl, ok := plan.(*applyPlan)
-	if !ok {
-		panic(fmt.Sprintf("parallel: AddKuBatch: foreign plan type %T", plan))
-	}
-	if pl.owner != p {
-		panic("parallel: AddKuBatch: plan built by a different operator")
-	}
-	if p.K == 1 {
-		if bp := pl.rankBatch[0]; bp != nil { // nil only for an empty list
-			p.inner.AddKuBatch(dst, u, bp, bs)
-		}
-		p.account(pl)
-		return
-	}
-	p.phase.Add(len(pl.dp.Active))
-	for _, r := range pl.dp.Active {
-		p.workers[r].ch <- task{kind: taskCompute, bplan: pl.rankBatch[r], u: u, n: len(dst)}
-	}
-	p.phase.Wait()
-	p.phase.Add(len(pl.activeShards))
-	for _, m := range pl.activeShards {
-		p.workers[m].ch <- task{kind: taskMerge, plan: pl, shard: m, dst: dst}
-	}
-	p.phase.Wait()
-	p.account(pl)
+// AddKuBatch implements sem.BatchKernel: one collective apply on all
+// workers, Run(AddKuShare). bs is unused (each worker owns its
+// workspace). It must not be called from inside a Run.
+func (p *PartitionedOperator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, _ *sem.BatchScratch) {
+	p.bDst, p.bU, p.bPlan = dst, u, plan
+	p.Run(p.batchFn)
+	p.bDst, p.bU, p.bPlan = nil, nil, nil
 }
 
-// Close shuts down the rank goroutines. The operator must not be used
+// AddKuShare is worker w's part of the collective apply dst += K·u over
+// the plan's elements, the two-phase protocol of the package comment;
+// every worker of a Run calls it with the same arguments, and it returns
+// when dst is complete. Worker w's compute runs its owned slice as one
+// fused batch, lane for lane the sequential kernel. For K = 1 it is the
+// inner operator's batched kernel straight into dst, so the 1-worker
+// engine is an honest speedup baseline; the Stats accounting is identical.
+func (p *PartitionedOperator) AddKuShare(w int, dst, u []float64, plan sem.BatchPlan) {
+	pl, ok := plan.(*applyPlan)
+	if !ok {
+		panic(fmt.Sprintf("parallel: AddKuShare: foreign plan type %T", plan))
+	}
+	if pl.owner != p {
+		panic("parallel: AddKuShare: plan built by a different operator")
+	}
+	if w == 0 {
+		p.account(pl)
+	}
+	rw := p.workers[w]
+	if p.K == 1 {
+		if bp := pl.rankBatch[0]; bp != nil { // nil only for an empty list
+			p.inner.AddKuBatch(dst, u, bp, &rw.bscr)
+		}
+		return
+	}
+	if bp := pl.rankBatch[w]; bp != nil {
+		var start time.Time
+		tel := p.telemetry.Load()
+		if tel {
+			start = time.Now()
+		}
+		p.inner.AddKuBatch(rw.acc[:len(dst)], u, bp, &rw.bscr)
+		if tel {
+			rw.busy.Add(time.Since(start).Nanoseconds())
+		}
+	}
+	p.bar.wait()
+	pl.mergeShard(w, dst, p.workers)
+	p.bar.wait()
+}
+
+// Close shuts down the worker goroutines. The operator must not be used
 // afterwards.
 func (p *PartitionedOperator) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
-	for _, w := range p.workers {
-		close(w.ch)
+	for _, rw := range p.workers[1:] {
+		close(rw.ch)
 	}
 	p.wg.Wait()
 }

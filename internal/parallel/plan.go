@@ -24,13 +24,11 @@ type applyPlan struct {
 	touched [][]int32
 	// shardIdx[r] holds K+1 boundaries into touched[r]: shard m covers
 	// touched[r][shardIdx[r][m]:shardIdx[r][m+1]].
-	shardIdx     [][]int32
-	activeShards []int
+	shardIdx [][]int32
 	// rankBatch holds one inner-operator BatchPlan per active rank (nil
 	// entries for idle ranks): the per-rank half of the "BatchPlan per LTS
-	// level, per rank" layout. A compute task carries its rank's entry and
-	// runs the owned slice as one fused batch on the worker's own
-	// BatchScratch.
+	// level, per rank" layout. Worker w's compute share runs entry w as one
+	// fused batch on the worker's own BatchScratch.
 	rankBatch []sem.BatchPlan
 }
 
@@ -82,24 +80,14 @@ func buildMerge(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 			}
 		}
 	}
-	shardWork := make([]int, k)
 	for r := 0; r < k; r++ {
 		idx := make([]int32, k+1)
 		t := dp.Touched[r]
 		for m := 1; m <= k; m++ {
-			b := bounds[m]
-			i, _ := slices.BinarySearch(t, b)
+			i, _ := slices.BinarySearch(t, bounds[m])
 			idx[m] = int32(i)
 		}
-		for m := 0; m < k; m++ {
-			shardWork[m] += int(idx[m+1] - idx[m])
-		}
 		pl.shardIdx[r] = idx
-	}
-	for m := 0; m < k; m++ {
-		if shardWork[m] > 0 {
-			pl.activeShards = append(pl.activeShards, m)
-		}
 	}
 	return pl
 }

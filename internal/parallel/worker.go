@@ -1,69 +1,88 @@
 package parallel
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"golts/internal/sem"
 )
 
-// taskKind selects the phase a dispatched task belongs to.
-type taskKind uint8
-
-const (
-	taskCompute taskKind = iota
-	taskMerge
-)
-
-// task is one unit of work handed to a rank worker: either "apply your
-// owned slice of the plan's elements as one fused batch" or "reduce one
-// merge shard".
-type task struct {
-	kind  taskKind
-	plan  *applyPlan
-	bplan sem.BatchPlan // compute: the rank's batch plan
-	u     []float64     // compute: shared read-only input field
-	n     int           // compute: len(dst), the prefix of the private buffer the plan accumulates into
-	dst   []float64     // merge: shared output (shards write disjoint ranges)
-	shard int           // merge: shard index
-}
-
-// rankWorker is one persistent goroutine owning a private accumulation
-// buffer and its own BatchScratch (one per worker serves every level's
-// plan, since a worker executes one task at a time and the arena grows to
-// the largest request). The buffer is all-zero between applies: the
-// compute phase writes the rank's contributions, the merge phase drains
-// and re-zeroes exactly the touched entries. The scratch warms on the
-// first apply, after which the compute phase is allocation-free.
+// rankWorker is one worker's state: a private accumulation buffer, all-zero
+// between applies (the compute half of AddKuShare fills it, the merge half
+// drains and re-zeroes the touched entries), and its own BatchScratch,
+// which serves every plan and warms on the first apply. Worker 0 is the
+// goroutine that calls Run; workers 1..K-1 each have a persistent
+// goroutine that parks on ch between Runs.
 type rankWorker struct {
-	op   sem.BatchKernel
-	ch   chan task
+	ch   chan func(w int) // nil for worker 0
 	acc  []float64
 	bscr sem.BatchScratch
 	busy atomic.Int64 // cumulative compute nanos (telemetry only)
 }
 
-// serve processes tasks until the channel closes. The master's
-// phase.Wait() between the compute and merge dispatches is the barrier
-// that makes every rank's compute writes visible to every merge reader.
-func (w *rankWorker) serve(p *PartitionedOperator) {
-	for t := range w.ch {
-		switch t.kind {
-		case taskCompute:
-			var start time.Time
-			tel := p.telemetry.Load()
-			if tel {
-				start = time.Now()
-			}
-			w.op.AddKuBatch(w.acc[:t.n], t.u, t.bplan, &w.bscr)
-			if tel {
-				w.busy.Add(time.Since(start).Nanoseconds())
-			}
-		case taskMerge:
-			t.plan.mergeShard(t.shard, t.dst, p.workers)
-		}
-		p.phase.Done()
+// serve runs every function Run hands worker w, each followed by the
+// barrier that ends the Run, until the channel closes.
+func (rw *rankWorker) serve(p *PartitionedOperator, w int) {
+	defer p.wg.Done()
+	for f := range rw.ch {
+		f(w)
+		p.bar.wait()
 	}
+}
+
+// barrier is a reusable rendezvous of n goroutines: the last to arrive
+// releases the others, and everything a goroutine wrote before it
+// arrived is visible to every goroutine that leaves. A waiter spins
+// first — the common case, each worker on its own CPU and all arriving
+// within microseconds — then yields its CPU a bounded number of times,
+// then parks on the condition variable, so K workers on fewer CPUs still
+// make progress instead of spinning against the ones they wait for.
+type barrier struct {
+	n     int32
+	count atomic.Int32
+	gen   atomic.Uint32
+	mu    sync.Mutex
+	cond  sync.Cond
+}
+
+// Spin budget of a barrier waiter: spinLoads loads, then up to spinYields
+// yielding polls, then park. A park costs a wake-up, which makes the woken
+// worker late at the next barrier too; on 2 CPUs the yield phase cut
+// parks per 4-level elastic cycle from ≈ 43 to ≈ 3.
+const (
+	spinLoads  = 64
+	spinYields = 4000
+)
+
+func (b *barrier) wait() {
+	if b.n == 1 {
+		return
+	}
+	g := b.gen.Load()
+	if b.count.Add(1) == b.n {
+		// Nobody can arrive at the next round before gen moves, so the
+		// reset cannot lose an arrival.
+		b.count.Store(0)
+		b.mu.Lock()
+		b.gen.Add(1)
+		b.mu.Unlock()
+		b.cond.Broadcast()
+		return
+	}
+	for i := 0; i < spinLoads+spinYields; i++ {
+		if b.gen.Load() != g {
+			return
+		}
+		if i >= spinLoads {
+			runtime.Gosched()
+		}
+	}
+	b.mu.Lock()
+	for b.gen.Load() == g {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
 }
 
 // mergeShard reduces one contiguous node-id range: for every rank in

@@ -143,12 +143,11 @@ func (r *JobRequest) distBackend() wave.Distributed {
 	}
 }
 
-// decodeJobRequest decodes a POST /jobs body; unknown fields are an error.
+// decodeJobRequest decodes a POST /jobs body; unknown fields and trailing
+// data are errors.
 func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+	err := simio.DecodeStrict(r, &req)
 	return req, err
 }
 

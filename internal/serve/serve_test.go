@@ -377,6 +377,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"mesh": "trench", "scale": 0.0005, "workers": 99}`,
 		`{"mesh": "trench", "unknown_knob": 3}`,
 		`not json`,
+		`{"mesh":"trench","scale":0.0005,"cycles":5} {"cycles":-1} garbage`,
+		`{"mesh":"trench","scale":0.0005,"sponge":{"width":-1,"strength":-3}}`,
+		`{"mesh":"trench","scale":0.0005,"sponge":{"width":0,"strength":2}}`,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))

@@ -7,6 +7,7 @@ package simio
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -119,6 +120,14 @@ func (c *Config) Validate() error {
 				i, r.Comp, maxComp, c.Physics)
 		}
 	}
+	// wave.WithSponge's rules, checked here so that a bad layer is refused
+	// with the rest of the configuration rather than when the run is built.
+	if c.Sponge.Strength < 0 {
+		return fmt.Errorf("simio: negative sponge strength %g", c.Sponge.Strength)
+	}
+	if c.Sponge.Strength > 0 && c.Sponge.Width <= 0 {
+		return fmt.Errorf("simio: sponge width must be positive, got %g", c.Sponge.Width)
+	}
 	return nil
 }
 
@@ -135,15 +144,28 @@ func LoadConfig(path string) (*Config, error) {
 // ParseConfig reads and validates a JSON configuration.
 func ParseConfig(r io.Reader) (*Config, error) {
 	var c Config
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := DecodeStrict(r, &c); err != nil {
 		return nil, fmt.Errorf("simio: parsing config: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return &c, nil
+}
+
+// DecodeStrict decodes the one JSON value r holds into v: an unknown
+// field or anything but white space after the value is an error, so an
+// untrusted document is accepted whole or not at all.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Trace is one recorded seismogram.

@@ -29,6 +29,11 @@ func TestParseConfigRejectsBadFields(t *testing.T) {
 		`{"receivers": [{"comp": -1}]}`,
 		`{"unknown_field": 1}`,
 		`not json`,
+		`{"mesh":"trench","cycles":5} {"cycles":-1} garbage`,
+		`{"mesh":"trench"} x`,
+		`{"mesh":"trench"}{}`,
+		`{"sponge": {"width": -1, "strength": -3}}`,
+		`{"sponge": {"width": 0, "strength": 2}}`,
 	}
 	for _, s := range cases {
 		if _, err := ParseConfig(strings.NewReader(s)); err == nil {
@@ -59,6 +64,16 @@ func TestValidateComponentPhysics(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("config %q accepted", c.js)
+		}
+	}
+}
+
+// TestParseConfigTrailingSpace: white space after the value is not
+// trailing data, and a disabled sponge needs no width.
+func TestParseConfigTrailingSpace(t *testing.T) {
+	for _, js := range []string{"{\"cycles\": 5} \n\t", `{"sponge": {"width": -1}}`} {
+		if _, err := ParseConfig(strings.NewReader(js)); err != nil {
+			t.Errorf("config %q rejected: %v", js, err)
 		}
 	}
 }

@@ -328,11 +328,15 @@ func WithCycles(n int) Option {
 	}
 }
 
-// WithWorkers sets the number of persistent rank workers of the parallel
-// engine: 1 (the default) runs sequentially, 0 means one worker per
-// GOMAXPROCS slot. Results are bitwise reproducible for a fixed (workers,
-// partitioner, seed), so the 0 default varies in the last floating-point
-// digits across hosts with different core counts.
+// WithWorkers sets the number of workers of the parallel engine: 1 (the
+// default) runs sequentially, 0 means one worker per GOMAXPROCS slot.
+// With n > 1 the stepping goroutine is worker 0 and n-1 persistent
+// goroutines join it; an LTS cycle runs on all n — each owns a part of
+// the elements for the stiffness kernels and an even share of every
+// pointwise loop — and wakes them once per cycle. Results are bitwise
+// reproducible for a fixed (workers, partitioner, seed), so the 0 default
+// varies in the last floating-point digits across hosts with different
+// core counts.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
