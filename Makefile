@@ -9,13 +9,16 @@ test:
 	$(GO) test ./...
 
 # Size of the product: non-test Go and assembly lines outside benchmark/
-# (ROADMAP aim 2 wants this number going down). Informational — printed
-# by CI, gated by nothing.
+# (ROADMAP aim 2 wants this number going down), then the internal/sem
+# share of it in Go and in assembly. Informational — printed by CI,
+# gated by nothing.
 loc:
 	@find . -path ./benchmark -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print0 \
 		| xargs -0 cat | wc -l | xargs echo "loc: non-test Go+asm lines outside benchmark/:"
 	@find internal/sem -name '*.go' ! -name '*_test.go' -print0 \
 		| xargs -0 cat | wc -l | xargs echo "loc: internal/sem non-test .go lines:"
+	@find internal/sem -name '*.s' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "loc: internal/sem assembly .s lines:"
 
 # Race-detector job over the engines with internal concurrency: the
 # shared-memory engine, the LTS scheme that drives it, the distributed
@@ -85,8 +88,9 @@ bench-smoke:
 # compare ns/elem row by row against the committed bench_baseline.json,
 # normalised by the median fresh/baseline ratio so a uniformly slower CI
 # runner does not trip the gate while a regressed kernel does. Rows for
-# SIMD tiers this machine cannot run are skipped with a log line. The
-# tolerance is 15% (BENCH_TOL to override): any row beyond 2x the
+# SIMD tiers this machine cannot run are skipped with a log line; a
+# baseline row missing from the fresh run, or naming a tier this build
+# does not know, fails the gate. The tolerance is 15% (BENCH_TOL to override): any row beyond 2x the
 # tolerance fails, as does a systemic cluster of >15% rows; isolated
 # scheduler blips between the two are tolerated (see cmd/benchcheck).
 # Each row is the fastest of 5 repeats: at kernelbench's default 3 the

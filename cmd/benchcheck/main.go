@@ -20,7 +20,9 @@
 //
 // Baseline rows for SIMD tiers the runner cannot execute are skipped
 // with an explicit log line, so a baseline recorded on an AVX-512
-// machine still gates an AVX2-only runner.
+// machine still gates an AVX2-only runner. That is the only skip: a
+// baseline row missing from the fresh run, or naming a tier this build
+// does not know, fails the gate.
 //
 // Usage:
 //
@@ -29,9 +31,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"golts/internal/sem"
@@ -125,11 +130,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	usable := map[string]bool{}
-	for _, t := range sem.SIMDTiers() {
-		usable[t] = true
+	if err := check(os.Stdout, base, cur, sem.KnownSIMDTiers(), sem.SIMDTiers(), *tol, *maxWarn, *raw); err != nil {
+		fatal(err)
 	}
+}
+
+// check gates every baseline row against the fresh run, writing one line
+// per row to w; known lists the tiers this build implements and usable
+// those this CPU can run. The only row it skips is one for a known tier
+// this CPU cannot run; a row of an unknown tier, a row missing from the
+// fresh run or a non-positive measurement fails, so a deleted tier or
+// operator cannot shrink the gate unnoticed.
+func check(w io.Writer, base, cur *benchFile, known, usable []string, tol float64, maxWarn int, raw bool) error {
 	freshRows := map[string]row{}
 	for _, r := range flatten(cur) {
 		freshRows[r.Key] = r
@@ -143,41 +155,49 @@ func main() {
 	}
 	var pairs []pair
 	var ratios []float64
+	var broken []string
 	for _, b := range flatten(base) {
-		if b.Tier != "" && !usable[b.Tier] {
-			fmt.Printf("skip   %-40s baseline tier %q not usable on this runner (usable: %v)\n",
-				b.Key, b.Tier, sem.SIMDTiers())
-			continue
-		}
 		f, ok := freshRows[b.Key]
-		if !ok {
-			fmt.Printf("skip   %-40s not present in fresh run\n", b.Key)
+		why := ""
+		switch {
+		case b.Tier != "" && !slices.Contains(known, b.Tier):
+			why = fmt.Sprintf("baseline tier %q unknown to this build (known: %v)", b.Tier, known)
+		case b.Tier != "" && !slices.Contains(usable, b.Tier):
+			fmt.Fprintf(w, "skip   %-40s baseline tier %q not usable on this runner (usable: %v)\n", b.Key, b.Tier, usable)
 			continue
+		case !ok:
+			why = "not present in fresh run"
+		case b.NsPerElem <= 0 || f.NsPerElem <= 0:
+			why = "non-positive measurement"
 		}
-		if b.NsPerElem <= 0 || f.NsPerElem <= 0 {
-			fmt.Printf("skip   %-40s non-positive measurement\n", b.Key)
+		if why != "" {
+			fmt.Fprintf(w, "FAIL   %-40s %s\n", b.Key, why)
+			broken = append(broken, b.Key)
 			continue
 		}
 		r := f.NsPerElem / b.NsPerElem
 		pairs = append(pairs, pair{key: b.Key, base: b.NsPerElem, fresh: f.NsPerElem, ratio: r})
 		ratios = append(ratios, r)
 	}
+	if len(broken) > 0 {
+		return fmt.Errorf("%d baseline row(s) could not be compared: %v", len(broken), broken)
+	}
 	if len(pairs) == 0 {
-		fatal(fmt.Errorf("no comparable rows between %s and %s", *baseline, *fresh))
+		return errors.New("no comparable rows between the baseline and the fresh run")
 	}
 
 	norm := 1.0
-	if !*raw {
+	if !raw {
 		sorted := append([]float64(nil), ratios...)
 		sort.Float64s(sorted)
 		norm = sorted[len(sorted)/2]
 		if len(sorted)%2 == 0 {
 			norm = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
 		}
-		fmt.Printf("median fresh/baseline ratio %.3f (machine-speed normaliser; -raw disables)\n", norm)
+		fmt.Fprintf(w, "median fresh/baseline ratio %.3f (machine-speed normaliser; -raw disables)\n", norm)
 	}
 
-	hard, warned, failed := 1+2*(*tol), 0, 0
+	hard, warned, failed := 1+2*tol, 0, 0
 	for _, p := range pairs {
 		rel := p.ratio / norm
 		status := "ok    "
@@ -185,28 +205,29 @@ func main() {
 		case rel > hard:
 			status = "REGRES"
 			failed++
-		case rel > 1+*tol:
+		case rel > 1+tol:
 			status = "warn  "
 			warned++
 		}
-		fmt.Printf("%s %-40s baseline %9.1f  fresh %9.1f  ratio %5.2f  normalised %5.2f\n",
+		fmt.Fprintf(w, "%s %-40s baseline %9.1f  fresh %9.1f  ratio %5.2f  normalised %5.2f\n",
 			status, p.key, p.base, p.fresh, p.ratio, rel)
 	}
-	allow := *maxWarn
+	allow := maxWarn
 	if allow < 0 {
 		allow = len(pairs) / 8
 	}
 	if failed > 0 {
-		fatal(fmt.Errorf("%d of %d rows regressed beyond the %.0f%% hard cap (normalised)", failed, len(pairs), (hard-1)*100))
+		return fmt.Errorf("%d of %d rows regressed beyond the %.0f%% hard cap (normalised)", failed, len(pairs), (hard-1)*100)
 	}
 	if warned > allow {
-		fatal(fmt.Errorf("%d of %d rows beyond %.0f%% (max %d noise outliers allowed): systemic regression", warned, len(pairs), *tol*100, allow))
+		return fmt.Errorf("%d of %d rows beyond %.0f%% (max %d noise outliers allowed): systemic regression", warned, len(pairs), tol*100, allow)
 	}
 	if warned > 0 {
-		fmt.Printf("benchcheck: %d rows within %.0f%%, %d noise outlier(s) tolerated (max %d)\n", len(pairs)-warned, *tol*100, warned, allow)
-		return
+		fmt.Fprintf(w, "benchcheck: %d rows within %.0f%%, %d noise outlier(s) tolerated (max %d)\n", len(pairs)-warned, tol*100, warned, allow)
+		return nil
 	}
-	fmt.Printf("benchcheck: %d rows within %.0f%% of baseline\n", len(pairs), *tol*100)
+	fmt.Fprintf(w, "benchcheck: %d rows within %.0f%% of baseline\n", len(pairs), tol*100)
+	return nil
 }
 
 func fatal(err error) {

@@ -192,27 +192,62 @@ func (f *peerFabric) close() {
 
 // rankStepper is the rank-local unified stepper: one Step advances one
 // coarse cycle, mirroring the facade's cycle semantics so receiver
-// sampling lands on the same time axis.
+// sampling lands on the same time axis. The scheme's state and work
+// counters go through it too, so the rank never switches on the scheme.
 type rankStepper interface {
 	Step()
 	Time() float64
 	State() []float64
+	// view aliases the live state for immediate encoding; restore
+	// installs a state, time included.
+	view() *ckpt.StepperState
+	restore(st *ckpt.StepperState) error
+	// stats fills the scheme's part of st: the work model (Cycles in
+	// coarse cycles on both schemes) and, with telemetry, the per-level
+	// kernel time and the share of stepNanos spent outside it.
+	stats(st *RankStats, stepNanos int64)
 }
 
 type ltsRankStepper struct{ s *lts.Scheme }
 
-func (a ltsRankStepper) Step()            { a.s.Step() }
-func (a ltsRankStepper) Time() float64    { return a.s.Time() }
-func (a ltsRankStepper) State() []float64 { return a.s.U }
+func (a ltsRankStepper) Step()                               { a.s.Step() }
+func (a ltsRankStepper) Time() float64                       { return a.s.Time() }
+func (a ltsRankStepper) State() []float64                    { return a.s.U }
+func (a ltsRankStepper) view() *ckpt.StepperState            { return a.s.View() }
+func (a ltsRankStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
+
+func (a ltsRankStepper) stats(st *RankStats, stepNanos int64) {
+	st.ElemApplies = a.s.Work.ElemApplies
+	st.Cycles = a.s.CycleCount()
+	st.EffectiveSpeedup = a.s.EffectiveSpeedup()
+	st.Efficiency = a.s.Efficiency()
+	if !a.s.Telemetry {
+		return
+	}
+	st.LevelNanos = append([]int64(nil), a.s.Work.LevelNanos...)
+	st.PointwiseNanos = stepNanos
+	for _, n := range st.LevelNanos {
+		st.PointwiseNanos -= n
+	}
+	active, far := a.s.Domain()
+	st.ActiveNodes, st.FarNodes = len(active), len(far)
+}
 
 type newmarkRankStepper struct {
 	s    *newmark.Stepper
 	pmax int
 }
 
-func (a newmarkRankStepper) Step()            { a.s.Run(a.pmax) }
-func (a newmarkRankStepper) Time() float64    { return a.s.Time() }
-func (a newmarkRankStepper) State() []float64 { return a.s.U }
+func (a newmarkRankStepper) Step()                               { a.s.Run(a.pmax) }
+func (a newmarkRankStepper) Time() float64                       { return a.s.Time() }
+func (a newmarkRankStepper) State() []float64                    { return a.s.U }
+func (a newmarkRankStepper) view() *ckpt.StepperState            { return a.s.View() }
+func (a newmarkRankStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
+
+func (a newmarkRankStepper) stats(st *RankStats, _ int64) {
+	st.ElemApplies = a.s.ElementSteps
+	st.Cycles = a.s.StepCount() / int64(a.pmax)
+}
 
 // RankStats is one rank's contribution to the aggregated run statistics:
 // the real communication counters of its distributed operator plus the
@@ -222,9 +257,10 @@ func (a newmarkRankStepper) State() []float64 { return a.s.U }
 type RankStats struct {
 	Applies, Messages, Volume int64
 	ElemApplies               int64
-	Cycles                    int64
-	EffectiveSpeedup          float64
-	Efficiency                float64
+	// Cycles counts coarse cycles on both schemes.
+	Cycles           int64
+	EffectiveSpeedup float64
+	Efficiency       float64
 
 	// LinkRetries counts connection attempts beyond the first that this
 	// rank needed to reach the coordinator or a peer — nonzero means the
@@ -257,8 +293,6 @@ type rankRun struct {
 	fabric *peerFabric
 	dop    *Operator
 	st     rankStepper
-	ltsS   *lts.Scheme
-	gS     *newmark.Stepper
 	// recIdx lists the indices into cfg.Receivers this rank owns,
 	// ascending; samples are reported in this order.
 	recIdx []int
@@ -489,13 +523,11 @@ func (r *rankRun) build() error {
 		sch.Telemetry = r.cfg.Telemetry
 		sch.SetSources(srcs)
 		sch.Sigma = sigma
-		r.ltsS = sch
 		r.st = ltsRankStepper{sch}
 	} else {
 		g := newmark.New(dop, lv.CoarseDt/float64(lv.PMax()))
 		g.Sources = srcs
 		g.Sigma = sigma
-		r.gS = g
 		r.st = newmarkRankStepper{g, lv.PMax()}
 	}
 
@@ -564,26 +596,9 @@ func (r *rankRun) serve() error {
 			st := RankStats{}
 			ds := r.dop.Stats()
 			st.Applies, st.Messages, st.Volume = ds.Applies, ds.Messages, ds.Volume
-			if r.ltsS != nil {
-				st.ElemApplies = r.ltsS.Work.ElemApplies
-				st.Cycles = r.ltsS.CycleCount()
-				st.EffectiveSpeedup = r.ltsS.EffectiveSpeedup()
-				st.Efficiency = r.ltsS.Efficiency()
-			} else {
-				st.ElemApplies = r.gS.ElementSteps
-				st.Cycles = r.gS.StepCount()
-			}
+			r.st.stats(&st, r.stepNanos)
 			st.LinkRetries = r.linkRetries
 			if r.cfg.Telemetry {
-				if r.ltsS != nil {
-					st.LevelNanos = append([]int64(nil), r.ltsS.Work.LevelNanos...)
-					st.PointwiseNanos = r.stepNanos
-					for _, n := range st.LevelNanos {
-						st.PointwiseNanos -= n
-					}
-					active, far := r.ltsS.Domain()
-					st.ActiveNodes, st.FarNodes = len(active), len(far)
-				}
 				st.OwnedParts = append([]int(nil), r.dop.OwnedParts()...)
 				st.PartNanos = append([]int64(nil), r.dop.PartNanos()...)
 				st.FootprintNodes = len(r.dop.OwnedNodes())
@@ -629,12 +644,7 @@ func (r *rankRun) serve() error {
 // (it aliases the live arrays). The arrays are meaningful only on this
 // rank's footprint (see Operator.OwnedNodes): a snapshot is every rank's
 // footprint, and a restore overlays them all.
-func (r *rankRun) capture() *ckpt.StepperState {
-	if r.ltsS != nil {
-		return r.ltsS.View()
-	}
-	return r.gS.View()
-}
+func (r *rankRun) capture() *ckpt.StepperState { return r.st.view() }
 
 // restoreFrom installs the committed snapshot a msgRestore payload
 // describes: every rank's footprint overlaid on this rank's own arrays —
@@ -650,11 +660,7 @@ func (r *rankRun) restoreFrom(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if r.ltsS != nil {
-		err = r.ltsS.Restore(&base.State)
-	} else {
-		err = r.gS.Restore(&base.State)
-	}
+	err = r.st.restore(&base.State)
 	if err == nil && r.params.onState != nil {
 		r.params.onState(r)
 	}

@@ -235,9 +235,9 @@ func checkRemappedApply(t *testing.T, op BatchKernel, plan BatchPlan, u, base []
 // (AddKu accumulates).
 func TestAddKuBatchBitwise(t *testing.T) {
 	m := batchMesh(t)
-	for _, tier := range SIMDTiers() {
-		t.Run(tier, func(t *testing.T) {
-			forceTier(t, tier)
+	for _, tier := range tierCases() {
+		t.Run(tier.name, func(t *testing.T) {
+			forceTier(t, tier.tier)
 			for _, deg := range []int{2, 3, 4, 5} {
 				for _, periodic := range []bool{false, true} {
 					for _, tc := range batchOps(t, m, deg, periodic) {

@@ -11,9 +11,10 @@ package sem
 // with the five products summed left-to-right (ascending m), one rounding
 // per add — the exact chain of the scalar per-element kernels, so the
 // batched path stays bitwise-identical lane by lane. The asm microkernels
-// (mm5_amd64.s) implement the same chains with 2-wide SSE2 packed
-// arithmetic across j; packed lanes round independently, so they too are
-// bitwise-identical. Tests pin asm against these references.
+// (mm5_avx2_amd64.s, mm5_avx512_amd64.s) implement the same chains with
+// 4- and 8-wide packed arithmetic across j; packed lanes round
+// independently, so they too are bitwise-identical. Tests pin asm against
+// these references, which also run on CPUs without AVX2.
 
 func mm5go(dst, src, d []float64, n, blocks int) {
 	for g := 0; g < blocks; g++ {
@@ -69,7 +70,7 @@ func mm5accgo(dst, src, d []float64, n, blocks int) {
 // batchB per-element constants (ax, ay, az, jdet, λ, μ), and w holds n3
 // interleaved (w[a], w[b]·w[c]) pairs. Every chain matches the scalar
 // per-element kernel, so the pass is bitwise-identical per lane; the asm
-// twin (elStress8asm, n3 = 125) mirrors it with packed SSE2.
+// twins (elStress8avx2, elStress8avx512, n3 = 125) mirror it.
 func elStressN(g, cst, w []float64, n3 int) {
 	const bb = batchB
 	pb := n3 * bb
@@ -121,7 +122,7 @@ func elStressN(g, cst, w []float64, n3 int) {
 // anStressN is the anisotropic counterpart of elStressN: the Voigt
 // strain is contracted with the per-element 6×6 tensor (cst rows 4..39,
 // row-major) exactly as the scalar kernel writes it, left-to-right. The
-// asm twin is anStress8asm (n3 = 125).
+// asm twins are anStress8avx2 and anStress8avx512 (n3 = 125).
 func anStressN(g, cst, w []float64, n3 int) {
 	const bb = batchB
 	pb := n3 * bb
@@ -174,7 +175,8 @@ func anStressN(g, cst, w []float64, n3 int) {
 // acStressN is the acoustic counterpart: the three derivative planes are
 // scaled by the premultiplied metric factors (cst rows sx, sy, sz) and
 // the quadrature weights, matching the scalar kernel's
-// ((s·w[a])·w[b]w[c])·∂u chain. The asm twin is acStress8asm (n3 = 125).
+// ((s·w[a])·w[b]w[c])·∂u chain. The asm twins are acStress8avx2 and
+// acStress8avx512 (n3 = 125).
 func acStressN(f, cst, w []float64, n3 int) {
 	const bb = batchB
 	pb := n3 * bb

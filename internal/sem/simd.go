@@ -1,34 +1,37 @@
 package sem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SIMD tier dispatch of the batched microkernels. The deg=4 batched
 // kernels funnel all heavy arithmetic through five primitives — the two
 // mm5 contraction microkernels (mul5/mul5acc) and the three pointwise
 // stress passes (elStress8/acStress8/anStress8) — and every primitive
 // vectorises strictly ACROSS independent 8-lane SoA blocks: each SIMD
-// lane is a separate element with its own rounding chain, so the sse2,
-// avx2 and avx512 implementations are bitwise-identical to the pure-Go
+// lane is a separate element with its own rounding chain, so the avx2
+// and avx512 implementations are bitwise-identical to the pure-Go
 // references at any width. That identity is what makes runtime dispatch
 // safe: switching tiers never changes results, only speed, and golden
 // seismograms stay pinned across every tier.
 //
 // The active tier is chosen once at init from CPUID feature detection,
-// capped by GODEBUG (cpu.avx512=off, cpu.avx2=off, cpu.sse2=off —
-// internal/cpu-style switches, so CI can force every fallback path), and
-// redirectable at runtime through ForceSIMDTier for tests and
-// benchmarks. Builds with the `purego` tag (or non-amd64 targets) carry
-// no assembly at all and run the Go references ("go" tier).
+// capped by GODEBUG (cpu.avx512=off or cpu.avx512f=off caps at avx2,
+// cpu.avx2=off at go — internal/cpu-style switches, so CI can force
+// every fallback path), and redirectable at runtime through
+// ForceSIMDTier for tests and benchmarks. Builds with the `purego` tag
+// (or non-amd64 targets) carry no assembly at all and run the Go
+// references ("go" tier), as do amd64 CPUs without AVX2.
 
 // simdTier identifies one microkernel implementation tier. Tiers are
 // ordered: a larger value is a wider (or equal) vector width.
 type simdTier uint8
 
 const (
-	// tierGo is the pure-Go reference path (always available).
+	// tierGo is the pure-Go reference path (always available; the
+	// dispatched tier on CPUs without AVX2).
 	tierGo simdTier = iota
-	// tierSSE2 is the 2-lane baseline amd64 assembly.
-	tierSSE2
 	// tierAVX2 is the 4-lane VEX assembly.
 	tierAVX2
 	// tierAVX512 is the 8-lane EVEX assembly: one register spans a full
@@ -36,7 +39,7 @@ const (
 	tierAVX512
 )
 
-var tierNames = [...]string{"go", "sse2", "avx2", "avx512"}
+var tierNames = [...]string{"go", "avx2", "avx512"}
 
 // String implements fmt.Stringer.
 func (t simdTier) String() string {
@@ -48,12 +51,8 @@ func (t simdTier) String() string {
 
 // tierFromName is the inverse of String for the known tiers.
 func tierFromName(name string) (simdTier, bool) {
-	for i, n := range tierNames {
-		if n == name {
-			return simdTier(i), true
-		}
-	}
-	return 0, false
+	i := slices.Index(tierNames[:], name)
+	return simdTier(i), i >= 0
 }
 
 // activeTier is the currently dispatched tier; the build-specific init
@@ -61,7 +60,7 @@ func tierFromName(name string) (simdTier, bool) {
 var activeTier simdTier
 
 // ActiveSIMDTier reports the microkernel tier currently dispatched by
-// the batched deg=4 kernels: "avx512", "avx2", "sse2" or "go".
+// the batched deg=4 kernels: "avx512", "avx2" or "go".
 func ActiveSIMDTier() string { return activeTier.String() }
 
 // SIMDTiers lists the tiers usable in this process — supported by the
@@ -73,6 +72,14 @@ func SIMDTiers() []string {
 	for i, t := range av {
 		names[i] = t.String()
 	}
+	return names
+}
+
+// KnownSIMDTiers lists every tier this package implements, widest
+// first, whether or not this CPU and build can run it (see SIMDTiers).
+func KnownSIMDTiers() []string {
+	names := slices.Clone(tierNames[:])
+	slices.Reverse(names)
 	return names
 }
 
@@ -88,14 +95,7 @@ func ForceSIMDTier(name string) (restore func(), err error) {
 	if !ok {
 		return nil, fmt.Errorf("sem: unknown SIMD tier %q (usable: %v)", name, SIMDTiers())
 	}
-	usable := false
-	for _, a := range availableTiers() {
-		if a == t {
-			usable = true
-			break
-		}
-	}
-	if !usable {
+	if !slices.Contains(availableTiers(), t) {
 		return nil, fmt.Errorf("sem: SIMD tier %q not usable on this CPU/build (usable: %v)", name, SIMDTiers())
 	}
 	prev := activeTier

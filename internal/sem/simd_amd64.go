@@ -40,8 +40,9 @@ func acStress8(f, cst, w []float64) { acStress8v(f, cst, w) }
 // deg=4 block (see anStressN).
 func anStress8(g, cst, w []float64) { anStress8v(g, cst, w) }
 
-// Pure-Go tier entries (forceable on amd64 too, so the cross-tier tests
-// can pin every assembly tier against the references in one process).
+// Pure-Go tier entries: the path on CPUs without AVX2, and forceable on
+// every amd64 CPU, so the cross-tier tests can pin each assembly tier
+// against the references in one process.
 func goMul5(dst, src, d []float64, n, blocks int)    { mm5go(dst, src, d, n, blocks) }
 func goMul5acc(dst, src, d []float64, n, blocks int) { mm5accgo(dst, src, d, n, blocks) }
 func goElStress8(g, cst, w []float64)                { elStressN(g, cst, w, 125) }
@@ -57,9 +58,6 @@ func applyTier(t simdTier) {
 	case tierAVX2:
 		mul5v, mul5accv = avx2Mul5, avx2Mul5acc
 		elStress8v, acStress8v, anStress8v = avx2ElStress8, avx2AcStress8, avx2AnStress8
-	case tierSSE2:
-		mul5v, mul5accv = sse2Mul5, sse2Mul5acc
-		elStress8v, acStress8v, anStress8v = sse2ElStress8, sse2AcStress8, sse2AnStress8
 	default:
 		mul5v, mul5accv = goMul5, goMul5acc
 		elStress8v, acStress8v, anStress8v = goElStress8, goAcStress8, goAnStress8
@@ -84,14 +82,8 @@ func simdCap(godebug string) simdTier {
 	for _, kv := range strings.Split(godebug, ",") {
 		switch strings.TrimSpace(kv) {
 		case "cpu.avx512=off", "cpu.avx512f=off":
-			if cap > tierAVX2 {
-				cap = tierAVX2
-			}
+			cap = min(cap, tierAVX2)
 		case "cpu.avx2=off":
-			if cap > tierSSE2 {
-				cap = tierSSE2
-			}
-		case "cpu.sse2=off":
 			cap = tierGo
 		}
 	}
@@ -106,9 +98,6 @@ func init() {
 	}
 	if avx2 && max >= tierAVX2 {
 		simdAvail = append(simdAvail, tierAVX2)
-	}
-	if max >= tierSSE2 {
-		simdAvail = append(simdAvail, tierSSE2)
 	}
 	simdAvail = append(simdAvail, tierGo)
 	applyTier(simdAvail[0])

@@ -9,3 +9,7 @@ import "testing"
 func testSIMDCap(t *testing.T) {
 	t.Skip("no SIMD tier cap on this build")
 }
+
+// cpuClasses has no CPU classes to add on builds without assembly tiers:
+// every CPU runs the go tier.
+func cpuClasses() []tierCase { return nil }

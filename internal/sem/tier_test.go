@@ -1,6 +1,8 @@
 package sem
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"golts/internal/race"
@@ -16,6 +18,23 @@ func forceTier(t *testing.T, name string) {
 	t.Cleanup(restore)
 }
 
+// tierCase is one subtest of the cross-tier tests: the name it runs under
+// and the tier it forces.
+type tierCase struct{ name, tier string }
+
+// tierCases lists the cross-tier subtests, widest first: every usable
+// assembly tier, then the CPU classes that dispatch a tier named
+// otherwise (cpuClasses), then the go tier.
+func tierCases() []tierCase {
+	tiers := SIMDTiers()
+	var cs []tierCase
+	for _, tier := range tiers[:len(tiers)-1] {
+		cs = append(cs, tierCase{tier, tier})
+	}
+	cs = append(cs, cpuClasses()...)
+	return append(cs, tierCase{"go", "go"})
+}
+
 // TestSIMDTierSemantics checks the dispatch bookkeeping: the usable-tier
 // list shape, ForceSIMDTier errors, and restore behaviour.
 func TestSIMDTierSemantics(t *testing.T) {
@@ -26,14 +45,28 @@ func TestSIMDTierSemantics(t *testing.T) {
 	if got := ActiveSIMDTier(); got != tiers[0] {
 		t.Fatalf("ActiveSIMDTier() = %q, want widest usable tier %q", got, tiers[0])
 	}
-	if _, err := ForceSIMDTier("avx1024"); err == nil {
-		t.Fatal("ForceSIMDTier accepted an unknown tier name")
+	if _, err := ForceSIMDTier("avx1024"); err == nil || !strings.Contains(err.Error(), "unknown SIMD tier") {
+		t.Fatalf("ForceSIMDTier(avx1024) = %v, want the unknown-tier error", err)
+	}
+	// The ladder is avx512 → avx2 → go: the usable list is an ordered
+	// subset of it.
+	known := KnownSIMDTiers()
+	if !slices.Equal(known, []string{"avx512", "avx2", "go"}) {
+		t.Fatalf("KnownSIMDTiers() = %v, want [avx512 avx2 go]", known)
+	}
+	for i, j := 0, 0; i < len(tiers); i, j = i+1, j+1 {
+		for j < len(known) && known[j] != tiers[i] {
+			j++
+		}
+		if j == len(known) {
+			t.Fatalf("SIMDTiers() = %v, want an ordered subset of %v", tiers, known)
+		}
 	}
 	usable := map[string]bool{}
 	for _, name := range tiers {
 		usable[name] = true
 	}
-	for _, name := range []string{"go", "sse2", "avx2", "avx512"} {
+	for _, name := range known {
 		if usable[name] {
 			continue
 		}
@@ -65,9 +98,9 @@ func TestMul5PropertyAllTiers(t *testing.T) {
 	randFill(d, 11)
 	ns := []int{1, 2, 3, 4, 5, 6, 8, 13, 40, 200}
 	blockCounts := []int{1, 3, 7, 17}
-	for _, tier := range SIMDTiers() {
-		t.Run(tier, func(t *testing.T) {
-			forceTier(t, tier)
+	for _, tc := range tierCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			forceTier(t, tc.tier)
 			for _, n := range ns {
 				for _, blocks := range blockCounts {
 					src := make([]float64, 5*n*blocks)
@@ -102,9 +135,9 @@ func TestStress8AllTiers(t *testing.T) {
 	const pb = 125 * batchB
 	w := make([]float64, 250)
 	randPos(w, 13)
-	for _, tier := range SIMDTiers() {
-		t.Run(tier, func(t *testing.T) {
-			forceTier(t, tier)
+	for _, tc := range tierCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			forceTier(t, tc.tier)
 			t.Run("elastic", func(t *testing.T) {
 				cst := make([]float64, elCstRows*batchB)
 				randPos(cst, 14)
@@ -200,9 +233,9 @@ func TestAddKuBatchZeroAllocsAllTiers(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	m := batchMesh(t)
-	for _, tier := range SIMDTiers() {
-		t.Run(tier, func(t *testing.T) {
-			forceTier(t, tier)
+	for _, tier := range tierCases() {
+		t.Run(tier.name, func(t *testing.T) {
+			forceTier(t, tier.tier)
 			for _, tc := range batchOps(t, m, 4, false) {
 				u := make([]float64, tc.op.NDof())
 				pseudoField(u)
@@ -213,7 +246,7 @@ func TestAddKuBatchZeroAllocsAllTiers(t *testing.T) {
 				if n := testing.AllocsPerRun(5, func() {
 					tc.op.AddKuBatch(dst, u, plan, &bs)
 				}); n != 0 {
-					t.Errorf("%s tier=%s: AddKuBatch allocates %v per op, want 0", tc.name, tier, n)
+					t.Errorf("%s tier=%s: AddKuBatch allocates %v per op, want 0", tc.name, tier.name, n)
 				}
 			}
 		})

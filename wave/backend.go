@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"golts/internal/ckpt"
 	"golts/internal/dist"
 	"golts/internal/tune"
 )
@@ -233,8 +234,8 @@ func buildDistributed(s *Simulation, set *settings, be Distributed, semSrcs []sr
 		return fmt.Errorf("wave: distributed backend: %w", err)
 	}
 	s.dist = co
-	s.distCfg = &cfg
-	s.stepper = &distStepper{co: co, u: make([]float64, s.geom.NDof()), recDofs: recDofs}
+	s.stepper = &distStepper{co: co, u: make([]float64, s.geom.NDof()), recDofs: recDofs,
+		cfg: &cfg, partitioner: s.set.partitioner}
 	return nil
 }
 
@@ -244,10 +245,12 @@ func buildDistributed(s *Simulation, set *settings, be Distributed, semSrcs []sr
 // only the receiver dofs carry live values in this process (which is all
 // Run reads); probes needing full fields should use the local backend.
 type distStepper struct {
-	co      *dist.Coordinator
-	u       []float64
-	recDofs []int
-	t       float64
+	co          *dist.Coordinator
+	u           []float64
+	recDofs     []int
+	t           float64
+	cfg         *dist.RunConfig
+	partitioner Partitioner
 }
 
 func (d *distStepper) Step() error { return d.StepCtx(context.Background()) }
@@ -270,7 +273,73 @@ func (d *distStepper) StepCtx(ctx context.Context) error {
 func (d *distStepper) Time() float64    { return d.t }
 func (d *distStepper) State() []float64 { return d.u }
 
+// save overlays every rank's footprint (a rank advances, and so holds,
+// only the nodes its own elements touch).
+func (d *distStepper) save() (*ckpt.StepperState, error) { return d.co.FetchState() }
+
+// restore installs st on every rank and seeds the coordinator-side time,
+// which otherwise refreshes only on Step, so Time() is right immediately
+// after Resume.
+func (d *distStepper) restore(st *ckpt.StepperState) error {
+	if err := d.co.RestoreState(st); err != nil {
+		return err
+	}
+	d.t = st.T
+	return nil
+}
+
+// stats reports the coordinator's fault and snapshot counters and the
+// ranks' work model. Rank 0's scheme carries the work model (counted
+// over the mesh's element lists, so identical on every rank); the halo
+// counters are summed over ranks. A lost rank leaves the counters zero —
+// the failure surfaces through Run/Close, not here.
+func (d *distStepper) stats(st *Stats) {
+	n, dur := d.co.Recoveries()
+	st.Recoveries, st.RecoveryMillis = n, dur.Milliseconds()
+	n, dur = d.co.Rebalances()
+	st.Rebalances, st.RebalanceMillis = n, dur.Milliseconds()
+	n, dur = d.co.Degraded()
+	st.DegradedRanks, st.DegradedMillis = n, dur.Milliseconds()
+	n, dur, st.SnapshotBytes = d.co.Snapshots()
+	st.Snapshots, st.SnapshotMillis = n, dur.Milliseconds()
+	st.CorruptFrames = d.co.CorruptFrames()
+	st.Ranks, st.Parts, st.Partitioner = d.cfg.Ranks, d.cfg.Parts, d.partitioner
+	rs, err := d.co.Stats()
+	if err != nil || len(rs) == 0 {
+		return
+	}
+	st.ElemApplies = rs[0].ElemApplies
+	st.Cycles = rs[0].Cycles
+	st.EffectiveSpeedup = rs[0].EffectiveSpeedup
+	st.Efficiency = rs[0].Efficiency
+	eng := &EngineStats{Applies: rs[0].Applies}
+	for _, r := range rs {
+		eng.Messages += r.Messages
+		eng.Volume += r.Volume
+		st.LinkRetries += r.LinkRetries
+	}
+	st.Engine = eng
+	if !d.cfg.Telemetry || len(rs[0].LevelNanos) == 0 {
+		return
+	}
+	for li := range rs[0].LevelNanos {
+		row := LevelStats{Level: li, RankNanos: make([]int64, len(rs))}
+		for r, rst := range rs {
+			if li < len(rst.LevelNanos) {
+				row.RankNanos[r] = rst.LevelNanos[li]
+			}
+		}
+		st.LevelTimes = append(st.LevelTimes, row)
+	}
+	for _, rst := range rs {
+		st.RankStepping = append(st.RankStepping, RankStepping{
+			PointwiseNanos: rst.PointwiseNanos, ActiveNodes: rst.ActiveNodes,
+			FarNodes: rst.FarNodes, FootprintNodes: rst.FootprintNodes,
+		})
+	}
+}
+
 var (
-	_ Stepper    = (*distStepper)(nil)
-	_ ctxStepper = (*distStepper)(nil)
+	_ schemeStepper = (*distStepper)(nil)
+	_ ctxStepper    = (*distStepper)(nil)
 )

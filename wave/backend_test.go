@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -181,35 +182,40 @@ func TestDistributedMatchesSharedMemory(t *testing.T) {
 }
 
 // TestDistributedStats: the facade surfaces the distributed backend's
-// identity and real communication counters.
+// identity and real communication counters, and Cycles counts coarse
+// cycles on both schemes.
 func TestDistributedStats(t *testing.T) {
-	sim, err := wave.New(distOpts(wave.Acoustic, true,
-		wave.WithBackend(wave.Distributed{Ranks: 2, Parts: 4}))...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer sim.Close()
-	if err := sim.Run(context.Background(), 2); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	st := sim.Stats()
-	if st.Backend != "distributed" {
-		t.Errorf("Backend = %q", st.Backend)
-	}
-	if st.Ranks != 2 || st.Parts != 4 {
-		t.Errorf("Ranks, Parts = %d, %d; want 2, 4", st.Ranks, st.Parts)
-	}
-	if st.Cycles != 2 {
-		t.Errorf("Cycles = %d, want 2", st.Cycles)
-	}
-	if st.ElemApplies == 0 {
-		t.Error("ElemApplies = 0")
-	}
-	if st.Engine == nil || st.Engine.Messages == 0 {
-		t.Errorf("Engine = %+v; want real halo messages", st.Engine)
-	}
-	if st.LTS && st.EffectiveSpeedup <= 0 {
-		t.Errorf("EffectiveSpeedup = %v", st.EffectiveSpeedup)
+	for _, lts := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lts=%v", lts), func(t *testing.T) {
+			sim, err := wave.New(distOpts(wave.Acoustic, lts,
+				wave.WithBackend(wave.Distributed{Ranks: 2, Parts: 4}))...)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer sim.Close()
+			if err := sim.Run(context.Background(), 2); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			st := sim.Stats()
+			if st.Backend != "distributed" {
+				t.Errorf("Backend = %q", st.Backend)
+			}
+			if st.Ranks != 2 || st.Parts != 4 {
+				t.Errorf("Ranks, Parts = %d, %d; want 2, 4", st.Ranks, st.Parts)
+			}
+			if st.Cycles != 2 {
+				t.Errorf("Cycles = %d, want 2", st.Cycles)
+			}
+			if st.ElemApplies == 0 {
+				t.Error("ElemApplies = 0")
+			}
+			if st.Engine == nil || st.Engine.Messages == 0 {
+				t.Errorf("Engine = %+v; want real halo messages", st.Engine)
+			}
+			if st.LTS && st.EffectiveSpeedup <= 0 {
+				t.Errorf("EffectiveSpeedup = %v", st.EffectiveSpeedup)
+			}
+		})
 	}
 }
 

@@ -38,42 +38,6 @@ func configSHA(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// captureState snapshots the live stepper state: directly from the local
-// schemes, or — for the distributed backend — overlaid from every rank's
-// footprint (a rank advances, and so holds, only the nodes its own
-// elements touch).
-func (s *Simulation) captureState() (*ckpt.StepperState, error) {
-	switch {
-	case s.dist != nil:
-		return s.dist.FetchState()
-	case s.ltsS != nil:
-		return s.ltsS.Save(), nil
-	default:
-		return s.gS.Save(), nil
-	}
-}
-
-// restoreState installs a snapshot into the stepper (all ranks, for the
-// distributed backend).
-func (s *Simulation) restoreState(st *ckpt.StepperState) error {
-	switch {
-	case s.dist != nil:
-		if err := s.dist.RestoreState(st); err != nil {
-			return err
-		}
-		// The coordinator-side mirror only refreshes on Step; seed it so
-		// Time() is correct immediately after Resume.
-		if ds, ok := s.stepper.(*distStepper); ok {
-			ds.t = st.T
-		}
-		return nil
-	case s.ltsS != nil:
-		return s.ltsS.Restore(st)
-	default:
-		return s.gS.Restore(st)
-	}
-}
-
 // Checkpoint writes a restartable snapshot of the full simulation state
 // to path: a versioned, CRC-protected container (internal/ckpt) holding
 // the configuration key and the stepper state. The write is atomic —
@@ -83,7 +47,7 @@ func (s *Simulation) Checkpoint(path string) error {
 	if s.closed {
 		return fmt.Errorf("wave: Checkpoint: %w", ErrClosed)
 	}
-	st, err := s.captureState()
+	st, err := s.stepper.save()
 	if err != nil {
 		return fmt.Errorf("wave: checkpoint: %w", err)
 	}
@@ -137,7 +101,7 @@ func Resume(path string, opts ...Option) (*Simulation, error) {
 		return nil, optErr("Resume", ErrCheckpointMismatch,
 			"checkpoint %s was written by a different configuration", path)
 	}
-	if err := s.restoreState(st); err != nil {
+	if err := s.stepper.restore(st); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("wave: restoring checkpoint: %w", err)
 	}

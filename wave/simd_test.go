@@ -2,6 +2,8 @@ package wave_test
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"golts/internal/sem"
@@ -10,12 +12,21 @@ import (
 
 // simdGoldenCases picks the deg=4 golden cells (the degree whose batched
 // kernels go through the dispatched microkernels) and adds an elastic
-// deg=4 LTS cell so all three stress passes run at full tier width.
+// deg=4 LTS cell so all three stress passes run at full tier width. The
+// global-Newmark cell gets the near-source source and receiver of
+// acoustic-lts-1w: with the default placement its 2 cycles record one
+// sample of 4e-35, a comparison that holds however wrong the field is.
 func simdGoldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, c := range goldenCases() {
 		if c.cfg.Degree == 4 {
 			cases = append(cases, c)
+		}
+	}
+	for i := range cases {
+		if !cases[i].cfg.LTS {
+			cases[i].cfg.Source = cases[0].cfg.Source
+			cases[i].cfg.Receivers = cases[0].cfg.Receivers
 		}
 	}
 	el := goldenCases()[2] // elastic-lts-4w
@@ -26,8 +37,8 @@ func simdGoldenCases() []goldenCase {
 }
 
 // runGolden runs one golden case through the facade and returns its
-// recorded seismogram samples plus the SIMD tier Stats reported.
-func runGolden(t *testing.T, c goldenCase) ([]float64, string) {
+// seismograms plus the SIMD tier Stats reported.
+func runGolden(t *testing.T, c goldenCase) (*wave.Seismograms, string) {
 	t.Helper()
 	sim, err := wave.New(facadeOptions(c)...)
 	if err != nil {
@@ -37,14 +48,49 @@ func runGolden(t *testing.T, c goldenCase) ([]float64, string) {
 	if err := sim.Run(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	tier := sim.Stats().SIMD
-	set := sim.Seismograms()
-	var vals []float64
-	vals = append(vals, set.Times...)
+	return sim.Seismograms(), sim.Stats().SIMD
+}
+
+// sawWave reports whether some trace recorded the wave rather than the
+// rounding tail of its onset: a peak of at least 1e-24 per unit source
+// gain (the facade's sources are unit forces) and at least two nonzero
+// samples — the floor of distrun -require-nonzero.
+func sawWave(set *wave.Seismograms) bool {
 	for _, tr := range set.Traces {
-		vals = append(vals, tr.Values...)
+		peak, nonzero := 0.0, 0
+		for _, v := range tr.Values {
+			peak = max(peak, math.Abs(v))
+			if v != 0 {
+				nonzero++
+			}
+		}
+		if peak >= 1e-24 && nonzero >= 2 {
+			return true
+		}
 	}
-	return vals, tier
+	return false
+}
+
+// sameSeismograms compares two runs' times and trace values bitwise.
+func sameSeismograms(t *testing.T, tier string, got, want *wave.Seismograms) {
+	t.Helper()
+	if !slices.Equal(got.Times, want.Times) {
+		t.Fatalf("tier %s sample times differ from the go tier's", tier)
+	}
+	if len(got.Traces) != len(want.Traces) {
+		t.Fatalf("tier %s recorded %d traces, go tier %d", tier, len(got.Traces), len(want.Traces))
+	}
+	for ti := range want.Traces {
+		g, w := got.Traces[ti].Values, want.Traces[ti].Values
+		if len(g) != len(w) {
+			t.Fatalf("tier %s trace %d: %d samples, go tier %d", tier, ti, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("tier %s trace %d sample %d = %v, go tier %v (bitwise)", tier, ti, i, g[i], w[i])
+			}
+		}
+	}
 }
 
 // TestGoldenSeismogramsAllSIMDTiers runs full wave simulations at deg=4
@@ -63,15 +109,8 @@ func TestGoldenSeismogramsAllSIMDTiers(t *testing.T) {
 			if tier != "go" {
 				t.Fatalf("Stats().SIMD = %q under forced go tier", tier)
 			}
-			nonzero := false
-			for _, v := range want {
-				if v != 0 {
-					nonzero = true
-					break
-				}
-			}
-			if !nonzero {
-				t.Fatal("go-tier run recorded only zeros; the comparison is vacuous")
+			if !sawWave(want) {
+				t.Fatal("go-tier run: no trace reaches 1e-24 with two nonzero samples; the comparison is vacuous")
 			}
 			for _, name := range sem.SIMDTiers() {
 				restore, err := sem.ForceSIMDTier(name)
@@ -83,14 +122,7 @@ func TestGoldenSeismogramsAllSIMDTiers(t *testing.T) {
 				if tier != name {
 					t.Fatalf("Stats().SIMD = %q under forced %s tier", tier, name)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("tier %s recorded %d samples, go tier %d", name, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("tier %s sample %d = %v, go tier %v (bitwise)", name, i, got[i], want[i])
-					}
-				}
+				sameSeismograms(t, name, got, want)
 			}
 		})
 	}

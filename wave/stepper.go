@@ -3,6 +3,7 @@ package wave
 import (
 	"context"
 
+	"golts/internal/ckpt"
 	"golts/internal/lts"
 	"golts/internal/newmark"
 )
@@ -27,6 +28,20 @@ type ctxStepper interface {
 	StepCtx(ctx context.Context) error
 }
 
+// schemeStepper is what a Simulation holds: a Stepper that also carries
+// its scheme's state and work counters, so Checkpoint, Resume and Stats
+// go through the stepper instead of switching on the scheme or backend.
+type schemeStepper interface {
+	Stepper
+	// save snapshots the live state (a copy the caller owns); restore
+	// installs one, time included.
+	save() (*ckpt.StepperState, error)
+	restore(st *ckpt.StepperState) error
+	// stats fills the scheme's and backend's counters of st; Cycles
+	// counts coarse cycles on every scheme.
+	stats(st *Stats)
+}
+
 // ltsStepper adapts lts.Scheme: one facade cycle is one LTS cycle.
 type ltsStepper struct{ s *lts.Scheme }
 
@@ -34,8 +49,22 @@ func (a ltsStepper) Step() error {
 	a.s.Step()
 	return nil
 }
-func (a ltsStepper) Time() float64    { return a.s.Time() }
-func (a ltsStepper) State() []float64 { return a.s.U }
+func (a ltsStepper) Time() float64                       { return a.s.Time() }
+func (a ltsStepper) State() []float64                    { return a.s.U }
+func (a ltsStepper) save() (*ckpt.StepperState, error)   { return a.s.Save(), nil }
+func (a ltsStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
+
+func (a ltsStepper) stats(st *Stats) {
+	st.Cycles = a.s.CycleCount()
+	st.ElemApplies = a.s.Work.ElemApplies
+	st.EffectiveSpeedup = a.s.EffectiveSpeedup()
+	st.Efficiency = a.s.Efficiency()
+	if a.s.Telemetry {
+		for li, n := range a.s.Work.LevelNanos {
+			st.LevelTimes = append(st.LevelTimes, LevelStats{Level: li, RankNanos: []int64{n}})
+		}
+	}
+}
 
 // newmarkStepper adapts newmark.Stepper: one facade cycle is pmax fine
 // steps, so both schemes sample receivers on the same time axis.
@@ -48,10 +77,17 @@ func (a newmarkStepper) Step() error {
 	a.s.Run(a.pmax)
 	return nil
 }
-func (a newmarkStepper) Time() float64    { return a.s.Time() }
-func (a newmarkStepper) State() []float64 { return a.s.U }
+func (a newmarkStepper) Time() float64                       { return a.s.Time() }
+func (a newmarkStepper) State() []float64                    { return a.s.U }
+func (a newmarkStepper) save() (*ckpt.StepperState, error)   { return a.s.Save(), nil }
+func (a newmarkStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
+
+func (a newmarkStepper) stats(st *Stats) {
+	st.Cycles = a.s.StepCount() / int64(a.pmax)
+	st.ElemApplies = a.s.ElementSteps
+}
 
 var (
-	_ Stepper = ltsStepper{}
-	_ Stepper = newmarkStepper{}
+	_ schemeStepper = ltsStepper{}
+	_ schemeStepper = newmarkStepper{}
 )

@@ -65,11 +65,7 @@ type Simulation struct {
 	pop  *parallel.PartitionedOperator
 
 	dist    *dist.Coordinator
-	distCfg *dist.RunConfig
-
-	ltsS    *lts.Scheme
-	gS      *newmark.Stepper
-	stepper Stepper
+	stepper schemeStepper
 
 	sources   []Source
 	receivers []Receiver
@@ -274,13 +270,11 @@ func build(set *settings) (*Simulation, error) {
 		sch.Telemetry = set.telemetry
 		sch.SetSources(semSrcs)
 		sch.Sigma = sigma
-		s.ltsS = sch
 		s.stepper = ltsStepper{sch}
 	} else {
 		g := newmark.New(step, lv.CoarseDt/float64(lv.PMax()))
 		g.Sources = semSrcs
 		g.Sigma = sigma
-		s.gS = g
 		s.stepper = newmarkStepper{g, lv.PMax()}
 	}
 	s.artLookups, s.artHits = ac[0], ac[1]
@@ -544,7 +538,7 @@ type Stats struct {
 	Workers     int
 	Partitioner Partitioner
 	// SIMD is the microkernel tier the batched deg=4 kernels dispatch to
-	// in this process: "avx512", "avx2", "sse2" or "go" (see
+	// in this process: "avx512", "avx2" or "go" (see
 	// sem.ActiveSIMDTier). All tiers are bitwise-identical; the field
 	// records speed, not results.
 	SIMD string
@@ -665,78 +659,7 @@ func (s *Simulation) Stats() Stats {
 		st.TunedWorkers = s.tunePlan.Best.Workers
 		st.TunedRanks = s.tunePlan.Best.Ranks
 	}
-	if s.dist != nil {
-		n, d := s.dist.Recoveries()
-		st.Recoveries = n
-		st.RecoveryMillis = d.Milliseconds()
-		n, d = s.dist.Rebalances()
-		st.Rebalances = n
-		st.RebalanceMillis = d.Milliseconds()
-		n, d = s.dist.Degraded()
-		st.DegradedRanks = n
-		st.DegradedMillis = d.Milliseconds()
-		st.CorruptFrames = s.dist.CorruptFrames()
-		n, d, st.SnapshotBytes = s.dist.Snapshots()
-		st.Snapshots = n
-		st.SnapshotMillis = d.Milliseconds()
-	}
-	switch {
-	case s.ltsS != nil:
-		st.Cycles = s.ltsS.CycleCount()
-		st.ElemApplies = s.ltsS.Work.ElemApplies
-		st.EffectiveSpeedup = s.ltsS.EffectiveSpeedup()
-		st.Efficiency = s.ltsS.Efficiency()
-		if s.ltsS.Telemetry {
-			for li, n := range s.ltsS.Work.LevelNanos {
-				st.LevelTimes = append(st.LevelTimes, LevelStats{Level: li, RankNanos: []int64{n}})
-			}
-		}
-	case s.gS != nil:
-		st.Cycles = s.gS.StepCount() / int64(s.lv.PMax())
-		st.ElemApplies = s.gS.ElementSteps
-	case s.dist != nil:
-		// Rank 0's scheme carries the work model (counted over the mesh's
-		// element lists, so identical on every rank); the halo counters are
-		// summed over ranks. A lost rank leaves the counters zero — the
-		// failure surfaces through Run/Close, not here.
-		st.Ranks = s.distCfg.Ranks
-		st.Parts = s.distCfg.Parts
-		st.Partitioner = s.set.partitioner
-		if rs, err := s.dist.Stats(); err == nil && len(rs) > 0 {
-			st.ElemApplies = rs[0].ElemApplies
-			if s.set.lts {
-				st.Cycles = rs[0].Cycles
-				st.EffectiveSpeedup = rs[0].EffectiveSpeedup
-				st.Efficiency = rs[0].Efficiency
-			} else {
-				st.Cycles = rs[0].Cycles / int64(s.lv.PMax())
-			}
-			eng := &EngineStats{Applies: rs[0].Applies}
-			for _, r := range rs {
-				eng.Messages += r.Messages
-				eng.Volume += r.Volume
-				st.LinkRetries += r.LinkRetries
-			}
-			st.Engine = eng
-			if s.distCfg.Telemetry && len(rs[0].LevelNanos) > 0 {
-				for li := range rs[0].LevelNanos {
-					row := LevelStats{Level: li, RankNanos: make([]int64, len(rs))}
-					for r, rst := range rs {
-						if li < len(rst.LevelNanos) {
-							row.RankNanos[r] = rst.LevelNanos[li]
-						}
-					}
-					st.LevelTimes = append(st.LevelTimes, row)
-				}
-				for _, rst := range rs {
-					st.RankStepping = append(st.RankStepping, RankStepping{
-						PointwiseNanos: rst.PointwiseNanos, ActiveNodes: rst.ActiveNodes,
-						FarNodes: rst.FarNodes, FootprintNodes: rst.FootprintNodes,
-					})
-				}
-			}
-		}
-	}
+	s.stepper.stats(&st)
 	if s.pop != nil {
 		st.Partitioner = s.set.partitioner
 		es := s.pop.Stats()
