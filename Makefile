@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test loc race fuzz bench bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
+.PHONY: build test loc race fuzz bench bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,15 @@ bench-e2e-test:
 
 bench-e2e:
 	bash benchmark/run.sh -quick
+
+# The committed trench-mesh goldens (benchmark/golden.json, pinned for
+# seed 1 at full size, which -quick skips): every workload once, untraced,
+# 3 s each. With --workload the harness exits 1 on a failed check.
+BENCH_WORKLOADS = seq-lts-acoustic seq-global-elastic shm2-lts-elastic dist2-lts-elastic serve-warm serve-cold
+bench-golden:
+	@for w in $(BENCH_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 # Quick-config benchmarks, including BenchmarkParallelSpeedup, plus the
 # kernel trajectory file: BENCH_kernels.json records ns/elem and allocs/op
@@ -262,4 +271,4 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: fmt vet lint build test bench-e2e-test race examples dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke
+check: fmt vet lint build test bench-e2e-test bench-golden race examples dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke

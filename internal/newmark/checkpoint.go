@@ -10,9 +10,9 @@ import (
 const SchemeName = "newmark"
 
 // Save captures the complete inter-step state of the stepper. The
-// acceleration and viscous buffers are recomputed from scratch every
-// Step, so {U, V, t, n, started} plus the work counter fully determine
-// the remaining trajectory.
+// acceleration buffer is zero between steps and the viscous buffer is
+// recomputed every Step, so {U, V, t, n, started} plus the work counter
+// fully determine the remaining trajectory.
 func (s *Stepper) Save() *ckpt.StepperState {
 	st := s.View()
 	st.U = append([]float64(nil), st.U...)
@@ -51,5 +51,6 @@ func (s *Stepper) Restore(st *ckpt.StepperState) error {
 	s.n = st.N
 	s.started = st.Started
 	s.ElementSteps = st.ElemApplies
+	clear(s.accel) // a Step that panicked part-way may have left K u in it
 	return nil
 }

@@ -1,12 +1,14 @@
 // Package newmark implements the global explicit Newmark (leap-frog) time
 // stepping scheme of paper Eqs. 5-6: the reference, non-LTS scheme whose
 // global CFL bottleneck (Eq. 7) LTS removes. It is the baseline in every
-// performance comparison.
+// performance comparison. A step is one stiffness batch and one sweep over
+// the nodes that does the whole pointwise update (Stepper.sweep).
 package newmark
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"golts/internal/sem"
 )
@@ -39,16 +41,17 @@ type Stepper struct {
 	// scheme.
 	Eta float64
 
-	t       float64
-	n       int64
-	started bool
-	elems   []int32
-	accel   []float64
-	visc    []float64
-	bplan   sem.BatchPlan    // all-elements batch plan, built by New
-	bscr    sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
-	scr     sem.Scratch      // per-element scratch of the energy diagnostics
-	energy  *sem.Restriction // cached by Energy so diagnostics allocate nothing
+	t        float64
+	n        int64
+	started  bool
+	elems    []int32
+	accel    []float64
+	visc     []float64
+	srcNodes []int32          // sweep's buffer of source nodes
+	bplan    sem.BatchPlan    // all-elements batch plan, built by New
+	bscr     sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
+	scr      sem.Scratch      // per-element scratch of the energy diagnostics
+	energy   *sem.Restriction // cached by Energy so diagnostics allocate nothing
 	// ElementSteps counts element stiffness applications, for work
 	// accounting in performance comparisons.
 	ElementSteps int64
@@ -84,6 +87,7 @@ func (s *Stepper) SetInitial(u0, v0 []float64) error {
 	}
 	copy(s.U, u0)
 	copy(s.V, v0)
+	clear(s.accel)
 	return nil
 }
 
@@ -93,15 +97,11 @@ func (s *Stepper) Time() float64 { return s.t }
 // StepCount returns the number of completed steps.
 func (s *Stepper) StepCount() int64 { return s.n }
 
-// Step advances one time step. On the first step the unstaggered v(0) is
-// converted to v(Δt/2) with a half-step, which keeps the scheme second
-// order.
+// Step advances one time step: K u into accel, then one sweep over the
+// nodes. The first step turns the unstaggered v(0) into v(Δt/2) with a
+// half-step, which keeps the scheme second order.
 func (s *Stepper) Step() {
-	a := s.accel
-	for i := range a {
-		a[i] = 0
-	}
-	s.addKu(a, s.U)
+	s.addKu(s.accel, s.U)
 	s.ElementSteps += int64(len(s.elems))
 	if s.Eta > 0 {
 		// Kelvin-Voigt term: K applied to Eta * v (explicit, evaluated at
@@ -112,38 +112,80 @@ func (s *Stepper) Step() {
 		for i, v := range s.V {
 			s.visc[i] = s.Eta * v
 		}
-		s.addKu(a, s.visc)
+		s.addKu(s.accel, s.visc)
 		s.ElementSteps += int64(len(s.elems))
 	}
-	minv := s.Op.MInv()
-	nc := s.Op.Comps()
-	for n := 0; n < s.Op.NumNodes(); n++ {
-		mi := minv[n]
-		for c := 0; c < nc; c++ {
-			a[n*nc+c] *= -mi
-		}
-	}
-	sem.AddForces(s.Op, s.Sources, s.t, a)
-	dt := s.Dt
+	kick := s.Dt
 	if !s.started {
-		// v(Δt/2) = v(0) + (Δt/2) a(0).
-		for i := range s.V {
-			s.V[i] += dt / 2 * a[i]
-		}
+		kick = s.Dt / 2 // v(Δt/2) = v(0) + (Δt/2) a(0)
 		s.started = true
-	} else {
-		for i := range s.V {
-			s.V[i] += dt * a[i]
+	}
+	s.sweep(kick)
+	s.t += s.Dt
+	s.n++
+}
+
+// sweep is a step's pointwise half: per dof a = -M⁻¹accel + M⁻¹F(t_n)
+// (sources added in Sources order), accel = 0, v += kick·a, the sponge
+// v *= 1/(1 + σΔt), u += Δt·v; accel is zero again after it. Source nodes
+// (rebuilt every step: Sources is public) are split off, so the loop over
+// the rest makes no call.
+func (s *Stepper) sweep(kick float64) {
+	nc := s.Op.Comps()
+	s.srcNodes = s.srcNodes[:0]
+	for _, sc := range s.Sources {
+		s.srcNodes = append(s.srcNodes, int32(sc.Dof/nc))
+	}
+	slices.Sort(s.srcNodes)
+	n0 := 0
+	for _, n := range slices.Compact(s.srcNodes) {
+		s.sweepNodes(n0, int(n), kick)
+		s.sweepSourceNode(int(n), kick)
+		n0 = int(n) + 1
+	}
+	s.sweepNodes(n0, s.Op.NumNodes(), kick)
+}
+
+// sweepNodes is sweep over nodes [n0, n1), none of which has a source.
+func (s *Stepper) sweepNodes(n0, n1 int, kick float64) {
+	nc, dt := s.Op.Comps(), s.Dt
+	minv := s.Op.MInv()
+	a, u, v := s.accel, s.U, s.V
+	for n := n0; n < n1; n++ {
+		mi, fac := minv[n], s.dampFac(n)
+		for d := n * nc; d < n*nc+nc; d++ {
+			f := a[d] * -mi
+			a[d] = 0
+			vd := (v[d] + kick*f) * fac
+			v[d] = vd
+			u[d] += dt * vd
 		}
 	}
-	if s.Sigma != nil {
-		applyDamping(s.V, s.Sigma, nc, dt)
+}
+
+// sweepSourceNode is sweep at node n, which carries sources.
+func (s *Stepper) sweepSourceNode(n int, kick float64) {
+	nc, mi, fac := s.Op.Comps(), s.Op.MInv()[n], s.dampFac(n)
+	for d := n * nc; d < n*nc+nc; d++ {
+		f := s.accel[d] * -mi
+		s.accel[d] = 0
+		for _, sc := range s.Sources {
+			if sc.Dof == d {
+				f += sc.W.Amp(s.t) * mi
+			}
+		}
+		v := (s.V[d] + kick*f) * fac
+		s.V[d] = v
+		s.U[d] += s.Dt * v
 	}
-	for i := range s.U {
-		s.U[i] += dt * s.V[i]
+}
+
+// dampFac is node n's sponge factor 1/(1 + σΔt) ≈ e^{-σΔt} (1 outside).
+func (s *Stepper) dampFac(n int) float64 {
+	if s.Sigma == nil || s.Sigma[n] == 0 {
+		return 1
 	}
-	s.t += dt
-	s.n++
+	return 1 / (1 + s.Sigma[n]*s.Dt)
 }
 
 // Run advances n steps.
@@ -156,14 +198,11 @@ func (s *Stepper) Run(n int) {
 // Energy returns the instantaneous mechanical energy ½vᵀMv + ½uᵀKu, which
 // oscillates with amplitude O(Δt²) around a constant for the staggered
 // scheme. The all-elements restriction is cached on first use and the
-// stiffness scratch reuses the stepper's accel buffer, so repeated calls
-// allocate nothing.
+// stiffness scratch is accel (zero between steps, left zero by the
+// restriction), so repeated calls allocate nothing.
 func (s *Stepper) Energy() float64 {
 	if s.energy == nil {
 		s.energy = sem.NewRestriction(s.Op, s.elems)
-	}
-	for i := range s.accel {
-		s.accel[i] = 0
 	}
 	return s.energy.Energy(s.Op, s.U, s.V, s.accel, &s.scr)
 }
@@ -174,12 +213,10 @@ func (s *Stepper) Energy() float64 {
 //	E^{n+1/2} = ½ v_{n+1/2}ᵀ M v_{n+1/2} + ½ u_nᵀ K u_{n+1},
 //
 // evaluated from the stepper's state (U = u_{n+1}, V = v_{n+1/2},
-// u_n = U - Δt V).
+// u_n = U - Δt V). K u is formed in the accel buffer, re-zeroed after.
 func (s *Stepper) ConservedEnergy() float64 {
 	ku := s.accel
-	for i := range ku {
-		ku[i] = 0
-	}
+	defer clear(ku)
 	s.Op.AddKuScratch(ku, s.U, s.elems, &s.scr)
 	minv := s.Op.MInv()
 	nc := s.Op.Comps()
@@ -246,19 +283,4 @@ func EstimateCriticalDt(op sem.Operator, iters int) float64 {
 		}
 	}
 	return 2 / math.Sqrt(lambda)
-}
-
-// applyDamping multiplies velocities by the per-node sponge factor. A
-// first-order splitting: v *= 1/(1 + σΔt) ≈ e^{-σΔt}, unconditionally
-// stable.
-func applyDamping(v, sigma []float64, nc int, dt float64) {
-	for n, sg := range sigma {
-		if sg == 0 {
-			continue
-		}
-		f := 1 / (1 + sg*dt)
-		for c := 0; c < nc; c++ {
-			v[n*nc+c] *= f
-		}
-	}
 }

@@ -56,20 +56,6 @@ type Source struct {
 	W Wavelet
 }
 
-// AddForces accumulates M⁻¹ F(t) for all sources into dst (length NDof).
-// The division by the lumped mass turns the nodal force into an
-// acceleration contribution.
-func AddForces(op Operator, sources []Source, t float64, dst []float64) {
-	if len(sources) == 0 {
-		return
-	}
-	minv := op.MInv()
-	nc := op.Comps()
-	for _, s := range sources {
-		dst[s.Dof] += s.W.Amp(t) * minv[s.Dof/nc]
-	}
-}
-
 // Receiver records the value of one degree of freedom over time.
 type Receiver struct {
 	// Dof is the recorded degree of freedom.

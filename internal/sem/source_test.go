@@ -21,30 +21,6 @@ func TestGaussianPulse(t *testing.T) {
 	}
 }
 
-func TestAddForces(t *testing.T) {
-	op := uniform1D(4, 1, 1, 2, FreeBC, FreeBC)
-	dst := make([]float64, op.NDof())
-	srcs := []Source{
-		{Dof: 3, W: GaussianPulse{T0: 0, Sigma: 1, Scale: 2}},
-		{Dof: 5, W: Ricker{F0: 1, T0: 0}},
-	}
-	AddForces(op, srcs, 0, dst)
-	want3 := 2 * op.MInv()[3]
-	if math.Abs(dst[3]-want3) > 1e-12 {
-		t.Errorf("dst[3] = %v, want %v", dst[3], want3)
-	}
-	if dst[5] == 0 {
-		t.Error("second source not applied")
-	}
-	for i, v := range dst {
-		if i != 3 && i != 5 && v != 0 {
-			t.Errorf("dst[%d] = %v, want 0", i, v)
-		}
-	}
-	// Empty source list is a no-op.
-	AddForces(op, nil, 0, dst)
-}
-
 func TestReceiverFirstArrivalEmpty(t *testing.T) {
 	r := &Receiver{Dof: 0}
 	if r.FirstArrival(0.5) != 0 || r.PeakTime() != 0 {
