@@ -278,13 +278,66 @@ func firstNode(st *sets, pred func(n int) bool) int {
 	return -1
 }
 
+// farRunOf returns the first run [p0, p1) of consecutive node ids in far
+// that is at least minLen long, or (-1, -1).
+func farRunOf(far []int32, minLen int) (p0, p1 int) {
+	for p0 = 0; p0 < len(far); p0 = p1 {
+		for p1 = p0 + 1; p1 < len(far) && far[p1] == far[p1-1]+1; p1++ {
+		}
+		if p1-p0 >= minLen {
+			return p0, p1
+		}
+	}
+	return -1, -1
+}
+
+// oracleSourceNodes returns the source placements of the oracle tests,
+// each as the nodes it puts sources on: the placements take different
+// paths through the fused coarse pass (a far-coarse node at the start of
+// the far list, in the middle of a run, at the end of a run, two adjacent
+// far-coarse nodes; a level-0 halo node; a finest-level node).
+func oracleSourceNodes(t *testing.T, st *sets, levels int) map[string][]int {
+	t.Helper()
+	far := st.far
+	r0, r1 := farRunOf(far, 4)
+	if r0 < 0 || r1 == len(far) {
+		t.Fatalf("%d levels: no run of four far-coarse nodes followed by a gap", levels)
+	}
+	mid := (r0 + r1) / 2
+	nodes := map[string][]int{
+		"far":      {firstNode(st, func(n int) bool { return st.stepLvl[n] == 0 })},
+		"far-mid":  {int(far[mid])},
+		"far-last": {int(far[r1-1])},
+		"far-pair": {int(far[mid-1]), int(far[mid])},
+		"halo":     {firstNode(st, func(n int) bool { return st.nodeLevel[n] == 0 && st.stepLvl[n] > 0 })},
+		"fine":     {firstNode(st, func(n int) bool { return int(st.nodeLevel[n]) == levels-1 })},
+	}
+	for where, ns := range nodes {
+		if ns[0] < 0 {
+			t.Fatalf("%d levels: no %s node", levels, where)
+		}
+	}
+	return nodes
+}
+
+// oracleSources puts two sources on the first component of the first of
+// nodes and one on the last component of the last: the subtraction order
+// per dof is part of the contract.
+func oracleSources(nodes []int, nc int) []sem.Source {
+	first, last := nodes[0], nodes[len(nodes)-1]
+	return []sem.Source{
+		{Dof: first * nc, W: sem.Ricker{F0: 2, T0: 0.3}},
+		{Dof: first * nc, W: sem.Ricker{F0: 3, T0: 0.2}},
+		{Dof: last*nc + nc - 1, W: sem.Ricker{F0: 1, T0: 0.5}},
+	}
+}
+
 // TestBitwiseAgainstFullVectorOracle pins the active-region engine bit
 // for bit against the pre-rewrite full-vector stepper after 1 and 8
 // cycles at nonzero amplitude, over acoustic + elastic × 2–4 levels ×
-// both engines × sponge on/off × the three source placements that take
-// different paths through the fused coarse pass (far-coarse node, level-0
-// halo node, finest-level node) × fresh start vs. a mid-run Restore into
-// a freshly built scheme.
+// both engines × sponge on/off × the source placements of
+// oracleSourceNodes × fresh start vs. a mid-run Restore into a freshly
+// built scheme. The accumulators must be zero after every cycle.
 func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 	for _, physics := range []string{"acoustic", "elastic"} {
 		for levels := 2; levels <= 4; levels++ {
@@ -317,22 +370,8 @@ func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srcNodes := map[string]int{
-					"far":  firstNode(probe, func(n int) bool { return probe.stepLvl[n] == 0 }),
-					"halo": firstNode(probe, func(n int) bool { return probe.nodeLevel[n] == 0 && probe.stepLvl[n] > 0 }),
-					"fine": firstNode(probe, func(n int) bool { return int(probe.nodeLevel[n]) == levels-1 }),
-				}
-				for where, node := range srcNodes {
-					if node < 0 {
-						t.Fatalf("%s/%d levels: no %s node", physics, levels, where)
-					}
-					// Two sources on one dof plus one on the last component:
-					// the subtraction order per dof is part of the contract.
-					src := []sem.Source{
-						{Dof: node * nc, W: sem.Ricker{F0: 2, T0: 0.3}},
-						{Dof: node * nc, W: sem.Ricker{F0: 3, T0: 0.2}},
-						{Dof: node*nc + nc - 1, W: sem.Ricker{F0: 1, T0: 0.5}},
-					}
+				for where, nodes := range oracleSourceNodes(t, probe, levels) {
+					src := oracleSources(nodes, nc)
 					for _, sponge := range []bool{false, true} {
 						name := fmt.Sprintf("%s/L%d/opt=%v/src=%s/sponge=%v", physics, levels, optimized, where, sponge)
 						build := func() (*Scheme, *oracle) {
@@ -357,6 +396,9 @@ func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 						for cyc := 1; cyc <= 8; cyc++ {
 							s.Step()
 							o.Step()
+							if !s.AccumulatorsZero() {
+								t.Fatalf("%s: stiffness accumulators nonzero after %d cycles", name, cyc)
+							}
 							if cyc == 4 {
 								// Continue on a freshly built scheme restored
 								// from the snapshot: scratch must carry nothing.
@@ -384,6 +426,53 @@ func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSetSourcesTwiceMatchesFresh: a scheme whose sources are replaced
+// before stepping steps bitwise like a fresh scheme given only the second
+// set — the far-coarse runs are rebuilt, not extended — and bitwise like
+// the full-vector oracle.
+func TestSetSourcesTwiceMatchesFresh(t *testing.T) {
+	m, lv := oracleMesh(t, 3)
+	op, err := sem.NewElastic3D(m, 4, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := buildSets(op, lv.Lvl, lv.NumLevels, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := oracleSourceNodes(t, probe, lv.NumLevels)
+	nc := op.Comps()
+	first, second := oracleSources(nodes["far-last"], nc), oracleSources(nodes["far-pair"], nc)
+	build := func(src ...[]sem.Source) *Scheme {
+		s, err := FromMeshLevels(op, lv, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range src {
+			s.SetSources(sc)
+		}
+		for d := range s.U {
+			s.U[d] = math.Sin(0.37 * float64(d))
+		}
+		return s
+	}
+	twice, fresh := build(first, second), build(second)
+	o := newOracle(op, lv.Lvl, lv.NumLevels, lv.CoarseDt, true)
+	o.sources = second
+	copy(o.U, fresh.U)
+	for cyc := 0; cyc < 8; cyc++ {
+		twice.Step()
+		fresh.Step()
+		o.Step()
+	}
+	if firstBitDiff(twice.U, fresh.U) >= 0 || firstBitDiff(twice.V, fresh.V) >= 0 {
+		t.Fatal("a scheme given two source sets differs from a fresh one given the second")
+	}
+	if firstBitDiff(fresh.U, o.U) >= 0 || firstBitDiff(fresh.V, o.V) >= 0 {
+		t.Fatal("the scheme differs from the full-vector oracle")
 	}
 }
 
@@ -448,6 +537,9 @@ func TestScratchIsActiveRegionSized(t *testing.T) {
 	}
 	if len(s.kact) != want {
 		t.Errorf("fine-level accumulator has %d values, want activeDofs = %d", len(s.kact), want)
+	}
+	if len(s.minvAct) != want {
+		t.Errorf("active-region M⁻¹ has %d values, want activeDofs = %d", len(s.minvAct), want)
 	}
 	s.Step() // plans and their remap tables exist from here on
 	var full []string

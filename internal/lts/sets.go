@@ -53,10 +53,11 @@ type sets struct {
 	actNode []int32 // active index -> node: stepNodesAt[1:] back to back
 	actOff  []int   // actOff[li]: number of active nodes with stepLvl < li
 	far     []int32 // the domain's nodes outside the active region, ascending
-	// forceAct[li] lists the active indices of level li's force nodes,
-	// ascending. Level 0 keeps only the active part (coarsePass consumes the
-	// far-coarse rest) and, as its kernel speaks node ids, those next to it.
-	forceAct    [][]int32
+	// forceAct0 lists the active indices of level 0's force nodes,
+	// ascending, and forceNodes0 their node ids, where its kernel
+	// accumulates (coarsePass consumes the far-coarse rest); the finer
+	// levels' gathers are dense and need no list.
+	forceAct0   []int32
 	forceNodes0 []int32
 	hold        []int32 // active indices of the finer-level nodes the level-0 force elements read (zero in P_0·u), ascending
 }
@@ -170,18 +171,12 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 			}
 		}
 	}
-	s.forceAct = make([][]int32, numLevels)
 	for a, n := range s.actNode {
-		m := forceMask[n]
-		if m&1 != 0 {
+		if forceMask[n]&1 != 0 {
+			s.forceAct0 = append(s.forceAct0, int32(a))
 			s.forceNodes0 = append(s.forceNodes0, n)
 			if s.nodeLevel[n] != 0 {
 				s.hold = append(s.hold, int32(a))
-			}
-		}
-		for li := 0; m != 0; li, m = li+1, m>>1 {
-			if m&1 != 0 {
-				s.forceAct[li] = append(s.forceAct[li], int32(a))
 			}
 		}
 	}

@@ -30,7 +30,9 @@ type geomKernel interface {
 // the same engine one apply at a time, for acoustic and elastic physics
 // on three levels, with the sponge on and sources on a far-coarse node, on
 // a finest-level node and on both sides of every boundary between the
-// workers' shares of the active region (the share levels 0 and 1 split).
+// workers' shares of the active region (the share levels 0 and 1 split)
+// and of the far-coarse nodes (the coarse pass's split, which cuts the
+// far-coarse runs).
 func TestTeamCycleBitwise(t *testing.T) {
 	m, ac := eqSetup(t)
 	el, err := sem.NewElastic3D(m, 2, false, 0)
@@ -100,8 +102,8 @@ func teamScheme(t *testing.T, op sem.BatchKernel, lv *mesh.Levels, sigma []float
 	}
 	nodes := []int32{far[len(far)/2], act[len(act)-1]}
 	for w := 1; w < k; w++ {
-		b := len(act) * w / k
-		nodes = append(nodes, act[b-1], act[b])
+		b, bf := len(act)*w/k, len(far)*w/k
+		nodes = append(nodes, act[b-1], act[b], far[bf-1], far[bf])
 	}
 	nc := op.Comps()
 	var src []sem.Source

@@ -64,17 +64,13 @@ func TestMultiSourceMatchesDirect(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("trace length %d, want %d", len(got), len(want))
 	}
-	nonzero := false
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d: facade %v != direct %v", i, got[i], want[i])
 		}
-		if want[i] != 0 {
-			nonzero = true
-		}
 	}
-	if !nonzero {
-		t.Fatal("trace is identically zero; test records no signal")
+	if !sawWave(facade) {
+		t.Fatal("no trace reaches 1e-24 with two nonzero samples; the comparison is vacuous")
 	}
 }
 
