@@ -97,8 +97,8 @@ bench-smoke:
 # compare ns/elem row by row against the committed bench_baseline.json,
 # normalised by the median fresh/baseline ratio so a uniformly slower CI
 # runner does not trip the gate while a regressed kernel does. Rows for
-# SIMD tiers this machine cannot run are skipped with a log line; a
-# baseline row missing from the fresh run, or naming a tier this build
+# SIMD tiers this machine cannot run are skipped with a log line; a row
+# missing from either file, or a baseline row naming a tier this build
 # does not know, fails the gate. The tolerance is 15% (BENCH_TOL to override): any row beyond 2x the
 # tolerance fails, as does a systemic cluster of >15% rows; isolated
 # scheduler blips between the two are tolerated (see cmd/benchcheck).

@@ -20,8 +20,8 @@
 //
 // Baseline rows for SIMD tiers the runner cannot execute are skipped
 // with an explicit log line, so a baseline recorded on an AVX-512
-// machine still gates an AVX2-only runner. That is the only skip: a
-// baseline row missing from the fresh run, or naming a tier this build
+// machine still gates an AVX2-only runner. That is the only skip: a row
+// missing from either file, or a baseline row naming a tier this build
 // does not know, fails the gate.
 //
 // Usage:
@@ -138,9 +138,9 @@ func main() {
 // check gates every baseline row against the fresh run, writing one line
 // per row to w; known lists the tiers this build implements and usable
 // those this CPU can run. The only row it skips is one for a known tier
-// this CPU cannot run; a row of an unknown tier, a row missing from the
-// fresh run or a non-positive measurement fails, so a deleted tier or
-// operator cannot shrink the gate unnoticed.
+// this CPU cannot run; a row of an unknown tier, a row missing from
+// either file or a non-positive measurement fails, so no tier or
+// operator can leave or enter the gate unnoticed.
 func check(w io.Writer, base, cur *benchFile, known, usable []string, tol float64, maxWarn int, raw bool) error {
 	freshRows := map[string]row{}
 	for _, r := range flatten(cur) {
@@ -156,7 +156,9 @@ func check(w io.Writer, base, cur *benchFile, known, usable []string, tol float6
 	var pairs []pair
 	var ratios []float64
 	var broken []string
+	inBase := map[string]bool{}
 	for _, b := range flatten(base) {
+		inBase[b.Key] = true
 		f, ok := freshRows[b.Key]
 		why := ""
 		switch {
@@ -179,8 +181,14 @@ func check(w io.Writer, base, cur *benchFile, known, usable []string, tol float6
 		pairs = append(pairs, pair{key: b.Key, base: b.NsPerElem, fresh: f.NsPerElem, ratio: r})
 		ratios = append(ratios, r)
 	}
+	for _, f := range flatten(cur) {
+		if !inBase[f.Key] {
+			fmt.Fprintf(w, "FAIL   %-40s not present in baseline\n", f.Key)
+			broken = append(broken, f.Key)
+		}
+	}
 	if len(broken) > 0 {
-		return fmt.Errorf("%d baseline row(s) could not be compared: %v", len(broken), broken)
+		return fmt.Errorf("%d row(s) could not be compared: %v", len(broken), broken)
 	}
 	if len(pairs) == 0 {
 		return errors.New("no comparable rows between the baseline and the fresh run")

@@ -54,8 +54,8 @@ func writeBench(t *testing.T, name string, batched map[string]float64, tiers []t
 }
 
 // TestGate pins the verdicts: a known tier this CPU cannot run is the one
-// row the gate skips; a baseline row missing from the fresh run, a tier
-// unknown to the build and a row past the hard cap all fail it.
+// row the gate skips; a row missing from either file, a tier unknown to
+// the build and a row past the hard cap all fail it.
 func TestGate(t *testing.T) {
 	known := []string{"avx512", "avx2", "go"}
 	ops := map[string]float64{"Op1D": 50, "Acoustic3D": 450, "Elastic3D": 1500}
@@ -90,6 +90,11 @@ func TestGate(t *testing.T) {
 			name: "batched-row-missing", baseOps: ops, baseTiers: []string{"go"},
 			freshOps: map[string]float64{"Op1D": 50, "Elastic3D": 1500}, freshTiers: []string{"go"}, usable: known,
 			wantErr: "batched/Acoustic3D/deg4@8",
+		},
+		{
+			name: "fresh-row-not-in-baseline", baseOps: map[string]float64{"Op1D": 50, "Elastic3D": 1500}, baseTiers: []string{"go"},
+			freshOps: ops, freshTiers: []string{"avx2", "go"}, usable: known,
+			wantErr: "[batched/Acoustic3D/deg4@8 tier/avx2/Elastic3D/deg4]", wantInOutput: "not present in baseline",
 		},
 		{
 			name: "usable-tier-row-missing", baseOps: ops, baseTiers: []string{"avx2", "go"},

@@ -31,7 +31,7 @@ import "fmt"
 // the same element-list order whatever the numbering — so AddKuBatch is
 // bitwise-identical to AddKuScratch on the equivalent node-numbered
 // problem. AddKuBatch is the one production stiffness path (every stepper
-// and engine drives it); the per-element AddKuScratch of the four
+// and engine drives it); the per-element AddKuScratch of the three
 // concrete operators is the reference oracle that tests and one-shot
 // diagnostics run. Lane independence is also what allows the amd64
 // microkernels to vectorise across lanes (each SIMD lane is an
@@ -67,7 +67,7 @@ type BatchPlan interface {
 
 // BatchKernel is an Operator that executes a prepared element set as one
 // fused batch — what the steppers and engines require of an operator. All
-// four concrete operators implement it; parallel.PartitionedOperator and
+// three concrete operators implement it; parallel.PartitionedOperator and
 // dist.Operator forward it to per-rank and per-part sub-plans.
 type BatchKernel interface {
 	Operator
@@ -99,7 +99,7 @@ func (b *BatchScratch) floats(n int) []float64 {
 	return b.buf[:n]
 }
 
-// elemBatchPlan is the concrete plan of the four sem operators.
+// elemBatchPlan is the concrete plan of the three sem operators.
 type elemBatchPlan struct {
 	owner Operator
 	elems []int32   // the caller's list: what scatters

@@ -1,6 +1,6 @@
 package sem
 
-// Batched kernels of the three 3-D operators: AddKuBatch executes a
+// Batched kernels of the two 3-D operators: AddKuBatch executes a
 // prepared element set as fused gather → contract → scatter passes over a
 // flat SoA workspace of batchB-lane planes (see batch.go for the layer's
 // contract and bitwise-identity guarantee).
@@ -93,73 +93,18 @@ func (op *Elastic3D) NewBatchPlan(elems []int32) BatchPlan {
 }
 
 // AddKuBatch implements BatchKernel; bitwise-identical to AddKuScratch
-// over plan.Elems().
+// over plan.Elems(). The 12-plane workspace reuses the input planes as
+// output planes.
 func (op *Elastic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
 	pl := checkPlan(op, plan, dst, u)
-	op.batch3comp(dst, u, pl, bs, func(gg, cst, wpair []float64) {
-		if op.deg == 4 {
-			elStress8(gg, cst, wpair)
-		} else {
-			elStressN(gg, cst, wpair, op.n3)
-		}
-	}, elCstRows)
-}
-
-// ---- Anisotropic3D ----
-
-// anCstRows is the per-block constant row count of the anisotropic plan:
-// ax, ay, az, jdet plus the 36 Voigt tensor entries.
-const anCstRows = 40
-
-// NewBatchPlan implements BatchKernel.
-func (op *Anisotropic3D) NewBatchPlan(elems []int32) BatchPlan {
-	pl := newElemBatchPlan(op, elems, anCstRows, op.nq, op.Rule.Weights)
-	for blk := 0; blk < len(pl.lanes); blk += batchB {
-		row := pl.cst[blk*anCstRows:]
-		for i := 0; i < batchB; i++ {
-			e := int(pl.lanes[blk+i])
-			dx, dy, dz := op.M.ElemSize(e)
-			row[0*batchB+i] = 2 / dx
-			row[1*batchB+i] = 2 / dy
-			row[2*batchB+i] = 2 / dz
-			row[3*batchB+i] = dx * dy * dz / 8
-			cm := &op.C[e]
-			for r := 0; r < 6; r++ {
-				for cc := 0; cc < 6; cc++ {
-					row[(4+r*6+cc)*batchB+i] = cm[r][cc]
-				}
-			}
-		}
-	}
-	return pl
-}
-
-// AddKuBatch implements BatchKernel; bitwise-identical to AddKuScratch
-// over plan.Elems().
-func (op *Anisotropic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScratch) {
-	pl := checkPlan(op, plan, dst, u)
-	op.batch3comp(dst, u, pl, bs, func(gg, cst, wpair []float64) {
-		if op.deg == 4 {
-			anStress8(gg, cst, wpair)
-		} else {
-			anStressN(gg, cst, wpair, op.n3)
-		}
-	}, anCstRows)
-}
-
-// batch3comp is the shared 3-component batch driver: gather, the nine
-// derivative sweeps, the operator-specific pointwise stress pass, the
-// transposed sweeps, and the ordered scatter. The 12-plane workspace
-// reuses the input planes as output planes.
-func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratch, stress func(gg, cst, wpair []float64), cstRows int) {
-	pb := c.n3 * batchB
+	pb := op.n3 * batchB
 	ws := bs.floats(12 * pb)
 	ux := ws[0*pb : 1*pb]
 	uy := ws[1*pb : 2*pb]
 	uz := ws[2*pb : 3*pb]
 	gg := ws[3*pb : 12*pb]
-	d, dt := c.dfl, c.dtf
-	deg4 := c.deg == 4
+	d, dt := op.dfl, op.dtf
+	deg4 := op.deg == 4
 	for blk := 0; blk < len(pl.lanes); blk += batchB {
 		pl.gather3(u, blk, ux, uy, uz)
 		for k, in := range [3][]float64{ux, uy, uz} {
@@ -169,10 +114,15 @@ func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratc
 			if deg4 {
 				grad5(gx, gy, gz, in, d)
 			} else {
-				gradN(gx, gy, gz, in, d, c.nq)
+				gradN(gx, gy, gz, in, d, op.nq)
 			}
 		}
-		stress(gg, pl.cst[blk*cstRows:], pl.wpair)
+		cst := pl.cst[blk*elCstRows:]
+		if deg4 {
+			elStress8(gg, cst, pl.wpair)
+		} else {
+			elStressN(gg, cst, pl.wpair, op.n3)
+		}
 		for k, out := range [3][]float64{ux, uy, uz} {
 			tx := gg[(3*k+0)*pb : (3*k+1)*pb]
 			ty := gg[(3*k+1)*pb : (3*k+2)*pb]
@@ -180,7 +130,7 @@ func (c *core3d) batch3comp(dst, u []float64, pl *elemBatchPlan, bs *BatchScratc
 			if deg4 {
 				trans5(out, tx, ty, tz, dt)
 			} else {
-				transN(out, tx, ty, tz, dt, c.nq)
+				transN(out, tx, ty, tz, dt, op.nq)
 			}
 		}
 		pl.scatter3(dst, blk, ux, uy, uz)
@@ -244,5 +194,4 @@ func (op *Acoustic3D) AddKuBatch(dst, u []float64, plan BatchPlan, bs *BatchScra
 var (
 	_ BatchKernel = (*Acoustic3D)(nil)
 	_ BatchKernel = (*Elastic3D)(nil)
-	_ BatchKernel = (*Anisotropic3D)(nil)
 )

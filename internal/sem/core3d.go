@@ -7,9 +7,9 @@ import (
 	"golts/internal/mesh"
 )
 
-// core3d is the shared kernel core of the 3-D operators (acoustic,
-// isotropic elastic, anisotropic elastic): the precomputed state that
-// makes the stiffness kernels flat and allocation-free.
+// core3d is the shared kernel core of the 3-D operators (acoustic and
+// isotropic elastic): the precomputed state that makes the stiffness
+// kernels flat and allocation-free.
 //
 //   - conn is the flat gather/scatter table, built once at construction:
 //     conn[e*n3+i] is the global node of element e's i-th local GLL node

@@ -140,93 +140,6 @@ func refAddKuElastic(op *Elastic3D, dst, u []float64, elems []int32) {
 	}
 }
 
-func refAddKuAniso(op *Anisotropic3D, dst, u []float64, elems []int32) {
-	nq := op.deg + 1
-	n3 := nq * nq * nq
-	d := op.Rule.D
-	w := op.Rule.Weights
-	ue := make([][]float64, 3)
-	var tf [3][3][]float64
-	for c := 0; c < 3; c++ {
-		ue[c] = make([]float64, n3)
-		for dd := 0; dd < 3; dd++ {
-			tf[c][dd] = make([]float64, n3)
-		}
-	}
-	nb := make([]int32, 0, n3)
-	idx := func(a, b, c int) int { return (c*nq+b)*nq + a }
-	for _, e := range elems {
-		dx, dy, dz := op.M.ElemSize(int(e))
-		jdet := dx * dy * dz / 8
-		alpha := [3]float64{2 / dx, 2 / dy, 2 / dz}
-		cm := &op.C[e]
-		nb = op.ElemNodes(int(e), nb[:0])
-		for i, n := range nb {
-			ue[0][i] = u[3*n]
-			ue[1][i] = u[3*n+1]
-			ue[2][i] = u[3*n+2]
-		}
-		for c := 0; c < nq; c++ {
-			for b := 0; b < nq; b++ {
-				for a := 0; a < nq; a++ {
-					var g [3][3]float64
-					for comp := 0; comp < 3; comp++ {
-						var gx, gy, gz float64
-						uc := ue[comp]
-						for m := 0; m < nq; m++ {
-							gx += d[a][m] * uc[idx(m, b, c)]
-							gy += d[b][m] * uc[idx(a, m, c)]
-							gz += d[c][m] * uc[idx(a, b, m)]
-						}
-						g[comp][0] = alpha[0] * gx
-						g[comp][1] = alpha[1] * gy
-						g[comp][2] = alpha[2] * gz
-					}
-					ev := [6]float64{
-						g[0][0], g[1][1], g[2][2],
-						g[1][2] + g[2][1], g[0][2] + g[2][0], g[0][1] + g[1][0],
-					}
-					var sv [6]float64
-					for i := 0; i < 6; i++ {
-						s := 0.0
-						for j := 0; j < 6; j++ {
-							s += cm[i][j] * ev[j]
-						}
-						sv[i] = s
-					}
-					t3 := [3][3]float64{
-						{sv[0], sv[5], sv[4]},
-						{sv[5], sv[1], sv[3]},
-						{sv[4], sv[3], sv[2]},
-					}
-					wq := w[a] * w[b] * w[c] * jdet
-					q := idx(a, b, c)
-					for comp := 0; comp < 3; comp++ {
-						for ax := 0; ax < 3; ax++ {
-							tf[comp][ax][q] = wq * alpha[ax] * t3[comp][ax]
-						}
-					}
-				}
-			}
-		}
-		for c := 0; c < nq; c++ {
-			for b := 0; b < nq; b++ {
-				for a := 0; a < nq; a++ {
-					n := nb[idx(a, b, c)]
-					for comp := 0; comp < 3; comp++ {
-						var acc float64
-						tx, ty, tz := tf[comp][0], tf[comp][1], tf[comp][2]
-						for m := 0; m < nq; m++ {
-							acc += d[m][a]*tx[idx(m, b, c)] + d[m][b]*ty[idx(a, m, c)] + d[m][c]*tz[idx(a, b, m)]
-						}
-						dst[3*int(n)+comp] += acc
-					}
-				}
-			}
-		}
-	}
-}
-
 func refAddKuOp1D(op *Op1D, dst, u []float64, elems []int32) {
 	nq := op.deg + 1
 	d := op.Rule.D
@@ -308,16 +221,6 @@ func TestKernelsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := make([]VoigtC, m.NumElements())
-			for e := range cs {
-				// VTI with element-dependent Love parameters.
-				f := 1 + 0.2*float64(e%4)
-				cs[e] = VTIC(4*f, 3.6*f, 1.1*f, 1.3*f, 1.4*f)
-			}
-			an, err := NewAnisotropic3D(m, deg, periodic, cs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Restricted element list exercising gather/scatter overlap.
 			elems := []int32{0, 1, 3, 4, 7, 10, 11}
 			var sc Scratch
@@ -328,7 +231,6 @@ func TestKernelsMatchReference(t *testing.T) {
 			}{
 				{"acoustic", ac, func(dst, u []float64, list []int32) { refAddKuAcoustic(ac, dst, u, list) }},
 				{"elastic", el, func(dst, u []float64, list []int32) { refAddKuElastic(el, dst, u, list) }},
-				{"anisotropic", an, func(dst, u []float64, list []int32) { refAddKuAniso(an, dst, u, list) }},
 			} {
 				u := make([]float64, tc.op.NDof())
 				pseudoField(u)
@@ -402,21 +304,16 @@ func TestConnTable(t *testing.T) {
 }
 
 // TestAddKuScratchZeroAllocs asserts the allocation contract of the
-// kernel fast path on all four operators: after warm-up, zero heap
+// kernel fast path on all three operators: after warm-up, zero heap
 // allocations per apply.
 func TestAddKuScratchZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	m := kernelMesh(t)
-	cs := make([]VoigtC, m.NumElements())
-	for e := range cs {
-		cs[e] = IsotropicC(1, 0.5)
-	}
 	for _, deg := range []int{3, 4} { // generic and specialised paths
 		ac, _ := NewAcoustic3D(m, deg, false)
 		el, _ := NewElastic3D(m, deg, false, 0)
-		an, _ := NewAnisotropic3D(m, deg, false, cs)
 		o1, err := NewOp1D([]float64{0, 1, 2, 3}, []float64{1, 1, 1}, []float64{1, 1, 1}, deg, FreeBC, FreeBC)
 		if err != nil {
 			t.Fatal(err)
@@ -425,7 +322,7 @@ func TestAddKuScratchZeroAllocs(t *testing.T) {
 			name string
 			op   Operator
 		}{
-			{"acoustic", ac}, {"elastic", el}, {"anisotropic", an}, {"op1d", o1},
+			{"acoustic", ac}, {"elastic", el}, {"op1d", o1},
 		} {
 			op := tc.op
 			u := make([]float64, op.NDof())

@@ -119,59 +119,6 @@ func elStressN(g, cst, w []float64, n3 int) {
 	}
 }
 
-// anStressN is the anisotropic counterpart of elStressN: the Voigt
-// strain is contracted with the per-element 6×6 tensor (cst rows 4..39,
-// row-major) exactly as the scalar kernel writes it, left-to-right. The
-// asm twins are anStress8avx2 and anStress8avx512 (n3 = 125).
-func anStressN(g, cst, w []float64, n3 int) {
-	const bb = batchB
-	pb := n3 * bb
-	g0 := g[0*pb : 1*pb]
-	g1 := g[1*pb : 2*pb]
-	g2 := g[2*pb : 3*pb]
-	g3 := g[3*pb : 4*pb]
-	g4 := g[4*pb : 5*pb]
-	g5 := g[5*pb : 6*pb]
-	g6 := g[6*pb : 7*pb]
-	g7 := g[7*pb : 8*pb]
-	g8 := g[8*pb : 9*pb]
-	pax := cst[0*bb : 1*bb]
-	pay := cst[1*bb : 2*bb]
-	paz := cst[2*bb : 3*bb]
-	pjd := cst[3*bb : 4*bb]
-	cm := cst[4*bb : 40*bb]
-	for q := 0; q < n3; q++ {
-		wa, wbc0 := w[2*q], w[2*q+1]
-		o := q * bb
-		for i := 0; i < bb; i++ {
-			axv, ayv, azv := pax[i], pay[i], paz[i]
-			wq := wa * (wbc0 * pjd[i])
-			wx, wy, wz := wq*axv, wq*ayv, wq*azv
-			e0 := axv * g0[o+i]
-			e1 := ayv * g4[o+i]
-			e2 := azv * g8[o+i]
-			e3 := azv*g5[o+i] + ayv*g7[o+i]
-			e4 := azv*g2[o+i] + axv*g6[o+i]
-			e5 := ayv*g1[o+i] + axv*g3[o+i]
-			s0 := cm[0*bb+i]*e0 + cm[1*bb+i]*e1 + cm[2*bb+i]*e2 + cm[3*bb+i]*e3 + cm[4*bb+i]*e4 + cm[5*bb+i]*e5
-			s1 := cm[6*bb+i]*e0 + cm[7*bb+i]*e1 + cm[8*bb+i]*e2 + cm[9*bb+i]*e3 + cm[10*bb+i]*e4 + cm[11*bb+i]*e5
-			s2 := cm[12*bb+i]*e0 + cm[13*bb+i]*e1 + cm[14*bb+i]*e2 + cm[15*bb+i]*e3 + cm[16*bb+i]*e4 + cm[17*bb+i]*e5
-			s3 := cm[18*bb+i]*e0 + cm[19*bb+i]*e1 + cm[20*bb+i]*e2 + cm[21*bb+i]*e3 + cm[22*bb+i]*e4 + cm[23*bb+i]*e5
-			s4 := cm[24*bb+i]*e0 + cm[25*bb+i]*e1 + cm[26*bb+i]*e2 + cm[27*bb+i]*e3 + cm[28*bb+i]*e4 + cm[29*bb+i]*e5
-			s5 := cm[30*bb+i]*e0 + cm[31*bb+i]*e1 + cm[32*bb+i]*e2 + cm[33*bb+i]*e3 + cm[34*bb+i]*e4 + cm[35*bb+i]*e5
-			g0[o+i] = wx * s0
-			g1[o+i] = wy * s5
-			g2[o+i] = wz * s4
-			g3[o+i] = wx * s5
-			g4[o+i] = wy * s1
-			g5[o+i] = wz * s3
-			g6[o+i] = wx * s4
-			g7[o+i] = wy * s3
-			g8[o+i] = wz * s2
-		}
-	}
-}
-
 // acStressN is the acoustic counterpart: the three derivative planes are
 // scaled by the premultiplied metric factors (cst rows sx, sy, sz) and
 // the quadrature weights, matching the scalar kernel's

@@ -3,7 +3,7 @@
 package sem
 
 // Declarations for the asm microkernels and their tier wrappers. Two
-// assembly tiers implement the same five primitives: AVX2 (4-lane,
+// assembly tiers implement the same four primitives: AVX2 (4-lane,
 // mm5_avx2_amd64.s) and AVX-512 (8-lane, mm5_avx512_amd64.s). Both
 // vectorise across independent batch lanes only, so every tier is
 // bitwise-identical to the pure-Go references in mm5.go; tests pin all
@@ -23,9 +23,6 @@ func elStress8avx2(gp, cst, w *float64)
 func acStress8avx2(fp, cst, w *float64)
 
 //go:noescape
-func anStress8avx2(gp, cst, w *float64)
-
-//go:noescape
 func mm5avx512(dst, src, d *float64, n, blocks int)
 
 //go:noescape
@@ -36,9 +33,6 @@ func elStress8avx512(gp, cst, w *float64)
 
 //go:noescape
 func acStress8avx512(fp, cst, w *float64)
-
-//go:noescape
-func anStress8avx512(gp, cst, w *float64)
 
 // The slice-level tier entries below carry the bounds hints the asm
 // kernels rely on; simd_amd64.go binds them into the dispatch table.
@@ -85,13 +79,6 @@ func avx2AcStress8(f, cst, w []float64) {
 	acStress8avx2(&f[0], &cst[0], &w[0])
 }
 
-func avx2AnStress8(g, cst, w []float64) {
-	_ = g[9*125*batchB-1]
-	_ = cst[anCstRows*batchB-1]
-	_ = w[249]
-	anStress8avx2(&g[0], &cst[0], &w[0])
-}
-
 func avx512ElStress8(g, cst, w []float64) {
 	_ = g[9*125*batchB-1]
 	_ = cst[elCstRows*batchB-1]
@@ -104,11 +91,4 @@ func avx512AcStress8(f, cst, w []float64) {
 	_ = cst[acCstRows*batchB-1]
 	_ = w[249]
 	acStress8avx512(&f[0], &cst[0], &w[0])
-}
-
-func avx512AnStress8(g, cst, w []float64) {
-	_ = g[9*125*batchB-1]
-	_ = cst[anCstRows*batchB-1]
-	_ = w[249]
-	anStress8avx512(&g[0], &cst[0], &w[0])
 }

@@ -420,192 +420,3 @@ p2lane:
 	JNZ  p2q
 	VZEROUPPER
 	RET
-
-// func anStress8avx2(gp, cst, w *float64)
-//
-// AVX2 twin of anStressN: Voigt strain contracted with the 6×6
-// per-element tensor (cst rows 4..39) exactly in the scalar kernel's
-// chain order, two 4-lane halves per quadrature point.
-TEXT ·anStress8avx2(SB), NOSPLIT, $0-24
-	MOVQ gp+0(FP), DI
-	MOVQ cst+8(FP), SI
-	MOVQ w+16(FP), DX
-	MOVQ $125, CX
-
-n2q:
-	VBROADCASTSD 0(DX), Y0
-	VBROADCASTSD 8(DX), Y1
-	XORQ BX, BX
-
-n2lane:
-	VMOVUPD (SI)(BX*8), Y2       // ax
-	VMOVUPD 64(SI)(BX*8), Y3     // ay
-	VMOVUPD 128(SI)(BX*8), Y4    // az
-	VMOVUPD 192(SI)(BX*8), Y5    // jdet
-	VMULPD Y1, Y5, Y5            // wbc
-	VMULPD Y0, Y5, Y5            // wq
-	VMOVAPD Y5, Y6
-	VMULPD Y2, Y6, Y6            // wx
-	VMOVAPD Y5, Y7
-	VMULPD Y3, Y7, Y7            // wy
-	VMULPD Y4, Y5, Y5            // wz
-	// Voigt strain from the nine scaled gradients.
-	VMOVUPD (DI)(BX*8), Y8
-	VMULPD Y2, Y8, Y8            // e0 = ax·g00
-	VMOVUPD 32000(DI)(BX*8), Y9
-	VMULPD Y3, Y9, Y9            // e1 = ay·g11
-	VMOVUPD 64000(DI)(BX*8), Y10
-	VMULPD Y4, Y10, Y10          // e2 = az·g22
-	VMOVUPD 40000(DI)(BX*8), Y11
-	VMULPD Y4, Y11, Y11
-	VMOVUPD 56000(DI)(BX*8), Y15
-	VMULPD Y3, Y15, Y15
-	VADDPD Y15, Y11, Y11         // e3 = az·g12 + ay·g21
-	VMOVUPD 16000(DI)(BX*8), Y12
-	VMULPD Y4, Y12, Y12
-	VMOVUPD 48000(DI)(BX*8), Y15
-	VMULPD Y2, Y15, Y15
-	VADDPD Y15, Y12, Y12         // e4 = az·g02 + ax·g20
-	VMOVUPD 8000(DI)(BX*8), Y13
-	VMULPD Y3, Y13, Y13
-	VMOVUPD 24000(DI)(BX*8), Y15
-	VMULPD Y2, Y15, Y15
-	VADDPD Y15, Y13, Y13         // e5 = ay·g01 + ax·g10
-	// s0 = C0:e ; t0 = wx·s0
-	VMOVUPD 256(SI)(BX*8), Y14
-	VMULPD Y8, Y14, Y14
-	VMOVUPD 320(SI)(BX*8), Y2
-	VMULPD Y9, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 384(SI)(BX*8), Y2
-	VMULPD Y10, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 448(SI)(BX*8), Y2
-	VMULPD Y11, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 512(SI)(BX*8), Y2
-	VMULPD Y12, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 576(SI)(BX*8), Y2
-	VMULPD Y13, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMULPD Y6, Y14, Y14
-	VMOVUPD Y14, (DI)(BX*8)
-	// s1 ; t4 = wy·s1
-	VMOVUPD 640(SI)(BX*8), Y14
-	VMULPD Y8, Y14, Y14
-	VMOVUPD 704(SI)(BX*8), Y2
-	VMULPD Y9, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 768(SI)(BX*8), Y2
-	VMULPD Y10, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 832(SI)(BX*8), Y2
-	VMULPD Y11, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 896(SI)(BX*8), Y2
-	VMULPD Y12, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 960(SI)(BX*8), Y2
-	VMULPD Y13, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMULPD Y7, Y14, Y14
-	VMOVUPD Y14, 32000(DI)(BX*8)
-	// s2 ; t8 = wz·s2
-	VMOVUPD 1024(SI)(BX*8), Y14
-	VMULPD Y8, Y14, Y14
-	VMOVUPD 1088(SI)(BX*8), Y2
-	VMULPD Y9, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1152(SI)(BX*8), Y2
-	VMULPD Y10, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1216(SI)(BX*8), Y2
-	VMULPD Y11, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1280(SI)(BX*8), Y2
-	VMULPD Y12, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1344(SI)(BX*8), Y2
-	VMULPD Y13, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMULPD Y5, Y14, Y14
-	VMOVUPD Y14, 64000(DI)(BX*8)
-	// s3 ; t5 = wz·s3, t7 = wy·s3
-	VMOVUPD 1408(SI)(BX*8), Y14
-	VMULPD Y8, Y14, Y14
-	VMOVUPD 1472(SI)(BX*8), Y2
-	VMULPD Y9, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1536(SI)(BX*8), Y2
-	VMULPD Y10, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1600(SI)(BX*8), Y2
-	VMULPD Y11, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1664(SI)(BX*8), Y2
-	VMULPD Y12, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1728(SI)(BX*8), Y2
-	VMULPD Y13, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVAPD Y14, Y2
-	VMULPD Y5, Y2, Y2
-	VMOVUPD Y2, 40000(DI)(BX*8)
-	VMULPD Y7, Y14, Y14
-	VMOVUPD Y14, 56000(DI)(BX*8)
-	// s4 ; t2 = wz·s4, t6 = wx·s4
-	VMOVUPD 1792(SI)(BX*8), Y14
-	VMULPD Y8, Y14, Y14
-	VMOVUPD 1856(SI)(BX*8), Y2
-	VMULPD Y9, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1920(SI)(BX*8), Y2
-	VMULPD Y10, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 1984(SI)(BX*8), Y2
-	VMULPD Y11, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 2048(SI)(BX*8), Y2
-	VMULPD Y12, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 2112(SI)(BX*8), Y2
-	VMULPD Y13, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVAPD Y14, Y2
-	VMULPD Y5, Y2, Y2
-	VMOVUPD Y2, 16000(DI)(BX*8)
-	VMULPD Y6, Y14, Y14
-	VMOVUPD Y14, 48000(DI)(BX*8)
-	// s5 ; t1 = wy·s5, t3 = wx·s5
-	VMOVUPD 2176(SI)(BX*8), Y14
-	VMULPD Y8, Y14, Y14
-	VMOVUPD 2240(SI)(BX*8), Y2
-	VMULPD Y9, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 2304(SI)(BX*8), Y2
-	VMULPD Y10, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 2368(SI)(BX*8), Y2
-	VMULPD Y11, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 2432(SI)(BX*8), Y2
-	VMULPD Y12, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVUPD 2496(SI)(BX*8), Y2
-	VMULPD Y13, Y2, Y2
-	VADDPD Y2, Y14, Y14
-	VMOVAPD Y14, Y2
-	VMULPD Y7, Y2, Y2
-	VMOVUPD Y2, 8000(DI)(BX*8)
-	VMULPD Y6, Y14, Y14
-	VMOVUPD Y14, 24000(DI)(BX*8)
-	ADDQ $4, BX
-	CMPQ BX, $8
-	JL   n2lane
-	ADDQ $64, DI
-	ADDQ $16, DX
-	DECQ CX
-	JNZ  n2q
-	VZEROUPPER
-	RET

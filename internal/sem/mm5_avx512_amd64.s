@@ -409,185 +409,3 @@ p5q:
 	JNZ  p5q
 	VZEROUPPER
 	RET
-
-// func anStress8avx512(gp, cst, w *float64)
-//
-// AVX-512 twin of anStressN: straight-line 8-lane Voigt contraction
-// per quadrature point, chain order identical to the scalar kernel.
-TEXT ·anStress8avx512(SB), NOSPLIT, $0-24
-	MOVQ gp+0(FP), DI
-	MOVQ cst+8(FP), SI
-	MOVQ w+16(FP), DX
-	MOVQ $125, CX
-
-n5q:
-	VBROADCASTSD 0(DX), Z0
-	VBROADCASTSD 8(DX), Z1
-	VMOVUPD (SI), Z2           // ax
-	VMOVUPD 64(SI), Z3         // ay
-	VMOVUPD 128(SI), Z4        // az
-	VMOVUPD 192(SI), Z5        // jdet
-	VMULPD Z1, Z5, Z5          // wbc
-	VMULPD Z0, Z5, Z5          // wq
-	VMOVAPD Z5, Z6
-	VMULPD Z2, Z6, Z6          // wx
-	VMOVAPD Z5, Z7
-	VMULPD Z3, Z7, Z7          // wy
-	VMULPD Z4, Z5, Z5          // wz
-	// Voigt strain from the nine scaled gradients.
-	VMOVUPD (DI), Z8
-	VMULPD Z2, Z8, Z8          // e0 = ax·g00
-	VMOVUPD 32000(DI), Z9
-	VMULPD Z3, Z9, Z9          // e1 = ay·g11
-	VMOVUPD 64000(DI), Z10
-	VMULPD Z4, Z10, Z10        // e2 = az·g22
-	VMOVUPD 40000(DI), Z11
-	VMULPD Z4, Z11, Z11
-	VMOVUPD 56000(DI), Z15
-	VMULPD Z3, Z15, Z15
-	VADDPD Z15, Z11, Z11       // e3 = az·g12 + ay·g21
-	VMOVUPD 16000(DI), Z12
-	VMULPD Z4, Z12, Z12
-	VMOVUPD 48000(DI), Z15
-	VMULPD Z2, Z15, Z15
-	VADDPD Z15, Z12, Z12       // e4 = az·g02 + ax·g20
-	VMOVUPD 8000(DI), Z13
-	VMULPD Z3, Z13, Z13
-	VMOVUPD 24000(DI), Z15
-	VMULPD Z2, Z15, Z15
-	VADDPD Z15, Z13, Z13       // e5 = ay·g01 + ax·g10
-	// s0 = C0:e ; t0 = wx·s0
-	VMOVUPD 256(SI), Z14
-	VMULPD Z8, Z14, Z14
-	VMOVUPD 320(SI), Z2
-	VMULPD Z9, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 384(SI), Z2
-	VMULPD Z10, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 448(SI), Z2
-	VMULPD Z11, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 512(SI), Z2
-	VMULPD Z12, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 576(SI), Z2
-	VMULPD Z13, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMULPD Z6, Z14, Z14
-	VMOVUPD Z14, (DI)
-	// s1 ; t4 = wy·s1
-	VMOVUPD 640(SI), Z14
-	VMULPD Z8, Z14, Z14
-	VMOVUPD 704(SI), Z2
-	VMULPD Z9, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 768(SI), Z2
-	VMULPD Z10, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 832(SI), Z2
-	VMULPD Z11, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 896(SI), Z2
-	VMULPD Z12, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 960(SI), Z2
-	VMULPD Z13, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMULPD Z7, Z14, Z14
-	VMOVUPD Z14, 32000(DI)
-	// s2 ; t8 = wz·s2
-	VMOVUPD 1024(SI), Z14
-	VMULPD Z8, Z14, Z14
-	VMOVUPD 1088(SI), Z2
-	VMULPD Z9, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1152(SI), Z2
-	VMULPD Z10, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1216(SI), Z2
-	VMULPD Z11, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1280(SI), Z2
-	VMULPD Z12, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1344(SI), Z2
-	VMULPD Z13, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMULPD Z5, Z14, Z14
-	VMOVUPD Z14, 64000(DI)
-	// s3 ; t5 = wz·s3, t7 = wy·s3
-	VMOVUPD 1408(SI), Z14
-	VMULPD Z8, Z14, Z14
-	VMOVUPD 1472(SI), Z2
-	VMULPD Z9, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1536(SI), Z2
-	VMULPD Z10, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1600(SI), Z2
-	VMULPD Z11, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1664(SI), Z2
-	VMULPD Z12, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1728(SI), Z2
-	VMULPD Z13, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVAPD Z14, Z2
-	VMULPD Z5, Z2, Z2
-	VMOVUPD Z2, 40000(DI)
-	VMULPD Z7, Z14, Z14
-	VMOVUPD Z14, 56000(DI)
-	// s4 ; t2 = wz·s4, t6 = wx·s4
-	VMOVUPD 1792(SI), Z14
-	VMULPD Z8, Z14, Z14
-	VMOVUPD 1856(SI), Z2
-	VMULPD Z9, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1920(SI), Z2
-	VMULPD Z10, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 1984(SI), Z2
-	VMULPD Z11, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 2048(SI), Z2
-	VMULPD Z12, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 2112(SI), Z2
-	VMULPD Z13, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVAPD Z14, Z2
-	VMULPD Z5, Z2, Z2
-	VMOVUPD Z2, 16000(DI)
-	VMULPD Z6, Z14, Z14
-	VMOVUPD Z14, 48000(DI)
-	// s5 ; t1 = wy·s5, t3 = wx·s5
-	VMOVUPD 2176(SI), Z14
-	VMULPD Z8, Z14, Z14
-	VMOVUPD 2240(SI), Z2
-	VMULPD Z9, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 2304(SI), Z2
-	VMULPD Z10, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 2368(SI), Z2
-	VMULPD Z11, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 2432(SI), Z2
-	VMULPD Z12, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVUPD 2496(SI), Z2
-	VMULPD Z13, Z2, Z2
-	VADDPD Z2, Z14, Z14
-	VMOVAPD Z14, Z2
-	VMULPD Z7, Z2, Z2
-	VMOVUPD Z2, 8000(DI)
-	VMULPD Z6, Z14, Z14
-	VMOVUPD Z14, 24000(DI)
-	ADDQ $64, DI
-	ADDQ $16, DX
-	DECQ CX
-	JNZ  n5q
-	VZEROUPPER
-	RET

@@ -14,5 +14,3 @@ func mul5acc(dst, src, d []float64, n, blocks int) { mm5accgo(dst, src, d, n, bl
 func elStress8(g, cst, w []float64) { elStressN(g, cst, w, 125) }
 
 func acStress8(f, cst, w []float64) { acStressN(f, cst, w, 125) }
-
-func anStress8(g, cst, w []float64) { anStressN(g, cst, w, 125) }

@@ -6,9 +6,9 @@ import (
 )
 
 // SIMD tier dispatch of the batched microkernels. The deg=4 batched
-// kernels funnel all heavy arithmetic through five primitives — the two
-// mm5 contraction microkernels (mul5/mul5acc) and the three pointwise
-// stress passes (elStress8/acStress8/anStress8) — and every primitive
+// kernels funnel all heavy arithmetic through four primitives — the two
+// mm5 contraction microkernels (mul5/mul5acc) and the two pointwise
+// stress passes (elStress8/acStress8) — and every primitive
 // vectorises strictly ACROSS independent 8-lane SoA blocks: each SIMD
 // lane is a separate element with its own rounding chain, so the avx2
 // and avx512 implementations are bitwise-identical to the pure-Go

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Runtime dispatch of the five batched microkernel primitives. The hot
+// Runtime dispatch of the four batched microkernel primitives. The hot
 // batch loops (batch3d.go) call mul5/elStress8/... through these
 // package-level function variables; applyTier repoints the whole table
 // at once. A function-variable call costs nothing measurable next to a
@@ -17,7 +17,6 @@ var (
 	mul5accv   func(dst, src, d []float64, n, blocks int)
 	elStress8v func(g, cst, w []float64)
 	acStress8v func(f, cst, w []float64)
-	anStress8v func(g, cst, w []float64)
 )
 
 // mul5 computes dst[g*5n+a*n+j] = Σ_m d[a*5+m]·src[g*5n+m*n+j] over
@@ -36,10 +35,6 @@ func elStress8(g, cst, w []float64) { elStress8v(g, cst, w) }
 // deg=4 block (see acStressN).
 func acStress8(f, cst, w []float64) { acStress8v(f, cst, w) }
 
-// anStress8 runs the batched anisotropic stress pass over one 8-lane
-// deg=4 block (see anStressN).
-func anStress8(g, cst, w []float64) { anStress8v(g, cst, w) }
-
 // Pure-Go tier entries: the path on CPUs without AVX2, and forceable on
 // every amd64 CPU, so the cross-tier tests can pin each assembly tier
 // against the references in one process.
@@ -47,20 +42,19 @@ func goMul5(dst, src, d []float64, n, blocks int)    { mm5go(dst, src, d, n, blo
 func goMul5acc(dst, src, d []float64, n, blocks int) { mm5accgo(dst, src, d, n, blocks) }
 func goElStress8(g, cst, w []float64)                { elStressN(g, cst, w, 125) }
 func goAcStress8(f, cst, w []float64)                { acStressN(f, cst, w, 125) }
-func goAnStress8(g, cst, w []float64)                { anStressN(g, cst, w, 125) }
 
 // applyTier repoints the dispatch table; callers guarantee t is usable.
 func applyTier(t simdTier) {
 	switch t {
 	case tierAVX512:
 		mul5v, mul5accv = avx512Mul5, avx512Mul5acc
-		elStress8v, acStress8v, anStress8v = avx512ElStress8, avx512AcStress8, avx512AnStress8
+		elStress8v, acStress8v = avx512ElStress8, avx512AcStress8
 	case tierAVX2:
 		mul5v, mul5accv = avx2Mul5, avx2Mul5acc
-		elStress8v, acStress8v, anStress8v = avx2ElStress8, avx2AcStress8, avx2AnStress8
+		elStress8v, acStress8v = avx2ElStress8, avx2AcStress8
 	default:
 		mul5v, mul5accv = goMul5, goMul5acc
-		elStress8v, acStress8v, anStress8v = goElStress8, goAcStress8, goAnStress8
+		elStress8v, acStress8v = goElStress8, goAcStress8
 	}
 	activeTier = t
 }

@@ -11,7 +11,7 @@ import (
 
 // simdGoldenCases picks the deg=4 golden cells (the degree whose batched
 // kernels go through the dispatched microkernels) and adds an elastic
-// deg=4 LTS cell so all three stress passes run at full tier width.
+// deg=4 LTS cell so both stress passes run at full tier width.
 func simdGoldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, c := range goldenCases() {
