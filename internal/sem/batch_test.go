@@ -29,7 +29,9 @@ func batchMesh(t testing.TB) *mesh.Mesh {
 	return m
 }
 
-// batchOps builds the two 3-D operators on the batch mesh.
+// batchOps builds the two 3-D operators on the batch mesh, plus the
+// test-only Anisotropic3D (a dense VTI stress through the same batch
+// layer).
 func batchOps(t testing.TB, m *mesh.Mesh, deg int, periodic bool) []struct {
 	name string
 	op   BatchKernel
@@ -43,10 +45,19 @@ func batchOps(t testing.TB, m *mesh.Mesh, deg int, periodic bool) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := make([]VoigtC, m.NumElements())
+	for e := range cs {
+		f := 1 + 0.2*float64(e%4)
+		cs[e] = VTIC(4*f, 3.6*f, 1.1*f, 1.3*f, 1.4*f)
+	}
+	an, err := NewAnisotropic3D(m, deg, periodic, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name string
 		op   BatchKernel
-	}{{"acoustic", ac}, {"elastic", el}}
+	}{{"acoustic", ac}, {"elastic", el}, {"anisotropic", an}}
 }
 
 // batchLists returns element lists exercising the block structure: full
