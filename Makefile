@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test loc race fuzz bench bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
+.PHONY: build test loc race fuzz bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
 
 build:
 	$(GO) build ./...
@@ -74,16 +74,12 @@ bench-golden:
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
 	done
 
-# Quick-config benchmarks, including BenchmarkParallelSpeedup, plus the
-# kernel trajectory file: BENCH_kernels.json records ns/elem and allocs/op
-# of every operator's batched stiffness kernel so perf regressions are
-# visible across PRs (compare against the committed copy, or `git diff BENCH_kernels.json`).
-bench: bench-kernels
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
 # Per-operator stiffness-kernel benchmarks (ns/elem): the batched sweep
 # over element-list sizes (whole blocks and padded tails) and the
-# per-SIMD-tier table, written as JSON.
+# per-SIMD-tier table, written as JSON. BENCH_kernels.json records ns/elem
+# and allocs/op of every operator's batched stiffness kernel so perf
+# regressions are visible across PRs (compare against the committed copy,
+# or `git diff BENCH_kernels.json`).
 bench-kernels:
 	$(GO) run ./cmd/kernelbench -out BENCH_kernels.json
 
@@ -257,13 +253,20 @@ lint:
 		echo "lint: staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Smoke-run every example at tiny scales, so facade changes cannot
-# silently break them (they are not covered by `go test`).
+# Smoke-run every example, and the two front ends of the paper's mesh
+# and partition results (meshgen: Figs. 4-5; partbench: Figs. 6-8), at
+# tiny scales, so facade changes cannot silently break them (they are not
+# covered by `go test`). Both front ends also write their VTK file, which
+# must be non-empty.
 examples:
 	$(GO) run ./examples/quickstart -scale 0.001 -cycles 5
 	$(GO) run ./examples/trench_seismology -scale 0.001 -cycles 5
 	$(GO) run ./examples/partition_compare -scale 0.02
-	$(GO) run ./examples/cluster_scaling -scale 0.02 -nodes 2,4
+	@rm -rf .examples-smoke && mkdir -p .examples-smoke
+	$(GO) run ./cmd/meshgen -mesh trench -scale 0.02 -vtk .examples-smoke/levels.vtk
+	$(GO) run ./cmd/partbench -mesh trench -scale 0.02 -k 4 -vtk .examples-smoke/parts.vtk
+	test -s .examples-smoke/levels.vtk && test -s .examples-smoke/parts.vtk
+	@rm -rf .examples-smoke
 
 vet:
 	$(GO) vet ./...

@@ -1,7 +1,7 @@
 // Command kernelbench times the steady-state stiffness kernel of every
 // operator and writes the results as JSON, so the cost of one element
 // application — the constant the paper's speedup model (Eq. 9) assumes
-// small and fixed — is tracked across revisions. `make bench` writes
+// small and fixed — is tracked across revisions. `make bench-kernels` writes
 // BENCH_kernels.json at the repo root. The operator fixtures are
 // sem.KernelSweepOperators (512-element meshes), shared with
 // BenchmarkAddKuBatch in internal/sem, so both measure the same workload.

@@ -50,17 +50,19 @@ func main() {
 			k+1, lv.P[k], lv.Count[k], 100*float64(lv.Count[k])/float64(m.NumElements()))
 	}
 	if *vtk != "" {
-		f, err := os.Create(*vtk)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "meshgen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
 		levels := make([]float64, m.NumElements())
 		for e := range levels {
 			levels[e] = float64(lv.Lvl[e])
 		}
-		if err := mesh.WriteVTK(f, m, map[string][]float64{"plevel": levels}); err != nil {
+		// The file counts as written only once it is closed without error.
+		f, err := os.Create(*vtk)
+		if err == nil {
+			err = mesh.WriteVTK(f, m, map[string][]float64{"plevel": levels})
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "meshgen:", err)
 			os.Exit(1)
 		}

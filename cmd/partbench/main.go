@@ -76,13 +76,15 @@ func main() {
 			levels[e] = float64(lv.Lvl[e])
 		}
 		cellData["plevel"] = levels
+		// The file counts as written only once it is closed without error.
 		f, err := os.Create(*vtk)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "partbench:", err)
-			os.Exit(1)
+		if err == nil {
+			err = mesh.WriteVTK(f, m, cellData)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
-		defer f.Close()
-		if err := mesh.WriteVTK(f, m, cellData); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "partbench:", err)
 			os.Exit(1)
 		}

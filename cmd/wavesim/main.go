@@ -8,6 +8,7 @@
 //	wavesim [-mesh trench] [-scale 0.02] [-physics acoustic|elastic]
 //	        [-lts] [-cycles 20] [-degree 4] [-cfl 0.4]
 //	        [-workers 0] [-partitioner scotch-p]
+//	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -workers N runs the stiffness applications on N persistent rank workers
 // (the shared-memory parallel engine); 0 means one per GOMAXPROCS slot, 1
@@ -25,6 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"golts/wave"
@@ -33,8 +36,9 @@ import (
 func main() { os.Exit(run()) }
 
 // run is main with an exit status in place of os.Exit, so that every way
-// out past the build closes the simulation and flushes its sink.
-func run() int {
+// out past the build closes the simulation, flushes its sink and writes
+// the requested profiles.
+func run() (code int) {
 	cfgPath := flag.String("config", "", "JSON run configuration (overrides other flags)")
 	outPath := flag.String("out", "", "seismogram output file (.csv or .json)")
 	name := flag.String("mesh", "trench", "benchmark mesh")
@@ -47,7 +51,40 @@ func run() int {
 	workers := flag.Int("workers", 0, "parallel rank workers (0 = GOMAXPROCS, 1 = sequential)")
 	partMethod := flag.String("partitioner", string(wave.ScotchP), "element partitioner for -workers > 1")
 	seed := flag.Int64("seed", 1, "partitioner seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err == nil {
+				runtime.GC() // materialise up-to-date allocation stats
+				err = pprof.WriteHeapProfile(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				code = fail(err)
+			}
+		}()
+	}
 
 	// Execution options the config file does not carry.
 	exec := []wave.Option{
