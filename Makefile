@@ -118,16 +118,22 @@ bench-baseline:
 # nodes its own parts touch, so this is the gate on that split — run, like
 # the fault smokes, at scale 0.015 x 40 cycles with -require-nonzero: at
 # 0.004 x 6 the three CSVs were five zero rows and one sample of 1e-37.
+# The shared-memory engine with 4 workers must write the same bytes too,
+# so an assembly-order change that moved all three rank counts together
+# fails here as well.
 dist-smoke:
 	@rm -rf .dist-smoke && mkdir -p .dist-smoke
 	$(GO) build -o .dist-smoke/distrun ./cmd/distrun
+	$(GO) build -o .dist-smoke/wavesim ./cmd/wavesim
 	./.dist-smoke/distrun -ranks 1 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r1.csv
 	./.dist-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r2.csv
 	./.dist-smoke/distrun -ranks 4 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r4.csv
+	./.dist-smoke/wavesim -workers 4 -scale 0.015 -cycles 40 -out .dist-smoke/shm4.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r2.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r4.csv
+	cmp .dist-smoke/r1.csv .dist-smoke/shm4.csv
 	@rm -rf .dist-smoke
-	@echo "dist-smoke: 1-, 2- and 4-rank receiver CSVs byte-identical at nonzero amplitude"
+	@echo "dist-smoke: 1-, 2- and 4-rank and 4-worker shared-memory receiver CSVs byte-identical at nonzero amplitude"
 
 # Service smoke: wavedload starts an in-process waved service, runs the
 # acceptance smoke over real HTTP (cold vs cache-hit runs byte-identical,

@@ -910,15 +910,13 @@ func (co *Coordinator) FetchState() (*ckpt.StepperState, error) {
 // "cycle 0 of the resumed run". The state reaches the ranks the way a
 // snapshot does: as one full frame in the store's idle slot.
 func (co *Coordinator) RestoreState(st *ckpt.StepperState) error {
-	frame, err := encodeState(nil, st, 0, nil, true)
-	if err != nil {
-		return err
-	}
 	prev, next := co.snap, co.idleSlot(1)
 	next.Cycle = 0
-	if next.Files[0], err = co.store.write(next.Gen, next.Slot, 0, frame); err != nil {
+	file, err := co.store.save(next.Gen, next.Slot, 0, st, 0, nil, true)
+	if err != nil {
 		return fmt.Errorf("dist: writing the state to restore: %w", err)
 	}
+	next.Files[0] = file
 	co.snap = next
 	if err := co.restoreAll(context.Background()); err != nil {
 		co.snap = prev

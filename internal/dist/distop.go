@@ -32,15 +32,18 @@ type Stats struct {
 // Operator is the message-passing analogue of
 // parallel.PartitionedOperator: it implements sem.BatchKernel for one
 // rank of an SPMD run. Every stiffness application computes the owned
-// parts' contributions locally — one fused batch per part, into private
-// accumulation buffers — exchanges the halo values with neighbouring ranks, and
-// assembles all contributions in ascending part order, which makes the
-// result at every locally-touched node bitwise identical to the
-// shared-memory engine with Parts workers. Nodes no local element touches
+// parts' contributions locally — one fused batch per part, the lowest
+// owned part's into dst and every other's into a private buffer —
+// exchanges the halo values with neighbouring ranks, and assembles all
+// contributions in ascending part order. Nodes no local element touches
 // — everything outside OwnedNodes — are neither read nor accumulated
 // into: the operator declares that footprint (sem.Footprint), so the
 // stepper built on it advances those nodes alone (see the package
-// comment).
+// comment). Where dst is +0 on the plan's output footprint, as every
+// stepper resets it, the result at every locally-touched node is bitwise
+// the shared-memory engine's with Parts workers; on a nonzero dst too
+// wherever two parts touch the node. Where owned[0] alone does, its
+// elements fold onto dst in element order, as the K = 1 path does.
 //
 // The operator is driven by a single stepping goroutine; the parallelism
 // lives across processes.
@@ -57,7 +60,7 @@ type Operator struct {
 
 	owned    []int            // owned parts, ascending
 	localIdx []int            // part → index into owned/acc, -1 for remote parts
-	acc      [][]float64      // per owned part, full-length accumulation buffers
+	acc      [][]float64      // owned[i]'s all-zero NDof-long buffer, nil for i = 0 (dst)
 	bscr     sem.BatchScratch // workspace of the plan-less AddKu / AddKuScratch
 
 	// rankNodes[q] is rank q's global element-node footprint: the sorted
@@ -106,20 +109,21 @@ type distPlan struct {
 	// ascending nodes of Touched[owned[i]] ∩ rankNodes[q] whose
 	// contributions we send to q. recvNodes[p] lists, for each remote
 	// part p, the ascending nodes of Touched[p] ∩ rankNodes[self] we
-	// receive, and touched[p] the nodes an owned part drains locally (nil
-	// for a remote part). A rank packs its parts in ascending part order
-	// and the global assembly sweep also visits parts ascending, so each
-	// neighbour's single message is consumed sequentially whatever the
-	// part → rank placement — owned parts need not be contiguous. All
-	// three index the plan's output space, which dst and a prefix of the
-	// private buffers share: node ids, or their image under a Remap's Out.
-	// All three lie inside the footprint — a stepper over the footprint
-	// maps nothing else in Out, and its accumulators stay all-zero between
-	// uses because no apply adds anywhere else.
+	// receive, and for owned[0] its nodes another part touches too (the
+	// lift); touched[p] the nodes owned[1:] drain locally. A rank packs its
+	// parts in ascending part order and the global assembly sweep also
+	// visits parts ascending, so each neighbour's single message is
+	// consumed sequentially whatever the part → rank placement — owned
+	// parts need not be contiguous. All three index the plan's output
+	// space, which dst and a prefix of the private buffers share: node ids,
+	// or their image under a Remap's Out. All three lie inside the
+	// footprint — a stepper over the footprint maps nothing else in Out,
+	// and its accumulators stay all-zero because no apply adds elsewhere.
 	sendNodes map[int][][]int32
 	recvNodes [][]int32
 	touched   [][]int32
-	recvCount []int // values a frame from rank q must carry
+	lift      []float64 // dst, then owned[0]'s terms, at recvNodes[owned[0]]
+	recvCount []int     // values a frame from rank q must carry
 	// batch[i] is the inner batch plan of the i-th owned part (nil for
 	// empty parts).
 	batch []sem.BatchPlan
@@ -175,7 +179,7 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 		d.localIdx[p] = i
 	}
 	d.acc = make([][]float64, len(d.owned))
-	for i := range d.acc {
+	for i := 1; i < len(d.acc); i++ {
 		d.acc[i] = make([]float64, inner.NDof())
 	}
 	d.telemetry = cfg.Telemetry
@@ -227,8 +231,11 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		recvCount: make([]int, d.cfg.Ranks),
 		touched:   make([][]int32, dp.P),
 	}
-	for _, p := range d.owned {
+	lead := dp.Touched[d.owned[0]]
+	var shared [][]int32
+	for _, p := range d.owned[1:] {
 		pl.touched[p] = dp.Touched[p]
+		shared = append(shared, decomp.Shared(lead, dp.Touched[p]))
 	}
 	mine := d.rankNodes[d.rank]
 	for q := 0; q < d.cfg.Ranks; q++ {
@@ -254,12 +261,15 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		for _, p := range d.ownedBy[q] {
 			pl.recvNodes[p] = decomp.Shared(dp.Touched[p], mine)
 			recvTotal += len(pl.recvNodes[p])
+			shared = append(shared, decomp.Shared(lead, pl.recvNodes[p]))
 		}
 		if recvTotal > 0 {
 			pl.recvRanks = append(pl.recvRanks, q)
 			pl.recvCount[q] = recvTotal * d.inner.Comps()
 		}
 	}
+	pl.recvNodes[d.owned[0]] = decomp.Union(shared...)
+	pl.lift = make([]float64, len(pl.recvNodes[d.owned[0]])*d.inner.Comps())
 	return pl
 }
 
@@ -282,9 +292,16 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 	dp := pl.dp
 	nc := d.inner.Comps()
 
+	// Phase 0 — lift dst off the nodes owned[0] shares: its terms there start at +0.
+	lift := pl.recvNodes[d.owned[0]]
+	for k, n := range lift {
+		copy(pl.lift[k*nc:], dst[int(n)*nc:int(n)*nc+nc])
+		clear(dst[int(n)*nc : int(n)*nc+nc])
+	}
+
 	// Phase 1 — compute: every owned part accumulates its elements into
-	// its private buffer as one fused batch (the request-order, per-part
-	// accumulation that matches one shared-memory rank worker bitwise).
+	// its buffer (owned[0]'s is dst) as one fused batch (the request-order,
+	// per-part accumulation that matches one shared-memory worker bitwise).
 	for i, b := range pl.batch {
 		if b == nil {
 			continue
@@ -293,20 +310,20 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		if d.telemetry {
 			start = time.Now()
 		}
-		d.inner.AddKuBatch(d.acc[i][:len(dst)], u, b, bs)
+		d.inner.AddKuBatch(d.buf(i, dst)[:len(dst)], u, b, bs)
 		if d.telemetry {
 			d.partNanos[i] += time.Since(start).Nanoseconds()
 		}
 	}
 
 	// Phase 2a — send: for every receiving rank, the owned parts' halo
-	// values in (part, node, component) order. Peer reader goroutines
-	// drain the stream on the far side, so these writes cannot deadlock
-	// against the symmetric sends of the neighbours.
+	// values in (part, node, component) order, owned[0]'s from dst. Peer
+	// reader goroutines drain the stream on the far side, so these writes
+	// cannot deadlock against the symmetric sends of the neighbours.
 	for _, q := range pl.sendRanks {
 		vals := d.vals[:0]
 		for i := range pl.sendNodes[q] {
-			acc := d.acc[i]
+			acc := d.buf(i, dst)
 			for _, n := range pl.sendNodes[q][i] {
 				base := int(n) * nc
 				vals = append(vals, acc[base:base+nc]...)
@@ -341,15 +358,21 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		d.offs[q] = 0
 	}
 
-	// Phase 3 — assemble: add every part's contribution in ascending
-	// part order. Local parts drain (and re-zero) their buffers; remote
-	// parts consume their neighbour's frame sequentially (a rank's parts
-	// are met in ascending order during the sweep, matching the sender's
-	// packing order, whatever the placement). The ascending-part adds
-	// reproduce the shared-memory merge bitwise at every locally-touched
-	// node.
+	// Phase 3 — assemble: swap the lifted dst back for owned[0]'s terms,
+	// then add every part's contribution in ascending part order: owned[0]
+	// reads its terms like a frame, other local parts drain (and re-zero)
+	// their buffers, remote parts consume their neighbour's frame
+	// sequentially (a rank's parts are met in ascending order, matching the
+	// sender's packing order, whatever the placement).
+	for k, n := range lift {
+		base := int(n) * nc
+		for c := 0; c < nc; c++ {
+			pl.lift[k*nc+c], dst[base+c] = dst[base+c], pl.lift[k*nc+c]
+		}
+	}
+	d.recv[d.rank], d.offs[d.rank] = pl.lift, 0
 	for p := 0; p < dp.P; p++ {
-		if li := d.localIdx[p]; li >= 0 {
+		if li := d.localIdx[p]; li > 0 {
 			acc := d.acc[li]
 			for _, n := range pl.touched[p] {
 				base := int(n) * nc
@@ -381,6 +404,14 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		d.recv[q] = nil
 	}
 	d.stats.Applies++
+}
+
+// buf returns owned[i]'s accumulation buffer in an apply onto dst.
+func (d *Operator) buf(i int, dst []float64) []float64 {
+	if i == 0 {
+		return dst
+	}
+	return d.acc[i]
 }
 
 // commError wraps a communication failure raised inside an apply; the

@@ -74,14 +74,14 @@ type configFrame struct {
 //
 //	[u32 header length] [gob stateHeader] [nodes ...i32] [U ...f64] [V ...f64]
 //
-// A full frame carries all NDof values of U and V, a footprint frame only
-// those on the listed nodes, Comps per node: a rank advances, and so holds,
-// only the nodes its owned elements touch
-// (Operator.OwnedNodes), so a snapshot is one footprint frame per rank
-// and the exact global state is their overlay — every node lies in some
-// footprint, where footprints overlap the values agree bitwise, and the
-// scalars are the same on every rank. The header's State travels without
-// U and V; a decoded full frame is the same struct with them filled in.
+// little-endian, written by writeState alone. A full frame has no ids and
+// all NDof values of U and V, a footprint frame Comps values per listed
+// node: a rank advances, and so holds, only the nodes its owned elements
+// touch (Operator.OwnedNodes), so a snapshot is one footprint frame per
+// rank and the exact global state is their overlay — every node lies in
+// some footprint, where footprints overlap the values agree bitwise, and
+// the scalars are the same on every rank. The header's State travels
+// without U and V; a decoded full frame is the same struct with them in.
 type stateHeader struct {
 	State ckpt.StepperState
 	NDof  int // length of the full field arrays
@@ -95,10 +95,10 @@ type StateFrameError struct{ Reason string }
 
 func (e *StateFrameError) Error() string { return "dist: malformed state frame: " + e.Reason }
 
-// encodeState builds a state frame — full, or U and V on the footprint
-// nodes only — in buf's storage, grown as needed (a periodic sender keeps
-// the result as the next call's buf).
-func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, full bool) ([]byte, error) {
+// writeState streams st's state frame — full, or U and V on the footprint
+// nodes only, a run of consecutive ids at a time — through w's buffer and
+// flushes it, and returns the frame's length.
+func writeState(w *bufio.Writer, st *ckpt.StepperState, comps int, nodes []int32, full bool) (int64, error) {
 	h := stateHeader{State: *st, NDof: len(st.U), Comps: comps, Nodes: len(nodes)}
 	h.State.U, h.State.V = nil, nil
 	size := len(nodes) * (4 + 16*comps)
@@ -107,23 +107,33 @@ func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, fu
 	}
 	var hdr bytes.Buffer
 	if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
-		return nil, err
+		return 0, err
 	}
-	buf = slices.Grow(buf[:0], 4+hdr.Len()+size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(hdr.Len()))
-	buf = append(buf, hdr.Bytes()...)
-	if full {
-		return putFloats(putFloats(buf, st.U), st.V), nil
-	}
+	w.Write(binary.LittleEndian.AppendUint32(nil, uint32(hdr.Len())))
+	w.Write(hdr.Bytes())
 	for _, n := range nodes {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(n)))
 	}
 	for _, field := range [][]float64{st.U, st.V} {
-		for _, n := range nodes {
-			buf = putFloats(buf, field[int(n)*comps:int(n)*comps+comps])
+		if full {
+			writeFloats(w, field)
+		}
+		for i, j := 0, 0; i < len(nodes); i = j {
+			for j = i + 1; j < len(nodes) && nodes[j] == nodes[i]+int32(j-i); j++ {
+			}
+			writeFloats(w, field[int(nodes[i])*comps:int(nodes[j-1]+1)*comps])
 		}
 	}
-	return buf, nil
+	return int64(4 + hdr.Len() + size), w.Flush()
+}
+
+// writeFloats encodes vals straight into w's buffer, as many as fit at a time.
+func writeFloats(w *bufio.Writer, vals []float64) {
+	for len(vals) > 0 && (w.Available() >= 8 || w.Flush() == nil) {
+		k := min(w.Available()/8, len(vals))
+		w.Write(putFloats(w.AvailableBuffer(), vals[:k]))
+		vals = vals[k:]
+	}
 }
 
 // parseStateFrame splits a state frame into its validated header and the

@@ -613,7 +613,7 @@ func (r *rankRun) serve() error {
 				return fmt.Errorf("malformed snapshot frame (%d bytes)", len(payload))
 			}
 			slot := int(binary.LittleEndian.Uint32(payload))
-			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.capture(), r.dop.Comps(), r.dop.OwnedNodes())
+			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.capture(), r.dop.Comps(), r.dop.OwnedNodes(), false)
 			if err != nil {
 				r.coord.send(msgErr, []byte(err.Error()))
 				return err

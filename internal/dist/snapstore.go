@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -28,7 +30,7 @@ import (
 // removes it when the run ends.
 type snapStore struct {
 	dir string
-	buf []byte // a rank's last frame, re-encoded into so a snapshot faults in no fresh pages
+	buf *bufio.Writer // the one snapChunk-byte buffer every frame of save streams through
 }
 
 // snapFile is what a rank answers msgCkpt with (gob, in msgCkptResp), and
@@ -98,30 +100,29 @@ func (s *snapStore) path(gen, slot, rank int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%d-%d-%d", gen, slot, rank))
 }
 
-// save writes st on the footprint nodes as rank's file of (gen, slot).
-func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, comps int, nodes []int32) (snapFile, error) {
-	frame, err := encodeState(s.buf, st, comps, nodes, false)
-	if err != nil {
-		return snapFile{}, err
-	}
-	s.buf = frame
-	return s.write(gen, slot, rank, frame)
-}
+// snapChunk sizes save's buffer: a chunk is written and checksummed while in cache.
+const snapChunk = 256 << 10
 
-// write stores frame as rank's file of (gen, slot), over the pages of the
-// file's previous contents where it has any.
-func (s *snapStore) write(gen, slot, rank int, frame []byte) (snapFile, error) {
+// save streams st's state frame into rank's file of (gen, slot), over the
+// pages of the file's previous contents, and returns its length and CRC32.
+func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, comps int, nodes []int32, full bool) (snapFile, error) {
 	f, err := os.OpenFile(s.path(gen, slot, rank), os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return snapFile{}, err
 	}
-	if _, err = f.WriteAt(frame, 0); err == nil {
-		err = f.Truncate(int64(len(frame)))
+	crc := crc32.NewIEEE()
+	if s.buf == nil {
+		s.buf = bufio.NewWriterSize(nil, snapChunk)
+	}
+	s.buf.Reset(io.MultiWriter(f, crc))
+	n, err := writeState(s.buf, st, comps, nodes, full)
+	if err == nil {
+		err = f.Truncate(n)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return snapFile{Len: int64(len(frame)), CRC: crc32.ChecksumIEEE(frame)}, err
+	return snapFile{Len: n, CRC: crc.Sum32()}, err
 }
 
 // load overlays every file of sn on base and refuses anything short of

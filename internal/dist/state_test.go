@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"reflect"
@@ -31,6 +35,27 @@ func testState(nn, comps int) *ckpt.StepperState {
 		st.V[2] = math.Copysign(0, -1)
 	}
 	return st
+}
+
+// encodeState is the in-memory twin of snapStore.save: the same state
+// frame, streamed by writeState into buf's storage (a caller may pass its
+// last frame back in) through a 64-byte buffer instead of snapChunk bytes.
+func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, full bool) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
+	_, err := writeState(bufio.NewWriterSize(b, 64), st, comps, nodes, full)
+	return b.Bytes(), err
+}
+
+// cutWriter records where every write into it ends.
+type cutWriter struct {
+	off  int
+	cuts []int
+}
+
+func (c *cutWriter) Write(p []byte) (int, error) {
+	c.off += len(p)
+	c.cuts = append(c.cuts, c.off)
+	return len(p), nil
 }
 
 func sameBits(a, b []float64) bool {
@@ -173,11 +198,10 @@ func writeSnapshot(t testing.TB, frames ...[]byte) (*snapStore, *snapshot) {
 	t.Helper()
 	store, sn := &snapStore{dir: t.TempDir()}, &snapshot{Gen: 3, Slot: 1, Cycle: 8}
 	for i, frame := range frames {
-		f, err := store.write(sn.Gen, sn.Slot, i, frame)
-		if err != nil {
+		if err := os.WriteFile(store.path(sn.Gen, sn.Slot, i), frame, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		sn.Files = append(sn.Files, f)
+		sn.Files = append(sn.Files, snapFile{Len: int64(len(frame)), CRC: crc32.ChecksumIEEE(frame)})
 	}
 	return store, sn
 }
@@ -398,4 +422,112 @@ func FuzzStateFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSaveMatchesEncodeState: a footprint frame that save streams into a
+// file through snapChunk-sized chunks — one chunk boundary inside the id
+// list, one inside a run of consecutive nodes' values — is byte for byte
+// the frame encodeState builds, with that frame's length and CRC32; and a
+// shorter frame saved over it leaves no tail of the longer one.
+func TestSaveMatchesEncodeState(t *testing.T) {
+	const nn, comps = 100_000, 1
+	st := testState(nn, comps)
+	var nodes []int32 // runs of 1, 2, 1, 500 and 3 nodes, one-node gaps
+	for n, k := int32(0), 0; n < nn; k++ {
+		for i := 0; i < []int{1, 2, 1, 500, 3}[k%5] && n < nn; i++ {
+			nodes = append(nodes, n)
+			n++
+		}
+		n++
+	}
+	want, err := encodeState(nil, st, comps, nodes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= 2*snapChunk {
+		t.Fatalf("frame of %d bytes spans fewer than 3 chunks", len(want))
+	}
+	// Where save's chunks end: one inside the ids, one between two
+	// consecutive nodes' values of U or V.
+	var chunks cutWriter
+	if _, err := writeState(bufio.NewWriterSize(&chunks, snapChunk), st, comps, nodes, false); err != nil {
+		t.Fatal(err)
+	}
+	ids := 4 + int(binary.LittleEndian.Uint32(want))
+	vals := ids + 4*len(nodes)
+	inIDs, inRun := false, false
+	for _, c := range chunks.cuts {
+		inIDs = inIDs || ids < c && c < vals
+		if i := (c - vals) / 8 % len(nodes); c > vals && c < len(want) && (c-vals)%8 == 0 && i > 0 {
+			inRun = inRun || nodes[i] == nodes[i-1]+1
+		}
+	}
+	if !inIDs || !inRun {
+		t.Fatalf("chunk ends %v: inside the ids (%d, %d): %v, inside a run: %v", chunks.cuts, ids, vals, inIDs, inRun)
+	}
+
+	store := &snapStore{dir: t.TempDir()}
+	for _, fp := range [][]int32{nodes, nodes[:10]} {
+		want, err := encodeState(nil, st, comps, fp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := store.save(0, 0, 0, st, comps, fp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(store.path(0, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || f.Len != int64(len(want)) || f.CRC != crc32.ChecksumIEEE(want) {
+			t.Fatalf("%d footprint nodes: file of %d bytes (%+v), want %d bytes, crc %08x, equal bytes: %v",
+				len(fp), len(got), f, len(want), crc32.ChecksumIEEE(want), slices.Equal(got, want))
+		}
+	}
+}
+
+// TestStateFrameLayout spells out two small frames value by value —
+// [u32 header length][gob header][ids u32][U f64][V f64], little-endian —
+// so that a change moving writeState and parseStateFrame together still
+// fails: a footprint frame of nodes 0, 2 and 3 (dofs 0, 1, 4-7) and a
+// full frame of all 10 dofs.
+func TestStateFrameLayout(t *testing.T) {
+	const comps = 2
+	st := testState(5, comps)
+	le := binary.LittleEndian
+	for _, c := range []struct {
+		nodes []int32
+		dofs  []int
+		full  bool
+	}{
+		{[]int32{0, 2, 3}, []int{0, 1, 4, 5, 6, 7}, false},
+		{nil, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, true},
+	} {
+		h := stateHeader{State: *st, NDof: 10, Comps: comps, Nodes: len(c.nodes)}
+		h.State.U, h.State.V = nil, nil
+		if c.full {
+			h.Nodes = -1
+		}
+		var hdr bytes.Buffer
+		if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
+			t.Fatal(err)
+		}
+		want := append(le.AppendUint32(nil, uint32(hdr.Len())), hdr.Bytes()...)
+		for _, n := range c.nodes {
+			want = le.AppendUint32(want, uint32(n))
+		}
+		for _, field := range [][]float64{st.U, st.V} {
+			for _, d := range c.dofs {
+				want = le.AppendUint64(want, math.Float64bits(field[d]))
+			}
+		}
+		got, err := encodeState(nil, st, comps, c.nodes, c.full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("full=%v: frame\n%x\nwant\n%x", c.full, got, want)
+		}
+	}
 }
