@@ -31,12 +31,12 @@ loc:
 # CI-friendly. The owner-computes pins of internal/dist (owner_test.go:
 # poisoned runs, set invariants, the halo buffers' hand-off between reader
 # and stepper) and the poisoned reconfiguration ladder skip nothing under
-# -short. The engine's SPMD cycle tests (up to 8 workers) run a second
-# time on one CPU, where a barrier that only spun would never let the
-# workers it waits for run.
+# -short. The engine's SPMD cycle tests and its spill test (up to 8
+# workers) run a second time on one CPU, where a barrier that only spun
+# would never let the workers it waits for run.
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/lts ./internal/dist ./internal/decomp ./internal/serve
-	GOMAXPROCS=1 $(GO) test -race -short -run 'Team|Close|StressInterleaved|Determinism' ./internal/parallel
+	GOMAXPROCS=1 $(GO) test -race -short -run 'Team|Close|StressInterleaved|Determinism|Spill' ./internal/parallel
 	$(GO) test -race -short -run 'ArtifactCache' ./wave
 
 # Short native-fuzz leg over the untrusted decoders (three of

@@ -7,8 +7,8 @@
 // Two backends consume the same plans:
 //
 //   - the shared-memory engine (internal/parallel) maps parts onto its
-//     workers and reduces the per-part contributions with its sharded
-//     in-memory merge, and
+//     workers and merges the contributions at the nodes two parts touch
+//     in memory, and
 //   - the distributed engine (internal/dist) maps parts onto rank
 //     processes and exchanges the halo intersections of the touched sets
 //     as real messages.
@@ -41,12 +41,6 @@ type Plan struct {
 	// Touched[p] is the ascending list of unique global nodes part p's
 	// contributions write.
 	Touched [][]int32
-	// Active lists the parts with at least one element, ascending.
-	Active []int
-	// Messages and Volume are the per-apply communication-accounting
-	// deltas of the MPI analogy: one message per part with data, volume
-	// in touched nodes.
-	Messages, Volume int64
 }
 
 // Build computes the owner-computes plan of one element list: the
@@ -65,14 +59,6 @@ func Build(op sem.Operator, part []int32, nparts int, elems []int32) *Plan {
 		pl.Parts[p] = append(pl.Parts[p], e)
 	}
 	pl.Touched = sem.TouchedNodes(op, pl.Parts)
-	for p := 0; p < nparts; p++ {
-		if len(pl.Parts[p]) == 0 {
-			continue
-		}
-		pl.Active = append(pl.Active, p)
-		pl.Messages++
-		pl.Volume += int64(len(pl.Touched[p]))
-	}
 	return pl
 }
 

@@ -124,6 +124,7 @@ type distPlan struct {
 	touched   [][]int32
 	lift      []float64 // dst, then owned[0]'s terms, at recvNodes[owned[0]]
 	recvCount []int     // values a frame from rank q must carry
+	nOut      int       // the output space, in nodes: NumNodes or a Remap's m.NOut
 	// batch[i] is the inner batch plan of the i-th owned part (nil for
 	// empty parts).
 	batch []sem.BatchPlan
@@ -132,10 +133,14 @@ type distPlan struct {
 // Elems implements sem.BatchPlan.
 func (pl *distPlan) Elems() []int32 { return pl.dp.Elems }
 
+// DstNodes implements sem.BatchPlan: the output space, unchanged.
+func (pl *distPlan) DstNodes() int { return pl.nOut }
+
 // Remap implements sem.BatchPlan: sub-plans remapped, halo and drain lists
 // renumbered through m.Out. What goes on the wire is unchanged.
 func (pl *distPlan) Remap(m sem.NodeMap) sem.BatchPlan {
 	q := *pl
+	q.nOut = m.NOut
 	q.batch = make([]sem.BatchPlan, len(pl.batch))
 	for i, b := range pl.batch {
 		if b != nil {
@@ -230,6 +235,7 @@ func (d *Operator) buildHalo(dp *decomp.Plan) *distPlan {
 		recvNodes: make([][]int32, dp.P),
 		recvCount: make([]int, d.cfg.Ranks),
 		touched:   make([][]int32, dp.P),
+		nOut:      d.inner.NumNodes(),
 	}
 	lead := dp.Touched[d.owned[0]]
 	var shared [][]int32

@@ -205,8 +205,7 @@ func TestLiftIsExact(t *testing.T) {
 			}
 			defer pop.Close()
 			want := make([]float64, geom.NDof())
-			var bs sem.BatchScratch
-			pop.AddKuBatch(want, u, pop.NewBatchPlan(all), &bs)
+			pop.AddKu(want, u, all) // the engine's apply, on a copy with its spill tail
 
 			_, ops := loopOperators(t, tc)
 			plans := make([]*distPlan, ranks)

@@ -23,16 +23,24 @@ import (
 type apply struct{ in, out []float64 } // NDof long, node-numbered
 
 // mapPlan is both operators' plan: the element list, once remapped the
-// caller's numbering (nil = node ids), for the recorder the inner
-// operator's plan of the same, for the replayer its check of a remap.
+// caller's numbering (nil = node ids, nn of them), for the recorder the
+// inner operator's plan of the same, for the replayer its check of a remap.
 type mapPlan struct {
 	elems []int32
+	nn    int
 	m     *sem.NodeMap
 	inner sem.BatchPlan
 	check func(elems []int32, m sem.NodeMap)
 }
 
 func (p *mapPlan) Elems() []int32 { return p.elems }
+
+func (p *mapPlan) DstNodes() int {
+	if p.m == nil {
+		return p.nn
+	}
+	return p.m.NOut
+}
 
 func (p *mapPlan) Remap(m sem.NodeMap) sem.BatchPlan {
 	if p.check != nil {
@@ -57,7 +65,7 @@ type recorder struct {
 }
 
 func (r *recorder) NewBatchPlan(elems []int32) sem.BatchPlan {
-	return &mapPlan{elems: slices.Clone(elems)}
+	return &mapPlan{elems: slices.Clone(elems), nn: r.NumNodes()}
 }
 
 func (r *recorder) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
@@ -95,7 +103,7 @@ type replayer struct {
 func (r *replayer) OwnedNodes() []int32 { return r.nodes }
 
 func (r *replayer) NewBatchPlan(elems []int32) sem.BatchPlan {
-	return &mapPlan{elems: slices.Clone(elems), check: r.checkMap}
+	return &mapPlan{elems: slices.Clone(elems), nn: r.NumNodes(), check: r.checkMap}
 }
 
 // checkMap holds a remap to the sem.NodeMap contract: every node of the

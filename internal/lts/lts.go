@@ -65,13 +65,15 @@
 // splits sets.far — and joins each stiffness apply. A worker reads only
 // what its own share wrote, except across a barrier: before a kernel
 // whose input other shares wrote (U after the hold zeroing, ũ after a
-// substep), the two inside the apply, and after a finer level returns. A
-// source is injected by the worker whose share holds its dof, after that
-// worker's own M⁻¹ write. Work and Telemetry are worker 0's; the cycle's
-// scalars are set before the Run. Any other operator is stepped by a
-// team of one, so there is one cycle code path, and as per-dof arithmetic
-// and the merge's per-node addition order do not depend on the team,
-// neither do the bits.
+// substep) or whose accumulator they still drain (kact after the parent
+// level's gather: an apply writes it from the start), the ones inside the
+// apply, and after a finer level returns. A source is injected by the worker whose share holds its dof,
+// after that worker's own M⁻¹ write. Work and Telemetry are worker 0's;
+// the cycle's scalars are set before the Run. Any other operator is
+// stepped by a team of one, so there is one cycle code path, and as
+// per-dof arithmetic and the engine's per-node addition order (lowest
+// toucher first, on a +0 accumulator) do not depend on the team, neither
+// do the bits.
 package lts
 
 import (
@@ -166,10 +168,10 @@ type Scheme struct {
 	zbuf    [][]float64 // A P_li ũ (li >= 1)
 	vbuf    [][]float64 // auxiliary staggered velocity of level li (li >= 1)
 	usnap   [][]float64 // ũ snapshot for the factor-2 update (1 <= li < nlv-1)
-	kact    []float64   // stiffness accumulation of the levels >= 1 (all-zero between uses)
+	kact    []float64   // stiffness accumulation of the levels >= 1, their plans' largest spill tail behind (all-zero between uses)
 	minvAct []float64   // M⁻¹ per active dof
 	// Operator-numbered scratch of level 0:
-	kbuf []float64 // stiffness accumulation (all-zero between uses)
+	kbuf []float64 // stiffness accumulation, the level-0 plan's spill tail behind (all-zero between uses)
 	hold []float64 // U on sets.hold while the level-0 kernel reads U in place
 	// One plan per level (the per-level element sets are stable for the
 	// scheme's lifetime), built by New in level order.
@@ -199,7 +201,7 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 		Op: op, Dt: dt, Optimized: optimized,
 		U: make([]float64, nd), V: make([]float64, nd),
 		sets: st, nlv: numLevels,
-		kbuf: make([]float64, nd), hold: make([]float64, len(st.hold)*nc),
+		hold: make([]float64, len(st.hold)*nc),
 	}
 	if t, ok := op.(team); ok {
 		s.team = t
@@ -208,6 +210,7 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 	}
 	s.cycleFn = s.cycle
 	s.buildPlans()
+	s.kbuf = make([]float64, s.bplans[0].DstNodes()*nc)
 	s.Work.PerLevel = make([]int64, numLevels)
 	s.Work.LevelNanos = make([]int64, numLevels)
 	na := len(st.actNode) * nc
@@ -224,7 +227,8 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 	s.SetSources(nil)
 	if numLevels > 1 {
 		s.ut = make([]float64, na+nc)
-		s.kact = make([]float64, na)
+		nk := slices.MaxFunc(s.bplans[1:], func(a, b sem.BatchPlan) int { return a.DstNodes() - b.DstNodes() })
+		s.kact = make([]float64, nk.DstNodes()*nc)
 	}
 	for li := 1; li < numLevels; li++ {
 		s.zbuf[li] = make([]float64, na)
@@ -325,13 +329,14 @@ func (s *Scheme) share(w, lo, hi int) (a, b int) {
 }
 
 // kernel is worker w's part of the collective accumulation of K·in over
-// level li's force elements into dst.
+// level li's force elements into dst, cut to the plan's DstNodes.
 func (s *Scheme) kernel(w, li int, dst, in []float64) {
 	var kstart time.Time
 	if s.Telemetry && w == 0 {
 		kstart = time.Now()
 	}
-	s.team.AddKuShare(w, dst, in, s.bplans[li])
+	pl := s.bplans[li]
+	s.team.AddKuShare(w, dst[:pl.DstNodes()*s.Op.Comps()], in, pl)
 	if w > 0 {
 		return // the counters are worker 0's
 	}
@@ -442,6 +447,8 @@ func (s *Scheme) advance(w, li int, tStart float64) {
 		tm := tStart + float64(m)*dt
 		if m == 1 {
 			s.team.Barrier() // the first substep updated ũ share by share
+		} else if li > 1 {
+			s.team.Barrier() // the parent's gather re-zeroed kact share by share
 		}
 		// z = A·P_li·ũ - M⁻¹F_li(tm): the level's plan reads ũ itself, the
 		// nodes outside P_li through the zero slot.

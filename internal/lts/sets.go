@@ -132,38 +132,35 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 		}
 		s.stepLvl[n] = uint8(l)
 	}
-	// The node domain, ascending: the footprint's entries, or 0..nn-1.
-	domain, nDomain := sem.FootprintOf(op), nn
-	if domain != nil {
-		nDomain = len(domain)
-	}
-	s.stepNodesAt = make([][]int32, numLevels)
-	for i := 0; i < nDomain; i++ {
-		n := int32(i)
-		if domain != nil {
-			n = domain[i]
-			if n < 0 || int(n) >= nn || (i > 0 && n <= domain[i-1]) {
-				return nil, fmt.Errorf("lts: operator footprint is not an ascending list of nodes at entry %d (%d)", i, n)
-			}
+	// The node domain, ascending: the footprint's entries, or every node.
+	// Every list below is sized by a counting pass before it is filled.
+	domain := sem.FootprintOf(op)
+	for i, n := range domain {
+		if n < 0 || int(n) >= nn || (i > 0 && n <= domain[i-1]) {
+			return nil, fmt.Errorf("lts: operator footprint is not an ascending list of nodes at entry %d (%d)", i, n)
 		}
-		l := s.stepLvl[n]
-		s.stepNodesAt[l] = append(s.stepNodesAt[l], n)
 	}
-	// The active region: levels lo.. back to back.
+	var byStep []int32
+	s.stepNodesAt, byStep = byLevel(domain, s.stepLvl, numLevels)
+	// The active region: levels lo.. back to back, as byStep holds them.
 	lo := min(1, numLevels-1)
+	s.actNode = byStep[len(s.stepNodesAt[0])*lo:]
 	s.actOff = make([]int, numLevels)
-	for li := lo; li < numLevels; li++ {
-		s.actOff[li] = len(s.actNode)
-		s.actNode = append(s.actNode, s.stepNodesAt[li]...)
+	for li := lo + 1; li < numLevels; li++ {
+		s.actOff[li] = s.actOff[li-1] + len(s.stepNodesAt[li-1])
 	}
 	if lo == 1 {
 		s.far = s.stepNodesAt[0]
 	}
-	s.levelNodes = make([][]int32, numLevels)
-	for n, l := range s.nodeLevel {
-		s.levelNodes[l] = append(s.levelNodes[l], int32(n))
-	}
+	s.levelNodes, _ = byLevel(nil, s.nodeLevel, numLevels)
 	s.forceElems = make([][]int32, numLevels)
+	for li := range s.forceElems {
+		c := 0
+		for _, m := range elemForce {
+			c += int(m >> li & 1)
+		}
+		s.forceElems[li] = make([]int32, 0, c)
+	}
 	for e := 0; e < ne; e++ {
 		for li := 0; li < numLevels; li++ {
 			if elemForce[e]&(1<<li) != 0 {
@@ -181,6 +178,30 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 		}
 	}
 	return s, nil
+}
+
+// byLevel lists the nodes (every node when nil) of each level, in the
+// order given, back to back in the returned array sized by a counting pass.
+func byLevel(nodes []int32, lvl []uint8, numLevels int) ([][]int32, []int32) {
+	if nodes == nil {
+		nodes = make([]int32, len(lvl))
+		for n := range nodes {
+			nodes[n] = int32(n)
+		}
+	}
+	off := make([]int, numLevels+1)
+	for _, n := range nodes {
+		off[lvl[n]+1]++
+	}
+	lists, all := make([][]int32, numLevels), make([]int32, len(nodes))
+	for li := range lists {
+		off[li+1] += off[li]
+		lists[li] = all[off[li]:off[li]:off[li+1]]
+	}
+	for _, n := range nodes {
+		lists[lvl[n]] = append(lists[lvl[n]], n)
+	}
+	return lists, all
 }
 
 // haloElems returns, for level li, how many of forceElems[li] are not

@@ -65,9 +65,9 @@ func New(op sem.BatchKernel, dt float64) *Stepper {
 		U:     make([]float64, op.NDof()),
 		V:     make([]float64, op.NDof()),
 		elems: sem.AllElements(op),
-		accel: make([]float64, op.NDof()),
 	}
 	s.bplan = op.NewBatchPlan(s.elems)
+	s.accel = make([]float64, s.bplan.DstNodes()*op.Comps()) // the plan's spill tail included
 	return s
 }
 
@@ -204,7 +204,7 @@ func (s *Stepper) Energy() float64 {
 	if s.energy == nil {
 		s.energy = sem.NewRestriction(s.Op, s.elems)
 	}
-	return s.energy.Energy(s.Op, s.U, s.V, s.accel, &s.scr)
+	return s.energy.Energy(s.Op, s.U, s.V, s.accel[:len(s.U)], &s.scr)
 }
 
 // ConservedEnergy returns the discrete energy that the undamped, unforced
@@ -215,7 +215,7 @@ func (s *Stepper) Energy() float64 {
 // evaluated from the stepper's state (U = u_{n+1}, V = v_{n+1/2},
 // u_n = U - Δt V). K u is formed in the accel buffer, re-zeroed after.
 func (s *Stepper) ConservedEnergy() float64 {
-	ku := s.accel
+	ku := s.accel[:len(s.U)]
 	defer clear(ku)
 	s.Op.AddKuScratch(ku, s.U, s.elems, &s.scr)
 	minv := s.Op.MInv()

@@ -12,31 +12,35 @@
 // as one Run; inside it, each stiffness application is the collective
 // AddKuShare, a two-phase protocol:
 //
-//  1. Compute: worker w applies the stiffness of its owned ∩ requested
-//     elements — one fused batch over its own sub-plan — into a private
-//     full-length accumulation buffer. No shared writes. Barrier.
-//  2. Merge: the global node-id space is sharded into K contiguous ranges
-//     (balanced by touched-node volume) and worker w reduces shard w: it
-//     adds the rank contributions for the shard's node range into dst in
-//     ascending rank order, then zeroes the private buffers. Barrier.
-//     Because every node belongs to exactly one shard and ranks are always
-//     summed in the same order, the result is bitwise reproducible from
-//     run to run for a fixed (partition, K).
+//  1. Compute: worker w lifts dst off the nodes it leads (touches as the
+//     lowest worker) that a higher worker touches too, leaving +0, then
+//     applies its owned ∩ requested elements — one fused batch over its
+//     own sub-plan — straight into dst where it leads a node, else into
+//     its slot of a spill tail behind the caller's index space
+//     (sem.BatchPlan.DstNodes). No two workers write one index. Barrier.
+//  2. Merge, only for a plan with a spill: worker w folds the shared
+//     nodes it leads — lifted dst, its terms, then every slot in ascending
+//     worker order — and re-zeroes the slots. Barrier.
+//
+// So the bits are fixed by (partition, K) and, on the +0 dst every stepper
+// provides, equal to adding K private zero buffers to dst; on a nonzero
+// dst a node one worker touches gets the K = 1 rule (dist.Operator's
+// contract). The compute writes dst at once: no worker may enter an apply
+// while another still uses dst (a caller inside a Run adds a Barrier).
 //
 // AddKuBatch, for steppers that apply one list at a time (package
 // newmark, diagnostics), is Run(AddKuShare): there is one apply
 // implementation.
 //
 // Each element list's execution plan — the per-rank element split, the
-// per-rank sorted touched node lists, the merge shard boundaries and the
-// per-rank inner batch plans — is built by NewBatchPlan and held by the
-// stepper that applies it: the global stepper's all-elements plan and
-// one plan per LTS level, all built in the stepper's constructor. A rank
-// that owns no element of a level's list computes nothing in that apply
-// and still merges its shard.
+// spill lists and the per-rank inner batch plans — is built by
+// NewBatchPlan and held by the stepper that applies it: the global
+// stepper's all-elements plan and one plan per LTS level, all built in the
+// stepper's constructor. A rank that owns no element of a level's list
+// computes nothing in that apply and still meets its barriers.
 //
-// Stats keeps the message/volume accounting of the MPI analogy: one
-// "message" per active rank per apply, volume in touched nodes.
+// Stats keeps the accounting of the MPI analogy in dist.Stats' units: one
+// "message" per rank with a spill per apply, volume in spilled nodes.
 package parallel
 
 import (
@@ -54,11 +58,11 @@ import (
 type Stats struct {
 	// Applies counts collective stiffness applies.
 	Applies int64
-	// Messages counts per-apply active-rank contributions carrying nonzero
-	// data (the shared-memory analogue of MPI messages).
+	// Messages counts (rank, apply) pairs with a nonzero spill (the
+	// shared-memory analogue of MPI messages).
 	Messages int64
-	// Volume counts node-values exchanged (the shared-memory analogue of
-	// MPI volume).
+	// Volume counts the spilled nodes the merge moves (the shared-memory
+	// analogue of MPI volume).
 	Volume int64
 }
 
@@ -121,12 +125,11 @@ func NewOperator(inner sem.BatchKernel, part []int32, k int) (*PartitionedOperat
 			return nil, fmt.Errorf("parallel: element %d in part %d (K=%d)", e, r, k)
 		}
 	}
-	nd := inner.NDof()
 	p.bar.n, p.bar.cond.L = int32(k), &p.bar.mu
 	p.batchFn = func(w int) { p.AddKuShare(w, p.bDst, p.bU, p.bPlan) }
 	p.workers = make([]*rankWorker, k)
 	for w := range p.workers {
-		rw := &rankWorker{acc: make([]float64, nd)}
+		rw := &rankWorker{}
 		p.workers[w] = rw
 		if w == 0 {
 			continue
@@ -161,9 +164,13 @@ func (p *PartitionedOperator) Barrier() { p.bar.wait() }
 
 // AddKu implements sem.Operator for callers without a plan (one-shot
 // diagnostics, tests): the element list's plan is built, at O(len) cost,
-// and applied through AddKuBatch.
+// and applied through AddKuBatch to a copy of dst with its spill tail.
 func (p *PartitionedOperator) AddKu(dst, u []float64, elems []int32) {
-	p.AddKuBatch(dst, u, p.NewBatchPlan(elems), nil)
+	plan := p.NewBatchPlan(elems)
+	buf := make([]float64, plan.DstNodes()*p.inner.Comps())
+	copy(buf, dst)
+	p.AddKuBatch(buf, u, plan, nil)
+	copy(dst, buf)
 }
 
 // AddKuScratch implements sem.Operator; the per-element scratch is unused
@@ -177,16 +184,16 @@ func (p *PartitionedOperator) AddKuScratch(dst, u []float64, elems []int32, _ *s
 func (p *PartitionedOperator) account(plan *applyPlan) {
 	p.mu.Lock()
 	p.stats.Applies++
-	p.stats.Messages += plan.dp.Messages
-	p.stats.Volume += plan.dp.Volume
+	p.stats.Messages += plan.messages
+	p.stats.Volume += int64(plan.DstNodes() - plan.nOut)
 	p.mu.Unlock()
 }
 
 // NewBatchPlan implements sem.BatchKernel: the element list's execution
-// plan — ownership split, merge shards and one inner BatchPlan per active
+// plan — ownership split, spill lists and one inner BatchPlan per active
 // rank — built afresh; the caller holds it for as long as the list lives.
 func (p *PartitionedOperator) NewBatchPlan(elems []int32) sem.BatchPlan {
-	return buildMerge(p, decomp.Build(p.inner, p.part, p.K, elems))
+	return buildPlan(p, decomp.Build(p.inner, p.part, p.K, elems))
 }
 
 // AddKuBatch implements sem.BatchKernel: one collective apply on all
@@ -200,11 +207,11 @@ func (p *PartitionedOperator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, _
 
 // AddKuShare is worker w's part of the collective apply dst += K·u over
 // the plan's elements, the two-phase protocol of the package comment;
-// every worker of a Run calls it with the same arguments, and it returns
-// when dst is complete. Worker w's compute runs its owned slice as one
-// fused batch, lane for lane the sequential kernel. For K = 1 it is the
-// inner operator's batched kernel straight into dst, so the 1-worker
-// engine is an honest speedup baseline; the Stats accounting is identical.
+// every worker of a Run calls it with the same arguments and dst sized by
+// the plan's DstNodes, and it returns when dst is complete. Worker w's
+// compute runs its owned slice as one fused batch, lane for lane the
+// sequential kernel. For K = 1 it is the inner operator's batched kernel
+// straight into dst, so the 1-worker engine is an honest speedup baseline.
 func (p *PartitionedOperator) AddKuShare(w int, dst, u []float64, plan sem.BatchPlan) {
 	pl, ok := plan.(*applyPlan)
 	if !ok {
@@ -223,20 +230,23 @@ func (p *PartitionedOperator) AddKuShare(w int, dst, u []float64, plan sem.Batch
 		}
 		return
 	}
+	pl.liftShare(w, dst)
 	if bp := pl.rankBatch[w]; bp != nil {
 		var start time.Time
 		tel := p.telemetry.Load()
 		if tel {
 			start = time.Now()
 		}
-		p.inner.AddKuBatch(rw.acc[:len(dst)], u, bp, &rw.bscr)
+		p.inner.AddKuBatch(dst[:bp.DstNodes()*pl.nc], u, bp, &rw.bscr)
 		if tel {
 			rw.busy.Add(time.Since(start).Nanoseconds())
 		}
 	}
 	p.bar.wait()
-	pl.mergeShard(w, dst, p.workers)
-	p.bar.wait()
+	if len(pl.shared) > 0 {
+		pl.mergeShard(w, dst)
+		p.bar.wait()
+	}
 }
 
 // Close shuts down the worker goroutines. The operator must not be used

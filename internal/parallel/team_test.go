@@ -32,7 +32,8 @@ type geomKernel interface {
 // a finest-level node and on both sides of every boundary between the
 // workers' shares of the active region (the share levels 0 and 1 split)
 // and of the far-coarse nodes (the coarse pass's split, which cuts the
-// far-coarse runs).
+// far-coarse runs). After every cycle both schemes' accumulators, spill
+// tails included, must be all-zero again.
 func TestTeamCycleBitwise(t *testing.T) {
 	m, ac := eqSetup(t)
 	el, err := sem.NewElastic3D(m, 2, false, 0)
@@ -66,8 +67,14 @@ func TestTeamCycleBitwise(t *testing.T) {
 				defer pop.Close()
 				team := teamScheme(t, pop, lv, sigma, k)
 				ref := teamScheme(t, soloView{pop}, lv, sigma, k)
-				team.Run(cycles)
-				ref.Run(cycles)
+				for i := 0; i < cycles; i++ {
+					team.Step()
+					ref.Step()
+					if !team.AccumulatorsZero() || !ref.AccumulatorsZero() {
+						t.Fatalf("cycle %d: accumulators (spill tails included) not all-zero after the cycle: team %v, one apply at a time %v",
+							i, team.AccumulatorsZero(), ref.AccumulatorsZero())
+					}
+				}
 				peak := 0.0
 				for _, v := range ref.U {
 					peak = math.Max(peak, math.Abs(v))

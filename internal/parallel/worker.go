@@ -8,15 +8,13 @@ import (
 	"golts/internal/sem"
 )
 
-// rankWorker is one worker's state: a private accumulation buffer, all-zero
-// between applies (the compute half of AddKuShare fills it, the merge half
-// drains and re-zeroes the touched entries), and its own BatchScratch,
-// which serves every plan and warms on the first apply. Worker 0 is the
-// goroutine that calls Run; workers 1..K-1 each have a persistent
-// goroutine that parks on ch between Runs.
+// rankWorker is one worker's state: its own BatchScratch, which serves
+// every plan and warms on the first apply, and its telemetry counter. It
+// holds no field-sized buffer: a worker accumulates into the caller's dst
+// and its spill tail. Worker 0 is the goroutine that calls Run; workers
+// 1..K-1 each have a persistent goroutine that parks on ch between Runs.
 type rankWorker struct {
 	ch   chan func(w int) // nil for worker 0
-	acc  []float64
 	bscr sem.BatchScratch
 	busy atomic.Int64 // cumulative compute nanos (telemetry only)
 }
@@ -83,28 +81,4 @@ func (b *barrier) wait() {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
-}
-
-// mergeShard reduces one contiguous node-id range: for every rank in
-// ascending order, add its contributions for the shard's slice of the
-// rank's touched list into dst and zero the private buffer. Shards
-// partition the node space, so writes to dst and to each acc are disjoint
-// across concurrent shards, and the fixed rank order makes the floating-
-// point sum per node deterministic.
-func (pl *applyPlan) mergeShard(m int, dst []float64, workers []*rankWorker) {
-	nc := pl.nc
-	for r, touched := range pl.touched {
-		lo, hi := pl.shardIdx[r][m], pl.shardIdx[r][m+1]
-		if lo == hi {
-			continue
-		}
-		acc := workers[r].acc
-		for _, n := range touched[lo:hi] {
-			base := int(n) * nc
-			for c := 0; c < nc; c++ {
-				dst[base+c] += acc[base+c]
-				acc[base+c] = 0
-			}
-		}
-	}
 }

@@ -14,8 +14,9 @@ import "fmt"
 // planes (long contiguous rows instead of one 125-node element at a
 // time), and the results scatter back in element-list order — the
 // conflict-free ordering the element list already defines for a single
-// goroutine (the parallel engine keeps ranks on private accumulation
-// buffers, so batched scatter never races there either).
+// goroutine (the parallel engine sends a rank's terms at a node a lower
+// rank touches to a spill slot of its own, so batched scatter never races
+// there either).
 //
 // Index spaces. A plan names the memory it reads and writes by index, not
 // by node: u and dst are arrays over the plan's input and output index
@@ -45,6 +46,7 @@ import "fmt"
 // per node). Both are NumNodes long and read during Remap only; every node
 // of the plan's elements must map inside [0, NIn) and — on the operator's
 // Footprint, if it declares one: it accumulates nowhere else — [0, NOut).
+// An engine may keep a spill tail behind NOut (BatchPlan.DstNodes).
 type NodeMap struct {
 	In, Out   []int32
 	NIn, NOut int // sizes of the two index spaces, in nodes
@@ -60,9 +62,13 @@ type BatchPlan interface {
 	// Elems returns the plan's element list (callers must not mutate it).
 	Elems() []int32
 	// Remap returns a plan over the same elements whose AddKuBatch reads u
-	// (m.NIn·Comps values) through m.In and accumulates into dst (m.NOut·
-	// Comps values) through m.Out. m always maps the operator's node ids.
+	// (m.NIn·Comps values) through m.In and accumulates into dst through
+	// m.Out. m always maps the operator's node ids.
 	Remap(m NodeMap) BatchPlan
+	// DstNodes is the length, in nodes, of the dst AddKuBatch accumulates
+	// into: the output space (NumNodes, or m.NOut after a Remap), then any
+	// spill tail an engine keeps there, all-zero between applies.
+	DstNodes() int
 }
 
 // BatchKernel is an Operator that executes a prepared element set as one
@@ -118,6 +124,9 @@ type elemBatchPlan struct {
 
 // Elems implements BatchPlan.
 func (p *elemBatchPlan) Elems() []int32 { return p.elems }
+
+// DstNodes implements BatchPlan: the output space.
+func (p *elemBatchPlan) DstNodes() int { return p.nOut }
 
 // Remap implements BatchPlan: a shallow copy with two fresh row tables.
 func (p *elemBatchPlan) Remap(m NodeMap) BatchPlan {

@@ -498,9 +498,9 @@ func (s *Simulation) Seismograms() *Seismograms {
 type EngineStats struct {
 	// Applies counts stiffness applications dispatched to the engine.
 	Applies int64
-	// Messages counts per-apply active-rank contributions.
+	// Messages counts per-apply spilling workers or halo sends.
 	Messages int64
-	// Volume counts node-values exchanged in merges.
+	// Volume counts the node values they carry.
 	Volume int64
 }
 
