@@ -222,17 +222,16 @@ chaos-smoke:
 	@rm -rf .chaos-smoke
 	@echo "chaos-smoke: corrupt, droplink and permanent-loss runs all byte-identical at nonzero amplitude"
 
-# Auto-tune & load-balance smoke, both halves of internal/tune:
+# Auto-tune & placement smoke:
 #  1. calibration: a tiny distributed run probes its deployment-shape
 #     grid (1 rank and 2 ranks at 4 parts) under -auto-tune and writes
 #     the table of measured shapes to BENCH_tune.json; distrun exits
 #     nonzero unless at least two shapes were measured;
-#  2. rebalancing: a run started on a maximally skewed part placement
-#     (rank 0 carries 3 of 4 parts) must trigger at least one automatic
-#     mid-run rebalance (-expect-rebalance) and still produce a receiver
-#     CSV byte-identical to the balanced run — at scale 0.015 x 40
-#     cycles with -require-nonzero, so the comparison cannot pass
-#     vacuously on all-zero samples.
+#  2. placement: a run on a maximally skewed explicit part placement
+#     (rank 0 carries 3 of 4 parts) must produce a receiver CSV
+#     byte-identical to the balanced run — at scale 0.015 x 40 cycles
+#     with -require-nonzero, so the comparison cannot pass vacuously on
+#     all-zero samples.
 tune-smoke:
 	@rm -rf .tune-smoke && mkdir -p .tune-smoke
 	$(GO) build -o .tune-smoke/distrun ./cmd/distrun
@@ -241,13 +240,10 @@ tune-smoke:
 	./.tune-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
 		-out .tune-smoke/ref.csv
 	./.tune-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
-		-part-rank 0,0,0,1 -auto-rebalance -rebalance-threshold 1.2 \
-		-rebalance-window 2 -rebalance-cooldown 3 \
-		-expect-rebalance -require-nonzero -level-times \
-		-out .tune-smoke/rebalanced.csv
-	cmp .tune-smoke/ref.csv .tune-smoke/rebalanced.csv
+		-part-rank 0,0,0,1 -require-nonzero -out .tune-smoke/skewed.csv
+	cmp .tune-smoke/ref.csv .tune-smoke/skewed.csv
 	@rm -rf .tune-smoke
-	@echo "tune-smoke: calibration measured >=2 shapes; skewed run rebalanced and stayed byte-identical"
+	@echo "tune-smoke: calibration measured >=2 shapes; skewed placement stayed byte-identical"
 
 # Static analysis beyond go vet. CI installs staticcheck; locally the
 # target runs it when present and skips (loudly) when not, so `make

@@ -14,9 +14,7 @@
 //	        [-recover-every N] [-max-recoveries 3]
 //	        [-min-ranks 0] [-expect-degraded] [-expect-recovery]
 //	        [-report report.json]
-//	        [-level-times] [-part-rank 0,0,0,1] [-auto-rebalance]
-//	        [-rebalance-threshold 1.5] [-rebalance-window 3]
-//	        [-rebalance-cooldown 10] [-expect-rebalance]
+//	        [-level-times] [-part-rank 0,0,0,1] [-require-nonzero]
 //	        [-auto-tune 30s] [-tune-report BENCH_tune.json]
 //
 // -parts fixes the owner-computes decomposition width independently of
@@ -43,15 +41,16 @@
 // recovery itself.
 //
 // -min-ranks N enables degraded mode: a rank that exhausts
-// -max-recoveries is retired for good, its parts are redistributed onto
-// the survivors, and the run continues with fewer ranks (never below N).
+// -max-recoveries is retired for good, the parts are redistributed onto
+// the survivors in contiguous blocks, and the run continues with fewer
+// ranks (never below N).
 // The decomposition width is pinned by -parts, so the degraded
 // seismograms stay byte-identical — `make chaos-smoke` asserts exactly
 // that. -expect-degraded exits 1 unless at least one rank was retired.
 //
 // -report writes the run report as JSON: what the coordinator did to
 // keep the run alive (recoveries and retired ranks with the wall time
-// of each, rebalances, link retries, corrupt frames rejected) and what
+// of each, link retries, corrupt frames rejected) and what
 // that readiness cost (snapshots committed, their wall time and bytes), the
 // run's wall time, the host's CPU count and the injected fault. `make
 // fault-smoke` and `make chaos-smoke` publish it as BENCH_fault.json's
@@ -60,12 +59,11 @@
 // -level-times turns on the timing telemetry and prints the per-rank,
 // per-level stiffness-kernel table after the run, followed by each rank's
 // pointwise stepping time and the size of its share of the nodes (active,
-// far-coarse, footprint); both are embedded in the -report JSON. -part-rank places each part on an explicit rank
-// (any placement is bitwise-identical; only wall time changes), and
-// -auto-rebalance lets the coordinator remap parts onto ranks mid-run
-// when the measured per-rank busy times stay imbalanced — `make
-// tune-smoke` starts from a skewed placement and asserts the run
-// rebalances and still matches the balanced run byte for byte.
+// far-coarse, footprint); both are embedded in the -report JSON.
+// -part-rank places each part on an explicit rank (any placement is
+// bitwise-identical; only wall time changes; a degraded-mode shrink
+// falls back to contiguous blocks) — `make tune-smoke` runs a skewed
+// placement and asserts it matches the balanced run byte for byte.
 // -auto-tune calibrates the deployment shape with short probe runs
 // before the real one; -tune-report writes the table of measured
 // shapes as BENCH_tune.json.
@@ -118,14 +116,9 @@ func run() int {
 	expectDegraded := flag.Bool("expect-degraded", false, "exit 1 unless at least one rank was permanently retired")
 	expectRecovery := flag.Bool("expect-recovery", false, "exit 1 unless at least one rank recovery happened")
 	requireNonzero := flag.Bool("require-nonzero", false, "exit 1 unless a receiver saw the wave: several nonzero samples and a peak above the floor (guards byte-comparisons against vacuous traces)")
-	report := flag.String("report", "", "write the run report (recovery, rebalance, degraded and link counters, wall time) as JSON to this path")
+	report := flag.String("report", "", "write the run report (recovery, degraded and link counters, wall time) as JSON to this path")
 	levelTimes := flag.Bool("level-times", false, "enable timing telemetry and print the per-rank, per-level kernel table")
 	partRank := flag.String("part-rank", "", "explicit part placement as comma-separated rank ids, one per part (empty: contiguous blocks)")
-	autoRebalance := flag.Bool("auto-rebalance", false, "remap parts onto ranks mid-run when per-rank busy times stay imbalanced")
-	rebThreshold := flag.Float64("rebalance-threshold", 0, "max/mean busy ratio that arms a rebalance (0: default 1.5)")
-	rebWindow := flag.Int("rebalance-window", 0, "consecutive imbalanced cycles before rebalancing (0: default 3)")
-	rebCooldown := flag.Int("rebalance-cooldown", 0, "quiet cycles after a rebalance (0: default 10)")
-	expectRebalance := flag.Bool("expect-rebalance", false, "exit 1 unless at least one automatic rebalance happened")
 	autoTune := flag.Duration("auto-tune", 0, "calibrate the deployment shape with probe runs under this wall budget (0: off)")
 	tuneReport := flag.String("tune-report", "", "write the calibration's table of measured shapes as JSON to this path")
 	flag.Parse()
@@ -158,12 +151,9 @@ func run() int {
 		wave.WithBackend(wave.Distributed{
 			Ranks: *ranks, Parts: *parts,
 			CheckpointEvery: ckptEvery, MaxRecoveries: *maxRecoveries,
-			MinRanks:           *minRanks,
-			Telemetry:          *levelTimes,
-			PartRank:           placement,
-			AutoRebalance:      *autoRebalance,
-			RebalanceThreshold: *rebThreshold, RebalanceWindow: *rebWindow,
-			RebalanceCooldown: *rebCooldown,
+			MinRanks:  *minRanks,
+			Telemetry: *levelTimes,
+			PartRank:  placement,
 		}),
 	}
 	if *outPath != "" {
@@ -224,10 +214,6 @@ func run() int {
 	if *autoTune > 0 {
 		fmt.Printf("auto-tune: selected ranks=%d\n", st.TunedRanks)
 	}
-	if *autoRebalance {
-		fmt.Printf("load balancing: %d automatic rebalances (%d ms rebalancing)\n",
-			st.Rebalances, st.RebalanceMillis)
-	}
 	if *levelTimes {
 		printLevelTimes(st)
 	}
@@ -267,7 +253,6 @@ func run() int {
 			Cycles        int64               `json:"cycles"`
 			Recoveries    int                 `json:"recoveries"`
 			RecoveryMS    int64               `json:"recovery_ms"`
-			Rebalances    int                 `json:"rebalances"`
 			Snapshots     int                 `json:"snapshots"`
 			SnapshotMS    int64               `json:"snapshot_ms"`
 			SnapshotBytes int64               `json:"snapshot_bytes"`
@@ -282,7 +267,7 @@ func run() int {
 			LevelTimes    []wave.LevelStats   `json:"level_times,omitempty"`
 			RankStepping  []wave.RankStepping `json:"rank_stepping,omitempty"`
 		}{st.Ranks, st.Parts, st.Cycles, st.Recoveries, st.RecoveryMillis,
-			st.Rebalances, st.Snapshots, st.SnapshotMillis, st.SnapshotBytes,
+			st.Snapshots, st.SnapshotMillis, st.SnapshotBytes,
 			st.DegradedRanks, st.DegradedMillis,
 			st.LinkRetries, st.CorruptFrames,
 			wall, runtime.NumCPU(), runtime.GOMAXPROCS(0),
@@ -329,10 +314,6 @@ func run() int {
 	}
 	if *expectDegraded && st.DegradedRanks == 0 {
 		fmt.Fprintln(os.Stderr, "distrun: -expect-degraded set but no rank was retired (fault never exhausted the budget?)")
-		return 1
-	}
-	if *expectRebalance && st.Rebalances == 0 {
-		fmt.Fprintln(os.Stderr, "distrun: -expect-rebalance set but the run never rebalanced (placement already balanced?)")
 		return 1
 	}
 	return 0

@@ -14,7 +14,7 @@
 // by measured-min over short probe runs; the tuned plan is
 // cached in the artifact cache, so subsequent same-config jobs run with
 // the tuned shape at no extra cost. GET /stats reports each job's
-// tuned_workers / tuned_ranks / rebalances.
+// tuned_workers / tuned_ranks / degraded_ranks.
 //
 // With -spool, job specs, per-job checkpoints and streamed rows persist
 // under DIR: a restarted waved pointed at the same directory replays

@@ -98,8 +98,9 @@ type RunConfig struct {
 	// part). Nil selects the default contiguous block map. Remapping
 	// parts onto ranks never changes the assembly order — contributions
 	// merge in ascending part order regardless of which process executes
-	// a part — so any PartRank produces bitwise-identical seismograms;
-	// the runtime rebalancer exploits exactly this freedom.
+	// a part — so any PartRank produces bitwise-identical seismograms,
+	// and a relaunch may move the parts (a degraded-mode shrink falls
+	// back to the block map).
 	PartRank []int
 	// Sources are the resolved point forces; Receivers the recorded
 	// degrees of freedom, in facade receiver order.
@@ -108,11 +109,10 @@ type RunConfig struct {
 	// Sponge configures absorbing boundaries; zero disables.
 	Sponge SpongeSpec
 
-	// Telemetry enables the per-part and per-level timing counters the
-	// rebalancer and auto-tuner consume: each rank times its owned
-	// parts' kernel work and appends a per-cycle busy-nanos sample to
-	// its cycle-done report. Off by default — the counters are cheap
-	// (two monotonic clock reads per part per apply) but not free.
+	// Telemetry enables the timing counters RankStats reports: each
+	// rank times its stepper's kernel work per LTS level and its whole
+	// cycle. Off by default — the counters are cheap (two monotonic
+	// clock reads per level apply and per cycle) but not free.
 	Telemetry bool
 
 	// Liveness knobs, broadcast so ranks and coordinator agree. Zero
@@ -266,7 +266,7 @@ func buildOperator(cfg *RunConfig) (*mesh.Mesh, *mesh.Levels, geomOperator, erro
 // samples it: the lowest part whose elements touch the receiver's node.
 // Unlike the executing rank, the owning part is invariant under
 // part → rank remapping, so the coordinator stores parts and re-derives
-// ranks from the current placement after every rebalance. One pass over
+// ranks from the current placement after every relaunch. One pass over
 // the connectivity checks the receivers' nodes only; no decomposition is
 // built.
 func ReceiverOwnerParts(op sem.Operator, cfg *RunConfig) ([]int, error) {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"golts/internal/ckpt"
-	"golts/internal/tune"
 )
 
 // Handshake and stepping deadlines. Handshake failures almost always
@@ -67,27 +66,13 @@ type Config struct {
 
 	// MinRanks > 0 enables degraded mode, which keeps the run alive
 	// through permanent rank loss: when a rank exhausts the recovery
-	// budget, the coordinator — instead of failing — LPT-remaps the dead
-	// rank's parts onto the survivors, relaunches with one rank fewer,
+	// budget, the coordinator — instead of failing — relaunches with one
+	// rank fewer under the contiguous block placement (PartRank nil),
 	// restores the checkpoint and replays, never shrinking below MinRanks
 	// ranks. The decomposition width never changes, so the degraded
 	// trajectory stays bitwise identical to the fault-free one. Requires
 	// CheckpointEvery > 0.
 	MinRanks int
-
-	// AutoRebalance enables the runtime rebalancer: the coordinator
-	// watches the per-cycle, per-rank busy telemetry and, on sustained
-	// imbalance, snapshots the run, remaps parts onto ranks (LPT over
-	// the measured per-part costs), relaunches and resumes. Parts stay
-	// fixed — only their placement moves — so the trajectory stays
-	// bitwise identical. Implies Run.Telemetry.
-	AutoRebalance bool
-	// MaxRebalances bounds automatic rebalances per run; 0 selects the
-	// default (4) when AutoRebalance is set.
-	MaxRebalances int
-	// RebalanceDetector tunes the imbalance detector; zero fields take
-	// the tune package defaults (ratio 1.5 over 3 cycles, cooldown 10).
-	RebalanceDetector tune.DetectorConfig
 
 	// onState is handed to in-process ranks (rankParams.onState): the
 	// package's tests poison and inspect rank state through it.
@@ -157,16 +142,7 @@ type Coordinator struct {
 	degradeWall   time.Duration
 	corruptFrames int64
 
-	// Telemetry + rebalancer state (Run.Telemetry / AutoRebalance):
-	busy          []float64      // last cycle's per-rank busy nanos
-	trace         *tune.Trace    // recent busy samples, ring-buffered
-	det           *tune.Detector // nil unless AutoRebalance
-	partCost      []float64      // last measured per-part costs (LPT input)
-	rebalances    int
-	rebalanceWall time.Duration
-
 	samples []float64 // Step's result, reused (valid until the next Step)
-	maxWait []float64 // stepCycle's per-rank worst halo wait, reused
 
 	closeOnce sync.Once
 	closeErr  error
@@ -181,12 +157,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	if IsRank() {
 		return nil, fmt.Errorf("dist: Start called inside a rank process — the parent binary " +
 			"did not call RankMain before starting distributed work")
-	}
-	if cfg.AutoRebalance {
-		cfg.Run.Telemetry = true
-		if cfg.MaxRebalances == 0 {
-			cfg.MaxRebalances = 4
-		}
 	}
 	if err := cfg.Run.validate(); err != nil {
 		return nil, err
@@ -203,14 +173,6 @@ func Start(cfg Config) (*Coordinator, error) {
 		}
 	}
 	co := &Coordinator{cfg: cfg, samples: make([]float64, len(cfg.Run.Receivers))}
-	if cfg.Run.Telemetry {
-		co.busy = make([]float64, cfg.Run.Ranks)
-		co.maxWait = make([]float64, cfg.Run.Ranks)
-		co.trace = tune.NewTrace(64)
-	}
-	if cfg.AutoRebalance {
-		co.det = tune.NewDetector(cfg.RebalanceDetector)
-	}
 	var err error
 	if co.store.dir, err = newSnapDir(); err != nil {
 		return nil, fmt.Errorf("dist: snapshot store: %w", err)
@@ -468,7 +430,7 @@ func (co *Coordinator) Receivers() int { return len(co.cfg.Run.Receivers) }
 // the facade already holds the geometry operator — so the parts arrive
 // precomputed; Step refuses to run without them. The coordinator
 // derives the sampling rank of each receiver from the current
-// part → rank placement, and re-derives it after every rebalance (the
+// part → rank placement, and re-derives it after every relaunch (the
 // owning part never moves; the executing rank may).
 func (co *Coordinator) SetReceiverParts(parts []int) error {
 	if len(parts) != len(co.cfg.Run.Receivers) {
@@ -488,8 +450,8 @@ func (co *Coordinator) SetReceiverParts(parts []int) error {
 // applyRecOwn recomputes the receiver → sampling-rank table from the
 // stored owner parts and the current part → rank placement.
 // reconfigure calls it after every relaunch, so samples scatter
-// consistently under whatever map that generation runs (a rebalance, a
-// shrink, or a recovery after either).
+// consistently under whatever map that generation runs (the first one,
+// a shrink, or a recovery after either).
 func (co *Coordinator) applyRecOwn() {
 	if co.recParts == nil {
 		return
@@ -532,13 +494,10 @@ func (co *Coordinator) StepCtx(ctx context.Context) (t float64, samples []float6
 		t, samples, err = co.stepCycle(ctx)
 	}
 	co.cycle++
-	if co.trace != nil {
-		co.trace.Record(co.cycle, co.busy)
-	}
 	// From here on recovery replays up to co.cycle, so the samples
 	// already collected for this cycle stay valid through a failed
-	// snapshot or rebalance (the replay rewrites them with the same bits);
-	// only an unrecoverable error surfaces.
+	// snapshot (the replay rewrites them with the same bits); only an
+	// unrecoverable error surfaces.
 	if co.cfg.CheckpointEvery > 0 && co.cycle%int64(co.cfg.CheckpointEvery) == 0 {
 		if err := co.snapshot(ctx); err != nil {
 			// A recovered run has its snapshot of this cycle: reconfigure
@@ -548,88 +507,7 @@ func (co *Coordinator) StepCtx(ctx context.Context) (t float64, samples []float6
 			}
 		}
 	}
-	if err := co.maybeRebalance(ctx); err != nil {
-		// A failed rebalance attempt is a rank failure like any other.
-		if err = co.tryRecover(ctx, err); err != nil {
-			return 0, nil, err
-		}
-	}
 	return t, samples, nil
-}
-
-// maybeRebalance runs the imbalance detector over the cycle's busy
-// telemetry and, when it fires and budget remains, performs an
-// automatic rebalance: per-part costs are gathered from the ranks and
-// LPT-remapped onto the rank set. A remap identical to the current
-// placement (the load is as balanced as the parts allow) is skipped.
-func (co *Coordinator) maybeRebalance(ctx context.Context) error {
-	if co.det == nil || co.rebalances >= co.cfg.MaxRebalances {
-		return nil
-	}
-	if !co.det.Observe(co.busy) {
-		return nil
-	}
-	stats, err := co.Stats()
-	if err != nil {
-		return err
-	}
-	cost := make([]float64, co.cfg.Run.Parts)
-	for _, st := range stats {
-		for j, p := range st.OwnedParts {
-			if j < len(st.PartNanos) {
-				cost[p] = float64(st.PartNanos[j])
-			}
-		}
-	}
-	co.partCost = cost // degraded-mode shrinks reuse the freshest costs
-	next := tune.Remap(cost, co.cfg.Run.Ranks)
-	if tune.Equal(next, co.cfg.Run.partRanks()) {
-		return nil
-	}
-	return co.rebalance(ctx, next)
-}
-
-// Rebalance moves the parts → ranks placement mid-run: snapshot now,
-// then reconfigure from that snapshot under the new map. Parts — and
-// with them the ascending-part assembly order — never change, so the
-// resumed trajectory is bitwise identical to one that ran under either
-// placement throughout. The receiver sampling ranks are re-derived
-// from their (placement-invariant) owning parts.
-func (co *Coordinator) Rebalance(partRank []int) error {
-	return co.rebalance(context.Background(), partRank)
-}
-
-func (co *Coordinator) rebalance(ctx context.Context, partRank []int) error {
-	if err := co.snapshot(ctx); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := co.reconfigure(ctx, co.cfg.Run.Ranks, append([]int(nil), partRank...)); err != nil {
-		return err
-	}
-	co.rebalances++
-	co.rebalanceWall += time.Since(start)
-	return nil
-}
-
-// Rebalances reports how many part → rank rebalances this run has
-// performed and the wall-clock time spent inside them.
-func (co *Coordinator) Rebalances() (int, time.Duration) {
-	return co.rebalances, co.rebalanceWall
-}
-
-// PartRanks returns the current part → rank placement.
-func (co *Coordinator) PartRanks() []int {
-	return append([]int(nil), co.cfg.Run.partRanks()...)
-}
-
-// TraceSamples returns the recent per-cycle busy telemetry (oldest
-// first); empty unless Run.Telemetry is enabled.
-func (co *Coordinator) TraceSamples() []tune.Sample {
-	if co.trace == nil {
-		return nil
-	}
-	return co.trace.Samples()
 }
 
 // request is the one coordinator → rank round trip: it sends a req
@@ -669,10 +547,7 @@ func (co *Coordinator) request(ctx context.Context, req byte, payload []byte, re
 func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error) {
 	var cmd [4]byte
 	binary.LittleEndian.PutUint32(cmd[:], 1)
-	// maxWait[q] is the longest any rank spent this cycle waiting for
-	// rank q's halo frames (telemetry only).
-	samples, maxWait := co.samples, co.maxWait
-	clear(maxWait)
+	samples := co.samples
 	err := co.request(ctx, msgStep, cmd[:], msgCycleDone, stepTimeout, func(i int, payload []byte) error {
 		owned := 0
 		for _, o := range co.recOwn {
@@ -680,18 +555,12 @@ func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error
 				owned++
 			}
 		}
-		cd, err := decodeCycleDone(payload, owned, co.cfg.Run.Telemetry, co.cfg.Run.Ranks)
+		cd, err := decodeCycleDone(payload, owned)
 		if err != nil {
 			return err
 		}
 		if i == 0 {
 			co.t = cd.t
-		}
-		if co.cfg.Run.Telemetry {
-			co.busy[i] = cd.busy
-			for q, w := range cd.wait {
-				maxWait[q] = max(maxWait[q], w)
-			}
 		}
 		k := 0
 		for ri, o := range co.recOwn {
@@ -705,13 +574,6 @@ func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error
 	if err != nil {
 		return 0, nil, err
 	}
-	// Charge each rank the worst wait its peers paid for it: a rank
-	// behind a delayed or stalled link reads as busy even when its
-	// compute is light, which is exactly the skew the imbalance
-	// detector should fire on.
-	for q, w := range maxWait {
-		co.busy[q] += w
-	}
 	return co.t, samples, nil
 }
 
@@ -719,13 +581,12 @@ func (co *Coordinator) stepCycle(ctx context.Context) (float64, []float64, error
 // recoverable — a *RankFailure with a usable snapshot committed — each pass picks
 // the next shape to relaunch in: the same rank set and placement while
 // the recovery budget lasts; then, in degraded mode, one rank fewer
-// (the rank, or its link, is permanently gone: its parts are
-// LPT-remapped onto the survivors over the last measured per-part
-// costs) down to the MinRanks floor; and a failure of the relaunch
-// itself is the next pass's cause. A successful shrink resets the
-// budget: the new configuration earns a fresh chance before degrading
-// further. A nil return means the run is healthy again at exactly
-// co.cycle completed cycles; cancelling ctx aborts the run.
+// (the rank, or its link, is permanently gone) under the contiguous
+// block placement Start uses, down to the MinRanks floor; and a failure
+// of the relaunch itself is the next pass's cause. A successful shrink
+// resets the budget: the new configuration earns a fresh chance before
+// degrading further. A nil return means the run is healthy again at
+// exactly co.cycle completed cycles; cancelling ctx aborts the run.
 func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
 	for {
 		if ctx.Err() != nil {
@@ -749,14 +610,7 @@ func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
 			return fmt.Errorf("dist: recovery budget (%d) exhausted at the MinRanks floor (%d): %w",
 				co.cfg.MaxRecoveries, co.cfg.MinRanks, cause)
 		default:
-			ranks--
-			cost := co.partCost
-			if len(cost) != co.cfg.Run.Parts {
-				// No telemetry measured yet: unit costs (Remap floors zeros
-				// to 1 ns) spread the parts evenly.
-				cost = make([]float64, co.cfg.Run.Parts)
-			}
-			partRank = tune.Remap(cost, ranks)
+			ranks, partRank = ranks-1, nil
 		}
 		start := time.Now()
 		err := co.reconfigure(ctx, ranks, partRank)
@@ -776,10 +630,9 @@ func (co *Coordinator) tryRecover(ctx context.Context, cause error) error {
 	}
 }
 
-// reconfigure is the one relaunch path, shared by rebalancing (a new
-// placement, a snapshot just taken, nothing to replay), recovery (the
-// same shape) and degraded-mode shrinking (one rank fewer and the
-// placement that goes with it): tear the current generation down, launch
+// reconfigure is the one relaunch path, shared by recovery (the same
+// shape) and degraded-mode shrinking (one rank fewer under the default
+// placement): tear the current generation down, launch
 // the next as ranks processes under partRank, have every rank restore
 // the committed snapshot, replay the cycles from there up to co.cycle,
 // and commit the new generation's first snapshot — from then on no file
@@ -796,9 +649,6 @@ func (co *Coordinator) reconfigure(ctx context.Context, ranks int, partRank []in
 	}
 	co.teardown(false)
 	co.cfg.Run = next
-	if co.busy != nil {
-		co.busy, co.maxWait = make([]float64, ranks), make([]float64, ranks)
-	}
 	co.gen++
 	if err := co.launch(); err != nil {
 		return err

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"time"
 
 	"golts/internal/decomp"
 	"golts/internal/sem"
@@ -73,12 +72,6 @@ type Operator struct {
 
 	partRank []int   // part → executing rank
 	ownedBy  [][]int // rank → its owned parts, ascending
-
-	// partNanos accumulates per-owned-part compute wall time (indexed
-	// like owned/acc) when cfg.Telemetry is set; the rebalancer reads it
-	// through RankStats to cost parts before remapping them.
-	telemetry bool
-	partNanos []int64
 
 	nextPlanID uint32
 	seq        uint32
@@ -187,8 +180,6 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 	for i := 1; i < len(d.acc); i++ {
 		d.acc[i] = make([]float64, inner.NDof())
 	}
-	d.telemetry = cfg.Telemetry
-	d.partNanos = make([]int64, len(d.owned))
 	// Global per-rank element-node footprints: one list of element ids
 	// per rank, then the shared touched-set construction.
 	rankElems := make([][]int32, cfg.Ranks)
@@ -204,13 +195,6 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 
 // Stats returns the accumulated communication counters.
 func (d *Operator) Stats() Stats { return d.stats }
-
-// OwnedParts returns this rank's owned parts, ascending.
-func (d *Operator) OwnedParts() []int { return d.owned }
-
-// PartNanos returns the cumulative compute wall time of each owned part
-// (indexed like OwnedParts), measured only when cfg.Telemetry is set.
-func (d *Operator) PartNanos() []int64 { return d.partNanos }
 
 // OwnedNodes implements sem.Footprint: this rank's global element-node
 // footprint, the ascending nodes its owned elements touch. These are the
@@ -312,14 +296,7 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		if b == nil {
 			continue
 		}
-		var start time.Time
-		if d.telemetry {
-			start = time.Now()
-		}
 		d.inner.AddKuBatch(d.buf(i, dst)[:len(dst)], u, b, bs)
-		if d.telemetry {
-			d.partNanos[i] += time.Since(start).Nanoseconds()
-		}
 	}
 
 	// Phase 2a — send: for every receiving rank, the owned parts' halo

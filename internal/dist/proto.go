@@ -42,7 +42,7 @@ const (
 	msgHello       byte = 1 // [u32 rank][token bytes]
 	msgPeerAddr    byte = 2 // rank's peer-listener address (string bytes)
 	msgReady       byte = 3 // operators built, peers connected
-	msgCycleDone   byte = 4 // [f64 time][owned receiver samples ...f64][telemetry tail], see cycleDone
+	msgCycleDone   byte = 4 // [f64 time][owned receiver samples ...f64], see cycleDone
 	msgStatsResp   byte = 5 // gob RankStats
 	msgErr         byte = 6 // error text (any time; fatal)
 	msgCkptResp    byte = 7 // gob snapFile: length and CRC32 of the footprint file written
@@ -424,36 +424,25 @@ func decodeHalo(payload []byte, vals []float64) (fr haloFrame, err error) {
 }
 
 // cycleDone is one rank's end-of-cycle report, the payload of
-// msgCycleDone: the cycle time, the samples of the receivers the rank
-// owns (ascending receiver index) and, with telemetry on, the cycle's
-// owned-part compute nanos followed by its halo-wait nanos per peer rank.
+// msgCycleDone: the cycle time, then the samples of the receivers the
+// rank owns (ascending receiver index).
 type cycleDone struct {
 	t       float64
 	samples []float64
-	busy    float64
-	wait    []float64
 }
 
-// decodeCycleDone parses a cycle-done payload against what the receiver
-// knows to expect: owned receiver samples, and a telemetry tail of
-// 1 + ranks values or none. Anything else — a ragged payload, a value
-// too many or too few — is an error, never an index.
-func decodeCycleDone(payload []byte, owned int, telemetry bool, ranks int) (cd cycleDone, err error) {
+// decodeCycleDone parses a cycle-done payload against the number of
+// owned receiver samples the receiver expects. Anything else — a ragged
+// payload, a value too many or too few — is an error, never an index.
+func decodeCycleDone(payload []byte, owned int) (cd cycleDone, err error) {
 	vals, err := getFloats(nil, payload)
 	if err != nil {
 		return cd, err
 	}
-	want := 1 + owned
-	if telemetry {
-		want += 1 + ranks
+	if len(vals) != 1+owned {
+		return cd, fmt.Errorf("dist: cycle-done frame of %d values, want %d", len(vals), 1+owned)
 	}
-	if len(vals) != want {
-		return cd, fmt.Errorf("dist: cycle-done frame of %d values, want %d", len(vals), want)
-	}
-	cd.t, cd.samples = vals[0], vals[1:1+owned]
-	if telemetry {
-		cd.busy, cd.wait = vals[1+owned], vals[2+owned:]
-	}
+	cd.t, cd.samples = vals[0], vals[1:]
 	return cd, nil
 }
 

@@ -137,36 +137,26 @@ func FuzzHaloFrame(f *testing.F) {
 // sends the coordinator every cycle — with arbitrary payloads against
 // arbitrary expectations. It must never panic, accept exactly the
 // payloads that are the expected count of whole values, split them at
-// the expected places, and re-encode what it accepts to the same bytes.
+// the expected place, and re-encode what it accepts to the same bytes.
 func FuzzCycleDone(f *testing.F) {
-	for _, tc := range []struct {
-		owned     uint8
-		telemetry bool
-		ranks     uint8
-	}{{0, false, 2}, {3, false, 2}, {0, true, 1}, {2, true, 4}} {
-		n := 1 + int(tc.owned)
-		if tc.telemetry {
-			n += 1 + int(tc.ranks)
-		}
-		vals := make([]float64, n)
+	for _, owned := range []uint8{0, 1, 3, 7} {
+		vals := make([]float64, 1+int(owned))
 		for i := range vals {
 			vals[i] = float64(i) + 0.25
 		}
 		frame := putFloats(nil, vals)
-		f.Add(frame, tc.owned, tc.telemetry, tc.ranks)
-		f.Add(frame[:len(frame)-1], tc.owned, tc.telemetry, tc.ranks) // ragged tail
-		f.Add(frame[:len(frame)-8], tc.owned, tc.telemetry, tc.ranks) // a value short
-		f.Add(append(frame, frame[:8]...), tc.owned, tc.telemetry, tc.ranks)
-		f.Add(frame, tc.owned+1, tc.telemetry, tc.ranks) // a sample the rank does not own
-		f.Add(frame, tc.owned, !tc.telemetry, tc.ranks)  // tail unexpected, or missing
+		f.Add(frame, owned)
+		f.Add(frame[:len(frame)-1], owned) // ragged tail
+		f.Add(frame[:len(frame)-8], owned) // a value short
+		f.Add(append(frame, frame[:8]...), owned)
+		f.Add(frame, owned+1) // a sample the rank does not own
+		vals[len(vals)-1] = math.NaN()
+		f.Add(putFloats(nil, vals), owned) // NaN bits survive the round trip
 	}
-	f.Add([]byte{}, uint8(0), false, uint8(1))
-	f.Fuzz(func(t *testing.T, payload []byte, owned uint8, telemetry bool, ranks uint8) {
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, payload []byte, owned uint8) {
 		want := 1 + int(owned)
-		if telemetry {
-			want += 1 + int(ranks)
-		}
-		cd, err := decodeCycleDone(payload, int(owned), telemetry, int(ranks))
+		cd, err := decodeCycleDone(payload, int(owned))
 		if ok := len(payload) == 8*want; ok != (err == nil) {
 			t.Fatalf("%d-byte payload, %d values expected: err = %v", len(payload), want, err)
 		}
@@ -174,12 +164,9 @@ func FuzzCycleDone(f *testing.F) {
 			return
 		}
 		again := putFloats(putFloats(nil, []float64{cd.t}), cd.samples)
-		if telemetry {
-			again = putFloats(putFloats(again, []float64{cd.busy}), cd.wait)
-		}
-		if len(cd.samples) != int(owned) || (telemetry && len(cd.wait) != int(ranks)) || !bytes.Equal(again, payload) {
-			t.Fatalf("decoded %d samples, %d waits (owned %d, telemetry %v, ranks %d); re-encoded %x vs %x",
-				len(cd.samples), len(cd.wait), owned, telemetry, ranks, again, payload)
+		if len(cd.samples) != int(owned) || !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %d samples (owned %d); re-encoded %x vs %x",
+				len(cd.samples), owned, again, payload)
 		}
 	})
 }

@@ -122,18 +122,12 @@ func newPeerLink(c *conn) *peerLink {
 	return l
 }
 
-// peerFabric implements exchanger over the rank's peer links.
+// peerFabric implements exchanger over the rank's peer links: halo
+// frames only, untimed (a rank's telemetry times whole level applies).
 type peerFabric struct {
 	links   []*peerLink // indexed by rank; nil for self
 	buf     []byte      // reusable send frame
 	timeout time.Duration
-	// telemetry enables waitNanos: cumulative time the stepping
-	// goroutine spent blocked waiting for halo frames, per peer rank.
-	// The coordinator charges each rank the time its peers spent
-	// waiting on it, so the imbalance signal sees a slow or delayed
-	// link — not only a slow CPU.
-	telemetry bool
-	waitNanos []int64 // per peer rank; accessed only by the stepping goroutine
 }
 
 func (f *peerFabric) sendHalo(rank int, seq, planID uint32, values []float64) error {
@@ -143,10 +137,6 @@ func (f *peerFabric) sendHalo(rank int, seq, planID uint32, values []float64) er
 
 func (f *peerFabric) recvHalo(rank int) (uint32, uint32, []float64, error) {
 	l := f.links[rank]
-	if f.telemetry {
-		start := time.Now()
-		defer func() { f.waitNanos[rank] += time.Since(start).Nanoseconds() }()
-	}
 	if f.timeout <= 0 {
 		fr, ok := <-l.frames
 		if !ok {
@@ -269,12 +259,8 @@ type RankStats struct {
 
 	// Telemetry (populated only when RunConfig.Telemetry is set):
 	// LevelNanos is the cumulative per-LTS-level kernel wall time of this
-	// rank; OwnedParts its owned parts (ascending) and PartNanos the
-	// cumulative compute wall time of each, indexed like OwnedParts —
-	// the per-part costs the rebalancer feeds to the remapper.
+	// rank.
 	LevelNanos []int64
-	OwnedParts []int
-	PartNanos  []int64
 	// PointwiseNanos is the cumulative wall time of this rank's cycles
 	// outside its stiffness applications (LevelNanos, which span compute,
 	// halo exchange and assembly): the stepper's own pointwise work over
@@ -296,11 +282,6 @@ type rankRun struct {
 	// recIdx lists the indices into cfg.Receivers this rank owns,
 	// ascending; samples are reported in this order.
 	recIdx []int
-	// lastBusy / lastWait are the owned-part compute nanos and per-peer
-	// halo-wait nanos already reported, so each cycle-done frame carries
-	// only the cycle's deltas (telemetry only).
-	lastBusy int64
-	lastWait []int64
 	// stepNanos is the cumulative wall time of st.Step (telemetry only).
 	stepNanos int64
 	// linkRetries counts reconnect attempts beyond the first.
@@ -467,11 +448,7 @@ func (r *rankRun) handshake() error {
 		links[from] = newPeerLink(pc)
 		connected++
 	}
-	r.fabric = &peerFabric{links: links, timeout: r.cfg.peerTimeout(), telemetry: r.cfg.Telemetry}
-	if r.cfg.Telemetry {
-		r.fabric.waitNanos = make([]int64, r.cfg.Ranks)
-		r.lastWait = make([]int64, r.cfg.Ranks)
-	}
+	r.fabric = &peerFabric{links: links, timeout: r.cfg.peerTimeout()}
 	return nil
 }
 
@@ -599,8 +576,6 @@ func (r *rankRun) serve() error {
 			r.st.stats(&st, r.stepNanos)
 			st.LinkRetries = r.linkRetries
 			if r.cfg.Telemetry {
-				st.OwnedParts = append([]int(nil), r.dop.OwnedParts()...)
-				st.PartNanos = append([]int64(nil), r.dop.PartNanos()...)
 				st.FootprintNodes = len(r.dop.OwnedNodes())
 			}
 			if err := r.coord.sendGob(msgStatsResp, &st); err != nil {
@@ -700,21 +675,6 @@ func (r *rankRun) stepOnce() (err error) {
 	}
 	if r.cfg.Telemetry {
 		r.stepNanos += time.Since(start).Nanoseconds()
-		// Trailing telemetry: this cycle's owned-part compute nanos,
-		// then this rank's halo-wait nanos per peer. The coordinator
-		// charges each rank the time its peers spent waiting on it, so
-		// the busy trace sees a slow or delayed *link* — not only a
-		// slow CPU.
-		var busy int64
-		for _, n := range r.dop.PartNanos() {
-			busy += n
-		}
-		vals = append(vals, float64(busy-r.lastBusy))
-		r.lastBusy = busy
-		for q, w := range r.fabric.waitNanos {
-			vals = append(vals, float64(w-r.lastWait[q]))
-			r.lastWait[q] = w
-		}
 	}
 	r.vals, r.frame = vals, putFloats(r.frame[:0], vals)
 	return r.coord.send(msgCycleDone, r.frame)

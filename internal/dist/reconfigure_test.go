@@ -1,10 +1,10 @@
 package dist
 
 import (
+	"context"
 	"runtime"
+	"slices"
 	"testing"
-
-	"golts/internal/tune"
 )
 
 // startRun starts a run of tc under cfg (whose Run field is overwritten
@@ -50,23 +50,40 @@ func stepTo(t *testing.T, co *Coordinator, upTo int, times *[]float64, samples *
 // and 3 change hands against the default block map {0, 0, 1, 1}.
 var scattered = []int{1, 0, 1, 0}
 
-// TestRecoveryAfterRebalance: a failure in the generation a rebalance
-// launched. The kill fires in the first cycle under the new placement,
-// so recovery must relaunch under that placement (not the configured
-// one), scatter the samples by it and restore the snapshot the
-// rebalanced generation committed when it came up, from files written
-// under the new footprints — bitwise, at an amplitude where a wrong
-// field or a mis-scattered sample shows.
+// relaunchUnder moves a running co onto partRank mid-run through the one
+// relaunch path: snapshot now, then reconfigure from that snapshot at
+// the same rank count, so nothing is replayed.
+func relaunchUnder(t *testing.T, co *Coordinator, partRank []int) {
+	t.Helper()
+	ctx := context.Background()
+	err := co.snapshot(ctx)
+	if err == nil {
+		err = co.reconfigure(ctx, co.cfg.Run.Ranks, partRank)
+	}
+	if err != nil {
+		co.Abort()
+		t.Fatalf("relaunch under %v: %v", partRank, err)
+	}
+	requireOnlyGen(t, co)
+}
+
+// TestRecoveryAfterRebalance: a failure in a generation relaunched
+// mid-run under a new placement. The kill fires in the first cycle under
+// that placement, so recovery must relaunch under it (not the configured
+// one), scatter the samples by it and restore the snapshot the moved
+// generation committed when it came up, from files written under the
+// new footprints — bitwise, at an amplitude where a wrong field or a
+// mis-scattered sample shows.
 func TestRecoveryAfterRebalance(t *testing.T) {
 	const cycles, at = 10, 6
 	tc := newTestConfigScale(t, "acoustic", true, 2, 4, 0.004)
 	wantT, want := runShared(t, tc, cycles)
 	if maxAbsSamples(want[at:]) == 0 {
-		t.Fatal("vacuous baseline: every receiver sample after the rebalance is exactly zero")
+		t.Fatal("vacuous baseline: every receiver sample after the move is exactly zero")
 	}
 	co := startRun(t, tc, Config{
 		InProcess:       true,
-		CheckpointEvery: 4, // the kill at cycle 7 restores the rebalance's cycle-6 snapshot
+		CheckpointEvery: 4, // the kill at cycle 7 restores the move's cycle-6 snapshot
 		MaxRecoveries:   2,
 		Faults:          []*FaultPlan{{Kind: FaultKill, Rank: 1, Cycle: 1, Substep: 1, Gen: 1}},
 	})
@@ -74,35 +91,30 @@ func TestRecoveryAfterRebalance(t *testing.T) {
 	var gotT []float64
 	var got [][]float64
 	stepTo(t, co, at, &gotT, &got)
-	if err := co.Rebalance(scattered); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	requireOnlyGen(t, co)
+	relaunchUnder(t, co, scattered)
 	if co.snap.Gen != 1 || co.snap.Cycle != at {
-		t.Fatalf("after the rebalance the committed snapshot is generation %d's of cycle %d, want 1 and %d",
+		t.Fatalf("after the move the committed snapshot is generation %d's of cycle %d, want 1 and %d",
 			co.snap.Gen, co.snap.Cycle, at)
 	}
 	stepTo(t, co, cycles, &gotT, &got)
-	requireBitwise(t, "recover after rebalance", wantT, gotT, want, got)
-	if pr := co.PartRanks(); !tune.Equal(pr, scattered) {
-		t.Errorf("PartRanks after recovery = %v, want the rebalanced %v", pr, scattered)
+	requireBitwise(t, "recover after the move", wantT, gotT, want, got)
+	if pr := co.cfg.Run.partRanks(); !slices.Equal(pr, scattered) {
+		t.Errorf("placement after recovery = %v, want the moved %v", pr, scattered)
 	}
 	if n, _ := co.Recoveries(); n != 1 {
 		t.Errorf("Recoveries = %d, want 1", n)
 	}
-	if n, _ := co.Rebalances(); n != 1 {
-		t.Errorf("Rebalances = %d, want 1", n)
-	}
 }
 
 // TestReconfigureLadder walks every rung of the one recovery loop in one
-// run: a rebalance, a kill that is recovered at the same width, a second
+// run: a move to a new placement, a kill that is recovered at the same width, a second
 // kill that finds the budget spent and shrinks the rank set, and a third
 // on the survivor that only the budget reset after the shrink can
 // absorb. Every recovery replays at least one cycle, and every
 // generation restores files some other generation wrote, under another
 // placement or another rank count. The trajectory must equal the
-// fault-free one bit for bit, the counters must be exact, after every
+// fault-free one bit for bit, the counters must be exact, the shrunk
+// generations must run under the default placement, after every
 // step only the live generation's snapshot files may exist (stepTo), and
 // Close must leave no goroutine of any of the five generations behind.
 //
@@ -121,7 +133,7 @@ func reconfigureLadder(t *testing.T, onState func(*rankRun)) {
 	tc := newTestConfigScale(t, "acoustic", true, 2, 4, 0.004)
 	wantT, want := runShared(t, tc, cycles)
 	if maxAbsSamples(want[5:]) == 0 {
-		t.Fatal("vacuous baseline: every receiver sample after the rebalance is exactly zero")
+		t.Fatal("vacuous baseline: every receiver sample after the move is exactly zero")
 	}
 	baseline := runtime.NumGoroutine()
 	co := startRun(t, tc, Config{
@@ -131,7 +143,7 @@ func reconfigureLadder(t *testing.T, onState func(*rankRun)) {
 		MaxRecoveries:   1,
 		MinRanks:        1,
 		Faults: []*FaultPlan{
-			// gen 1 is the rebalanced generation, up at cycle 5: its 3rd
+			// gen 1 is the moved generation, up at cycle 5: its 3rd
 			// cycle is cycle 8, recovered from the snapshot it committed
 			// when it came up (replaying 6 and 7).
 			{Kind: FaultKill, Rank: 1, Cycle: 3, Substep: 1, Gen: 1},
@@ -150,14 +162,11 @@ func reconfigureLadder(t *testing.T, onState func(*rankRun)) {
 	var gotT []float64
 	var got [][]float64
 	stepTo(t, co, 5, &gotT, &got)
-	if err := co.Rebalance(scattered); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	requireOnlyGen(t, co)
+	relaunchUnder(t, co, scattered)
 	stepTo(t, co, cycles, &gotT, &got)
 	requireBitwise(t, "ladder", wantT, gotT, want, got)
-	if n, _ := co.Rebalances(); n != 1 {
-		t.Errorf("Rebalances = %d, want 1", n)
+	if co.cfg.Run.PartRank != nil {
+		t.Errorf("the generation after the shrink runs under PartRank %v, want nil (the block map)", co.cfg.Run.PartRank)
 	}
 	if n, _ := co.Recoveries(); n != 2 {
 		t.Errorf("Recoveries = %d, want 2 (one before the shrink, one after)", n)

@@ -220,6 +220,7 @@ func (p *PartitionedOperator) AddKuShare(w int, dst, u []float64, plan sem.Batch
 	if pl.owner != p {
 		panic("parallel: AddKuShare: plan built by a different operator")
 	}
+	pl.layout()
 	if w == 0 {
 		p.account(pl)
 	}

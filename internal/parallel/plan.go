@@ -3,6 +3,7 @@ package parallel
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"golts/internal/decomp"
 	"golts/internal/sem"
@@ -11,7 +12,24 @@ import (
 // applyPlan is the execution layout for one element list: the shared
 // owner-computes decomposition (package decomp), the per-rank inner batch
 // plans and the spill layout. It is the PartitionedOperator's BatchPlan.
+// Remap lays its plan out at once; NewBatchPlan's node-id plan is laid
+// out on its first apply, so one remapped before it is ever applied
+// (every LTS level >= 1) never builds a layout it would throw away.
 type applyPlan struct {
+	planCore
+	nOut int       // the output space, in nodes
+	once sync.Once // runs place
+	// Laid out by place: sharedNode in the output space, the per-rank
+	// inner plans (nil for an idle rank), dst at shared from an apply's
+	// lift to its merge, and the count of ranks with a spill.
+	shared    []int32
+	rankBatch []sem.BatchPlan
+	lift      []float64
+	messages  int64
+}
+
+// planCore is what a plan and its remaps share, all in node ids.
+type planCore struct {
 	owner *PartitionedOperator
 	dp    *decomp.Plan
 	nc    int // component count, cached for the merge inner loop
@@ -22,14 +40,7 @@ type applyPlan struct {
 	pairs         []spillPair
 	sharedNode    []int32
 	slotOff, lead []int32
-	// The output space (nOut nodes, then the tail), sharedNode in it, the
-	// per-rank inner plans (nil for an idle rank), dst at shared from an
-	// apply's lift to its merge, and the count of ranks with a spill.
-	nOut      int
-	shared    []int32
-	rankBatch []sem.BatchPlan
-	lift      []float64
-	messages  int64
+	built         []sem.BatchPlan // per-rank inner plans as built
 }
 
 type spillPair struct{ node, rank int32 }
@@ -43,20 +54,27 @@ func (pl *applyPlan) DstNodes() int { return pl.nOut + len(pl.pairs) }
 // Remap implements sem.BatchPlan: sub-plans remapped, the shared nodes
 // renumbered through m.Out and the tail moved behind m.NOut.
 func (pl *applyPlan) Remap(m sem.NodeMap) sem.BatchPlan {
-	q := *pl
-	q.place(m)
-	return &q
+	q := &applyPlan{planCore: pl.planCore, nOut: m.NOut}
+	q.once.Do(func() { q.place(m) })
+	return q
 }
+
+// layout lays a plan out before its apply: NewBatchPlan's plan in node
+// ids, the first time. Every worker of the apply calls it.
+func (pl *applyPlan) layout() { pl.once.Do(pl.placeNodeIDs) }
+
+func (pl *applyPlan) placeNodeIDs() { pl.place(sem.NodeMap{NIn: pl.nOut, NOut: pl.nOut}) }
 
 // buildPlan adds the shared-memory layout to a decomposition plan, in the
 // node-id output space.
 func buildPlan(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 	nn := p.inner.NumNodes()
-	pl := &applyPlan{owner: p, dp: dp, nc: p.inner.Comps(),
-		lead: make([]int32, p.K+1), rankBatch: make([]sem.BatchPlan, p.K)}
+	pl := &applyPlan{nOut: nn}
+	pl.owner, pl.dp, pl.nc = p, dp, p.inner.Comps()
+	pl.lead, pl.built = make([]int32, p.K+1), make([]sem.BatchPlan, p.K)
 	for r, elems := range dp.Parts {
 		if len(elems) > 0 {
-			pl.rankBatch[r] = p.inner.NewBatchPlan(elems)
+			pl.built[r] = p.inner.NewBatchPlan(elems)
 		}
 	}
 	low := decomp.Owners(nn, dp.Touched)
@@ -81,7 +99,6 @@ func buildPlan(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 	for r := 0; r < p.K; r++ {
 		pl.lead[r+1] += pl.lead[r]
 	}
-	pl.place(sem.NodeMap{NIn: nn, NOut: nn})
 	return pl
 }
 
@@ -97,12 +114,10 @@ func (pl *applyPlan) place(m sem.NodeMap) {
 		}
 		m.Out = m.In
 	}
-	pl.nOut, pl.messages = m.NOut, 0
 	pl.shared = decomp.Renumber([][]int32{pl.sharedNode}, m.Out)[0]
 	pl.lift = make([]float64, len(pl.shared)*pl.nc)
-	src := pl.rankBatch
-	pl.rankBatch = make([]sem.BatchPlan, len(src))
-	for r, b := range src {
+	pl.rankBatch = make([]sem.BatchPlan, len(pl.built))
+	for r, b := range pl.built {
 		spills := func(sp spillPair) bool { return int(sp.rank) == r }
 		switch {
 		case slices.ContainsFunc(pl.pairs, spills):

@@ -228,7 +228,6 @@ type Server struct {
 	submitted, done, failed, cancelled int64
 	replayed, retried, resumed         int64
 	checkpoints, recoveries            int64
-	rebalances                         int64
 	degraded, corruptFrames            int64
 	linkRetries                        int64
 
@@ -582,7 +581,6 @@ func (s *Server) runSim(ctx context.Context, j *Job, attempt int) error {
 	s.mu.Lock()
 	s.checkpoints += stats.Checkpoints
 	s.recoveries += int64(stats.Recoveries)
-	s.rebalances += int64(stats.Rebalances)
 	s.degraded += int64(stats.DegradedRanks)
 	s.corruptFrames += stats.CorruptFrames
 	s.linkRetries += stats.LinkRetries
@@ -741,10 +739,6 @@ type StatsResponse struct {
 	Resumed     int64 `json:"resumed"`
 	Checkpoints int64 `json:"checkpoints"`
 	Recoveries  int64 `json:"recoveries"`
-	// Rebalances aggregates the mid-run part→rank remaps of every
-	// completed attempt (zero unless jobs ran distributed with automatic
-	// rebalancing on).
-	Rebalances int64 `json:"rebalances"`
 	// DegradedRanks aggregates the ranks permanently retired across every
 	// completed attempt (zero unless distributed jobs ran degraded);
 	// CorruptFrames counts wire frames rejected by CRC and LinkRetries the
@@ -753,8 +747,8 @@ type StatsResponse struct {
 	CorruptFrames int64 `json:"corrupt_frames"`
 	LinkRetries   int64 `json:"link_retries"`
 	// Jobs lists, per completed attempt, the tuned deployment shape and
-	// rebalance count — the observable effect of Config.AutoTune and the
-	// runtime load balancer on each job.
+	// the ranks lost — the observable effect of Config.AutoTune and of
+	// degraded mode on each job.
 	Jobs []JobSummary `json:"jobs,omitempty"`
 	// Cache reports the artifact cache: traffic counters plus residency.
 	Cache struct {
@@ -771,7 +765,6 @@ type JobSummary struct {
 	State        State  `json:"state"`
 	TunedWorkers int    `json:"tuned_workers,omitempty"`
 	TunedRanks   int    `json:"tuned_ranks,omitempty"`
-	Rebalances   int    `json:"rebalances,omitempty"`
 	// DegradedRanks is how many ranks the job's distributed run retired
 	// permanently (degraded mode); zero for local and fault-free runs.
 	DegradedRanks int `json:"degraded_ranks,omitempty"`
@@ -794,7 +787,6 @@ func (s *Server) Stats() StatsResponse {
 		Resumed:       s.resumed,
 		Checkpoints:   s.checkpoints,
 		Recoveries:    s.recoveries,
-		Rebalances:    s.rebalances,
 		DegradedRanks: s.degraded,
 		CorruptFrames: s.corruptFrames,
 		LinkRetries:   s.linkRetries,
@@ -807,7 +799,6 @@ func (s *Server) Stats() StatsResponse {
 				State:         j.state,
 				TunedWorkers:  j.stats.TunedWorkers,
 				TunedRanks:    j.stats.TunedRanks,
-				Rebalances:    j.stats.Rebalances,
 				DegradedRanks: j.stats.DegradedRanks,
 			})
 		}

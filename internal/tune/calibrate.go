@@ -1,3 +1,11 @@
+// Package tune is the auto-tuner: short probe cycles over a small
+// candidate grid (worker counts locally, rank counts at fixed Parts
+// distributed), returning the fastest measured shape as the Plan a
+// caller (the wave facade, the waved job service) deploys with. Load is
+// balanced by placement before a run, never moved during one.
+//
+// The package is engine-agnostic: it consumes plain callbacks and never
+// imports the engines or builds simulations itself.
 package tune
 
 import (

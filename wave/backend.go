@@ -6,7 +6,6 @@ import (
 
 	"golts/internal/ckpt"
 	"golts/internal/dist"
-	"golts/internal/tune"
 )
 
 // Backend selects the execution engine behind the facade. Two backends
@@ -28,7 +27,8 @@ var Local Backend = localBackend{}
 
 // Distributed executes the run on Ranks spawned rank processes of the
 // same binary — main (or TestMain) must call RankMain first. Each rank
-// owns a contiguous block of the decomposition's parts, applies the
+// owns a contiguous block of the decomposition's parts (or the parts
+// PartRank places on it), applies the
 // stiffness of its owned elements with the batched SoA kernels, and
 // exchanges halo node contributions with neighbouring ranks at every
 // substep.
@@ -60,41 +60,24 @@ type Distributed struct {
 	MaxRecoveries int
 	// MinRanks > 0 enables degraded mode, which keeps the run alive
 	// through permanent rank loss: a rank that exhausts the recovery
-	// budget is retired, its parts are redistributed onto the surviving
-	// ranks (LPT over measured costs), and the run continues with fewer
-	// ranks, never below MinRanks. Parts never change, so the degraded
+	// budget is retired, the parts are redistributed onto the surviving
+	// ranks in contiguous blocks (PartRank no longer applies), and the
+	// run continues with fewer ranks, never below MinRanks. Parts never
+	// change, so the degraded
 	// trajectory is bitwise identical to the fault-free one; the shrink
 	// count is reported as Stats.DegradedRanks. Requires recovery
 	// checkpoints (CheckpointEvery >= 0).
 	MinRanks int
-	// Telemetry enables the per-rank, per-level timing counters
-	// (surfaced through Stats.Levels and the coordinator's busy trace).
-	// Cheap — two monotonic clock reads per owned part per apply — but
-	// off by default.
+	// Telemetry enables the per-rank timing counters, surfaced through
+	// Stats.LevelTimes and Stats.RankStepping. Cheap — two monotonic
+	// clock reads per level apply and per cycle — but off by default.
 	Telemetry bool
-	// AutoRebalance enables the runtime load balancer: on sustained
-	// per-rank imbalance the coordinator snapshots the run, remaps
-	// parts onto ranks by measured cost, relaunches and resumes. Parts
-	// stay fixed, so receiver output is bitwise identical with or
-	// without rebalances. Implies Telemetry.
-	AutoRebalance bool
-	// MaxRebalances bounds automatic rebalances per run; 0 selects the
-	// default (4).
-	MaxRebalances int
 	// PartRank optionally places each part on a rank explicitly
 	// (len Parts, every rank owning at least one part); nil selects
 	// contiguous blocks. Any placement produces bitwise-identical
-	// seismograms — only wall time changes — which is what lets the
-	// rebalancer move placement mid-run.
+	// seismograms — only wall time changes. Placement is fixed for the
+	// run, except that a degraded-mode shrink falls back to blocks.
 	PartRank []int
-	// RebalanceThreshold, RebalanceWindow and RebalanceCooldown tune
-	// the imbalance detector: a rebalance arms after Window consecutive
-	// cycles whose max/mean per-rank busy ratio is at least Threshold,
-	// then stays quiet for Cooldown cycles. Zero values select the
-	// defaults (1.5, 3, 10).
-	RebalanceThreshold float64
-	RebalanceWindow    int
-	RebalanceCooldown  int
 }
 
 func (Distributed) backendName() string { return "distributed" }
@@ -213,13 +196,6 @@ func buildDistributed(s *Simulation, set *settings, be Distributed, semSrcs []sr
 		CheckpointEvery: be.ckptEvery(),
 		MaxRecoveries:   be.MaxRecoveries,
 		MinRanks:        be.MinRanks,
-		AutoRebalance:   be.AutoRebalance,
-		MaxRebalances:   be.MaxRebalances,
-		RebalanceDetector: tune.DetectorConfig{
-			Threshold: be.RebalanceThreshold,
-			Window:    be.RebalanceWindow,
-			Cooldown:  be.RebalanceCooldown,
-		},
 	})
 	if err != nil {
 		return fmt.Errorf("wave: distributed backend: %w", err)
@@ -296,8 +272,6 @@ func (d *distStepper) restore(st *ckpt.StepperState) error {
 func (d *distStepper) stats(st *Stats) {
 	n, dur := d.co.Recoveries()
 	st.Recoveries, st.RecoveryMillis = n, dur.Milliseconds()
-	n, dur = d.co.Rebalances()
-	st.Rebalances, st.RebalanceMillis = n, dur.Milliseconds()
 	n, dur = d.co.Degraded()
 	st.DegradedRanks, st.DegradedMillis = n, dur.Milliseconds()
 	n, dur, st.SnapshotBytes = d.co.Snapshots()

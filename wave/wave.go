@@ -587,14 +587,9 @@ type Stats struct {
 	// time (telemetry only; nil for the distributed backend or without
 	// workers).
 	WorkerBusyNanos []int64
-	// Rebalances counts the distributed backend's automatic part→rank
-	// rebalances (Distributed.AutoRebalance); RebalanceMillis is the
-	// wall time the snapshots, relaunches and restores consumed.
-	Rebalances      int
-	RebalanceMillis int64
 	// DegradedRanks counts ranks the distributed backend permanently
 	// retired in degraded mode (Distributed.MinRanks) — each one a shrink of the rank set
-	// with the lost rank's parts redistributed onto the survivors;
+	// with the parts redistributed onto the survivors;
 	// DegradedMillis is the wall time the shrinks consumed. Both are zero
 	// for a run that never lost a rank for good.
 	DegradedRanks  int
