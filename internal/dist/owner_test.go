@@ -47,17 +47,12 @@ var ownerShapes = []struct {
 	{3, 4, []int{0, 1, 2, 0}},
 }
 
-// ownerConfig is the test configuration of one shape with the sponge on
-// and receivers where the wave is from the first cycle (the source nodes)
-// next to the standard far ones.
+// ownerConfig is the test configuration of one shape with the sponge on.
 func ownerConfig(t *testing.T, physics string, ranks, parts int, partRank []int) *testConfig {
 	t.Helper()
 	tc := newTestConfig(t, physics, true, ranks, parts)
 	tc.cfg.PartRank = partRank
 	tc.cfg.Sponge = testSponge
-	for _, s := range tc.cfg.Sources {
-		tc.cfg.Receivers = append(tc.cfg.Receivers, s.Dof)
-	}
 	return tc
 }
 

@@ -156,6 +156,9 @@ func TestDistributedMatchesSharedMemory(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, wantCSV := runToCSV(t, distOpts(c.physics, c.lts, wave.WithWorkers(c.ranks))...)
+			if !sawWave(want) {
+				t.Fatal("reference is vacuous: no trace clears the amplitude floor")
+			}
 			got, gotCSV := runToCSV(t, distOpts(c.physics, c.lts,
 				wave.WithBackend(wave.Distributed{Ranks: c.ranks}))...)
 			if len(got.Traces) != len(want.Traces) {
@@ -254,6 +257,9 @@ func TestDistributedHaloClosureRegression(t *testing.T) {
 func TestDistributedPartsPinBits(t *testing.T) {
 	want, wantCSV := runToCSV(t, distOpts(wave.Acoustic, true,
 		wave.WithBackend(wave.Distributed{Ranks: 1, Parts: 3}))...)
+	if !sawWave(want) {
+		t.Fatal("reference is vacuous: no trace clears the amplitude floor")
+	}
 	got, gotCSV := runToCSV(t, distOpts(wave.Acoustic, true,
 		wave.WithBackend(wave.Distributed{Ranks: 3, Parts: 3}))...)
 	for ti, tr := range want.Traces {
