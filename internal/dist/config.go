@@ -52,21 +52,8 @@ import (
 
 	"golts/internal/mesh"
 	"golts/internal/sem"
+	"golts/internal/solver"
 )
-
-// SourceSpec is one collocated Ricker point force, resolved to a global
-// degree of freedom by the coordinator.
-type SourceSpec struct {
-	Dof          int
-	F0, T0, Gain float64
-}
-
-// SpongeSpec configures the absorbing boundary layer; ranks rebuild the
-// per-node damping profile deterministically from it.
-type SpongeSpec struct {
-	Width, Strength float64
-	Faces           [6]bool
-}
 
 // RunConfig is everything a rank needs to rebuild the simulation. It is
 // broadcast once, gob-encoded, right after the handshake. Every field
@@ -74,19 +61,9 @@ type SpongeSpec struct {
 // assignment and stepper from it, and the equivalence tests pin the
 // reconstruction bitwise against the in-process build.
 type RunConfig struct {
-	// Mesh names a registered benchmark mesh generator; Scale its size.
-	Mesh  string
-	Scale float64
-	// Physics is "acoustic" or "elastic".
-	Physics string
-	// Degree is the SEM polynomial degree.
-	Degree int
-	// LevelCFL is the normalised Courant number handed to
-	// mesh.AssignLevels (the facade's cfl/degree²).
-	LevelCFL float64
-	// LTS selects the multi-level scheme; false runs global Newmark with
-	// p_max substeps per coarse cycle.
-	LTS bool
+	// Spec is the physics every rank builds its solver from: mesh, levels,
+	// operator, scheme, sources and sponge (package solver).
+	solver.Spec
 	// Ranks is the number of rank processes; Parts the decomposition
 	// width (Parts ≥ Ranks; parts map onto ranks in contiguous blocks
 	// unless PartRank overrides the placement).
@@ -102,12 +79,9 @@ type RunConfig struct {
 	// and a relaunch may move the parts (a degraded-mode shrink falls
 	// back to the block map).
 	PartRank []int
-	// Sources are the resolved point forces; Receivers the recorded
-	// degrees of freedom, in facade receiver order.
-	Sources   []SourceSpec
+	// Receivers are the recorded degrees of freedom, in facade receiver
+	// order.
 	Receivers []int
-	// Sponge configures absorbing boundaries; zero disables.
-	Sponge SpongeSpec
 
 	// Telemetry enables the timing counters RankStats reports: each
 	// rank times its stepper's kernel work per LTS level and its whole
@@ -224,42 +198,6 @@ func ownerRanks(parts, ranks int) []int {
 		}
 	}
 	return own
-}
-
-// geomOperator is the slice of the concrete operators the rank runtime
-// needs beyond sem.BatchKernel: node coordinates for the sponge profile.
-type geomOperator interface {
-	sem.BatchKernel
-	NodeCoords(n int32) (x, y, z float64)
-}
-
-// buildOperator reconstructs the discretization a RunConfig describes.
-// It is the deterministic twin of the facade's operator construction.
-func buildOperator(cfg *RunConfig) (*mesh.Mesh, *mesh.Levels, geomOperator, error) {
-	gen, ok := mesh.Generators[cfg.Mesh]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("dist: unknown mesh %q", cfg.Mesh)
-	}
-	m := gen(cfg.Scale)
-	lv := mesh.AssignLevels(m, cfg.LevelCFL, 0)
-	var geom geomOperator
-	switch cfg.Physics {
-	case "acoustic":
-		op, err := sem.NewAcoustic3D(m, cfg.Degree, false)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("dist: %w", err)
-		}
-		geom = op
-	case "elastic":
-		op, err := sem.NewElastic3D(m, cfg.Degree, false, 0)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("dist: %w", err)
-		}
-		geom = op
-	default:
-		return nil, nil, nil, fmt.Errorf("dist: unknown physics %q", cfg.Physics)
-	}
-	return m, lv, geom, nil
 }
 
 // ReceiverOwnerParts maps every configured receiver to the part that

@@ -14,6 +14,7 @@ import (
 	"golts/internal/parallel"
 	"golts/internal/partition"
 	"golts/internal/sem"
+	"golts/internal/solver"
 )
 
 // TestMain is the cooperative re-exec hook: when the coordinator spawns
@@ -30,7 +31,7 @@ type testConfig struct {
 	cfg  RunConfig
 	m    *mesh.Mesh
 	lv   *mesh.Levels
-	geom geomOperator
+	geom solver.Operator
 	srcs []sem.Source
 }
 
@@ -41,18 +42,20 @@ func newTestConfig(t *testing.T, physics string, ltsScheme bool, ranks, parts in
 func newTestConfigScale(t *testing.T, physics string, ltsScheme bool, ranks, parts int, scale float64) *testConfig {
 	t.Helper()
 	cfg := RunConfig{
-		Mesh:     "trench",
-		Scale:    scale,
-		Physics:  physics,
-		Degree:   4,
-		LevelCFL: 0.4 / 16,
-		LTS:      ltsScheme,
-		Ranks:    ranks,
-		Parts:    parts,
+		Spec: solver.Spec{
+			Mesh:     "trench",
+			Scale:    scale,
+			Physics:  physics,
+			Degree:   4,
+			LevelCFL: 0.4 / 16,
+			LTS:      ltsScheme,
+		},
+		Ranks: ranks,
+		Parts: parts,
 	}
-	m, lv, geom, err := buildOperator(&cfg)
+	m, lv, geom, err := cfg.Discretize()
 	if err != nil {
-		t.Fatalf("buildOperator: %v", err)
+		t.Fatalf("Discretize: %v", err)
 	}
 	part, err := partition.Assign(m, lv, parts, partition.ScotchP, 7)
 	if err != nil {
@@ -65,9 +68,9 @@ func newTestConfigScale(t *testing.T, physics string, ltsScheme bool, ranks, par
 	if physics == "elastic" {
 		comp = 2
 	}
-	cfg.Sources = []SourceSpec{
+	cfg.Sources = []solver.Source{
 		{Dof: (geom.NumNodes()/2)*nc + comp, F0: 10, T0: 0.05},
-		{Dof: (geom.NumNodes()/3)*nc + 0, F0: 14, T0: 0.03, Gain: 0.5},
+		{Dof: (geom.NumNodes()/3)*nc + 0, F0: 14, T0: 0.03},
 	}
 	cfg.Receivers = []int{
 		0 * nc,
@@ -85,15 +88,17 @@ func newTestConfigScale(t *testing.T, physics string, ltsScheme bool, ranks, par
 	}
 	tc := &testConfig{cfg: cfg, m: m, lv: lv, geom: geom}
 	for _, s := range cfg.Sources {
-		tc.srcs = append(tc.srcs, sem.Source{Dof: s.Dof, W: sem.Ricker{F0: s.F0, T0: s.T0, Scale: s.Gain}})
+		tc.srcs = append(tc.srcs, sem.Source{Dof: s.Dof, W: sem.Ricker{F0: s.F0, T0: s.T0}})
 	}
 	return tc
 }
 
 // newShared builds the shared-memory baseline's stepper: the parallel
 // engine with cfg.Parts rank workers (closed with the test) under the
-// scheme, sources and sponge the rank runtime builds.
-func newShared(t *testing.T, tc *testConfig) rankStepper {
+// scheme, sources and sponge the rank runtime builds. It is composed from
+// the lts / newmark / sem calls by hand, not through Spec.NewStepper, so
+// the pins compare the rank runtime's build with an independent one.
+func newShared(t *testing.T, tc *testConfig) *solver.Stepper {
 	t.Helper()
 	pop, err := parallel.NewOperator(tc.geom, tc.cfg.Part, tc.cfg.Parts)
 	if err != nil {
@@ -106,7 +111,6 @@ func newShared(t *testing.T, tc *testConfig) rankStepper {
 		sigma = sem.SpongeProfile(tc.geom.NumNodes(), tc.geom.NodeCoords,
 			x0, x1, y0, y1, z0, z1, sp.Faces, sp.Width, sp.Strength)
 	}
-	var st rankStepper
 	if tc.cfg.LTS {
 		sch, err := lts.FromMeshLevels(pop, tc.lv, true)
 		if err != nil {
@@ -114,14 +118,12 @@ func newShared(t *testing.T, tc *testConfig) rankStepper {
 		}
 		sch.SetSources(tc.srcs)
 		sch.Sigma = sigma
-		st = ltsRankStepper{sch}
-	} else {
-		g := newmark.New(pop, tc.lv.CoarseDt/float64(tc.lv.PMax()))
-		g.Sources = tc.srcs
-		g.Sigma = sigma
-		st = newmarkRankStepper{g, tc.lv.PMax()}
+		return &solver.Stepper{LTS: sch}
 	}
-	return st
+	g := newmark.New(pop, tc.lv.CoarseDt/float64(tc.lv.PMax()))
+	g.Sources = tc.srcs
+	g.Sigma = sigma
+	return &solver.Stepper{Newmark: g, PMax: tc.lv.PMax()}
 }
 
 // runShared steps the shared-memory baseline exactly as the rank runtime
@@ -132,7 +134,7 @@ func runShared(t *testing.T, tc *testConfig, cycles int) ([]float64, [][]float64
 	return sampleShared(newShared(t, tc), tc, cycles)
 }
 
-func sampleShared(st rankStepper, tc *testConfig, cycles int) ([]float64, [][]float64) {
+func sampleShared(st *solver.Stepper, tc *testConfig, cycles int) ([]float64, [][]float64) {
 	var times []float64
 	var samples [][]float64
 	for c := 0; c < cycles; c++ {
@@ -305,7 +307,7 @@ func TestSpawnedProcesses(t *testing.T) {
 }
 
 // testSponge absorbs on five faces of the trench (the free surface stays).
-var testSponge = SpongeSpec{Width: 0.1, Strength: 50, Faces: [6]bool{true, true, true, true, true, false}}
+var testSponge = solver.Sponge{Width: 0.1, Strength: 50, Faces: [6]bool{true, true, true, true, true, false}}
 
 // TestSpongeEquivalence covers the absorbing-boundary reconstruction on
 // the ranks, under both schemes.

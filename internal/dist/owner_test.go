@@ -93,7 +93,7 @@ func TestPoisonedOutsideFootprint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := shm.(ltsRankStepper).s
+				ref := shm.LTS
 				for _, f := range []struct {
 					name      string
 					got, want []float64

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
 	"testing"
+
+	"golts/internal/solver"
 )
 
 // TestFrameRoundTrip: framed messages survive a loopback connection,
@@ -67,10 +70,13 @@ func TestGobRoundTrip(t *testing.T) {
 	defer ca.close()
 	defer cb.close()
 	want := RunConfig{
-		Mesh: "trench", Scale: 0.5, Physics: "elastic", Degree: 4,
-		LevelCFL: 0.025, LTS: true, Ranks: 2, Parts: 4,
+		Spec: solver.Spec{
+			Mesh: "trench", Scale: 0.5, Physics: "elastic", Degree: 4, LevelCFL: 0.025, LTS: true,
+			Sources: []solver.Source{{Dof: 7, F0: 10, T0: 0.05}},
+			Sponge:  solver.Sponge{Width: 0.1, Strength: 50, Faces: [6]bool{true}},
+		},
+		Ranks: 2, Parts: 4,
 		Part:      []int32{0, 1, 2, 3},
-		Sources:   []SourceSpec{{Dof: 7, F0: 10, T0: 0.05}},
 		Receivers: []int{1, 2, 3},
 	}
 	go ca.sendGob(msgConfig, &want)
@@ -82,8 +88,7 @@ func TestGobRoundTrip(t *testing.T) {
 	if err := decodeGob(payload, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Mesh != want.Mesh || got.Parts != want.Parts || len(got.Part) != 4 ||
-		got.Sources[0].F0 != 10 || got.Receivers[2] != 3 {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"golts/internal/ckpt"
-	"golts/internal/lts"
-	"golts/internal/newmark"
-	"golts/internal/sem"
+	"golts/internal/solver"
 )
 
 // Environment variables of the spawn handshake. A process started with
@@ -180,65 +178,6 @@ func (f *peerFabric) close() {
 	}
 }
 
-// rankStepper is the rank-local unified stepper: one Step advances one
-// coarse cycle, mirroring the facade's cycle semantics so receiver
-// sampling lands on the same time axis. The scheme's state and work
-// counters go through it too, so the rank never switches on the scheme.
-type rankStepper interface {
-	Step()
-	Time() float64
-	State() []float64
-	// view aliases the live state for immediate encoding; restore
-	// installs a state, time included.
-	view() *ckpt.StepperState
-	restore(st *ckpt.StepperState) error
-	// stats fills the scheme's part of st: the work model (Cycles in
-	// coarse cycles on both schemes) and, with telemetry, the per-level
-	// kernel time and the share of stepNanos spent outside it.
-	stats(st *RankStats, stepNanos int64)
-}
-
-type ltsRankStepper struct{ s *lts.Scheme }
-
-func (a ltsRankStepper) Step()                               { a.s.Step() }
-func (a ltsRankStepper) Time() float64                       { return a.s.Time() }
-func (a ltsRankStepper) State() []float64                    { return a.s.U }
-func (a ltsRankStepper) view() *ckpt.StepperState            { return a.s.View() }
-func (a ltsRankStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
-
-func (a ltsRankStepper) stats(st *RankStats, stepNanos int64) {
-	st.ElemApplies = a.s.Work.ElemApplies
-	st.Cycles = a.s.CycleCount()
-	st.EffectiveSpeedup = a.s.EffectiveSpeedup()
-	st.Efficiency = a.s.Efficiency()
-	if !a.s.Telemetry {
-		return
-	}
-	st.LevelNanos = append([]int64(nil), a.s.Work.LevelNanos...)
-	st.PointwiseNanos = stepNanos
-	for _, n := range st.LevelNanos {
-		st.PointwiseNanos -= n
-	}
-	active, far := a.s.Domain()
-	st.ActiveNodes, st.FarNodes = len(active), len(far)
-}
-
-type newmarkRankStepper struct {
-	s    *newmark.Stepper
-	pmax int
-}
-
-func (a newmarkRankStepper) Step()                               { a.s.Run(a.pmax) }
-func (a newmarkRankStepper) Time() float64                       { return a.s.Time() }
-func (a newmarkRankStepper) State() []float64                    { return a.s.U }
-func (a newmarkRankStepper) view() *ckpt.StepperState            { return a.s.View() }
-func (a newmarkRankStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
-
-func (a newmarkRankStepper) stats(st *RankStats, _ int64) {
-	st.ElemApplies = a.s.ElementSteps
-	st.Cycles = a.s.StepCount() / int64(a.pmax)
-}
-
 // RankStats is one rank's contribution to the aggregated run statistics:
 // the real communication counters of its distributed operator plus the
 // rank-local scheme's work model (element applies are counted over the
@@ -278,7 +217,7 @@ type rankRun struct {
 	coord  *conn
 	fabric *peerFabric
 	dop    *Operator
-	st     rankStepper
+	st     *solver.Stepper
 	// recIdx lists the indices into cfg.Receivers this rank owns,
 	// ascending; samples are reported in this order.
 	recIdx []int
@@ -469,9 +408,9 @@ func acceptWithDeadline(ln net.Listener, deadline time.Time) (net.Conn, error) {
 // read). Every step is deterministic, so each rank agrees bitwise with the
 // shared-memory baseline on its footprint (see Operator.OwnedNodes).
 func (r *rankRun) build() error {
-	m, lv, geom, err := buildOperator(&r.cfg)
+	m, lv, geom, err := r.cfg.Discretize()
 	if err != nil {
-		return err
+		return fmt.Errorf("dist: %w", err)
 	}
 	dop, err := NewOperator(geom, &r.cfg, r.params.rank, r.fabric)
 	if err != nil {
@@ -481,31 +420,8 @@ func (r *rankRun) build() error {
 	if r.fault != nil {
 		r.dop.OnApply = r.faultHook
 	}
-
-	srcs := make([]sem.Source, len(r.cfg.Sources))
-	for i, s := range r.cfg.Sources {
-		srcs[i] = sem.Source{Dof: s.Dof, W: sem.Ricker{F0: s.F0, T0: s.T0, Scale: s.Gain}}
-	}
-	var sigma []float64
-	if r.cfg.Sponge.Strength > 0 {
-		x0, x1, y0, y1, z0, z1 := m.Extent()
-		sigma = sem.SpongeProfile(geom.NumNodes(), geom.NodeCoords,
-			x0, x1, y0, y1, z0, z1, r.cfg.Sponge.Faces, r.cfg.Sponge.Width, r.cfg.Sponge.Strength)
-	}
-	if r.cfg.LTS {
-		sch, err := lts.FromMeshLevels(dop, lv, true)
-		if err != nil {
-			return err
-		}
-		sch.Telemetry = r.cfg.Telemetry
-		sch.SetSources(srcs)
-		sch.Sigma = sigma
-		r.st = ltsRankStepper{sch}
-	} else {
-		g := newmark.New(dop, lv.CoarseDt/float64(lv.PMax()))
-		g.Sources = srcs
-		g.Sigma = sigma
-		r.st = newmarkRankStepper{g, lv.PMax()}
+	if r.st, err = r.cfg.NewStepper(dop, geom, m, lv, r.cfg.Telemetry); err != nil {
+		return err
 	}
 
 	owners, err := ReceiverOwners(geom, &r.cfg)
@@ -570,14 +486,7 @@ func (r *rankRun) serve() error {
 				}
 			}
 		case msgStats:
-			st := RankStats{}
-			ds := r.dop.Stats()
-			st.Applies, st.Messages, st.Volume = ds.Applies, ds.Messages, ds.Volume
-			r.st.stats(&st, r.stepNanos)
-			st.LinkRetries = r.linkRetries
-			if r.cfg.Telemetry {
-				st.FootprintNodes = len(r.dop.OwnedNodes())
-			}
+			st := r.stats()
 			if err := r.coord.sendGob(msgStatsResp, &st); err != nil {
 				return err
 			}
@@ -615,11 +524,38 @@ func (r *rankRun) serve() error {
 	}
 }
 
+// stats collects the rank's RankStats: its operator's halo counters, the
+// scheme's work model and, with telemetry, the timing and node split.
+func (r *rankRun) stats() RankStats {
+	ds := r.dop.Stats()
+	w := r.st.Work()
+	st := RankStats{
+		Applies: ds.Applies, Messages: ds.Messages, Volume: ds.Volume,
+		ElemApplies: w.ElemApplies, Cycles: w.Cycles,
+		EffectiveSpeedup: w.EffectiveSpeedup, Efficiency: w.Efficiency,
+		LinkRetries: r.linkRetries,
+	}
+	if !r.cfg.Telemetry {
+		return st
+	}
+	st.FootprintNodes = len(r.dop.OwnedNodes())
+	if sch := r.st.LTS; sch != nil {
+		st.LevelNanos = append([]int64(nil), w.LevelNanos...)
+		st.PointwiseNanos = r.stepNanos
+		for _, n := range st.LevelNanos {
+			st.PointwiseNanos -= n
+		}
+		active, far := sch.Domain()
+		st.ActiveNodes, st.FarNodes = len(active), len(far)
+	}
+	return st
+}
+
 // capture returns the rank-local stepper state for immediate encoding
 // (it aliases the live arrays). The arrays are meaningful only on this
 // rank's footprint (see Operator.OwnedNodes): a snapshot is every rank's
 // footprint, and a restore overlays them all.
-func (r *rankRun) capture() *ckpt.StepperState { return r.st.view() }
+func (r *rankRun) capture() *ckpt.StepperState { return r.st.View() }
 
 // restoreFrom installs the committed snapshot a msgRestore payload
 // describes: every rank's footprint overlaid on this rank's own arrays —
@@ -635,7 +571,7 @@ func (r *rankRun) restoreFrom(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	err = r.st.restore(&base.State)
+	err = r.st.Restore(&base.State)
 	if err == nil && r.params.onState != nil {
 		r.params.onState(r)
 	}

@@ -13,6 +13,7 @@ import (
 	"golts/internal/lts"
 	"golts/internal/parallel"
 	"golts/internal/sem"
+	"golts/internal/solver"
 )
 
 // loopFabric connects the Operators of one test process: rank a's frames
@@ -310,7 +311,7 @@ func TestHaloFrameWrongCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := &rankRun{st: ltsRankStepper{sch}}
+				run := &rankRun{st: &solver.Stepper{LTS: sch}}
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()

@@ -7,6 +7,7 @@ import (
 	"golts/internal/decomp"
 	"golts/internal/mesh"
 	"golts/internal/sem"
+	"golts/internal/solver"
 )
 
 // DefaultArtifactCacheSize bounds an ArtifactCache built by
@@ -93,80 +94,58 @@ func (s *settings) partKey(k int) string {
 	return fmt.Sprintf("part|%s|%.17g|%.17g|%d|%s|%d", s.mesh, s.scale, s.levelCFL(), k, s.partitioner, s.seed)
 }
 
-// getMesh returns the (mesh, levels) pair for the settings, cached when
-// an artifact cache is attached. counts receives (lookups, hits) deltas.
-func getMesh(set *settings, counts *[2]int64) (*mesh.Mesh, *mesh.Levels) {
-	build := func() meshLevels {
-		m := mesh.Generators[set.mesh](set.scale)
-		return meshLevels{m: m, lv: mesh.AssignLevels(m, set.levelCFL(), 0)}
-	}
+// lookup builds an artifact through the attached cache under key,
+// counting the lookup and a hit into counts (lookups, hits); without a
+// cache it just builds.
+func lookup(set *settings, key string, counts *[2]int64, build func() (any, error)) (any, error) {
 	if set.artifacts == nil {
-		ml := build()
-		return ml.m, ml.lv
+		return build()
 	}
-	v, hit, _ := set.artifacts.memo.Get(set.meshKey(), func() (any, error) { return build(), nil })
+	v, hit, err := set.artifacts.memo.Get(key, build)
 	counts[0]++
 	if hit {
 		counts[1]++
 	}
+	return v, err
+}
+
+// getMesh returns the (mesh, levels) pair for the settings.
+func getMesh(set *settings, counts *[2]int64) (*mesh.Mesh, *mesh.Levels, error) {
+	v, err := lookup(set, set.meshKey(), counts, func() (any, error) {
+		m, lv, err := solver.MeshLevels(set.mesh, set.scale, set.levelCFL())
+		return meshLevels{m: m, lv: lv}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	ml := v.(meshLevels)
-	return ml.m, ml.lv
+	return ml.m, ml.lv, nil
 }
 
 // getOperator builds (or retrieves) the geometry operator and, when a
 // cache is attached, wraps it so batch-plan construction is shared too.
-func getOperator(set *settings, m *mesh.Mesh, counts *[2]int64) (geomOperator, error) {
-	build := func() (geomOperator, error) {
-		switch set.physics {
-		case Acoustic:
-			return sem.NewAcoustic3D(m, set.degree, false)
-		case Elastic:
-			return sem.NewElastic3D(m, set.degree, false, 0)
-		default:
-			return nil, optErr("WithPhysics", ErrUnknownPhysics, "%q", set.physics)
-		}
-	}
-	if set.artifacts == nil {
-		return build()
-	}
-	key := set.opKey()
-	v, hit, err := set.artifacts.memo.Get(key, func() (any, error) {
-		op, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return op, nil
+func getOperator(set *settings, m *mesh.Mesh, counts *[2]int64) (solver.Operator, error) {
+	v, err := lookup(set, set.opKey(), counts, func() (any, error) {
+		return solver.NewOperator(m, string(set.physics), set.degree)
 	})
-	counts[0]++
 	if err != nil {
 		return nil, err
 	}
-	if hit {
-		counts[1]++
+	if set.artifacts == nil {
+		return v.(solver.Operator), nil
 	}
-	return &sharedOp{geomOperator: v.(geomOperator), key: key, memo: set.artifacts.memo}, nil
+	return &sharedOp{Operator: v.(solver.Operator), key: set.opKey(), memo: set.artifacts.memo}, nil
 }
 
 // getPartition assigns (or retrieves) the k-way element partition. The
-// cached assignment is copied out on every lookup, so a caller mutating
-// its slice can never corrupt another simulation's decomposition.
+// assignment is copied out on every lookup, so a caller mutating its
+// slice can never corrupt another simulation's decomposition.
 func getPartition(set *settings, m *mesh.Mesh, lv *mesh.Levels, k int, counts *[2]int64) ([]int32, error) {
-	if set.artifacts == nil {
+	v, err := lookup(set, set.partKey(k), counts, func() (any, error) {
 		return partitionAssign(m, lv, k, set)
-	}
-	v, hit, err := set.artifacts.memo.Get(set.partKey(k), func() (any, error) {
-		part, err := partitionAssign(m, lv, k, set)
-		if err != nil {
-			return nil, err
-		}
-		return part, nil
 	})
-	counts[0]++
 	if err != nil {
 		return nil, err
-	}
-	if hit {
-		counts[1]++
 	}
 	return append([]int32(nil), v.([]int32)...), nil
 }
@@ -177,7 +156,7 @@ func getPartition(set *settings, m *mesh.Mesh, lv *mesh.Levels, k int, counts *[
 // concurrent-read-safe, and the embedded operator's AddKuBatch accepts
 // any plan it built, so the bitwise contract is preserved exactly.
 type sharedOp struct {
-	geomOperator
+	solver.Operator
 	key  string // owning operator's artifact key, scoping the plan keys
 	memo *decomp.Memo[any]
 }
@@ -188,10 +167,10 @@ type sharedOp struct {
 // element list and degrades to an uncached build — never a wrong plan.
 func (s *sharedOp) NewBatchPlan(elems []int32) sem.BatchPlan {
 	key := "bplan|" + s.key + "|" + strconv.Itoa(len(elems)) + "|" + strconv.FormatUint(hashElems(elems), 16)
-	v, _, _ := s.memo.Get(key, func() (any, error) { return s.geomOperator.NewBatchPlan(elems), nil })
+	v, _, _ := s.memo.Get(key, func() (any, error) { return s.Operator.NewBatchPlan(elems), nil })
 	pl, _ := v.(sem.BatchPlan)
 	if pl == nil || !sameElems(pl.Elems(), elems) {
-		return s.geomOperator.NewBatchPlan(elems)
+		return s.Operator.NewBatchPlan(elems)
 	}
 	return pl
 }
@@ -220,4 +199,4 @@ func sameElems(a, b []int32) bool {
 	return true
 }
 
-var _ geomOperator = (*sharedOp)(nil)
+var _ solver.Operator = (*sharedOp)(nil)

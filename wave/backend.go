@@ -6,6 +6,7 @@ import (
 
 	"golts/internal/ckpt"
 	"golts/internal/dist"
+	"golts/internal/solver"
 )
 
 // Backend selects the execution engine behind the facade. Two backends
@@ -155,38 +156,18 @@ func RankMain() { dist.RankMain() }
 // buildDistributed starts the rank processes for a distributed
 // configuration and wires the coordinator in as the simulation's
 // stepper.
-func buildDistributed(s *Simulation, set *settings, be Distributed, semSrcs []srcSpec, ac *[2]int64) error {
-	cfg := dist.RunConfig{
-		Mesh:     set.mesh,
-		Scale:    set.scale,
-		Physics:  string(set.physics),
-		Degree:   set.degree,
-		LevelCFL: set.levelCFL(),
-		LTS:      set.lts,
-		Ranks:    be.Ranks,
-		Parts:    be.parts(),
-		Sponge: dist.SpongeSpec{
-			Width:    set.sponge.Width,
-			Strength: set.sponge.Strength,
-			Faces:    set.sponge.Faces,
-		},
-	}
+func buildDistributed(s *Simulation, set *settings, be Distributed, spec solver.Spec, ac *[2]int64) error {
+	cfg := dist.RunConfig{Spec: spec, Ranks: be.Ranks, Parts: be.parts(), Telemetry: be.Telemetry}
 	part, err := getPartition(set, s.m, s.lv, cfg.Parts, ac)
 	if err != nil {
 		return fmt.Errorf("wave: partitioning: %w", err)
 	}
 	cfg.Part = part
-	for _, src := range semSrcs {
-		cfg.Sources = append(cfg.Sources, dist.SourceSpec{
-			Dof: src.dof, F0: src.f0, T0: src.t0,
-		})
-	}
 	recDofs := make([]int, len(s.recs))
 	for i, r := range s.recs {
 		recDofs[i] = r.Dof
 	}
 	cfg.Receivers = recDofs
-	cfg.Telemetry = be.Telemetry
 	if be.PartRank != nil {
 		cfg.PartRank = append([]int(nil), be.PartRank...)
 	}

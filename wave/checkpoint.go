@@ -8,6 +8,7 @@ import (
 
 	"golts/internal/ckpt"
 	"golts/internal/sem"
+	"golts/internal/solver"
 )
 
 // checkpointKey is the canonical string of every configuration choice
@@ -18,14 +19,14 @@ import (
 // decomposition width (the width pins the assembly order), the cycle
 // count (a resumed run may be extended), and observation-only settings
 // (sinks, probes, receivers' names).
-func checkpointKey(set *settings, width int, specs []srcSpec, recs []*sem.Receiver) string {
+func checkpointKey(set *settings, width int, srcs []solver.Source, recs []*sem.Receiver) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "golts|mesh=%s|scale=%.17g|physics=%s|degree=%d|cfl=%.17g|lts=%t",
 		set.mesh, set.scale, set.physics, set.degree, set.cfl, set.lts)
 	fmt.Fprintf(&b, "|width=%d|partitioner=%s|seed=%d", width, set.partitioner, set.seed)
 	fmt.Fprintf(&b, "|sponge=%.17g,%.17g,%v", set.sponge.Width, set.sponge.Strength, set.sponge.Faces)
-	for _, sp := range specs {
-		fmt.Fprintf(&b, "|src=%d:%.17g:%.17g", sp.dof, sp.f0, sp.t0)
+	for _, sp := range srcs {
+		fmt.Fprintf(&b, "|src=%d:%.17g:%.17g", sp.Dof, sp.F0, sp.T0)
 	}
 	for _, r := range recs {
 		fmt.Fprintf(&b, "|rcv=%d", r.Dof)

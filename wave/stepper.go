@@ -4,13 +4,12 @@ import (
 	"context"
 
 	"golts/internal/ckpt"
-	"golts/internal/lts"
-	"golts/internal/newmark"
+	"golts/internal/solver"
 )
 
 // Stepper is the unified time-stepping interface over the two schemes:
 // one Step advances one coarse cycle Δt. The LTS scheme substeps its fine
-// levels internally; the global Newmark adapter performs p_max fine
+// levels internally; the global Newmark scheme performs p_max fine
 // steps. Time reports the simulation time after the last completed cycle
 // and State exposes the live displacement field (read-only).
 type Stepper interface {
@@ -42,52 +41,25 @@ type schemeStepper interface {
 	stats(st *Stats)
 }
 
-// ltsStepper adapts lts.Scheme: one facade cycle is one LTS cycle.
-type ltsStepper struct{ s *lts.Scheme }
+// localStepper adapts the solver's cycle stepper, which both schemes
+// share with the distributed ranks, to the facade: one facade cycle is
+// one solver cycle.
+type localStepper struct{ *solver.Stepper }
 
-func (a ltsStepper) Step() error {
-	a.s.Step()
+func (a localStepper) Step() error {
+	a.Stepper.Step()
 	return nil
 }
-func (a ltsStepper) Time() float64                       { return a.s.Time() }
-func (a ltsStepper) State() []float64                    { return a.s.U }
-func (a ltsStepper) save() (*ckpt.StepperState, error)   { return a.s.Save(), nil }
-func (a ltsStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
+func (a localStepper) save() (*ckpt.StepperState, error)   { return a.Save(), nil }
+func (a localStepper) restore(st *ckpt.StepperState) error { return a.Restore(st) }
 
-func (a ltsStepper) stats(st *Stats) {
-	st.Cycles = a.s.CycleCount()
-	st.ElemApplies = a.s.Work.ElemApplies
-	st.EffectiveSpeedup = a.s.EffectiveSpeedup()
-	st.Efficiency = a.s.Efficiency()
-	if a.s.Telemetry {
-		for li, n := range a.s.Work.LevelNanos {
-			st.LevelTimes = append(st.LevelTimes, LevelStats{Level: li, RankNanos: []int64{n}})
-		}
+func (a localStepper) stats(st *Stats) {
+	w := a.Work()
+	st.Cycles, st.ElemApplies = w.Cycles, w.ElemApplies
+	st.EffectiveSpeedup, st.Efficiency = w.EffectiveSpeedup, w.Efficiency
+	for li, n := range w.LevelNanos {
+		st.LevelTimes = append(st.LevelTimes, LevelStats{Level: li, RankNanos: []int64{n}})
 	}
 }
 
-// newmarkStepper adapts newmark.Stepper: one facade cycle is pmax fine
-// steps, so both schemes sample receivers on the same time axis.
-type newmarkStepper struct {
-	s    *newmark.Stepper
-	pmax int
-}
-
-func (a newmarkStepper) Step() error {
-	a.s.Run(a.pmax)
-	return nil
-}
-func (a newmarkStepper) Time() float64                       { return a.s.Time() }
-func (a newmarkStepper) State() []float64                    { return a.s.U }
-func (a newmarkStepper) save() (*ckpt.StepperState, error)   { return a.s.Save(), nil }
-func (a newmarkStepper) restore(st *ckpt.StepperState) error { return a.s.Restore(st) }
-
-func (a newmarkStepper) stats(st *Stats) {
-	st.Cycles = a.s.StepCount() / int64(a.pmax)
-	st.ElemApplies = a.s.ElementSteps
-}
-
-var (
-	_ schemeStepper = ltsStepper{}
-	_ schemeStepper = newmarkStepper{}
-)
+var _ schemeStepper = localStepper{}

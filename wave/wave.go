@@ -30,25 +30,13 @@ import (
 	"fmt"
 
 	"golts/internal/dist"
-	"golts/internal/lts"
 	"golts/internal/mesh"
-	"golts/internal/newmark"
 	"golts/internal/parallel"
 	"golts/internal/partition"
 	"golts/internal/sem"
+	"golts/internal/solver"
 	"golts/internal/tune"
 )
-
-// geomOperator is what the facade needs beyond sem.BatchKernel: the flat
-// connectivity the engines read, node coordinates for the sponge profile
-// and the nearest-node search that places sources and receivers. Both 3-D
-// operators provide it.
-type geomOperator interface {
-	sem.BatchKernel
-	sem.Connectivity
-	NodeCoords(n int32) (x, y, z float64)
-	NearestNode(x, y, z float64) int32
-}
 
 // Simulation is a configured wave-propagation run: mesh, discretization,
 // time stepper, sources, receivers and output sinks. Build one with New,
@@ -61,7 +49,7 @@ type Simulation struct {
 	set  *settings
 	m    *mesh.Mesh
 	lv   *mesh.Levels
-	geom geomOperator
+	geom solver.Operator
 	pop  *parallel.PartitionedOperator
 
 	dist    *dist.Coordinator
@@ -120,13 +108,12 @@ func build(set *settings) (*Simulation, error) {
 	}
 	// ac accumulates this build's artifact-cache traffic: [lookups, hits].
 	var ac [2]int64
-	m, lv := getMesh(set, &ac)
+	m, lv, err := getMesh(set, &ac)
+	if err != nil {
+		return nil, fmt.Errorf("wave: %w", err)
+	}
 	geom, err := getOperator(set, m, &ac)
 	if err != nil {
-		var oe *OptionError
-		if errors.As(err, &oe) {
-			return nil, err
-		}
 		return nil, fmt.Errorf("wave: %w", err)
 	}
 	nc := geom.Comps()
@@ -226,15 +213,14 @@ func build(set *settings) (*Simulation, error) {
 		}
 	}
 
-	specs := make([]srcSpec, len(s.sources))
-	semSrcs := make([]sem.Source, len(s.sources))
+	spec := solver.Spec{
+		Mesh: set.mesh, Scale: set.scale, Physics: string(set.physics), Degree: set.degree,
+		LevelCFL: set.levelCFL(), LTS: set.lts, Sponge: solver.Sponge(set.sponge),
+		Sources: make([]solver.Source, len(s.sources)),
+	}
 	for i, src := range s.sources {
 		srcNode := geom.NearestNode(src.X, src.Y, src.Z)
-		specs[i] = srcSpec{dof: int(srcNode)*nc + src.Comp, f0: src.F0, t0: src.T0}
-		semSrcs[i] = sem.Source{
-			Dof: specs[i].dof,
-			W:   sem.Ricker{F0: src.F0, T0: src.T0},
-		}
+		spec.Sources[i] = solver.Source{Dof: int(srcNode)*nc + src.Comp, F0: src.F0, T0: src.T0}
 	}
 	for _, r := range s.receivers {
 		n := geom.NearestNode(r.X, r.Y, r.Z)
@@ -246,47 +232,23 @@ func build(set *settings) (*Simulation, error) {
 	if distributed {
 		width = distBE.parts()
 	}
-	s.ckptKey = checkpointKey(set, width, specs, s.recs)
+	s.ckptKey = checkpointKey(set, width, spec.Sources, s.recs)
 
 	if distributed {
-		if err := buildDistributed(s, set, distBE, specs, &ac); err != nil {
+		if err := buildDistributed(s, set, distBE, spec, &ac); err != nil {
 			return nil, err
 		}
 		s.artLookups, s.artHits = ac[0], ac[1]
 		return s, nil
 	}
 
-	var sigma []float64
-	if set.sponge.Strength > 0 {
-		sigma = sem.SpongeProfile(geom.NumNodes(), geom.NodeCoords,
-			x0, x1, y0, y1, z0, z1, set.sponge.Faces, set.sponge.Width, set.sponge.Strength)
+	st, err := spec.NewStepper(step, geom, m, lv, set.telemetry)
+	if err != nil {
+		return nil, fmt.Errorf("wave: %w", err)
 	}
-
-	if set.lts {
-		sch, err := lts.FromMeshLevels(step, lv, true)
-		if err != nil {
-			return nil, fmt.Errorf("wave: %w", err)
-		}
-		sch.Telemetry = set.telemetry
-		sch.SetSources(semSrcs)
-		sch.Sigma = sigma
-		s.stepper = ltsStepper{sch}
-	} else {
-		g := newmark.New(step, lv.CoarseDt/float64(lv.PMax()))
-		g.Sources = semSrcs
-		g.Sigma = sigma
-		s.stepper = newmarkStepper{g, lv.PMax()}
-	}
+	s.stepper = localStepper{st}
 	s.artLookups, s.artHits = ac[0], ac[1]
 	return s, nil
-}
-
-// srcSpec is a resolved point source — global dof plus Ricker wavelet
-// parameters — the common form the local steppers and the distributed
-// RunConfig are both built from.
-type srcSpec struct {
-	dof    int
-	f0, t0 float64
 }
 
 // partitionAssign maps the mesh onto k parts with the configured
@@ -696,9 +658,10 @@ func Describe(opts ...Option) (*Plan, error) {
 			return nil, err
 		}
 	}
-	gen := mesh.Generators[set.mesh]
-	m := gen(set.scale)
-	lv := mesh.AssignLevels(m, set.levelCFL(), 0)
+	m, lv, err := solver.MeshLevels(set.mesh, set.scale, set.levelCFL())
+	if err != nil {
+		return nil, optErr("WithMesh", ErrUnknownMesh, "%q", set.mesh)
+	}
 	p := &Plan{
 		Mesh:               set.mesh,
 		Elements:           m.NumElements(),
