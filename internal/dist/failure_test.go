@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,15 +132,11 @@ func TestStallDetectedByHeartbeat(t *testing.T) {
 
 // runRecovered drives a run with an injected fault and recovery enabled,
 // returning the full trajectory and the recovery count.
-func runRecovered(t *testing.T, tc *testConfig, cycles int, inProcess bool, fault *FaultPlan) ([]float64, [][]float64, int) {
+// cfg supplies the execution mode, the faults and the rank output.
+func runRecovered(t *testing.T, tc *testConfig, cycles int, cfg Config) ([]float64, [][]float64, int) {
 	t.Helper()
-	co, err := Start(Config{
-		Run:             tc.cfg,
-		InProcess:       inProcess,
-		CheckpointEvery: 1,
-		MaxRecoveries:   2,
-		Faults:          []*FaultPlan{fault},
-	})
+	cfg.Run, cfg.CheckpointEvery, cfg.MaxRecoveries = tc.cfg, 1, 2
+	co, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -183,8 +181,8 @@ func TestKillRecoveryBitwise(t *testing.T) {
 			if maxAbsSamples(want) == 0 {
 				t.Fatal("vacuous baseline: every receiver sample is exactly zero")
 			}
-			gotT, got, rec := runRecovered(t, tc, cycles, true,
-				&FaultPlan{Kind: FaultKill, Rank: 1, Cycle: 6, Substep: 2})
+			gotT, got, rec := runRecovered(t, tc, cycles, Config{InProcess: true,
+				Faults: []*FaultPlan{{Kind: FaultKill, Rank: 1, Cycle: 6, Substep: 2}}})
 			if rec < 1 {
 				t.Fatalf("no recovery happened (fault did not fire?)")
 			}
@@ -195,7 +193,9 @@ func TestKillRecoveryBitwise(t *testing.T) {
 
 // TestSpawnedKillRecovery exercises the real thing: a spawned rank
 // process SIGKILLs itself (fault plan via the environment, as inherited
-// by the child) and the coordinator respawns and recovers, bitwise.
+// by the child) and the coordinator respawns and recovers, bitwise. The
+// survivor's broken halo link is an error it delivers to the coordinator,
+// which reports it as the recovery, so the rank prints nothing about it.
 func TestSpawnedKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawned-process test skipped in -short")
@@ -204,11 +204,34 @@ func TestSpawnedKillRecovery(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", true, 2, 4)
 	const cycles = 5
 	wantT, want := runShared(t, tc, cycles)
-	gotT, got, rec := runRecovered(t, tc, cycles, false, nil)
+	var stderr lockedBuffer
+	gotT, got, rec := runRecovered(t, tc, cycles, Config{Stderr: &stderr})
 	if rec < 1 {
 		t.Fatalf("no recovery happened (fault did not fire?)")
 	}
 	requireBitwise(t, "spawned", wantT, gotT, want, got)
+	if out := stderr.String(); strings.Contains(out, "recv from") {
+		t.Fatalf("a rank printed an error it delivered to the coordinator:\n%s", out)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the output copiers of several rank
+// processes may write concurrently.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestDelayFaultHarmless: a transient delay must ride out on the
@@ -218,8 +241,8 @@ func TestDelayFaultHarmless(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", true, 2, 4)
 	const cycles = 4
 	wantT, want := runShared(t, tc, cycles)
-	gotT, got, rec := runRecovered(t, tc, cycles, true,
-		&FaultPlan{Kind: FaultDelay, Rank: 1, Cycle: 2, Substep: 1, Delay: 80 * time.Millisecond})
+	gotT, got, rec := runRecovered(t, tc, cycles, Config{InProcess: true,
+		Faults: []*FaultPlan{{Kind: FaultDelay, Rank: 1, Cycle: 2, Substep: 1, Delay: 80 * time.Millisecond}}})
 	if rec != 0 {
 		t.Fatalf("delay fault triggered %d recoveries", rec)
 	}

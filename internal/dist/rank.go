@@ -54,10 +54,26 @@ func RankMain() {
 		faults:  faults,
 		spawned: true,
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "dist: rank %d: %v\n", rank, err)
+		if !errors.As(err, new(reportedError)) {
+			fmt.Fprintf(os.Stderr, "dist: rank %d: %v\n", rank, err)
+		}
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// reportedError is an error the rank delivered to the coordinator as
+// msgErr. The coordinator reports it, as a RankFailure or a recovery, so
+// the rank does not print it too.
+type reportedError struct{ error }
+
+// report delivers err to the coordinator and marks it reported, or
+// returns it unmarked when the coordinator cannot be told.
+func (r *rankRun) report(err error) error {
+	if r.coord.send(msgErr, []byte(err.Error())) != nil {
+		return err
+	}
+	return reportedError{err}
 }
 
 // rankParams identifies one rank's place in a run; in spawned mode they
@@ -291,8 +307,7 @@ func runRank(params rankParams) (err error) {
 	}
 	defer r.fabric.close()
 	if err := r.build(); err != nil {
-		r.coord.send(msgErr, []byte(err.Error()))
-		return err
+		return r.report(err)
 	}
 	if err := r.coord.send(msgReady, nil); err != nil {
 		return err
@@ -481,8 +496,7 @@ func (r *rankRun) serve() error {
 			cycles := int(binary.LittleEndian.Uint32(payload))
 			for i := 0; i < cycles; i++ {
 				if err := r.stepOnce(); err != nil {
-					r.coord.send(msgErr, []byte(err.Error()))
-					return err
+					return r.report(err)
 				}
 			}
 		case msgStats:
@@ -499,8 +513,7 @@ func (r *rankRun) serve() error {
 			slot := int(binary.LittleEndian.Uint32(payload))
 			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.capture(), r.dop.Comps(), r.dop.OwnedNodes(), false)
 			if err != nil {
-				r.coord.send(msgErr, []byte(err.Error()))
-				return err
+				return r.report(err)
 			}
 			if f := r.fault; f != nil && f.Substep < 0 && f.Cycle == r.fcycle {
 				r.trigger() // written, never answered for: the slot stays uncommitted
