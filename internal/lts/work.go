@@ -66,15 +66,6 @@ func (s *Scheme) HaloElems() []int {
 	return out
 }
 
-// LevelNodeCounts returns the size of each P_k node set.
-func (s *Scheme) LevelNodeCounts() []int {
-	out := make([]int, s.nlv)
-	for li := range out {
-		out[li] = len(s.sets.levelNodes[li])
-	}
-	return out
-}
-
 // ForceElemCounts returns the per-level force-element list sizes.
 func (s *Scheme) ForceElemCounts() []int {
 	out := make([]int, s.nlv)

@@ -10,7 +10,7 @@ import (
 
 // TestStepZeroAllocs asserts that a warmed-up global Newmark step on a
 // sequential operator performs zero heap allocations, including with
-// sources, sponge damping, and Kelvin-Voigt attenuation enabled.
+// sources and sponge damping enabled.
 func TestStepZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -24,8 +24,7 @@ func TestStepZeroAllocs(t *testing.T) {
 	s.Sources = []sem.Source{{Dof: 10, W: sem.Ricker{F0: 1, T0: 1.2}}}
 	s.Sigma = make([]float64, op.NumNodes())
 	s.Sigma[0] = 2
-	s.Eta = 1e-6
-	s.Step() // warm-up: visc buffer, kernel scratch, first-step branch
+	s.Step() // warm-up: kernel scratch, first-step branch
 	s.Step()
 	if n := testing.AllocsPerRun(5, s.Step); n != 0 {
 		t.Errorf("Step allocates %v per step, want 0", n)

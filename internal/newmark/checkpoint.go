@@ -10,9 +10,8 @@ import (
 const SchemeName = "newmark"
 
 // Save captures the complete inter-step state of the stepper. The
-// acceleration buffer is zero between steps and the viscous buffer is
-// recomputed every Step, so {U, V, t, n, started} plus the work counter
-// fully determine the remaining trajectory.
+// acceleration buffer is zero between steps, so {U, V, t, n, started}
+// plus the work counter fully determine the remaining trajectory.
 func (s *Stepper) Save() *ckpt.StepperState {
 	st := s.View()
 	st.U = append([]float64(nil), st.U...)

@@ -19,8 +19,7 @@ import (
 //	u^{n+1}   = u^n + Δt v^{n+1/2}.
 type Stepper struct {
 	// Op is the operator being stepped. The all-elements stiffness
-	// application (and the Kelvin-Voigt term) runs as fused batches over
-	// one precomputed BatchPlan.
+	// application runs as one fused batch over a precomputed BatchPlan.
 	Op sem.BatchKernel
 	// Dt is the time step; stability requires Dt below the CFL limit.
 	Dt float64
@@ -32,21 +31,12 @@ type Stepper struct {
 	Sources []sem.Source
 	// Sigma is an optional per-node sponge damping profile; nil disables.
 	Sigma []float64
-	// Eta adds Kelvin-Voigt attenuation: the stress law becomes
-	// T = C:∇u + Eta C:∇u̇, i.e. an extra -Eta M⁻¹K v term in the
-	// acceleration. A single mode of frequency ω then decays like
-	// exp(-Eta ω² t / 2), giving a quality factor Q ≈ 1/(Eta ω). The
-	// paper defers attenuation to future work (§I-A); this is the
-	// simplest member of that family and is only supported by the global
-	// scheme.
-	Eta float64
 
 	t        float64
 	n        int64
 	started  bool
 	elems    []int32
 	accel    []float64
-	visc     []float64
 	srcNodes []int32          // sweep's buffer of source nodes
 	bplan    sem.BatchPlan    // all-elements batch plan, built by New
 	bscr     sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
@@ -69,11 +59,6 @@ func New(op sem.BatchKernel, dt float64) *Stepper {
 	s.bplan = op.NewBatchPlan(s.elems)
 	s.accel = make([]float64, s.bplan.DstNodes()*op.Comps()) // the plan's spill tail included
 	return s
-}
-
-// addKu accumulates dst += K u over all elements as one fused batch.
-func (s *Stepper) addKu(dst, u []float64) {
-	s.Op.AddKuBatch(dst, u, s.bplan, &s.bscr)
 }
 
 // SetInitial sets u(0) and v(0) (both at t = 0, unstaggered). Must be
@@ -101,20 +86,8 @@ func (s *Stepper) StepCount() int64 { return s.n }
 // nodes. The first step turns the unstaggered v(0) into v(Δt/2) with a
 // half-step, which keeps the scheme second order.
 func (s *Stepper) Step() {
-	s.addKu(s.accel, s.U)
+	s.Op.AddKuBatch(s.accel, s.U, s.bplan, &s.bscr)
 	s.ElementSteps += int64(len(s.elems))
-	if s.Eta > 0 {
-		// Kelvin-Voigt term: K applied to Eta * v (explicit, evaluated at
-		// the lagged half step; stable for Eta well below Δt).
-		if s.visc == nil {
-			s.visc = make([]float64, len(s.U))
-		}
-		for i, v := range s.V {
-			s.visc[i] = s.Eta * v
-		}
-		s.addKu(s.accel, s.visc)
-		s.ElementSteps += int64(len(s.elems))
-	}
 	kick := s.Dt
 	if !s.started {
 		kick = s.Dt / 2 // v(Δt/2) = v(0) + (Δt/2) a(0)

@@ -21,9 +21,8 @@ func (c *countingKernel) NewBatchPlan(elems []int32) sem.BatchPlan {
 }
 
 // TestPlanBuiltOnceByNew: the stepper builds its all-elements batch plan
-// in New and never another — not in Step, Run or Restore, Kelvin-Voigt
-// term included — on a sequential operator and on the shared-memory
-// engine alike.
+// in New and never another — not in Step, Run or Restore — on a
+// sequential operator and on the shared-memory engine alike.
 func TestPlanBuiltOnceByNew(t *testing.T) {
 	m := mesh.Uniform(4, 4, 4, 1, 1)
 	op, err := sem.NewElastic3D(m, 2, false, 0)
@@ -46,7 +45,6 @@ func TestPlanBuiltOnceByNew(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := &countingKernel{BatchKernel: tc.op}
 			s := New(ck, 1e-3)
-			s.Eta = 1e-6
 			if ck.plans != 1 {
 				t.Fatalf("New built %d plans, want 1", ck.plans)
 			}

@@ -22,7 +22,6 @@ type Acoustic3D struct {
 	Periodic bool
 
 	core3d
-	fixed []int32 // Dirichlet nodes (minv zeroed)
 }
 
 // NewAcoustic3D builds the operator on mesh m with basis degree deg.
@@ -34,15 +33,6 @@ func NewAcoustic3D(m *mesh.Mesh, deg int, periodic bool) (*Acoustic3D, error) {
 	op := &Acoustic3D{M: m, Rule: r, Periodic: periodic}
 	op.initCore(m, r, deg, periodic, m.Rho)
 	return op, nil
-}
-
-// FixNodes imposes homogeneous Dirichlet conditions at the given nodes by
-// zeroing their inverse mass.
-func (op *Acoustic3D) FixNodes(nodes []int32) {
-	op.fixed = append(op.fixed, nodes...)
-	for _, n := range nodes {
-		op.minv[n] = 0
-	}
 }
 
 // Comps returns 1.
