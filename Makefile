@@ -10,8 +10,11 @@ test:
 
 # Size of the product: non-test Go and assembly lines outside benchmark/
 # (ROADMAP aim 2 wants this number going down), then the internal/sem
-# share of it in Go and in assembly. Informational — printed by CI,
-# gated by nothing.
+# share of it in Go and in assembly, then the non-test lines of the
+# packages whose ROADMAP budgets say "must not rise". Informational —
+# printed by CI, gated by nothing.
+LOC_PACKAGES = wave internal/dist internal/lts
+
 loc:
 	@find . -path ./benchmark -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print0 \
 		| xargs -0 cat | wc -l | xargs echo "loc: non-test Go+asm lines outside benchmark/:"
@@ -19,6 +22,10 @@ loc:
 		| xargs -0 cat | wc -l | xargs echo "loc: internal/sem non-test .go lines:"
 	@find internal/sem -name '*.s' -print0 \
 		| xargs -0 cat | wc -l | xargs echo "loc: internal/sem assembly .s lines:"
+	@for p in $(LOC_PACKAGES); do \
+		find $$p -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 \
+			| xargs -0 cat | wc -l | xargs echo "loc: $$p non-test .go lines:"; \
+	done
 
 # Race-detector job over the engines with internal concurrency: the
 # shared-memory engine, the LTS scheme that drives it, the distributed
