@@ -4,27 +4,28 @@
 // real message passing over loopback sockets in place of the in-memory
 // merge.
 //
-// A run is SPMD: a coordinator process spawns N rank processes of the
-// same binary (see RankMain), each rank rebuilds the mesh, operator and
-// time stepper deterministically from a broadcast RunConfig, and all
-// ranks step the same scheme in lockstep. The run is owner-computes for
-// the whole cycle. The stiffness application is the only coupled operation
-// of either stepper, so each rank computes K·u only over its owned
-// partition slice (with the batched SoA kernels) and exchanges halo node
-// contributions with its neighbouring ranks at every LTS substep, using
-// the per-rank, per-level halo sets induced by the decomposition plans;
-// every other update is pointwise in the degrees of freedom, so the LTS
-// scheme of a rank advances only the rank's footprint — the nodes its own
-// elements touch (Operator.OwnedNodes, handed to package lts as the
-// scheme's node domain through sem.Footprint). A node on a rank interface
-// is in both footprints and is advanced, identically, on both sides; no
-// rank steps a node it does not own. What is still replicated is the
-// mesh, the operator and the length of the field arrays: U, V and the
-// level-0 accumulator are NDof long on every rank, exact on the footprint
-// and never written — so never to be read — anywhere else. Receivers are
-// sampled by the rank owning their node, and a snapshot is every rank's
-// footprint. (Global Newmark on this backend still sweeps all nodes; only
-// its kernels are split.)
+// A run is SPMD: a coordinator process spawns N rank processes of the same
+// binary (see RankMain), each rank builds its solver from the broadcast
+// RunConfig through package solver — the same build the facade runs
+// locally, around the rank's distributed Operator instead of the local one
+// — and all ranks step the same scheme in lockstep. The run is
+// owner-computes for the whole cycle. The stiffness application is the
+// only coupled operation of either stepper, so each rank computes K·u only
+// over its owned partition slice (with the batched SoA kernels) and
+// exchanges halo node contributions with its neighbouring ranks at every
+// LTS substep, using the per-rank, per-level halo sets induced by the
+// decomposition plans; every other update is pointwise in the degrees of
+// freedom, so the LTS scheme of a rank advances only the rank's footprint
+// — the nodes its own elements touch (Operator.OwnedNodes, handed to
+// package lts as the scheme's node domain through sem.Footprint). A node
+// on a rank interface is in both footprints and is advanced, identically,
+// on both sides; no rank steps a node it does not own. What is still
+// replicated is the mesh, the operator and the length of the field arrays:
+// U, V and the level-0 accumulator are NDof long on every rank, exact on
+// the footprint and never written — so never to be read — anywhere else.
+// Receivers are sampled by the rank owning their node, and a snapshot is
+// every rank's footprint. (Global Newmark on this backend still sweeps all
+// nodes; only its kernels are split.)
 //
 // Determinism: contributions assemble at every node in ascending part
 // order — the same order as the shared-memory engine's merge — so for a

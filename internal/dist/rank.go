@@ -413,11 +413,12 @@ func acceptWithDeadline(ln net.Listener, deadline time.Time) (net.Conn, error) {
 	return ln.Accept()
 }
 
-// build reconstructs the rank-local simulation from the broadcast
-// configuration: mesh, operator, distributed wrapper, scheme, sources,
-// sponge and owned receivers. Mesh, operator and the NDof-long field
-// arrays are replicated on every rank; the stepping is not: the LTS scheme
-// takes the distributed operator's footprint as its node domain and
+// build constructs the rank-local simulation from the broadcast
+// configuration through package solver — mesh, levels and operator, then
+// the scheme with its sources and sponge over the distributed wrapper —
+// and finds the receivers this rank owns. Mesh, operator and the NDof-long
+// field arrays are replicated on every rank; the stepping is not: the LTS
+// scheme takes the distributed operator's footprint as its node domain and
 // advances, and applies the sources of, those nodes alone (global Newmark
 // still sweeps every node; what it computes outside the footprint is never
 // read). Every step is deterministic, so each rank agrees bitwise with the

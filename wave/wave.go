@@ -1,7 +1,10 @@
 // Package wave is the public facade of golts: one importable Simulation
 // API over the spectral-element operators, the multi-level LTS-Newmark
-// and global Newmark time steppers, and the shared-memory parallel
-// execution engine.
+// and global Newmark time steppers, and the shared-memory and
+// distributed execution backends. The solver itself — mesh, levels,
+// operator and stepper — comes from one build (internal/solver), which
+// the local backend runs here and every distributed rank runs on its
+// own share.
 //
 // A Simulation is configured with functional options and validates
 // eagerly, returning typed errors (*OptionError wrapping sentinel errors)
