@@ -46,9 +46,10 @@ race:
 	GOMAXPROCS=1 $(GO) test -race -short -run 'Team|Close|StressInterleaved|Determinism|Spill' ./internal/parallel
 	$(GO) test -race -short -run 'ArtifactCache' ./wave
 
-# Short native-fuzz leg over the untrusted decoders (three of
-# internal/dist — the state frame of the snapshot files, the peer-link
-# halo frame and the cycle-done frame — the checkpoint container of
+# Short native-fuzz leg over the untrusted decoders (four of
+# internal/dist — the state frame of the snapshot files, a rank's restore
+# from a msgRestore descriptor, the peer-link halo frame and the
+# cycle-done frame — the checkpoint container of
 # internal/ckpt, the service's POST /jobs body and the run configuration
 # of internal/simio, one after the other: go test takes one -fuzz target
 # per run); the committed corpora under testdata/fuzz run as ordinary
@@ -56,6 +57,7 @@ race:
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzRestoreDescriptor -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzHaloFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCycleDone -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/ckpt
@@ -127,7 +129,9 @@ bench-baseline:
 # 0.004 x 6 the three CSVs were five zero rows and one sample of 1e-37.
 # The shared-memory engine with 4 workers must write the same bytes too,
 # so an assembly-order change that moved all three rank counts together
-# fails here as well.
+# fails here as well. Two elastic legs (2 ranks x 2 parts, LTS and global
+# Newmark) cover the 3-component compact numbering and the Newmark path of
+# a rank against the 2-worker shared-memory engine.
 dist-smoke:
 	@rm -rf .dist-smoke && mkdir -p .dist-smoke
 	$(GO) build -o .dist-smoke/distrun ./cmd/distrun
@@ -139,8 +143,13 @@ dist-smoke:
 	cmp .dist-smoke/r1.csv .dist-smoke/r2.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r4.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/shm4.csv
+	for lts in true false; do \
+		./.dist-smoke/distrun -physics elastic -ranks 2 -parts 2 -scale 0.015 -cycles 40 -lts=$$lts -require-nonzero -out .dist-smoke/el-$$lts.csv && \
+		./.dist-smoke/wavesim -physics elastic -workers 2 -scale 0.015 -cycles 40 -lts=$$lts -out .dist-smoke/el-shm-$$lts.csv && \
+		cmp .dist-smoke/el-$$lts.csv .dist-smoke/el-shm-$$lts.csv || exit 1; \
+	done
 	@rm -rf .dist-smoke
-	@echo "dist-smoke: 1-, 2- and 4-rank and 4-worker shared-memory receiver CSVs byte-identical at nonzero amplitude"
+	@echo "dist-smoke: 1-, 2- and 4-rank and 4-worker shared-memory receiver CSVs byte-identical at nonzero amplitude, elastic LTS and global Newmark too"
 
 # Service smoke: wavedload starts an in-process waved service, runs the
 # acceptance smoke over real HTTP (cold vs cache-hit runs byte-identical,

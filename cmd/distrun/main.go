@@ -57,9 +57,10 @@
 // "dist" section and BENCH_chaos.json.
 //
 // -level-times turns on the timing telemetry and prints the per-rank,
-// per-level stiffness-kernel table after the run, followed by each rank's
-// pointwise stepping time and the size of its share of the nodes (active,
-// far-coarse, footprint); both are embedded in the -report JSON.
+// per-level stiffness-kernel table after the run, then each rank process's
+// peak resident set (VmHWM, MB), each rank's pointwise stepping time and
+// the size of its share of the nodes (active, far-coarse, footprint); all
+// are embedded in the -report JSON (the peaks as rank_peak_mb).
 // -part-rank places each part on an explicit rank (any placement is
 // bitwise-identical; only wall time changes; a degraded-mode shrink
 // falls back to contiguous blocks) — `make tune-smoke` runs a skewed
@@ -264,6 +265,7 @@ func run() int {
 			NumCPU        int                 `json:"num_cpu"`
 			GoMaxProcs    int                 `json:"gomaxprocs"`
 			Fault         string              `json:"fault,omitempty"`
+			RankPeakMB    []float64           `json:"rank_peak_mb"`
 			LevelTimes    []wave.LevelStats   `json:"level_times,omitempty"`
 			RankStepping  []wave.RankStepping `json:"rank_stepping,omitempty"`
 		}{st.Ranks, st.Parts, st.Cycles, st.Recoveries, st.RecoveryMillis,
@@ -271,7 +273,7 @@ func run() int {
 			st.DegradedRanks, st.DegradedMillis,
 			st.LinkRetries, st.CorruptFrames,
 			wall, runtime.NumCPU(), runtime.GOMAXPROCS(0),
-			os.Getenv("GOLTS_FAULT"), st.LevelTimes, st.RankStepping}
+			os.Getenv("GOLTS_FAULT"), peakMB(st), st.LevelTimes, st.RankStepping}
 		if err := writeJSON(*report, rep); err != nil {
 			return fail(err)
 		}
@@ -348,8 +350,9 @@ func parsePartRank(s string) ([]int, error) {
 
 // printLevelTimes renders the telemetry table, one column per rank: a row
 // per LTS level with the milliseconds of cumulative stiffness-application
-// time, then the stepper's own pointwise milliseconds and the node counts
-// of the rank's share they were spent on.
+// time, the rank process's peak resident set in MB, then the stepper's own
+// pointwise milliseconds and the node counts of the rank's share they were
+// spent on.
 func printLevelTimes(st wave.Stats) {
 	if len(st.LevelTimes) == 0 {
 		fmt.Println("level times: no telemetry recorded")
@@ -367,6 +370,11 @@ func printLevelTimes(st wave.Stats) {
 		}
 		fmt.Println()
 	}
+	fmt.Print("peak MB ")
+	for _, mb := range peakMB(st) {
+		fmt.Printf(" %7.1f", mb)
+	}
+	fmt.Println()
 	if len(st.RankStepping) == 0 {
 		return
 	}
@@ -382,6 +390,15 @@ func printLevelTimes(st wave.Stats) {
 		}
 		fmt.Println()
 	}
+}
+
+// peakMB is each rank process's peak resident set in MiB.
+func peakMB(st wave.Stats) []float64 {
+	mb := make([]float64, len(st.RankPeakRSS))
+	for r, b := range st.RankPeakRSS {
+		mb[r] = float64(b) / (1 << 20)
+	}
+	return mb
 }
 
 // writeJSON writes v to path as indented JSON with a trailing newline.

@@ -15,17 +15,16 @@
 // exchanges halo node contributions with its neighbouring ranks at every
 // LTS substep, using the per-rank, per-level halo sets induced by the
 // decomposition plans; every other update is pointwise in the degrees of
-// freedom, so the LTS scheme of a rank advances only the rank's footprint
-// — the nodes its own elements touch (Operator.OwnedNodes, handed to
-// package lts as the scheme's node domain through sem.Footprint). A node
-// on a rank interface is in both footprints and is advanced, identically,
-// on both sides; no rank steps a node it does not own. What is still
-// replicated is the mesh, the operator and the length of the field arrays:
-// U, V and the level-0 accumulator are NDof long on every rank, exact on
-// the footprint and never written — so never to be read — anywhere else.
-// Receivers are sampled by the rank owning their node, and a snapshot is
-// every rank's footprint. (Global Newmark on this backend still sweeps all
-// nodes; only its kernels are split.)
+// freedom, so either scheme of a rank holds and advances only the rank's
+// footprint — the nodes its own elements touch (Operator.OwnedNodes,
+// handed to packages lts and newmark through sem.Footprint) — in one
+// compact numbering, a node's position in that list: U, V, the
+// accumulators and the private part buffers are footprint-long. A node on
+// a rank interface is in both footprints and is advanced, identically, on
+// both sides. Only the mesh and the operator are replicated. Receivers are
+// sampled by the rank owning their node, and a snapshot is every rank's
+// footprint; a global node id appears only at build, in a snapshot frame's
+// id list and in FetchState and restore.
 //
 // Determinism: contributions assemble at every node in ascending part
 // order — the same order as the shared-memory engine's merge — so for a

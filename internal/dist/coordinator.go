@@ -74,9 +74,9 @@ type Config struct {
 	// CheckpointEvery > 0.
 	MinRanks int
 
-	// onState is handed to in-process ranks (rankParams.onState): the
-	// package's tests poison and inspect rank state through it.
-	onState func(*rankRun)
+	// onRestore is handed to in-process ranks (rankParams.onRestore): the
+	// package's tests poison rank state through it.
+	onRestore func(*rankRun)
 }
 
 // ctrlFrame is one control-plane message from a rank, read off the
@@ -224,7 +224,7 @@ func (co *Coordinator) launch() error {
 			co.ranks[i] = h
 			params := rankParams{
 				rank: i, addr: ln.Addr().String(), token: token,
-				gen: co.gen, faults: cfg.Faults, onState: cfg.onState,
+				gen: co.gen, faults: cfg.Faults, onRestore: cfg.onRestore,
 			}
 			go func() {
 				h.exitErr = runRank(params)
@@ -762,7 +762,7 @@ func (co *Coordinator) FetchState() (*ckpt.StepperState, error) {
 func (co *Coordinator) RestoreState(st *ckpt.StepperState) error {
 	prev, next := co.snap, co.idleSlot(1)
 	next.Cycle = 0
-	file, err := co.store.save(next.Gen, next.Slot, 0, st, 0, nil, true)
+	file, err := co.store.save(next.Gen, next.Slot, 0, st, len(st.U), 0, nil, true)
 	if err != nil {
 		return fmt.Errorf("dist: writing the state to restore: %w", err)
 	}

@@ -37,8 +37,8 @@ type Stats struct {
 // contributions in ascending part order. Nodes no local element touches
 // — everything outside OwnedNodes — are neither read nor accumulated
 // into: the operator declares that footprint (sem.Footprint), so the
-// stepper built on it advances those nodes alone (see the package
-// comment). Where dst is +0 on the plan's output footprint, as every
+// stepper built on it holds and advances those nodes alone, in their
+// compact numbering (see the package comment). Where dst is +0 on the plan's output footprint, as every
 // stepper resets it, the result at every locally-touched node is bitwise
 // the shared-memory engine's with Parts workers; on a nonzero dst too
 // wherever two parts touch the node. Where owned[0] alone does, its
@@ -59,7 +59,7 @@ type Operator struct {
 
 	owned    []int            // owned parts, ascending
 	localIdx []int            // part → index into owned/acc, -1 for remote parts
-	acc      [][]float64      // owned[i]'s all-zero NDof-long buffer, nil for i = 0 (dst)
+	acc      [][]float64      // owned[i]'s all-zero buffer, footprint-long (see buf), nil for i = 0 (dst)
 	bscr     sem.BatchScratch // workspace of the plan-less AddKu / AddKuScratch
 
 	// rankNodes[q] is rank q's global element-node footprint: the sorted
@@ -176,10 +176,6 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 	for i, p := range d.owned {
 		d.localIdx[p] = i
 	}
-	d.acc = make([][]float64, len(d.owned))
-	for i := 1; i < len(d.acc); i++ {
-		d.acc[i] = make([]float64, inner.NDof())
-	}
 	// Global per-rank element-node footprints: one list of element ids
 	// per rank, then the shared touched-set construction.
 	rankElems := make([][]int32, cfg.Ranks)
@@ -188,6 +184,10 @@ func NewOperator(inner sem.BatchKernel, cfg *RunConfig, rank int, ex exchanger) 
 		rankElems[r] = append(rankElems[r], int32(e))
 	}
 	d.rankNodes = sem.TouchedNodes(inner, rankElems)
+	d.acc = make([][]float64, len(d.owned))
+	for i := 1; i < len(d.acc); i++ {
+		d.acc[i] = make([]float64, len(d.rankNodes[rank])*inner.Comps())
+	}
 	d.recv = make([][]float64, cfg.Ranks)
 	d.offs = make([]int, cfg.Ranks)
 	return d, nil
@@ -198,12 +198,12 @@ func (d *Operator) Stats() Stats { return d.stats }
 
 // OwnedNodes implements sem.Footprint: this rank's global element-node
 // footprint, the ascending nodes its owned elements touch. These are the
-// nodes the rank's stepper advances, and on them its field arrays are
-// bitwise identical to the shared-memory engine after every cycle; the
-// rest of the NDof-long arrays is never written between restores and must
-// not be read. A node on a rank interface lies in both footprints and is
-// advanced, identically, by both ranks. Snapshots overlay the footprints
-// of all ranks to reconstruct the exact global field.
+// nodes the rank's stepper holds and advances — its field arrays are
+// footprint-long, node i of them is OwnedNodes()[i] — and on them they
+// are bitwise identical to the shared-memory engine after every cycle. A
+// node on a rank interface lies in both footprints and is advanced,
+// identically, by both ranks. Snapshots overlay the footprints of all
+// ranks to reconstruct the exact global field.
 func (d *Operator) OwnedNodes() []int32 { return d.rankNodes[d.rank] }
 
 // buildHalo computes the halo index sets of one decomposition plan for
@@ -296,7 +296,7 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 		if b == nil {
 			continue
 		}
-		d.inner.AddKuBatch(d.buf(i, dst)[:len(dst)], u, b, bs)
+		d.inner.AddKuBatch(d.buf(i, dst), u, b, bs)
 	}
 
 	// Phase 2a — send: for every receiving rank, the owned parts' halo
@@ -389,12 +389,16 @@ func (d *Operator) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.Batc
 	d.stats.Applies++
 }
 
-// buf returns owned[i]'s accumulation buffer in an apply onto dst.
+// buf returns owned[i]'s accumulation buffer in an apply onto dst: its
+// footprint-long buffer, grown once for a plan in a wider output space.
 func (d *Operator) buf(i int, dst []float64) []float64 {
 	if i == 0 {
 		return dst
 	}
-	return d.acc[i]
+	if len(d.acc[i]) < len(dst) {
+		d.acc[i] = make([]float64, len(dst))
+	}
+	return d.acc[i][:len(dst)]
 }
 
 // commError wraps a communication failure raised inside an apply; the

@@ -11,28 +11,24 @@ import (
 
 	"golts/internal/lts"
 	"golts/internal/race"
+	"golts/internal/sem"
+	"golts/internal/solver"
 )
 
 // The tests of this file pin the owner-computes contract of the backend: a
-// rank's stepper advances the nodes of its footprint (Operator.OwnedNodes)
-// and nothing reads a rank's field arrays anywhere else. None of them is
-// skipped or shortened under -short: `make race` runs them all.
+// rank holds and advances the nodes of its footprint (Operator.OwnedNodes)
+// and nothing else — its field arrays, accumulators and private part
+// buffers are footprint-long, in the footprint's compact numbering — and
+// on them it agrees with the shared-memory engine bit for bit. None of
+// them is skipped or shortened under -short: `make race` runs them all.
 
-// poison fills a rank's field arrays with NaN outside its footprint — as
-// Config.onState, after build and after every restore. A NaN that any
-// kernel, receiver sample or snapshot picks up from there does not go
-// away again.
+// poison fills a rank's field arrays with NaN right before a restore (as
+// Config.onRestore): the restore has to overwrite every entry, and a NaN
+// it leaves behind does not go away again.
 func poison(r *rankRun) {
-	st := r.capture()
-	nc := r.dop.Comps()
-	keep := make([]bool, r.dop.NumNodes())
-	for _, n := range r.dop.OwnedNodes() {
-		keep[n] = true
-	}
+	st := r.st.View()
 	for d := range st.U {
-		if !keep[d/nc] {
-			st.U[d], st.V[d] = math.NaN(), math.NaN()
-		}
+		st.U[d], st.V[d] = math.NaN(), math.NaN()
 	}
 }
 
@@ -48,81 +44,142 @@ var ownerShapes = []struct {
 }
 
 // ownerConfig is the test configuration of one shape with the sponge on.
-func ownerConfig(t *testing.T, physics string, ranks, parts int, partRank []int) *testConfig {
+func ownerConfig(t *testing.T, physics string, ltsScheme bool, ranks, parts int, partRank []int) *testConfig {
 	t.Helper()
-	tc := newTestConfig(t, physics, true, ranks, parts)
+	tc := newTestConfig(t, physics, ltsScheme, ranks, parts)
 	tc.cfg.PartRank = partRank
 	tc.cfg.Sponge = testSponge
 	return tc
 }
 
-// TestPoisonedOutsideFootprint: with everything a rank does not own
-// poisoned, the seismograms still equal the shared-memory engine's of the
-// same width bit for bit, and so does the global field the ranks'
-// footprints add up to — every dof of it, so no rank's share is left out
-// of the comparison, at an amplitude that is checked to be nonzero.
-func TestPoisonedOutsideFootprint(t *testing.T) {
+// dstProbe is a rank's operator that records the longest dst a stepper
+// accumulates into.
+type dstProbe struct {
+	*Operator
+	longest int
+}
+
+func (p *dstProbe) AddKuBatch(dst, u []float64, plan sem.BatchPlan, bs *sem.BatchScratch) {
+	p.longest = max(p.longest, len(dst))
+	p.Operator.AddKuBatch(dst, u, plan, bs)
+}
+
+// TestRankHoldsFootprint: under both schemes, at Parts == Ranks and at
+// Parts > Ranks, what a rank builds through package solver — U, V, every
+// stiffness accumulator its stepper applies the operator to, and the
+// private buffers of its parts but the lowest — is len(OwnedNodes)·Comps
+// long. Run through the coordinator, the seismograms equal the
+// shared-memory engine's of the same width bit for bit, and so does the
+// global field the ranks' footprints add up to — every dof of it, at an
+// amplitude checked to be nonzero.
+func TestRankHoldsFootprint(t *testing.T) {
 	const cycles = 6
 	for _, physics := range []string{"acoustic", "elastic"} {
 		for _, sh := range ownerShapes {
-			name := fmt.Sprintf("%s/ranks=%d/parts=%d", physics, sh.ranks, sh.parts)
-			t.Run(name, func(t *testing.T) {
-				tc := ownerConfig(t, physics, sh.ranks, sh.parts, sh.partRank)
-				shm := newShared(t, tc)
-				wantT, want := sampleShared(shm, tc, cycles)
-				nonzero := 0
-				for _, row := range want {
-					for _, v := range row {
-						if v != 0 {
-							nonzero++
-						}
-					}
-				}
-				if nonzero < cycles || maxAbsSamples(want) < 1e-12 {
-					t.Fatalf("vacuous baseline: %d nonzero samples, peak %g", nonzero, maxAbsSamples(want))
-				}
-
-				co := startRun(t, tc, Config{InProcess: true, onState: poison})
-				defer co.Close()
-				var gotT []float64
-				var got [][]float64
-				stepTo(t, co, cycles, &gotT, &got)
-				requireBitwise(t, name, wantT, gotT, want, got)
-
-				st, err := co.FetchState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := shm.LTS
-				for _, f := range []struct {
-					name      string
-					got, want []float64
-				}{{"U", st.U, ref.U}, {"V", st.V, ref.V}} {
-					for d := range f.want {
-						if math.Float64bits(f.got[d]) != math.Float64bits(f.want[d]) {
-							t.Fatalf("%s: %s of the overlaid footprints differs from the shared engine at dof %d: %v vs %v",
-								name, f.name, d, f.got[d], f.want[d])
-						}
-					}
+			t.Run(fmt.Sprintf("%s/ranks=%d/parts=%d", physics, sh.ranks, sh.parts), func(t *testing.T) {
+				for _, ltsScheme := range []bool{true, false} {
+					t.Run(fmt.Sprintf("lts=%v", ltsScheme), func(t *testing.T) {
+						tc := ownerConfig(t, physics, ltsScheme, sh.ranks, sh.parts, sh.partRank)
+						requireCompact(t, tc)
+						requireFootprintsExact(t, tc, cycles)
+					})
 				}
 			})
 		}
 	}
 }
 
+// requireCompact builds every rank's stepper on a loop fabric as the rank
+// runtime does, steps two cycles and checks the lengths.
+func requireCompact(t *testing.T, tc *testConfig) {
+	t.Helper()
+	_, ops := loopOperators(t, tc)
+	probes := make([]*dstProbe, len(ops))
+	steppers := make([]*solver.Stepper, len(ops))
+	for r, op := range ops {
+		probes[r] = &dstProbe{Operator: op}
+		var err error
+		if steppers[r], err = tc.cfg.NewStepper(probes[r], tc.geom, tc.m, tc.lv, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := 0; c < 2; c++ {
+		var wg sync.WaitGroup
+		for _, st := range steppers {
+			wg.Add(1)
+			go func(st *solver.Stepper) {
+				defer wg.Done()
+				st.Step()
+			}(st)
+		}
+		wg.Wait()
+	}
+	for r, op := range ops {
+		want := len(op.OwnedNodes()) * op.Comps()
+		st := steppers[r].View()
+		if len(st.U) != want || len(st.V) != want || probes[r].longest != want {
+			t.Fatalf("rank %d: U %d, V %d, longest accumulator %d values; the footprint has %d",
+				r, len(st.U), len(st.V), probes[r].longest, want)
+		}
+		for i, acc := range op.acc {
+			if (i == 0) != (acc == nil) || i > 0 && len(acc) != want {
+				t.Fatalf("rank %d: private buffer %d of %d owned parts has %d values; the footprint has %d",
+					r, i, len(op.owned), len(acc), want)
+			}
+		}
+		if sch := steppers[r].LTS; sch != nil && !sch.AccumulatorsZero() {
+			t.Fatalf("rank %d: an accumulator is not all-zero after a cycle", r)
+		}
+	}
+}
+
+// requireFootprintsExact runs tc through the coordinator and compares the
+// seismograms and the overlaid global field with the shared-memory engine.
+func requireFootprintsExact(t *testing.T, tc *testConfig, cycles int) {
+	t.Helper()
+	shm := newShared(t, tc)
+	wantT, want := sampleShared(shm, tc, cycles)
+	co := startRun(t, tc, Config{InProcess: true})
+	defer co.Close()
+	var gotT []float64
+	var got [][]float64
+	stepTo(t, co, cycles, &gotT, &got)
+	requireBitwise(t, "seismograms", wantT, gotT, want, got)
+
+	st, err := co.FetchState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := shm.View()
+	for _, f := range []struct {
+		name      string
+		got, want []float64
+	}{{"U", st.U, ref.U}, {"V", st.V, ref.V}} {
+		if len(f.got) != len(f.want) {
+			t.Fatalf("%s of the overlaid footprints has %d dofs, the shared engine %d", f.name, len(f.got), len(f.want))
+		}
+		for d := range f.want {
+			if math.Float64bits(f.got[d]) != math.Float64bits(f.want[d]) {
+				t.Fatalf("%s of the overlaid footprints differs from the shared engine at dof %d: %v vs %v",
+					f.name, d, f.got[d], f.want[d])
+			}
+		}
+	}
+}
+
 // TestOwnerComputesInvariants steps one LTS scheme per rank on a loop
 // fabric and pins what the split rests on: each rank's active region and
-// far-coarse list together are exactly its footprint, the footprints cover
-// the mesh, the stiffness accumulators are all-zero after every cycle (no
-// apply delivers anything outside the footprint, where nothing re-zeroes),
-// and the work counters — counted over the mesh's element lists — are the
-// sequential scheme's on every rank.
+// far-coarse list together are exactly its footprint's compact numbering,
+// the footprints cover the mesh, the stiffness accumulators are all-zero
+// after every cycle (no apply delivers anything the stepper does not
+// re-zero), and the work counters — counted over the mesh's element lists
+// — are the sequential scheme's on every rank.
 func TestOwnerComputesInvariants(t *testing.T) {
 	const cycles = 3
 	for _, physics := range []string{"acoustic", "elastic"} {
 		for _, sh := range ownerShapes {
 			name := fmt.Sprintf("%s/ranks=%d/parts=%d", physics, sh.ranks, sh.parts)
-			tc := ownerConfig(t, physics, sh.ranks, sh.parts, sh.partRank)
+			tc := ownerConfig(t, physics, true, sh.ranks, sh.parts, sh.partRank)
 			seq, err := lts.FromMeshLevels(tc.geom, tc.lv, true)
 			if err != nil {
 				t.Fatal(err)
@@ -135,18 +192,19 @@ func TestOwnerComputesInvariants(t *testing.T) {
 				if schemes[r], err = lts.FromMeshLevels(op, tc.lv, true); err != nil {
 					t.Fatal(err)
 				}
-				schemes[r].SetSources(tc.srcs)
 				active, far := schemes[r].Domain()
 				dom := append(slices.Clone(active), far...)
 				slices.Sort(dom)
-				if !slices.Equal(dom, op.OwnedNodes()) {
-					t.Fatalf("%s rank %d: active region (%d) ∪ far-coarse list (%d) is not the footprint (%d nodes)",
-						name, r, len(active), len(far), len(op.OwnedNodes()))
+				for i, n := range dom {
+					if int(n) != i || len(dom) != len(op.OwnedNodes()) {
+						t.Fatalf("%s rank %d: active region (%d) ∪ far-coarse list (%d) is not the footprint's numbering 0..%d",
+							name, r, len(active), len(far), len(op.OwnedNodes())-1)
+					}
 				}
 				if len(dom) == len(covered) {
 					t.Fatalf("%s rank %d: the footprint is the whole mesh; nothing is split", name, r)
 				}
-				for _, n := range dom {
+				for _, n := range op.OwnedNodes() {
 					covered[n] = true
 				}
 			}
@@ -222,18 +280,21 @@ func tcpFabrics(t *testing.T) [2]*peerFabric {
 // allocation (AllocsPerRun counts the process, and truncates a stray
 // runtime allocation away over its runs).
 func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
-	tc := ownerConfig(t, "elastic", 2, 2, nil)
+	tc := ownerConfig(t, "elastic", true, 2, 2, nil)
 	fabrics := tcpFabrics(t)
-	var schemes [2]*lts.Scheme
+	var schemes [2]*solver.Stepper
+	var op0 *Operator
 	for r := range schemes {
 		op, err := NewOperator(tc.geom, &tc.cfg, r, fabrics[r])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if schemes[r], err = lts.FromMeshLevels(op, tc.lv, true); err != nil {
+		if schemes[r], err = tc.cfg.NewStepper(op, tc.geom, tc.m, tc.lv, false); err != nil {
 			t.Fatal(err)
 		}
-		schemes[r].SetSources(tc.srcs)
+		if r == 0 {
+			op0 = op
+		}
 	}
 	// Rank 1 steps on its own goroutine whenever told to; rank 0 here.
 	step, done := make(chan struct{}), make(chan struct{})
@@ -257,7 +318,7 @@ func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(8, cycle); allocs != 0 && !race.Enabled {
 		t.Fatalf("a steady-state distributed cycle allocates %v times, want 0", allocs)
 	}
-	if msgs := schemes[0].Op.(*Operator).Stats().Messages; msgs == 0 {
+	if msgs := op0.Stats().Messages; msgs == 0 {
 		t.Fatal("no halo frame was exchanged")
 	}
 }

@@ -75,18 +75,22 @@ type configFrame struct {
 //	[u32 header length] [gob stateHeader] [nodes ...i32] [U ...f64] [V ...f64]
 //
 // little-endian, written by writeState alone. A full frame has no ids and
-// all NDof values of U and V, a footprint frame Comps values per listed
-// node: a rank advances, and so holds, only the nodes its owned elements
-// touch (Operator.OwnedNodes), so a snapshot is one footprint frame per
-// rank and the exact global state is their overlay — every node lies in
-// some footprint, where footprints overlap the values agree bitwise, and
-// the scalars are the same on every rank. The header's State travels
-// without U and V; a decoded full frame is the same struct with them in.
+// all NDof values of U and V, a footprint frame ascending node ids and
+// Comps values per listed node: a rank holds only the nodes its owned
+// elements touch (Operator.OwnedNodes), in that order — its U and V are
+// the value sections — so a snapshot is one footprint frame per rank and
+// the exact global state is their overlay: every node lies in some
+// footprint, where footprints overlap the values agree bitwise, and the
+// scalars are the same on every rank. The header's State travels without
+// U and V; a decoded full frame is the same struct with them in.
 type stateHeader struct {
 	State ckpt.StepperState
 	NDof  int // length of the full field arrays
 	Comps int // field components per node (dof = node*Comps + c)
 	Nodes int // footprint node count, -1 in a full frame
+	// own, not part of the frame (gob skips it), makes a decoding base hold
+	// only the ascending nodes it lists, in that order (a rank's footprint).
+	own []int32
 }
 
 // StateFrameError reports a state frame that arrived intact (its CRC
@@ -95,15 +99,16 @@ type StateFrameError struct{ Reason string }
 
 func (e *StateFrameError) Error() string { return "dist: malformed state frame: " + e.Reason }
 
-// writeState streams st's state frame — full, or U and V on the footprint
-// nodes only, a run of consecutive ids at a time — through w's buffer and
-// flushes it, and returns the frame's length.
-func writeState(w *bufio.Writer, st *ckpt.StepperState, comps int, nodes []int32, full bool) (int64, error) {
-	h := stateHeader{State: *st, NDof: len(st.U), Comps: comps, Nodes: len(nodes)}
+// writeState streams st's state frame through w's buffer and flushes it,
+// and returns the frame's length: a full frame of st's arrays, or a
+// footprint frame of an ndof-long field whose listed nodes st holds, U
+// and V in the nodes' order (a rank's compact arrays).
+func writeState(w *bufio.Writer, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (int64, error) {
+	h := stateHeader{State: *st, NDof: ndof, Comps: comps, Nodes: len(nodes)}
 	h.State.U, h.State.V = nil, nil
 	size := len(nodes) * (4 + 16*comps)
 	if full {
-		h.Nodes, nodes, size = -1, nil, 16*len(st.U)
+		h.NDof, h.Nodes, nodes, size = len(st.U), -1, nil, 16*len(st.U)
 	}
 	var hdr bytes.Buffer
 	if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
@@ -114,16 +119,8 @@ func writeState(w *bufio.Writer, st *ckpt.StepperState, comps int, nodes []int32
 	for _, n := range nodes {
 		w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(n)))
 	}
-	for _, field := range [][]float64{st.U, st.V} {
-		if full {
-			writeFloats(w, field)
-		}
-		for i, j := 0, 0; i < len(nodes); i = j {
-			for j = i + 1; j < len(nodes) && nodes[j] == nodes[i]+int32(j-i); j++ {
-			}
-			writeFloats(w, field[int(nodes[i])*comps:int(nodes[j-1]+1)*comps])
-		}
-	}
+	writeFloats(w, st.U)
+	writeFloats(w, st.V)
 	return int64(4 + hdr.Len() + size), w.Flush()
 }
 
@@ -160,11 +157,11 @@ func parseStateFrame(payload []byte) (h stateHeader, body []byte, err error) {
 
 // decodeState parses and validates a state frame and overlays it on base:
 // the frame's scalars, and U and V on its nodes (all of them for a full
-// frame), which are marked in seen when that is non-nil (one entry per
-// node of base). base must describe the same field; only a full frame
-// may come without one and then yields a new base. On error base is left
-// partly overlaid: discard it. Nothing is indexed before it has been
-// checked against payload and field.
+// frame) that base holds, which are marked in seen when that is non-nil
+// (one entry per node base holds: see own). base must describe the same
+// field; only a full frame may come without one and then yields a new
+// base. On error base is left partly overlaid: discard it. Nothing is
+// indexed before it has been checked against payload and field.
 func decodeState(payload []byte, base *stateHeader, seen []bool) (*stateHeader, error) {
 	bad := func(format string, a ...any) (*stateHeader, error) {
 		return nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
@@ -173,7 +170,8 @@ func decodeState(payload []byte, base *stateHeader, seen []bool) (*stateHeader, 
 	if err != nil {
 		return nil, err
 	}
-	if h.Nodes < 0 {
+	full := h.Nodes < 0
+	if full {
 		if len(body)/16 != h.NDof || len(body)%16 != 0 {
 			return bad("%d body bytes for 2 x %d values", len(body), h.NDof)
 		}
@@ -182,30 +180,51 @@ func decodeState(payload []byte, base *stateHeader, seen []bool) (*stateHeader, 
 		} else if h.NDof != base.NDof {
 			return bad("full frame of a %d-dof field onto a %d-dof one", h.NDof, base.NDof)
 		}
-		h.State.U, _ = getFloats(base.State.U, body[:len(body)/2])
-		h.State.V, _ = getFloats(base.State.V, body[len(body)/2:])
-		base.State = h.State
-		for n := range seen {
-			seen[n] = true
+		if base.own == nil {
+			h.State.U, _ = getFloats(base.State.U, body[:len(body)/2])
+			h.State.V, _ = getFloats(base.State.V, body[len(body)/2:])
+			base.State = h.State
+			for n := range seen {
+				seen[n] = true
+			}
+			return base, nil
 		}
-		return base, nil
+		// Onto a footprint: a frame of every node, in base's shape.
+		h.Comps, h.Nodes = base.Comps, h.NDof/max(1, base.Comps)
 	}
 	if base == nil || h.NDof != base.NDof || h.Comps != base.Comps || h.Comps == 0 || h.NDof%h.Comps != 0 {
 		return bad("footprint of a %d-dof, %d-component field does not fit the base", h.NDof, h.Comps)
 	}
 	// A node costs its id plus Comps values of U and of V: size the count
 	// by the body before multiplying.
-	nc := h.Comps
-	if per := 4 + 16*nc; len(body)/per != h.Nodes || len(body)%per != 0 {
-		return bad("%d footprint nodes x %d components in a %d-byte body", h.Nodes, nc, len(body))
+	nc, ids, vals := h.Comps, []byte(nil), body
+	if !full {
+		if per := 4 + 16*nc; len(body)/per != h.Nodes || len(body)%per != 0 {
+			return bad("%d footprint nodes x %d components in a %d-byte body", h.Nodes, nc, len(body))
+		}
+		ids, vals = body[:4*h.Nodes], body[4*h.Nodes:]
 	}
-	ids, vals := body[:4*h.Nodes], body[4*h.Nodes:]
+	// The nodes ascend, so base's slot of each is the id itself or found by
+	// one merge walk along base.own.
 	for f, field := range [][]float64{base.State.U, base.State.V} {
 		src := vals[f*len(vals)/2:]
-		for i := 0; i < h.Nodes; i++ {
-			n := int(binary.LittleEndian.Uint32(ids[4*i:]))
-			if n >= h.NDof/nc {
-				return bad("footprint node %d outside [0,%d)", n, h.NDof/nc)
+		for i, j, prev := 0, 0, -1; i < h.Nodes; i++ {
+			n := i
+			if !full {
+				n = int(binary.LittleEndian.Uint32(ids[4*i:]))
+			}
+			if n >= h.NDof/nc || n <= prev {
+				return bad("footprint node %d at entry %d: not ascending in [0,%d)", n, i, h.NDof/nc)
+			}
+			prev = n
+			if base.own != nil {
+				for j < len(base.own) && int(base.own[j]) < n {
+					j++
+				}
+				if j == len(base.own) || int(base.own[j]) != n {
+					continue // another rank's node
+				}
+				n = j
 			}
 			for c := 0; c < nc; c++ {
 				field[n*nc+c] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(i*nc+c):]))

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
-	"golts/internal/ckpt"
 	"golts/internal/solver"
 )
 
@@ -85,9 +86,9 @@ type rankParams struct {
 	gen     int          // coordinator spawn generation (0 = initial launch)
 	faults  []*FaultPlan // injected faults, if any
 	spawned bool         // true in a separate rank process
-	// onState, when set, runs each time the rank's field arrays have been
-	// (re)installed: after build and after every restore (tests only).
-	onState func(*rankRun)
+	// onRestore, when set, runs on the rank's field arrays right before
+	// every restore overlays a snapshot on them (tests only).
+	onRestore func(*rankRun)
 }
 
 // peerLink is one rank↔rank connection: sends run on the stepping
@@ -211,6 +212,9 @@ type RankStats struct {
 	// rank needed to reach the coordinator or a peer — nonzero means the
 	// bounded reconnect-with-backoff path absorbed transient link errors.
 	LinkRetries int64
+	// PeakRSS is the rank process's peak resident set in bytes (VmHWM; 0
+	// where unavailable). In-process ranks report their shared process's.
+	PeakRSS int64
 
 	// Telemetry (populated only when RunConfig.Telemetry is set):
 	// LevelNanos is the cumulative per-LTS-level kernel wall time of this
@@ -234,9 +238,9 @@ type rankRun struct {
 	fabric *peerFabric
 	dop    *Operator
 	st     *solver.Stepper
-	// recIdx lists the indices into cfg.Receivers this rank owns,
-	// ascending; samples are reported in this order.
-	recIdx []int
+	// recDof lists the compact-numbered dofs of the receivers this rank
+	// owns, in cfg.Receivers order, the order samples are reported in.
+	recDof []int
 	// stepNanos is the cumulative wall time of st.Step (telemetry only).
 	stepNanos int64
 	// linkRetries counts reconnect attempts beyond the first.
@@ -416,13 +420,13 @@ func acceptWithDeadline(ln net.Listener, deadline time.Time) (net.Conn, error) {
 // build constructs the rank-local simulation from the broadcast
 // configuration through package solver — mesh, levels and operator, then
 // the scheme with its sources and sponge over the distributed wrapper —
-// and finds the receivers this rank owns. Mesh, operator and the NDof-long
-// field arrays are replicated on every rank; the stepping is not: the LTS
-// scheme takes the distributed operator's footprint as its node domain and
-// advances, and applies the sources of, those nodes alone (global Newmark
-// still sweeps every node; what it computes outside the footprint is never
-// read). Every step is deterministic, so each rank agrees bitwise with the
-// shared-memory baseline on its footprint (see Operator.OwnedNodes).
+// and finds the receivers this rank owns. Mesh and operator are replicated
+// on every rank; the state is not: either scheme takes the distributed
+// operator's footprint as its node domain and holds, advances and applies
+// the sources of those nodes alone, in the footprint's compact numbering,
+// into which the receivers are translated here. Every step is
+// deterministic, so each rank agrees bitwise with the shared-memory
+// baseline on its footprint (see Operator.OwnedNodes).
 func (r *rankRun) build() error {
 	m, lv, geom, err := r.cfg.Discretize()
 	if err != nil {
@@ -444,13 +448,13 @@ func (r *rankRun) build() error {
 	if err != nil {
 		return err
 	}
+	nc := dop.Comps()
 	for i, owner := range owners {
 		if owner == r.params.rank {
-			r.recIdx = append(r.recIdx, i)
+			dof := r.cfg.Receivers[i]
+			n, _ := slices.BinarySearch(dop.OwnedNodes(), int32(dof/nc)) // the owner's elements touch it
+			r.recDof = append(r.recDof, n*nc+dof%nc)
 		}
-	}
-	if r.params.onState != nil {
-		r.params.onState(r)
 	}
 	return nil
 }
@@ -506,13 +510,13 @@ func (r *rankRun) serve() error {
 				return err
 			}
 		case msgCkpt:
-			// The arrays are advanced on the footprint and nowhere else:
-			// that is what this rank adds to the snapshot.
+			// The arrays hold the footprint, in its order: this rank's
+			// share of the snapshot, written as it is.
 			if len(payload) != 4 {
 				return fmt.Errorf("malformed snapshot frame (%d bytes)", len(payload))
 			}
 			slot := int(binary.LittleEndian.Uint32(payload))
-			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.capture(), r.dop.Comps(), r.dop.OwnedNodes(), false)
+			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.st.View(), r.dop.NDof(), r.dop.Comps(), r.dop.OwnedNodes(), false)
 			if err != nil {
 				return r.report(err)
 			}
@@ -523,8 +527,17 @@ func (r *rankRun) serve() error {
 				return err
 			}
 		case msgRestore:
+			// This rank's footprint, picked out of every rank's frame — all
+			// of them: a restored rank may own what none of the writers did.
+			if r.params.onRestore != nil {
+				r.params.onRestore(r)
+			}
+			st, err := r.store.restore(payload, r.st.View(), r.dop.NDof(), r.dop.Comps(), r.dop.OwnedNodes())
+			if err == nil {
+				err = r.st.Restore(st)
+			}
 			var why []byte
-			if err := r.restoreFrom(payload); err != nil {
+			if err != nil {
 				why = []byte(err.Error())
 			}
 			if err := r.coord.send(msgRestoreDone, why); err != nil {
@@ -547,7 +560,7 @@ func (r *rankRun) stats() RankStats {
 		Applies: ds.Applies, Messages: ds.Messages, Volume: ds.Volume,
 		ElemApplies: w.ElemApplies, Cycles: w.Cycles,
 		EffectiveSpeedup: w.EffectiveSpeedup, Efficiency: w.Efficiency,
-		LinkRetries: r.linkRetries,
+		LinkRetries: r.linkRetries, PeakRSS: peakRSS(),
 	}
 	if !r.cfg.Telemetry {
 		return st
@@ -565,31 +578,13 @@ func (r *rankRun) stats() RankStats {
 	return st
 }
 
-// capture returns the rank-local stepper state for immediate encoding
-// (it aliases the live arrays). The arrays are meaningful only on this
-// rank's footprint (see Operator.OwnedNodes): a snapshot is every rank's
-// footprint, and a restore overlays them all.
-func (r *rankRun) capture() *ckpt.StepperState { return r.st.View() }
-
-// restoreFrom installs the committed snapshot a msgRestore payload
-// describes: every rank's footprint overlaid on this rank's own arrays —
-// all of them, since a restored rank may own what none of the writers'
-// ranks did — and the scalars that go with them.
-func (r *rankRun) restoreFrom(payload []byte) error {
-	var sn snapshot
-	if err := decodeGob(payload, &sn); err != nil {
-		return fmt.Errorf("decoding snapshot descriptor: %w", err)
-	}
-	live := r.capture()
-	base, err := r.store.load(&sn, &stateHeader{State: *live, NDof: len(live.U), Comps: r.dop.Comps(), Nodes: -1})
-	if err != nil {
-		return err
-	}
-	err = r.st.Restore(&base.State)
-	if err == nil && r.params.onState != nil {
-		r.params.onState(r)
-	}
-	return err
+// peakRSS is this process's VmHWM in bytes, 0 where /proc is unavailable.
+func peakRSS() int64 {
+	raw, _ := os.ReadFile("/proc/self/status")
+	_, f, _ := strings.Cut(string(raw), "VmHWM:")
+	f, _, _ = strings.Cut(f, "kB")
+	kb, _ := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+	return kb << 10
 }
 
 // stepOnce advances one coarse cycle and reports the cycle time plus the
@@ -620,8 +615,8 @@ func (r *rankRun) stepOnce() (err error) {
 	r.st.Step()
 	u := r.st.State()
 	vals := append(r.vals[:0], r.st.Time())
-	for _, i := range r.recIdx {
-		vals = append(vals, u[r.cfg.Receivers[i]])
+	for _, d := range r.recDof {
+		vals = append(vals, u[d])
 	}
 	if r.cfg.Telemetry {
 		r.stepNanos += time.Since(start).Nanoseconds()

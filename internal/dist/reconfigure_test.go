@@ -119,16 +119,16 @@ func TestRecoveryAfterRebalance(t *testing.T) {
 // Close must leave no goroutine of any of the five generations behind.
 //
 // The ladder is walked twice, the second time with every rank's field
-// arrays poisoned outside its footprint after each build and each restore
-// (see poison): every relaunch changes the footprints, so a rank that
-// still leaned on a value it does not own — left over from before the
-// restore, or never written since — would carry a NaN into the trajectory.
+// arrays poisoned right before each restore (see poison): every relaunch
+// changes the footprints, so a restore that picked a node of the new
+// footprint out of no frame, or into the wrong slot, would leave a NaN
+// behind to carry into the trajectory.
 func TestReconfigureLadder(t *testing.T) {
 	t.Run("plain", func(t *testing.T) { reconfigureLadder(t, nil) })
 	t.Run("poisoned", func(t *testing.T) { reconfigureLadder(t, poison) })
 }
 
-func reconfigureLadder(t *testing.T, onState func(*rankRun)) {
+func reconfigureLadder(t *testing.T, onRestore func(*rankRun)) {
 	const cycles = 12
 	tc := newTestConfigScale(t, "acoustic", true, 2, 4, 0.004)
 	wantT, want := runShared(t, tc, cycles)
@@ -138,7 +138,7 @@ func reconfigureLadder(t *testing.T, onState func(*rankRun)) {
 	baseline := runtime.NumGoroutine()
 	co := startRun(t, tc, Config{
 		InProcess:       true,
-		onState:         onState,
+		onRestore:       onRestore,
 		CheckpointEvery: 4,
 		MaxRecoveries:   1,
 		MinRanks:        1,

@@ -265,9 +265,9 @@ func TestLiftIsExact(t *testing.T) {
 	}
 }
 
-// TestPrivateBuffers: a rank holds one NDof-long private accumulation
-// buffer per owned part but its lowest, which accumulates into dst —
-// none at all when every rank owns one part.
+// TestPrivateBuffers: a rank holds one footprint-long private
+// accumulation buffer per owned part but its lowest, which accumulates
+// into dst — none at all when every rank owns one part.
 func TestPrivateBuffers(t *testing.T) {
 	for _, c := range []struct{ ranks, parts int }{{1, 1}, {2, 2}, {4, 4}, {1, 4}, {2, 4}, {3, 4}} {
 		tc := newTestConfig(t, "acoustic", true, c.ranks, c.parts)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -234,5 +235,76 @@ func TestNoOrphanSnapshotDir(t *testing.T) {
 			t.Errorf("Start: %v, want the initial checkpoint's rank failure", err)
 		}
 		requireEmptyDir(t, tmp)
+	})
+}
+
+// FuzzRestoreDescriptor drives a rank's restore — the msgRestore
+// descriptor's gob, then snapStore.load — against a store holding one real
+// committed snapshot: two ranks' footprint frames of a 12-node,
+// 3-component field, written by save, whose descriptor seeds the corpus
+// with variants of it. Onto each of three footprints (inside one writer's,
+// across both, the whole field) a descriptor must end in an error or in
+// the restoring rank's compact arrays, unreallocated, holding the
+// committed state there bit for bit: every file the store holds is a true
+// one, so nothing else can come out. Never a panic, never an index outside
+// the arrays.
+func FuzzRestoreDescriptor(f *testing.F) {
+	const nn, comps = 12, 3
+	truth := testState(nn, comps)
+	store := &snapStore{dir: f.TempDir()}
+	sn := snapshot{Gen: 2, Slot: 1, Cycle: 7}
+	for r, fp := range [][]int32{{0, 1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10, 11}} {
+		file, err := store.save(sn.Gen, sn.Slot, r, compactState(truth, comps, fp, false), nn*comps, comps, fp, false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sn.Files = append(sn.Files, file)
+	}
+	seed := func(edit func(sn *snapshot)) []byte {
+		v := sn
+		v.Files = append([]snapFile(nil), sn.Files...)
+		edit(&v)
+		b, err := gobBytes(&v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		return b
+	}
+	committed := seed(func(*snapshot) {})
+	seed(func(v *snapshot) { v.Gen++ })
+	seed(func(v *snapshot) { v.Slot = -1 })
+	seed(func(v *snapshot) { v.Files = v.Files[:1] })
+	seed(func(v *snapshot) { v.Files = append(v.Files, v.Files[0]) })
+	seed(func(v *snapshot) { v.Files[1].CRC ^= 1 })
+	seed(func(v *snapshot) { v.Files[0].Len = 1 << 40 })
+	seed(func(v *snapshot) { v.Files = nil })
+	f.Add([]byte("not a gob"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, own := range [][]int32{{1, 2, 4}, {3, 5, 6, 7, 11}, nil} {
+			if own == nil {
+				for n := int32(0); n < nn; n++ {
+					own = append(own, n)
+				}
+			}
+			live := compactState(testState(nn, comps), comps, own, false)
+			clear(live.U)
+			clear(live.V)
+			u0 := &live.U[0]
+			st, err := store.restore(payload, live, nn*comps, comps, own)
+			if err != nil {
+				if bytes.Equal(payload, committed) {
+					t.Fatalf("footprint %v: the committed descriptor does not restore: %v", own, err)
+				}
+				continue
+			}
+			want := compactState(truth, comps, own, false)
+			if len(st.U) != len(own)*comps || len(st.V) != len(own)*comps || &st.U[0] != u0 {
+				t.Fatalf("footprint %v: restored %d/%d values, not into the rank's %d", own, len(st.U), len(st.V), len(own)*comps)
+			}
+			if !sameBits(st.U, want.U) || !sameBits(st.V, want.V) || st.T != truth.T || st.N != truth.N {
+				t.Fatalf("footprint %v: restored a state the store does not hold", own)
+			}
+		}
 	})
 }

@@ -103,9 +103,10 @@ func (s *snapStore) path(gen, slot, rank int) string {
 // snapChunk sizes save's buffer: a chunk is written and checksummed while in cache.
 const snapChunk = 256 << 10
 
-// save streams st's state frame into rank's file of (gen, slot), over the
-// pages of the file's previous contents, and returns its length and CRC32.
-func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, comps int, nodes []int32, full bool) (snapFile, error) {
+// save streams st's state frame (see writeState) into rank's file of (gen,
+// slot), over the pages of the file's previous contents, and returns its
+// length and CRC32.
+func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (snapFile, error) {
 	f, err := os.OpenFile(s.path(gen, slot, rank), os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return snapFile{}, err
@@ -115,7 +116,7 @@ func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, comps int, 
 		s.buf = bufio.NewWriterSize(nil, snapChunk)
 	}
 	s.buf.Reset(io.MultiWriter(f, crc))
-	n, err := writeState(s.buf, st, comps, nodes, full)
+	n, err := writeState(s.buf, st, ndof, comps, nodes, full)
 	if err == nil {
 		err = f.Truncate(n)
 	}
@@ -126,11 +127,12 @@ func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, comps int, 
 }
 
 // load overlays every file of sn on base and refuses anything short of
-// the whole field: each file must be as long as committed and hash to
-// the committed checksum, fit base, and the frames together must cover
-// every node. A nil base stands for a zero field of the first frame's
-// shape. The error says what is wrong with the snapshot (the coordinator
-// types it, see unusable); base is then partly overlaid.
+// what base holds: each file must be as long as committed and hash to the
+// committed checksum, fit base, and the frames together must cover every
+// node base holds (all of them, or its footprint: see stateHeader.own). A
+// nil base stands for a zero field of the first frame's shape. The error
+// says what is wrong with the snapshot (the coordinator types it, see
+// unusable); base is then partly overlaid.
 func (s *snapStore) load(sn *snapshot, base *stateHeader) (*stateHeader, error) {
 	if len(sn.Files) == 0 {
 		return nil, errors.New("no files")
@@ -162,15 +164,35 @@ func (s *snapStore) load(sn *snapshot, base *stateHeader) (*stateHeader, error) 
 		}
 		if seen == nil {
 			seen = make([]bool, base.NDof/max(1, base.Comps))
+			if base.own != nil {
+				seen = make([]bool, len(base.own))
+			}
 		}
 		if _, err := decodeState(frame, base, seen); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	if n := slices.Index(seen, false); n >= 0 {
+		if base.own != nil {
+			n = int(base.own[n])
+		}
 		return nil, fmt.Errorf("node %d is in no rank's footprint", n)
 	}
 	return base, nil
+}
+
+// restore decodes a msgRestore descriptor and loads the snapshot it names
+// onto live, which holds the footprint own of an ndof-long field.
+func (s *snapStore) restore(payload []byte, live *ckpt.StepperState, ndof, comps int, own []int32) (*ckpt.StepperState, error) {
+	var sn snapshot
+	if err := decodeGob(payload, &sn); err != nil {
+		return nil, fmt.Errorf("decoding snapshot descriptor: %w", err)
+	}
+	base, err := s.load(&sn, &stateHeader{State: *live, NDof: ndof, Comps: comps, Nodes: -1, own: own})
+	if err != nil {
+		return nil, err
+	}
+	return &base.State, nil
 }
 
 // prune deletes the files of every generation but gen.

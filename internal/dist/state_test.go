@@ -38,12 +38,29 @@ func testState(nn, comps int) *ckpt.StepperState {
 }
 
 // encodeState is the in-memory twin of snapStore.save: the same state
-// frame, streamed by writeState into buf's storage (a caller may pass its
-// last frame back in) through a 64-byte buffer instead of snapChunk bytes.
+// frame of the global field st, streamed by writeState from the arrays a
+// rank holding nodes would have (compactState) into buf's storage (a
+// caller may pass its last frame back in) through a 64-byte buffer instead
+// of snapChunk bytes.
 func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, full bool) ([]byte, error) {
 	b := bytes.NewBuffer(buf[:0])
-	_, err := writeState(bufio.NewWriterSize(b, 64), st, comps, nodes, full)
+	_, err := writeState(bufio.NewWriterSize(b, 64), compactState(st, comps, nodes, full), len(st.U), comps, nodes, full)
 	return b.Bytes(), err
+}
+
+// compactState is the global state st as a rank whose footprint is nodes
+// holds it: U and V on those nodes, in their order (st itself when full).
+func compactState(st *ckpt.StepperState, comps int, nodes []int32, full bool) *ckpt.StepperState {
+	if full {
+		return st
+	}
+	c := *st
+	c.U, c.V = make([]float64, 0, len(nodes)*comps), make([]float64, 0, len(nodes)*comps)
+	for _, n := range nodes {
+		d := int(n) * comps
+		c.U, c.V = append(c.U, st.U[d:d+comps]...), append(c.V, st.V[d:d+comps]...)
+	}
+	return &c
 }
 
 // cutWriter records where every write into it ends.
@@ -450,7 +467,7 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 	// Where save's chunks end: one inside the ids, one between two
 	// consecutive nodes' values of U or V.
 	var chunks cutWriter
-	if _, err := writeState(bufio.NewWriterSize(&chunks, snapChunk), st, comps, nodes, false); err != nil {
+	if _, err := writeState(bufio.NewWriterSize(&chunks, snapChunk), compactState(st, comps, nodes, false), len(st.U), comps, nodes, false); err != nil {
 		t.Fatal(err)
 	}
 	ids := 4 + int(binary.LittleEndian.Uint32(want))
@@ -472,7 +489,7 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := store.save(0, 0, 0, st, comps, fp, false)
+		f, err := store.save(0, 0, 0, compactState(st, comps, fp, false), len(st.U), comps, fp, false)
 		if err != nil {
 			t.Fatal(err)
 		}

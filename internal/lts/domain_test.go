@@ -16,9 +16,10 @@ import (
 // scheme and logs, per stiffness application, the input the scheme
 // presented and the assembled K·u it got back, both in node numbering;
 // replayer declares a footprint, checks that the domain-restricted scheme
-// presents bitwise the same input on that footprint at the same point of
-// the apply sequence, and delivers the logged result there and nowhere
-// else — what a rank of the distributed engine does, minus the exchange.
+// — whose arrays are the footprint's compact numbering — presents bitwise
+// the same input on that footprint at the same point of the apply
+// sequence, and delivers the logged result there and nowhere else — what
+// a rank of the distributed engine does, minus the exchange.
 
 type apply struct{ in, out []float64 } // NDof long, node-numbered
 
@@ -106,15 +107,18 @@ func (r *replayer) NewBatchPlan(elems []int32) sem.BatchPlan {
 	return &mapPlan{elems: slices.Clone(elems), nn: r.NumNodes(), check: r.checkMap}
 }
 
-// checkMap holds a remap to the sem.NodeMap contract: every node of the
-// plan's elements reads from a slot, and those on the footprint accumulate
-// into one.
+// checkMap holds a remap to the sem.NodeMap contract of a footprint
+// operator: every node of the plan's elements on the footprint reads from
+// a slot and accumulates into one.
 func (r *replayer) checkMap(elems []int32, m sem.NodeMap) {
 	for _, n := range sem.NodesOf(r.BatchKernel, elems) {
-		if i := int(m.In[n]); i < 0 || i >= m.NIn {
-			r.t.Fatalf("%s: remap reads node %d from slot %d, outside [0, %d)", r.name, n, i, m.NIn)
+		if _, mine := slices.BinarySearch(r.nodes, n); !mine {
+			continue
 		}
-		if _, mine := slices.BinarySearch(r.nodes, n); mine && (m.Out[n] < 0 || int(m.Out[n]) >= m.NOut) {
+		if i := int(m.In[n]); i < 0 || i >= m.NIn {
+			r.t.Fatalf("%s: remap reads footprint node %d from slot %d, outside [0, %d)", r.name, n, i, m.NIn)
+		}
+		if m.Out[n] < 0 || int(m.Out[n]) >= m.NOut {
 			r.t.Fatalf("%s: remap accumulates footprint node %d into slot %d, outside [0, %d)", r.name, n, m.Out[n], m.NOut)
 		}
 	}
@@ -142,28 +146,25 @@ func (r *replayer) AddKuBatch(dst, u []float64, plan sem.BatchPlan, _ *sem.Batch
 	r.call++
 }
 
-// poisonOutside overwrites u off the listed nodes with NaN.
-func poisonOutside(u []float64, nodes []int32, nc int) {
-	keep := make([]bool, len(u)/nc)
+// compact returns the dofs of the global field u on nodes, in their order:
+// the field as a scheme over that footprint holds it.
+func compact(u []float64, nodes []int32, nc int) []float64 {
+	out := make([]float64, 0, len(nodes)*nc)
 	for _, n := range nodes {
-		keep[n] = true
+		out = append(out, u[int(n)*nc:int(n+1)*nc]...)
 	}
-	for d := range u {
-		if !keep[d/nc] {
-			u[d] = math.NaN()
-		}
-	}
+	return out
 }
 
 // runDomainPair steps the full scheme for 8 cycles and then, against its
 // log, one domain-restricted scheme per footprint — the node supports of
-// the element sets owned[0], owned[1], which together hold every element.
-// Outside its footprint a restricted scheme's U and V are NaN from the
-// start and after the mid-run Restore into a fresh scheme. They must
-// still be NaN at the end, and on the footprint U and V must equal the
-// full scheme's bit for bit at nonzero amplitude, with the accumulators
-// back at zero after every cycle and the work counters those of the full
-// scheme.
+// the element sets owned[0], owned[1], which together hold every element —
+// started from the full scheme's initial state, sources and sponge
+// translated into the footprint's compact numbering, and restored midway
+// into a freshly built scheme from the full scheme's snapshot. Its U and V
+// are footprint-long and must equal the full scheme's on the footprint bit
+// for bit at nonzero amplitude, with the accumulators back at zero after
+// every cycle and the work counters those of the full scheme.
 func runDomainPair(t *testing.T, name string, op sem.BatchKernel, lvl []uint8, nlv int, dt float64,
 	owned [2][]int32, src []sem.Source, sigma []float64) {
 	t.Helper()
@@ -199,31 +200,35 @@ func runDomainPair(t *testing.T, name string, op sem.BatchKernel, lvl []uint8, n
 	for r, elems := range owned {
 		rname := fmt.Sprintf("%s/share %d", name, r)
 		rp := &replayer{BatchKernel: op, t: t, name: rname, nodes: sem.NodesOf(op, elems), log: rec.log}
+		var local []sem.Source
+		for _, sc := range src {
+			if i, ok := slices.BinarySearch(rp.nodes, int32(sc.Dof/nc)); ok {
+				local = append(local, sem.Source{Dof: i*nc + sc.Dof%nc, W: sc.W})
+			}
+		}
 		build := func() *Scheme {
 			s, err := New(rp, lvl, nlv, dt, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetSources(src)
-			s.Sigma = sigma
+			s.SetSources(local)
+			s.Sigma = compact(sigma, rp.nodes, 1)
 			return s
 		}
 		s := build()
-		pu, pv := slices.Clone(u0), slices.Clone(v0)
-		poisonOutside(pu, rp.nodes, nc)
-		poisonOutside(pv, rp.nodes, nc)
-		if err := s.SetInitial(pu, pv); err != nil {
+		if err := s.SetInitial(compact(u0, rp.nodes, nc), compact(v0, rp.nodes, nc)); err != nil {
 			t.Fatal(err)
 		}
 		active, far := s.Domain()
 		dom := append(slices.Clone(active), far...)
 		slices.Sort(dom)
-		if !slices.Equal(dom, rp.nodes) {
-			t.Fatalf("%s: active region ∪ far-coarse list is not the footprint", rname)
+		for i, n := range dom {
+			if int(n) != i || len(dom) != len(rp.nodes) {
+				t.Fatalf("%s: active region ∪ far-coarse list is not the footprint's numbering", rname)
+			}
 		}
-		inside := make([]bool, op.NumNodes())
 		for _, n := range rp.nodes {
-			inside[n], covered[n] = true, true
+			covered[n] = true
 		}
 		for cyc := 1; cyc <= cycles; cyc++ {
 			s.Step()
@@ -237,23 +242,22 @@ func runDomainPair(t *testing.T, name string, op sem.BatchKernel, lvl []uint8, n
 			for _, f := range []struct {
 				name      string
 				got, want []float64
-			}{{"U", s.U, want.U}, {"V", s.V, want.V}} {
+			}{{"U", s.U, compact(want.U, rp.nodes, nc)}, {"V", s.V, compact(want.V, rp.nodes, nc)}} {
+				if len(f.got) != len(f.want) {
+					t.Fatalf("%s: %s has %d dofs, the footprint %d", rname, f.name, len(f.got), len(f.want))
+				}
 				for d := range f.got {
-					if in := inside[d/nc]; in && math.Float64bits(f.got[d]) != math.Float64bits(f.want[d]) {
-						t.Fatalf("%s: %s differs from the full scheme at footprint dof %d after %d cycles: %v vs %v",
-							rname, f.name, d, cyc, f.got[d], f.want[d])
-					} else if !in && !math.IsNaN(f.got[d]) {
-						t.Fatalf("%s: %s was written outside the footprint, at dof %d in cycle %d", rname, f.name, d, cyc)
+					if math.Float64bits(f.got[d]) != math.Float64bits(f.want[d]) {
+						t.Fatalf("%s: %s differs from the full scheme at footprint node %d comp %d after %d cycles: %v vs %v",
+							rname, f.name, rp.nodes[d/nc], d%nc, cyc, f.got[d], f.want[d])
 					}
 				}
 			}
 			// Continue on a freshly built scheme restored from the full
-			// scheme's snapshot, poisoned again: scratch must carry nothing.
+			// scheme's snapshot: scratch must carry nothing.
 			if cyc == cycles/2 {
 				st := *states[cyc-1]
-				st.U, st.V = slices.Clone(st.U), slices.Clone(st.V)
-				poisonOutside(st.U, rp.nodes, nc)
-				poisonOutside(st.V, rp.nodes, nc)
+				st.U, st.V = compact(st.U, rp.nodes, nc), compact(st.V, rp.nodes, nc)
 				s = build()
 				if err := s.Restore(&st); err != nil {
 					t.Fatal(err)
@@ -282,8 +286,8 @@ func halves(ne int) [2][]int32 {
 }
 
 // TestDomainRestrictedBitwiseAgainstFull pins the node-domain half of the
-// layout: a scheme built on an operator that declares a footprint advances
-// that footprint exactly as the full scheme does and touches nothing else.
+// layout: a scheme built on an operator that declares a footprint holds
+// that footprint alone and advances it exactly as the full scheme does.
 // Sources sit where the four cases of SetSources sit for either share: in
 // each share's interior (fine and far-coarse), on the interface both
 // shares hold, two of them on one dof.
@@ -360,10 +364,10 @@ func TestDomainRestrictedBitwiseAgainstFull(t *testing.T) {
 // dropping slices.BinarySearch's found result: a source on a node in
 // neither the active region nor the far-coarse list was booked at
 // whichever far-coarse position it would have been inserted at (one past
-// the end included). Unreachable while the two lists cover the mesh; once
-// they cover a footprint every foreign source marks an unrelated node as
-// carrying sources, which coarsePass then searches each cycle (it matches
-// by dof, so it finds nothing there — the run above stays bitwise).
+// the end included). Unreachable while the two lists cover the mesh; over
+// a footprint they cover its compact numbering, and a source past its end
+// marked an unrelated node as carrying sources, which coarsePass then
+// searched each cycle.
 func TestSetSourcesSkipsForeignNodes(t *testing.T) {
 	m, lv := oracleMesh(t, 3)
 	op, err := sem.NewAcoustic3D(m, 4, false)
@@ -376,7 +380,7 @@ func TestSetSourcesSkipsForeignNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	has := func(list []int32, n int32) bool { _, ok := slices.BinarySearch(list, n); return ok }
+	shared := func(n int32) bool { _, ok := slices.BinarySearch(theirs, mine[n]); return ok }
 	active, far := s.Domain()
 	pick := func(what string, from []int32, pred func(n int32) bool) int32 {
 		if i := slices.IndexFunc(from, pred); i >= 0 {
@@ -385,19 +389,18 @@ func TestSetSourcesSkipsForeignNodes(t *testing.T) {
 		t.Fatalf("fixture has no %s node", what)
 		return -1
 	}
-	isFar := func(n int32) bool { return s.sets.stepLvl[n] == 0 }
-	isAct := func(n int32) bool { return !isFar(n) }
+	end := int32(len(mine))
 	for _, tc := range []struct {
 		name        string
 		node        int32
 		active, far bool // where the source must land
 	}{
-		{"own interior, active", pick("own active", active, func(n int32) bool { return !has(theirs, n) }), true, false},
-		{"own interior, far-coarse", pick("own far", far, func(n int32) bool { return !has(theirs, n) }), false, true},
-		{"interface, active", pick("shared active", active, func(n int32) bool { return has(theirs, n) }), true, false},
-		{"interface, far-coarse", pick("shared far", far, func(n int32) bool { return has(theirs, n) }), false, true},
-		{"other share's interior, active", pick("foreign active", theirs, func(n int32) bool { return isAct(n) && !has(mine, n) }), false, false},
-		{"other share's interior, far-coarse", pick("foreign far", theirs, func(n int32) bool { return isFar(n) && !has(mine, n) }), false, false},
+		{"own interior, active", pick("own active", active, func(n int32) bool { return !shared(n) }), true, false},
+		{"own interior, far-coarse", pick("own far", far, func(n int32) bool { return !shared(n) }), false, true},
+		{"interface, active", pick("shared active", active, shared), true, false},
+		{"interface, far-coarse", pick("shared far", far, shared), false, true},
+		{"one past the numbering", end, false, false},
+		{"beyond the numbering", end + 7, false, false},
 	} {
 		// Two sources on the one dof, as a double couple would put them.
 		s.SetSources([]sem.Source{{Dof: int(tc.node), W: sem.Ricker{F0: 1}}, {Dof: int(tc.node), W: sem.Ricker{F0: 2}}})

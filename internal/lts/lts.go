@@ -49,13 +49,13 @@
 // nodes: the stiffness kernel is the only place one node's value reaches
 // another, so when the operator holds one share of a decomposed run and
 // says which nodes that share reads and assembles (sem.Footprint — the
-// distributed engine's ranks), the active region, the far-coarse list and
-// all scratch are built over that footprint and the scheme never reads or
-// writes U and V anywhere else; there they keep whatever SetInitial or
-// Restore put there. The element lists handed to the operator stay the
-// mesh's, so every holder of a share issues the same applies. An operator
-// without a footprint gives the domain of every node; there is one code
-// path.
+// distributed engine's ranks), the scheme holds and advances that footprint
+// alone: U, V, Sigma, the Sources' dofs, M⁻¹ and the level-0 plan and
+// accumulator are in its compact numbering (sem.StepperPlan). The element
+// lists handed to the operator stay the mesh's, so every holder of a share
+// issues the same applies. An operator without a footprint gives the
+// domain of every node in node ids, and nothing is remapped; there is one
+// code path.
 //
 // Team. The same licence lets several workers share one cycle. When the
 // operator runs collective applies (package parallel; the team
@@ -132,8 +132,8 @@ type Scheme struct {
 	Dt float64
 	// Optimized selects the active-set engine.
 	Optimized bool
-	// Sources are point forces; each is injected at its node's level, at
-	// that level's local substep times.
+	// Sources are point forces at dofs of the scheme's numbering (Domain);
+	// each is injected at its node's level, at its local substep times.
 	Sources []sem.Source
 	// Sigma is an optional per-node sponge damping profile applied to the
 	// velocity once per coarse step.
@@ -143,7 +143,7 @@ type Scheme struct {
 	// predictable branch and no clock reads.
 	Telemetry bool
 
-	// U is the displacement at t_n; V the velocity at t_{n-1/2}.
+	// U is the displacement at t_n; V the velocity at t_{n-1/2} (Domain).
 	U, V []float64
 	// Work holds operation counters.
 	Work Work
@@ -170,7 +170,8 @@ type Scheme struct {
 	usnap   [][]float64 // ũ snapshot for the factor-2 update (1 <= li < nlv-1)
 	kact    []float64   // stiffness accumulation of the levels >= 1, their plans' largest spill tail behind (all-zero between uses)
 	minvAct []float64   // M⁻¹ per active dof
-	// Operator-numbered scratch of level 0:
+	// Scratch of level 0, in the scheme's numbering:
+	minv []float64 // M⁻¹ per node
 	kbuf []float64 // stiffness accumulation, the level-0 plan's spill tail behind (all-zero between uses)
 	hold []float64 // U on sets.hold while the level-0 kernel reads U in place
 	// One plan per level (the per-level element sets are stable for the
@@ -196,7 +197,8 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 	if err != nil {
 		return nil, err
 	}
-	nd, nc := op.NDof(), op.Comps()
+	nc := op.Comps()
+	nd := (len(st.actNode) + len(st.far)) * nc // the domain: active ∪ far-coarse
 	s := &Scheme{
 		Op: op, Dt: dt, Optimized: optimized,
 		U: make([]float64, nd), V: make([]float64, nd),
@@ -220,9 +222,8 @@ func New(op sem.BatchKernel, elemLevel []uint8, numLevels int, dt float64, optim
 	s.usnap = make([][]float64, numLevels)
 	s.fbuf[0] = make([]float64, na)
 	s.minvAct = make([]float64, na)
-	minv := op.MInv()
 	for d := range s.minvAct {
-		s.minvAct[d] = minv[st.actNode[d/nc]]
+		s.minvAct[d] = s.minv[st.actNode[d/nc]]
 	}
 	s.SetSources(nil)
 	if numLevels > 1 {
@@ -261,10 +262,10 @@ func (s *Scheme) SetInitial(u0, v0 []float64) error {
 }
 
 // SetSources installs point sources (must be called before stepping so
-// their active-region positions can be resolved). A source on a node
-// outside the scheme's domain is kept in Sources and never applied: the
-// holders of that node apply it. It rebuilds farCut: a run of sets.far
-// starts after a gap in the node ids, at a source node and after one.
+// their active-region positions can be resolved); their dofs are in the
+// scheme's numbering. A source on a node outside it is kept in Sources and
+// never applied. It rebuilds farCut: a run of sets.far starts after a gap
+// in the numbering, at a source node and after one.
 func (s *Scheme) SetSources(src []sem.Source) {
 	s.Sources = src
 	s.srcAct = make([]int, len(src))
@@ -296,9 +297,9 @@ func (s *Scheme) SetSources(src []sem.Source) {
 }
 
 // Domain returns the nodes the scheme advances, as it walks them: the
-// active region in active-index order and the far-coarse nodes ascending —
-// together the operator's footprint when it declares one (sem.Footprint),
-// every node otherwise. The slices are the scheme's own.
+// active region in active-index order and the far-coarse nodes ascending,
+// together every node of its numbering — the node ids, or the positions in
+// the operator's footprint (sem.Footprint). The slices are the scheme's own.
 func (s *Scheme) Domain() (active, far []int32) { return s.sets.actNode, s.sets.far }
 
 // AccumulatorsZero reports whether the stiffness accumulation buffers are
@@ -315,9 +316,6 @@ func (s *Scheme) Time() float64 { return s.t }
 
 // CycleCount returns the number of completed coarse steps.
 func (s *Scheme) CycleCount() int64 { return s.n }
-
-// NumLevels returns the number of LTS levels.
-func (s *Scheme) NumLevels() int { return s.nlv }
 
 // dtAt returns the substep of 0-based level li: Δt / 2^li.
 func (s *Scheme) dtAt(li int) float64 { return s.Dt / float64(int64(1)<<uint(li)) }
@@ -347,15 +345,16 @@ func (s *Scheme) kernel(w, li int, dst, in []float64) {
 	s.Work.PerLevel[li] += int64(len(s.sets.forceElems[li]))
 }
 
-// buildPlans builds the per-level batch plans. A level li >= 1 runs in the
-// active numbering: its plan gathers a node of P_li from its slot of ũ, any
-// other node from the zero slot behind the region, and scatters into kact.
-// Nodes outside the domain have no slot in either space (Out = -1, In = the
-// zero slot): a footprint operator's own elements touch none of them.
+// buildPlans builds the per-level batch plans, level 0's (and M⁻¹) in the
+// scheme's numbering. A level li >= 1 runs in the active numbering: its
+// plan gathers a node of P_li from its slot of ũ, any other node from the
+// zero slot behind the region, and scatters into kact. Nodes outside the
+// domain have no slot in either space (Out = -1, In = the zero slot): a
+// footprint operator's own elements touch none of them.
 func (s *Scheme) buildPlans() {
 	st, nAct := s.sets, len(s.sets.actNode)
 	s.bplans = make([]sem.BatchPlan, s.nlv)
-	s.bplans[0] = s.Op.NewBatchPlan(st.forceElems[0])
+	s.bplans[0], s.minv = sem.StepperPlan(s.Op, st.forceElems[0])
 	if s.nlv == 1 {
 		return
 	}
@@ -365,7 +364,7 @@ func (s *Scheme) buildPlans() {
 		m.In[n], m.Out[n] = int32(nAct), -1
 	}
 	for a, n := range st.actNode {
-		m.Out[n] = int32(a)
+		m.Out[st.node(n)] = int32(a)
 	}
 	for li := 1; li < s.nlv; li++ {
 		for _, n := range st.levelNodes[li] {
@@ -382,13 +381,12 @@ func (s *Scheme) buildPlans() {
 
 // gather moves M⁻¹·k into dst (active numbering) on worker w's share of
 // level li's update set, re-zeroing k there, and injects the level's
-// sources on that share at local time t. Level 0's kbuf speaks node ids:
-// the gather walks its force nodes, dst stays zero elsewhere. A finer
+// sources on that share at local time t. Level 0's kbuf is in the scheme's
+// numbering: the gather walks its force nodes, dst stays zero elsewhere. A finer
 // level's kact is +0 off its force nodes, so a dense pass writes
 // M⁻¹·(+0) = +0 there, what dst already holds.
 func (s *Scheme) gather(w, li int, t float64, dst, k []float64) {
 	nc := s.Op.Comps()
-	minv := s.Op.MInv()
 	a0, a1 := s.share(w, s.sets.actOff[li], len(s.sets.actNode))
 	if li == 0 {
 		act := s.sets.forceAct0
@@ -409,8 +407,9 @@ func (s *Scheme) gather(w, li int, t float64, dst, k []float64) {
 		}
 	}
 	for i, sc := range s.Sources {
-		if a := s.srcAct[i]; a >= a0*nc && a < a1*nc && int(s.sets.nodeLevel[sc.Dof/nc]) == li {
-			dst[a] -= s.srcAmp(sc, t) * minv[sc.Dof/nc]
+		n := int32(sc.Dof / nc)
+		if a := s.srcAct[i]; a >= a0*nc && a < a1*nc && int(s.sets.nodeLevel[s.sets.node(n)]) == li {
+			dst[a] -= s.srcAmp(sc, t) * s.minv[n]
 		}
 	}
 }
@@ -636,7 +635,7 @@ func (s *Scheme) coarsePass(w int) {
 func (s *Scheme) farRun(n0, n1 int) {
 	nc, dt, dur := s.Op.Comps(), s.Dt, 2*s.dtAt(1)
 	half, dtInv, kick := dur*dur/2, 1/dt, s.kick
-	minv := s.Op.MInv()[n0:n1]
+	minv := s.minv[n0:n1]
 	kb := s.kbuf[n0*nc : n1*nc]
 	u, v, sg := s.U[n0*nc:n1*nc], s.V[n0*nc:n1*nc], s.Sigma
 	for i, mi := range minv {
@@ -658,7 +657,7 @@ func (s *Scheme) farRun(n0, n1 int) {
 // farSourceNode is coarsePass at far-coarse node n, which carries sources;
 // they are added in Sources order.
 func (s *Scheme) farSourceNode(n int) {
-	nc, mi, fac, dur := s.Op.Comps(), s.Op.MInv()[n], s.dampFac(n), 2*s.dtAt(1)
+	nc, mi, fac, dur := s.Op.Comps(), s.minv[n], s.dampFac(n), 2*s.dtAt(1)
 	half, dtInv := dur*dur/2, 1/s.Dt
 	for d := n * nc; d < n*nc+nc; d++ {
 		f := mi * s.kbuf[d]
@@ -689,16 +688,4 @@ func (s *Scheme) Run(n int) {
 	for i := 0; i < n; i++ {
 		s.Step()
 	}
-}
-
-// Energy returns the instantaneous discrete energy ½vᵀMv + ½uᵀKu. The
-// all-elements restriction and its work buffer are cached on first use,
-// so repeated calls allocate nothing (the kbuf all-zero invariant of the
-// stepping path is untouched).
-func (s *Scheme) Energy() float64 {
-	if s.energy == nil {
-		s.energy = sem.NewRestriction(s.Op, sem.AllElements(s.Op))
-		s.ebuf = make([]float64, s.Op.NDof())
-	}
-	return s.energy.Energy(s.Op, s.U, s.V, s.ebuf, &s.escr)
 }

@@ -32,10 +32,11 @@ import (
 // Node domain: the nodes this scheme advances — every node, or the
 // operator's footprint when it declares one (sem.Footprint). nodeLevel,
 // stepLvl, levelNodes and forceElems describe the mesh whatever the
-// domain, so they are the same on every holder of a share (forceElems has
-// to be: plan ids, work counters and the plan build order must agree
-// across ranks); stepNodesAt and the active-region sets below are domain ∩
-// set.
+// domain, in node ids, so they are the same on every holder of a share
+// (forceElems has to be: plan ids, work counters and the plan build order
+// must agree across ranks); stepNodesAt and the active-region sets below
+// are domain ∩ set, in the scheme's numbering: a node's position in dom,
+// which is its id when there is no footprint.
 //
 // Active-region numbering: the domain's nodes that substep at all (stepLvl
 // >= 1; all of them when there is a single level) are numbered 0..nAct-1
@@ -43,6 +44,7 @@ import (
 // [actOff[li], nAct) and its closed-form set [actOff[li], actOff[li+1]).
 type sets struct {
 	numLevels   int
+	dom         []int32 // the footprint, ascending; nil: every node
 	elemLevel   []uint8 // 0-based per element
 	nodeLevel   []uint8
 	stepLvl     []uint8
@@ -54,7 +56,7 @@ type sets struct {
 	actOff  []int   // actOff[li]: number of active nodes with stepLvl < li
 	far     []int32 // the domain's nodes outside the active region, ascending
 	// forceAct0 lists the active indices of level 0's force nodes,
-	// ascending, and forceNodes0 their node ids, where its kernel
+	// ascending, and forceNodes0 their nodes, where its kernel
 	// accumulates (coarsePass consumes the far-coarse rest); the finer
 	// levels' gathers are dense and need no list.
 	forceAct0   []int32
@@ -134,14 +136,14 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 	}
 	// The node domain, ascending: the footprint's entries, or every node.
 	// Every list below is sized by a counting pass before it is filled.
-	domain := sem.FootprintOf(op)
-	for i, n := range domain {
-		if n < 0 || int(n) >= nn || (i > 0 && n <= domain[i-1]) {
+	s.dom = sem.FootprintOf(op)
+	for i, n := range s.dom {
+		if n < 0 || int(n) >= nn || (i > 0 && n <= s.dom[i-1]) {
 			return nil, fmt.Errorf("lts: operator footprint is not an ascending list of nodes at entry %d (%d)", i, n)
 		}
 	}
 	var byStep []int32
-	s.stepNodesAt, byStep = byLevel(domain, s.stepLvl, numLevels)
+	s.stepNodesAt, byStep = byLevel(s.dom, s.stepLvl, numLevels)
 	// The active region: levels lo.. back to back, as byStep holds them.
 	lo := min(1, numLevels-1)
 	s.actNode = byStep[len(s.stepNodesAt[0])*lo:]
@@ -169,10 +171,10 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 		}
 	}
 	for a, n := range s.actNode {
-		if forceMask[n]&1 != 0 {
+		if g := s.node(n); forceMask[g]&1 != 0 {
 			s.forceAct0 = append(s.forceAct0, int32(a))
 			s.forceNodes0 = append(s.forceNodes0, n)
-			if s.nodeLevel[n] != 0 {
+			if s.nodeLevel[g] != 0 {
 				s.hold = append(s.hold, int32(a))
 			}
 		}
@@ -180,8 +182,17 @@ func buildSets(op sem.Operator, elemLevel1 []uint8, numLevels int, optimized boo
 	return s, nil
 }
 
-// byLevel lists the nodes (every node when nil) of each level, in the
-// order given, back to back in the returned array sized by a counting pass.
+// node returns the id of the node at position n of the scheme's numbering.
+func (s *sets) node(n int32) int32 {
+	if s.dom == nil {
+		return n
+	}
+	return s.dom[n]
+}
+
+// byLevel lists the positions in nodes (every node when nil, so node ids)
+// of each level's nodes, in the order given, back to back in the returned
+// array sized by a counting pass.
 func byLevel(nodes []int32, lvl []uint8, numLevels int) ([][]int32, []int32) {
 	if nodes == nil {
 		nodes = make([]int32, len(lvl))
@@ -198,21 +209,8 @@ func byLevel(nodes []int32, lvl []uint8, numLevels int) ([][]int32, []int32) {
 		off[li+1] += off[li]
 		lists[li] = all[off[li]:off[li]:off[li+1]]
 	}
-	for _, n := range nodes {
-		lists[lvl[n]] = append(lists[lvl[n]], n)
+	for i, n := range nodes {
+		lists[lvl[n]] = append(lists[lvl[n]], int32(i))
 	}
 	return lists, all
-}
-
-// haloElems returns, for level li, how many of forceElems[li] are not
-// themselves level-li elements — the halo overhead the optimised
-// implementation pays at level interfaces.
-func (s *sets) haloElems(li int) int {
-	h := 0
-	for _, e := range s.forceElems[li] {
-		if int(s.elemLevel[e]) != li {
-			h++
-		}
-	}
-	return h
 }

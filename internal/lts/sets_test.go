@@ -21,7 +21,7 @@ func (f footprintOp) OwnedNodes() []int32 { return f.nodes }
 // plain one — append node by node and element by element, in ascending
 // order, then the active region as stepNodesAt[lo:] back to back — on one
 // to three levels, optimised and reference sets, over every node and over
-// a footprint.
+// a footprint, whose domain lists are in its compact numbering.
 func TestBuildSetsMatchesReference(t *testing.T) {
 	for levels := 1; levels <= 3; levels++ {
 		m, lv := oracleMesh(t, levels)
@@ -50,8 +50,8 @@ func TestBuildSetsMatchesReference(t *testing.T) {
 						stepNodesAt[st.stepLvl[n]] = append(stepNodesAt[st.stepLvl[n]], int32(n))
 					}
 				}
-				for _, n := range domain {
-					stepNodesAt[st.stepLvl[n]] = append(stepNodesAt[st.stepLvl[n]], n)
+				for i, n := range domain { // the scheme's numbering: positions in the footprint
+					stepNodesAt[st.stepLvl[n]] = append(stepNodesAt[st.stepLvl[n]], int32(i))
 				}
 				var nb []int32
 				for e := 0; e < op.NumElements(); e++ {

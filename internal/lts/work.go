@@ -44,33 +44,8 @@ func (s *Scheme) Efficiency() float64 {
 	return float64(s.IdealElemStepsPerCycle()) / float64(a)
 }
 
-// ModelSpeedup evaluates the paper's Eq. (9) speedup model for this level
-// assignment.
-func (s *Scheme) ModelSpeedup() float64 {
-	return float64(s.NonLTSElemStepsPerCycle()) / float64(s.IdealElemStepsPerCycle())
-}
-
 // EffectiveSpeedup returns the work-based speedup this scheme actually
 // achieves over the global scheme: non-LTS cost / actual cost.
 func (s *Scheme) EffectiveSpeedup() float64 {
 	return float64(s.NonLTSElemStepsPerCycle()) / float64(s.ActualElemStepsPerCycle())
-}
-
-// HaloElems returns, per level, the number of force elements that belong
-// to a coarser level (recomputed at the finer rate purely for coupling).
-func (s *Scheme) HaloElems() []int {
-	out := make([]int, s.nlv)
-	for li := range out {
-		out[li] = s.sets.haloElems(li)
-	}
-	return out
-}
-
-// ForceElemCounts returns the per-level force-element list sizes.
-func (s *Scheme) ForceElemCounts() []int {
-	out := make([]int, s.nlv)
-	for li := range out {
-		out[li] = len(s.sets.forceElems[li])
-	}
-	return out
 }

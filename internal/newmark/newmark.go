@@ -2,7 +2,9 @@
 // stepping scheme of paper Eqs. 5-6: the reference, non-LTS scheme whose
 // global CFL bottleneck (Eq. 7) LTS removes. It is the baseline in every
 // performance comparison. A step is one stiffness batch and one sweep over
-// the nodes that does the whole pointwise update (Stepper.sweep).
+// the nodes that does the whole pointwise update (Stepper.sweep). Over an
+// operator that declares a footprint (sem.Footprint) the stepper holds and
+// sweeps that footprint only, in its compact numbering (sem.StepperPlan).
 package newmark
 
 import (
@@ -23,11 +25,12 @@ type Stepper struct {
 	Op sem.BatchKernel
 	// Dt is the time step; stability requires Dt below the CFL limit.
 	Dt float64
-	// U is the displacement at time t_n.
+	// U is the displacement at time t_n, over the stepper's numbering: the
+	// operator's node ids, or its footprint's compact numbering.
 	U []float64
 	// V is the velocity at time t_{n-1/2} (staggered).
 	V []float64
-	// Sources are point forces evaluated at t_n.
+	// Sources are point forces evaluated at t_n, at dofs of U's numbering.
 	Sources []sem.Source
 	// Sigma is an optional per-node sponge damping profile; nil disables.
 	Sigma []float64
@@ -36,9 +39,10 @@ type Stepper struct {
 	n        int64
 	started  bool
 	elems    []int32
+	minv     []float64 // M⁻¹ per node of U's numbering
 	accel    []float64
 	srcNodes []int32          // sweep's buffer of source nodes
-	bplan    sem.BatchPlan    // all-elements batch plan, built by New
+	bplan    sem.BatchPlan    // all-elements batch plan in U's numbering, built by New
 	bscr     sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
 	scr      sem.Scratch      // per-element scratch of the energy diagnostics
 	energy   *sem.Restriction // cached by Energy so diagnostics allocate nothing
@@ -49,14 +53,10 @@ type Stepper struct {
 
 // New creates a stepper with zero initial conditions.
 func New(op sem.BatchKernel, dt float64) *Stepper {
-	s := &Stepper{
-		Op:    op,
-		Dt:    dt,
-		U:     make([]float64, op.NDof()),
-		V:     make([]float64, op.NDof()),
-		elems: sem.AllElements(op),
-	}
-	s.bplan = op.NewBatchPlan(s.elems)
+	s := &Stepper{Op: op, Dt: dt, elems: sem.AllElements(op)}
+	s.bplan, s.minv = sem.StepperPlan(op, s.elems)
+	nd := len(s.minv) * op.Comps()
+	s.U, s.V = make([]float64, nd), make([]float64, nd)
 	s.accel = make([]float64, s.bplan.DstNodes()*op.Comps()) // the plan's spill tail included
 	return s
 }
@@ -116,13 +116,13 @@ func (s *Stepper) sweep(kick float64) {
 		s.sweepSourceNode(int(n), kick)
 		n0 = int(n) + 1
 	}
-	s.sweepNodes(n0, s.Op.NumNodes(), kick)
+	s.sweepNodes(n0, len(s.minv), kick)
 }
 
 // sweepNodes is sweep over nodes [n0, n1), none of which has a source.
 func (s *Stepper) sweepNodes(n0, n1 int, kick float64) {
 	nc, dt := s.Op.Comps(), s.Dt
-	minv := s.Op.MInv()
+	minv := s.minv
 	a, u, v := s.accel, s.U, s.V
 	for n := n0; n < n1; n++ {
 		mi, fac := minv[n], s.dampFac(n)
@@ -138,7 +138,7 @@ func (s *Stepper) sweepNodes(n0, n1 int, kick float64) {
 
 // sweepSourceNode is sweep at node n, which carries sources.
 func (s *Stepper) sweepSourceNode(n int, kick float64) {
-	nc, mi, fac := s.Op.Comps(), s.Op.MInv()[n], s.dampFac(n)
+	nc, mi, fac := s.Op.Comps(), s.minv[n], s.dampFac(n)
 	for d := n * nc; d < n*nc+nc; d++ {
 		f := s.accel[d] * -mi
 		s.accel[d] = 0
@@ -170,8 +170,9 @@ func (s *Stepper) Run(n int) {
 
 // Energy returns the instantaneous mechanical energy ½vᵀMv + ½uᵀKu, which
 // oscillates with amplitude O(Δt²) around a constant for the staggered
-// scheme. The all-elements restriction is cached on first use and the
-// stiffness scratch is accel (zero between steps, left zero by the
+// scheme. It and ConservedEnergy read U in node ids: operators without a
+// footprint only. The all-elements restriction is cached on first use and
+// the stiffness scratch is accel (zero between steps, left zero by the
 // restriction), so repeated calls allocate nothing.
 func (s *Stepper) Energy() float64 {
 	if s.energy == nil {

@@ -43,10 +43,11 @@ import "fmt"
 // NodeMap renumbers a plan's memory: In[n] is the index node n's value is
 // read from (nodes may share one: a masked node points at a slot the caller
 // keeps zero), Out[n] the index its contribution accumulates into (distinct
-// per node). Both are NumNodes long and read during Remap only; every node
-// of the plan's elements must map inside [0, NIn) and — on the operator's
-// Footprint, if it declares one: it accumulates nowhere else — [0, NOut).
-// An engine may keep a spill tail behind NOut (BatchPlan.DstNodes).
+// per node). Both are NumNodes long and read during Remap only, and may be
+// one slice. Every node of the plan's elements must map inside [0, NIn)
+// and [0, NOut) — on the operator's Footprint, if it declares one: it reads
+// and accumulates nowhere else. An engine may keep a spill tail behind NOut
+// (BatchPlan.DstNodes).
 type NodeMap struct {
 	In, Out   []int32
 	NIn, NOut int // sizes of the two index spaces, in nodes
@@ -128,12 +129,18 @@ func (p *elemBatchPlan) Elems() []int32 { return p.elems }
 // DstNodes implements BatchPlan: the output space.
 func (p *elemBatchPlan) DstNodes() int { return p.nOut }
 
-// Remap implements BatchPlan: a shallow copy with two fresh row tables.
+// Remap implements BatchPlan: a shallow copy with two fresh row tables, or
+// one when In and Out are one map (the output rows are then a prefix of the
+// input rows).
 func (p *elemBatchPlan) Remap(m NodeMap) BatchPlan {
 	conn, _ := ConnOf(p.owner)
 	q := *p
 	q.inTbl = remapRows(conn, p.npe, p.lanes, m.In, m.NIn, "In")
-	q.outTbl = remapRows(conn, p.npe, p.elems, m.Out, m.NOut, "Out")
+	if len(m.In) > 0 && len(m.Out) == len(m.In) && &m.In[0] == &m.Out[0] && m.NIn == m.NOut {
+		q.outTbl = q.inTbl[:len(p.elems)*p.npe]
+	} else {
+		q.outTbl = remapRows(conn, p.npe, p.elems, m.Out, m.NOut, "Out")
+	}
 	q.inKey = make([]int32, len(p.lanes))
 	for i := range q.inKey {
 		q.inKey[i] = int32(i)

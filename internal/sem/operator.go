@@ -84,10 +84,12 @@ func Prepare(op Operator, elems []int32) {
 // Footprint is an optional Operator extension of the engines that hold one
 // share of a decomposed run: OwnedNodes lists, ascending, the nodes this
 // operator's stiffness applications read u at and deliver assembled K·u
-// on — it accumulates into no other node of dst. A stepper has to advance
+// on — it reads and accumulates no other node. A stepper has to advance
 // those nodes only (every other update of either scheme is pointwise), and
-// nothing else holds their values. Operators that serve the whole mesh do
-// not implement it.
+// nothing else holds their values, so it keeps its per-node arrays in the
+// footprint's compact numbering: a node's position in OwnedNodes (see
+// StepperPlan). Operators that serve the whole mesh do not implement it;
+// their steppers keep node ids.
 type Footprint interface {
 	OwnedNodes() []int32
 }
@@ -98,6 +100,32 @@ func FootprintOf(op Operator) []int32 {
 		return f.OwnedNodes()
 	}
 	return nil
+}
+
+// StepperPlan returns the batch plan of elems and op's per-node M⁻¹ in the
+// numbering a stepper keeps its per-node arrays in. Without a footprint
+// that is op's node ids: the plan is NewBatchPlan's, M⁻¹ op's own, and
+// nothing is remapped or copied. With one it is the footprint's compact
+// numbering: the plan is remapped into it for reads and accumulation alike
+// (nodes off the footprint map to -1: op touches none of them) and M⁻¹ is
+// gathered into it.
+func StepperPlan(op BatchKernel, elems []int32) (BatchPlan, []float64) {
+	pl, minv := op.NewBatchPlan(elems), op.MInv()
+	fp := FootprintOf(op)
+	if fp == nil {
+		return pl, minv
+	}
+	m := NodeMap{In: make([]int32, op.NumNodes()), NIn: len(fp), NOut: len(fp)}
+	m.Out = m.In
+	for n := range m.In {
+		m.In[n] = -1
+	}
+	local := make([]float64, len(fp))
+	for i, n := range fp {
+		m.In[n] = int32(i)
+		local[i] = minv[n]
+	}
+	return pl.Remap(m), local
 }
 
 // AllElements returns the identity element list [0, n).

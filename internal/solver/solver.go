@@ -13,6 +13,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"golts/internal/ckpt"
 	"golts/internal/lts"
@@ -108,17 +109,32 @@ func (s *Spec) Discretize() (*mesh.Mesh, *mesh.Levels, Operator, error) {
 // NewStepper builds the Spec's scheme over step — geom itself, or an
 // engine wrapped around it — with the sources and the sponge profile of
 // geom's nodes on m's extent. telemetry turns on the LTS scheme's
-// per-level kernel timers.
+// per-level kernel timers. When step declares a footprint (sem.Footprint:
+// a dist rank), the stepper holds that footprint only, in its compact
+// numbering (sem.StepperPlan): the sources on it and the sponge profile
+// are translated into it here, once; the others are the other ranks'.
 func (s *Spec) NewStepper(step sem.BatchKernel, geom Operator, m *mesh.Mesh, lv *mesh.Levels, telemetry bool) (*Stepper, error) {
-	srcs := make([]sem.Source, len(s.Sources))
-	for i, src := range s.Sources {
-		srcs[i] = sem.Source{Dof: src.Dof, W: sem.Ricker{F0: src.F0, T0: src.T0}}
+	fp, nc := sem.FootprintOf(step), geom.Comps()
+	var srcs []sem.Source
+	for _, src := range s.Sources {
+		dof := src.Dof
+		if fp != nil {
+			i, ok := slices.BinarySearch(fp, int32(dof/nc))
+			if !ok {
+				continue
+			}
+			dof = i*nc + dof%nc
+		}
+		srcs = append(srcs, sem.Source{Dof: dof, W: sem.Ricker{F0: src.F0, T0: src.T0}})
 	}
 	var sigma []float64
 	if sp := s.Sponge; sp.Strength > 0 {
+		nn, coords := geom.NumNodes(), geom.NodeCoords
+		if fp != nil {
+			nn, coords = len(fp), func(i int32) (x, y, z float64) { return geom.NodeCoords(fp[i]) }
+		}
 		x0, x1, y0, y1, z0, z1 := m.Extent()
-		sigma = sem.SpongeProfile(geom.NumNodes(), geom.NodeCoords,
-			x0, x1, y0, y1, z0, z1, sp.Faces, sp.Width, sp.Strength)
+		sigma = sem.SpongeProfile(nn, coords, x0, x1, y0, y1, z0, z1, sp.Faces, sp.Width, sp.Strength)
 	}
 	if s.LTS {
 		sch, err := lts.FromMeshLevels(step, lv, true)
@@ -173,7 +189,8 @@ func (s *Stepper) scheme() interface {
 // Time returns the simulation time after the last completed cycle.
 func (s *Stepper) Time() float64 { return s.scheme().Time() }
 
-// State returns the live displacement field (read-only).
+// State returns the live displacement field (read-only), in the stepper's
+// numbering (see NewStepper).
 func (s *Stepper) State() []float64 {
 	if s.LTS != nil {
 		return s.LTS.U

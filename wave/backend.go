@@ -272,6 +272,7 @@ func (d *distStepper) stats(st *Stats) {
 		eng.Messages += r.Messages
 		eng.Volume += r.Volume
 		st.LinkRetries += r.LinkRetries
+		st.RankPeakRSS = append(st.RankPeakRSS, r.PeakRSS)
 	}
 	st.Engine = eng
 	if !d.cfg.Telemetry || len(rs[0].LevelNanos) == 0 {

@@ -565,6 +565,10 @@ type Stats struct {
 	// routed into recovery. Both are zero for the local backend.
 	LinkRetries   int64
 	CorruptFrames int64
+	// RankPeakRSS is each rank process's peak resident set in bytes (its
+	// VmHWM; 0 where the host does not report it), indexed by rank; nil
+	// for the local backend.
+	RankPeakRSS []int64
 	// TunedWorkers and TunedRanks report the shape selected by
 	// WithAutoTune (zero values without it).
 	TunedWorkers, TunedRanks int
