@@ -8,11 +8,7 @@
 // instead of the edge-cut upper bound.
 package hypergraph
 
-import (
-	"fmt"
-
-	"golts/internal/mesh"
-)
+import "golts/internal/mesh"
 
 // Hypergraph is a hypergraph in pin-list form with multi-constraint vertex
 // weights.
@@ -36,20 +32,6 @@ type Hypergraph struct {
 // NumNets returns the net count.
 func (h *Hypergraph) NumNets() int { return len(h.Xpins) - 1 }
 
-// NC returns the number of balance constraints.
-func (h *Hypergraph) NC() int { return len(h.VW) }
-
-// TotalWeight returns the total vertex weight per constraint.
-func (h *Hypergraph) TotalWeight() []int64 {
-	t := make([]int64, h.NC())
-	for c, w := range h.VW {
-		for _, x := range w {
-			t[c] += int64(x)
-		}
-	}
-	return t
-}
-
 // BuildVertexIncidence fills Xnets/VNets from the pin lists.
 func (h *Hypergraph) BuildVertexIncidence() {
 	h.Xnets = make([]int32, h.NV+1)
@@ -68,24 +50,6 @@ func (h *Hypergraph) BuildVertexIncidence() {
 			fill[v]++
 		}
 	}
-}
-
-// Validate checks structural consistency.
-func (h *Hypergraph) Validate() error {
-	if len(h.Cost) != h.NumNets() {
-		return fmt.Errorf("hypergraph: %d costs for %d nets", len(h.Cost), h.NumNets())
-	}
-	for _, p := range h.Pins {
-		if p < 0 || int(p) >= h.NV {
-			return fmt.Errorf("hypergraph: pin %d out of range", p)
-		}
-	}
-	for c := range h.VW {
-		if len(h.VW[c]) != h.NV {
-			return fmt.Errorf("hypergraph: constraint %d has %d weights", c, len(h.VW[c]))
-		}
-	}
-	return nil
 }
 
 // FromMesh builds the LTS hypergraph model: one net per mesh corner node

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,11 +124,13 @@ func teamScheme(t *testing.T, op sem.BatchKernel, lv *mesh.Levels, sigma []float
 }
 
 // TestCloseReleasesWorkers: Close stops every worker goroutine, also after
-// cycles that parked workers inside barriers.
+// cycles that parked workers inside barriers. It counts only this engine's
+// workers — serve goroutines that did not exist before it was built — so a
+// goroutine of an earlier test that exits late cannot skew either check.
 func TestCloseReleasesWorkers(t *testing.T) {
 	m, op := eqSetup(t)
 	lv := mesh.AssignLevels(m, 0.3/9, 3)
-	base := runtime.NumGoroutine()
+	before := serveGoroutines()
 	part, err := partition.Assign(m, lv, 8, partition.ScotchP, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -141,15 +144,42 @@ func TestCloseReleasesWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(2)
-	if n := runtime.NumGoroutine(); n < base+7 {
-		t.Fatalf("%d goroutines with 8 workers, %d before: the workers are not running", n, base)
+	ours := func() int {
+		n := 0
+		for id := range serveGoroutines() {
+			if !before[id] {
+				n++
+			}
+		}
+		return n
+	}
+	if n := ours(); n != 7 {
+		t.Fatalf("%d worker goroutines with 8 workers, want 7", n)
 	}
 	pop.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for ours() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, %d before", runtime.NumGoroutine(), base)
+			t.Fatalf("%d worker goroutines left after Close", ours())
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// serveGoroutines returns the ids of the goroutines in a worker's serve
+// loop, read from a dump of every goroutine's stack.
+func serveGoroutines() map[string]bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, ".(*rankWorker).serve(") {
+			ids[strings.Fields(g)[1]] = true
+		}
+	}
+	return ids
 }

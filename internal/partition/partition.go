@@ -13,9 +13,12 @@
 //     connectivity-1 objective models MPI volume exactly; the FinalImbal
 //     parameter trades communication against balance.
 //
-// All partitioners are from-scratch multilevel implementations (matching
-// coarsening, greedy growing, FM refinement) rather than bindings, per the
-// reproduction ground rules.
+// All of them are built from scratch, not bound, on one multilevel
+// bisection engine (bisect.go: capped matching coarsening, greedy growing,
+// boundary FM refinement with rollback, recursive bisection) under one of
+// two cost models: the edge cut of the mesh's dual graph (graphmodel.go;
+// Scotch, ScotchP, Metis and the variants below) or the cut-net cost of
+// its hypergraph (netmodel.go; Patoh).
 package partition
 
 import (

@@ -134,7 +134,7 @@ func TestBisectGraphBalance(t *testing.T) {
 	m, lv := trenchFixture(0.02)
 	g := graph.FromMeshDual(m, lv, false)
 	rng := rand.New(rand.NewSource(6))
-	part := bisectGraph(g, [2]float64{0.5, 0.5}, 0.05, rng)
+	part := bisect(graphModel{g}, [2]float64{0.5, 0.5}, 0.05, rng)
 	var w [2]int64
 	for v := 0; v < g.N; v++ {
 		w[part[v]] += int64(g.VW[0][v])
@@ -172,9 +172,9 @@ func TestBisectHypergraphBalance(t *testing.T) {
 	m, lv := trenchFixture(0.02)
 	h := hypergraph.FromMesh(m, lv)
 	rng := rand.New(rand.NewSource(7))
-	part := bisectH(h, [2]float64{0.5, 0.5}, 0.05, rng)
+	part := bisect(&netModel{h: h}, [2]float64{0.5, 0.5}, 0.05, rng)
 	// Per-level balance within tolerance-ish.
-	nc := h.NC()
+	nc := len(h.VW)
 	for c := 0; c < nc; c++ {
 		var w [2]int64
 		for v := 0; v < h.NV; v++ {

@@ -52,8 +52,8 @@ var assignPins = map[string]string{
 	"coarse-only/k=8/seed=2": "1d83d85ab90e7286",
 	"patoh/k=16/seed=1":      "317bf438afb3f4d8",
 	"patoh/k=16/seed=2":      "f9921d5e18105085",
-	"patoh/k=64/seed=1":      "ec870ba7d3d8b8e1",
-	"patoh/k=64/seed=2":      "356c717c1b1472e3",
+	"patoh/k=64/seed=1":      "5a054b44113dc594",
+	"patoh/k=64/seed=2":      "fd931566c6cba150",
 }
 
 func TestAssignPinned(t *testing.T) {

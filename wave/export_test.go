@@ -1,9 +1,6 @@
 package wave
 
-import (
-	"encoding/csv"
-	"io"
-)
+import "io"
 
 // Test-only constructors: the closer-attached sink lifecycles are
 // normally reachable only through FileSink's lazily-created *os.File, so
@@ -11,7 +8,7 @@ import (
 // WriteCloser here.
 
 func NewCSVCloserSinkForTest(wc io.WriteCloser) Sink {
-	return &csvSink{cw: csv.NewWriter(wc), closer: wc}
+	return bufferedCSV(wc, wc)
 }
 
 func NewJSONCloserSinkForTest(wc io.WriteCloser) Sink {

@@ -1,6 +1,7 @@
 package wave
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
 	"errors"
@@ -91,49 +92,22 @@ func (sg *Seismograms) WriteJSON(w io.Writer) error {
 // and the batch writer produce identical bytes.
 func formatSample(v float64) string { return strconv.FormatFloat(v, 'g', 12, 64) }
 
-// csvSink streams one CSV row per cycle.
-type csvSink struct {
-	cw     *csv.Writer
-	closer io.Closer
-	row    []string
-}
-
 // CSVSink returns a sink that streams seismograms to w as CSV — a header
 // row at Open, then one row per cycle — in the same encoding as
-// Seismograms.WriteCSV.
-func CSVSink(w io.Writer) Sink { return &csvSink{cw: csv.NewWriter(w)} }
+// Seismograms.WriteCSV. Rows are buffered and the buffer is written out by
+// Flush.
+func CSVSink(w io.Writer) Sink { return bufferedCSV(w, nil) }
 
-func (s *csvSink) Open(receivers []Receiver) error {
-	header := make([]string, len(receivers)+1)
-	header[0] = "time"
-	for i, r := range receivers {
-		header[i+1] = r.Name
-	}
-	s.row = make([]string, len(header))
-	return s.cw.Write(header)
-}
-
-func (s *csvSink) Sample(t float64, values []float64) error {
-	if len(values)+1 != len(s.row) {
-		return fmt.Errorf("wave: sample has %d values for %d columns", len(values), len(s.row)-1)
-	}
-	s.row[0] = formatSample(t)
-	for i, v := range values {
-		s.row[i+1] = formatSample(v)
-	}
-	return s.cw.Write(s.row)
-}
-
-func (s *csvSink) Flush() error {
-	// Surface the writer error AND close the underlying file: an encode or
-	// short-write failure (disk full) must never leave the file open, and a
-	// close failure must never mask the write error. errors.Join keeps both.
-	s.cw.Flush()
-	err := s.cw.Error()
-	if s.closer != nil {
-		err = errors.Join(err, s.closer.Close())
-	}
-	return err
+// bufferedCSV is a rowCSVSink whose rows go through a bufio.Writer on w;
+// Flush writes the buffer out and then closes closer, if there is one.
+func bufferedCSV(w io.Writer, closer io.Closer) *rowCSVSink {
+	bw := bufio.NewWriter(w)
+	s := &rowCSVSink{fn: func(row []byte) error {
+		_, err := bw.Write(row)
+		return err
+	}, bw: bw, closer: closer}
+	s.cw = csv.NewWriter(&s.buf)
+	return s
 }
 
 // jsonSink accumulates the run and encodes it at Flush (JSON has no
@@ -168,8 +142,8 @@ func (s *jsonSink) Sample(t float64, values []float64) error {
 }
 
 func (s *jsonSink) Flush() error {
-	// As with csvSink: always close the file, and report the encode error
-	// alongside (never masked by) any close error.
+	// As with a CSV file: always close the file, and report the encode
+	// error alongside (never masked by) any close error.
 	err := s.set.WriteJSON(s.w)
 	if s.closer != nil {
 		err = errors.Join(err, s.closer.Close())
@@ -197,7 +171,7 @@ func (s *fileSink) Open(receivers []Receiver) error {
 	if filepath.Ext(s.path) == ".json" {
 		s.inner = &jsonSink{w: f, closer: f}
 	} else {
-		s.inner = &csvSink{cw: csv.NewWriter(f), closer: f}
+		s.inner = bufferedCSV(f, f)
 	}
 	return s.inner.Open(receivers)
 }
@@ -217,12 +191,16 @@ func (s *fileSink) Flush() error {
 }
 
 // rowCSVSink encodes each sample as one CSV row and hands the encoded
-// bytes to a callback immediately — no buffering between cycles.
+// bytes to a callback immediately — no buffering between cycles. CSVSink
+// and FileSink's CSV branch set bw (and closer) to buffer the rows into a
+// writer instead.
 type rowCSVSink struct {
-	fn  func(row []byte) error
-	buf bytes.Buffer
-	cw  *csv.Writer
-	row []string
+	fn     func(row []byte) error
+	buf    bytes.Buffer
+	cw     *csv.Writer
+	row    []string
+	bw     *bufio.Writer
+	closer io.Closer
 }
 
 // RowCSVSink returns a sink that delivers seismogram output row by row:
@@ -262,7 +240,19 @@ func (s *rowCSVSink) Sample(t float64, values []float64) error {
 	return s.emit(s.row)
 }
 
-func (s *rowCSVSink) Flush() error { return nil }
+func (s *rowCSVSink) Flush() error {
+	if s.bw == nil {
+		return nil
+	}
+	// Surface the write error AND close the underlying file: a short write
+	// (disk full) must never leave the file open, and a close failure must
+	// never mask the write error. errors.Join keeps both.
+	err := s.bw.Flush()
+	if s.closer != nil {
+		err = errors.Join(err, s.closer.Close())
+	}
+	return err
+}
 
 func (s *rowCSVSink) emit(fields []string) error {
 	s.buf.Reset()

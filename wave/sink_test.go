@@ -118,25 +118,29 @@ func TestJSONSinkSuccessfulCloseErrorSurfaces(t *testing.T) {
 }
 
 // TestRowCSVSinkMatchesCSVSink: concatenating the rows delivered by
-// RowCSVSink must reproduce the CSVSink byte stream exactly — the
-// invariant the job server's streaming rows endpoint relies on for
-// bitwise-identical cold and cache-hit runs.
+// RowCSVSink must reproduce the batch encoding of Seismograms.WriteCSV
+// exactly — the invariant the job server's streaming rows endpoint relies
+// on for bitwise-identical cold and cache-hit runs, and that CSVSink and
+// FileSink inherit by writing the same rows.
 func TestRowCSVSinkMatchesCSVSink(t *testing.T) {
 	var rows bytes.Buffer
 	rowSink := wave.RowCSVSink(func(row []byte) error {
 		rows.Write(row)
 		return nil
 	})
+	if err := feedSink(t, rowSink, 4); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
+	sg := wave.Seismograms{Times: []float64{0, 1, 2, 3}, Traces: []wave.Trace{
+		{Name: "st0", Values: []float64{1.5, 1.5, 1.5, 1.5}},
+		{Name: "st1", Values: []float64{-2.25, -2.25, -2.25, -2.25}},
+	}}
 	var whole bytes.Buffer
-	csvSink := wave.CSVSink(&whole)
-
-	for _, s := range []wave.Sink{rowSink, csvSink} {
-		if err := feedSink(t, s, 4); err != nil {
-			t.Fatalf("feed: %v", err)
-		}
+	if err := sg.WriteCSV(&whole); err != nil {
+		t.Fatal(err)
 	}
 	if rows.String() != whole.String() {
-		t.Fatalf("row stream diverges from CSVSink:\nrows:  %q\nwhole: %q", rows.String(), whole.String())
+		t.Fatalf("row stream diverges from WriteCSV:\nrows:  %q\nwhole: %q", rows.String(), whole.String())
 	}
 	if n := strings.Count(rows.String(), "\n"); n != 5 {
 		t.Fatalf("expected 5 lines (header + 4 samples), got %d", n)
