@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"golts/internal/ckpt"
 )
@@ -99,38 +99,27 @@ type StateFrameError struct{ Reason string }
 
 func (e *StateFrameError) Error() string { return "dist: malformed state frame: " + e.Reason }
 
-// writeState streams st's state frame through w's buffer and flushes it,
-// and returns the frame's length: a full frame of st's arrays, or a
-// footprint frame of an ndof-long field whose listed nodes st holds, U
-// and V in the nodes' order (a rank's compact arrays).
-func writeState(w *bufio.Writer, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (int64, error) {
+// writeState writes st's state frame to w and returns its length: a full
+// frame of st's arrays, or a footprint frame of an ndof-long field whose
+// listed nodes st holds, U and V in the nodes' order (a rank's compact
+// arrays). The ids, U and V go from their own memory (leBytes: a converted
+// copy off a little-endian host), all in snapChunk-byte pieces, so a w that
+// checksums what it passes on does so while the piece is in cache.
+func writeState(w io.Writer, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (int64, error) {
 	h := stateHeader{State: *st, NDof: ndof, Comps: comps, Nodes: len(nodes)}
 	h.State.U, h.State.V = nil, nil
-	size := len(nodes) * (4 + 16*comps)
 	if full {
-		h.NDof, h.Nodes, nodes, size = len(st.U), -1, nil, 16*len(st.U)
+		h.NDof, h.Nodes, nodes = len(st.U), -1, nil
 	}
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
-		return 0, err
+	hdr := bytes.NewBuffer(make([]byte, 4)) // the length prefix, filled in below
+	err := gob.NewEncoder(hdr).Encode(&h)
+	binary.LittleEndian.PutUint32(hdr.Bytes(), uint32(hdr.Len()-4))
+	for _, b := range [][]byte{hdr.Bytes(), leBytes(nodes), leBytes(st.U), leBytes(st.V)} {
+		for ; len(b) > 0 && err == nil; b = b[min(snapChunk, len(b)):] {
+			_, err = w.Write(b[:min(snapChunk, len(b))])
+		}
 	}
-	w.Write(binary.LittleEndian.AppendUint32(nil, uint32(hdr.Len())))
-	w.Write(hdr.Bytes())
-	for _, n := range nodes {
-		w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(n)))
-	}
-	writeFloats(w, st.U)
-	writeFloats(w, st.V)
-	return int64(4 + hdr.Len() + size), w.Flush()
-}
-
-// writeFloats encodes vals straight into w's buffer, as many as fit at a time.
-func writeFloats(w *bufio.Writer, vals []float64) {
-	for len(vals) > 0 && (w.Available() >= 8 || w.Flush() == nil) {
-		k := min(w.Available()/8, len(vals))
-		w.Write(putFloats(w.AvailableBuffer(), vals[:k]))
-		vals = vals[k:]
-	}
+	return int64(hdr.Len() + 4*len(nodes) + 8*(len(st.U)+len(st.V))), err
 }
 
 // parseStateFrame splits a state frame into its validated header and the
@@ -226,9 +215,7 @@ func decodeState(payload []byte, base *stateHeader, seen []bool) (*stateHeader, 
 				}
 				n = j
 			}
-			for c := 0; c < nc; c++ {
-				field[n*nc+c] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(i*nc+c):]))
-			}
+			setFloats(field[n*nc:(n+1)*nc], src[8*i*nc:])
 			if f == 0 && seen != nil {
 				seen[n] = true
 			}
@@ -405,15 +392,33 @@ func (c *conn) setDeadline(t time.Time) { c.c.SetDeadline(t) }
 
 func (c *conn) close() { c.c.Close() }
 
+// littleEndian is whether the host keeps int32s and float64s as their
+// little-endian bytes; tests clear it to run the other hosts' branch.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// leBytes returns the little-endian bytes of vals: on a little-endian host
+// a view of vals' own memory, elsewhere a converted copy of them.
+func leBytes[T int32 | float64](vals []T) []byte {
+	if !littleEndian {
+		var b bytes.Buffer
+		binary.Write(&b, binary.LittleEndian, vals) // into memory: cannot fail
+		return b.Bytes()
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(*new(T))))
+}
+
+// setFloats sets dst to the first len(dst) little-endian float64s of b.
+func setFloats(dst []float64, b []byte) {
+	if !littleEndian {
+		binary.Read(bytes.NewReader(b[:8*len(dst)]), binary.LittleEndian, dst) // as many bytes as dst takes: cannot fail
+		return
+	}
+	copy(leBytes(dst), b[:8*len(dst)])
+}
+
 // putFloats appends the little-endian encoding of vals to buf.
 func putFloats(buf []byte, vals []float64) []byte {
-	off := len(buf)
-	buf = slices.Grow(buf, 8*len(vals))[:off+8*len(vals)]
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	return buf
+	return append(buf, leBytes(vals)...)
 }
 
 // haloFrame is one halo message: [u32 seq][u32 plan id][values ...f64].
@@ -472,8 +477,6 @@ func getFloats(dst []float64, payload []byte) ([]float64, error) {
 		return nil, fmt.Errorf("dist: float payload of %d bytes", len(payload))
 	}
 	out := slices.Grow(dst[:0], len(payload)/8)[:len(payload)/8]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
+	setFloats(out, payload)
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -26,11 +25,12 @@ import (
 // slot only once every rank has answered for its file, so a rank dying
 // mid-write tears the uncommitted slot only; the spawn generation in the
 // name keeps a straggler of a torn-down generation off the files the
-// next one reads. The coordinator creates the directory in Start and
+// next one reads. save writes a frame from the rank's own arrays, a
+// snapChunk-byte piece at a time, so the store holds no buffer and no copy
+// of the frame. The coordinator creates the directory in Start and
 // removes it when the run ends.
 type snapStore struct {
 	dir string
-	buf *bufio.Writer // the one snapChunk-byte buffer every frame of save streams through
 }
 
 // snapFile is what a rank answers msgCkpt with (gob, in msgCkptResp), and
@@ -100,23 +100,20 @@ func (s *snapStore) path(gen, slot, rank int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%d-%d-%d", gen, slot, rank))
 }
 
-// snapChunk sizes save's buffer: a chunk is written and checksummed while in cache.
+// snapChunk is the piece of a section writeState writes at a time: save
+// checksums a piece while it is in cache.
 const snapChunk = 256 << 10
 
-// save streams st's state frame (see writeState) into rank's file of (gen,
-// slot), over the pages of the file's previous contents, and returns its
-// length and CRC32.
+// save writes st's state frame (see writeState) into rank's file of (gen,
+// slot), over the pages of the file's previous contents, straight from
+// st's arrays, and returns its length and CRC32.
 func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (snapFile, error) {
 	f, err := os.OpenFile(s.path(gen, slot, rank), os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return snapFile{}, err
 	}
 	crc := crc32.NewIEEE()
-	if s.buf == nil {
-		s.buf = bufio.NewWriterSize(nil, snapChunk)
-	}
-	s.buf.Reset(io.MultiWriter(f, crc))
-	n, err := writeState(s.buf, st, ndof, comps, nodes, full)
+	n, err := writeState(io.MultiWriter(f, crc), st, ndof, comps, nodes, full)
 	if err == nil {
 		err = f.Truncate(n)
 	}

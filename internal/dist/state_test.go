@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -38,13 +37,12 @@ func testState(nn, comps int) *ckpt.StepperState {
 }
 
 // encodeState is the in-memory twin of snapStore.save: the same state
-// frame of the global field st, streamed by writeState from the arrays a
+// frame of the global field st, written by writeState from the arrays a
 // rank holding nodes would have (compactState) into buf's storage (a
-// caller may pass its last frame back in) through a 64-byte buffer instead
-// of snapChunk bytes.
+// caller may pass its last frame back in).
 func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, full bool) ([]byte, error) {
 	b := bytes.NewBuffer(buf[:0])
-	_, err := writeState(bufio.NewWriterSize(b, 64), compactState(st, comps, nodes, full), len(st.U), comps, nodes, full)
+	_, err := writeState(b, compactState(st, comps, nodes, full), len(st.U), comps, nodes, full)
 	return b.Bytes(), err
 }
 
@@ -441,11 +439,11 @@ func FuzzStateFrame(f *testing.F) {
 	})
 }
 
-// TestSaveMatchesEncodeState: a footprint frame that save streams into a
-// file through snapChunk-sized chunks — one chunk boundary inside the id
-// list, one inside a run of consecutive nodes' values — is byte for byte
-// the frame encodeState builds, with that frame's length and CRC32; and a
-// shorter frame saved over it leaves no tail of the longer one.
+// TestSaveMatchesEncodeState: a footprint frame that save writes into a
+// file in snapChunk-byte pieces — one piece ending inside the id list, one
+// inside a run of consecutive nodes' values — is byte for byte the frame
+// encodeState builds, with that frame's length and CRC32; and a shorter
+// frame saved over it leaves no tail of the longer one.
 func TestSaveMatchesEncodeState(t *testing.T) {
 	const nn, comps = 100_000, 1
 	st := testState(nn, comps)
@@ -464,10 +462,10 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 	if len(want) <= 2*snapChunk {
 		t.Fatalf("frame of %d bytes spans fewer than 3 chunks", len(want))
 	}
-	// Where save's chunks end: one inside the ids, one between two
+	// Where save's pieces end: one inside the ids, one between two
 	// consecutive nodes' values of U or V.
 	var chunks cutWriter
-	if _, err := writeState(bufio.NewWriterSize(&chunks, snapChunk), compactState(st, comps, nodes, false), len(st.U), comps, nodes, false); err != nil {
+	if _, err := writeState(&chunks, compactState(st, comps, nodes, false), len(st.U), comps, nodes, false); err != nil {
 		t.Fatal(err)
 	}
 	ids := 4 + int(binary.LittleEndian.Uint32(want))
@@ -500,6 +498,77 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 		if !slices.Equal(got, want) || f.Len != int64(len(want)) || f.CRC != crc32.ChecksumIEEE(want) {
 			t.Fatalf("%d footprint nodes: file of %d bytes (%+v), want %d bytes, crc %08x, equal bytes: %v",
 				len(fp), len(got), f, len(want), crc32.ChecksumIEEE(want), slices.Equal(got, want))
+		}
+	}
+}
+
+// TestPortableByteOrder: the branch a host that does not keep its values
+// little-endian takes (littleEndian cleared) encodes a footprint frame of
+// several snapChunk pieces, a full frame, a halo frame and a cycle-done
+// frame to the bytes the views of the values' own memory give, and
+// decodes each to the same bits: the state frames onto a full base and
+// onto a footprint base (decodeState's per-node copy), the full frame
+// also without a base.
+func TestPortableByteOrder(t *testing.T) {
+	if !littleEndian {
+		t.Skip("big-endian host: every test runs the portable branch")
+	}
+	const nn, comps = 40_000, 3
+	st := testState(nn, comps)
+	var even, third []int32
+	for n := int32(0); n < nn; n++ {
+		if n%2 == 0 {
+			even = append(even, n)
+		}
+		if n%3 == 0 {
+			third = append(third, n)
+		}
+	}
+	codec := func() (frames [][]byte, values [][]float64) {
+		for _, full := range []bool{false, true} {
+			frame, err := encodeState(nil, st, comps, even, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame)
+			fp := zeroBase(len(third)*comps, comps)
+			fp.NDof, fp.own = nn*comps, third
+			bases := []*stateHeader{zeroBase(nn*comps, comps), fp}
+			if full {
+				bases = append(bases, nil)
+			}
+			for _, base := range bases {
+				got, err := decodeState(frame, base, nil)
+				if err != nil {
+					t.Fatalf("full=%v, base %v: %v", full, base != nil, err)
+				}
+				values = append(values, got.State.U, got.State.V)
+			}
+		}
+		halo := encodeHalo(nil, haloFrame{seq: 7, planID: 3, values: st.V[:1000]})
+		fr, err := decodeHalo(halo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := putFloats(nil, st.U[:5])
+		cd, err := decodeCycleDone(done, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(frames, halo, done), append(values, fr.values, []float64{cd.t}, cd.samples)
+	}
+	viewFrames, viewValues := codec()
+	littleEndian = false
+	defer func() { littleEndian = true }()
+	frames, values := codec()
+	for i := range frames {
+		if !bytes.Equal(frames[i], viewFrames[i]) {
+			t.Errorf("frame %d: the portable branch's %d bytes differ from the view's %d", i, len(frames[i]), len(viewFrames[i]))
+		}
+	}
+	for i := range values {
+		if !sameBits(values[i], viewValues[i]) {
+			t.Errorf("decoded array %d: the portable branch's bits differ from the view's", i)
 		}
 	}
 }
@@ -545,6 +614,34 @@ func TestStateFrameLayout(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("full=%v: frame\n%x\nwant\n%x", c.full, got, want)
+		}
+	}
+}
+
+// BenchmarkSnapshotSave: one snapshot of a dist2-lts-elastic rank (a
+// footprint frame of 171 417 nodes x 3 components, ≈ 8.9 MB) saved through
+// snapStore.save over its previous contents in a store directory where
+// runs keep theirs (newSnapDir), as every snapshot after a run's first does.
+func BenchmarkSnapshotSave(b *testing.B) {
+	const nn, comps, ndof = 171_417, 3, 340_881 * 3
+	dir, err := newSnapDir()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, st, nodes := &snapStore{dir: dir}, testState(nn, comps), make([]int32, nn)
+	for i := range nodes {
+		nodes[i] = int32(i * (ndof / comps) / nn) // ascending, gaps spread over the field
+	}
+	f, err := store.save(0, 0, 0, st, ndof, comps, nodes, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(f.Len)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.save(0, 0, 0, st, ndof, comps, nodes, false); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
