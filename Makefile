@@ -47,13 +47,14 @@ race:
 	$(GO) test -race -short -run 'ArtifactCache' ./wave
 
 # Short native-fuzz leg over the untrusted decoders (four of
-# internal/dist — the state frame of the snapshot files, a rank's restore
-# from a msgRestore descriptor, the peer-link halo frame and the
-# cycle-done frame — the checkpoint container of
-# internal/ckpt, the service's POST /jobs body and the run configuration
-# of internal/simio, one after the other: go test takes one -fuzz target
-# per run); the committed corpora under testdata/fuzz run as ordinary
-# tests in `make test` already.
+# internal/dist — the state frame (internal/ckpt's one state format)
+# overlaid onto a rank's or a whole field's arrays, a rank's restore from
+# a msgRestore descriptor, the peer-link halo frame and the cycle-done
+# frame — the checkpoint container of internal/ckpt with its meta section
+# and the state frames of its state section, the service's POST /jobs
+# body and the run configuration of internal/simio, one after the other:
+# go test takes one -fuzz target per run); the committed corpora under
+# testdata/fuzz run as ordinary tests in `make test` already.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateFrame -fuzztime $(FUZZTIME) ./internal/dist

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,23 +19,33 @@ func sampleState() *StepperState {
 		N:           7,
 		Started:     true,
 		U:           []float64{1, math.Pi, -0.0, math.Nextafter(1, 2)},
-		V:           []float64{-3, 1e-300, 4.5e17},
+		V:           []float64{-3, 1e-300, 4.5e17, math.Inf(-1)},
 		ElemApplies: 1234,
 		PerLevel:    []int64{10, 20, 30},
 		Cycles:      7,
 	}
 }
 
+// fullFrame is st's full state frame, of comps components per node.
+func fullFrame(t testing.TB, st *StepperState, comps int) []byte {
+	var b bytes.Buffer
+	if _, err := WriteFrame(&b, st, len(st.U), comps, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// zeroState is an all-zero state of ndof values for frames to land on.
+func zeroState(ndof int) *StepperState {
+	return &StepperState{U: make([]float64, ndof), V: make([]float64, ndof)}
+}
+
 func TestRoundTrip(t *testing.T) {
 	f := NewFile()
-	meta := &Meta{ConfigKey: "ckpt|trench|0.02", ConfigSHA: "abc", Scheme: "lts", Cycle: 7, Time: 0.3}
-	if err := f.PutMeta(meta); err != nil {
-		t.Fatal(err)
-	}
+	meta := &Meta{ConfigKey: "ckpt|trench|0.02", Cycle: 7}
+	f.PutMeta(meta)
 	st := sampleState()
-	if err := f.PutState(st); err != nil {
-		t.Fatal(err)
-	}
+	f.Add("state", fullFrame(t, st, 1))
 	f.Add("extra", []byte("opaque"))
 
 	var buf bytes.Buffer
@@ -52,11 +63,20 @@ func TestRoundTrip(t *testing.T) {
 	if *m2 != *meta {
 		t.Fatalf("meta round trip: got %+v want %+v", m2, meta)
 	}
-	st2, err := g.State()
-	if err != nil {
+	frames, err := g.Frames()
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("state section: %d frames, %v", len(frames), err)
+	}
+	st2 := zeroState(len(st.U))
+	o := NewOverlay(st2, len(st.U), 1, nil)
+	if err := o.Add(frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Scheme != st.Scheme || st2.T != st.T || st2.N != st.N || !st2.Started {
+	if err := o.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if st2.Scheme != st.Scheme || st2.T != st.T || st2.N != st.N || !st2.Started ||
+		st2.ElemApplies != st.ElemApplies || st2.Cycles != st.Cycles || !reflect.DeepEqual(st2.PerLevel, st.PerLevel) {
 		t.Fatalf("state scalars: got %+v", st2)
 	}
 	for i := range st.U {
@@ -69,16 +89,45 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("V[%d] bits differ", i)
 		}
 	}
-	if extra, ok := g.Lookup("extra"); !ok || string(extra) != "opaque" {
+	if extra, ok := g.payloads["extra"]; !ok || string(extra) != "opaque" {
 		t.Fatalf("extra section: %q %v", extra, ok)
+	}
+}
+
+// TestMetaAndStateRefuseMalformed: a meta section whose key length
+// disagrees with its bytes or whose cycle is negative, and a state section
+// with a partial frame after a whole one, are errors.
+func TestMetaAndStateRefuseMalformed(t *testing.T) {
+	good := NewFile()
+	good.PutMeta(&Meta{ConfigKey: "key", Cycle: 3})
+	p := good.payloads["meta"]
+	negative := append(binary.LittleEndian.AppendUint64(nil, math.MaxUint64), p[8:]...)
+	for name, meta := range map[string][]byte{
+		"short":          p[:11],
+		"key cut":        p[:len(p)-1],
+		"key too long":   append(append([]byte(nil), p...), 'x'),
+		"negative cycle": negative,
+	} {
+		f := NewFile()
+		f.Add("meta", meta)
+		if m, err := f.Meta(); err == nil {
+			t.Errorf("%s meta accepted as %+v", name, m)
+		}
+	}
+	frame := fullFrame(t, sampleState(), 1)
+	f := NewFile()
+	f.Add("state", append(append([]byte(nil), frame...), frame[:len(frame)-1]...))
+	if _, err := f.Frames(); err == nil {
+		t.Error("a state section ending in a partial frame split without error")
+	}
+	if _, err := NewFile().Frames(); err == nil {
+		t.Error("a missing state section split without error")
 	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
 	f := NewFile()
-	if err := f.PutState(sampleState()); err != nil {
-		t.Fatal(err)
-	}
+	f.Add("state", fullFrame(t, sampleState(), 1))
 	var buf bytes.Buffer
 	if err := f.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -94,9 +143,7 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestTruncationDetected(t *testing.T) {
 	f := NewFile()
-	if err := f.PutState(sampleState()); err != nil {
-		t.Fatal(err)
-	}
+	f.Add("state", fullFrame(t, sampleState(), 1))
 	var buf bytes.Buffer
 	if err := f.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -121,10 +168,12 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	raw = append([]byte(nil), buf.Bytes()...)
-	raw[8] = 99
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
-		t.Fatal("future version accepted")
+	for _, v := range []byte{1, 99} {
+		raw = append([]byte(nil), buf.Bytes()...)
+		raw[8] = v
+		if _, err := Decode(bytes.NewReader(raw)); err == nil {
+			t.Fatalf("format version %d accepted", v)
+		}
 	}
 }
 
@@ -132,9 +181,7 @@ func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 	f := NewFile()
-	if err := f.PutMeta(&Meta{ConfigKey: "k", Cycle: 3}); err != nil {
-		t.Fatal(err)
-	}
+	f.PutMeta(&Meta{ConfigKey: "k", Cycle: 3})
 	if err := WriteFile(path, f); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +246,11 @@ func TestHugeClaimedLengthAllocatesLittle(t *testing.T) {
 // truncated header, a bad CRC, a zero-length name, a duplicate section
 // name, a huge claimed length). It must never panic, and whatever it
 // accepts must survive a re-encode: the re-encoded container decodes to
-// the same sections.
+// the same sections. A meta section it accepts must re-encode to its own
+// bytes, and the frames of a state section it splits are overlaid onto
+// small bases the way a resume does: typed errors only, never a panic,
+// and a full frame of the base's field that a base accepts must restore
+// it completely.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		g, err := Decode(bytes.NewReader(raw))
@@ -220,6 +271,39 @@ func FuzzDecode(f *testing.F) {
 		for _, name := range g.names {
 			if !bytes.Equal(g.payloads[name], h.payloads[name]) {
 				t.Fatalf("section %q changed across a re-encode", name)
+			}
+		}
+		if m, err := g.Meta(); err == nil {
+			f := NewFile()
+			f.PutMeta(m)
+			if p, q := g.payloads["meta"], f.payloads["meta"]; !bytes.Equal(p, q) {
+				t.Fatalf("meta %+v re-encoded from %x as %x", m, p, q)
+			}
+		}
+		frames, err := g.Frames()
+		if err != nil {
+			return
+		}
+		for _, shape := range []struct{ ndof, comps int }{{5, 1}, {15, 3}} {
+			st := zeroState(shape.ndof)
+			o := NewOverlay(st, shape.ndof, shape.comps, nil)
+			for _, frame := range frames {
+				if err := o.Add(frame); err != nil {
+					var fe *FrameError
+					if !errors.As(err, &fe) {
+						t.Fatalf("untyped error %T: %v", err, err)
+					}
+				}
+			}
+			if len(st.U) != shape.ndof || len(st.V) != shape.ndof {
+				t.Fatalf("an overlay reshaped its base")
+			}
+			// A full frame of the field covers every node.
+			want := zeroState(shape.ndof)
+			want.Scheme, want.U[0] = "lts", 1
+			if err := o.Add(fullFrame(t, want, shape.comps)); err != nil || o.Done() != nil ||
+				math.Float64bits(st.U[0]) != math.Float64bits(1) {
+				t.Fatalf("a full frame after the section's frames: %v", err)
 			}
 		}
 	})

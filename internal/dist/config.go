@@ -24,7 +24,7 @@
 // both sides. Only the mesh and the operator are replicated. Receivers are
 // sampled by the rank owning their node, and a snapshot is every rank's
 // footprint; a global node id appears only at build, in a snapshot frame's
-// id list and in FetchState and restore.
+// id list and in restore.
 //
 // Determinism: contributions assemble at every node in ascending part
 // order — the same order as the shared-memory engine's merge — so for a

@@ -740,39 +740,48 @@ func (co *Coordinator) restoreAll(ctx context.Context) error {
 	})
 }
 
-// FetchState returns the global stepper state: it takes a snapshot now
-// and overlays the ranks' footprint files, so the result matches the
-// shared-memory engine bitwise. The facade uses it to write file
-// checkpoints of distributed runs.
-func (co *Coordinator) FetchState() (*ckpt.StepperState, error) {
+// SaveState takes a snapshot now and returns its files — one footprint
+// frame per rank — back to back, each checked against its committed
+// length and CRC32: the "state" section of a checkpoint (package ckpt).
+// No global field is assembled.
+func (co *Coordinator) SaveState() ([]byte, error) {
 	if err := co.snapshot(context.Background()); err != nil {
 		return nil, err
 	}
-	full, err := co.store.load(co.snap, nil)
-	if err != nil {
-		return nil, co.snap.unusable(err.Error())
+	buf := make([]byte, 0, co.snap.bytes())
+	for i := range co.snap.Files {
+		frame, err := co.store.read(co.snap, i)
+		if err != nil {
+			return nil, co.snap.unusable(err.Error())
+		}
+		buf = append(buf, frame...)
 	}
-	return &full.State, nil
+	return buf, nil
 }
 
-// RestoreState installs st on every rank and adopts it as the recovery
+// RestoreState installs the state that frames (a checkpoint's, see
+// SaveState) make up on every rank and adopts it as the recovery
 // baseline, resetting the cycle counter — the coordinator now sits at
-// "cycle 0 of the resumed run". The state reaches the ranks the way a
-// snapshot does: as one full frame in the store's idle slot.
-func (co *Coordinator) RestoreState(st *ckpt.StepperState) error {
-	prev, next := co.snap, co.idleSlot(1)
-	next.Cycle = 0
-	file, err := co.store.save(next.Gen, next.Slot, 0, st, len(st.U), 0, nil, true)
-	if err != nil {
-		return fmt.Errorf("dist: writing the state to restore: %w", err)
+// "cycle 0 of the resumed run". The frames reach the ranks the way a
+// snapshot does: unchanged, as the files of the store's idle slot.
+func (co *Coordinator) RestoreState(frames [][]byte) error {
+	if len(frames) == 0 {
+		return errors.New("dist: no state frames to restore")
 	}
-	next.Files[0] = file
+	prev, next := co.snap, co.idleSlot(len(frames))
+	next.Cycle = 0
+	for i, frame := range frames {
+		if err := co.store.put(next, i, frame); err != nil {
+			return fmt.Errorf("dist: writing the state to restore: %w", err)
+		}
+	}
 	co.snap = next
 	if err := co.restoreAll(context.Background()); err != nil {
 		co.snap = prev
 		return err
 	}
-	co.cycle = 0
+	h, _, _ := ckpt.ParseFrame(frames[0]) // every rank has read it
+	co.cycle, co.t = 0, h.State.T
 	return nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"golts/internal/ckpt"
 	"golts/internal/lts"
 	"golts/internal/parallel"
 )
@@ -106,8 +108,6 @@ func TestStallDetectedByHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	// The stalled rank goroutine parks forever by design; Abort (not
-	// Close) so teardown does not wait politely for it.
 	defer co.Abort()
 	owners, err := ReceiverOwnerParts(tc.geom, &tc.cfg)
 	if err != nil {
@@ -128,6 +128,38 @@ func TestStallDetectedByHeartbeat(t *testing.T) {
 	if wait := time.Since(start); wait > 10*time.Second {
 		t.Fatalf("stall detection took %v", wait)
 	}
+	// The stalled rank stays silent until the coordinator ends it, then
+	// exits with its heartbeat loop: Close leaves neither behind.
+	if stalledGoroutines() == 0 {
+		t.Fatal("no goroutine of the stalled rank found before Close")
+	}
+	co.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := stalledGoroutines(); n > 0; n = stalledGoroutines() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d stalled-rank goroutines left after Close", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stalledGoroutines counts the goroutines parked in a rank's injected
+// stall or in its heartbeat loop, read from a dump of every goroutine's
+// stack.
+func stalledGoroutines() int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "(*rankRun).trigger") || strings.Contains(g, "(*rankRun).serve.func1") {
+			count++
+		}
+	}
+	return count
 }
 
 // runRecovered drives a run with an injected fault and recovery enabled,
@@ -249,8 +281,9 @@ func TestDelayFaultHarmless(t *testing.T) {
 	requireBitwise(t, "delay", wantT, gotT, want, got)
 }
 
-// TestFetchRestoreState: state pulled from one run and installed into a
-// freshly started run continues the trajectory bitwise.
+// TestFetchRestoreState: state pulled from one run (SaveState's frames)
+// and installed into a freshly started run continues the trajectory
+// bitwise.
 func TestFetchRestoreState(t *testing.T) {
 	tc := newTestConfig(t, "acoustic", true, 2, 4)
 	const pre, post = 3, 3
@@ -277,10 +310,7 @@ func TestFetchRestoreState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := co1.FetchState()
-	if err != nil {
-		t.Fatalf("FetchState: %v", err)
-	}
+	_, frames := globalState(t, co1, tc)
 	var wantT []float64
 	var want [][]float64
 	for c := 0; c < post; c++ {
@@ -294,7 +324,7 @@ func TestFetchRestoreState(t *testing.T) {
 
 	co2, done2 := run()
 	defer done2()
-	if err := co2.RestoreState(st); err != nil {
+	if err := co2.RestoreState(frames); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
 	var gotT []float64
@@ -359,10 +389,7 @@ func TestFetchStateExactGlobalField(t *testing.T) {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
 	}
-	st, err := co.FetchState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, frames := globalState(t, co, tc)
 
 	// Field-level check: the snapshot equals the shared engine at every
 	// dof, not only at the receivers.
@@ -402,7 +429,7 @@ func TestFetchStateExactGlobalField(t *testing.T) {
 	if err := co2.SetReceiverParts(owners); err != nil {
 		t.Fatal(err)
 	}
-	if err := co2.RestoreState(st); err != nil {
+	if err := co2.RestoreState(frames); err != nil {
 		t.Fatal(err)
 	}
 	var gotT []float64
@@ -452,4 +479,33 @@ func TestFaultFromEnv(t *testing.T) {
 	if !strings.Contains((&FaultPlan{Kind: FaultKill, Rank: 1, Cycle: 2}).String(), "kill:") {
 		t.Fatal("String misses kind")
 	}
+}
+
+// globalState is the global state of co's run after its last cycle: the
+// frames SaveState returns — one footprint frame per rank — overlaid onto
+// an all-zero field of tc's operator the way a local resume installs a
+// checkpoint, coverage checked. The frames come along, as RestoreState
+// takes them.
+func globalState(t *testing.T, co *Coordinator, tc *testConfig) (*ckpt.StepperState, [][]byte) {
+	t.Helper()
+	section, err := co.SaveState()
+	if err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	f := ckpt.NewFile()
+	f.Add("state", section)
+	frames, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := zeroBase(tc.geom.NDof(), tc.geom.Comps(), nil)
+	for _, frame := range frames {
+		if err := b.o.Add(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.o.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return b.st, frames
 }

@@ -146,10 +146,7 @@ func requireFootprintsExact(t *testing.T, tc *testConfig, cycles int) {
 	stepTo(t, co, cycles, &gotT, &got)
 	requireBitwise(t, "seismograms", wantT, gotT, want, got)
 
-	st, err := co.FetchState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := globalState(t, co, tc)
 	ref := shm.View()
 	for _, f := range []struct {
 		name      string

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"golts/internal/ckpt"
 )
@@ -30,8 +29,9 @@ import (
 // payloads (halo contributions, receiver samples) are raw little-endian
 // float64 arrays with a small fixed header, so the per-substep exchange
 // never touches an encoder. Stepper state never crosses a connection:
-// a snapshot is one state frame (see stateHeader) per rank, written to a
-// file of the run's snapshot store (snapstore.go), and msgCkpt /
+// a snapshot is one state frame (package ckpt, the format checkpoints
+// carry too) per rank, written to a file of the run's snapshot store
+// (snapstore.go), and msgCkpt /
 // msgCkptResp / msgRestore carry only which files to write or read and
 // what they must hash to — no control frame is larger than a cycle-done
 // report. The protocol is strictly sequenced — every participant knows
@@ -68,162 +68,6 @@ const (
 type configFrame struct {
 	Run     RunConfig
 	SnapDir string // the run's snapshot store
-}
-
-// A state frame is a stepper snapshot as a file of the snapshot store:
-//
-//	[u32 header length] [gob stateHeader] [nodes ...i32] [U ...f64] [V ...f64]
-//
-// little-endian, written by writeState alone. A full frame has no ids and
-// all NDof values of U and V, a footprint frame ascending node ids and
-// Comps values per listed node: a rank holds only the nodes its owned
-// elements touch (Operator.OwnedNodes), in that order — its U and V are
-// the value sections — so a snapshot is one footprint frame per rank and
-// the exact global state is their overlay: every node lies in some
-// footprint, where footprints overlap the values agree bitwise, and the
-// scalars are the same on every rank. The header's State travels without
-// U and V; a decoded full frame is the same struct with them in.
-type stateHeader struct {
-	State ckpt.StepperState
-	NDof  int // length of the full field arrays
-	Comps int // field components per node (dof = node*Comps + c)
-	Nodes int // footprint node count, -1 in a full frame
-	// own, not part of the frame (gob skips it), makes a decoding base hold
-	// only the ascending nodes it lists, in that order (a rank's footprint).
-	own []int32
-}
-
-// StateFrameError reports a state frame that arrived intact (its CRC
-// matched) but does not describe a consistent snapshot of this run.
-type StateFrameError struct{ Reason string }
-
-func (e *StateFrameError) Error() string { return "dist: malformed state frame: " + e.Reason }
-
-// writeState writes st's state frame to w and returns its length: a full
-// frame of st's arrays, or a footprint frame of an ndof-long field whose
-// listed nodes st holds, U and V in the nodes' order (a rank's compact
-// arrays). The ids, U and V go from their own memory (leBytes: a converted
-// copy off a little-endian host), all in snapChunk-byte pieces, so a w that
-// checksums what it passes on does so while the piece is in cache.
-func writeState(w io.Writer, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (int64, error) {
-	h := stateHeader{State: *st, NDof: ndof, Comps: comps, Nodes: len(nodes)}
-	h.State.U, h.State.V = nil, nil
-	if full {
-		h.NDof, h.Nodes, nodes = len(st.U), -1, nil
-	}
-	hdr := bytes.NewBuffer(make([]byte, 4)) // the length prefix, filled in below
-	err := gob.NewEncoder(hdr).Encode(&h)
-	binary.LittleEndian.PutUint32(hdr.Bytes(), uint32(hdr.Len()-4))
-	for _, b := range [][]byte{hdr.Bytes(), leBytes(nodes), leBytes(st.U), leBytes(st.V)} {
-		for ; len(b) > 0 && err == nil; b = b[min(snapChunk, len(b)):] {
-			_, err = w.Write(b[:min(snapChunk, len(b))])
-		}
-	}
-	return int64(hdr.Len() + 4*len(nodes) + 8*(len(st.U)+len(st.V))), err
-}
-
-// parseStateFrame splits a state frame into its validated header and the
-// body the header has yet to be checked against.
-func parseStateFrame(payload []byte) (h stateHeader, body []byte, err error) {
-	bad := func(format string, a ...any) (stateHeader, []byte, error) {
-		return stateHeader{}, nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
-	}
-	if len(payload) < 4 {
-		return bad("%d bytes, no header length", len(payload))
-	}
-	hlen := int(binary.LittleEndian.Uint32(payload))
-	if hlen > len(payload)-4 {
-		return bad("header of %d bytes in a %d-byte payload", hlen, len(payload))
-	}
-	if err := decodeGob(payload[4:4+hlen], &h); err != nil {
-		return bad("header: %v", err)
-	}
-	if h.State.U != nil || h.State.V != nil || h.NDof < 0 || h.Comps < 0 || h.Comps > maxFrame {
-		return bad("header carries arrays, %d dofs, %d components", h.NDof, h.Comps)
-	}
-	return h, payload[4+hlen:], nil
-}
-
-// decodeState parses and validates a state frame and overlays it on base:
-// the frame's scalars, and U and V on its nodes (all of them for a full
-// frame) that base holds, which are marked in seen when that is non-nil
-// (one entry per node base holds: see own). base must describe the same
-// field; only a full frame may come without one and then yields a new
-// base. On error base is left partly overlaid: discard it. Nothing is
-// indexed before it has been checked against payload and field.
-func decodeState(payload []byte, base *stateHeader, seen []bool) (*stateHeader, error) {
-	bad := func(format string, a ...any) (*stateHeader, error) {
-		return nil, &StateFrameError{Reason: fmt.Sprintf(format, a...)}
-	}
-	h, body, err := parseStateFrame(payload)
-	if err != nil {
-		return nil, err
-	}
-	full := h.Nodes < 0
-	if full {
-		if len(body)/16 != h.NDof || len(body)%16 != 0 {
-			return bad("%d body bytes for 2 x %d values", len(body), h.NDof)
-		}
-		if base == nil {
-			base = &stateHeader{NDof: h.NDof, Comps: h.Comps, Nodes: -1}
-		} else if h.NDof != base.NDof {
-			return bad("full frame of a %d-dof field onto a %d-dof one", h.NDof, base.NDof)
-		}
-		if base.own == nil {
-			h.State.U, _ = getFloats(base.State.U, body[:len(body)/2])
-			h.State.V, _ = getFloats(base.State.V, body[len(body)/2:])
-			base.State = h.State
-			for n := range seen {
-				seen[n] = true
-			}
-			return base, nil
-		}
-		// Onto a footprint: a frame of every node, in base's shape.
-		h.Comps, h.Nodes = base.Comps, h.NDof/max(1, base.Comps)
-	}
-	if base == nil || h.NDof != base.NDof || h.Comps != base.Comps || h.Comps == 0 || h.NDof%h.Comps != 0 {
-		return bad("footprint of a %d-dof, %d-component field does not fit the base", h.NDof, h.Comps)
-	}
-	// A node costs its id plus Comps values of U and of V: size the count
-	// by the body before multiplying.
-	nc, ids, vals := h.Comps, []byte(nil), body
-	if !full {
-		if per := 4 + 16*nc; len(body)/per != h.Nodes || len(body)%per != 0 {
-			return bad("%d footprint nodes x %d components in a %d-byte body", h.Nodes, nc, len(body))
-		}
-		ids, vals = body[:4*h.Nodes], body[4*h.Nodes:]
-	}
-	// The nodes ascend, so base's slot of each is the id itself or found by
-	// one merge walk along base.own.
-	for f, field := range [][]float64{base.State.U, base.State.V} {
-		src := vals[f*len(vals)/2:]
-		for i, j, prev := 0, 0, -1; i < h.Nodes; i++ {
-			n := i
-			if !full {
-				n = int(binary.LittleEndian.Uint32(ids[4*i:]))
-			}
-			if n >= h.NDof/nc || n <= prev {
-				return bad("footprint node %d at entry %d: not ascending in [0,%d)", n, i, h.NDof/nc)
-			}
-			prev = n
-			if base.own != nil {
-				for j < len(base.own) && int(base.own[j]) < n {
-					j++
-				}
-				if j == len(base.own) || int(base.own[j]) != n {
-					continue // another rank's node
-				}
-				n = j
-			}
-			setFloats(field[n*nc:(n+1)*nc], src[8*i*nc:])
-			if f == 0 && seen != nil {
-				seen[n] = true
-			}
-		}
-	}
-	h.State.U, h.State.V = base.State.U, base.State.V
-	base.State = h.State
-	return base, nil
 }
 
 // maxFrame bounds a frame payload; anything larger indicates a corrupt
@@ -392,33 +236,9 @@ func (c *conn) setDeadline(t time.Time) { c.c.SetDeadline(t) }
 
 func (c *conn) close() { c.c.Close() }
 
-// littleEndian is whether the host keeps int32s and float64s as their
-// little-endian bytes; tests clear it to run the other hosts' branch.
-var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// leBytes returns the little-endian bytes of vals: on a little-endian host
-// a view of vals' own memory, elsewhere a converted copy of them.
-func leBytes[T int32 | float64](vals []T) []byte {
-	if !littleEndian {
-		var b bytes.Buffer
-		binary.Write(&b, binary.LittleEndian, vals) // into memory: cannot fail
-		return b.Bytes()
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(*new(T))))
-}
-
-// setFloats sets dst to the first len(dst) little-endian float64s of b.
-func setFloats(dst []float64, b []byte) {
-	if !littleEndian {
-		binary.Read(bytes.NewReader(b[:8*len(dst)]), binary.LittleEndian, dst) // as many bytes as dst takes: cannot fail
-		return
-	}
-	copy(leBytes(dst), b[:8*len(dst)])
-}
-
 // putFloats appends the little-endian encoding of vals to buf.
 func putFloats(buf []byte, vals []float64) []byte {
-	return append(buf, leBytes(vals)...)
+	return append(buf, ckpt.LEBytes(vals)...)
 }
 
 // haloFrame is one halo message: [u32 seq][u32 plan id][values ...f64].
@@ -477,6 +297,6 @@ func getFloats(dst []float64, payload []byte) ([]float64, error) {
 		return nil, fmt.Errorf("dist: float payload of %d bytes", len(payload))
 	}
 	out := slices.Grow(dst[:0], len(payload)/8)[:len(payload)/8]
-	setFloats(out, payload)
+	ckpt.SetFloats(out, payload)
 	return out, nil
 }

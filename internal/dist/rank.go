@@ -516,7 +516,7 @@ func (r *rankRun) serve() error {
 				return fmt.Errorf("malformed snapshot frame (%d bytes)", len(payload))
 			}
 			slot := int(binary.LittleEndian.Uint32(payload))
-			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.st.View(), r.dop.NDof(), r.dop.Comps(), r.dop.OwnedNodes(), false)
+			file, err := r.store.save(r.params.gen, slot, r.params.rank, r.st.View(), r.dop.NDof(), r.dop.Comps(), r.dop.OwnedNodes())
 			if err != nil {
 				return r.report(err)
 			}
@@ -532,7 +532,8 @@ func (r *rankRun) serve() error {
 			if r.params.onRestore != nil {
 				r.params.onRestore(r)
 			}
-			st, err := r.store.restore(payload, r.st.View(), r.dop.NDof(), r.dop.Comps(), r.dop.OwnedNodes())
+			st := r.st.View()
+			err := r.store.restore(payload, st, r.dop.NDof(), r.dop.Comps(), r.dop.OwnedNodes())
 			if err == nil {
 				err = r.st.Restore(st)
 			}
@@ -643,14 +644,17 @@ func (r *rankRun) trigger() {
 	case FaultDelay:
 		time.Sleep(p.Delay)
 	case FaultStall:
-		// Freeze forever with every connection open: heartbeats stop
-		// (stalled is checked by the beacon goroutine) but nothing closes,
-		// so only the coordinator's heartbeat timeout can notice. In a
-		// spawned rank the process is killed during recovery; in-process
-		// this intentionally parks the rank goroutine for the test's
-		// lifetime.
+		// Freeze with every connection open: heartbeats stop (stalled is
+		// checked by the beacon goroutine) and nothing is answered, so only
+		// the coordinator's heartbeat timeout can notice. A spawned rank is
+		// killed during recovery; either kind exits, the way a killed one
+		// does, once the coordinator closes its link or shuts it down.
 		r.stalled.Store(true)
-		select {}
+		for {
+			if t, _, err := r.coord.recv(); err != nil || t == msgShutdown {
+				panic(&killPanic{})
+			}
+		}
 	case FaultKill:
 		if r.params.spawned {
 			// Real SIGKILL: no deferred cleanup, no farewell frame —

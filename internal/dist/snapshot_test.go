@@ -195,7 +195,7 @@ func TestNoOrphanSnapshotDir(t *testing.T) {
 		if ents, _ := os.ReadDir(tmp); len(ents) != 1 {
 			t.Fatalf("%d entries in TMPDIR during the run, want the store", len(ents))
 		}
-		if _, err := co.FetchState(); err != nil {
+		if _, err := co.SaveState(); err != nil {
 			t.Fatal(err)
 		}
 		if err := co.Close(); err != nil {
@@ -254,7 +254,7 @@ func FuzzRestoreDescriptor(f *testing.F) {
 	store := &snapStore{dir: f.TempDir()}
 	sn := snapshot{Gen: 2, Slot: 1, Cycle: 7}
 	for r, fp := range [][]int32{{0, 1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10, 11}} {
-		file, err := store.save(sn.Gen, sn.Slot, r, compactState(truth, comps, fp, false), nn*comps, comps, fp, false)
+		file, err := store.save(sn.Gen, sn.Slot, r, compactState(truth, comps, fp, false), nn*comps, comps, fp)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -290,9 +290,8 @@ func FuzzRestoreDescriptor(f *testing.F) {
 			live := compactState(testState(nn, comps), comps, own, false)
 			clear(live.U)
 			clear(live.V)
-			u0 := &live.U[0]
-			st, err := store.restore(payload, live, nn*comps, comps, own)
-			if err != nil {
+			st, u0 := live, &live.U[0]
+			if err := store.restore(payload, live, nn*comps, comps, own); err != nil {
 				if bytes.Equal(payload, committed) {
 					t.Fatalf("footprint %v: the committed descriptor does not restore: %v", own, err)
 				}

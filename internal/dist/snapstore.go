@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -16,18 +15,20 @@ import (
 
 // snapStore is the run's snapshot store: a run-private directory in
 // which every rank keeps its share of the recovery snapshots, one state
-// frame per file <gen>-<slot>-<rank>. Under owner-computes stepping no
-// survivor holds a lost rank's interior, so a recovery snapshot has to
-// outlive the process that wrote it; the cheapest place that does is the
-// host's page cache. The failure model is a lost process, not a lost
-// host (every rank runs on 127.0.0.1): files are overwritten in place
-// and never synced. Two slots alternate, and the coordinator commits a
-// slot only once every rank has answered for its file, so a rank dying
+// frame (package ckpt) per file <gen>-<slot>-<rank>. Under owner-computes
+// stepping no survivor holds a lost rank's interior, so a recovery
+// snapshot has to outlive the process that wrote it; the cheapest place
+// that does is the host's page cache. The failure model is a lost process,
+// not a lost host (every rank runs on 127.0.0.1): files are overwritten in
+// place and never synced. Two slots alternate, and the coordinator commits
+// a slot only once every rank has answered for its file, so a rank dying
 // mid-write tears the uncommitted slot only; the spawn generation in the
-// name keeps a straggler of a torn-down generation off the files the
-// next one reads. save writes a frame from the rank's own arrays, a
-// snapChunk-byte piece at a time, so the store holds no buffer and no copy
-// of the frame. The coordinator creates the directory in Start and
+// name keeps a straggler of a torn-down generation off the files the next
+// one reads. save writes a footprint frame from the rank's own arrays, so
+// the store holds no buffer and no copy of the frame; load overlays the
+// files through ckpt.Overlay, as a local resume does. A checkpoint's
+// "state" section is these files as they are (Coordinator.SaveState,
+// RestoreState). The coordinator creates the directory in Start and
 // removes it when the run ends.
 type snapStore struct {
 	dir string
@@ -43,8 +44,8 @@ type snapFile struct {
 // snapshot describes one committed snapshot — the msgRestore payload,
 // and all the coordinator holds of the state: rank i's frame is the file
 // (Gen, Slot, i), a footprint frame per rank of the generation that took
-// it (or the one full frame RestoreState wrote), which together give the
-// global state after Cycle completed cycles.
+// it (or the frames of a checkpoint RestoreState wrote), which together
+// give the global state after Cycle completed cycles.
 type snapshot struct {
 	Gen, Slot int
 	Cycle     int64
@@ -100,20 +101,17 @@ func (s *snapStore) path(gen, slot, rank int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%d-%d-%d", gen, slot, rank))
 }
 
-// snapChunk is the piece of a section writeState writes at a time: save
-// checksums a piece while it is in cache.
-const snapChunk = 256 << 10
-
-// save writes st's state frame (see writeState) into rank's file of (gen,
-// slot), over the pages of the file's previous contents, straight from
-// st's arrays, and returns its length and CRC32.
-func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, ndof, comps int, nodes []int32, full bool) (snapFile, error) {
+// save writes the footprint frame of st — the nodes of an ndof-long field
+// of comps components per node, U and V in their order (ckpt.WriteFrame)
+// — into rank's file of (gen, slot), over the pages of the file's previous
+// contents, straight from st's arrays, and returns its length and CRC32.
+func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, ndof, comps int, nodes []int32) (snapFile, error) {
 	f, err := os.OpenFile(s.path(gen, slot, rank), os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return snapFile{}, err
 	}
 	crc := crc32.NewIEEE()
-	n, err := writeState(io.MultiWriter(f, crc), st, ndof, comps, nodes, full)
+	n, err := ckpt.WriteFrame(io.MultiWriter(f, crc), st, ndof, comps, nodes, false)
 	if err == nil {
 		err = f.Truncate(n)
 	}
@@ -123,73 +121,58 @@ func (s *snapStore) save(gen, slot, rank int, st *ckpt.StepperState, ndof, comps
 	return snapFile{Len: n, CRC: crc.Sum32()}, err
 }
 
-// load overlays every file of sn on base and refuses anything short of
-// what base holds: each file must be as long as committed and hash to the
-// committed checksum, fit base, and the frames together must cover every
-// node base holds (all of them, or its footprint: see stateHeader.own). A
-// nil base stands for a zero field of the first frame's shape. The error
-// says what is wrong with the snapshot (the coordinator types it, see
-// unusable); base is then partly overlaid.
-func (s *snapStore) load(sn *snapshot, base *stateHeader) (*stateHeader, error) {
+// put writes frame, as it is, as file i of sn and records its length and
+// CRC32 there.
+func (s *snapStore) put(sn *snapshot, i int, frame []byte) error {
+	sn.Files[i] = snapFile{Len: int64(len(frame)), CRC: crc32.ChecksumIEEE(frame)}
+	return os.WriteFile(s.path(sn.Gen, sn.Slot, i), frame, 0o600)
+}
+
+// read returns file i of sn once it has checked the file against its
+// commit: as long as committed, hashing to the committed checksum.
+func (s *snapStore) read(sn *snapshot, i int) ([]byte, error) {
+	path, want := s.path(sn.Gen, sn.Slot, i), sn.Files[i]
+	frame, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if crc := crc32.ChecksumIEEE(frame); int64(len(frame)) != want.Len || crc != want.CRC {
+		return nil, fmt.Errorf("file %s: %d bytes, crc %08x; committed with %d bytes, crc %08x",
+			filepath.Base(path), len(frame), crc, want.Len, want.CRC)
+	}
+	return frame, nil
+}
+
+// load overlays every file of sn through o and refuses anything short of
+// what o's arrays hold: each file must be as long as committed and hash to
+// the committed checksum, be one whole frame that fits the field, and the
+// frames together must cover every node the arrays hold. The error says
+// what is wrong with the snapshot (the coordinator types it, see
+// unusable); the arrays are then partly overlaid.
+func (s *snapStore) load(sn *snapshot, o *ckpt.Overlay) error {
 	if len(sn.Files) == 0 {
-		return nil, errors.New("no files")
+		return errors.New("no files")
 	}
-	var seen []bool
-	for i, want := range sn.Files {
-		path := s.path(sn.Gen, sn.Slot, i)
-		frame, err := os.ReadFile(path)
+	for i := range sn.Files {
+		frame, err := s.read(sn, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		name := "file " + filepath.Base(path)
-		if crc := crc32.ChecksumIEEE(frame); int64(len(frame)) != want.Len || crc != want.CRC {
-			return nil, fmt.Errorf("%s: %d bytes, crc %08x; committed with %d bytes, crc %08x",
-				name, len(frame), crc, want.Len, want.CRC)
-		}
-		if base == nil {
-			// A field the committed bytes could not cover is not worth
-			// allocating: U and V cost 16 bytes a dof in any frame.
-			h, _, err := parseStateFrame(frame)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			if int64(h.NDof) > sn.bytes()/16 {
-				return nil, fmt.Errorf("%s: a %d-dof field in a %d-byte snapshot", name, h.NDof, sn.bytes())
-			}
-			base = &stateHeader{NDof: h.NDof, Comps: h.Comps, Nodes: -1}
-			base.State.U, base.State.V = make([]float64, h.NDof), make([]float64, h.NDof)
-		}
-		if seen == nil {
-			seen = make([]bool, base.NDof/max(1, base.Comps))
-			if base.own != nil {
-				seen = make([]bool, len(base.own))
-			}
-		}
-		if _, err := decodeState(frame, base, seen); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+		if err := o.Add(frame); err != nil {
+			return fmt.Errorf("file %s: %w", filepath.Base(s.path(sn.Gen, sn.Slot, i)), err)
 		}
 	}
-	if n := slices.Index(seen, false); n >= 0 {
-		if base.own != nil {
-			n = int(base.own[n])
-		}
-		return nil, fmt.Errorf("node %d is in no rank's footprint", n)
-	}
-	return base, nil
+	return o.Done()
 }
 
 // restore decodes a msgRestore descriptor and loads the snapshot it names
 // onto live, which holds the footprint own of an ndof-long field.
-func (s *snapStore) restore(payload []byte, live *ckpt.StepperState, ndof, comps int, own []int32) (*ckpt.StepperState, error) {
+func (s *snapStore) restore(payload []byte, live *ckpt.StepperState, ndof, comps int, own []int32) error {
 	var sn snapshot
 	if err := decodeGob(payload, &sn); err != nil {
-		return nil, fmt.Errorf("decoding snapshot descriptor: %w", err)
+		return fmt.Errorf("decoding snapshot descriptor: %w", err)
 	}
-	base, err := s.load(&sn, &stateHeader{State: *live, NDof: ndof, Comps: comps, Nodes: -1, own: own})
-	if err != nil {
-		return nil, err
-	}
-	return &base.State, nil
+	return s.load(&sn, ckpt.NewOverlay(live, ndof, comps, own))
 }
 
 // prune deletes the files of every generation but gen.

@@ -3,8 +3,8 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -36,13 +36,17 @@ func testState(nn, comps int) *ckpt.StepperState {
 	return st
 }
 
+// bodyAt is where the ids (or, in a full frame, U) of a frame of testState
+// start: after the fixed header and its three per-level counters.
+const bodyAt = 64 + 3*8
+
 // encodeState is the in-memory twin of snapStore.save: the same state
-// frame of the global field st, written by writeState from the arrays a
-// rank holding nodes would have (compactState) into buf's storage (a
+// frame of the global field st, written by ckpt.WriteFrame from the arrays
+// a rank holding nodes would have (compactState) into buf's storage (a
 // caller may pass its last frame back in).
 func encodeState(buf []byte, st *ckpt.StepperState, comps int, nodes []int32, full bool) ([]byte, error) {
 	b := bytes.NewBuffer(buf[:0])
-	_, err := writeState(b, compactState(st, comps, nodes, full), len(st.U), comps, nodes, full)
+	_, err := ckpt.WriteFrame(b, compactState(st, comps, nodes, full), len(st.U), comps, nodes, full)
 	return b.Bytes(), err
 }
 
@@ -85,16 +89,35 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// zeroBase is an all-zero full snapshot for footprint frames to land on.
-func zeroBase(ndof, comps int) *stateHeader {
-	return &stateHeader{State: ckpt.StepperState{U: make([]float64, ndof), V: make([]float64, ndof)}, NDof: ndof, Comps: comps, Nodes: -1}
+// base is a stepper's all-zero arrays for frames to land on — the whole
+// ndof-long field, or the footprint own of it in its compact order — and
+// the overlay onto them.
+type base struct {
+	st          *ckpt.StepperState
+	o           *ckpt.Overlay
+	ndof, comps int
+	own         []int32
+}
+
+func zeroBase(ndof, comps int, own []int32) *base {
+	n := ndof
+	if own != nil {
+		n = len(own) * comps
+	}
+	st := &ckpt.StepperState{U: make([]float64, n), V: make([]float64, n)}
+	return &base{st: st, o: ckpt.NewOverlay(st, ndof, comps, own), ndof: ndof, comps: comps, own: own}
+}
+
+// want is the part of the global state st that b's arrays hold.
+func (b *base) want(st *ckpt.StepperState, comps int) *ckpt.StepperState {
+	return compactState(st, comps, b.own, b.own == nil)
 }
 
 // TestStateFrameRoundTrip: full and footprint frames survive the codec
 // bit for bit, for 1 and 3 components, including an empty footprint; a
-// full frame fills a base of its length in place, and a footprint lands
-// on exactly its own dofs, marks exactly its own nodes and brings its
-// scalars along.
+// full frame fills a base of its length in place and covers it, a base of
+// another length refuses it, and a footprint lands on exactly its own dofs,
+// leaves the lowest node it lacks uncovered and brings its scalars along.
 func TestStateFrameRoundTrip(t *testing.T) {
 	for _, comps := range []int{1, 3} {
 		const nn = 11
@@ -103,59 +126,54 @@ func TestStateFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn, err := decodeState(frame, nil, nil)
-		if err != nil {
-			t.Fatalf("comps %d: full frame: %v", comps, err)
-		}
-		if sn.Comps != comps || !sameBits(sn.State.U, st.U) || !sameBits(sn.State.V, st.V) {
-			t.Errorf("comps %d: full frame arrays differ", comps)
-		}
 		// Onto a base the arrays are filled in place and every node is
-		// marked; a base of another length is refused.
-		base, seen := zeroBase(nn*comps, comps), make([]bool, nn)
-		u0 := &base.State.U[0]
-		if got, err := decodeState(frame, base, seen); err != nil || got != base || &base.State.U[0] != u0 ||
-			!sameBits(base.State.U, st.U) || !sameBits(base.State.V, st.V) || slices.Contains(seen, false) {
-			t.Fatalf("comps %d: full frame onto a base: %v, seen %v", comps, err, seen)
+		// covered; a base of another length is refused.
+		b := zeroBase(nn*comps, comps, nil)
+		u0 := &b.st.U[0]
+		if err := b.o.Add(frame); err != nil || &b.st.U[0] != u0 ||
+			!sameBits(b.st.U, st.U) || !sameBits(b.st.V, st.V) || b.o.Done() != nil {
+			t.Fatalf("comps %d: full frame onto a base: %v, coverage %v", comps, err, b.o.Done())
 		}
-		if _, err := decodeState(frame, zeroBase((nn+1)*comps, comps), nil); err == nil {
+		if err := zeroBase((nn+1)*comps, comps, nil).o.Add(frame); err == nil {
 			t.Errorf("comps %d: full frame accepted onto a longer base", comps)
 		}
-		got, want := sn.State, *st
+		got, want := *b.st, *st
 		got.U, got.V, want.U, want.V = nil, nil, nil, nil
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("comps %d: scalars %+v, want %+v", comps, got, want)
 		}
-		for _, nodes := range [][]int32{{0, 4, 5, 10}, {}, nil} {
+		for _, nodes := range [][]int32{{0, 4, 5, 10}, {1, 2}, {}, nil} {
 			frame, err := encodeState(frame, st, comps, nodes, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, seen := zeroBase(nn*comps, comps), make([]bool, nn)
-			if sn, err := decodeState(frame, base, seen); err != nil || sn != base {
-				t.Fatalf("comps %d footprint %v: (%p, %v)", comps, nodes, sn, err)
+			b := zeroBase(nn*comps, comps, nil)
+			if err := b.o.Add(frame); err != nil {
+				t.Fatalf("comps %d footprint %v: %v", comps, nodes, err)
 			}
-			if base.State.T != st.T || base.State.Cycles != st.Cycles || !reflect.DeepEqual(base.State.PerLevel, st.PerLevel) {
-				t.Errorf("comps %d footprint %v: scalars %+v did not come along", comps, nodes, base.State)
+			if b.st.T != st.T || b.st.Cycles != st.Cycles || !reflect.DeepEqual(b.st.PerLevel, st.PerLevel) {
+				t.Errorf("comps %d footprint %v: scalars %+v did not come along", comps, nodes, b.st)
 			}
-			// Owned dofs carry st's bits, everything else stays zero;
-			// exactly the owned nodes are marked.
+			// Owned dofs carry st's bits, everything else stays zero; the
+			// lowest node the footprint lacks is the one left uncovered.
 			owned := make(map[int]bool)
 			for _, n := range nodes {
 				owned[int(n)] = true
 			}
-			for n, mark := range seen {
-				if mark != owned[n] {
-					t.Fatalf("comps %d footprint %v: node %d marked %v", comps, nodes, n, mark)
-				}
+			lacks := 0
+			for owned[lacks] {
+				lacks++
+			}
+			if err := b.o.Done(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d is", lacks)) {
+				t.Fatalf("comps %d footprint %v: coverage %v, want node %d uncovered", comps, nodes, err, lacks)
 			}
 			for d := range st.U {
 				wu, wv := 0.0, 0.0
 				if owned[d/comps] {
 					wu, wv = st.U[d], st.V[d]
 				}
-				if math.Float64bits(base.State.U[d]) != math.Float64bits(wu) ||
-					math.Float64bits(base.State.V[d]) != math.Float64bits(wv) {
+				if math.Float64bits(b.st.U[d]) != math.Float64bits(wu) ||
+					math.Float64bits(b.st.V[d]) != math.Float64bits(wv) {
 					t.Fatalf("comps %d footprint %v: dof %d", comps, nodes, d)
 				}
 			}
@@ -164,7 +182,7 @@ func TestStateFrameRoundTrip(t *testing.T) {
 }
 
 // malformedFrames is the table of CRC-valid but inconsistent state
-// frames; it also seeds the fuzzer.
+// frames of a 6-node, 3-component field; it also seeds the fuzzer.
 func malformedFrames(t testing.TB) map[string][]byte {
 	st := testState(6, 3)
 	enc := func(nodes []int32, full bool) []byte {
@@ -175,33 +193,43 @@ func malformedFrames(t testing.TB) map[string][]byte {
 		return b
 	}
 	full, fp := enc(nil, true), enc([]int32{1, 4}, false)
-	hlen := int(binary.LittleEndian.Uint32(fp))
-	out := map[string][]byte{
-		"empty":             {},
-		"truncated header":  fp[:4+hlen/2],
-		"no header length":  fp[:3],
-		"odd float tail":    full[:len(full)-3],
-		"short full body":   full[:len(full)-16],
-		"long full body":    append(append([]byte(nil), full...), make([]byte, 16)...),
-		"footprint cut":     fp[:len(fp)-8],
-		"garbage header":    append([]byte{8, 0, 0, 0}, "notagob!"...),
-		"header past end":   append(binary.LittleEndian.AppendUint32(nil, uint32(len(fp))), fp[4:]...),
-		"node out of range": append([]byte(nil), fp...),
+	edit := func(frame []byte, at int, v uint64, size int) []byte {
+		b := append([]byte(nil), frame...)
+		for i := 0; i < size; i++ {
+			b[at+i] = byte(v >> (8 * i))
+		}
+		return b
 	}
-	// Node ids follow the header: overwrite the second with NumNodes.
-	binary.LittleEndian.PutUint32(out["node out of range"][4+hlen+4:], 6)
-	return out
+	return map[string][]byte{
+		"empty":               {},
+		"truncated header":    fp[:40],
+		"no levels":           fp[:64],
+		"odd float tail":      full[:len(full)-3],
+		"short full body":     full[:len(full)-16],
+		"long full body":      append(append([]byte(nil), full...), make([]byte, 16)...),
+		"footprint cut":       fp[:len(fp)-8],
+		"flag bytes":          edit(fp, 62, 0xff02, 2),
+		"levels past end":     edit(fp, 60, 0xffff, 2),
+		"no components":       edit(fp, 56, 0, 4),
+		"ragged field":        edit(fp, 40, 17, 8),
+		"nodes past field":    edit(fp, 48, 7, 8),
+		"node out of range":   edit(fp, bodyAt+4, 6, 4),
+		"nodes descending":    edit(fp, bodyAt, 5, 4),
+		"negative field":      edit(full, 40, math.MaxUint64, 8),
+		"huge claimed field":  edit(full, 40, 1<<60, 8),
+		"other component sum": edit(full, 56, 2, 4),
+	}
 }
 
 // TestStateFrameMalformed: every malformed frame yields the typed error,
-// never a panic or a frame.
+// never a panic or an overlay, onto the whole field and onto a footprint.
 func TestStateFrameMalformed(t *testing.T) {
 	for name, frame := range malformedFrames(t) {
-		for _, base := range []*stateHeader{nil, zeroBase(18, 3)} {
-			sn, err := decodeState(frame, base, nil)
-			var se *StateFrameError
-			if !errors.As(err, &se) {
-				t.Errorf("%s (base %v): got (%v, %v), want a *StateFrameError", name, base != nil, sn, err)
+		for _, own := range [][]int32{nil, {1, 2, 4}} {
+			err := zeroBase(18, 3, own).o.Add(frame)
+			var fe *ckpt.FrameError
+			if !errors.As(err, &fe) {
+				t.Errorf("%s (footprint %v): got %v, want a *ckpt.FrameError", name, own, err)
 			}
 		}
 	}
@@ -221,12 +249,17 @@ func writeSnapshot(t testing.TB, frames ...[]byte) (*snapStore, *snapshot) {
 	return store, sn
 }
 
+// loadBases are the arrays a snapshot of an 8-node field is loaded onto:
+// the whole field (a local stepper's) and a footprint (a rank's).
+func loadBases(comps int) []*base {
+	return []*base{zeroBase(8*comps, comps, nil), zeroBase(8*comps, comps, []int32{0, 2, 3, 5, 7})}
+}
+
 // TestLoadRejectsInconsistentFrames: a committed file that is a
 // well-formed frame but does not fit the run (node outside the field,
-// another component count, another field length, a field the snapshot's
-// bytes could not hold) is an error naming the file — on a rank's own
-// arrays and on the coordinator's nil base alike — not an index panic and
-// not a huge allocation.
+// another component count, another field length) is an error naming the
+// file — on the whole field and on a rank's footprint alike — not an index
+// panic.
 func TestLoadRejectsInconsistentFrames(t *testing.T) {
 	const nn, comps = 8, 3
 	good := testState(nn, comps)
@@ -239,9 +272,7 @@ func TestLoadRejectsInconsistentFrames(t *testing.T) {
 	}
 	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
 	outOfRange := enc(good, comps, []int32{1, 2}, false)
-	hlen := int(binary.LittleEndian.Uint32(outOfRange))
-	binary.LittleEndian.PutUint32(outOfRange[4+hlen:], nn)
-	huge := enc(&ckpt.StepperState{U: make([]float64, 1<<20)}, comps, nil, false)
+	binary.LittleEndian.PutUint32(outOfRange[bodyAt+4:], nn)
 	cases := []struct {
 		name   string
 		frames [][]byte
@@ -251,42 +282,33 @@ func TestLoadRejectsInconsistentFrames(t *testing.T) {
 		{"component count differs", [][]byte{enc(good, comps, all, false), enc(testState(nn*comps, 1), 1, []int32{20}, false)}, "3-1-1"},
 		{"field length differs", [][]byte{enc(good, comps, all, false), enc(testState(nn+1, comps), comps, []int32{1}, false)}, "3-1-1"},
 		{"full frame of another field", [][]byte{enc(good, comps, all, false), enc(testState(nn+1, comps), comps, nil, true)}, "3-1-1"},
+		{"two frames in a file", [][]byte{append(enc(good, comps, all, false), enc(good, comps, all, false)...)}, "3-1-0"},
 		{"not a frame", [][]byte{[]byte("notaframe")}, "3-1-0"},
 	}
 	for _, tc := range cases {
-		for _, own := range []bool{false, true} {
+		for _, b := range loadBases(comps) {
 			store, sn := writeSnapshot(t, tc.frames...)
-			var base *stateHeader
-			if own {
-				base = zeroBase(nn*comps, comps)
-			}
-			if got, err := store.load(sn, base); err == nil || !strings.Contains(err.Error(), "file "+tc.file) {
-				t.Errorf("%s (own arrays %v): got (%v, %v), want an error naming %s", tc.name, own, got, err, tc.file)
+			if err := store.load(sn, b.o); err == nil || !strings.Contains(err.Error(), "file "+tc.file) {
+				t.Errorf("%s (footprint %v): got %v, want an error naming %s", tc.name, b.own, err, tc.file)
 			}
 		}
 	}
-	// A header claiming more dofs than the snapshot has bytes for must not
-	// be believed by a reader without arrays of its own.
-	store, sn := writeSnapshot(t, huge)
-	if _, err := store.load(sn, nil); err == nil || !strings.Contains(err.Error(), "1048576-dof field") {
-		t.Errorf("oversized field: %v", err)
-	}
-	if _, err := store.load(&snapshot{}, nil); err == nil {
+	if err := new(snapStore).load(&snapshot{}, zeroBase(nn*comps, comps, nil).o); err == nil {
 		t.Error("a snapshot without files loaded")
 	}
-	// Control: consistent frames merge, onto either base, bits and scalars.
-	for _, base := range []*stateHeader{nil, zeroBase(nn*comps, comps)} {
-		store, sn := writeSnapshot(t, enc(good, comps, []int32{0, 1, 2, 3, 4}, false), enc(good, comps, []int32{4, 5, 6, 7}, false))
-		got, err := store.load(sn, base)
-		if err != nil || !sameBits(got.State.U, good.U) || !sameBits(got.State.V, good.V) || got.State.N != good.N {
-			t.Fatalf("consistent frames: %v", err)
-		}
-	}
-	// One full frame is a whole snapshot (RestoreState writes such).
-	store, sn = writeSnapshot(t, enc(good, 0, nil, true))
-	for _, base := range []*stateHeader{nil, zeroBase(nn*comps, comps)} {
-		if got, err := store.load(sn, base); err != nil || !sameBits(got.State.U, good.U) {
-			t.Fatalf("full-frame snapshot: %v", err)
+	// Control: consistent frames merge, onto either base, bits and
+	// scalars; one full frame is a whole snapshot (a local checkpoint's,
+	// which RestoreState writes as it is).
+	for _, frames := range [][][]byte{
+		{enc(good, comps, []int32{0, 1, 2, 3, 4}, false), enc(good, comps, []int32{4, 5, 6, 7}, false)},
+		{enc(good, comps, nil, true)},
+	} {
+		for _, b := range loadBases(comps) {
+			store, sn := writeSnapshot(t, frames...)
+			want := b.want(good, comps)
+			if err := store.load(sn, b.o); err != nil || !sameBits(b.st.U, want.U) || !sameBits(b.st.V, want.V) || b.st.N != good.N {
+				t.Fatalf("%d consistent frames onto footprint %v: %v", len(frames), b.own, err)
+			}
 		}
 	}
 }
@@ -317,8 +339,8 @@ func TestLoadChecksFilesAgainstCommit(t *testing.T) {
 		if err := do(store.path(sn.Gen, sn.Slot, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := store.load(sn, zeroBase(nn*comps, comps)); err == nil || !strings.Contains(err.Error(), "3-1-1") {
-			t.Errorf("%s: got (%v, %v), want an error naming file 3-1-1", name, got, err)
+		if err := store.load(sn, zeroBase(nn*comps, comps, nil).o); err == nil || !strings.Contains(err.Error(), "3-1-1") {
+			t.Errorf("%s: got %v, want an error naming file 3-1-1", name, err)
 		}
 	}
 }
@@ -332,24 +354,22 @@ func TestLoadCoverage(t *testing.T) {
 	st := testState(nn, comps)
 	a, _ := encodeState(nil, st, comps, []int32{0, 1, 2, 3}, false)
 	b, _ := encodeState(nil, st, comps, []int32{3, 4, 6, 7}, false) // node 5 removed
-	for _, base := range []*stateHeader{nil, zeroBase(nn*comps, comps)} {
+	for _, base := range loadBases(comps) {
 		store, sn := writeSnapshot(t, a, b)
-		if got, err := store.load(sn, base); err == nil || !strings.Contains(err.Error(), "node 5 is in no rank's footprint") {
-			t.Errorf("got (%v, %v), want the coverage error for node 5", got, err)
+		if err := store.load(sn, base.o); err == nil || !strings.Contains(err.Error(), "node 5 is in no rank's footprint") {
+			t.Errorf("footprint %v: got %v, want the coverage error for node 5", base.own, err)
 		}
 	}
 }
 
-// FuzzStateFrame drives the state-frame decoder — the one place file
-// bytes turn into indices — with arbitrary payloads the way a restore
-// uses it: as one of several footprint frames overlaid on a zero base
-// with a coverage map, and as a full frame without a base. It must never
-// panic, fail only with the typed error, leave the base's shape alone,
-// mark no more nodes than the base has, and leave the base fit for the
-// frames that follow: overlaying a complete footprint set afterwards
-// must give exactly that set's field, fully covered. Full frames it
-// accepts must have arrays that agree and re-encode to something it
-// accepts again.
+// FuzzStateFrame drives the state-frame overlay — the one place file bytes
+// turn into indices — with arbitrary payloads the way a restore uses it:
+// as one of several frames overlaid on a zero base, the whole field or a
+// footprint. It must never panic, fail only with the typed error, leave
+// the base's shape alone and leave the base fit for the frames that
+// follow: overlaying a complete footprint set afterwards must give exactly
+// that set's field, fully covered. A full frame a whole-field base accepts
+// must re-encode to its own bytes.
 func FuzzStateFrame(f *testing.F) {
 	for _, frame := range malformedFrames(f) {
 		f.Add(frame)
@@ -372,75 +392,66 @@ func FuzzStateFrame(f *testing.F) {
 		f.Add(enc(st, comps, []int32{3, 3, 0, 3}, false))
 		for _, id := range []uint32{5, 0xffff_ffff} {
 			frame := enc(st, comps, []int32{1, 4}, false)
-			binary.LittleEndian.PutUint32(frame[4+binary.LittleEndian.Uint32(frame):], id)
+			binary.LittleEndian.PutUint32(frame[bodyAt:], id)
 			f.Add(frame)
 		}
 	}
-	// Headers that disagree with every base: another NDof, another Comps.
+	// Headers that disagree with every base: another NDof, another Comps;
+	// a newmark frame, without per-level counters.
 	f.Add(enc(testState(7, 3), 3, []int32{0, 6}, false))
 	f.Add(enc(testState(5, 3), 5, []int32{0, 2}, false))
-	f.Add(enc(testState(5, 3), 0, []int32{0}, false))
+	nm := testState(5, 3)
+	nm.Scheme, nm.PerLevel = "newmark", nil
+	f.Add(enc(nm, 3, nil, true))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, base := range []*stateHeader{nil, zeroBase(5, 1), zeroBase(15, 3), zeroBase(18, 3)} {
-			var ndof int
-			var seen []bool
-			if base != nil {
-				ndof = len(base.State.U)
-				seen = make([]bool, ndof/base.Comps)
-			}
-			sn, err := decodeState(payload, base, seen)
-			if err != nil {
-				var se *StateFrameError
-				if !errors.As(err, &se) {
+		for _, b := range []*base{zeroBase(5, 1, nil), zeroBase(15, 3, nil), zeroBase(18, 3, nil), zeroBase(15, 3, []int32{1, 2, 4})} {
+			ndof, comps, held := b.ndof, b.comps, len(b.st.U)
+			if err := b.o.Add(payload); err != nil {
+				var fe *ckpt.FrameError
+				if !errors.As(err, &fe) {
 					t.Fatalf("untyped error %T: %v", err, err)
 				}
 				continue
 			}
-			if base != nil {
-				if sn != base || len(base.State.U) != ndof || len(base.State.V) != ndof || len(seen) != ndof/base.Comps {
-					t.Fatalf("frame reshaped its base")
-				}
-				// The rest of the set: two footprints that cover the field.
-				nn := int32(len(seen))
-				want, lo, hi := testState(int(nn), base.Comps), []int32{}, []int32{}
-				for n := int32(0); n < nn; n++ {
-					if n <= nn/2 {
-						lo = append(lo, n)
-					}
-					if n >= nn/2 {
-						hi = append(hi, n)
-					}
-				}
-				for _, nodes := range [][]int32{lo, hi} {
-					frame, err := encodeState(nil, want, base.Comps, nodes, false)
-					if err == nil {
-						_, err = decodeState(frame, base, seen)
-					}
-					if err != nil {
-						t.Fatalf("footprint after an accepted frame: %v", err)
-					}
-				}
-				if slices.Contains(seen, false) || !sameBits(base.State.U, want.U) || !sameBits(base.State.V, want.V) {
-					t.Fatalf("a covering set after an accepted frame does not give its field")
-				}
-				continue
+			if len(b.st.U) != held || len(b.st.V) != held {
+				t.Fatalf("frame reshaped its base")
 			}
-			if len(sn.State.U) != len(sn.State.V) {
-				t.Fatalf("accepted a full frame with %d/%d values", len(sn.State.U), len(sn.State.V))
+			if h, _, _ := ckpt.ParseFrame(payload); h.Nodes < 0 && b.own == nil {
+				var again bytes.Buffer
+				if _, err := ckpt.WriteFrame(&again, b.st, ndof, comps, nil, true); err != nil || !bytes.Equal(again.Bytes(), payload) {
+					t.Fatalf("accepted full frame re-encodes differently (%v)", err)
+				}
 			}
-			again, err := encodeState(nil, &sn.State, sn.Comps, nil, true)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
+			// The rest of the set: two footprints that cover the field.
+			nn := int32(ndof / comps)
+			want, lo, hi := testState(int(nn), comps), []int32{}, []int32{}
+			for n := int32(0); n < nn; n++ {
+				if n <= nn/2 {
+					lo = append(lo, n)
+				}
+				if n >= nn/2 {
+					hi = append(hi, n)
+				}
 			}
-			if _, err := decodeState(again, nil, nil); err != nil {
-				t.Fatalf("re-encoded frame rejected: %v", err)
+			for _, nodes := range [][]int32{lo, hi} {
+				frame, err := encodeState(nil, want, comps, nodes, false)
+				if err == nil {
+					err = b.o.Add(frame)
+				}
+				if err != nil {
+					t.Fatalf("footprint after an accepted frame: %v", err)
+				}
+			}
+			w := b.want(want, comps)
+			if err := b.o.Done(); err != nil || !sameBits(b.st.U, w.U) || !sameBits(b.st.V, w.V) {
+				t.Fatalf("a covering set after an accepted frame does not give its field: %v", err)
 			}
 		}
 	})
 }
 
 // TestSaveMatchesEncodeState: a footprint frame that save writes into a
-// file in snapChunk-byte pieces — one piece ending inside the id list, one
+// file in ckpt.FrameChunk-byte pieces — one piece ending inside the id list, one
 // inside a run of consecutive nodes' values — is byte for byte the frame
 // encodeState builds, with that frame's length and CRC32; and a shorter
 // frame saved over it leaves no tail of the longer one.
@@ -459,16 +470,16 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) <= 2*snapChunk {
+	if len(want) <= 2*ckpt.FrameChunk {
 		t.Fatalf("frame of %d bytes spans fewer than 3 chunks", len(want))
 	}
 	// Where save's pieces end: one inside the ids, one between two
 	// consecutive nodes' values of U or V.
 	var chunks cutWriter
-	if _, err := writeState(&chunks, compactState(st, comps, nodes, false), len(st.U), comps, nodes, false); err != nil {
+	if _, err := ckpt.WriteFrame(&chunks, compactState(st, comps, nodes, false), len(st.U), comps, nodes, false); err != nil {
 		t.Fatal(err)
 	}
-	ids := 4 + int(binary.LittleEndian.Uint32(want))
+	ids := bodyAt
 	vals := ids + 4*len(nodes)
 	inIDs, inRun := false, false
 	for _, c := range chunks.cuts {
@@ -487,7 +498,7 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := store.save(0, 0, 0, compactState(st, comps, fp, false), len(st.U), comps, fp, false)
+		f, err := store.save(0, 0, 0, compactState(st, comps, fp, false), len(st.U), comps, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,14 +514,13 @@ func TestSaveMatchesEncodeState(t *testing.T) {
 }
 
 // TestPortableByteOrder: the branch a host that does not keep its values
-// little-endian takes (littleEndian cleared) encodes a footprint frame of
-// several snapChunk pieces, a full frame, a halo frame and a cycle-done
-// frame to the bytes the views of the values' own memory give, and
-// decodes each to the same bits: the state frames onto a full base and
-// onto a footprint base (decodeState's per-node copy), the full frame
-// also without a base.
+// little-endian takes (ckpt.LittleEndian cleared) encodes a footprint
+// frame of several ckpt.FrameChunk pieces, a full frame, a halo frame and
+// a cycle-done frame to the bytes the views of the values' own memory
+// give, and decodes each to the same bits: the state frames onto a full
+// base and onto a footprint base (the overlay's per-node copy).
 func TestPortableByteOrder(t *testing.T) {
-	if !littleEndian {
+	if !ckpt.LittleEndian {
 		t.Skip("big-endian host: every test runs the portable branch")
 	}
 	const nn, comps = 40_000, 3
@@ -531,18 +541,11 @@ func TestPortableByteOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			frames = append(frames, frame)
-			fp := zeroBase(len(third)*comps, comps)
-			fp.NDof, fp.own = nn*comps, third
-			bases := []*stateHeader{zeroBase(nn*comps, comps), fp}
-			if full {
-				bases = append(bases, nil)
-			}
-			for _, base := range bases {
-				got, err := decodeState(frame, base, nil)
-				if err != nil {
-					t.Fatalf("full=%v, base %v: %v", full, base != nil, err)
+			for _, b := range []*base{zeroBase(nn*comps, comps, nil), zeroBase(nn*comps, comps, third)} {
+				if err := b.o.Add(frame); err != nil {
+					t.Fatalf("full=%v, footprint base %v: %v", full, b.own != nil, err)
 				}
-				values = append(values, got.State.U, got.State.V)
+				values = append(values, b.st.U, b.st.V)
 			}
 		}
 		halo := encodeHalo(nil, haloFrame{seq: 7, planID: 3, values: st.V[:1000]})
@@ -558,8 +561,8 @@ func TestPortableByteOrder(t *testing.T) {
 		return append(frames, halo, done), append(values, fr.values, []float64{cd.t}, cd.samples)
 	}
 	viewFrames, viewValues := codec()
-	littleEndian = false
-	defer func() { littleEndian = true }()
+	ckpt.LittleEndian = false
+	defer func() { ckpt.LittleEndian = true }()
 	frames, values := codec()
 	for i := range frames {
 		if !bytes.Equal(frames[i], viewFrames[i]) {
@@ -573,11 +576,11 @@ func TestPortableByteOrder(t *testing.T) {
 	}
 }
 
-// TestStateFrameLayout spells out two small frames value by value —
-// [u32 header length][gob header][ids u32][U f64][V f64], little-endian —
-// so that a change moving writeState and parseStateFrame together still
-// fails: a footprint frame of nodes 0, 2 and 3 (dofs 0, 1, 4-7) and a
-// full frame of all 10 dofs.
+// TestStateFrameLayout spells out two small frames value by value — the
+// 64-byte header, the per-level counters, [ids u32][U f64][V f64], all
+// little-endian — so that a change moving ckpt.WriteFrame and
+// ckpt.ParseFrame together still fails: a footprint frame of nodes 0, 2
+// and 3 (dofs 0, 1, 4-7) and a full frame of all 10 dofs.
 func TestStateFrameLayout(t *testing.T) {
 	const comps = 2
 	st := testState(5, comps)
@@ -590,16 +593,23 @@ func TestStateFrameLayout(t *testing.T) {
 		{[]int32{0, 2, 3}, []int{0, 1, 4, 5, 6, 7}, false},
 		{nil, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, true},
 	} {
-		h := stateHeader{State: *st, NDof: 10, Comps: comps, Nodes: len(c.nodes)}
-		h.State.U, h.State.V = nil, nil
+		nodes := int64(len(c.nodes))
 		if c.full {
-			h.Nodes = -1
+			nodes = -1
 		}
-		var hdr bytes.Buffer
-		if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
-			t.Fatal(err)
+		want := append([]byte("lts"), 0, 0, 0, 0, 0)
+		want = le.AppendUint64(want, math.Float64bits(st.T))
+		want = le.AppendUint64(want, uint64(st.N))
+		want = le.AppendUint64(want, uint64(st.ElemApplies))
+		want = le.AppendUint64(want, uint64(st.Cycles))
+		want = le.AppendUint64(want, 10)
+		want = le.AppendUint64(want, uint64(nodes))
+		want = le.AppendUint32(want, comps)
+		want = le.AppendUint16(want, uint16(len(st.PerLevel)))
+		want = append(want, 1, 0) // started, then a zero byte
+		for _, n := range st.PerLevel {
+			want = le.AppendUint64(want, uint64(n))
 		}
-		want := append(le.AppendUint32(nil, uint32(hdr.Len())), hdr.Bytes()...)
 		for _, n := range c.nodes {
 			want = le.AppendUint32(want, uint32(n))
 		}
@@ -633,14 +643,14 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	for i := range nodes {
 		nodes[i] = int32(i * (ndof / comps) / nn) // ascending, gaps spread over the field
 	}
-	f, err := store.save(0, 0, 0, st, ndof, comps, nodes, false)
+	f, err := store.save(0, 0, 0, st, ndof, comps, nodes)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(f.Len)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.save(0, 0, 0, st, ndof, comps, nodes, false); err != nil {
+		if _, err := store.save(0, 0, 0, st, ndof, comps, nodes); err != nil {
 			b.Fatal(err)
 		}
 	}

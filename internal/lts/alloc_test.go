@@ -68,14 +68,5 @@ func TestStepZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(5, s.Step); n != 0 {
 			t.Errorf("%s: Step allocates %v per cycle, want 0", leg.name, n)
 		}
-		if leg.op != op {
-			continue // the engine builds a plan for every plan-less apply
-		}
-		// The Energy diagnostic caches its all-elements restriction and
-		// work buffer on first use, so warm calls allocate nothing either.
-		s.Energy()
-		if n := testing.AllocsPerRun(5, func() { s.Energy() }); n != 0 {
-			t.Errorf("%s: Energy allocates %v per call, want 0", leg.name, n)
-		}
 	}
 }

@@ -9,24 +9,12 @@ import (
 // SchemeName is the StepperState.Scheme tag of an lts.Scheme.
 const SchemeName = "lts"
 
-// Save captures the complete inter-cycle state of the scheme. All
-// scratch (the auxiliary field, the per-level buffers, mask, kbuf, hold,
-// batch workspaces) is written before it is read within each Step, and
-// cycleT is re-anchored at every Step entry, so {U, V, t, n, start}
-// plus the work counters fully determine the remaining trajectory:
-// restoring the snapshot into a freshly built scheme continues the run
-// bitwise identically.
-func (s *Scheme) Save() *ckpt.StepperState {
-	st := s.View()
-	st.U = append([]float64(nil), st.U...)
-	st.V = append([]float64(nil), st.V...)
-	st.PerLevel = append([]int64(nil), st.PerLevel...)
-	return st
-}
-
-// View is Save without the copies: the arrays of the returned state
-// alias the live ones, so it is valid only until the next Step or
-// Restore. For callers that serialise the snapshot at once.
+// View captures the complete inter-cycle state of the scheme, its arrays
+// aliasing the live ones (valid until the next Step or Restore). All
+// scratch is written before it is read within each Step, and cycleT is
+// re-anchored at every Step entry, so {U, V, t, n, start} plus the work
+// counters determine the rest of the run: restoring them into a freshly
+// built scheme continues it bitwise identically.
 func (s *Scheme) View() *ckpt.StepperState {
 	return &ckpt.StepperState{
 		Scheme:      SchemeName,
@@ -41,8 +29,8 @@ func (s *Scheme) View() *ckpt.StepperState {
 	}
 }
 
-// Restore installs a snapshot previously produced by Save on a scheme
-// built from the same operator/levels configuration.
+// Restore installs a state captured by View on a scheme built from the
+// same operator/levels configuration.
 func (s *Scheme) Restore(st *ckpt.StepperState) error {
 	if st.Scheme != SchemeName {
 		return fmt.Errorf("lts: restore: state is for scheme %q", st.Scheme)

@@ -2,10 +2,18 @@ package lts
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"golts/internal/ckpt"
 )
+
+// saved is a copy of the state View captures, as a checkpoint keeps it.
+func saved(st *ckpt.StepperState) *ckpt.StepperState {
+	c := *st
+	c.U, c.V, c.PerLevel = slices.Clone(st.U), slices.Clone(st.V), slices.Clone(st.PerLevel)
+	return &c
+}
 
 // TestSaveRestoreBitwise: stepping k cycles, snapshotting, and finishing
 // on a freshly built scheme must be bitwise identical to an
@@ -43,7 +51,7 @@ func TestSaveRestoreBitwise(t *testing.T) {
 		for n := 0; n < k; n++ {
 			a.Step()
 		}
-		st := a.Save()
+		st := saved(a.View())
 		// Mutate the donor afterwards to prove the snapshot is a copy.
 		a.Step()
 

@@ -45,14 +45,10 @@ func (s *sets) haloElems(li int) int {
 }
 
 // Energy returns the instantaneous discrete energy ½vᵀMv + ½uᵀKu, for an
-// operator without a footprint (it reads U and V in node ids). The
-// all-elements restriction and its work buffer are cached on first use,
-// so repeated calls allocate nothing (the kbuf all-zero invariant of the
-// stepping path is untouched).
+// operator without a footprint (it reads U and V in node ids), over an
+// all-elements restriction and a work buffer of its own: the scheme's
+// buffers, kbuf's all-zero invariant included, are untouched.
 func (s *Scheme) Energy() float64 {
-	if s.energy == nil {
-		s.energy = sem.NewRestriction(s.Op, sem.AllElements(s.Op))
-		s.ebuf = make([]float64, s.Op.NDof())
-	}
-	return s.energy.Energy(s.Op, s.U, s.V, s.ebuf, &s.escr)
+	var sc sem.Scratch
+	return sem.NewRestriction(s.Op, sem.AllElements(s.Op)).Energy(s.Op, s.U, s.V, make([]float64, s.Op.NDof()), &sc)
 }

@@ -189,7 +189,7 @@ func runDomainPair(t *testing.T, name string, op sem.BatchKernel, lvl []uint8, n
 	var states []*ckpt.StepperState // the full scheme after each cycle
 	for cyc := 1; cyc <= cycles; cyc++ {
 		full.Step()
-		states = append(states, full.Save())
+		states = append(states, saved(full.View()))
 	}
 	perCycle := len(rec.log) / cycles
 	if mu, mv := maxAbs(full.U), maxAbs(full.V); !(mu > 0 && mu < 1e3 && mv > 0 && mv < 1e3) {

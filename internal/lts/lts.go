@@ -177,10 +177,6 @@ type Scheme struct {
 	// One plan per level (the per-level element sets are stable for the
 	// scheme's lifetime), built by New in level order.
 	bplans []sem.BatchPlan
-	// Diagnostic scratch, built lazily by Energy:
-	energy *sem.Restriction // all-elements restriction
-	ebuf   []float64        // Energy work buffer (all-zero between uses)
-	escr   sem.Scratch      // Energy kernel scratch
 
 	srcAct []int // active-region dof of each source, -1 on a far-coarse node and outside the domain
 	farSrc []int // ascending, distinct positions in sets.far of the nodes carrying a source

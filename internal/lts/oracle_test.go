@@ -403,7 +403,7 @@ func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 								// Continue on a freshly built scheme restored
 								// from the snapshot: scratch must carry nothing.
 								fresh, _ := build()
-								if err := fresh.Restore(s.Save()); err != nil {
+								if err := fresh.Restore(saved(s.View())); err != nil {
 									t.Fatal(err)
 								}
 								s = fresh

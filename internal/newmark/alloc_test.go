@@ -29,13 +29,4 @@ func TestStepZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(5, s.Step); n != 0 {
 		t.Errorf("Step allocates %v per step, want 0", n)
 	}
-	// Energy and ConservedEnergy reuse the cached restriction, the accel
-	// buffer and the stepper's kernel scratch: warm calls allocate nothing.
-	s.Energy()
-	if n := testing.AllocsPerRun(5, func() { s.Energy() }); n != 0 {
-		t.Errorf("Energy allocates %v per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(5, func() { s.ConservedEnergy() }); n != 0 {
-		t.Errorf("ConservedEnergy allocates %v per call, want 0", n)
-	}
 }

@@ -9,19 +9,10 @@ import (
 // SchemeName is the StepperState.Scheme tag of a newmark.Stepper.
 const SchemeName = "newmark"
 
-// Save captures the complete inter-step state of the stepper. The
+// View captures the complete inter-step state of the stepper, U and V
+// aliasing the live arrays (valid until the next Step or Restore). The
 // acceleration buffer is zero between steps, so {U, V, t, n, started}
-// plus the work counter fully determine the remaining trajectory.
-func (s *Stepper) Save() *ckpt.StepperState {
-	st := s.View()
-	st.U = append([]float64(nil), st.U...)
-	st.V = append([]float64(nil), st.V...)
-	return st
-}
-
-// View is Save without the copies: U and V of the returned state alias
-// the live arrays, so it is valid only until the next Step or Restore.
-// For callers that serialise the snapshot at once.
+// plus the work counter determine the rest of the run.
 func (s *Stepper) View() *ckpt.StepperState {
 	return &ckpt.StepperState{
 		Scheme:      SchemeName,
@@ -34,8 +25,8 @@ func (s *Stepper) View() *ckpt.StepperState {
 	}
 }
 
-// Restore installs a snapshot previously produced by Save on a stepper
-// built from the same operator configuration.
+// Restore installs a state captured by View on a stepper built from the
+// same operator configuration.
 func (s *Stepper) Restore(st *ckpt.StepperState) error {
 	if st.Scheme != SchemeName {
 		return fmt.Errorf("newmark: restore: state is for scheme %q", st.Scheme)

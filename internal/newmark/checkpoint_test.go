@@ -2,10 +2,18 @@ package newmark
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"golts/internal/ckpt"
 )
+
+// saved is a copy of the state View captures, as a checkpoint keeps it.
+func saved(st *ckpt.StepperState) *ckpt.StepperState {
+	c := *st
+	c.U, c.V, c.PerLevel = slices.Clone(st.U), slices.Clone(st.V), slices.Clone(st.PerLevel)
+	return &c
+}
 
 func TestSaveRestoreBitwise(t *testing.T) {
 	const total = 40
@@ -31,7 +39,7 @@ func TestSaveRestoreBitwise(t *testing.T) {
 	for _, k := range []int{0, 1, total / 2, total} {
 		a := build()
 		a.Run(k)
-		st := a.Save()
+		st := saved(a.View())
 		a.Step() // prove the snapshot is a copy
 
 		b := build()

@@ -44,8 +44,6 @@ type Stepper struct {
 	srcNodes []int32          // sweep's buffer of source nodes
 	bplan    sem.BatchPlan    // all-elements batch plan in U's numbering, built by New
 	bscr     sem.BatchScratch // owned batch workspace: steady-state Step() allocates nothing
-	scr      sem.Scratch      // per-element scratch of the energy diagnostics
-	energy   *sem.Restriction // cached by Energy so diagnostics allocate nothing
 	// ElementSteps counts element stiffness applications, for work
 	// accounting in performance comparisons.
 	ElementSteps int64
@@ -166,47 +164,6 @@ func (s *Stepper) Run(n int) {
 	for i := 0; i < n; i++ {
 		s.Step()
 	}
-}
-
-// Energy returns the instantaneous mechanical energy ½vᵀMv + ½uᵀKu, which
-// oscillates with amplitude O(Δt²) around a constant for the staggered
-// scheme. It and ConservedEnergy read U in node ids: operators without a
-// footprint only. The all-elements restriction is cached on first use and
-// the stiffness scratch is accel (zero between steps, left zero by the
-// restriction), so repeated calls allocate nothing.
-func (s *Stepper) Energy() float64 {
-	if s.energy == nil {
-		s.energy = sem.NewRestriction(s.Op, s.elems)
-	}
-	return s.energy.Energy(s.Op, s.U, s.V, s.accel[:len(s.U)], &s.scr)
-}
-
-// ConservedEnergy returns the discrete energy that the undamped, unforced
-// leap-frog scheme conserves exactly (up to roundoff):
-//
-//	E^{n+1/2} = ½ v_{n+1/2}ᵀ M v_{n+1/2} + ½ u_nᵀ K u_{n+1},
-//
-// evaluated from the stepper's state (U = u_{n+1}, V = v_{n+1/2},
-// u_n = U - Δt V). K u is formed in the accel buffer, re-zeroed after.
-func (s *Stepper) ConservedEnergy() float64 {
-	ku := s.accel[:len(s.U)]
-	defer clear(ku)
-	s.Op.AddKuScratch(ku, s.U, s.elems, &s.scr)
-	minv := s.Op.MInv()
-	nc := s.Op.Comps()
-	e := 0.0
-	for n := 0; n < s.Op.NumNodes(); n++ {
-		if minv[n] == 0 {
-			continue
-		}
-		m := 1 / minv[n]
-		for c := 0; c < nc; c++ {
-			d := n*nc + c
-			un := s.U[d] - s.Dt*s.V[d]
-			e += 0.5*m*s.V[d]*s.V[d] + 0.5*un*ku[d]
-		}
-	}
-	return e
 }
 
 // EstimateCriticalDt estimates the leap-frog stability limit

@@ -168,7 +168,7 @@ func sameBits(t *testing.T, step int, name string, got, want []float64) {
 }
 
 // TestAccelZeroBetweenSteps interleaves Energy, ConservedEnergy and a
-// Save + Restore between steps: the run must match an uninterrupted one
+// View + Restore between steps: the run must match an uninterrupted one
 // bit for bit, i.e. every diagnostic leaves the acceleration buffer zero.
 func TestAccelZeroBetweenSteps(t *testing.T) {
 	c := oracleCases(t)[1]
@@ -187,7 +187,7 @@ func TestAccelZeroBetweenSteps(t *testing.T) {
 		case 1:
 			s.ConservedEnergy()
 		case 2:
-			if err := s.Restore(s.Save()); err != nil {
+			if err := s.Restore(saved(s.View())); err != nil {
 				t.Fatal(err)
 			}
 		}

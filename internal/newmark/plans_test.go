@@ -51,7 +51,7 @@ func TestPlanBuiltOnceByNew(t *testing.T) {
 			ck.plans = 0
 			s.Step()
 			s.Run(2)
-			if err := s.Restore(s.Save()); err != nil {
+			if err := s.Restore(saved(s.View())); err != nil {
 				t.Fatal(err)
 			}
 			s.Step()

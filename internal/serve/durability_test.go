@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"golts/internal/ckpt"
 	"golts/wave"
 )
 
@@ -65,7 +67,10 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 // TestResumeByteIdentical is the durability acceptance bar: a spooled
 // job interrupted mid-run resumes from its checkpoint on the next
 // instance and the final row stream is byte-identical to an
-// uninterrupted run.
+// uninterrupted run. A checkpoint of another format version (the
+// interrupted job's own, stamped version 1) cannot be read: the job
+// recomputes from cycle 0 through buildSpooled's fallback instead, and
+// its stream is byte-identical too.
 func TestResumeByteIdentical(t *testing.T) {
 	req := tinyReq()
 	req.Cycles = 40
@@ -82,44 +87,65 @@ func TestResumeByteIdentical(t *testing.T) {
 	want := rowBytes(jr)
 	ref.Close()
 
-	dir := t.TempDir()
-	cfg := Config{Concurrency: 1, WorkerBudget: 1, SpoolDir: dir, CheckpointEvery: 2}
-	s1 := mustNew(t, cfg)
-	j1, err := s1.Submit(req)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	// Interrupt once the run is demonstrably past a few checkpoints.
-	for deadline := time.Now().Add(time.Minute); j1.rows.len() < 10; {
-		if time.Now().After(deadline) {
-			t.Fatal("job never produced enough rows to interrupt")
-		}
-		if j1.StateNow().Terminal() {
-			t.Fatalf("job finished before the interrupt; raise Cycles")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s1.Close()
+	for _, c := range []struct {
+		name    string
+		version uint32 // stamped into the spooled checkpoint; 0 leaves it
+	}{{"resume", 0}, {"version 1 recomputes", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Concurrency: 1, WorkerBudget: 1, SpoolDir: dir, CheckpointEvery: 2}
+			s1 := mustNew(t, cfg)
+			j1, err := s1.Submit(req)
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			// Interrupt once the run is demonstrably past a few checkpoints.
+			for deadline := time.Now().Add(time.Minute); j1.rows.len() < 10; {
+				if time.Now().After(deadline) {
+					t.Fatal("job never produced enough rows to interrupt")
+				}
+				if j1.StateNow().Terminal() {
+					t.Fatalf("job finished before the interrupt; raise Cycles")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			s1.Close()
+			if c.version != 0 {
+				path := s1.spool.ckptPath(j1.ID)
+				raw, err := os.ReadFile(path)
+				if err != nil || len(raw) < 12 || binary.LittleEndian.Uint32(raw[8:]) != ckpt.Version {
+					t.Fatalf("spooled checkpoint: %d bytes, %v", len(raw), err)
+				}
+				binary.LittleEndian.PutUint32(raw[8:], c.version)
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	s2 := mustNew(t, cfg)
-	defer s2.Close()
-	j2, ok := s2.Job(j1.ID)
-	if !ok {
-		t.Fatalf("job %s not replayed", j1.ID)
-	}
-	waitTerminal(t, j2)
-	if j2.StateNow() != StateDone {
-		t.Fatalf("resumed job: %s (%s)", j2.StateNow(), j2.Err())
-	}
-	if got := rowBytes(j2); !bytes.Equal(got, want) {
-		t.Fatalf("resumed stream differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
-	}
-	st := s2.Stats()
-	if st.Resumed < 1 {
-		t.Errorf("job restarted from scratch, not from its checkpoint: %+v", st)
-	}
-	if st.Checkpoints < 1 {
-		t.Errorf("resumed run wrote no checkpoints: %+v", st)
+			s2 := mustNew(t, cfg)
+			defer s2.Close()
+			j2, ok := s2.Job(j1.ID)
+			if !ok {
+				t.Fatalf("job %s not replayed", j1.ID)
+			}
+			waitTerminal(t, j2)
+			if j2.StateNow() != StateDone {
+				t.Fatalf("resumed job: %s (%s)", j2.StateNow(), j2.Err())
+			}
+			if got := rowBytes(j2); !bytes.Equal(got, want) {
+				t.Fatalf("resumed stream differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+			}
+			st := s2.Stats()
+			if c.version == 0 && st.Resumed < 1 {
+				t.Errorf("job restarted from scratch, not from its checkpoint: %+v", st)
+			}
+			if c.version != 0 && st.Resumed != 0 {
+				t.Errorf("job resumed from a version-%d checkpoint: %+v", c.version, st)
+			}
+			if st.Checkpoints < 1 {
+				t.Errorf("resumed run wrote no checkpoints: %+v", st)
+			}
+		})
 	}
 }
 

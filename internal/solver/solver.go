@@ -177,7 +177,6 @@ func (s *Stepper) Step() {
 func (s *Stepper) scheme() interface {
 	Time() float64
 	View() *ckpt.StepperState
-	Save() *ckpt.StepperState
 	Restore(*ckpt.StepperState) error
 } {
 	if s.LTS != nil {
@@ -202,11 +201,16 @@ func (s *Stepper) State() []float64 {
 // until the next Step or Restore.
 func (s *Stepper) View() *ckpt.StepperState { return s.scheme().View() }
 
-// Save captures the state as a copy the caller owns.
-func (s *Stepper) Save() *ckpt.StepperState { return s.scheme().Save() }
-
-// Restore installs a state captured by View or Save, time included.
+// Restore installs a state captured by View, time included.
 func (s *Stepper) Restore(st *ckpt.StepperState) error { return s.scheme().Restore(st) }
+
+// Comps is the number of field components per node.
+func (s *Stepper) Comps() int {
+	if s.LTS != nil {
+		return s.LTS.Op.Comps()
+	}
+	return s.Newmark.Op.Comps()
+}
 
 // Work is a stepper's work model: coarse cycles and element stiffness
 // applications on both schemes, plus the LTS scheme's work-based speedup

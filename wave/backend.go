@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"golts/internal/ckpt"
 	"golts/internal/dist"
 	"golts/internal/solver"
 )
@@ -230,18 +229,19 @@ func (d *distStepper) StepCtx(ctx context.Context) error {
 func (d *distStepper) Time() float64    { return d.t }
 func (d *distStepper) State() []float64 { return d.u }
 
-// save overlays every rank's footprint (a rank advances, and so holds,
-// only the nodes its own elements touch).
-func (d *distStepper) save() (*ckpt.StepperState, error) { return d.co.FetchState() }
+// save is the ranks' footprint files of a snapshot taken now, as they
+// are (a rank advances, and so holds, only the nodes its own elements
+// touch).
+func (d *distStepper) save() ([]byte, error) { return d.co.SaveState() }
 
-// restore installs st on every rank and seeds the coordinator-side time,
-// which otherwise refreshes only on Step, so Time() is right immediately
-// after Resume.
-func (d *distStepper) restore(st *ckpt.StepperState) error {
-	if err := d.co.RestoreState(st); err != nil {
+// restore installs the frames on every rank and seeds the
+// coordinator-side time, which otherwise refreshes only on Step, so
+// Time() is right immediately after Resume.
+func (d *distStepper) restore(frames [][]byte) error {
+	if err := d.co.RestoreState(frames); err != nil {
 		return err
 	}
-	d.t = st.T
+	d.t = d.co.Time()
 	return nil
 }
 

@@ -1,8 +1,6 @@
 package wave
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -34,37 +32,24 @@ func checkpointKey(set *settings, width int, srcs []solver.Source, recs []*sem.R
 	return b.String()
 }
 
-func configSHA(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
 // Checkpoint writes a restartable snapshot of the full simulation state
 // to path: a versioned, CRC-protected container (internal/ckpt) holding
-// the configuration key and the stepper state. The write is atomic —
-// a crash mid-write leaves the previous checkpoint intact. It may be
-// called at any cycle boundary, including before the first Run.
+// the configuration key, the cycle and the stepper state as state frames —
+// one full frame, or a distributed run's footprint frames as its ranks
+// wrote them. The write is atomic — a crash mid-write leaves the previous
+// checkpoint intact. It may be called at any cycle boundary, including
+// before the first Run.
 func (s *Simulation) Checkpoint(path string) error {
 	if s.closed {
 		return fmt.Errorf("wave: Checkpoint: %w", ErrClosed)
 	}
-	st, err := s.stepper.save()
+	frames, err := s.stepper.save()
 	if err != nil {
 		return fmt.Errorf("wave: checkpoint: %w", err)
 	}
 	f := ckpt.NewFile()
-	if err := f.PutMeta(&ckpt.Meta{
-		ConfigKey: s.ckptKey,
-		ConfigSHA: configSHA(s.ckptKey),
-		Scheme:    st.Scheme,
-		Cycle:     int64(s.cycles),
-		Time:      st.T,
-	}); err != nil {
-		return fmt.Errorf("wave: checkpoint: %w", err)
-	}
-	if err := f.PutState(st); err != nil {
-		return fmt.Errorf("wave: checkpoint: %w", err)
-	}
+	f.PutMeta(&ckpt.Meta{ConfigKey: s.ckptKey, Cycle: int64(s.cycles)})
+	f.Add("state", frames)
 	if err := ckpt.WriteFile(path, f); err != nil {
 		return fmt.Errorf("wave: checkpoint: %w", err)
 	}
@@ -89,7 +74,7 @@ func Resume(path string, opts ...Option) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wave: reading checkpoint: %w", err)
 	}
-	st, err := f.State()
+	frames, err := f.Frames()
 	if err != nil {
 		return nil, fmt.Errorf("wave: reading checkpoint: %w", err)
 	}
@@ -102,7 +87,7 @@ func Resume(path string, opts ...Option) (*Simulation, error) {
 		return nil, optErr("Resume", ErrCheckpointMismatch,
 			"checkpoint %s was written by a different configuration", path)
 	}
-	if err := s.stepper.restore(st); err != nil {
+	if err := s.stepper.restore(frames); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("wave: restoring checkpoint: %w", err)
 	}

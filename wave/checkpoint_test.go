@@ -80,40 +80,59 @@ func TestResumeNonzeroAmplitude(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long nonzero-amplitude run skipped in -short")
 	}
-	opts := []wave.Option{
+	seq := []wave.Option{
 		wave.WithMesh("trench", 0.015),
 		wave.WithCycles(40),
 		wave.WithLTS(),
 	}
-	want := runFull(t, opts...)
-	if !sawWave(want) {
-		t.Fatal("vacuous reference: no trace reaches 1e-24 with two nonzero samples")
+	// Width 4 on both backends: a local checkpoint is one full frame, a
+	// distributed one a footprint frame per rank.
+	local := append(seq[:3:3], wave.WithWorkers(4))
+	dist := append(seq[:3:3], wave.WithBackend(wave.Distributed{Ranks: 2, Parts: 4}))
+	ref := map[int]*wave.Seismograms{1: runFull(t, seq...), 4: runFull(t, local...)}
+	for _, want := range ref {
+		if !sawWave(want) {
+			t.Fatal("vacuous reference: no trace reaches 1e-24 with two nonzero samples")
+		}
 	}
 
 	const k = 20
-	path := filepath.Join(t.TempDir(), "nonzero.ckpt")
-	part, err := wave.New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer part.Close()
-	if err := part.Run(context.Background(), k); err != nil {
-		t.Fatal(err)
-	}
-	if err := part.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	part.Close()
+	for _, c := range []struct {
+		name     string
+		width    int
+		from, to []wave.Option
+	}{
+		{"sequential", 1, seq, seq},
+		{"local to dist", 4, local, dist},
+		{"dist to local", 4, dist, local},
+		{"dist to dist", 4, dist, dist},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "nonzero.ckpt")
+			part, err := wave.New(c.from...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer part.Close()
+			if err := part.Run(context.Background(), k); err != nil {
+				t.Fatal(err)
+			}
+			if err := part.Checkpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			part.Close()
 
-	res, err := wave.Resume(path, opts...)
-	if err != nil {
-		t.Fatal(err)
+			res, err := wave.Resume(path, c.to...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			if err := res.Run(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
+			requireTail(t, ref[c.width], res.Seismograms(), k)
+		})
 	}
-	defer res.Close()
-	if err := res.Run(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	requireTail(t, want, res.Seismograms(), k)
 }
 
 // TestCheckpointRoundTrip is the round-trip property: for every cycle k
@@ -218,40 +237,48 @@ func TestWithCheckpointEveryResume(t *testing.T) {
 }
 
 // TestCheckpointCrossBackend: the checkpoint key pins the decomposition
-// width, not the execution engine, so a local workers=4 checkpoint seeds
-// a Distributed{Parts: 4} run — and the continuation is still bitwise.
+// width, not the execution engine, so a local workers=4 checkpoint (one
+// full frame) seeds a Distributed{Parts: 4} run and a distributed one (a
+// footprint frame per rank) seeds a local run — and either continuation
+// is still bitwise.
 func TestCheckpointCrossBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank processes")
 	}
 	const total, k = 5, 2
-	path := filepath.Join(t.TempDir(), "run.ckpt")
 	local := ckptOpts(wave.Acoustic, true, total, wave.WithWorkers(4))
-	want := runFull(t, local...)
-
-	sim, err := wave.New(local...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := sim.Run(context.Background(), k); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := sim.Checkpoint(path); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	sim.Close()
-
-	distOpts := ckptOpts(wave.Acoustic, true, total,
+	dist := ckptOpts(wave.Acoustic, true, total,
 		wave.WithBackend(wave.Distributed{Ranks: 2, Parts: 4}))
-	rs, err := wave.Resume(path, distOpts...)
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
+	want := runFull(t, local...)
+	for _, c := range []struct {
+		name     string
+		from, to []wave.Option
+	}{{"local to dist", local, dist}, {"dist to local", dist, local}} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			sim, err := wave.New(c.from...)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := sim.Run(context.Background(), k); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if err := sim.Checkpoint(path); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			sim.Close()
+
+			rs, err := wave.Resume(path, c.to...)
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			defer rs.Close()
+			if err := rs.Run(context.Background(), 0); err != nil {
+				t.Fatalf("resumed Run: %v", err)
+			}
+			requireTail(t, want, rs.Seismograms(), k)
+		})
 	}
-	defer rs.Close()
-	if err := rs.Run(context.Background(), 0); err != nil {
-		t.Fatalf("resumed Run: %v", err)
-	}
-	requireTail(t, want, rs.Seismograms(), k)
 }
 
 // TestResumeMismatch: checkpoints refuse to seed a run whose

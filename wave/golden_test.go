@@ -3,7 +3,11 @@ package wave_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"golts/internal/lts"
@@ -146,11 +150,31 @@ func legacyNearest(op legacyOperator, x, y, z float64) int32 {
 	return best
 }
 
-// goldenCase is one cell of the equivalence matrix.
+// goldenCase is one cell of the equivalence matrix. digest is the
+// stored anchor: seismogramDigest of the case's seismograms, committed
+// once, so a change that moves the facade and legacyRun together (both
+// build on the same lts, newmark and sem code) still fails.
 type goldenCase struct {
 	name    string
 	cfg     simio.Config
 	workers int
+	digest  string
+}
+
+// seismogramDigest is the sha256 (hex) of the little-endian Float64bits
+// of the times, then of every trace's values, in order.
+func seismogramDigest(set *wave.Seismograms) string {
+	h := sha256.New()
+	put := func(vals []float64) {
+		for _, v := range vals {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	put(set.Times)
+	for _, tr := range set.Traces {
+		put(tr.Values)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func goldenCases() []goldenCase {
@@ -166,6 +190,7 @@ func goldenCases() []goldenCase {
 				Receivers: []simio.ReceiverSpec{{Name: "near", X: 0.5, Y: 0.5, Z: 0.5}},
 			},
 			workers: 1,
+			digest:  "b8850a0961deca6c96d6493768701b770c9fce16de53165ab24cf6ad3fe5c284",
 		},
 		{
 			name: "acoustic-global-4w",
@@ -178,6 +203,7 @@ func goldenCases() []goldenCase {
 				Receivers: []simio.ReceiverSpec{{Name: "near", X: 0.5, Y: 0.5, Z: 0.5}},
 			},
 			workers: 4,
+			digest:  "efde39ea10373c4241fbb05037722661f3329100fce285e9a7e80b3dedf52b89",
 		},
 		{
 			name: "elastic-lts-4w",
@@ -195,6 +221,7 @@ func goldenCases() []goldenCase {
 				},
 			},
 			workers: 4,
+			digest:  "c48a13a2c7d13469379a9ec4b7dc2ab64e45a7c35c5329decfbb53184a3e4325",
 		},
 		{
 			name: "elastic-global-1w",
@@ -207,6 +234,7 @@ func goldenCases() []goldenCase {
 				Receivers: []simio.ReceiverSpec{{Name: "src", X: 0.5, Y: 0.5, Z: 0.3, Comp: 2}},
 			},
 			workers: 1,
+			digest:  "9370f47ea018f4d21d05ecbd53d97838264e268e77fbf2ebbfeb8d6e6b5cad68",
 		},
 		{
 			// A component-only source (F0 == 0): the default placement and
@@ -222,6 +250,7 @@ func goldenCases() []goldenCase {
 				Source: simio.SourceSpec{Comp: 2},
 			},
 			workers: 1,
+			digest:  "1aa017a5bc05e2be58ebfbb26e1eeaa13a5b7a0cc56f0b921d9f7c5a28719614",
 		},
 	}
 }
@@ -315,6 +344,11 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 			if !sawWave(got) {
 				t.Error("no trace reaches 1e-24 with two nonzero samples; the comparison is vacuous")
+			}
+			// The anchors are pinned on amd64, as benchmark/golden.json is:
+			// every SIMD tier there is bitwise-equal.
+			if d := seismogramDigest(got); runtime.GOARCH == "amd64" && d != c.digest {
+				t.Errorf("seismogram digest %s, stored anchor %s", d, c.digest)
 			}
 
 			// The streamed CSV and accumulated JSON sinks must match the

@@ -1,6 +1,7 @@
 package wave
 
 import (
+	"bytes"
 	"context"
 
 	"golts/internal/ckpt"
@@ -32,10 +33,11 @@ type ctxStepper interface {
 // go through the stepper instead of switching on the scheme or backend.
 type schemeStepper interface {
 	Stepper
-	// save snapshots the live state (a copy the caller owns); restore
-	// installs one, time included.
-	save() (*ckpt.StepperState, error)
-	restore(st *ckpt.StepperState) error
+	// save writes the live state as state frames back to back (package
+	// ckpt: one full frame, or one footprint frame per rank); restore
+	// installs the state frames make up, time included.
+	save() ([]byte, error)
+	restore(frames [][]byte) error
 	// stats fills the scheme's and backend's counters of st; Cycles
 	// counts coarse cycles on every scheme.
 	stats(st *Stats)
@@ -50,8 +52,30 @@ func (a localStepper) Step() error {
 	a.Stepper.Step()
 	return nil
 }
-func (a localStepper) save() (*ckpt.StepperState, error)   { return a.Save(), nil }
-func (a localStepper) restore(st *ckpt.StepperState) error { return a.Restore(st) }
+
+// save writes one full frame straight from the live arrays.
+func (a localStepper) save() ([]byte, error) {
+	st := a.View()
+	b := bytes.NewBuffer(make([]byte, 0, 16*len(st.U)+4096)) // U, V and the header
+	_, err := ckpt.WriteFrame(b, st, len(st.U), a.Comps(), nil, true)
+	return b.Bytes(), err
+}
+
+// restore overlays frames onto the live arrays — they must cover every
+// node — and installs their scalars.
+func (a localStepper) restore(frames [][]byte) error {
+	st := a.View()
+	o := ckpt.NewOverlay(st, len(st.U), a.Comps(), nil)
+	for _, frame := range frames {
+		if err := o.Add(frame); err != nil {
+			return err
+		}
+	}
+	if err := o.Done(); err != nil {
+		return err
+	}
+	return a.Restore(st)
+}
 
 func (a localStepper) stats(st *Stats) {
 	w := a.Work()

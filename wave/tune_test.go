@@ -123,13 +123,13 @@ func TestWithAutoTune(t *testing.T) {
 	}
 }
 
-// TestRebalanceBitwiseNonzeroAmplitude pins placement invariance at the
+// TestPlacementBitwiseNonzeroAmplitude pins placement invariance at the
 // facade: a distributed run on a maximally skewed explicit part→rank
 // placement streams receiver CSV byte-identical to the default block
 // placement of the same decomposition — at an amplitude where the wave
 // has reached the receivers, so a placement that perturbed the field
 // could not hide in a sea of zeros.
-func TestRebalanceBitwiseNonzeroAmplitude(t *testing.T) {
+func TestPlacementBitwiseNonzeroAmplitude(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long nonzero-amplitude run skipped in -short")
 	}

@@ -533,7 +533,7 @@ type Stats struct {
 	RecoveryMillis int64
 	// Snapshots counts the recovery snapshots the distributed backend
 	// committed (Distributed.CheckpointEvery, plus one per reconfiguration
-	// and per FetchState); SnapshotMillis is the wall time every rank
+	// and per Checkpoint); SnapshotMillis is the wall time every rank
 	// stood still for them and SnapshotBytes what the ranks wrote to the
 	// run's snapshot store. All zero for the local backend.
 	Snapshots      int
