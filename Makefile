@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test loc race fuzz bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
+.PHONY: build test loc race fuzz bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
 
 build:
 	$(GO) build ./...
@@ -99,29 +99,30 @@ bench-kernels:
 bench-smoke:
 	$(GO) run ./cmd/kernelbench -smoke -out /dev/null
 
-# Benchmark-regression gate: measure a fresh BENCH_kernels.json and
-# compare ns/elem row by row against the committed bench_baseline.json,
-# normalised by the median fresh/baseline ratio so a uniformly slower CI
-# runner does not trip the gate while a regressed kernel does. Rows for
-# SIMD tiers this machine cannot run are skipped with a log line; a row
-# missing from either file, or a baseline row naming a tier this build
-# does not know, fails the gate. The tolerance is 15% (BENCH_TOL to override): any row beyond 2x the
-# tolerance fails, as does a systemic cluster of >15% rows; isolated
-# scheduler blips between the two are tolerated (see cmd/benchcheck).
-# Each row is the fastest of 5 repeats: at kernelbench's default 3 the
-# gate tripped A/A on a 2-vCPU VM in 2 of 3 runs.
+# Benchmark-regression gate: kernelbench measures a fresh
+# BENCH_kernels.json and, with -baseline, compares ns/elem row by row
+# against the committed bench_baseline.json, normalised by the median
+# fresh/baseline ratio so a uniformly slower CI runner does not trip the
+# gate while a regressed kernel does. Rows for SIMD tiers this machine
+# cannot run are skipped with a log line; a row missing from either
+# file, or a baseline row naming a tier this build does not know, fails
+# the gate. The tolerance is 15% (BENCH_TOL to override): any row beyond
+# 2x the tolerance fails, as does a systemic cluster of >15% rows;
+# isolated scheduler blips between the two are tolerated (see
+# cmd/kernelbench/check.go). Each row is the fastest of 5 repeats: at
+# kernelbench's default 3 the gate tripped A/A on a 2-vCPU VM in 2 of 3
+# runs.
 BENCH_TOL ?= 0.15
 bench-check:
-	$(GO) run ./cmd/kernelbench -repeat 5 -out BENCH_kernels.json
-	$(GO) run ./cmd/benchcheck -baseline bench_baseline.json -fresh BENCH_kernels.json -tol $(BENCH_TOL)
+	$(GO) run ./cmd/kernelbench -repeat 5 -out BENCH_kernels.json -baseline bench_baseline.json -tol $(BENCH_TOL)
 
 # Refresh the committed benchmark baseline (run on a quiet machine, then
 # commit bench_baseline.json together with the change that moved it).
 bench-baseline:
 	$(GO) run ./cmd/kernelbench -repeat 5 -out bench_baseline.json
 
-# Distributed smoke: a small trench run on 1, 2 and 4 local rank
-# processes with the decomposition width pinned to 4 parts. The
+# Distributed smoke: a small trench run (wavesim -ranks) on 1, 2 and 4
+# local rank processes with the decomposition width pinned to 4 parts. The
 # decomposition — not the process count — fixes the floating-point
 # assembly order, so all three receiver CSVs must be byte-identical. With
 # 1 and 2 ranks a rank owns several parts, and each rank advances only the
@@ -135,64 +136,51 @@ bench-baseline:
 # a rank against the 2-worker shared-memory engine.
 dist-smoke:
 	@rm -rf .dist-smoke && mkdir -p .dist-smoke
-	$(GO) build -o .dist-smoke/distrun ./cmd/distrun
 	$(GO) build -o .dist-smoke/wavesim ./cmd/wavesim
-	./.dist-smoke/distrun -ranks 1 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r1.csv
-	./.dist-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r2.csv
-	./.dist-smoke/distrun -ranks 4 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r4.csv
+	./.dist-smoke/wavesim -ranks 1 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r1.csv
+	./.dist-smoke/wavesim -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r2.csv
+	./.dist-smoke/wavesim -ranks 4 -parts 4 -scale 0.015 -cycles 40 -require-nonzero -out .dist-smoke/r4.csv
 	./.dist-smoke/wavesim -workers 4 -scale 0.015 -cycles 40 -out .dist-smoke/shm4.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r2.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/r4.csv
 	cmp .dist-smoke/r1.csv .dist-smoke/shm4.csv
 	for lts in true false; do \
-		./.dist-smoke/distrun -physics elastic -ranks 2 -parts 2 -scale 0.015 -cycles 40 -lts=$$lts -require-nonzero -out .dist-smoke/el-$$lts.csv && \
+		./.dist-smoke/wavesim -physics elastic -ranks 2 -parts 2 -scale 0.015 -cycles 40 -lts=$$lts -require-nonzero -out .dist-smoke/el-$$lts.csv && \
 		./.dist-smoke/wavesim -physics elastic -workers 2 -scale 0.015 -cycles 40 -lts=$$lts -out .dist-smoke/el-shm-$$lts.csv && \
 		cmp .dist-smoke/el-$$lts.csv .dist-smoke/el-shm-$$lts.csv || exit 1; \
 	done
 	@rm -rf .dist-smoke
 	@echo "dist-smoke: 1-, 2- and 4-rank and 4-worker shared-memory receiver CSVs byte-identical at nonzero amplitude, elastic LTS and global Newmark too"
 
-# Service smoke: wavedload starts an in-process waved service, runs the
-# acceptance smoke over real HTTP (cold vs cache-hit runs byte-identical,
-# cache hits recorded, cancellation works), then a small load run whose
-# throughput / latency / cache-hit-rate report lands in BENCH_serve.json
-# (structural health numbers, no thresholds — compare across PRs).
-serve-smoke:
-	$(GO) run ./cmd/wavedload -smoke
-	$(GO) run ./cmd/wavedload -jobs 24 -clients 4 -out BENCH_serve.json
-
-# Fault-tolerance smoke, both recovery paths end to end:
-#  1. distributed: a rank process SIGKILLs itself mid-run (GOLTS_FAULT),
-#     the coordinator respawns and restores it, and the recovered
-#     seismogram CSV must be byte-identical to a fault-free run;
-#  2. service: wavedload interrupts a spooled waved job mid-run, restarts
-#     the service on the same spool, and the replayed job must resume
-#     from its checkpoint with a byte-identical row stream.
-# Both legs run at scale 0.015 x 40 cycles and assert nonzero receiver
-# samples (-require-nonzero / the wavedload guard): at smaller scales
-# every sample is exactly zero and the byte-comparisons pass vacuously —
-# that blindness is how the stale-replica checkpoint bug slipped through.
-# Recovery-latency numbers land in BENCH_fault.json (the distrun report
-# is embedded), alongside BENCH_serve.json in the CI artifacts. The
-# distrun legs keep their temporary files — the run's snapshot store — in
-# .fault-smoke/tmp, and the rmdir after each leg fails unless the run
-# left it empty: no orphan directory, SIGKILLed rank or not.
+# Fault-tolerance smoke: a rank process SIGKILLs itself mid-run
+# (GOLTS_FAULT), the coordinator respawns and restores it, and the
+# recovered seismogram CSV must be byte-identical to a fault-free run.
+# Both runs are at scale 0.015 x 40 cycles with -require-nonzero: at
+# smaller scales every sample is exactly zero and the byte-comparison
+# passes vacuously — that blindness is how the stale-replica checkpoint
+# bug slipped through. The recovered run's -report (its stats, with the
+# recovery counts and wall time) lands in BENCH_fault.json, a CI
+# artifact. The service's restart path (a spooled job interrupted,
+# replayed and resumed byte-identically) is TestResumeByteIdentical in
+# internal/serve. Each run keeps its temporary files — the run's
+# snapshot store — in .fault-smoke/tmp, and the rmdir after each fails
+# unless the run left it empty: no orphan directory, SIGKILLed rank or
+# not.
 fault-smoke: export TMPDIR = $(CURDIR)/.fault-smoke/tmp
 fault-smoke:
 	@rm -rf .fault-smoke && mkdir -p .fault-smoke/tmp
-	$(GO) build -o .fault-smoke/distrun ./cmd/distrun
-	./.fault-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
+	$(GO) build -o .fault-smoke/wavesim ./cmd/wavesim
+	./.fault-smoke/wavesim -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
 		-out .fault-smoke/ref.csv
 	rmdir .fault-smoke/tmp && mkdir .fault-smoke/tmp
-	GOLTS_FAULT=kill:rank=1,cycle=20,substep=2 ./.fault-smoke/distrun \
+	GOLTS_FAULT=kill:rank=1,cycle=20,substep=2 ./.fault-smoke/wavesim \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 -max-recoveries 2 \
 		-expect-recovery -require-nonzero \
-		-report .fault-smoke/dist.json -out .fault-smoke/recovered.csv
+		-report BENCH_fault.json -out .fault-smoke/recovered.csv
 	rmdir .fault-smoke/tmp && mkdir .fault-smoke/tmp
 	cmp .fault-smoke/ref.csv .fault-smoke/recovered.csv
-	$(GO) run ./cmd/wavedload -restart-smoke -scale 0.015 -dist-report .fault-smoke/dist.json -out BENCH_fault.json
 	@rm -rf .fault-smoke
-	@echo "fault-smoke: rank-kill recovery and waved restart both byte-identical at nonzero amplitude"
+	@echo "fault-smoke: rank-kill recovery byte-identical at nonzero amplitude"
 
 # Degraded-mode & wire-fault smoke — the failure taxonomy end to end,
 # every leg at scale 0.015 x 40 cycles with -require-nonzero so the
@@ -205,44 +193,43 @@ fault-smoke:
 #     recovery replay (gen=1 plan), exhausting -max-recoveries 1; the
 #     coordinator must retire it (-expect-degraded), redistribute its
 #     parts onto the survivor and finish byte-identically, with the
-#     counters written to BENCH_chaos.json;
-#  4. service: wavedload -degraded-smoke drives the same permanent-loss
-#     path through waved's job API (degraded_ranks in the job JSON,
-#     byte-identical rows), reported in BENCH_degraded.json.
+#     -report written to BENCH_chaos.json.
+# The same permanent loss inside the service (degraded_ranks in the job
+# JSON and /stats, byte-identical rows) is TestDegradedDistributedJob in
+# internal/serve.
 # As in fault-smoke, every leg must leave its TMPDIR (.chaos-smoke/tmp,
 # home of the run's snapshot store) empty, the degraded one included.
 chaos-smoke: export TMPDIR = $(CURDIR)/.chaos-smoke/tmp
 chaos-smoke:
 	@rm -rf .chaos-smoke && mkdir -p .chaos-smoke/tmp
-	$(GO) build -o .chaos-smoke/distrun ./cmd/distrun
-	./.chaos-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
+	$(GO) build -o .chaos-smoke/wavesim ./cmd/wavesim
+	./.chaos-smoke/wavesim -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
 		-out .chaos-smoke/ref.csv
 	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
-	GOLTS_FAULT=corrupt:rank=1,cycle=12,substep=1 ./.chaos-smoke/distrun \
+	GOLTS_FAULT=corrupt:rank=1,cycle=12,substep=1 ./.chaos-smoke/wavesim \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 \
 		-expect-recovery -require-nonzero -out .chaos-smoke/corrupt.csv
 	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	cmp .chaos-smoke/ref.csv .chaos-smoke/corrupt.csv
-	GOLTS_FAULT=droplink:rank=1,cycle=18,substep=1 ./.chaos-smoke/distrun \
+	GOLTS_FAULT=droplink:rank=1,cycle=18,substep=1 ./.chaos-smoke/wavesim \
 		-ranks 2 -parts 4 -scale 0.015 -cycles 40 -recover-every 4 \
 		-expect-recovery -require-nonzero -out .chaos-smoke/droplink.csv
 	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	cmp .chaos-smoke/ref.csv .chaos-smoke/droplink.csv
 	GOLTS_FAULT='kill:rank=1,cycle=20,substep=1;kill:rank=1,cycle=1,substep=1,gen=1' \
-		./.chaos-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
+		./.chaos-smoke/wavesim -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
 		-recover-every 4 -max-recoveries 1 -min-ranks 1 \
 		-expect-degraded -require-nonzero \
 		-report BENCH_chaos.json -out .chaos-smoke/degraded.csv
 	rmdir .chaos-smoke/tmp && mkdir .chaos-smoke/tmp
 	cmp .chaos-smoke/ref.csv .chaos-smoke/degraded.csv
-	$(GO) run ./cmd/wavedload -degraded-smoke -scale 0.015 -out BENCH_degraded.json
 	@rm -rf .chaos-smoke
 	@echo "chaos-smoke: corrupt, droplink and permanent-loss runs all byte-identical at nonzero amplitude"
 
 # Auto-tune & placement smoke:
 #  1. calibration: a tiny distributed run probes its deployment-shape
 #     grid (1 rank and 2 ranks at 4 parts) under -auto-tune and writes
-#     the table of measured shapes to BENCH_tune.json; distrun exits
+#     the table of measured shapes to BENCH_tune.json; wavesim exits
 #     nonzero unless at least two shapes were measured;
 #  2. placement: a run on a maximally skewed explicit part placement
 #     (rank 0 carries 3 of 4 parts) must produce a receiver CSV
@@ -251,12 +238,12 @@ chaos-smoke:
 #     all-zero samples.
 tune-smoke:
 	@rm -rf .tune-smoke && mkdir -p .tune-smoke
-	$(GO) build -o .tune-smoke/distrun ./cmd/distrun
-	./.tune-smoke/distrun -ranks 2 -parts 4 -scale 0.004 -cycles 6 \
+	$(GO) build -o .tune-smoke/wavesim ./cmd/wavesim
+	./.tune-smoke/wavesim -ranks 2 -parts 4 -scale 0.004 -cycles 6 \
 		-auto-tune 30s -tune-report BENCH_tune.json -out .tune-smoke/tuned.csv
-	./.tune-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
+	./.tune-smoke/wavesim -ranks 2 -parts 4 -scale 0.015 -cycles 40 -require-nonzero \
 		-out .tune-smoke/ref.csv
-	./.tune-smoke/distrun -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
+	./.tune-smoke/wavesim -ranks 2 -parts 4 -scale 0.015 -cycles 40 \
 		-part-rank 0,0,0,1 -require-nonzero -out .tune-smoke/skewed.csv
 	cmp .tune-smoke/ref.csv .tune-smoke/skewed.csv
 	@rm -rf .tune-smoke
@@ -293,4 +280,4 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: fmt vet lint build test bench-e2e-test bench-golden race examples dist-smoke serve-smoke fault-smoke tune-smoke chaos-smoke
+check: fmt vet lint build test bench-e2e-test bench-golden race examples dist-smoke fault-smoke tune-smoke chaos-smoke

@@ -1,7 +1,18 @@
-// Command benchcheck is the benchmark-regression gate: it compares a
-// freshly measured BENCH_kernels.json against the committed
-// bench_baseline.json and fails when any kernel row regressed beyond the
-// tolerance. `make bench-check` runs kernelbench and then this gate.
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"slices"
+	"sort"
+)
+
+// The -baseline gate compares the fresh report against an earlier one
+// (the committed bench_baseline.json) and fails when any kernel row
+// regressed beyond the tolerance.
 //
 // Raw ns/elem is not comparable across machines, so by default each
 // fresh/baseline ratio is normalised by the median ratio over all rows:
@@ -21,53 +32,8 @@
 // Baseline rows for SIMD tiers the runner cannot execute are skipped
 // with an explicit log line, so a baseline recorded on an AVX-512
 // machine still gates an AVX2-only runner. That is the only skip: a row
-// missing from either file, or a baseline row naming a tier this build
+// missing from either report, or a baseline row naming a tier this build
 // does not know, fails the gate.
-//
-// Usage:
-//
-//	benchcheck [-baseline bench_baseline.json] [-fresh BENCH_kernels.json] [-tol 0.15] [-raw]
-package main
-
-import (
-	"encoding/json"
-	"errors"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"slices"
-	"sort"
-
-	"golts/internal/sem"
-)
-
-// sweepSection is one per-operator size sweep of kernelbench's JSON.
-type sweepSection struct {
-	Results []struct {
-		Op    string `json:"op"`
-		Deg   int    `json:"deg"`
-		Sweep []struct {
-			Batch     int     `json:"batch"`
-			NsPerElem float64 `json:"ns_per_elem"`
-		} `json:"sweep"`
-	} `json:"results"`
-}
-
-// benchFile mirrors the parts of kernelbench's JSON the gate compares.
-type benchFile struct {
-	SIMD     string       `json:"simd"`
-	Batched  sweepSection `json:"batched"`
-	Remapped sweepSection `json:"remapped"`
-	PerTier  struct {
-		Results []struct {
-			Tier      string  `json:"tier"`
-			Op        string  `json:"op"`
-			Deg       int     `json:"deg"`
-			NsPerElem float64 `json:"ns_per_elem"`
-		} `json:"results"`
-	} `json:"per_tier"`
-}
 
 // row is one comparable measurement; Tier is empty for tier-independent
 // rows.
@@ -77,21 +43,22 @@ type row struct {
 	NsPerElem float64
 }
 
-// flatten turns a parsed bench file into keyed rows.
-func flatten(f *benchFile) []row {
+// flatten turns a report into keyed rows.
+func flatten(f *report) []row {
 	var rows []row
-	sweep := func(name string, sec sweepSection) {
-		for _, r := range sec.Results {
+	for _, sec := range []struct {
+		name string
+		res  []batchedResult
+	}{{"batched", f.Batched.Results}, {"remapped", f.Remapped.Results}} {
+		for _, r := range sec.res {
 			for _, p := range r.Sweep {
 				rows = append(rows, row{
-					Key:       fmt.Sprintf("%s/%s/deg%d@%d", name, r.Op, r.Deg, p.Batch),
+					Key:       fmt.Sprintf("%s/%s/deg%d@%d", sec.name, r.Op, r.Deg, p.Batch),
 					NsPerElem: p.NsPerElem,
 				})
 			}
 		}
 	}
-	sweep("batched", f.Batched)
-	sweep("remapped", f.Remapped)
 	for _, r := range f.PerTier.Results {
 		rows = append(rows, row{
 			Key:       fmt.Sprintf("tier/%s/%s/deg%d", r.Tier, r.Op, r.Deg),
@@ -102,37 +69,17 @@ func flatten(f *benchFile) []row {
 	return rows
 }
 
-func load(path string) (*benchFile, error) {
+// load reads a report kernelbench wrote.
+func load(path string) (*report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f benchFile
+	var f report
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &f, nil
-}
-
-func main() {
-	baseline := flag.String("baseline", "bench_baseline.json", "committed baseline JSON")
-	fresh := flag.String("fresh", "BENCH_kernels.json", "freshly measured JSON")
-	tol := flag.Float64("tol", 0.15, "allowed fractional slowdown per row after normalisation; 2x is the per-row hard cap")
-	maxWarn := flag.Int("max-warn", -1, "rows allowed between tolerance and the hard cap before the gate fails (-1: rows/8)")
-	raw := flag.Bool("raw", false, "compare raw ratios without median normalisation (same-machine baselines only)")
-	flag.Parse()
-
-	base, err := load(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := load(*fresh)
-	if err != nil {
-		fatal(err)
-	}
-	if err := check(os.Stdout, base, cur, sem.KnownSIMDTiers(), sem.SIMDTiers(), *tol, *maxWarn, *raw); err != nil {
-		fatal(err)
-	}
 }
 
 // check gates every baseline row against the fresh run, writing one line
@@ -141,7 +88,7 @@ func main() {
 // this CPU cannot run; a row of an unknown tier, a row missing from
 // either file or a non-positive measurement fails, so no tier or
 // operator can leave or enter the gate unnoticed.
-func check(w io.Writer, base, cur *benchFile, known, usable []string, tol float64, maxWarn int, raw bool) error {
+func check(w io.Writer, base, cur *report, known, usable []string, tol float64, maxWarn int, raw bool) error {
 	freshRows := map[string]row{}
 	for _, r := range flatten(cur) {
 		freshRows[r.Key] = r
@@ -231,14 +178,9 @@ func check(w io.Writer, base, cur *benchFile, known, usable []string, tol float6
 		return fmt.Errorf("%d of %d rows beyond %.0f%% (max %d noise outliers allowed): systemic regression", warned, len(pairs), tol*100, allow)
 	}
 	if warned > 0 {
-		fmt.Fprintf(w, "benchcheck: %d rows within %.0f%%, %d noise outlier(s) tolerated (max %d)\n", len(pairs)-warned, tol*100, warned, allow)
+		fmt.Fprintf(w, "bench gate: %d rows within %.0f%%, %d noise outlier(s) tolerated (max %d)\n", len(pairs)-warned, tol*100, warned, allow)
 		return nil
 	}
-	fmt.Fprintf(w, "benchcheck: %d rows within %.0f%% of baseline\n", len(pairs), tol*100)
+	fmt.Fprintf(w, "bench gate: %d rows within %.0f%% of baseline\n", len(pairs), tol*100)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchcheck:", err)
-	os.Exit(1)
 }

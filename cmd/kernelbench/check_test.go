@@ -19,7 +19,7 @@ type tierRow struct {
 // writeBench writes a kernelbench-shaped JSON file with one batched sweep
 // (op name → ns/elem at batch 8) and the given per-tier rows, and loads it
 // back through load.
-func writeBench(t *testing.T, name string, batched map[string]float64, tiers []tierRow) *benchFile {
+func writeBench(t *testing.T, name string, batched map[string]float64, tiers []tierRow) *report {
 	t.Helper()
 	type point struct {
 		Batch     int     `json:"batch"`

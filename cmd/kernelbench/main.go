@@ -18,11 +18,18 @@
 // Usage:
 //
 //	kernelbench [-out BENCH_kernels.json] [-benchtime 1s] [-repeat 3] [-smoke]
+//	            [-baseline bench_baseline.json] [-tol 0.15] [-max-warn -1] [-raw]
 //
 // -smoke shrinks the measurement time and exits non-zero if the batched
 // path fails to run or allocates in steady state: the allocation-free
 // fused path is asserted structurally, without timing-dependent
 // thresholds, so CI can run it without flakiness.
+//
+// -baseline makes kernelbench the benchmark-regression gate: after
+// writing -out it compares the fresh rows against the baseline file (a
+// committed earlier output, bench_baseline.json) and exits 1 when a
+// kernel row regressed beyond the tolerance; `make bench-check` runs it
+// this way. See check for the verdict rules.
 package main
 
 import (
@@ -67,12 +74,37 @@ type tierResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// section is one table of the report: what was timed, how to read it,
+// and its rows.
+type section[T any] struct {
+	Benchmark string `json:"benchmark"`
+	Results   []T    `json:"results"`
+	UnitNote  string `json:"unit_note"`
+}
+
+// report is the JSON file kernelbench writes, and what -baseline reads
+// back (fields in key order, as the file has always listed them).
+type report struct {
+	Batched    section[batchedResult] `json:"batched"`
+	GoMaxProcs int                    `json:"gomaxprocs"`
+	NumCPU     int                    `json:"num_cpu"`
+	PerTier    section[tierResult]    `json:"per_tier"`
+	Remapped   section[batchedResult] `json:"remapped"`
+	SIMD       string                 `json:"simd"`
+	SIMDTiers  []string               `json:"simd_tiers"`
+	UnitNote   string                 `json:"unit_note"`
+}
+
 func main() {
 	testing.Init() // register test.* flags so test.benchtime is settable
 	out := flag.String("out", "BENCH_kernels.json", "output JSON path (- for stdout)")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum measurement time per kernel")
 	flag.IntVar(&repeatN, "repeat", 3, "measurement repeats per kernel; the fastest is reported (noise robustness)")
 	smoke := flag.Bool("smoke", false, "tiny-N correctness smoke: assert the batched path runs alloc-free, ignore timings")
+	baseline := flag.String("baseline", "", "after measuring, gate the fresh rows against this earlier output (empty: no gate)")
+	tol := flag.Float64("tol", 0.15, "gate: allowed fractional slowdown per row after normalisation; 2x is the per-row hard cap")
+	maxWarn := flag.Int("max-warn", -1, "gate: rows allowed between tolerance and the hard cap before it fails (-1: rows/8)")
+	raw := flag.Bool("raw", false, "gate: compare raw ratios without median normalisation (same-machine baselines only)")
 	flag.Parse()
 
 	const deg = 4 // the paper's 125-node configuration (dispatched microkernels)
@@ -88,14 +120,33 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sweeps := map[string][]batchedResult{}
+	rep := report{
+		UnitNote:   "ns_per_elem is wall time per element stiffness application",
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		SIMD:       sem.ActiveSIMDTier(),
+		SIMDTiers:  sem.SIMDTiers(),
+		Batched: section[batchedResult]{
+			Benchmark: "AddKuBatch",
+			UnitNote:  "sweep times the fused SoA batch path per element-list size; sizes that are not a multiple of 8 end in a padded tail block",
+		},
+		Remapped: section[batchedResult]{
+			Benchmark: "AddKuBatch",
+			UnitNote:  "the batched sweep's whole-block sizes through plan.Remap(sem.BenchNodeMap): compact permuted output numbering, a third of the input nodes masked to the zero slot",
+		},
+		PerTier: section[tierResult]{
+			Benchmark: "AddKuBatch",
+			UnitNote:  "full-sweep batched cost per usable SIMD microkernel tier (deg=4, largest batch); tiers absent on this machine are not listed",
+		},
+	}
 	for _, k := range []struct {
 		kind  string
 		sizes []int
-	}{{"batched", batchSizes}, {"remapped", []int{8, 64, 512}}} {
+		sec   *section[batchedResult]
+	}{{"batched", batchSizes, &rep.Batched}, {"remapped", []int{8, 64, 512}, &rep.Remapped}} {
 		for _, c := range sweepCases {
 			br := measureBatched(c.Name, deg, c.Op, k.sizes, k.kind == "remapped")
-			sweeps[k.kind] = append(sweeps[k.kind], br)
+			k.sec.Results = append(k.sec.Results, br)
 			for _, p := range br.Sweep {
 				fmt.Fprintf(os.Stderr, "%-14s deg=%d  %-8s %8.1f ns/elem @%-3d  %d allocs/op\n",
 					br.Op, br.Deg, k.kind, p.NsPerElem, p.Batch, p.AllocsPerOp)
@@ -106,7 +157,6 @@ func main() {
 		}
 	}
 
-	var tiers []tierResult
 	for _, c := range sweepCases {
 		trs, err := measureTiers(c.Name, deg, c.Op)
 		if err != nil {
@@ -119,40 +169,27 @@ func main() {
 				fatal(fmt.Errorf("%s tier %s: AddKuBatch allocates %d/op (want 0)", tr.Op, tr.Tier, tr.AllocsPerOp))
 			}
 		}
-		tiers = append(tiers, trs...)
+		rep.PerTier.Results = append(rep.PerTier.Results, trs...)
 	}
 
-	enc, err := json.MarshalIndent(map[string]any{
-		"unit_note":  "ns_per_elem is wall time per element stiffness application",
-		"num_cpu":    runtime.NumCPU(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"simd":       sem.ActiveSIMDTier(),
-		"simd_tiers": sem.SIMDTiers(),
-		"batched": map[string]any{
-			"benchmark": "AddKuBatch",
-			"unit_note": "sweep times the fused SoA batch path per element-list size; sizes that are not a multiple of 8 end in a padded tail block",
-			"results":   sweeps["batched"],
-		},
-		"remapped": map[string]any{
-			"benchmark": "AddKuBatch",
-			"unit_note": "the batched sweep's whole-block sizes through plan.Remap(sem.BenchNodeMap): compact permuted output numbering, a third of the input nodes masked to the zero slot",
-			"results":   sweeps["remapped"],
-		},
-		"per_tier": map[string]any{
-			"benchmark": "AddKuBatch",
-			"unit_note": "full-sweep batched cost per usable SIMD microkernel tier (deg=4, largest batch); tiers absent on this machine are not listed",
-			"results":   tiers,
-		},
-	}, "", "  ")
+	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
 	enc = append(enc, '\n')
 	if *out == "-" {
 		os.Stdout.Write(enc)
+	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
+		fatal(err)
+	}
+	if *baseline == "" {
 		return
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	base, err := load(*baseline)
+	if err != nil {
+		fatal(err)
+	}
+	if err := check(os.Stdout, base, &rep, sem.KnownSIMDTiers(), sem.SIMDTiers(), *tol, *maxWarn, *raw); err != nil {
 		fatal(err)
 	}
 }
@@ -168,7 +205,7 @@ var repeatN = 3
 // bench runs f under testing.Benchmark repeatN times and keeps the
 // fastest run: the minimum is far less sensitive to scheduler noise on
 // shared CI runners than a single long measurement, which is what lets
-// benchcheck gate at a tight tolerance.
+// the -baseline gate run at a tight tolerance.
 func bench(f func(b *testing.B)) testing.BenchmarkResult {
 	best := testing.Benchmark(f)
 	for i := 1; i < repeatN; i++ {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"golts/internal/decomp"
+	"golts/internal/leakgate"
 	"golts/internal/lts"
 	"golts/internal/mesh"
 	"golts/internal/newmark"
@@ -19,10 +20,11 @@ import (
 
 // TestMain is the cooperative re-exec hook: when the coordinator spawns
 // this test binary as a rank process, RankMain runs the rank runtime and
-// exits instead of re-running the tests.
+// exits instead of re-running the tests. The tests themselves run under
+// the package-exit leak gate.
 func TestMain(m *testing.M) {
 	RankMain()
-	os.Exit(m.Run())
+	os.Exit(leakgate.Run(m))
 }
 
 // testConfig assembles a deterministic tiny-trench RunConfig plus the

@@ -87,7 +87,7 @@ const (
 // EnvFault names the environment variable carrying a fault-plan spec.
 // Spawned rank processes inherit it from the launcher, so
 //
-//	GOLTS_FAULT=kill:rank=1,cycle=3,substep=2 distrun ...
+//	GOLTS_FAULT=kill:rank=1,cycle=3,substep=2 wavesim -ranks 2 ...
 //
 // injects the fault without any flag plumbing.
 const EnvFault = "GOLTS_FAULT"

@@ -19,6 +19,9 @@ type netModel struct {
 	// vertices it is nonzero for.
 	score   []int64
 	touched []int32
+	// neighbors scratch: mark[u] == epoch once u is listed in this call.
+	mark  []uint32
+	epoch uint32
 }
 
 const netCoarseTarget = 120
@@ -85,12 +88,22 @@ func (m *netModel) boundary(_ []int8, v int32) bool {
 	return false
 }
 
-// neighbors lists the pins of v's nets, one entry per net they share.
+// neighbors lists the pins of v's nets, each once however many nets it
+// shares with v, in order of first appearance: a pin listed once per net
+// would be requeued, and its gain recomputed, as often.
 func (m *netModel) neighbors(v int32, dst []int32) []int32 {
 	h := m.h
+	if m.epoch++; m.epoch == 1 {
+		m.mark = make([]uint32, h.NV) // first call, or the epoch wrapped
+	}
 	for i := h.Xnets[v]; i < h.Xnets[v+1]; i++ {
 		n := h.VNets[i]
-		dst = append(dst, h.Pins[h.Xpins[n]:h.Xpins[n+1]]...)
+		for _, u := range h.Pins[h.Xpins[n]:h.Xpins[n+1]] {
+			if m.mark[u] != m.epoch {
+				m.mark[u] = m.epoch
+				dst = append(dst, u)
+			}
+		}
 	}
 	return dst
 }

@@ -34,10 +34,10 @@ var assignPins = map[string]string{
 	"metis/k=8/seed=2":       "05d658cc20075a15",
 	"patoh/k=2/seed=1":       "111877c6df117274",
 	"patoh/k=2/seed=2":       "5424c62dd6fc6cd5",
-	"patoh/k=3/seed=1":       "f9371039910b7435",
+	"patoh/k=3/seed=1":       "d3ca204effb5dac5",
 	"patoh/k=3/seed=2":       "4fcc6c5b84966ba5",
-	"patoh/k=8/seed=1":       "891aa4ecc57830d2",
-	"patoh/k=8/seed=2":       "760d9c54b16d29e5",
+	"patoh/k=8/seed=1":       "c15e817808ce8541",
+	"patoh/k=8/seed=2":       "a424e32b699209f4",
 	"scotch-pm/k=2/seed=1":   "95b94c96afd437e5",
 	"scotch-pm/k=2/seed=2":   "5ee5a3821179eda5",
 	"scotch-pm/k=3/seed=1":   "5b704e75edb21634",
@@ -50,10 +50,10 @@ var assignPins = map[string]string{
 	"coarse-only/k=3/seed=2": "a3f1a521a3c10825",
 	"coarse-only/k=8/seed=1": "dee80c2b31035f84",
 	"coarse-only/k=8/seed=2": "1d83d85ab90e7286",
-	"patoh/k=16/seed=1":      "317bf438afb3f4d8",
-	"patoh/k=16/seed=2":      "f9921d5e18105085",
-	"patoh/k=64/seed=1":      "5a054b44113dc594",
-	"patoh/k=64/seed=2":      "fd931566c6cba150",
+	"patoh/k=16/seed=1":      "4107cad395eb3eba",
+	"patoh/k=16/seed=2":      "4a6dff60aabaa2d5",
+	"patoh/k=64/seed=1":      "3e114741a7d808e1",
+	"patoh/k=64/seed=2":      "1284a90cc7d793a0",
 }
 
 func TestAssignPinned(t *testing.T) {

@@ -86,6 +86,9 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	want := rowBytes(jr)
 	ref.Close()
+	if !sawWave(t, want) {
+		t.Fatal("vacuous reference: no receiver reaches 1e-24 with two nonzero samples")
+	}
 
 	for _, c := range []struct {
 		name    string
@@ -146,6 +149,68 @@ func TestResumeByteIdentical(t *testing.T) {
 				t.Errorf("resumed run wrote no checkpoints: %+v", st)
 			}
 		})
+	}
+}
+
+// TestDegradedDistributedJob: a distributed job whose rank 1 is killed,
+// and killed again while the recovery replays, exhausts its recovery
+// budget; the coordinator retires the rank and finishes on the survivor.
+// The job must end done, report degraded_ranks in its JSON and in GET
+// /stats, hash like the local run of the same request (the rank count is
+// not part of the configuration) and stream rows byte-identical to it.
+func TestDegradedDistributedJob(t *testing.T) {
+	s := mustNew(t, Config{Concurrency: 1, WorkerBudget: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := tinyReq()
+	req.Cycles = 40
+	req.Workers = 4 // the decomposition width, local and distributed
+
+	run := func(req JobRequest) ([]byte, snapshot) {
+		resp, sn := postJob(t, ts.URL, req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		j, _ := s.Job(sn.ID)
+		waitTerminal(t, j)
+		gresp, err := http.Get(ts.URL + "/jobs/" + sn.ID)
+		if err != nil {
+			t.Fatalf("GET job: %v", err)
+		}
+		defer gresp.Body.Close()
+		var got snapshot
+		if err := json.NewDecoder(gresp.Body).Decode(&got); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if got.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", got.ID, got.State, got.Error)
+		}
+		return rowBytes(j), got
+	}
+
+	want, ref := run(req)
+	if !sawWave(t, want) {
+		t.Fatal("vacuous reference: no receiver reaches 1e-24 with two nonzero samples")
+	}
+
+	// The spawned ranks inherit the plan; a rank's cycle counter restarts
+	// with each spawn generation, so gen=1 fires early in the replay.
+	t.Setenv("GOLTS_FAULT", "kill:rank=1,cycle=20,substep=1;kill:rank=1,cycle=1,substep=1,gen=1")
+	req.Ranks, req.MinRanks, req.MaxRecoveries = 2, 1, 1
+	got, sn := run(req)
+	if sn.Hash != ref.Hash {
+		t.Errorf("the rank count leaked into the configuration hash: %s vs %s", sn.Hash, ref.Hash)
+	}
+	if sn.DegradedRanks != 1 {
+		t.Errorf("job JSON degraded_ranks = %d, want 1", sn.DegradedRanks)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("degraded rows differ from the local run (%d vs %d bytes)", len(got), len(want))
+	}
+	waitIdle(s)
+	if stats := getStats(t, ts.URL); stats.DegradedRanks != 1 {
+		t.Errorf("/stats degraded_ranks = %d, want 1", stats.DegradedRanks)
 	}
 }
 

@@ -3,17 +3,30 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"golts/internal/leakgate"
 	"golts/internal/simio"
 	"golts/wave"
 )
+
+// TestMain routes the rank processes a distributed job spawns (re-execs
+// of this test binary) into the rank runtime, and runs the suite under
+// the package-exit leak gate.
+func TestMain(m *testing.M) {
+	wave.RankMain()
+	os.Exit(leakgate.Run(m))
+}
 
 // tinyReq is the fast test configuration: the smallest benchmark mesh,
 // two coarse cycles.
@@ -196,6 +209,51 @@ func TestConcurrentSameConfigBuildsOnce(t *testing.T) {
 	}
 }
 
+// sawWave reports whether some receiver column of a CSV row stream
+// recorded the wave rather than the rounding tail of its onset: a peak of
+// at least 1e-24 and at least two nonzero samples, the floor of wavesim
+// -require-nonzero. A byte comparison of streams that fail it cannot
+// tell a correct run from one that lost the field.
+func sawWave(t *testing.T, rows []byte) bool {
+	t.Helper()
+	recs, err := csv.NewReader(bytes.NewReader(rows)).ReadAll()
+	if err != nil || len(recs) < 2 {
+		t.Fatalf("row stream: %d records, %v", len(recs), err)
+	}
+	for c := 1; c < len(recs[0]); c++ {
+		peak, nonzero := 0.0, 0
+		for _, rec := range recs[1:] {
+			v, err := strconv.ParseFloat(rec[c], 64)
+			if err != nil {
+				t.Fatalf("row stream sample %q: %v", rec[c], err)
+			}
+			peak = max(peak, math.Abs(v))
+			if v != 0 {
+				nonzero++
+			}
+		}
+		if peak >= 1e-24 && nonzero >= 2 {
+			return true
+		}
+	}
+	return false
+}
+
+// getStats fetches and decodes GET /stats.
+func getStats(t *testing.T, url string) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	return st
+}
+
 func rowBytes(j *Job) []byte {
 	var buf bytes.Buffer
 	rows, _, _ := j.rows.next(0)
@@ -206,17 +264,21 @@ func rowBytes(j *Job) []byte {
 }
 
 // TestCachedRunBitwiseIdentical is the service-level reproducibility
-// bar: a warm (cache-hit) run streams byte-identical CSV to the cold
-// run, and both match a direct wave.FromConfig run of the same
-// configuration without any cache.
+// bar: a warm (cache-hit) run of the same configuration gets the same
+// hash and streams byte-identical CSV to the cold run, GET /stats counts
+// the cache hits, and both match a direct wave.FromConfig run of the
+// same configuration without any cache. The run is long enough for the
+// wave to reach the receivers, so the comparison is not one of zeros.
 func TestCachedRunBitwiseIdentical(t *testing.T) {
 	s := mustNew(t, Config{Concurrency: 1, WorkerBudget: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	req := tinyReq()
+	req.Cycles = 40
 
-	fetch := func() []byte {
-		resp, sn := postJob(t, ts.URL, tinyReq())
+	fetch := func() ([]byte, string) {
+		resp, sn := postJob(t, ts.URL, req)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit: status %d", resp.StatusCode)
 		}
@@ -239,23 +301,26 @@ func TestCachedRunBitwiseIdentical(t *testing.T) {
 		if st := j.StateNow(); st != StateDone {
 			t.Fatalf("job: %s (%s)", st, j.Err())
 		}
-		return data
+		return data, sn.Hash
 	}
 
-	cold := fetch()
-	warm := fetch()
-	if len(cold) == 0 {
-		t.Fatal("no rows streamed")
+	cold, coldHash := fetch()
+	warm, warmHash := fetch()
+	if !sawWave(t, cold) {
+		t.Fatal("vacuous reference: no receiver reaches 1e-24 with two nonzero samples")
+	}
+	if coldHash != warmHash {
+		t.Errorf("identical configurations hashed differently: %s vs %s", coldHash, warmHash)
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Error("warm (cache-hit) run streams different bytes than cold run")
 	}
-	if ctr := s.Cache().Counters(); ctr.Hits == 0 {
-		t.Errorf("warm run hit no cached artifacts: %+v", ctr)
+	waitIdle(s)
+	if stats := getStats(t, ts.URL); stats.Cache.Hits == 0 {
+		t.Errorf("warm run hit no cached artifacts: %+v", stats.Cache)
 	}
 
 	// Direct cache-free reference through the wave facade.
-	req := tinyReq()
 	if err := req.canonicalize(); err != nil {
 		t.Fatalf("canonicalize: %v", err)
 	}
@@ -337,15 +402,7 @@ func TestJobStatusAndStats(t *testing.T) {
 	}
 	hresp.Body.Close()
 	waitIdle(s)
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
-	sresp.Body.Close()
+	st := getStats(t, ts.URL)
 	if st.Submitted != 1 || st.Done != 1 {
 		t.Errorf("stats counters: %+v", st)
 	}
@@ -521,15 +578,7 @@ func TestAutoTuneJobs(t *testing.T) {
 		t.Errorf("second same-config job rebuilt %d artifacts, want 0", d)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
-	resp.Body.Close()
+	stats := getStats(t, ts.URL)
 	if len(stats.Jobs) != 2 {
 		t.Fatalf("stats lists %d jobs, want 2: %+v", len(stats.Jobs), stats.Jobs)
 	}

@@ -9,15 +9,17 @@ import (
 	"os"
 	"testing"
 
+	"golts/internal/leakgate"
 	"golts/wave"
 )
 
 // TestMain is the distributed backend's cooperative re-exec hook: when a
 // test spawns rank processes, the children re-run this binary and
 // RankMain routes them into the rank runtime instead of the test suite.
+// The suite runs under the package-exit leak gate.
 func TestMain(m *testing.M) {
 	wave.RankMain()
-	os.Exit(m.Run())
+	os.Exit(leakgate.Run(m))
 }
 
 // TestWithBackendValidation: every rejection path of WithBackend (and
