@@ -90,6 +90,7 @@ import (
 	"syscall"
 	"time"
 
+	"golts/internal/simio"
 	"golts/internal/tune"
 	"golts/wave"
 )
@@ -300,23 +301,16 @@ func run() (code int) {
 	}
 
 	seis := sim.Seismograms()
-	peakMax, nonzeroMax := 0.0, 0
+	peakMax := 0.0
 	for i := range seis.Traces {
 		tr := &seis.Traces[i]
 		peak, pt := tr.Peak(seis.Times)
 		peakMax = max(peakMax, peak)
-		nonzero := 0
-		for _, v := range tr.Values {
-			if v != 0 {
-				nonzero++
-			}
-		}
-		nonzeroMax = max(nonzeroMax, nonzero)
 		fmt.Printf("receiver %-6s |u|max = %.3e  peak t = %.3f\n", tr.Name, peak, pt)
 	}
-	if *requireNonzero && (peakMax < nonzeroFloor || nonzeroMax < 2) {
-		fmt.Fprintf(os.Stderr, "wavesim: -require-nonzero set but no receiver saw the wave: largest |u|max %.3e (floor %.0e), at most %d nonzero samples in a trace (need 2); raise -scale or -cycles\n",
-			peakMax, nonzeroFloor, nonzeroMax)
+	if *requireNonzero && !seis.SawWave() {
+		fmt.Fprintf(os.Stderr, "wavesim: -require-nonzero set but no receiver saw the wave: largest |u|max %.3e, and no trace reaches %.0e over 2 nonzero samples; raise -scale or -cycles\n",
+			peakMax, simio.WaveFloor)
 		return 1
 	}
 	// Close flushes the sink and shuts the ranks down; report only after
@@ -380,16 +374,6 @@ func run() (code int) {
 	}
 	return 0
 }
-
-// nonzeroFloor is the smallest receiver peak -require-nonzero takes for a
-// wave that arrived, per unit of source gain (the facade's sources are
-// unit forces). `!= 0` is not that test: the first sample to leave zero is
-// the far tail of the wavelet's onset pushed through a dozen stiffness
-// applications — 1e-37 at the size `make dist-smoke` used to run, one such
-// sample after five exact zeros — and traces like that compare equal
-// however wrong the field behind them is. The smoke targets' 0.015 x 40
-// runs peak near 4e-19 with 35 nonzero samples.
-const nonzeroFloor = 1e-24
 
 // parsePartRank parses "0,0,1,1" into a placement slice (nil for "").
 func parsePartRank(s string) ([]int, error) {

@@ -15,6 +15,7 @@ import (
 	"golts/internal/parallel"
 	"golts/internal/partition"
 	"golts/internal/sem"
+	"golts/internal/simio"
 	"golts/internal/solver"
 )
 
@@ -194,7 +195,7 @@ func requireBitwise(t *testing.T, label string, wantT, gotT []float64, want, got
 		t.Fatalf("%s: cycle count mismatch", label)
 	}
 	if !sawWave(want) {
-		t.Fatalf("%s: vacuous reference: no receiver reaches peak 1e-24 over two nonzero samples", label)
+		t.Fatalf("%s: vacuous reference: no receiver reaches simio.WaveFloor over two nonzero samples", label)
 	}
 	for c := range want {
 		if math.Float64bits(wantT[c]) != math.Float64bits(gotT[c]) {
@@ -211,21 +212,17 @@ func requireBitwise(t *testing.T, label string, wantT, gotT []float64, want, got
 }
 
 // sawWave reports whether some receiver (a column of rows) recorded the
-// wave rather than roundoff: peak >= 1e-24 over at least two nonzero
-// samples, the floor the facade's tests use.
+// wave rather than roundoff (simio.SawWave).
 func sawWave(rows [][]float64) bool {
 	if len(rows) == 0 {
 		return false
 	}
+	col := make([]float64, len(rows))
 	for i := range rows[0] {
-		peak, nonzero := 0.0, 0
-		for _, row := range rows {
-			peak = max(peak, math.Abs(row[i]))
-			if row[i] != 0 {
-				nonzero++
-			}
+		for c, row := range rows {
+			col[c] = row[i]
 		}
-		if peak >= 1e-24 && nonzero >= 2 {
+		if simio.SawWave(col) {
 			return true
 		}
 	}

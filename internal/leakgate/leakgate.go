@@ -20,9 +20,9 @@ import (
 const settle = 10 * time.Second
 
 // Run runs m's tests in a private TMPDIR and returns their exit code, or
-// 1 when they passed but left something behind: more goroutines than
-// were running before the first test (their stacks are printed), a live
-// or unreaped child process, or a golts-snap-* snapshot store in TMPDIR.
+// 1 when they passed but left something behind: a goroutine that was not
+// running before the first test (its stack is printed), a live or
+// unreaped child process, or a golts-snap-* snapshot store in TMPDIR.
 // The TMPDIR is private — a fresh directory under the caller's — because
 // go test runs packages side by side and each may have stores open; it
 // is removed on return. Spawned rank processes inherit it.
@@ -40,12 +40,12 @@ func Run(m *testing.M) int {
 		fmt.Fprintln(os.Stderr, "leakgate:", err)
 		return 1
 	}
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	code := m.Run()
 
-	var left []string
+	var left, stacks []string
 	for deadline := time.Now().Add(settle); ; time.Sleep(20 * time.Millisecond) {
-		left = leftovers(before, dir)
+		left, stacks = leftovers(before, dir)
 		if len(left) == 0 || time.Now().After(deadline) {
 			break
 		}
@@ -57,19 +57,23 @@ func Run(m *testing.M) int {
 	for _, l := range left {
 		fmt.Fprintln(os.Stderr, "  -", l)
 	}
-	if runtime.NumGoroutine() > before {
-		buf := make([]byte, 1<<20)
-		fmt.Fprintf(os.Stderr, "%s\n", buf[:runtime.Stack(buf, true)])
+	for _, s := range stacks {
+		fmt.Fprintf(os.Stderr, "\n%s\n", s)
 	}
 	return 1
 }
 
-// leftovers lists what is still alive: surplus goroutines, children of
-// this process and snapshot stores in dir.
-func leftovers(before int, dir string) []string {
-	var left []string
-	if n := runtime.NumGoroutine(); n > before {
-		left = append(left, fmt.Sprintf("%d goroutines, %d before the tests", n, before))
+// leftovers lists what is still alive — goroutines not in before,
+// children of this process and snapshot stores in dir — and the stacks
+// of those goroutines.
+func leftovers(before map[string]string, dir string) (left, stacks []string) {
+	for id, s := range goroutines() {
+		if _, ok := before[id]; !ok {
+			stacks = append(stacks, s)
+		}
+	}
+	if len(stacks) > 0 {
+		left = append(left, fmt.Sprintf("%d goroutines started by the tests", len(stacks)))
 	}
 	if kids := children(); len(kids) > 0 {
 		left = append(left, "child processes "+strings.Join(kids, " "))
@@ -78,7 +82,33 @@ func leftovers(before int, dir string) []string {
 	for _, s := range stores {
 		left = append(left, "snapshot store "+s)
 	}
-	return left
+	return left, stacks
+}
+
+// goroutines returns the stack of every running goroutine by its id,
+// leaving out os/signal's loop: signal.Notify starts it once per process
+// and it never returns, so a test binary that watches for ^C (go test
+// -fuzz does, in the coordinator and in every worker) holds it to the
+// end without having leaked anything.
+func goroutines() map[string]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	all := make(map[string]string)
+	for _, s := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(s, "\nos/signal.loop()") {
+			continue
+		}
+		id, _, _ := strings.Cut(strings.TrimPrefix(s, "goroutine "), " ")
+		all[id] = s
+	}
+	return all
 }
 
 // children lists the pids of this process's children, zombies included,

@@ -6,6 +6,7 @@ import (
 
 	"golts/internal/mesh"
 	"golts/internal/sem"
+	"golts/internal/simio"
 )
 
 // fivePass is the oracle: the global Newmark step as five separate
@@ -130,7 +131,7 @@ func oracleCases(t *testing.T) []oracleCase {
 // TestStepMatchesFivePassOracle pins the one-sweep Step against the
 // five-pass oracle by Float64bits of U and V after every step, from the
 // first half-step on. The receiver trace must clear the non-vacuity floor
-// (peak >= 1e-24, two nonzero samples) before the comparison counts.
+// (simio.SawWave) before the comparison counts.
 func TestStepMatchesFivePassOracle(t *testing.T) {
 	const steps = 40
 	for _, c := range oracleCases(t) {
@@ -140,19 +141,16 @@ func TestStepMatchesFivePassOracle(t *testing.T) {
 			s.Sources, s.Sigma = c.sources, c.sigma
 			o := newFivePass(c.op, dt)
 			o.sources, o.sigma = c.sources, c.sigma
-			peak, nonzero := 0.0, 0
+			trace := make([]float64, 0, steps)
 			for n := 1; n <= steps; n++ {
 				s.Step()
 				o.step()
 				sameBits(t, n, "U", s.U, o.u)
 				sameBits(t, n, "V", s.V, o.v)
-				if r := s.U[c.rec]; r != 0 {
-					peak = max(peak, math.Abs(r))
-					nonzero++
-				}
+				trace = append(trace, s.U[c.rec])
 			}
-			if peak < 1e-24 || nonzero < 2 {
-				t.Fatalf("receiver peak %g over %d nonzero samples: below the floor, the comparison is vacuous", peak, nonzero)
+			if !simio.SawWave(trace) {
+				t.Fatal("receiver trace below simio.WaveFloor over two nonzero samples: the comparison is vacuous")
 			}
 		})
 	}

@@ -93,9 +93,10 @@ func (m *netModel) boundary(_ []int8, v int32) bool {
 // would be requeued, and its gain recomputed, as often.
 func (m *netModel) neighbors(v int32, dst []int32) []int32 {
 	h := m.h
-	if m.epoch++; m.epoch == 1 {
-		m.mark = make([]uint32, h.NV) // first call, or the epoch wrapped
+	if m.mark == nil {
+		m.mark = make([]uint32, h.NV)
 	}
+	m.epoch++
 	for i := h.Xnets[v]; i < h.Xnets[v+1]; i++ {
 		n := h.VNets[i]
 		for _, u := range h.Pins[h.Xpins[n]:h.Xpins[n+1]] {

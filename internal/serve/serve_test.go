@@ -6,7 +6,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -209,34 +208,31 @@ func TestConcurrentSameConfigBuildsOnce(t *testing.T) {
 	}
 }
 
-// sawWave reports whether some receiver column of a CSV row stream
-// recorded the wave rather than the rounding tail of its onset: a peak of
-// at least 1e-24 and at least two nonzero samples, the floor of wavesim
-// -require-nonzero. A byte comparison of streams that fail it cannot
-// tell a correct run from one that lost the field.
-func sawWave(t *testing.T, rows []byte) bool {
+// seismograms decodes a job's CSV row stream — a time column and one
+// column per receiver — into the set whose SawWave guards the byte
+// comparisons: streams that fail it cannot tell a correct run from one
+// that lost the field.
+func seismograms(t *testing.T, rows []byte) *wave.Seismograms {
 	t.Helper()
 	recs, err := csv.NewReader(bytes.NewReader(rows)).ReadAll()
 	if err != nil || len(recs) < 2 {
 		t.Fatalf("row stream: %d records, %v", len(recs), err)
 	}
-	for c := 1; c < len(recs[0]); c++ {
-		peak, nonzero := 0.0, 0
-		for _, rec := range recs[1:] {
-			v, err := strconv.ParseFloat(rec[c], 64)
+	set := &wave.Seismograms{Traces: make([]wave.Trace, len(recs[0])-1)}
+	for _, rec := range recs[1:] {
+		for c, field := range rec {
+			v, err := strconv.ParseFloat(field, 64)
 			if err != nil {
-				t.Fatalf("row stream sample %q: %v", rec[c], err)
+				t.Fatalf("row stream sample %q: %v", field, err)
 			}
-			peak = max(peak, math.Abs(v))
-			if v != 0 {
-				nonzero++
+			if c == 0 {
+				set.Times = append(set.Times, v)
+			} else {
+				set.Traces[c-1].Values = append(set.Traces[c-1].Values, v)
 			}
-		}
-		if peak >= 1e-24 && nonzero >= 2 {
-			return true
 		}
 	}
-	return false
+	return set
 }
 
 // getStats fetches and decodes GET /stats.
@@ -306,8 +302,8 @@ func TestCachedRunBitwiseIdentical(t *testing.T) {
 
 	cold, coldHash := fetch()
 	warm, warmHash := fetch()
-	if !sawWave(t, cold) {
-		t.Fatal("vacuous reference: no receiver reaches 1e-24 with two nonzero samples")
+	if !seismograms(t, cold).SawWave() {
+		t.Fatal("vacuous reference: no receiver reaches simio.WaveFloor over two nonzero samples")
 	}
 	if coldHash != warmHash {
 		t.Errorf("identical configurations hashed differently: %s vs %s", coldHash, warmHash)

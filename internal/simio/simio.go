@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -181,6 +182,31 @@ type Trace struct {
 type SeismogramSet struct {
 	Times  []float64 `json:"times"`
 	Traces []Trace   `json:"traces"`
+}
+
+// WaveFloor is the smallest peak SawWave takes for a wave that arrived,
+// per unit of source gain (the facade's sources are unit forces). `!= 0`
+// is not that test: the first sample to leave zero is the far tail of the
+// wavelet's onset pushed through a dozen stiffness applications — 1e-37
+// at trench scale 0.004 x 6 cycles, one such sample after five exact
+// zeros — and traces like that compare equal however wrong the field
+// behind them is. Trench at 0.015 x 40 cycles peaks near 4e-19 with 35
+// nonzero samples.
+const WaveFloor = 1e-24
+
+// SawWave reports whether a trace recorded the wave rather than the
+// rounding tail of its onset: a peak of at least WaveFloor and at least
+// two nonzero samples. It is the floor every byte or bit comparison of
+// seismograms checks its reference against, and wavesim -require-nonzero.
+func SawWave(values []float64) bool {
+	peak, nonzero := 0.0, 0
+	for _, v := range values {
+		peak = max(peak, math.Abs(v))
+		if v != 0 {
+			nonzero++
+		}
+	}
+	return peak >= WaveFloor && nonzero >= 2
 }
 
 // AddTrace appends a trace; the first trace fixes the time axis and later

@@ -158,7 +158,7 @@ func TestDistributedMatchesSharedMemory(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, wantCSV := runToCSV(t, distOpts(c.physics, c.lts, wave.WithWorkers(c.ranks))...)
-			if !sawWave(want) {
+			if !want.SawWave() {
 				t.Fatal("reference is vacuous: no trace clears the amplitude floor")
 			}
 			got, gotCSV := runToCSV(t, distOpts(c.physics, c.lts,
@@ -259,7 +259,7 @@ func TestDistributedHaloClosureRegression(t *testing.T) {
 func TestDistributedPartsPinBits(t *testing.T) {
 	want, wantCSV := runToCSV(t, distOpts(wave.Acoustic, true,
 		wave.WithBackend(wave.Distributed{Ranks: 1, Parts: 3}))...)
-	if !sawWave(want) {
+	if !want.SawWave() {
 		t.Fatal("reference is vacuous: no trace clears the amplitude floor")
 	}
 	got, gotCSV := runToCSV(t, distOpts(wave.Acoustic, true,

@@ -79,8 +79,8 @@ func TestGoldenSeismogramsAllSIMDTiers(t *testing.T) {
 			if tier != "go" {
 				t.Fatalf("Stats().SIMD = %q under forced go tier", tier)
 			}
-			if !sawWave(want) {
-				t.Fatal("go-tier run: no trace reaches 1e-24 with two nonzero samples; the comparison is vacuous")
+			if !want.SawWave() {
+				t.Fatal("go-tier run: no trace reaches simio.WaveFloor over two nonzero samples; the comparison is vacuous")
 			}
 			for _, name := range sem.SIMDTiers() {
 				restore, err := sem.ForceSIMDTier(name)

@@ -56,6 +56,18 @@ type Seismograms struct {
 	Traces []Trace
 }
 
+// SawWave reports whether some trace recorded the wave rather than the
+// rounding tail of its onset (simio.SawWave). A comparison of sets that
+// fail it is vacuous.
+func (sg *Seismograms) SawWave() bool {
+	for i := range sg.Traces {
+		if simio.SawWave(sg.Traces[i].Values) {
+			return true
+		}
+	}
+	return false
+}
+
 // toSet converts to the simio representation, which owns the CSV/JSON
 // encodings.
 func (sg *Seismograms) toSet() (*simio.SeismogramSet, error) {
