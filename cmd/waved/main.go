@@ -2,11 +2,12 @@
 // job API over the wave facade with a bounded priority queue, a shared
 // worker budget, and a process-wide artifact cache keyed by canonical
 // configuration hash (identical configurations share meshes, operators,
-// partitions and batch plans, built exactly once).
+// partitions and batch plans, built exactly once; -cache-mb bounds the
+// memory they hold, least recently used evicted first).
 //
 // Usage:
 //
-//	waved [-addr :8457] [-queue 64] [-concurrency 2] [-workers N] [-cache 64]
+//	waved [-addr :8457] [-queue 64] [-concurrency 2] [-workers N] [-cache-mb 32]
 //	      [-spool DIR] [-ckpt-every 4] [-retry-base 500ms] [-auto-tune 0]
 //
 // With -auto-tune set to a probing budget (e.g. 30s), the first job of
@@ -35,6 +36,7 @@
 //	DELETE /jobs/{id}       cancel (queued or running)
 //	GET    /healthz         liveness
 //	GET    /stats           queue depth, in-flight jobs, cache counters
+//	                        and resident bytes against the budget
 //
 // SIGINT/SIGTERM shut the service down gracefully: in-flight jobs are
 // cancelled (with -spool: parked, spool entries kept for the next
@@ -64,7 +66,7 @@ func main() {
 	queue := flag.Int("queue", 64, "maximum queued jobs (beyond this, submissions get 429)")
 	concurrency := flag.Int("concurrency", 2, "simulations run simultaneously")
 	workers := flag.Int("workers", 0, "total worker budget shared by in-flight jobs (0: same as -concurrency)")
-	cache := flag.Int("cache", 0, "artifact cache entries (0: default)")
+	cacheMB := flag.Int64("cache-mb", 0, "artifact cache budget in MiB of resident meshes, operators, partitions and plans (0: default 32)")
 	spool := flag.String("spool", "", "durability directory: persist jobs/checkpoints/rows, replay on restart (empty: off)")
 	ckptEvery := flag.Int("ckpt-every", 0, "per-job checkpoint interval in cycles with -spool (0: default 4)")
 	retryBase := flag.Duration("retry-base", 0, "first retry backoff for infra failures, doubling per retry (0: default 500ms)")
@@ -75,7 +77,7 @@ func main() {
 		MaxQueue:        *queue,
 		Concurrency:     *concurrency,
 		WorkerBudget:    *workers,
-		CacheSize:       *cache,
+		CacheBytes:      *cacheMB << 20,
 		SpoolDir:        *spool,
 		CheckpointEvery: *ckptEvery,
 		RetryBaseDelay:  *retryBase,

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Memo is a generic, size-bounded, least-recently-used memoization cache
+// Memo is a generic, byte-bounded, least-recently-used memoization cache
 // with single-flight builds: concurrent Gets for one key share a single
 // build instead of racing duplicates — the artifact store of the
 // simulation service keys meshes, GLL tables, decomposition plans and
@@ -15,9 +15,21 @@ import (
 // of a shared artifact in this codebase already does). Build errors are
 // returned to every waiter and never cached. A Memo is safe for
 // concurrent use.
+//
+// The bound is in bytes: each value is charged what the memo's size
+// function reports for it (called once per successful build, outside the
+// lock), and an insert evicts least-recently-used entries until the
+// resident bytes fit the budget. A value larger than the whole budget is
+// still cached, alone, so the second Get of any key hits. A value built
+// from another cached value may be cached owned by it (GetOwned) when it
+// references memory the owner is charged for: it is cached only while
+// that owner is resident and is evicted with it, so no resident value
+// keeps an uncounted one alive.
 type Memo[V any] struct {
 	mu      sync.Mutex
-	max     int
+	budget  int64
+	size    func(V) int64
+	bytes   int64 // resident, the sum of the entries' sizes
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 	flights map[string]*flight[V]
@@ -26,8 +38,10 @@ type Memo[V any] struct {
 
 // memoEntry is one cached key/value pair, threaded on the LRU list.
 type memoEntry[V any] struct {
-	key string
-	val V
+	key   string
+	val   V
+	size  int64
+	owner string // key of the entry it was built from, "" for none
 }
 
 // flight is one in-progress build; joiners block on done.
@@ -44,15 +58,16 @@ type MemoCounters struct {
 	Hits, Misses, Evictions int64
 }
 
-// NewMemo creates a memo bounded to max entries (max < 1 panics: an
-// unbounded artifact cache in a long-running service is a leak, so the
-// bound is part of the contract).
-func NewMemo[V any](max int) *Memo[V] {
-	if max < 1 {
-		panic(fmt.Sprintf("decomp: NewMemo bound %d < 1", max))
+// NewMemo creates a memo bounded to budget bytes, as size reports them
+// (budget < 1 panics: an unbounded artifact cache in a long-running
+// service is a leak, so the bound is part of the contract).
+func NewMemo[V any](budget int64, size func(V) int64) *Memo[V] {
+	if budget < 1 {
+		panic(fmt.Sprintf("decomp: NewMemo budget %d < 1", budget))
 	}
 	return &Memo[V]{
-		max:     max,
+		budget:  budget,
+		size:    size,
 		entries: make(map[string]*list.Element),
 		order:   list.New(),
 		flights: make(map[string]*flight[V]),
@@ -65,6 +80,16 @@ func NewMemo[V any](max int) *Memo[V] {
 // block and share its result (also hit=true — the build ran once). On a
 // build error the error goes to every waiter and nothing is cached.
 func (m *Memo[V]) Get(key string, build func() (V, error)) (val V, hit bool, err error) {
+	var none V
+	return m.GetOwned(key, "", none, build)
+}
+
+// GetOwned is Get for a value built from owner, the value cached under
+// ownerKey: it is cached only if owner itself (not a rebuild under
+// ownerKey) is resident when the build finishes, and it leaves the memo
+// when owner does. owner must be comparable (a pointer). An empty
+// ownerKey is Get.
+func (m *Memo[V]) GetOwned(key, ownerKey string, owner V, build func() (V, error)) (val V, hit bool, err error) {
 	m.mu.Lock()
 	if el, ok := m.entries[key]; ok {
 		m.order.MoveToFront(el)
@@ -86,31 +111,58 @@ func (m *Memo[V]) Get(key string, build func() (V, error)) (val V, hit bool, err
 
 	fl.val, fl.err = build()
 	close(fl.done)
+	var size int64
+	if fl.err == nil {
+		size = m.size(fl.val)
+	}
 
 	m.mu.Lock()
 	delete(m.flights, key)
 	if fl.err == nil {
-		m.insert(key, fl.val)
+		m.insert(&memoEntry[V]{key: key, val: fl.val, size: size, owner: ownerKey}, owner)
 	}
 	m.mu.Unlock()
 	return fl.val, false, fl.err
 }
 
-// insert stores a value, evicting from the LRU tail to stay within the
-// bound. Caller holds mu.
-func (m *Memo[V]) insert(key string, val V) {
-	if el, ok := m.entries[key]; ok {
-		el.Value.(*memoEntry[V]).val = val
-		m.order.MoveToFront(el)
+// insert stores e, first evicting from the LRU tail until it fits the
+// budget (or nothing else is left). An entry whose owner is not resident
+// under e.owner, before or after the evictions, is not stored. Caller
+// holds mu.
+func (m *Memo[V]) insert(e *memoEntry[V], owner V) {
+	ownerGone := func() bool {
+		o, ok := m.entries[e.owner]
+		return e.owner != "" && (!ok || any(o.Value.(*memoEntry[V]).val) != any(owner))
+	}
+	if ownerGone() {
 		return
 	}
-	for m.order.Len() >= m.max {
-		tail := m.order.Back()
-		m.order.Remove(tail)
-		delete(m.entries, tail.Value.(*memoEntry[V]).key)
-		m.ctr.Evictions++
+	for m.bytes+e.size > m.budget && m.order.Len() > 0 {
+		m.evict(m.order.Back())
 	}
-	m.entries[key] = m.order.PushFront(&memoEntry[V]{key: key, val: val})
+	if ownerGone() { // evicted to make room
+		return
+	}
+	m.entries[e.key] = m.order.PushFront(e)
+	m.bytes += e.size
+}
+
+// evict removes an entry and, first, every entry it owns. Caller holds mu.
+func (m *Memo[V]) evict(el *list.Element) {
+	e := el.Value.(*memoEntry[V])
+	var owned []*list.Element
+	for o := m.order.Front(); o != nil; o = o.Next() {
+		if o.Value.(*memoEntry[V]).owner == e.key {
+			owned = append(owned, o)
+		}
+	}
+	for _, o := range owned {
+		m.evict(o)
+	}
+	m.order.Remove(el)
+	delete(m.entries, e.key)
+	m.bytes -= e.size
+	m.ctr.Evictions++
 }
 
 // Len returns the number of cached entries.
@@ -118,6 +170,13 @@ func (m *Memo[V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.order.Len()
+}
+
+// Bytes returns the resident bytes: the sizes of the cached entries.
+func (m *Memo[V]) Bytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bytes
 }
 
 // Counters returns a snapshot of the traffic counters.

@@ -2,14 +2,22 @@ package parallel
 
 import (
 	"math"
+	"os"
 	"testing"
 
+	"golts/internal/leakgate"
 	"golts/internal/lts"
 	"golts/internal/mesh"
 	"golts/internal/newmark"
 	"golts/internal/partition"
 	"golts/internal/sem"
 )
+
+// TestMain fails the package when a test leaves an engine's worker
+// goroutines running: every engine a test builds must be closed.
+func TestMain(m *testing.M) {
+	os.Exit(leakgate.Run(m))
+}
 
 func setup3D(t testing.TB) (*sem.Acoustic3D, *mesh.Levels, []int32, int) {
 	t.Helper()

@@ -129,6 +129,29 @@ func (p *elemBatchPlan) Elems() []int32 { return p.elems }
 // DstNodes implements BatchPlan: the output space.
 func (p *elemBatchPlan) DstNodes() int { return p.nOut }
 
+// Bytes is the memory the plan owns: its lanes (elems are their prefix),
+// constants and weight pairs, and the index rows and keys it does not
+// share. An identity plan's rows are its operator's connectivity and its
+// keys are its lanes, so it owns neither; a remap owns its rows and keys
+// (its output ones are a prefix of its input ones, or the operator's).
+func (p *elemBatchPlan) Bytes() int64 {
+	conn, _ := ConnOf(p.owner)
+	ints := len(p.lanes)
+	if !sameArray(p.inTbl, conn) {
+		ints += len(p.inTbl)
+	}
+	if !sameArray(p.outTbl, conn) && !sameArray(p.outTbl, p.inTbl) {
+		ints += len(p.outTbl)
+	}
+	if !sameArray(p.inKey, p.lanes) {
+		ints += len(p.inKey)
+	}
+	return 4*int64(ints) + 8*int64(len(p.cst)+len(p.wpair))
+}
+
+// sameArray reports whether a and b start at one element of one array.
+func sameArray(a, b []int32) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
 // Remap implements BatchPlan: a shallow copy with two fresh row tables, or
 // one when In and Out are one map (the output rows are then a prefix of the
 // input rows).

@@ -352,3 +352,35 @@ func TestBatchPlanOwnership(t *testing.T) {
 	var bs BatchScratch
 	b.AddKuBatch(dst, u, plan, &bs)
 }
+
+// TestBatchPlanBytes: an identity plan owns its lanes, constants and
+// weight pairs but not the operator's connectivity it gathers through; a
+// remap also owns its rows and keys — one row table when In and Out are
+// one map, two otherwise.
+func TestBatchPlanBytes(t *testing.T) {
+	m := batchMesh(t)
+	op, err := NewElastic3D(m, 4, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems := []int32{0, 2, 3, 5, 7, 9, 11, 13, 14} // a padded tail block
+	pl := op.NewBatchPlan(elems).(*elemBatchPlan)
+	own := 4*int64(len(pl.lanes)) + 8*int64(len(pl.cst)+len(pl.wpair))
+	if got := pl.Bytes(); got != own {
+		t.Fatalf("identity plan: %d bytes, want %d (lanes, constants, weights)", got, own)
+	}
+	ident := make([]int32, op.NumNodes())
+	for n := range ident {
+		ident[n] = int32(n)
+	}
+	rows := 4 * int64(len(pl.lanes)*pl.npe+len(pl.lanes)) // input rows + keys
+	one := pl.Remap(NodeMap{In: ident, Out: ident, NIn: len(ident), NOut: len(ident)})
+	if got := one.(*elemBatchPlan).Bytes(); got != own+rows {
+		t.Errorf("remap through one map: %d bytes, want %d", got, own+rows)
+	}
+	out := slices.Clone(ident)
+	two := pl.Remap(NodeMap{In: ident, Out: out, NIn: len(ident), NOut: len(ident)})
+	if got, want := two.(*elemBatchPlan).Bytes(), own+rows+4*int64(len(elems)*pl.npe); got != want {
+		t.Errorf("remap through two maps: %d bytes, want %d", got, want)
+	}
+}

@@ -140,6 +140,15 @@ func (c *core3d) ElemNodes(e int, buf []int32) []int32 {
 // ConnTable exposes the flat connectivity (implements Connectivity).
 func (c *core3d) ConnTable() ([]int32, int) { return c.conn, c.n3 }
 
+// Bytes is the memory the operator owns: the connectivity table, M⁻¹, the
+// flat derivative matrices and the GLL rule. The mesh it reads is not
+// counted (its C and Rho are about 2 % of this at degree 4).
+func (c *core3d) Bytes() int64 {
+	r := c.rule
+	floats := len(c.minv) + len(c.dfl) + len(c.dtf) + len(r.Points) + len(r.Weights) + len(r.D)*len(r.D)
+	return 4*int64(len(c.conn)) + 8*int64(floats)
+}
+
 // NodeCoords returns the physical coordinates of node n.
 func (c *core3d) NodeCoords(n int32) (x, y, z float64) {
 	i := int(n) % c.nxn

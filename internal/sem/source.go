@@ -31,22 +31,6 @@ func (r Ricker) Amp(t float64) float64 {
 	return s * (1 - 2*a) * math.Exp(-a)
 }
 
-// GaussianPulse is a smooth single-signed pulse, useful for travel-time
-// tests.
-type GaussianPulse struct {
-	T0, Sigma, Scale float64
-}
-
-// Amp evaluates the pulse.
-func (g GaussianPulse) Amp(t float64) float64 {
-	s := g.Scale
-	if s == 0 {
-		s = 1
-	}
-	d := (t - g.T0) / g.Sigma
-	return s * math.Exp(-d*d/2)
-}
-
 // Source is a point force applied to a single degree of freedom (the f(x_s,
 // t) term of Eq. 1 collocated at a GLL node).
 type Source struct {

@@ -7,6 +7,22 @@ import (
 	"golts/internal/mesh"
 )
 
+// GaussianPulse is a smooth single-signed pulse, useful for travel-time
+// tests.
+type GaussianPulse struct {
+	T0, Sigma, Scale float64
+}
+
+// Amp evaluates the pulse.
+func (g GaussianPulse) Amp(t float64) float64 {
+	s := g.Scale
+	if s == 0 {
+		s = 1
+	}
+	d := (t - g.T0) / g.Sigma
+	return s * math.Exp(-d*d/2)
+}
+
 func TestGaussianPulse(t *testing.T) {
 	g := GaussianPulse{T0: 1, Sigma: 0.2}
 	if got := g.Amp(1); math.Abs(got-1) > 1e-12 {

@@ -16,7 +16,9 @@
 // Identical configurations share build artifacts (mesh, operator,
 // partition, batch plans) through a single wave.ArtifactCache with
 // single-flight construction: two same-config jobs submitted
-// concurrently build each artifact exactly once.
+// concurrently build each artifact exactly once. The cache holds at most
+// Config.CacheBytes of them, so one-off configurations are evicted
+// rather than kept for the life of the process.
 package serve
 
 import (
@@ -58,9 +60,9 @@ type Config struct {
 	// GOMAXPROCS is deliberately NOT consulted — the budget is explicit
 	// so results stay machine-independent).
 	WorkerBudget int
-	// CacheSize bounds the artifact cache (entries). Default
-	// wave.DefaultArtifactCacheSize.
-	CacheSize int
+	// CacheBytes bounds the artifact cache's resident bytes. Default
+	// wave.DefaultArtifactCacheBytes.
+	CacheBytes int64
 	// SpoolDir enables durability: job specs, per-job simulation
 	// checkpoints and streamed rows are persisted under it, unfinished
 	// jobs replay on the next New with the same directory, and a job
@@ -258,9 +260,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryBaseDelay <= 0 {
 		cfg.RetryBaseDelay = 500 * time.Millisecond
 	}
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = wave.DefaultArtifactCacheBytes
+	}
 	s := &Server{
 		cfg:       cfg,
-		cache:     wave.NewArtifactCache(cfg.CacheSize),
+		cache:     wave.NewArtifactCache(cfg.CacheBytes),
 		jobs:      make(map[string]*Job),
 		availWork: cfg.WorkerBudget,
 	}
@@ -312,9 +317,6 @@ func (s *Server) replay() {
 		s.replayed++
 	}
 }
-
-// Cache exposes the server's artifact cache (read-only use: counters).
-func (s *Server) Cache() *wave.ArtifactCache { return s.cache }
 
 // Close stops accepting jobs and waits for the dispatchers to drain.
 // Without a spool, everything queued or running is cancelled. With one,
@@ -750,10 +752,13 @@ type StatsResponse struct {
 	// the ranks lost — the observable effect of Config.AutoTune and of
 	// degraded mode on each job.
 	Jobs []JobSummary `json:"jobs,omitempty"`
-	// Cache reports the artifact cache: traffic counters plus residency.
+	// Cache reports the artifact cache: traffic counters plus residency
+	// (entries, their bytes, and the budget those bytes are bounded by).
 	Cache struct {
 		decomp.MemoCounters
-		Entries int `json:"entries"`
+		Entries     int   `json:"entries"`
+		Bytes       int64 `json:"bytes"`
+		BudgetBytes int64 `json:"budget_bytes"`
 	} `json:"cache"`
 }
 
@@ -810,6 +815,8 @@ func (s *Server) Stats() StatsResponse {
 	})
 	resp.Cache.MemoCounters = s.cache.Counters()
 	resp.Cache.Entries = s.cache.Len()
+	resp.Cache.Bytes = s.cache.Bytes()
+	resp.Cache.BudgetBytes = s.cfg.CacheBytes
 	return resp
 }
 
@@ -820,7 +827,7 @@ func (s *Server) Stats() StatsResponse {
 //	GET    /jobs/{id}/rows  stream seismogram CSV rows (text/csv)
 //	DELETE /jobs/{id}       cancel
 //	GET    /healthz         liveness
-//	GET    /stats           queue depth, in-flight, cache counters
+//	GET    /stats           queue depth, in-flight, cache counters and bytes
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

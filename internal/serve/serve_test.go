@@ -176,7 +176,7 @@ func TestConcurrentSameConfigBuildsOnce(t *testing.T) {
 	if st := j.StateNow(); st != StateDone {
 		t.Fatalf("reference job: %s (%s)", st, j.Err())
 	}
-	coldBuilds := ref.Cache().Counters().Misses
+	coldBuilds := ref.Stats().Cache.Misses
 	ref.Close()
 	if coldBuilds == 0 {
 		t.Fatal("cold run recorded no artifact builds")
@@ -196,7 +196,7 @@ func TestConcurrentSameConfigBuildsOnce(t *testing.T) {
 			t.Fatalf("job %s: %s (%s)", j.ID, st, j.Err())
 		}
 	}
-	ctr := s.Cache().Counters()
+	ctr := s.Stats().Cache
 	if ctr.Misses != coldBuilds {
 		t.Errorf("two concurrent same-config jobs built %d artifacts, one cold run builds %d", ctr.Misses, coldBuilds)
 	}
@@ -562,7 +562,7 @@ func TestAutoTuneJobs(t *testing.T) {
 
 	// Second identical job: the cached plan is reused (one tune artifact,
 	// no second probe sweep) and reports the same shape.
-	misses := s.Cache().Counters().Misses
+	misses := s.Stats().Cache.Misses
 	_, sn2 := postJob(t, ts.URL, tinyReq())
 	j2, _ := s.Job(sn2.ID)
 	waitTerminal(t, j2)
@@ -570,7 +570,7 @@ func TestAutoTuneJobs(t *testing.T) {
 	if !ok || st2.TunedWorkers != st1.TunedWorkers {
 		t.Errorf("cached plan not reused: %+v vs %+v", st2, st1)
 	}
-	if d := s.Cache().Counters().Misses - misses; d != 0 {
+	if d := s.Stats().Cache.Misses - misses; d != 0 {
 		t.Errorf("second same-config job rebuilt %d artifacts, want 0", d)
 	}
 
@@ -585,5 +585,52 @@ func TestAutoTuneJobs(t *testing.T) {
 		if js.State != StateDone {
 			t.Errorf("job %s state %s in summary", js.ID, js.State)
 		}
+	}
+}
+
+// TestCacheBoundedInBytes runs eight distinct configurations through a
+// cache that holds about three: after every job GET /stats reports the
+// resident bytes within the budget (or one entry alone above it), the
+// first configuration has been evicted and is rebuilt when it comes
+// back, and its repeat then hits for every artifact.
+func TestCacheBoundedInBytes(t *testing.T) {
+	const budget = 4 << 20 // a tiny configuration holds 1.1–1.7 MiB
+	s := mustNew(t, Config{Concurrency: 1, WorkerBudget: 1, CacheBytes: budget})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	run := func(scale float64) StatsResponse {
+		t.Helper()
+		req := tinyReq()
+		req.Scale = scale
+		_, sn := postJob(t, ts.URL, req)
+		j, _ := s.Job(sn.ID)
+		waitTerminal(t, j)
+		if st := j.StateNow(); st != StateDone {
+			t.Fatalf("scale %g: job %s (%s)", scale, st, j.Err())
+		}
+		st := getStats(t, ts.URL)
+		if st.Cache.BudgetBytes != budget {
+			t.Fatalf("budget_bytes = %d, want %d", st.Cache.BudgetBytes, budget)
+		}
+		if st.Cache.Bytes > budget && st.Cache.Entries != 1 {
+			t.Fatalf("scale %g: %d resident bytes in %d entries over a %d budget", scale, st.Cache.Bytes, st.Cache.Entries, budget)
+		}
+		return st
+	}
+	scales := []float64{0.0005, 0.0006, 0.0007, 0.0008, 0.0009, 0.0010, 0.0011, 0.0012}
+	var last StatsResponse
+	for _, sc := range scales {
+		last = run(sc)
+	}
+	before := run(scales[0]).Cache
+	if before.Misses == last.Cache.Misses {
+		t.Fatalf("the first configuration stayed resident through seven others: %+v", before)
+	}
+	st := run(scales[0]).Cache
+	if st.Misses != before.Misses || st.Hits == before.Hits {
+		t.Errorf("repeat of a resident configuration: misses %d → %d, hits %d → %d; want every artifact a hit",
+			before.Misses, st.Misses, before.Hits, st.Hits)
 	}
 }

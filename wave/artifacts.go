@@ -3,29 +3,39 @@ package wave
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"golts/internal/decomp"
 	"golts/internal/mesh"
 	"golts/internal/sem"
 	"golts/internal/solver"
+	"golts/internal/tune"
 )
 
-// DefaultArtifactCacheSize bounds an ArtifactCache built by
-// NewArtifactCache(0). Entries are whole meshes, operators, partitions
-// and batch plans, so a long-running service with a handful of hot
-// configurations stays far below it.
-const DefaultArtifactCacheSize = 64
+// DefaultArtifactCacheBytes bounds an ArtifactCache built by
+// NewArtifactCache(0): 32 MiB. The four configurations of the serve-warm
+// benchmark workload (acoustic LTS trench, scale 0.0046–0.0058, one
+// worker) hold 19.8 MiB between them (20 806 322 bytes, 24 artifacts),
+// so a service cycling a few hot configurations of that size evicts
+// nothing, while one-off configurations stop accumulating.
+const DefaultArtifactCacheBytes = 32 << 20
 
 // ArtifactCache shares the expensive, immutable build products of a
 // Simulation — the generated mesh with its LTS level assignment, the
 // spectral-element operator with its GLL tables, the element partition,
 // and the per-element-set batch plans — across Simulations with matching
 // configurations. Every artifact is keyed by the canonical string of the
-// options that determine it, entries are LRU-bounded, and concurrent
-// builds of one artifact are collapsed into a single construction
-// (decomp.Memo's single-flight), which is what lets a job server run the
-// same configuration many times while building its operators exactly
-// once.
+// options that determine it, and concurrent builds of one artifact are
+// collapsed into a single construction (decomp.Memo's single-flight),
+// which is what lets a job server run the same configuration many times
+// while building its operators exactly once.
+//
+// The cache is bounded in bytes: each artifact is charged the memory it
+// owns, counted once (artifactBytes), and least-recently-used artifacts
+// are evicted until the resident bytes fit the budget. A batch plan is
+// owned by its operator — it reads the operator's connectivity as its
+// own rows — so it is cached only while that operator is and is evicted
+// with it.
 //
 // Sharing is safe because every cached artifact is immutable after
 // construction: operators only read their tables under AddKu/AddKuBatch
@@ -40,13 +50,14 @@ type ArtifactCache struct {
 	memo *decomp.Memo[any]
 }
 
-// NewArtifactCache creates an artifact cache bounded to max entries
-// (max <= 0 means DefaultArtifactCacheSize).
-func NewArtifactCache(max int) *ArtifactCache {
-	if max <= 0 {
-		max = DefaultArtifactCacheSize
+// NewArtifactCache creates an artifact cache bounded to maxBytes resident
+// bytes (maxBytes <= 0 means DefaultArtifactCacheBytes). An artifact
+// larger than the whole budget is still cached, alone.
+func NewArtifactCache(maxBytes int64) *ArtifactCache {
+	if maxBytes <= 0 {
+		maxBytes = DefaultArtifactCacheBytes
 	}
-	return &ArtifactCache{memo: decomp.NewMemo[any](max)}
+	return &ArtifactCache{memo: decomp.NewMemo[any](maxBytes, artifactBytes)}
 }
 
 // Counters reports the cache's cumulative hit/miss/eviction counters
@@ -56,6 +67,33 @@ func (c *ArtifactCache) Counters() decomp.MemoCounters { return c.memo.Counters(
 
 // Len returns the number of cached artifacts.
 func (c *ArtifactCache) Len() int { return c.memo.Len() }
+
+// Bytes returns the resident bytes of the cached artifacts.
+func (c *ArtifactCache) Bytes() int64 { return c.memo.Bytes() }
+
+// artifactBytes is the memory a cached artifact owns, counted once: a
+// mesh's per-element arrays and its level assignment, a partition's
+// assignment, an operator's or a batch plan's own tables (Bytes), a
+// calibration plan's measurements.
+func artifactBytes(v any) int64 {
+	switch a := v.(type) {
+	case meshLevels:
+		m, lv := a.m, a.lv
+		floats := len(m.XC) + len(m.YC) + len(m.ZC) + len(m.C) + len(m.Rho)
+		return 8*int64(floats) + int64(len(lv.Lvl)) + 8*int64(len(lv.P)+len(lv.Count))
+	case []int32:
+		return 4 * int64(len(a))
+	case interface{ Bytes() int64 }:
+		return a.Bytes()
+	case *tune.Plan:
+		n := int64(unsafe.Sizeof(*a)) + int64(len(a.Measurements))*int64(unsafe.Sizeof(tune.Measurement{}))
+		for _, r := range a.Measurements {
+			n += 8 * int64(len(r.LevelNanos))
+		}
+		return n
+	}
+	panic(fmt.Sprintf("wave: artifact of unknown size: %T", v))
+}
 
 // WithArtifactCache attaches a shared artifact cache: mesh generation,
 // operator construction, partitioning and batch-plan construction
@@ -134,7 +172,7 @@ func getOperator(set *settings, m *mesh.Mesh, counts *[2]int64) (solver.Operator
 	if set.artifacts == nil {
 		return v.(solver.Operator), nil
 	}
-	return &sharedOp{Operator: v.(solver.Operator), key: set.opKey(), memo: set.artifacts.memo}, nil
+	return shareOperator(set.artifacts.memo, set.opKey(), v.(solver.Operator)), nil
 }
 
 // getPartition assigns (or retrieves) the k-way element partition. The
@@ -152,22 +190,35 @@ func getPartition(set *settings, m *mesh.Mesh, lv *mesh.Levels, k int, counts *[
 
 // sharedOp wraps a cached geometry operator so that batch plans — one
 // per stable element set: per LTS level, per engine part — are built
-// once per configuration and shared. Plans are immutable and
+// once per operator and shared. Plans are immutable and
 // concurrent-read-safe, and the embedded operator's AddKuBatch accepts
 // any plan it built, so the bitwise contract is preserved exactly.
+//
+// A plan reads its operator's connectivity, so it is cached owned by the
+// operator's entry, and its key carries the operator's address next to
+// the operator's key: an operator evicted and rebuilt under one key
+// never receives a plan of the other. The address is unique while it
+// matters, because a cached or building plan keeps its operator alive.
 type sharedOp struct {
 	solver.Operator
-	key  string // owning operator's artifact key, scoping the plan keys
-	memo *decomp.Memo[any]
+	key   string // the operator's artifact key: its plans' owner
+	plans string // "bplan|<key>|<address>|", the prefix of its plan keys
+	memo  *decomp.Memo[any]
+}
+
+// shareOperator wraps op, cached under key, so that its batch plans are
+// cached too.
+func shareOperator(memo *decomp.Memo[any], key string, op solver.Operator) *sharedOp {
+	return &sharedOp{Operator: op, key: key, plans: fmt.Sprintf("bplan|%s|%p|", key, op), memo: memo}
 }
 
 // NewBatchPlan implements sem.BatchKernel with memoized construction:
-// identical element lists across simulations of one configuration share
-// one plan. A fingerprint collision is detected by comparing the plan's
+// identical element lists across simulations of one operator share one
+// plan. A fingerprint collision is detected by comparing the plan's
 // element list and degrades to an uncached build — never a wrong plan.
 func (s *sharedOp) NewBatchPlan(elems []int32) sem.BatchPlan {
-	key := "bplan|" + s.key + "|" + strconv.Itoa(len(elems)) + "|" + strconv.FormatUint(hashElems(elems), 16)
-	v, _, _ := s.memo.Get(key, func() (any, error) { return s.Operator.NewBatchPlan(elems), nil })
+	key := s.plans + strconv.Itoa(len(elems)) + "|" + strconv.FormatUint(hashElems(elems), 16)
+	v, _, _ := s.memo.GetOwned(key, s.key, s.Operator, func() (any, error) { return s.Operator.NewBatchPlan(elems), nil })
 	pl, _ := v.(sem.BatchPlan)
 	if pl == nil || !sameElems(pl.Elems(), elems) {
 		return s.Operator.NewBatchPlan(elems)

@@ -5,6 +5,9 @@ import (
 	"context"
 	"testing"
 
+	"golts/internal/mesh"
+	"golts/internal/sem"
+	"golts/internal/solver"
 	"golts/wave"
 )
 
@@ -166,4 +169,78 @@ func TestWithArtifactCacheNil(t *testing.T) {
 	if err := wave.Validate(wave.WithArtifactCache(nil)); err == nil {
 		t.Fatal("nil cache accepted")
 	}
+}
+
+// TestArtifactCacheEvictsPlansWithOperator: a cached batch plan reads
+// its operator's connectivity, so the cache charges the pair once (the
+// identity plan's size excludes the connectivity) and evicts the plans
+// with their operator: none is left resident, holding an operator the
+// cache no longer counts, and none is cached again while the operator is
+// out.
+func TestArtifactCacheEvictsPlansWithOperator(t *testing.T) {
+	type sized interface{ Bytes() int64 }
+	build := func(scale float64) solver.Operator {
+		op, err := solver.NewOperator(mesh.Generators["trench"](scale), "acoustic", 4)
+		if err != nil {
+			t.Fatalf("NewOperator: %v", err)
+		}
+		return op
+	}
+	opA, opB := build(0.0005), build(0.0007)
+	all := make([]int32, opA.NumElements())
+	for e := range all {
+		all[e] = int32(e)
+	}
+	plBytes := opA.NewBatchPlan(all).(sized).Bytes()
+	conn, _ := sem.ConnOf(opA)
+	if plBytes >= 4*int64(len(conn)) {
+		t.Fatalf("identity plan of every element charged %d bytes, its connectivity alone is %d", plBytes, 4*len(conn))
+	}
+	a, b := opA.(sized).Bytes(), opB.(sized).Bytes()
+	// Both of A's artifacts fit, and so would A's plan next to B: only
+	// the ownership rule takes the plan out when B evicts A's operator.
+	budget := max(a, b) + plBytes
+	cache := wave.NewArtifactCache(budget)
+
+	shA := wave.CacheOperator(cache, "op|A", opA)
+	pl := shA.NewBatchPlan(all)
+	if got := shA.NewBatchPlan(all); got != pl {
+		t.Fatal("second plan of one element list was rebuilt")
+	}
+	if cache.Len() != 2 || cache.Bytes() != a+plBytes {
+		t.Fatalf("operator + plan: Len = %d, Bytes = %d, want 2 and %d", cache.Len(), cache.Bytes(), a+plBytes)
+	}
+
+	wave.CacheOperator(cache, "op|B", opB) // evicts op|A, the LRU entry
+	if cache.Len() != 1 || cache.Bytes() != b {
+		t.Fatalf("after B: Len = %d, Bytes = %d, want B's operator alone (1, %d)", cache.Len(), cache.Bytes(), b)
+	}
+	if ev := cache.Counters().Evictions; ev != 2 {
+		t.Errorf("evictions = %d, want 2 (A's operator and its plan)", ev)
+	}
+	pl2 := shA.NewBatchPlan(all)
+	if pl2 == pl {
+		t.Error("A's plan outlived its operator in the cache")
+	}
+	if shA.NewBatchPlan(all) == pl2 || cache.Len() != 1 || cache.Bytes() != b {
+		t.Errorf("a plan of an evicted operator was cached: Len = %d, Bytes = %d", cache.Len(), cache.Bytes())
+	}
+
+	// A rebuilt under its old key (evicting B): the stale wrapper's plans
+	// are neither cached under the rebuild nor handed to it, and each
+	// operator applies its own plans.
+	opA2 := build(0.0005)
+	shA2 := wave.CacheOperator(cache, "op|A", opA2)
+	stale := shA.NewBatchPlan(all)
+	fresh := shA2.NewBatchPlan(all)
+	if cache.Len() != 2 || cache.Bytes() != a+plBytes || shA2.NewBatchPlan(all) != fresh {
+		t.Errorf("rebuilt A + its plan: Len = %d, Bytes = %d, want 2 and %d", cache.Len(), cache.Bytes(), a+plBytes)
+	}
+	if shA.NewBatchPlan(all) == fresh {
+		t.Error("the stale operator was handed the rebuild's plan")
+	}
+	u := make([]float64, opA.NDof())
+	var bs sem.BatchScratch
+	opA.AddKuBatch(make([]float64, stale.DstNodes()), u, stale, &bs) // panics on a foreign plan
+	opA2.AddKuBatch(make([]float64, fresh.DstNodes()), u, fresh, &bs)
 }
