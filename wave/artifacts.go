@@ -31,11 +31,8 @@ const DefaultArtifactCacheBytes = 32 << 20
 // while building its operators exactly once.
 //
 // The cache is bounded in bytes: each artifact is charged the memory it
-// owns, counted once (artifactBytes), and least-recently-used artifacts
-// are evicted until the resident bytes fit the budget. A batch plan is
-// owned by its operator — it reads the operator's connectivity as its
-// own rows — so it is cached only while that operator is and is evicted
-// with it.
+// owns (artifactBytes), least-recently-used artifacts are evicted until
+// the resident bytes fit, and a batch plan leaves with its operator.
 //
 // Sharing is safe because every cached artifact is immutable after
 // construction: operators only read their tables under AddKu/AddKuBatch
