@@ -152,7 +152,7 @@ func (m *Memo[V]) evict(el *list.Element) {
 	e := el.Value.(*memoEntry[V])
 	var owned []*list.Element
 	for o := m.order.Front(); o != nil; o = o.Next() {
-		if o.Value.(*memoEntry[V]).owner == e.key {
+		if ow := o.Value.(*memoEntry[V]).owner; ow != "" && ow == e.key {
 			owned = append(owned, o)
 		}
 	}

@@ -301,6 +301,18 @@ func TestMemoOwnedLeavesWithOwner(t *testing.T) {
 	}
 }
 
+// TestMemoEmptyKeyOwnsNothing: the empty key, which stands for "no
+// owner", takes no standalone entry along when it is evicted.
+func TestMemoEmptyKeyOwnsNothing(t *testing.T) {
+	m := NewMemo[sized](100, sizeOf)
+	put(t, m, sized{"", 40}, "", 0)
+	put(t, m, sized{"a", 40}, "", 0)
+	put(t, m, sized{"b", 40}, "", 0) // evicts "" alone
+	if !resident(m, "a") || !resident(m, "b") || m.Bytes() != 80 {
+		t.Errorf("a resident %v, b resident %v, Bytes %d; want both and 80", resident(m, "a"), resident(m, "b"), m.Bytes())
+	}
+}
+
 // TestMemoOwnedSingleFlightAndErrors: owned builds keep Get's contract —
 // joiners share one build, and a failed build is not cached.
 func TestMemoOwnedSingleFlightAndErrors(t *testing.T) {
