@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test loc race fuzz bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
+.PHONY: build test loc reach race fuzz bench-kernels bench-smoke bench-check bench-baseline bench-e2e bench-e2e-test bench-golden dist-smoke fault-smoke tune-smoke chaos-smoke lint vet fmt check examples
 
 build:
 	$(GO) build ./...
@@ -9,15 +9,16 @@ test:
 	$(GO) test ./...
 
 # Size of the product: non-test Go and assembly lines outside benchmark/
-# (ROADMAP aim 2 wants this number going down), then the internal/sem
-# share of it in Go and in assembly, then the non-test lines of the
-# packages that have a ROADMAP line budget. Informational —
-# printed by CI, gated by nothing.
+# and tools/ (ROADMAP aim 2 wants this number going down), then the
+# internal/sem share of it in Go and in assembly, then the non-test lines
+# of the packages that have a ROADMAP line budget, and last, on a line of
+# its own, the non-test lines of the repo's tools (tools/, not product).
+# Informational — printed by CI, gated by nothing.
 LOC_PACKAGES = wave internal/dist internal/lts internal/partition
 
 loc:
-	@find . -path ./benchmark -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print0 \
-		| xargs -0 cat | wc -l | xargs echo "loc: non-test Go+asm lines outside benchmark/:"
+	@find . \( -path ./benchmark -o -path ./tools \) -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "loc: non-test Go+asm lines outside benchmark/ and tools/:"
 	@find internal/sem -name '*.go' ! -name '*_test.go' -print0 \
 		| xargs -0 cat | wc -l | xargs echo "loc: internal/sem non-test .go lines:"
 	@find internal/sem -name '*.s' -print0 \
@@ -26,6 +27,20 @@ loc:
 		find $$p -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 \
 			| xargs -0 cat | wc -l | xargs echo "loc: $$p non-test .go lines:"; \
 	done
+	@find tools -name '*.go' ! -name '*_test.go' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "loc: tools/ non-test .go lines (not product):"
+
+# Reachability gate over the product (tools/reach, its own module outside
+# ./..., as benchmark/ is). It builds every main package, the benchmark
+# harness and a generated root over wave's exported API without inlining,
+# diffs their linked symbols against every non-test func declaration, and
+# prints what no binary links. It fails on an unlinked function that
+# tools/reach/allow.txt does not name with a reason, and on an allow-list
+# entry whose function is gone or linked again. The tool's own tests
+# (symbol parsing, and a function planted by a build overlay that the
+# gate must name) run first.
+reach:
+	cd tools/reach && $(GO) vet ./... && $(GO) test ./... && $(GO) run .
 
 # Race-detector job over the engines with internal concurrency: the
 # shared-memory engine, the LTS scheme that drives it, the distributed
@@ -280,4 +295,4 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: fmt vet lint build test bench-e2e-test bench-golden race examples dist-smoke fault-smoke tune-smoke chaos-smoke
+check: fmt vet lint build test reach bench-e2e-test bench-golden race examples dist-smoke fault-smoke tune-smoke chaos-smoke

@@ -189,19 +189,10 @@ func (f *File) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a container from r, verifying the magic, version and
-// every section's CRC32.
-func Decode(r io.Reader) (*File, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	return decode(raw)
-}
-
-// decode parses a container held in raw; the sections alias it. Every
-// length is checked against the bytes present before it is used, and
-// bytes after the last section are refused.
+// decode parses a container held in raw, verifying the magic, version
+// and every section's CRC32; the sections alias raw. Every length is
+// checked against the bytes present before it is used, and bytes after
+// the last section are refused.
 func decode(raw []byte) (*File, error) {
 	if len(raw) < 16 {
 		return nil, fmt.Errorf("ckpt: header of %d bytes", len(raw))

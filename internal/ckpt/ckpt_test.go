@@ -52,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := f.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decode(bytes.NewReader(buf.Bytes()))
+	g, err := decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCorruptionDetected(t *testing.T) {
 	// Flip one payload byte (past header + name framing) and require a
 	// CRC error.
 	raw[len(raw)-10] ^= 0x40
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
+	if _, err := decode(raw); err == nil {
 		t.Fatal("corrupted payload decoded without error")
 	}
 }
@@ -149,10 +149,10 @@ func TestTruncationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(raw[:len(raw)-3])); err == nil {
+	if _, err := decode(raw[:len(raw)-3]); err == nil {
 		t.Fatal("truncated container decoded without error")
 	}
-	if _, err := Decode(bytes.NewReader(raw[:4])); err == nil {
+	if _, err := decode(raw[:4]); err == nil {
 		t.Fatal("truncated header decoded without error")
 	}
 }
@@ -165,13 +165,13 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
 	raw[0] = 'X'
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
+	if _, err := decode(raw); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	for _, v := range []byte{1, 99} {
 		raw = append([]byte(nil), buf.Bytes()...)
 		raw[8] = v
-		if _, err := Decode(bytes.NewReader(raw)); err == nil {
+		if _, err := decode(raw); err == nil {
 			t.Fatalf("format version %d accepted", v)
 		}
 	}
@@ -231,7 +231,7 @@ func TestHugeClaimedLengthAllocatesLittle(t *testing.T) {
 	raw := hugeClaim()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Decode(bytes.NewReader(raw))
+	_, err := decode(raw)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("truncated huge section decoded without error")
@@ -253,7 +253,7 @@ func TestHugeClaimedLengthAllocatesLittle(t *testing.T) {
 // it completely.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		g, err := Decode(bytes.NewReader(raw))
+		g, err := decode(raw)
 		if err != nil {
 			return
 		}
@@ -261,7 +261,7 @@ func FuzzDecode(f *testing.F) {
 		if err := g.Encode(&again); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		h, err := Decode(&again)
+		h, err := decode(again.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded container rejected: %v", err)
 		}

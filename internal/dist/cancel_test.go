@@ -35,7 +35,7 @@ func TestCancelKillsSpawnedRanks(t *testing.T) {
 	if err := co.SetReceiverParts(owners); err != nil {
 		t.Fatalf("SetReceiverParts: %v", err)
 	}
-	if _, _, err := co.Step(); err != nil {
+	if _, _, err := co.StepCtx(context.Background()); err != nil {
 		t.Fatalf("healthy Step: %v", err)
 	}
 

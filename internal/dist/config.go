@@ -246,20 +246,3 @@ func ReceiverOwnerParts(op sem.Operator, cfg *RunConfig) ([]int, error) {
 	}
 	return out, nil
 }
-
-// ReceiverOwners maps every configured receiver to the rank that samples
-// it under the configuration's current part → rank placement. The
-// coordinator's caller and every rank compute the same mapping from the
-// broadcast configuration.
-func ReceiverOwners(op sem.Operator, cfg *RunConfig) ([]int, error) {
-	parts, err := ReceiverOwnerParts(op, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ranks := cfg.partRanks()
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		out[i] = ranks[p]
-	}
-	return out, nil
-}

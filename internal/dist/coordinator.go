@@ -142,7 +142,7 @@ type Coordinator struct {
 	degradeWall   time.Duration
 	corruptFrames int64
 
-	samples []float64 // Step's result, reused (valid until the next Step)
+	samples []float64 // StepCtx's result, reused (valid until the next StepCtx)
 
 	closeOnce sync.Once
 	closeErr  error
@@ -151,7 +151,7 @@ type Coordinator struct {
 // Start launches a distributed run: it validates the configuration,
 // spawns cfg.Run.Ranks rank processes (or goroutines), and completes the
 // startup handshake. On return every rank has built its operators and
-// stands ready for Step. With CheckpointEvery > 0 a cycle-0 snapshot is
+// stands ready for StepCtx. With CheckpointEvery > 0 a cycle-0 snapshot is
 // committed too, so even a first-cycle failure is recoverable.
 func Start(cfg Config) (*Coordinator, error) {
 	if IsRank() {
@@ -422,13 +422,10 @@ func (co *Coordinator) recvFrame(ctx context.Context, i int, timeout time.Durati
 	}
 }
 
-// Receivers returns the number of configured receiver dofs.
-func (co *Coordinator) Receivers() int { return len(co.cfg.Run.Receivers) }
-
 // SetReceiverParts installs the receiver → owning-part mapping (see
 // ReceiverOwnerParts). Operator construction is the caller's concern —
 // the facade already holds the geometry operator — so the parts arrive
-// precomputed; Step refuses to run without them. The coordinator
+// precomputed; StepCtx refuses to run without them. The coordinator
 // derives the sampling rank of each receiver from the current
 // part → rank placement, and re-derives it after every relaunch (the
 // owning part never moves; the executing rank may).
@@ -463,24 +460,19 @@ func (co *Coordinator) applyRecOwn() {
 	}
 }
 
-// Step advances every rank by one coarse cycle and returns the cycle
+// StepCtx advances every rank by one coarse cycle and returns the cycle
 // time plus the receiver samples, in configured receiver order. The
-// samples slice is valid until the next Step.
-func (co *Coordinator) Step() (t float64, samples []float64, err error) {
-	return co.StepCtx(context.Background())
-}
-
-// StepCtx is Step with cancellation: when ctx is cancelled mid-step the
-// run is aborted immediately — spawned rank processes are killed and
-// reaped, halo and control connections closed — and ctx.Err() (not a
-// wire error from the dying ranks) is returned. With CheckpointEvery >
-// 0, rank failures inside the cycle trigger transparent recovery
-// (relaunch + restore + bitwise replay) before the cycle is retried;
-// only an exhausted recovery budget or an unrecoverable error reaches
-// the caller.
+// samples slice is valid until the next StepCtx. When ctx is cancelled
+// mid-step the run is aborted immediately — spawned rank processes are
+// killed and reaped, halo and control connections closed — and
+// ctx.Err() (not a wire error from the dying ranks) is returned. With
+// CheckpointEvery > 0, rank failures inside the cycle trigger
+// transparent recovery (relaunch + restore + bitwise replay) before the
+// cycle is retried; only an exhausted recovery budget or an
+// unrecoverable error reaches the caller.
 func (co *Coordinator) StepCtx(ctx context.Context) (t float64, samples []float64, err error) {
 	if co.recOwn == nil {
-		return 0, nil, fmt.Errorf("dist: Step before SetReceiverParts")
+		return 0, nil, fmt.Errorf("dist: StepCtx before SetReceiverParts")
 	}
 	if err := ctx.Err(); err != nil {
 		co.Abort()
@@ -676,10 +668,6 @@ func (co *Coordinator) Degraded() (int, time.Duration) {
 // rejected (each one routed into recovery).
 func (co *Coordinator) CorruptFrames() int64 { return co.corruptFrames }
 
-// Ranks reports the current rank count (smaller than the configured
-// count after degraded-mode shrinks).
-func (co *Coordinator) Ranks() int { return co.cfg.Run.Ranks }
-
 // snapshot has every rank write its footprint of the state after
 // co.cycle cycles into the store's idle slot, and commits that slot once
 // all have answered: until then — and so through any failure on the way
@@ -791,7 +779,7 @@ func (co *Coordinator) Recoveries() (int, time.Duration) {
 	return co.recoveries, co.recoveryWall
 }
 
-// Time returns the cycle time reported by rank 0 after the last Step.
+// Time returns the cycle time reported by rank 0 after the last StepCtx.
 func (co *Coordinator) Time() float64 { return co.t }
 
 // Stats gathers every rank's statistics. The first element is rank 0's
@@ -808,7 +796,7 @@ func (co *Coordinator) Stats() ([]RankStats, error) {
 }
 
 // Close shuts the ranks down cleanly, escalating to kill after a grace
-// period. It is idempotent and safe after a failed or aborted Step.
+// period. It is idempotent and safe after a failed or aborted StepCtx.
 func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() {
 		co.closeErr = co.teardown(true)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -197,7 +198,7 @@ func TestDegradedModeBitwise(t *testing.T) {
 	if deg != 1 {
 		t.Fatalf("Degraded = %d, want 1", deg)
 	}
-	if n := co.Ranks(); n != 1 {
+	if n := co.cfg.Run.Ranks; n != 1 {
 		t.Fatalf("Ranks after degrade = %d, want 1", n)
 	}
 	if rec, _ := co.Recoveries(); rec != 1 {
@@ -235,7 +236,7 @@ func TestDegradedModeMinRanksFloor(t *testing.T) {
 	}
 	stepErr := error(nil)
 	for c := 0; c < 4 && stepErr == nil; c++ {
-		_, _, stepErr = co.Step()
+		_, _, stepErr = co.StepCtx(context.Background())
 	}
 	if stepErr == nil {
 		t.Fatal("run survived past an exhausted budget at the MinRanks floor")

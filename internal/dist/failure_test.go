@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -75,11 +76,11 @@ func TestRankDeathReturnsTypedFailure(t *testing.T) {
 	if err := co.SetReceiverParts(owners); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := co.Step(); err != nil {
+	if _, _, err := co.StepCtx(context.Background()); err != nil {
 		t.Fatalf("cycle 1: %v", err)
 	}
 	start := time.Now()
-	_, _, err = co.Step()
+	_, _, err = co.StepCtx(context.Background())
 	if err == nil {
 		t.Fatal("cycle 2 succeeded despite a dead rank")
 	}
@@ -117,7 +118,7 @@ func TestStallDetectedByHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err = co.Step()
+	_, _, err = co.StepCtx(context.Background())
 	if err == nil {
 		t.Fatal("Step succeeded despite a stalled rank")
 	}
@@ -187,7 +188,7 @@ func runRecovered(t *testing.T, tc *testConfig, cycles int, cfg Config) ([]float
 	var times []float64
 	var samples [][]float64
 	for c := 0; c < cycles; c++ {
-		tm, row, err := co.Step()
+		tm, row, err := co.StepCtx(context.Background())
 		if err != nil {
 			t.Fatalf("Step %d: %v", c, err)
 		}
@@ -306,7 +307,7 @@ func TestFetchRestoreState(t *testing.T) {
 	co1, done1 := run()
 	defer done1()
 	for c := 0; c < pre; c++ {
-		if _, _, err := co1.Step(); err != nil {
+		if _, _, err := co1.StepCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +315,7 @@ func TestFetchRestoreState(t *testing.T) {
 	var wantT []float64
 	var want [][]float64
 	for c := 0; c < post; c++ {
-		tm, row, err := co1.Step()
+		tm, row, err := co1.StepCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +331,7 @@ func TestFetchRestoreState(t *testing.T) {
 	var gotT []float64
 	var got [][]float64
 	for c := 0; c < post; c++ {
-		tm, row, err := co2.Step()
+		tm, row, err := co2.StepCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +386,7 @@ func TestFetchStateExactGlobalField(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < mid; c++ {
-		if _, _, err := co.Step(); err != nil {
+		if _, _, err := co.StepCtx(context.Background()); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
 	}
@@ -435,7 +436,7 @@ func TestFetchStateExactGlobalField(t *testing.T) {
 	var gotT []float64
 	var got [][]float64
 	for c := mid; c < cycles; c++ {
-		tm, row, err := co2.Step()
+		tm, row, err := co2.StepCtx(context.Background())
 		if err != nil {
 			t.Fatalf("restored cycle %d: %v", c, err)
 		}

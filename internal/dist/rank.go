@@ -444,13 +444,13 @@ func (r *rankRun) build() error {
 		return err
 	}
 
-	owners, err := ReceiverOwners(geom, &r.cfg)
+	parts, err := ReceiverOwnerParts(geom, &r.cfg)
 	if err != nil {
 		return err
 	}
-	nc := dop.Comps()
-	for i, owner := range owners {
-		if owner == r.params.rank {
+	ranks, nc := r.cfg.partRanks(), dop.Comps()
+	for i, p := range parts {
+		if ranks[p] == r.params.rank {
 			dof := r.cfg.Receivers[i]
 			n, _ := slices.BinarySearch(dop.OwnedNodes(), int32(dof/nc)) // the owner's elements touch it
 			r.recDof = append(r.recDof, n*nc+dof%nc)

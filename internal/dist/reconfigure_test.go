@@ -35,7 +35,7 @@ func startRun(t *testing.T, tc *testConfig, cfg Config) *Coordinator {
 func stepTo(t *testing.T, co *Coordinator, upTo int, times *[]float64, samples *[][]float64) {
 	t.Helper()
 	for len(*times) < upTo {
-		tm, row, err := co.Step()
+		tm, row, err := co.StepCtx(context.Background())
 		if err != nil {
 			co.Abort()
 			t.Fatalf("Step %d: %v", len(*times)+1, err)
@@ -174,7 +174,7 @@ func reconfigureLadder(t *testing.T, onRestore func(*rankRun)) {
 	if n, _ := co.Degraded(); n != 1 {
 		t.Errorf("Degraded = %d, want 1", n)
 	}
-	if n := co.Ranks(); n != 1 {
+	if n := co.cfg.Run.Ranks; n != 1 {
 		t.Errorf("Ranks = %d, want 1", n)
 	}
 	if co.gen != 4 {

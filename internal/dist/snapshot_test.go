@@ -161,7 +161,7 @@ func TestCommittedSlotDamaged(t *testing.T) {
 			if err := do(co.store.path(co.snap.Gen, co.snap.Slot, 0)); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := co.Step()
+			_, _, err := co.StepCtx(context.Background())
 			var se *SnapshotError
 			if !errors.As(err, &se) || se.Cycle != 4 || se.Gen != 0 || !strings.Contains(se.Reason, "0-1-0") {
 				t.Fatalf("Step after the damage: %v, want a *SnapshotError for cycle 4 naming file 0-1-0", err)
@@ -211,7 +211,7 @@ func TestNoOrphanSnapshotDir(t *testing.T) {
 			Faults: []*FaultPlan{{Kind: FaultStall, Rank: 1, Cycle: 2, Substep: -1}},
 		})
 		defer co.Close()
-		if _, _, err := co.Step(); err != nil {
+		if _, _, err := co.StepCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)

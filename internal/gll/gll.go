@@ -44,16 +44,6 @@ func New(n int) (*Rule, error) {
 	return r, nil
 }
 
-// MustNew is like New but panics on error. Intended for package-level
-// initialisation with constant degrees.
-func MustNew(n int) *Rule {
-	r, err := New(n)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // legendre evaluates the Legendre polynomial P_n(x) by the three-term
 // recurrence.
 func legendre(n int, x float64) float64 {
@@ -151,47 +141,4 @@ func derivativeMatrix(n int, x []float64) [][]float64 {
 		}
 	}
 	return d
-}
-
-// Lagrange evaluates the j-th Lagrange cardinal polynomial of the rule's
-// nodes at an arbitrary point xi in [-1, 1].
-func (r *Rule) Lagrange(j int, xi float64) float64 {
-	p := 1.0
-	for m, xm := range r.Points {
-		if m == j {
-			continue
-		}
-		p *= (xi - xm) / (r.Points[j] - xm)
-	}
-	return p
-}
-
-// Interpolate evaluates the polynomial with nodal values u (len N+1) at xi.
-func (r *Rule) Interpolate(u []float64, xi float64) float64 {
-	s := 0.0
-	for j := range u {
-		s += u[j] * r.Lagrange(j, xi)
-	}
-	return s
-}
-
-// Integrate approximates the integral of f over [-1, 1] with the GLL rule.
-// Exact for polynomials of degree <= 2N-1.
-func (r *Rule) Integrate(f func(float64) float64) float64 {
-	s := 0.0
-	for i, x := range r.Points {
-		s += r.Weights[i] * f(x)
-	}
-	return s
-}
-
-// DerivAt computes the derivative of the nodal polynomial u at node i:
-// sum_j D[i][j] u[j].
-func (r *Rule) DerivAt(u []float64, i int) float64 {
-	s := 0.0
-	row := r.D[i]
-	for j, uj := range u {
-		s += row[j] * uj
-	}
-	return s
 }

@@ -6,6 +6,61 @@ import (
 	"testing/quick"
 )
 
+// Helpers over a rule that only the tests use: they check the nodes,
+// weights and derivative matrix that New builds.
+
+// mustNew is New for the constant degrees of the tests.
+func mustNew(n int) *Rule {
+	r, err := New(n)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// lagrange evaluates the j-th Lagrange cardinal polynomial of the rule's
+// nodes at an arbitrary point xi in [-1, 1].
+func (r *Rule) lagrange(j int, xi float64) float64 {
+	p := 1.0
+	for m, xm := range r.Points {
+		if m == j {
+			continue
+		}
+		p *= (xi - xm) / (r.Points[j] - xm)
+	}
+	return p
+}
+
+// interpolate evaluates the polynomial with nodal values u (len N+1) at xi.
+func (r *Rule) interpolate(u []float64, xi float64) float64 {
+	s := 0.0
+	for j := range u {
+		s += u[j] * r.lagrange(j, xi)
+	}
+	return s
+}
+
+// integrate approximates the integral of f over [-1, 1] with the GLL rule.
+// Exact for polynomials of degree <= 2N-1.
+func (r *Rule) integrate(f func(float64) float64) float64 {
+	s := 0.0
+	for i, x := range r.Points {
+		s += r.Weights[i] * f(x)
+	}
+	return s
+}
+
+// derivAt computes the derivative of the nodal polynomial u at node i:
+// sum_j D[i][j] u[j].
+func (r *Rule) derivAt(u []float64, i int) float64 {
+	s := 0.0
+	row := r.D[i]
+	for j, uj := range u {
+		s += row[j] * uj
+	}
+	return s
+}
+
 func TestNewRejectsBadDegree(t *testing.T) {
 	for _, n := range []int{-3, -1, 0} {
 		if _, err := New(n); err == nil {
@@ -15,7 +70,7 @@ func TestNewRejectsBadDegree(t *testing.T) {
 }
 
 func TestKnownDegree1(t *testing.T) {
-	r := MustNew(1)
+	r := mustNew(1)
 	want := []float64{-1, 1}
 	for i, x := range want {
 		if math.Abs(r.Points[i]-x) > 1e-15 {
@@ -28,7 +83,7 @@ func TestKnownDegree1(t *testing.T) {
 }
 
 func TestKnownDegree2(t *testing.T) {
-	r := MustNew(2)
+	r := mustNew(2)
 	wantP := []float64{-1, 0, 1}
 	wantW := []float64{1.0 / 3, 4.0 / 3, 1.0 / 3}
 	for i := range wantP {
@@ -44,7 +99,7 @@ func TestKnownDegree2(t *testing.T) {
 // TestKnownDegree4 checks the degree-4 rule used throughout the paper
 // (125-node hexahedra = degree 4 in each dimension).
 func TestKnownDegree4(t *testing.T) {
-	r := MustNew(4)
+	r := mustNew(4)
 	s := math.Sqrt(3.0 / 7.0)
 	wantP := []float64{-1, -s, 0, s, 1}
 	wantW := []float64{1.0 / 10, 49.0 / 90, 32.0 / 45, 49.0 / 90, 1.0 / 10}
@@ -60,7 +115,7 @@ func TestKnownDegree4(t *testing.T) {
 
 func TestWeightsSumToTwo(t *testing.T) {
 	for n := 1; n <= 12; n++ {
-		r := MustNew(n)
+		r := mustNew(n)
 		s := 0.0
 		for _, w := range r.Weights {
 			s += w
@@ -73,7 +128,7 @@ func TestWeightsSumToTwo(t *testing.T) {
 
 func TestPointsSymmetricAndSorted(t *testing.T) {
 	for n := 1; n <= 12; n++ {
-		r := MustNew(n)
+		r := mustNew(n)
 		for i := 0; i <= n; i++ {
 			if got, want := r.Points[i], -r.Points[n-i]; math.Abs(got-want) > 1e-15 {
 				t.Errorf("degree %d: point %d not symmetric: %v vs %v", n, i, got, want)
@@ -89,9 +144,9 @@ func TestPointsSymmetricAndSorted(t *testing.T) {
 // degree up to 2N-1 exactly.
 func TestQuadratureExactness(t *testing.T) {
 	for n := 1; n <= 8; n++ {
-		r := MustNew(n)
+		r := mustNew(n)
 		for deg := 0; deg <= 2*n-1; deg++ {
-			got := r.Integrate(func(x float64) float64 { return math.Pow(x, float64(deg)) })
+			got := r.integrate(func(x float64) float64 { return math.Pow(x, float64(deg)) })
 			want := 0.0
 			if deg%2 == 0 {
 				want = 2.0 / float64(deg+1)
@@ -107,8 +162,8 @@ func TestQuadratureExactness(t *testing.T) {
 // (the well-known GLL under-integration that nevertheless yields the
 // diagonal mass matrix).
 func TestQuadratureInexactAt2N(t *testing.T) {
-	r := MustNew(4)
-	got := r.Integrate(func(x float64) float64 { return math.Pow(x, 8) })
+	r := mustNew(4)
+	got := r.integrate(func(x float64) float64 { return math.Pow(x, 8) })
 	want := 2.0 / 9.0
 	if math.Abs(got-want) < 1e-6 {
 		t.Errorf("x^8 with degree-4 rule unexpectedly exact: %v vs %v", got, want)
@@ -119,14 +174,14 @@ func TestQuadratureInexactAt2N(t *testing.T) {
 // must reproduce k x^(k-1) at the nodes for k <= N.
 func TestDerivativeMatrixExactOnPolynomials(t *testing.T) {
 	for n := 1; n <= 8; n++ {
-		r := MustNew(n)
+		r := mustNew(n)
 		for k := 0; k <= n; k++ {
 			u := make([]float64, n+1)
 			for i, x := range r.Points {
 				u[i] = math.Pow(x, float64(k))
 			}
 			for i, x := range r.Points {
-				got := r.DerivAt(u, i)
+				got := r.derivAt(u, i)
 				want := 0.0
 				if k > 0 {
 					want = float64(k) * math.Pow(x, float64(k-1))
@@ -143,7 +198,7 @@ func TestDerivativeMatrixExactOnPolynomials(t *testing.T) {
 // row of D sums to zero.
 func TestDerivativeRowsSumToZero(t *testing.T) {
 	for n := 1; n <= 10; n++ {
-		r := MustNew(n)
+		r := mustNew(n)
 		for i := 0; i <= n; i++ {
 			s := 0.0
 			for j := 0; j <= n; j++ {
@@ -157,10 +212,10 @@ func TestDerivativeRowsSumToZero(t *testing.T) {
 }
 
 func TestLagrangeCardinalProperty(t *testing.T) {
-	r := MustNew(5)
+	r := mustNew(5)
 	for j := 0; j <= 5; j++ {
 		for i, x := range r.Points {
-			got := r.Lagrange(j, x)
+			got := r.lagrange(j, x)
 			want := 0.0
 			if i == j {
 				want = 1
@@ -173,14 +228,14 @@ func TestLagrangeCardinalProperty(t *testing.T) {
 }
 
 func TestInterpolateReproducesPolynomial(t *testing.T) {
-	r := MustNew(6)
+	r := mustNew(6)
 	f := func(x float64) float64 { return 3*x*x*x - 2*x + 0.5 }
 	u := make([]float64, 7)
 	for i, x := range r.Points {
 		u[i] = f(x)
 	}
 	for _, xi := range []float64{-0.9, -0.33, 0, 0.17, 0.71, 1} {
-		if got, want := r.Interpolate(u, xi), f(xi); math.Abs(got-want) > 1e-11 {
+		if got, want := r.interpolate(u, xi), f(xi); math.Abs(got-want) > 1e-11 {
 			t.Errorf("interp at %v: got %v want %v", xi, got, want)
 		}
 	}
@@ -188,7 +243,7 @@ func TestInterpolateReproducesPolynomial(t *testing.T) {
 
 // Property: interpolation is linear in the nodal values.
 func TestInterpolationLinearityProperty(t *testing.T) {
-	r := MustNew(4)
+	r := mustNew(4)
 	f := func(a, b [5]float64, s float64) bool {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			return true
@@ -205,8 +260,8 @@ func TestInterpolationLinearityProperty(t *testing.T) {
 			u[i], v[i] = a[i], b[i]
 			w[i] = a[i] + s*b[i]
 		}
-		got := r.Interpolate(w[:], xi)
-		want := r.Interpolate(u[:], xi) + s*r.Interpolate(v[:], xi)
+		got := r.interpolate(w[:], xi)
+		want := r.interpolate(u[:], xi) + s*r.interpolate(v[:], xi)
 		scale := math.Max(1, math.Abs(want))
 		return math.Abs(got-want) <= 1e-9*scale
 	}
@@ -238,15 +293,6 @@ func TestLegendreDerivEndpoints(t *testing.T) {
 
 func BenchmarkRuleConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		MustNew(4)
-	}
-}
-
-func BenchmarkDerivAt(b *testing.B) {
-	r := MustNew(4)
-	u := []float64{1, 2, 3, 4, 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.DerivAt(u, 2)
+		mustNew(4)
 	}
 }

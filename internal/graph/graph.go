@@ -25,9 +25,6 @@ type Graph struct {
 // NC returns the number of balance constraints.
 func (g *Graph) NC() int { return len(g.VW) }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
-
 // FromMeshDual builds the dual (face-adjacency) graph of a mesh with LTS
 // level information.
 //

@@ -23,8 +23,8 @@ func TestDualGraphStructure(t *testing.T) {
 		t.Fatalf("N = %d", g.N)
 	}
 	// 3x3x3 grid: edges = 3 * 3*3*2 (per direction) = 54.
-	if g.NumEdges() != 54 {
-		t.Fatalf("edges = %d, want 54", g.NumEdges())
+	if len(g.Adj)/2 != 54 {
+		t.Fatalf("edges = %d, want 54", len(g.Adj)/2)
 	}
 	if g.Components() != 1 {
 		t.Fatalf("components = %d", g.Components())
@@ -93,8 +93,8 @@ func TestInducedSubgraph(t *testing.T) {
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if sub.N != 2 || sub.NumEdges() != 1 {
-		t.Fatalf("subgraph N=%d E=%d, want 2, 1", sub.N, sub.NumEdges())
+	if sub.N != 2 || len(sub.Adj)/2 != 1 {
+		t.Fatalf("subgraph N=%d E=%d, want 2, 1", sub.N, len(sub.Adj)/2)
 	}
 	if toOld[0] != 1 || toOld[1] != 2 {
 		t.Fatalf("mapping %v", toOld)

@@ -35,9 +35,8 @@ func TestSaveRestoreBitwise(t *testing.T) {
 			u0[i] = math.Sin(math.Pi * x / 4)
 			v0[i] = 0.1 * math.Cos(math.Pi*x/4)
 		}
-		if err := s.SetInitial(u0, v0); err != nil {
-			t.Fatal(err)
-		}
+		copy(s.U, u0)
+		copy(s.V, v0)
 		return s
 	}
 

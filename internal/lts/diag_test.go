@@ -49,6 +49,12 @@ func (s *sets) haloElems(li int) int {
 // all-elements restriction and a work buffer of its own: the scheme's
 // buffers, kbuf's all-zero invariant included, are untouched.
 func (s *Scheme) Energy() float64 {
-	var sc sem.Scratch
-	return sem.NewRestriction(s.Op, sem.AllElements(s.Op)).Energy(s.Op, s.U, s.V, make([]float64, s.Op.NDof()), &sc)
+	return sem.Energy(s.Op, s.U, s.V, sem.AllElements(s.Op), nil)
+}
+
+// Run advances n cycles.
+func (s *Scheme) Run(n int) {
+	for i := 0; i < n; i++ {
+		s.Step()
+	}
 }

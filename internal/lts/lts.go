@@ -244,19 +244,6 @@ func FromMeshLevels(op sem.BatchKernel, lv *mesh.Levels, optimized bool) (*Schem
 	return New(op, lv.Lvl, lv.NumLevels, lv.CoarseDt, optimized)
 }
 
-// SetInitial sets u(0) and v(0), both at t = 0. Must precede stepping.
-func (s *Scheme) SetInitial(u0, v0 []float64) error {
-	if s.start {
-		return fmt.Errorf("lts: SetInitial after stepping started")
-	}
-	if len(u0) != len(s.U) || len(v0) != len(s.V) {
-		return fmt.Errorf("lts: initial condition length mismatch")
-	}
-	copy(s.U, u0)
-	copy(s.V, v0)
-	return nil
-}
-
 // SetSources installs point sources (must be called before stepping so
 // their active-region positions can be resolved); their dofs are in the
 // scheme's numbering. A source on a node outside it is kept in Sources and
@@ -677,11 +664,4 @@ func (s *Scheme) dampFac(n int) float64 {
 		return 1
 	}
 	return 1 / (1 + s.Sigma[n]*s.Dt)
-}
-
-// Run advances n cycles.
-func (s *Scheme) Run(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
 }

@@ -66,12 +66,10 @@ func TestSingleLevelMatchesNewmarkExactly(t *testing.T) {
 		u0[i] = math.Sin(math.Pi * x / 6)
 		v0[i] = 0.1 * math.Cos(math.Pi*x/6)
 	}
-	if err := s.SetInitial(u0, v0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetInitial(u0, v0); err != nil {
-		t.Fatal(err)
-	}
+	copy(s.U, u0)
+	copy(s.V, v0)
+	copy(g.U, u0)
+	copy(g.V, v0)
 	for n := 0; n < 50; n++ {
 		s.Step()
 		g.Step()
@@ -109,13 +107,8 @@ func TestOptimizedMatchesReference(t *testing.T) {
 			x := op.NodeX(i)
 			u0[i] = math.Exp(-2 * (x - 2) * (x - 2))
 		}
-		v0 := make([]float64, op.NDof())
-		if err := ref.SetInitial(u0, v0); err != nil {
-			t.Fatal(err)
-		}
-		if err := opt.SetInitial(u0, v0); err != nil {
-			t.Fatal(err)
-		}
+		copy(ref.U, u0)
+		copy(opt.U, u0)
 		ref.Run(30)
 		opt.Run(30)
 		scale := 0.0
@@ -149,9 +142,9 @@ func newDenseOracle(op sem.Operator, elemLevel []uint8, nlv int, dt float64) *de
 	nc := op.Comps()
 	o := &denseLTSOracle{nlv: nlv, dt: dt, u: make([]float64, n), v: make([]float64, n)}
 	// Dense A by probing. A unit vector at dof j only excites the elements
-	// incident to node j/nc, so each column is probed through a restricted
-	// accel (sem.Restriction) over that incidence list — the node-restricted
-	// variant both exercised here and O(support) instead of O(NDof).
+	// incident to node j/nc, so each column is probed through the scalar
+	// stiffness path over that incidence list and read on its node
+	// support: O(support) instead of O(NDof).
 	inc := make([][]int32, op.NumNodes())
 	var nb []int32
 	for e := 0; e < op.NumElements(); e++ {
@@ -167,21 +160,21 @@ func newDenseOracle(op sem.Operator, elemLevel []uint8, nlv int, dt float64) *de
 	probe := make([]float64, n)
 	col := make([]float64, n)
 	var scr sem.Scratch
-	restr := make(map[int]*sem.Restriction) // per node: shared by its nc dofs
+	minv := op.MInv()
+	support := make(map[int][]int32) // per node: shared by its nc dofs
 	for j := 0; j < n; j++ {
-		r := restr[j/nc]
-		if r == nil {
-			r = sem.NewRestriction(op, inc[j/nc])
-			restr[j/nc] = r
+		nodes, ok := support[j/nc]
+		if !ok {
+			nodes = sem.NodesOf(op, inc[j/nc])
+			support[j/nc] = nodes
 		}
 		probe[j] = 1
-		r.Accel(op, col, probe, &scr)
+		op.AddKuScratch(col, probe, inc[j/nc], &scr)
 		probe[j] = 0
-		for _, nd := range r.Nodes {
+		for _, nd := range nodes {
 			for c := 0; c < nc; c++ {
 				d := int(nd)*nc + c
-				// Restriction.Accel returns -M⁻¹K; the oracle stores +M⁻¹K.
-				o.a[d][j] = -col[d]
+				o.a[d][j] = minv[nd] * col[d]
 				col[d] = 0
 			}
 		}
@@ -317,9 +310,7 @@ func TestSchemeMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetInitial(u0, make([]float64, op.NDof())); err != nil {
-			t.Fatal(err)
-		}
+		copy(s.U, u0)
 		o := newDenseOracle(op, lv, nl, dt)
 		copy(o.u, u0)
 		for n := 0; n < 12; n++ {
@@ -351,9 +342,7 @@ func TestLTSSecondOrderConvergence(t *testing.T) {
 		for i := range u0 {
 			u0[i] = math.Cos(k * op.NodeX(i))
 		}
-		if err := s.SetInitial(u0, make([]float64, op.NDof())); err != nil {
-			t.Fatal(err)
-		}
+		copy(s.U, u0)
 		T := 0.75 * l // ωT = 3π/4: phase error visible
 		steps := int(math.Round(T / dt))
 		s.Run(steps)
@@ -392,9 +381,7 @@ func TestLTSEnergyStability(t *testing.T) {
 			x := op.NodeX(i)
 			u0[i] = math.Exp(-4 * (x - 1.5) * (x - 1.5))
 		}
-		if err := s.SetInitial(u0, make([]float64, op.NDof())); err != nil {
-			t.Fatal(err)
-		}
+		copy(s.U, u0)
 		s.Step()
 		e := s.Energy()
 		lo, hi, mean = e, e, e
@@ -438,9 +425,7 @@ func TestLTSUnstableWhenFineElementAtCoarseLevel(t *testing.T) {
 	for i := range u0 {
 		u0[i] = math.Sin(2.0 * op.NodeX(i))
 	}
-	if err := s.SetInitial(u0, make([]float64, op.NDof())); err != nil {
-		t.Fatal(err)
-	}
+	copy(s.U, u0)
 	s.Run(200)
 	norm := 0.0
 	for _, v := range s.U {
@@ -454,9 +439,7 @@ func TestLTSUnstableWhenFineElementAtCoarseLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.SetInitial(u0, make([]float64, op.NDof())); err != nil {
-		t.Fatal(err)
-	}
+	copy(s2.U, u0)
 	s2.Run(200)
 	norm2 := 0.0
 	for _, v := range s2.U {
@@ -533,14 +516,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := New(op, []uint8{1, 5, 1}, 2, 0.1, true); err == nil {
 		t.Error("expected error for out-of-range level")
-	}
-	s, err := New(op, lv, nl, 0.001, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Step()
-	if err := s.SetInitial(make([]float64, op.NDof()), make([]float64, op.NDof())); err == nil {
-		t.Error("expected error for SetInitial after start")
 	}
 }
 

@@ -388,9 +388,8 @@ func TestBitwiseAgainstFullVectorOracle(t *testing.T) {
 							return s, o
 						}
 						s, o := build()
-						if err := s.SetInitial(u0, v0); err != nil {
-							t.Fatal(err)
-						}
+						copy(s.U, u0)
+						copy(s.V, v0)
 						copy(o.U, u0)
 						copy(o.V, v0)
 						for cyc := 1; cyc <= 8; cyc++ {

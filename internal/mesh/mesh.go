@@ -197,39 +197,7 @@ func (m *Mesh) CornerIncidence() (offsets []int32, elems []int32) {
 	return offsets, elems
 }
 
-// Centroid returns the centroid coordinates of element e.
-func (m *Mesh) Centroid(e int) (x, y, z float64) {
-	i, j, k := m.ECoords(e)
-	return (m.XC[i] + m.XC[i+1]) / 2, (m.YC[j] + m.YC[j+1]) / 2, (m.ZC[k] + m.ZC[k+1]) / 2
-}
-
 // Extent returns the bounding box of the mesh.
 func (m *Mesh) Extent() (x0, x1, y0, y1, z0, z1 float64) {
 	return m.XC[0], m.XC[m.NX], m.YC[0], m.YC[m.NY], m.ZC[0], m.ZC[m.NZ]
-}
-
-// LocateElement returns the element containing point (x, y, z), clamping to
-// the nearest element when the point lies outside the mesh.
-func (m *Mesh) LocateElement(x, y, z float64) int {
-	return m.EIndex(locate(m.XC, x), locate(m.YC, y), locate(m.ZC, z))
-}
-
-func locate(c []float64, x float64) int {
-	n := len(c) - 1
-	if x <= c[0] {
-		return 0
-	}
-	if x >= c[n] {
-		return n - 1
-	}
-	lo, hi := 0, n
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if c[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

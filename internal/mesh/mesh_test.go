@@ -6,6 +6,40 @@ import (
 	"testing/quick"
 )
 
+// Point queries that only the tests use.
+
+// centroid returns the centroid coordinates of element e.
+func (m *Mesh) centroid(e int) (x, y, z float64) {
+	i, j, k := m.ECoords(e)
+	return (m.XC[i] + m.XC[i+1]) / 2, (m.YC[j] + m.YC[j+1]) / 2, (m.ZC[k] + m.ZC[k+1]) / 2
+}
+
+// locateElement returns the element containing point (x, y, z), clamping to
+// the nearest element when the point lies outside the mesh.
+func (m *Mesh) locateElement(x, y, z float64) int {
+	return m.EIndex(locate(m.XC, x), locate(m.YC, y), locate(m.ZC, z))
+}
+
+func locate(c []float64, x float64) int {
+	n := len(c) - 1
+	if x <= c[0] {
+		return 0
+	}
+	if x >= c[n] {
+		return n - 1
+	}
+	lo, hi := 0, n
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if c[mid] <= x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New("bad", []float64{0}, []float64{0, 1}, []float64{0, 1}); err == nil {
 		t.Error("expected error for single boundary coordinate")
@@ -128,13 +162,13 @@ func TestCornerIncidence(t *testing.T) {
 
 func TestLocateElement(t *testing.T) {
 	m := Uniform(4, 4, 4, 1, 1)
-	e := m.LocateElement(2.5, 0.5, 3.9)
+	e := m.locateElement(2.5, 0.5, 3.9)
 	i, j, k := m.ECoords(e)
 	if i != 2 || j != 0 || k != 3 {
 		t.Errorf("located (%d,%d,%d), want (2,0,3)", i, j, k)
 	}
 	// Out-of-range points clamp.
-	e = m.LocateElement(-5, 100, 2.2)
+	e = m.locateElement(-5, 100, 2.2)
 	i, j, k = m.ECoords(e)
 	if i != 0 || j != 3 || k != 2 {
 		t.Errorf("clamped to (%d,%d,%d), want (0,3,2)", i, j, k)
@@ -155,7 +189,7 @@ func TestExtentAndCentroid(t *testing.T) {
 	if x0 != 0 || math.Abs(x1-3) > 1e-12 || math.Abs(z1-3) > 1e-12 {
 		t.Errorf("extent wrong: %v %v %v", x0, x1, z1)
 	}
-	cx, cy, cz := m.Centroid(0)
+	cx, cy, cz := m.centroid(0)
 	if math.Abs(cx-0.75) > 1e-12 || math.Abs(cy-0.75) > 1e-12 || math.Abs(cz-0.75) > 1e-12 {
 		t.Errorf("centroid wrong: %v %v %v", cx, cy, cz)
 	}

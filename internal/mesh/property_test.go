@@ -68,7 +68,7 @@ func TestSpeedupBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: LocateElement returns an element whose box contains (or is
+// Property: locateElement returns an element whose box contains (or is
 // nearest to, for clamped inputs) the query point.
 func TestLocateElementProperty(t *testing.T) {
 	m := Trench(0.02)
@@ -80,7 +80,7 @@ func TestLocateElementProperty(t *testing.T) {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(z) {
 			return true
 		}
-		e := m.LocateElement(x, y, z)
+		e := m.locateElement(x, y, z)
 		i, j, k := m.ECoords(e)
 		return m.XC[i] <= x+1e-9 && x <= m.XC[i+1]+1e-9 &&
 			m.YC[j] <= y+1e-9 && y <= m.YC[j+1]+1e-9 &&

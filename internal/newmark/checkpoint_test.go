@@ -27,9 +27,8 @@ func TestSaveRestoreBitwise(t *testing.T) {
 			u0[i] = math.Cos(math.Pi * op.NodeX(i))
 			v0[i] = 0.2 * math.Sin(math.Pi*op.NodeX(i))
 		}
-		if err := s.SetInitial(u0, v0); err != nil {
-			t.Fatal(err)
-		}
+		copy(s.U, u0)
+		copy(s.V, v0)
 		return s
 	}
 

@@ -8,10 +8,9 @@ import "golts/internal/sem"
 // oscillates with amplitude O(Δt²) around a constant for the staggered
 // scheme. It and ConservedEnergy read U in node ids: operators without a
 // footprint only. The stiffness work buffer is accel (zero between steps,
-// left zero by the restriction).
+// left zero by sem.Energy).
 func (s *Stepper) Energy() float64 {
-	var sc sem.Scratch
-	return sem.NewRestriction(s.Op, s.elems).Energy(s.Op, s.U, s.V, s.accel[:len(s.U)], &sc)
+	return sem.Energy(s.Op, s.U, s.V, s.elems, s.accel[:len(s.U)])
 }
 
 // ConservedEnergy returns the discrete energy that the undamped, unforced

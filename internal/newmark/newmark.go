@@ -8,8 +8,6 @@
 package newmark
 
 import (
-	"fmt"
-	"math"
 	"slices"
 
 	"golts/internal/sem"
@@ -57,21 +55,6 @@ func New(op sem.BatchKernel, dt float64) *Stepper {
 	s.U, s.V = make([]float64, nd), make([]float64, nd)
 	s.accel = make([]float64, s.bplan.DstNodes()*op.Comps()) // the plan's spill tail included
 	return s
-}
-
-// SetInitial sets u(0) and v(0) (both at t = 0, unstaggered). Must be
-// called before the first Step.
-func (s *Stepper) SetInitial(u0, v0 []float64) error {
-	if s.started {
-		return fmt.Errorf("newmark: SetInitial after stepping started")
-	}
-	if len(u0) != len(s.U) || len(v0) != len(s.V) {
-		return fmt.Errorf("newmark: initial condition length mismatch")
-	}
-	copy(s.U, u0)
-	copy(s.V, v0)
-	clear(s.accel)
-	return nil
 }
 
 // Time returns the current simulation time t_n.
@@ -164,54 +147,4 @@ func (s *Stepper) Run(n int) {
 	for i := 0; i < n; i++ {
 		s.Step()
 	}
-}
-
-// EstimateCriticalDt estimates the leap-frog stability limit
-// Δt_max = 2/√λ_max(M⁻¹K) by power iteration. This is the sharp version of
-// the CFL bound (Eq. 7): the heuristic h/c estimate must stay below it,
-// and the LTS level assignment inherits its safety margin from the CFL
-// constant used.
-func EstimateCriticalDt(op sem.Operator, iters int) float64 {
-	if iters <= 0 {
-		iters = 60
-	}
-	n := op.NDof()
-	u := make([]float64, n)
-	ku := make([]float64, n)
-	// Deterministic pseudo-random start vector with zero mean.
-	s := uint64(0x9e3779b97f4a7c15)
-	for i := range u {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		u[i] = float64(int64(s))/float64(1<<63) - 0
-	}
-	elems := sem.AllElements(op)
-	minv := op.MInv()
-	nc := op.Comps()
-	lambda := 0.0
-	var scr sem.Scratch
-	for it := 0; it < iters; it++ {
-		for i := range ku {
-			ku[i] = 0
-		}
-		op.AddKuScratch(ku, u, elems, &scr)
-		norm := 0.0
-		for nd := 0; nd < op.NumNodes(); nd++ {
-			for c := 0; c < nc; c++ {
-				d := nd*nc + c
-				ku[d] *= minv[nd]
-				norm += ku[d] * ku[d]
-			}
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return math.Inf(1)
-		}
-		lambda = norm
-		for i := range u {
-			u[i] = ku[i] / norm
-		}
-	}
-	return 2 / math.Sqrt(lambda)
 }

@@ -151,7 +151,7 @@ func oracleCases(t *testing.T) []oracleCase {
 func TestStepMatchesFivePassOracle(t *testing.T) {
 	const steps = 40
 	for _, c := range oracleCases(t) {
-		dt := 0.5 * EstimateCriticalDt(c.op, 60)
+		dt := 0.5 * estimateCriticalDt(c.op, 60)
 		t.Run(c.name, func(t *testing.T) {
 			s := New(c.op, dt)
 			s.Sources, s.Sigma = c.sources, c.sigma
@@ -186,7 +186,7 @@ func sameBits(t *testing.T, step int, name string, got, want []float64) {
 // bit for bit, i.e. every diagnostic leaves the acceleration buffer zero.
 func TestAccelZeroBetweenSteps(t *testing.T) {
 	c := oracleCases(t)[1]
-	dt := 0.5 * EstimateCriticalDt(c.op, 60)
+	dt := 0.5 * estimateCriticalDt(c.op, 60)
 	mk := func() *Stepper {
 		s := New(c.op, dt)
 		s.Sources, s.Sigma = c.sources, c.sigma

@@ -117,12 +117,10 @@ func TestParallelNewmark(t *testing.T) {
 		u0[n] = math.Exp(-((x - 2.4) * (x - 2.4)) - (y-1.5)*(y-1.5) - (z-1.5)*(z-1.5))
 	}
 	v0 := make([]float64, op.NDof())
-	if err := sSeq.SetInitial(u0, v0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sPar.SetInitial(u0, v0); err != nil {
-		t.Fatal(err)
-	}
+	copy(sSeq.U, u0)
+	copy(sSeq.V, v0)
+	copy(sPar.U, u0)
+	copy(sPar.V, v0)
 	for i := 0; i < 40; i++ {
 		sSeq.Step()
 		sPar.Step()
@@ -160,14 +158,16 @@ func TestParallelLTS(t *testing.T) {
 		u0[n] = math.Cos(0.8*x) * math.Cos(0.6*y) * math.Cos(0.9*z)
 	}
 	v0 := make([]float64, op.NDof())
-	if err := sSeq.SetInitial(u0, v0); err != nil {
-		t.Fatal(err)
+	copy(sSeq.U, u0)
+	copy(sSeq.V, v0)
+	copy(sPar.U, u0)
+	copy(sPar.V, v0)
+	for c := 0; c < 10; c++ {
+		sSeq.Step()
 	}
-	if err := sPar.SetInitial(u0, v0); err != nil {
-		t.Fatal(err)
+	for c := 0; c < 10; c++ {
+		sPar.Step()
 	}
-	sSeq.Run(10)
-	sPar.Run(10)
 	scale := 0.0
 	for _, v := range sSeq.U {
 		scale = math.Max(scale, math.Abs(v))

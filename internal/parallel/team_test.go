@@ -143,7 +143,8 @@ func TestCloseReleasesWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(2)
+	s.Step()
+	s.Step()
 	ours := func() int {
 		n := 0
 		for id := range serveGoroutines() {

@@ -110,7 +110,10 @@ func TestOp1DMatchesDenseAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := gll.MustNew(deg)
+	r, err := gll.New(deg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := op.NDof()
 	dense := make([][]float64, n)
 	for i := range dense {

@@ -117,8 +117,8 @@ func TestAcousticMatches1D(t *testing.T) {
 	}
 	a3 := make([]float64, op3.NDof())
 	a1 := make([]float64, op1.NDof())
-	Accel(op3, a3, u3, AllElements(op3))
-	Accel(op1, a1, u1, AllElements(op1))
+	accel(op3, a3, u3, AllElements(op3))
+	accel(op1, a1, u1, AllElements(op1))
 	for gi := 0; gi <= deg*nx; gi++ {
 		// Sample at an interior (j, k) node.
 		got := a3[op3.NodeIndex(gi, 3, 5)]
@@ -247,8 +247,8 @@ func TestElasticPWaveMatchesAcoustic(t *testing.T) {
 	}
 	aE := make([]float64, el.NDof())
 	aA := make([]float64, ac.NDof())
-	Accel(el, aE, uE, AllElements(el))
-	Accel(ac, aA, uA, AllElements(ac))
+	accel(el, aE, uE, AllElements(el))
+	accel(ac, aA, uA, AllElements(ac))
 	for nd := 0; nd < ac.NumNodes(); nd++ {
 		if math.Abs(aE[3*nd]-aA[nd]) > 1e-8*math.Max(1, math.Abs(aA[nd])) {
 			t.Fatalf("node %d: elastic %v vs acoustic %v", nd, aE[3*nd], aA[nd])

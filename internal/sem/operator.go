@@ -16,7 +16,9 @@
 // engine drives with caller-owned workspaces so the steady-state stepping
 // loops perform zero heap allocations; the per-element AddKuScratch of
 // the concrete operators is the degree-generic reference oracle it is
-// pinned against bit for bit.
+// pinned against bit for bit. No binary runs the oracle: it is kept for
+// the tests and for benchmark/layers.go, whose timing decorator forwards
+// it through BatchKernel.
 package sem
 
 import (
@@ -48,7 +50,8 @@ type Operator interface {
 	// Scratch makes the call allocation-free. On the concrete operators
 	// it is the per-element reference oracle and AddKu delegates here
 	// with pooled scratch; the engines implement both through their
-	// batched kernel and ignore sc.
+	// batched kernel and ignore sc. Both are the oracle of the tests and
+	// of benchmark/layers.go only: no binary calls them.
 	AddKuScratch(dst, u []float64, elems []int32, sc *Scratch)
 	// ElemNodes appends the global node ids of element e to buf and
 	// returns the extended slice.
@@ -187,56 +190,24 @@ func ConnOf(op Operator) ([]int32, int) {
 	return nil, 0
 }
 
-// Restriction is an element list with its precomputed node support, for
-// repeated restricted applications: where Accel pays O(NDof) zeroing and
-// O(NumNodes) mass scaling regardless of the list, Restriction.Accel
-// touches only the support.
-type Restriction struct {
-	// Elems is the element list (not copied; must not be mutated).
-	Elems []int32
-	// Nodes is the sorted unique node support of Elems.
-	Nodes []int32
-}
-
-// NewRestriction precomputes the node support of elems.
-func NewRestriction(op Operator, elems []int32) *Restriction {
-	return &Restriction{Elems: elems, Nodes: NodesOf(op, elems)}
-}
-
-// Accel computes dst = -M⁻¹ K u over the restriction's elements, reading
-// and writing only the support nodes: entries of dst outside r.Nodes are
-// left untouched. With a warm Scratch the call is allocation-free.
-func (r *Restriction) Accel(op Operator, dst, u []float64, sc *Scratch) {
-	nc := op.Comps()
-	for _, n := range r.Nodes {
-		base := int(n) * nc
-		for c := 0; c < nc; c++ {
-			dst[base+c] = 0
-		}
+// Energy returns the discrete mechanical energy ½ vᵀMv + ½ uᵀKu over the
+// listed elements' node support, through the scalar stiffness path. For
+// the staggered leap-frog scheme this quantity oscillates with amplitude
+// O(Δt²) around a conserved value, which is what the conservation tests
+// of sem, lts and newmark check. work (length NDof, or nil to allocate)
+// is stiffness scratch; it is left all-zero.
+func Energy(op Operator, u, v []float64, elems []int32, work []float64) float64 {
+	if len(work) < len(u) {
+		work = make([]float64, len(u))
 	}
-	op.AddKuScratch(dst, u, r.Elems, sc)
+	work = work[:len(u)]
+	clear(work)
+	var sc Scratch
+	op.AddKuScratch(work, u, elems, &sc)
 	minv := op.MInv()
-	for _, n := range r.Nodes {
-		mi := minv[n]
-		base := int(n) * nc
-		for c := 0; c < nc; c++ {
-			dst[base+c] *= -mi
-		}
-	}
-}
-
-// Energy returns the discrete mechanical energy ½vᵀMv + ½uᵀKu accumulated
-// over the restriction's elements and node support. work must have length
-// NDof with all-zero entries on the support; it is used as stiffness
-// scratch and restored to zero on the support before returning, so a warm
-// Scratch makes the call allocation-free — the plan-cache-aware diagnostic
-// path the steppers' Energy methods use.
-func (r *Restriction) Energy(op Operator, u, v, work []float64, sc *Scratch) float64 {
 	nc := op.Comps()
-	op.AddKuScratch(work, u, r.Elems, sc)
-	minv := op.MInv()
 	e := 0.0
-	for _, n := range r.Nodes {
+	for _, n := range NodesOf(op, elems) {
 		base := int(n) * nc
 		if minv[n] != 0 { // fixed nodes carry no kinetic energy
 			m := 1 / minv[n]
@@ -250,43 +221,6 @@ func (r *Restriction) Energy(op Operator, u, v, work []float64, sc *Scratch) flo
 		}
 	}
 	return e
-}
-
-// Accel computes dst = -M⁻¹ K u over all elements (the right-hand side of
-// Eq. 4 without sources). dst is overwritten. Callers holding a small
-// restricted element list should prefer Restriction.Accel, which touches
-// only the list's node support.
-func Accel(op Operator, dst, u []float64, elems []int32) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	op.AddKu(dst, u, elems)
-	minv := op.MInv()
-	nc := op.Comps()
-	for n := 0; n < op.NumNodes(); n++ {
-		mi := minv[n]
-		for c := 0; c < nc; c++ {
-			dst[n*nc+c] *= -mi
-		}
-	}
-}
-
-// Energy returns the discrete mechanical energy ½ vᵀMv + ½ uᵀKu over the
-// listed elements' node support. For the staggered leap-frog scheme this
-// quantity oscillates with amplitude O(Δt²) around a conserved value,
-// which is what the conservation tests check. This is the one-shot
-// convenience form; callers that evaluate repeatedly should hold a
-// Restriction and call its Energy method with owned scratch.
-func Energy(op Operator, u, v []float64, elems []int32, work []float64) float64 {
-	if len(work) < len(u) {
-		work = make([]float64, len(u))
-	}
-	work = work[:len(u)]
-	for i := range work {
-		work[i] = 0
-	}
-	var sc Scratch
-	return NewRestriction(op, elems).Energy(op, u, v, work, &sc)
 }
 
 // checkLen panics with a descriptive message when a vector has the wrong

@@ -53,36 +53,3 @@ func (r *Receiver) Record(t float64, u []float64) {
 	r.Times = append(r.Times, t)
 	r.Values = append(r.Values, u[r.Dof])
 }
-
-// PeakTime returns the time at which |value| is largest (crude arrival
-// picker for travel-time tests). Returns 0 when empty.
-func (r *Receiver) PeakTime() float64 {
-	best, bt := 0.0, 0.0
-	for i, v := range r.Values {
-		if math.Abs(v) > best {
-			best, bt = math.Abs(v), r.Times[i]
-		}
-	}
-	return bt
-}
-
-// FirstArrival returns the first time |value| exceeds frac times the peak
-// amplitude — a threshold picker robust against later reflections. Returns
-// 0 when the trace is empty or all-zero.
-func (r *Receiver) FirstArrival(frac float64) float64 {
-	peak := 0.0
-	for _, v := range r.Values {
-		if math.Abs(v) > peak {
-			peak = math.Abs(v)
-		}
-	}
-	if peak == 0 {
-		return 0
-	}
-	for i, v := range r.Values {
-		if math.Abs(v) >= frac*peak {
-			return r.Times[i]
-		}
-	}
-	return 0
-}

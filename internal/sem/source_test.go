@@ -37,17 +37,6 @@ func TestGaussianPulse(t *testing.T) {
 	}
 }
 
-func TestReceiverFirstArrivalEmpty(t *testing.T) {
-	r := &Receiver{Dof: 0}
-	if r.FirstArrival(0.5) != 0 || r.PeakTime() != 0 {
-		t.Error("empty receiver should report 0")
-	}
-	r.Record(1, []float64{0})
-	if r.FirstArrival(0.5) != 0 {
-		t.Error("all-zero trace should report 0")
-	}
-}
-
 func TestEnergySkipsFixedNodes(t *testing.T) {
 	op := uniform1D(4, 1, 1, 3, FixedBC, FixedBC)
 	u := make([]float64, op.NDof())

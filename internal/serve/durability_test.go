@@ -56,7 +56,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 		}
 		waitTerminal(t, j)
 		if st := j.StateNow(); st != StateDone {
-			t.Fatalf("replayed job %s finished %s (%s)", id, st, j.Err())
+			t.Fatalf("replayed job %s finished %s (%s)", id, st, j.snapshot().Error)
 		}
 		if _, err := os.Stat(s2.spool.jobPath(id)); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("job %s spool entry not removed after completion", id)
@@ -82,7 +82,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	waitTerminal(t, jr)
 	if jr.StateNow() != StateDone {
-		t.Fatalf("reference job: %s (%s)", jr.StateNow(), jr.Err())
+		t.Fatalf("reference job: %s (%s)", jr.StateNow(), jr.snapshot().Error)
 	}
 	want := rowBytes(jr)
 	ref.Close()
@@ -133,7 +133,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			}
 			waitTerminal(t, j2)
 			if j2.StateNow() != StateDone {
-				t.Fatalf("resumed job: %s (%s)", j2.StateNow(), j2.Err())
+				t.Fatalf("resumed job: %s (%s)", j2.StateNow(), j2.snapshot().Error)
 			}
 			if got := rowBytes(j2); !bytes.Equal(got, want) {
 				t.Fatalf("resumed stream differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
@@ -235,12 +235,12 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 	}
 	waitTerminal(t, j)
 	if j.StateNow() != StateDone {
-		t.Fatalf("job finished %s (%s), want done", j.StateNow(), j.Err())
+		t.Fatalf("job finished %s (%s), want done", j.StateNow(), j.snapshot().Error)
 	}
-	if attempts != 3 || j.Retries() != 2 {
-		t.Errorf("attempts=%d retries=%d, want 3 attempts / 2 retries", attempts, j.Retries())
+	if attempts != 3 || j.snapshot().Retries != 2 {
+		t.Errorf("attempts=%d retries=%d, want 3 attempts / 2 retries", attempts, j.snapshot().Retries)
 	}
-	if kind := j.ErrKind(); kind != "" {
+	if kind := j.snapshot().ErrorKind; kind != "" {
 		t.Errorf("successful job kept error kind %q", kind)
 	}
 	waitIdle(s)
@@ -262,9 +262,9 @@ func TestRetriesExhausted(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	waitTerminal(t, j)
-	if j.StateNow() != StateFailed || j.ErrKind() != "infra" || j.Retries() != 1 {
+	if j.StateNow() != StateFailed || j.snapshot().ErrorKind != "infra" || j.snapshot().Retries != 1 {
 		t.Fatalf("state=%s kind=%s retries=%d, want failed/infra/1",
-			j.StateNow(), j.ErrKind(), j.Retries())
+			j.StateNow(), j.snapshot().ErrorKind, j.snapshot().Retries)
 	}
 	waitIdle(s)
 	if st := s.Stats(); st.Failed != 1 || st.Retried != 1 {
@@ -292,9 +292,9 @@ func TestConfigErrorNotRetried(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	waitTerminal(t, j)
-	if j.StateNow() != StateFailed || j.ErrKind() != "config" || j.Retries() != 0 {
+	if j.StateNow() != StateFailed || j.snapshot().ErrorKind != "config" || j.snapshot().Retries != 0 {
 		t.Fatalf("state=%s kind=%s retries=%d, want failed/config/0",
-			j.StateNow(), j.ErrKind(), j.Retries())
+			j.StateNow(), j.snapshot().ErrorKind, j.snapshot().Retries)
 	}
 	if st := s.Stats(); st.Retried != 0 {
 		t.Errorf("config rejection consumed %d retries", st.Retried)

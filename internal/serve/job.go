@@ -143,36 +143,6 @@ func (j *Job) StateNow() State {
 	return j.state
 }
 
-// Err returns the failure message of a failed job ("" otherwise).
-func (j *Job) Err() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// ErrKind returns the failure classification: "config" for a rejected
-// configuration (*wave.OptionError — retrying cannot help), "infra" for
-// an execution failure (retried up to MaxRetries), "" otherwise.
-func (j *Job) ErrKind() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.errKind
-}
-
-// Retries returns the number of failed attempts so far.
-func (j *Job) Retries() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.retries
-}
-
-// Stats returns the simulation stats recorded at completion.
-func (j *Job) Stats() (wave.Stats, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stats, j.hasStats
-}
-
 // rowBuffer retains every CSV row a job has produced and broadcasts
 // appends to streaming subscribers with a channel-swap: each append
 // closes the current wait channel and installs a fresh one, so any

@@ -174,7 +174,7 @@ func TestConcurrentSameConfigBuildsOnce(t *testing.T) {
 	}
 	waitTerminal(t, j)
 	if st := j.StateNow(); st != StateDone {
-		t.Fatalf("reference job: %s (%s)", st, j.Err())
+		t.Fatalf("reference job: %s (%s)", st, j.snapshot().Error)
 	}
 	coldBuilds := ref.Stats().Cache.Misses
 	ref.Close()
@@ -193,7 +193,7 @@ func TestConcurrentSameConfigBuildsOnce(t *testing.T) {
 	for _, j := range jobs {
 		waitTerminal(t, j)
 		if st := j.StateNow(); st != StateDone {
-			t.Fatalf("job %s: %s (%s)", j.ID, st, j.Err())
+			t.Fatalf("job %s: %s (%s)", j.ID, st, j.snapshot().Error)
 		}
 	}
 	ctr := s.Stats().Cache
@@ -295,7 +295,7 @@ func TestCachedRunBitwiseIdentical(t *testing.T) {
 		j, _ := s.Job(sn.ID)
 		waitTerminal(t, j)
 		if st := j.StateNow(); st != StateDone {
-			t.Fatalf("job: %s (%s)", st, j.Err())
+			t.Fatalf("job: %s (%s)", st, j.snapshot().Error)
 		}
 		return data, sn.Hash
 	}
@@ -550,10 +550,10 @@ func TestAutoTuneJobs(t *testing.T) {
 	j1, _ := s.Job(sn1.ID)
 	waitTerminal(t, j1)
 	if st := j1.StateNow(); st != StateDone {
-		t.Fatalf("tuned job finished %s (%s)", st, j1.Err())
+		t.Fatalf("tuned job finished %s (%s)", st, j1.snapshot().Error)
 	}
-	st1, ok := j1.Stats()
-	if !ok || st1.TunedWorkers < 1 {
+	st1 := j1.snapshot().Stats
+	if st1 == nil || st1.TunedWorkers < 1 {
 		t.Fatalf("tuned job carries no plan: %+v", st1)
 	}
 	if st1.Workers != st1.TunedWorkers {
@@ -566,8 +566,8 @@ func TestAutoTuneJobs(t *testing.T) {
 	_, sn2 := postJob(t, ts.URL, tinyReq())
 	j2, _ := s.Job(sn2.ID)
 	waitTerminal(t, j2)
-	st2, ok := j2.Stats()
-	if !ok || st2.TunedWorkers != st1.TunedWorkers {
+	st2 := j2.snapshot().Stats
+	if st2 == nil || st2.TunedWorkers != st1.TunedWorkers {
 		t.Errorf("cached plan not reused: %+v vs %+v", st2, st1)
 	}
 	if d := s.Stats().Cache.Misses - misses; d != 0 {
@@ -608,7 +608,7 @@ func TestCacheBoundedInBytes(t *testing.T) {
 		j, _ := s.Job(sn.ID)
 		waitTerminal(t, j)
 		if st := j.StateNow(); st != StateDone {
-			t.Fatalf("scale %g: job %s (%s)", scale, st, j.Err())
+			t.Fatalf("scale %g: job %s (%s)", scale, st, j.snapshot().Error)
 		}
 		st := getStats(t, ts.URL)
 		if st.Cache.BudgetBytes != budget {

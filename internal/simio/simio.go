@@ -253,17 +253,3 @@ func (s *SeismogramSet) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// ReadJSON parses a set written by WriteJSON.
-func ReadJSON(r io.Reader) (*SeismogramSet, error) {
-	var s SeismogramSet
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, err
-	}
-	for _, tr := range s.Traces {
-		if len(tr.Values) != len(s.Times) {
-			return nil, fmt.Errorf("simio: trace %q sample count mismatch", tr.Name)
-		}
-	}
-	return &s, nil
-}

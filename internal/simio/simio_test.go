@@ -3,6 +3,7 @@ package simio
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -133,8 +134,8 @@ func TestSeismogramJSONRoundTrip(t *testing.T) {
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got SeismogramSet
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Traces) != 1 || got.Traces[0].Name != "x" || got.Traces[0].Values[1] != -1.5 {
@@ -162,8 +163,8 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		if err := s.WriteJSON(&buf); err != nil {
 			return false
 		}
-		got, err := ReadJSON(&buf)
-		if err != nil {
+		var got SeismogramSet
+		if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 			return false
 		}
 		for i, v := range vals {

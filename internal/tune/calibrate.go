@@ -59,11 +59,6 @@ type Plan struct {
 	Measurements []Measurement `json:"measurements"`
 }
 
-// Valid reports whether the plan selects an executable shape.
-func (p *Plan) Valid() bool {
-	return p != nil && (p.Best.Workers > 0 || p.Best.Ranks > 0)
-}
-
 // Calibrate probes the candidate grid with short runs and returns the
 // plan. Each candidate runs probeCycles coarse cycles; once the wall
 // budget is spent, remaining candidates are skipped (at least one
