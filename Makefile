@@ -61,11 +61,12 @@ race:
 	GOMAXPROCS=1 $(GO) test -race -short -run 'Team|Close|StressInterleaved|Determinism|Spill' ./internal/parallel
 	$(GO) test -race -short -run 'ArtifactCache' ./wave
 
-# Short native-fuzz leg over the untrusted decoders (four of
+# Short native-fuzz leg over the untrusted decoders (five of
 # internal/dist — the state frame (internal/ckpt's one state format)
 # overlaid onto a rank's or a whole field's arrays, a rank's restore from
-# a msgRestore descriptor, the peer-link halo frame and the cycle-done
-# frame — the checkpoint container of internal/ckpt with its meta section
+# a msgRestore descriptor, the peer-link halo frame, the cycle-done frame
+# and a rank's set-up frame (gob configFrame, then validate) — the
+# checkpoint container of internal/ckpt with its meta section
 # and the state frames of its state section, the service's POST /jobs
 # body and the run configuration of internal/simio, one after the other:
 # go test takes one -fuzz target per run); the committed corpora under
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreDescriptor -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzHaloFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCycleDone -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzConfigFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME) ./internal/simio

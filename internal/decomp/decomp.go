@@ -105,20 +105,3 @@ func Union(lists ...[]int32) []int32 {
 	slices.Sort(all)
 	return slices.Compact(all)
 }
-
-// Owners maps every node to the lowest part whose touched set contains
-// it, or -1 for nodes no part touches. For an all-elements plan this is
-// the canonical disjoint node-ownership used to decide which executor
-// reports a node's value (receiver sampling, state gathers).
-func Owners(numNodes int, touched [][]int32) []int32 {
-	own := make([]int32, numNodes)
-	for i := range own {
-		own[i] = -1
-	}
-	for p := len(touched) - 1; p >= 0; p-- {
-		for _, n := range touched[p] {
-			own[n] = int32(p)
-		}
-	}
-	return own
-}

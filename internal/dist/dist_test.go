@@ -392,8 +392,9 @@ func TestReceiverOwnersCover(t *testing.T) {
 }
 
 // TestReceiverOwnerPartsDefinition: the one-pass owner search equals its
-// definition — decomp.Owners over an all-elements decomposition — at every
-// node of a small mesh, under a scattered partition at Parts 2, 3 and 4.
+// definition — the lowest part of an all-elements decomposition whose
+// touched set holds the node — at every node of a small mesh, under a
+// scattered partition at Parts 2, 3 and 4.
 func TestReceiverOwnerPartsDefinition(t *testing.T) {
 	tc := newTestConfig(t, "elastic", true, 1, 2)
 	nc := tc.geom.Comps()
@@ -414,7 +415,12 @@ func TestReceiverOwnerPartsDefinition(t *testing.T) {
 			t.Fatalf("parts %d: %v", parts, err)
 		}
 		dp := decomp.Build(tc.geom, cfg.Part, parts, sem.AllElements(tc.geom))
-		want := decomp.Owners(tc.geom.NumNodes(), dp.Touched)
+		want := make([]int32, tc.geom.NumNodes())
+		for p := parts - 1; p >= 0; p-- {
+			for _, n := range dp.Touched[p] {
+				want[n] = int32(p)
+			}
+		}
 		for n, p := range got {
 			if p != int(want[n]) {
 				t.Fatalf("parts %d: node %d owned by part %d, definition says %d", parts, n, p, want[n])

@@ -7,8 +7,11 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
+	"golts/internal/mesh"
+	"golts/internal/partition"
 	"golts/internal/solver"
 )
 
@@ -204,4 +207,78 @@ func TestMalformedCycleDoneIsCorruptFailure(t *testing.T) {
 		h.c.close()
 		rank.close()
 	}
+}
+
+// FuzzConfigFrame: a rank's set-up decoder — the gob msgConfig payload
+// into a configFrame, then RunConfig.validate — returns an error or a
+// config that holds every invariant validate promises, and never panics.
+// The seeds are a dist2-lts-elastic frame (trench 0.005, elastic, LTS,
+// 2 ranks over the 2 SCOTCH-P parts of seed 1), its truncations and
+// configurations validate must refuse.
+func FuzzConfigFrame(f *testing.F) {
+	m, lv, err := solver.MeshLevels("trench", 0.005, 0.4/16)
+	if err != nil {
+		f.Fatal(err)
+	}
+	part, err := partition.Assign(m, lv, 2, partition.ScotchP, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	run := RunConfig{
+		Spec: solver.Spec{Mesh: "trench", Scale: 0.005, Physics: "elastic", Degree: 4, LevelCFL: 0.4 / 16, LTS: true,
+			Sources: []solver.Source{{Dof: 3*1000 + 2, F0: 10, T0: 0.05}}},
+		Ranks: 2, Parts: 2, Part: part, Receivers: []int{0, 3*500 + 1}, HeartbeatMillis: 1000,
+	}
+	for _, c := range []func(*RunConfig){
+		func(*RunConfig) {},
+		func(c *RunConfig) { c.PartRank = []int{1, 0} },
+		func(c *RunConfig) { c.PartRank = []int{0, 0} }, // rank 1 without parts
+		func(c *RunConfig) { c.Ranks = 0 },
+		func(c *RunConfig) { c.Parts = 1 },
+		func(c *RunConfig) { c.Mesh = "cube?" },
+		func(c *RunConfig) { c.Physics = "plasma" },
+		func(c *RunConfig) { c.Part = []int32{0, 1, 2} },
+	} {
+		cf := configFrame{Run: run, SnapDir: "/dev/shm/golts-snap-1"}
+		cf.Run.Part = slices.Clone(part)
+		c(&cf.Run)
+		frame, err := gobBytes(&cf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var cf configFrame
+		if err := decodeGob(payload, &cf); err != nil {
+			return
+		}
+		c := &cf.Run
+		if err := c.validate(); err != nil {
+			return
+		}
+		if c.Ranks < 1 || c.Parts < c.Ranks {
+			t.Fatalf("validated %d ranks over %d parts", c.Ranks, c.Parts)
+		}
+		if _, ok := mesh.Generators[c.Mesh]; !ok || c.Physics != "acoustic" && c.Physics != "elastic" {
+			t.Fatalf("validated mesh %q, physics %q", c.Mesh, c.Physics)
+		}
+		for _, p := range c.Part {
+			if p < 0 || int(p) >= c.Parts {
+				t.Fatalf("validated part id %d of %d parts", p, c.Parts)
+			}
+		}
+		if c.PartRank == nil {
+			return
+		}
+		held := make([]int, c.Ranks)
+		for _, r := range c.PartRank {
+			held[r]++ // a rank outside [0, Ranks) panics here
+		}
+		if len(c.PartRank) != c.Parts || slices.Contains(held, 0) {
+			t.Fatalf("validated part-rank map %v for %d ranks, %d parts", c.PartRank, c.Ranks, c.Parts)
+		}
+	})
 }

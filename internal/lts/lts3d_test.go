@@ -228,3 +228,21 @@ func BenchmarkLTS3DCycleVsNewmark(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSchemeNew: building the scheme of seq-lts-acoustic — trench
+// 0.02, degree 4, acoustic, level CFL 0.4/16 — on a built operator: the
+// level sets and one batch plan per level.
+func BenchmarkSchemeNew(b *testing.B) {
+	m := mesh.Generators["trench"](0.02)
+	lv := mesh.AssignLevels(m, 0.4/16, 0)
+	op, err := sem.NewAcoustic3D(m, 4, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := FromMeshLevels(op, lv, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

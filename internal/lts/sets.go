@@ -192,25 +192,48 @@ func (s *sets) node(n int32) int32 {
 
 // byLevel lists the positions in nodes (every node when nil, so node ids)
 // of each level's nodes, in the order given, back to back in the returned
-// array sized by a counting pass.
+// array. Levels come in runs of consecutive positions (about 50 nodes
+// long on the trench mesh), so both passes go run by run: one sizes each
+// level's share, the other fills it.
 func byLevel(nodes []int32, lvl []uint8, numLevels int) ([][]int32, []int32) {
-	if nodes == nil {
-		nodes = make([]int32, len(lvl))
-		for n := range nodes {
-			nodes[n] = int32(n)
+	if nodes != nil { // the level of each position
+		at := make([]uint8, len(nodes))
+		for i, n := range nodes {
+			at[i] = lvl[n]
 		}
+		lvl = at
 	}
 	off := make([]int, numLevels+1)
-	for _, n := range nodes {
-		off[lvl[n]+1]++
+	for i, j := 0, 0; i < len(lvl); i = j {
+		j = runEnd(lvl, i)
+		off[lvl[i]+1] += j - i
 	}
-	lists, all := make([][]int32, numLevels), make([]int32, len(nodes))
+	lists := make([][]int32, numLevels)
 	for li := range lists {
 		off[li+1] += off[li]
-		lists[li] = all[off[li]:off[li]:off[li+1]]
 	}
-	for i, n := range nodes {
-		lists[lvl[n]] = append(lists[lvl[n]], int32(i))
+	all := make([]int32, off[numLevels])
+	for li := range lists {
+		lists[li] = all[off[li]:off[li+1]:off[li+1]]
+	}
+	next := off[:numLevels] // each level's cursor, from its start
+	for i, j := 0, 0; i < len(lvl); i = j {
+		j = runEnd(lvl, i)
+		l, k := lvl[i], next[lvl[i]]
+		for n := i; n < j; n++ {
+			all[k] = int32(n)
+			k++
+		}
+		next[l] = k
 	}
 	return lists, all
+}
+
+// runEnd returns the end of the run of equal levels that starts at i.
+func runEnd(lvl []uint8, i int) int {
+	j, l := i+1, lvl[i]
+	for j < len(lvl) && lvl[j] == l {
+		j++
+	}
+	return j
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -155,6 +156,42 @@ func TestApplyMatchesOracle(t *testing.T) {
 	}
 }
 
+// tableLayout is the spill layout as built from a NumNodes-long table of
+// each node's lowest toucher and a stable sort of the pairs by (lowest
+// toucher, node): the construction the merge of buildPlan replaced.
+func tableLayout(nn, k int, touched [][]int32) planCore {
+	low := make([]int32, nn)
+	for p := len(touched) - 1; p >= 0; p-- {
+		for _, n := range touched[p] {
+			low[n] = int32(p)
+		}
+	}
+	var c planCore
+	for r, t := range touched {
+		for _, n := range t {
+			if low[n] != int32(r) {
+				c.pairs = append(c.pairs, spillPair{n, int32(r)})
+			}
+		}
+	}
+	slices.SortStableFunc(c.pairs, func(a, b spillPair) int {
+		return cmp.Compare(int64(low[a.node])*int64(nn)+int64(a.node), int64(low[b.node])*int64(nn)+int64(b.node))
+	})
+	c.lead = make([]int32, k+1)
+	for s, sp := range c.pairs {
+		if s == 0 || sp.node != c.pairs[s-1].node {
+			c.sharedNode = append(c.sharedNode, sp.node)
+			c.slotOff = append(c.slotOff, int32(s))
+			c.lead[low[sp.node]+1]++
+		}
+	}
+	c.slotOff = append(c.slotOff, int32(len(c.pairs)))
+	for r := 0; r < k; r++ {
+		c.lead[r+1] += c.lead[r]
+	}
+	return c
+}
+
 // TestSpillHoldsSharedPairs: no worker holds a field-sized buffer; the
 // spill tail of a plan holds exactly one slot per (node, rank) pair where
 // a lower rank touches the node too, the merge visits a node's slots in
@@ -191,6 +228,11 @@ func TestSpillHoldsSharedPairs(t *testing.T) {
 			}
 		}
 		pl := p.NewBatchPlan(elems).(*applyPlan)
+		w := tableLayout(op.NumNodes(), k, pl.dp.Touched)
+		w.owner, w.dp, w.nc, w.built = pl.owner, pl.dp, pl.nc, pl.built
+		if !reflect.DeepEqual(w, pl.planCore) {
+			t.Fatalf("K=%d: spill layout differs from the node-table construction", k)
+		}
 		// The (node, rank) pairs with a lower toucher.
 		lowest := make([]int, op.NumNodes())
 		touchers := make([]int, op.NumNodes())

@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -77,23 +77,38 @@ func buildPlan(p *PartitionedOperator, dp *decomp.Plan) *applyPlan {
 			pl.built[r] = p.inner.NewBatchPlan(elems)
 		}
 	}
-	low := decomp.Owners(nn, dp.Touched)
-	for r, t := range dp.Touched {
-		for _, n := range t {
-			if low[n] != int32(r) {
-				pl.pairs = append(pl.pairs, spillPair{n, int32(r)})
+	// One merge of the ascending touched sets finds every node two ranks
+	// touch, with its touchers in ascending order, and files its pairs
+	// under the lowest: pairs come out by lowest toucher, node, rank.
+	byLow := make([][]spillPair, p.K)
+	head := make([]int, p.K)
+	for {
+		n, lo := int32(math.MaxInt32), -1
+		for r, t := range dp.Touched {
+			if head[r] < len(t) && t[head[r]] < n {
+				n, lo = t[head[r]], r
+			}
+		}
+		if lo < 0 {
+			break
+		}
+		head[lo]++
+		for r := lo + 1; r < p.K; r++ {
+			if t := dp.Touched[r]; head[r] < len(t) && t[head[r]] == n {
+				byLow[lo] = append(byLow[lo], spillPair{n, int32(r)})
+				head[r]++
 			}
 		}
 	}
-	slices.SortStableFunc(pl.pairs, func(a, b spillPair) int {
-		return cmp.Compare(int64(low[a.node])*int64(nn)+int64(a.node), int64(low[b.node])*int64(nn)+int64(b.node))
-	})
-	for s, sp := range pl.pairs {
-		if s == 0 || sp.node != pl.pairs[s-1].node {
-			pl.sharedNode = append(pl.sharedNode, sp.node)
-			pl.slotOff = append(pl.slotOff, int32(s))
-			pl.lead[low[sp.node]+1]++
+	for lo, ps := range byLow {
+		for s, sp := range ps {
+			if s == 0 || sp.node != ps[s-1].node {
+				pl.sharedNode = append(pl.sharedNode, sp.node)
+				pl.slotOff = append(pl.slotOff, int32(len(pl.pairs)+s))
+				pl.lead[lo+1]++
+			}
 		}
+		pl.pairs = append(pl.pairs, ps...)
 	}
 	pl.slotOff = append(pl.slotOff, int32(len(pl.pairs)))
 	for r := 0; r < p.K; r++ {

@@ -23,7 +23,7 @@ package sem
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Operator is a semi-discrete wave operator M ü = -K u + F with diagonal
@@ -149,14 +149,16 @@ func NodesOf(op Operator, elems []int32) []int32 {
 
 // TouchedNodes returns, for each element list, the ascending unique global
 // node ids its elements touch (nil for an empty list): the node support of
-// a part's stiffness contributions. One mark array serves every list.
+// a part's stiffness contributions. One bitmap serves every list: a list
+// sets its nodes' bits, then a scan of the words it touched emits them in
+// ascending order into an exactly sized list and clears those words.
 func TouchedNodes(op Operator, elemLists [][]int32) [][]int32 {
 	conn, npe := ConnOf(op)
-	seen := make([]bool, op.NumNodes())
+	seen := make([]uint64, (op.NumNodes()+63)/64)
 	var nb []int32
 	out := make([][]int32, len(elemLists))
 	for p, list := range elemLists {
-		var nodes []int32
+		lo, hi := len(seen), 0 // the words [lo, hi) hold every set bit
 		for _, e := range list {
 			if conn != nil {
 				nb = conn[int(e)*npe : (int(e)+1)*npe]
@@ -164,16 +166,25 @@ func TouchedNodes(op Operator, elemLists [][]int32) [][]int32 {
 				nb = op.ElemNodes(int(e), nb[:0])
 			}
 			for _, n := range nb {
-				if !seen[n] {
-					seen[n] = true
-					nodes = append(nodes, n)
-				}
+				w := int(n >> 6)
+				seen[w] |= 1 << (n & 63)
+				lo, hi = min(lo, w), max(hi, w+1)
 			}
 		}
-		for _, n := range nodes {
-			seen[n] = false
+		if lo >= hi {
+			continue
 		}
-		slices.Sort(nodes)
+		words, count := seen[lo:hi], 0
+		for _, x := range words {
+			count += bits.OnesCount64(x)
+		}
+		nodes := make([]int32, 0, count)
+		for i, x := range words {
+			for base := int32(lo+i) << 6; x != 0; x &= x - 1 {
+				nodes = append(nodes, base+int32(bits.TrailingZeros64(x)))
+			}
+			words[i] = 0
+		}
 		out[p] = nodes
 	}
 	return out
